@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import CronlabError
+from .errors import CronlabError, PreconditionError
 from .fieldio import read_field
 from .grid import lebesgue_norm
 from .harness import ExperimentConfig, all_passed, report_text, run
@@ -64,8 +64,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_report(args) -> int:
     path = os.path.join(args.dir, "summary.json")
-    with open(path) as fh:
-        payload = json.load(fh)
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise PreconditionError(f"cannot read run summary {path}: {exc}") from exc
     records = payload["records"]
     failures = [r for r in records if not r["passed"]]
     print(f"experiment {payload['experiment']}  (config {payload['config_hash']})")

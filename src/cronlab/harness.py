@@ -78,6 +78,9 @@ class ExperimentConfig:
                                  f"wrap limit L/2={self.L / 2.0}")
         if self.t_samples < 2:
             raise ParameterError("t_samples must be at least 2")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ParameterError(f"seed={self.seed} outside 0..2^64-1 "
+                                 "(it keys a Philox stream)")
         return self
 
     def config_hash(self) -> str:
@@ -87,8 +90,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            raw = json.load(fh)
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ParameterError(f"cannot read config file {path}: {exc}") from exc
         known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
         unknown = set(raw) - known
         if unknown:
@@ -368,6 +374,27 @@ def run_identities(config: ExperimentConfig):
 # ---------------------------------------------------------------------------
 # suite: lp-suite (criteria 3 and 4)
 
+def _commutator_scan(grid: GridSpec, br: BandRange, comm_ks, seed: int):
+    """Commutator norms per scanned band k, normalized ratios and scan rows over
+    12 draws, for the slope -1 in 2^k and the bounded-ratio gates.  f sits in
+    the lowest band so every scanned shell is well separated from grad f; g
+    reaches one band above the scan, capped at the grid's widest range."""
+    smooth_band = BandRange(br.k_min, br.k_min)
+    g_band = BandRange(br.k_min, min(max(comm_ks) + 1, br.k_max))
+    norms_by_k = {k: [] for k in comm_ks}
+    ratios, rows = [], []
+    for s in range(12):
+        f = flat_spectrum_field(grid, stream(seed, 2000 + s), smooth_band, real=True)
+        g = flat_spectrum_field(grid, stream(seed, 3000 + s), g_band)
+        for k in comm_ks:
+            c = lp.commutator_field(f, g, k)
+            norms_by_k[k].append(lebesgue_norm(c, 2))
+            ratios.append(lp.commutator_ratio(f, g, k, np.inf, 2, 2))
+            rows.append(ScanRow("lp-suite", grid.n, grid.N, grid.L, float(k), seed,
+                                norms_by_k[k][-1], 2.0 ** (-k), ratios[-1]))
+    return norms_by_k, ratios, rows
+
+
 def run_lp_suite(config: ExperimentConfig):
     records, rows = [], []
     seed = config.seed
@@ -400,22 +427,9 @@ def run_lp_suite(config: ExperimentConfig):
         records.append(AcceptanceRecord.bounded(f"bernstein.slope.{tag}", slope,
                                                 lo=-0.1, hi=0.1))
 
-    # commutator: slope -1 in 2^k and bounded normalized ratio; f sits in the
-    # lowest band so every scanned shell is well separated from grad f
-    smooth_band = BandRange(br.k_min, br.k_min)
     comm_ks = ks[:4]
-    norms_by_k = {k: [] for k in comm_ks}
-    ratios = []
-    for s in range(12):
-        f = flat_spectrum_field(grid, stream(seed, 2000 + s), smooth_band, real=True)
-        g = flat_spectrum_field(grid, stream(seed, 3000 + s),
-                                BandRange(br.k_min, max(comm_ks) + 1))
-        for k in comm_ks:
-            c = lp.commutator_field(f, g, k)
-            norms_by_k[k].append(lebesgue_norm(c, 2))
-            ratios.append(lp.commutator_ratio(f, g, k, np.inf, 2, 2))
-            rows.append(ScanRow("lp-suite", n, N, L, float(k), seed,
-                                norms_by_k[k][-1], 2.0 ** (-k), ratios[-1]))
+    norms_by_k, ratios, comm_rows = _commutator_scan(grid, br, comm_ks, seed)
+    rows += comm_rows
     mean_norms = [float(np.mean(norms_by_k[k])) for k in comm_ks]
     slope = fit_loglog([2.0 ** k for k in comm_ks], mean_norms)
     records.append(AcceptanceRecord.bounded("commutator.slope", slope, lo=-1.15, hi=-0.85))

@@ -18,8 +18,8 @@ residuals, unitarity and decay scans) is built from these two objects.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -329,7 +329,9 @@ class DirectionCache:
     Exact mode: one direction per primitive integer vector.  Bucketed mode:
     greedy clustering to representatives within eta_dir/2, used when the shell
     carries more distinct directions than per-direction FFTs can afford.
-    Read-only after construction (safe to share across worker threads).
+    The geometry is read-only after construction; ``multipliers`` memoizes the
+    phase multipliers of the families built on the cache (a concurrent first
+    build computes the same arrays twice, never different ones).
     """
 
     def __init__(self, grid, modes, directions, assignment, eta_dir):
@@ -338,6 +340,7 @@ class DirectionCache:
         self.directions = directions
         self.assignment = assignment
         self.eta_dir = eta_dir
+        self.multipliers = {}     # (grid, band range, sigma, bump) -> (ws, leqs)
         self.flat_index = np.ravel_multi_index((modes % grid.N).T, grid.shape)
         self.bucket_masks = []
         for b in range(len(directions)):
@@ -396,15 +399,52 @@ class DirectionCache:
 # ---------------------------------------------------------------------------
 # the phase family
 
-@dataclass(frozen=True, eq=False)
-class PhaseSlice:
-    """All derivative fields of one direction's phase at one time (physical arrays)."""
+def _ifft(grid: GridSpec, F: np.ndarray) -> np.ndarray:
+    return np.fft.ifftn(F) / grid.cell_volume
 
-    psi: np.ndarray
-    psi_t: np.ndarray
-    grad: tuple
-    box: np.ndarray
-    imag_defect: float
+
+def _dot_omega(stacked, w_dir) -> np.ndarray:
+    return sum(stacked[j] * w_dir[j] for j in range(len(w_dir)))
+
+
+class PhaseSlice:
+    """One direction's phase at one time (physical arrays).
+
+    psi is computed at construction; psi_t, grad and box on first access.  A
+    slice holds the connection samples and the multiplier it was built from,
+    never its family, so a dropped family is freed at once."""
+
+    def __init__(self, grid: GridSpec, sign: int, w_dir, W, samples):
+        self._grid, self._sign, self._w_dir, self._W = grid, sign, w_dir, W
+        self._samples = samples        # (A, A_t, A_tt, F, F_t) at the slice's time
+        psi_c = _ifft(grid, self._lift(0))
+        scale = max(np.abs(psi_c).max(), 1e-300)
+        self.imag_defect = float(np.abs(psi_c.imag).max() / scale)
+        self.psi = psi_c.real
+
+    def _lift(self, i: int) -> np.ndarray:
+        """W (i xi.omega X.omega + (s / 2 pi) Y.omega) for (X, Y) = samples i, i + 1:
+        the phase symbol of a field and its time derivative."""
+        X, Y = self._samples[i], self._samples[i + 1]
+        dot = np.tensordot(self._w_dir, self._grid.xi, axes=(0, 0))
+        return self._W * (1j * dot * _dot_omega(X, self._w_dir)
+                          + (self._sign / (2.0 * np.pi)) * _dot_omega(Y, self._w_dir))
+
+    @cached_property
+    def psi_t(self) -> np.ndarray:
+        return _ifft(self._grid, self._lift(1)).real
+
+    @cached_property
+    def grad(self) -> tuple:
+        psi_hat = self._lift(0)
+        return tuple(_ifft(self._grid, 2j * np.pi * self._grid.xi[j] * psi_hat).real
+                     for j in range(self._grid.n))
+
+    @cached_property
+    def box(self) -> np.ndarray:
+        if self._samples[3] is None:
+            return np.zeros(self._grid.shape)
+        return _ifft(self._grid, self._lift(3)).real
 
 
 class PhaseFamily:
@@ -415,12 +455,13 @@ class PhaseFamily:
     the connection within a few octaves of the data shell; the defect identity
     is exact for any angles).  The combined time-independent multipliers
     (inverse transverse Laplacian against the kept sectors, and the
-    complementary kept-small-angle sum) are precomputed per direction.
+    complementary kept-small-angle sum) are built per direction once for each
+    direction cache and shared by every family on it.  Phase slices are kept
+    for the most recent time only; a call at a new time drops them.
     """
 
     def __init__(self, conn: FreeConnection, sign: int, sigma: float,
-                 cache: DirectionCache, bump=DEFAULT_BUMP, slice_cache: int = 16,
-                 _premultipliers=None):
+                 cache: DirectionCache, bump=DEFAULT_BUMP, _premultipliers=None):
         if sign not in (+1, -1):
             raise ParameterError("sign must be +1 or -1")
         validate_sigma(conn.grid.n, sigma)
@@ -431,91 +472,50 @@ class PhaseFamily:
         self.cache = cache
         self.bump = bump
         self.thetas = {k: min(2.0 ** (sigma * k), THETA_MAX) for k in conn.band_range}
-        self._w = []        # inverse-transverse x kept-sector multiplier, per bucket
-        self._leq = []      # complementary small-angle multiplier, per bucket
-        if _premultipliers is not None:
-            self._w, self._leq = _premultipliers
-        else:
-            for w_dir in cache.directions:
-                W, Lsum = self._build_multipliers(w_dir)
-                self._w.append(W)
-                self._leq.append(Lsum)
-        self._conn_cache = OrderedDict()
-        self._slice_cache = OrderedDict()
-        self._slice_cap = slice_cache
+        self._w, self._leq = _premultipliers or self._shared_multipliers()
+        self._t = None
+        self._samples = None     # connection samples at time _t
+        self._table = {}         # bucket -> PhaseSlice at time _t
         self.max_imag_defect = 0.0
 
-    def _build_multipliers(self, w_dir):
-        grid = self.grid
-        theta_min = min(self.thetas.values()) / 4.0
-        inv = transverse_inverse_symbol(grid, w_dir, theta_min)
-        S_g = np.zeros(grid.shape, dtype=np.complex128)
-        S_l = np.zeros(grid.shape, dtype=np.complex128)
-        for k in self.conn.band_range:
-            pk = band_symbol(grid, k, self.bump)
-            gk = greater_symbol(grid, w_dir, self.thetas[k], self.bump)
-            S_g += pk * gk
-            S_l += pk * (1.0 - gk)
-        return inv * S_g, S_l
+    def _shared_multipliers(self):
+        key = (self.grid, self.conn.band_range, self.sigma, self.bump)
+        if key not in self.cache.multipliers:
+            grid = self.grid
+            theta_min = min(self.thetas.values()) / 4.0
+            ws, leqs = [], []
+            for w_dir in self.cache.directions:
+                inv = transverse_inverse_symbol(grid, w_dir, theta_min)
+                S_g = np.zeros(grid.shape, dtype=np.complex128)
+                S_l = np.zeros(grid.shape, dtype=np.complex128)
+                for k in self.conn.band_range:
+                    pk = band_symbol(grid, k, self.bump)
+                    gk = greater_symbol(grid, w_dir, self.thetas[k], self.bump)
+                    S_g += pk * gk
+                    S_l += pk * (1.0 - gk)
+                ws.append(inv * S_g)
+                leqs.append(S_l)
+            self.cache.multipliers[key] = (tuple(ws), tuple(leqs))
+        return self.cache.multipliers[key]
 
-    # -- connection samples, cached per time -----------------------------------
     def _conn_at(self, t: float):
-        if t not in self._conn_cache:
+        """(A, A_t, A_tt, F, F_t) at t; moving to a new time drops the phase table."""
+        if t != self._t:
             A, At = self.conn.eval_hat(t)
             Att = self.conn.eval_hat_tt(t)
             F = self.conn.forcing_hat(t) if self.conn.forcing else None
             Ft = self.conn.forcing_hat_dt(t) if self.conn.forcing else None
-            if len(self._conn_cache) > 8:
-                self._conn_cache.popitem(last=False)
-            self._conn_cache[t] = (A, At, Att, F, Ft)
-        return self._conn_cache[t]
-
-    def _ifft(self, F: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(F) / self.grid.cell_volume
-
-    def _dot_omega(self, stacked, w_dir) -> np.ndarray:
-        return sum(stacked[j] * w_dir[j] for j in range(self.grid.n))
-
-    def psi_hat(self, t: float, b: int) -> np.ndarray:
-        A, At, *_ = self._conn_at(t)
-        w_dir = self.cache.directions[b]
-        dot = np.tensordot(w_dir, self.grid.xi, axes=(0, 0))
-        Q = self._dot_omega(A, w_dir)
-        Qt = self._dot_omega(At, w_dir)
-        return self._w[b] * (1j * dot * Q + (self.sign / (2.0 * np.pi)) * Qt)
+            self._t, self._samples, self._table = t, (A, At, Att, F, Ft), {}
+        return self._samples
 
     def slice_at(self, t: float, b: int) -> PhaseSlice:
-        key = (t, b)
-        if key in self._slice_cache:
-            return self._slice_cache[key]
-        grid = self.grid
-        A, At, Att, F, Ft = self._conn_at(t)
-        w_dir = self.cache.directions[b]
-        dot = np.tensordot(w_dir, grid.xi, axes=(0, 0))
-        W = self._w[b]
-        Q, Qt, Qtt = (self._dot_omega(X, w_dir) for X in (A, At, Att))
-        psi_hat = W * (1j * dot * Q + (self.sign / (2.0 * np.pi)) * Qt)
-        psit_hat = W * (1j * dot * Qt + (self.sign / (2.0 * np.pi)) * Qtt)
-        psi_c = self._ifft(psi_hat)
-        psi_t_c = self._ifft(psit_hat)
-        grad = tuple(self._ifft(2j * np.pi * grid.xi[j] * psi_hat).real
-                     for j in range(grid.n))
-        if F is None:
-            box = np.zeros(grid.shape)
-        else:
-            Fo = self._dot_omega(F, w_dir)
-            Fto = self._dot_omega(Ft, w_dir)
-            box_hat = W * (1j * dot * Fo + (self.sign / (2.0 * np.pi)) * Fto)
-            box = self._ifft(box_hat).real
-        scale = max(np.abs(psi_c).max(), 1e-300)
-        defect = float(np.abs(psi_c.imag).max() / scale)
-        self.max_imag_defect = max(self.max_imag_defect, defect)
-        sl = PhaseSlice(psi=psi_c.real, psi_t=psi_t_c.real, grad=grad, box=box,
-                        imag_defect=defect)
-        if len(self._slice_cache) >= self._slice_cap:
-            self._slice_cache.popitem(last=False)
-        self._slice_cache[key] = sl
-        return sl
+        samples = self._conn_at(t)
+        if b not in self._table:
+            sl = PhaseSlice(self.grid, self.sign, self.cache.directions[b], self._w[b],
+                            samples)
+            self.max_imag_defect = max(self.max_imag_defect, sl.imag_defect)
+            self._table[b] = sl
+        return self._table[b]
 
     def psi(self, t: float, b: int) -> np.ndarray:
         return self.slice_at(t, b).psi
@@ -528,7 +528,7 @@ class PhaseFamily:
 
     def with_multipliers(self, ws, leqs) -> "PhaseFamily":
         return PhaseFamily(self.conn, self.sign, self.sigma, self.cache, self.bump,
-                           self._slice_cap, _premultipliers=(list(ws), list(leqs)))
+                           _premultipliers=(list(ws), list(leqs)))
 
 
 def build_phase(conn: FreeConnection, omega, sign: int, sigma: float,
@@ -572,13 +572,13 @@ def phase_defect(family: PhaseFamily, times) -> DefectReport:
         for b in range(family.cache.num_buckets):
             w_dir = family.cache.directions[b]
             lhs = 2.0 * np.pi * family.opposite_null_derivative(t, b)
-            Aw = family._dot_omega(A, w_dir)
-            aw_field = family._ifft(Aw).real
+            Aw = _dot_omega(A, w_dir)
+            aw_field = _ifft(grid, Aw).real
             lhs = lhs + aw_field
             rhs_hat = family._leq[b] * Aw
             if F is not None:
-                rhs_hat = rhs_hat + family._w[b] * family._dot_omega(F, w_dir)
-            rhs = family._ifft(rhs_hat).real
+                rhs_hat = rhs_hat + family._w[b] * _dot_omega(F, w_dir)
+            rhs = _ifft(grid, rhs_hat).real
             num = np.linalg.norm(lhs - rhs)
             # both sides can vanish identically (on-axis directions see no
             # small-angle energy); normalize against the driving field too
@@ -656,9 +656,7 @@ class WaveOperator:
         self.a_sym = cutoff.symbol(self.grid)
         self.cache = family.cache
         if check_cover:
-            covered = np.zeros(self.grid.shape, dtype=bool)
-            for m in self.cache.bucket_masks:
-                covered |= m
+            covered = np.logical_or.reduce(self.cache.bucket_masks)
             if np.any((self.a_sym > 0) & ~covered):
                 raise StructuralError("direction cache does not cover the cutoff support; "
                                       "build it from cutoff.modes(grid)")
@@ -673,15 +671,22 @@ class WaveOperator:
     def coefficient_norm(self, h: np.ndarray) -> float:
         return gr.frequency_l2(self.grid, h)
 
-    def apply(self, t: float, h: np.ndarray) -> ScalarField:
-        grid = self.grid
-        base = np.asarray(h, dtype=np.complex128) * self.a_sym * self.half_wave_phase(t)
-        out = np.zeros(grid.shape, dtype=np.complex128)
+    def _weighted(self, t: float, h) -> np.ndarray:
+        return np.asarray(h, dtype=np.complex128) * self.a_sym * self.half_wave_phase(t)
+
+    def _buckets(self, base: np.ndarray):
+        """(b, mask, c) per direction bucket, c = base restricted to the bucket;
+        buckets where c vanishes are skipped."""
         for b, mask in enumerate(self.cache.bucket_masks):
             c = np.where(mask, base, 0.0)
-            if not np.abs(c).any():
-                continue
-            part = np.fft.ifftn(c) / grid.cell_volume
+            if np.abs(c).any():
+                yield b, mask, c
+
+    def apply(self, t: float, h: np.ndarray) -> ScalarField:
+        grid = self.grid
+        out = np.zeros(grid.shape, dtype=np.complex128)
+        for b, _, c in self._buckets(self._weighted(t, h)):
+            part = _ifft(grid, c)
             out += np.exp(2j * np.pi * self.family.psi(t, b)) * part
         return ScalarField(grid, out, time_tag=t)
 
@@ -689,15 +694,11 @@ class WaveOperator:
         """Analytic d_t of apply: the phase and half-wave factors differentiate
         in closed form."""
         grid = self.grid
-        base = np.asarray(h, dtype=np.complex128) * self.a_sym * self.half_wave_phase(t)
         out = np.zeros(grid.shape, dtype=np.complex128)
         two_pi_i = 2j * np.pi
-        for b, mask in enumerate(self.cache.bucket_masks):
-            c = np.where(mask, base, 0.0)
-            if not np.abs(c).any():
-                continue
-            part0 = np.fft.ifftn(c) / grid.cell_volume
-            part1 = np.fft.ifftn(grid.xi_norm * c) / grid.cell_volume
+        for b, _, c in self._buckets(self._weighted(t, h)):
+            part0 = _ifft(grid, c)
+            part1 = _ifft(grid, grid.xi_norm * c)
             sl = self.family.slice_at(t, b)
             phase = np.exp(two_pi_i * sl.psi)
             out += phase * (two_pi_i * sl.psi_t * part0 + self.sign * two_pi_i * part1)
@@ -705,11 +706,12 @@ class WaveOperator:
 
     def apply_adjoint(self, t: float, f: ScalarField) -> np.ndarray:
         """h(xi) = conj(half-wave) a(xi) FFT[e^{-2 pi i psi} f](xi); the exact
-        adjoint of apply under the lattice inner products."""
+        adjoint of apply under the lattice inner products; buckets off the
+        cutoff support are skipped, since a(xi) zeroes them."""
         grid = self.grid
         fv = f.phys_values
         out = np.zeros(grid.shape, dtype=np.complex128)
-        for b, mask in enumerate(self.cache.bucket_masks):
+        for b, mask, _ in self._buckets(self.a_sym):
             g = np.fft.fftn(np.exp(-2j * np.pi * self.family.psi(t, b)) * fv) * grid.cell_volume
             out += np.where(mask, g, 0.0)
         return np.conj(self.half_wave_phase(t)) * self.a_sym * out
@@ -825,17 +827,13 @@ def covariant_box_amplitude(op: WaveOperator, t: float, h) -> ScalarField:
     with the extra factor 2 pi Omega_s(t, x, xi)."""
     grid = op.grid
     fam = op.family
-    base = np.asarray(h, dtype=np.complex128) * op.a_sym * op.half_wave_phase(t)
     A = fam.conn.field(t)
     Avals = [c.phys_values.real for c in A.components]
     out = np.zeros(grid.shape, dtype=np.complex128)
-    for b, mask in enumerate(op.cache.bucket_masks):
-        c = np.where(mask, base, 0.0)
-        if not np.abs(c).any():
-            continue
-        part0 = np.fft.ifftn(c) / grid.cell_volume
-        part1 = np.fft.ifftn(grid.xi_norm * c) / grid.cell_volume
-        parts2 = [np.fft.ifftn(grid.xi[j] * c) / grid.cell_volume for j in range(grid.n)]
+    for b, _, c in op._buckets(op._weighted(t, h)):
+        part0 = _ifft(grid, c)
+        part1 = _ifft(grid, grid.xi_norm * c)
+        parts2 = [_ifft(grid, grid.xi[j] * c) for j in range(grid.n)]
         sl = fam.slice_at(t, b)
         w_dir = fam.cache.directions[b]
         null_op = sum(w_dir[j] * sl.grad[j] for j in range(grid.n)) - fam.sign * sl.psi_t

@@ -138,3 +138,38 @@ def test_parallel_map_order_and_env(monkeypatch):
     assert out == [x * x for x in range(7)]
     monkeypatch.setenv("CRONLAB_THREADS", "junk")
     assert worker_count() == 1
+
+
+def test_config_rejects_seed_outside_philox_key():
+    with pytest.raises(ParameterError):
+        ExperimentConfig(experiment="norms", seed=-1).validate()
+    with pytest.raises(ParameterError):
+        ExperimentConfig(experiment="norms", seed=2 ** 64).validate()
+    ExperimentConfig(experiment="norms", seed=2 ** 64 - 1).validate()
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["run", "--config", "missing.json"], "missing.json"),
+    (["report", "missing_dir"], "missing_dir"),
+    (["run", "--config", "bad.json"], "bad.json"),
+    (["run", "--experiment", "norms", "--seed", "-1"], "seed=-1"),
+])
+def test_cli_maps_bad_input_to_exit_2(tmp_path, monkeypatch, capsys, argv, needle):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text('{"experiment": ')
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_lp_commutator_scan_below_default_grid():
+    from cronlab.harness import _commutator_scan
+    from cronlab.lp import BandRange
+    grid = GridSpec(2, 256, 1.0)
+    br = BandRange.widest(grid)
+    comm_ks = list(range(br.k_min + 2, br.k_max + 1))[:4]
+    assert max(comm_ks) == br.k_max          # the scan reaches the top band
+    norms_by_k, ratios, rows = _commutator_scan(grid, br, comm_ks, 7)
+    assert len(rows) == 12 * len(comm_ks) == len(ratios)
+    assert all(len(v) == 12 and min(v) > 0 for v in norms_by_k.values())

@@ -609,3 +609,87 @@ def test_unitarity_scan_report():
     assert all(n <= 1.0 + 10.0 * eps for n in rep.operator_norms)
     assert all(d <= 10.0 * eps for d in rep.gradient_defects)
     assert all(d <= 10.0 * eps for d in rep.time_defects)
+
+
+# ---------------------------------------------------------------------------
+# the per-time phase table
+
+def _counting_ifftn(monkeypatch):
+    calls = []
+    ifftn = np.fft.ifftn
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return ifftn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifftn", counted)
+    return calls
+
+
+def _live_buckets(op, h):
+    base = np.asarray(h) * op.a_sym
+    return sum(1 for m in op.cache.bucket_masks if np.abs(np.where(m, base, 0.0)).any())
+
+
+def test_repeat_apply_at_same_time_reuses_phases(monkeypatch):
+    op = WaveOperator(PhaseFamily(connection(), +1, 0.25, small_cache()), CUT)
+    h = annulus_coeffs()
+    live = _live_buckets(op, h)
+    calls = _counting_ifftn(monkeypatch)
+    first = op.apply(0.4, h).phys_values
+    assert len(calls) == 2 * live        # one phase slice and one bucket transform each
+    del calls[:]
+    second = op.apply(0.4, h).phys_values
+    assert len(calls) == live
+    assert np.array_equal(first, second)
+    del calls[:]
+    op.apply(0.5, h)                     # a new time drops the table
+    assert len(calls) == 2 * live
+
+
+def test_apply_builds_no_derivative_fields(monkeypatch):
+    fam = PhaseFamily(connection(), +1, 0.25, small_cache())
+    WaveOperator(fam, CUT).apply(0.4, annulus_coeffs())
+    sl = fam.slice_at(0.4, 0)
+    assert not {"psi_t", "grad", "box"} & set(vars(sl))
+    calls = _counting_ifftn(monkeypatch)
+    sl.grad
+    assert len(calls) == GRID.n and "grad" in vars(sl)
+    sl.grad
+    assert len(calls) == GRID.n
+
+
+def test_lazy_derivative_fields_match_family_defect_identity():
+    fam = PhaseFamily(connection(), -1, 0.25, small_cache())
+    rep = phase_defect(fam, [0.0, 0.7])
+    assert rep.max_residual < 1e-10
+    sl = fam.slice_at(0.7, 1)
+    assert {"psi_t", "grad"} <= set(vars(sl))
+
+
+def test_families_on_one_cache_share_multipliers():
+    cache = small_cache()
+    fam_a = PhaseFamily(connection(1e-2), +1, 0.25, cache)
+    fam_b = PhaseFamily(connection(3e-2, seed=70), -1, 0.25, cache)
+    assert all(wa is wb for wa, wb in zip(fam_a._w, fam_b._w))
+    assert all(la is lb for la, lb in zip(fam_a._leq, fam_b._leq))
+    other_sigma = PhaseFamily(connection(), +1, 0.3, cache)
+    assert other_sigma._w[0] is not fam_a._w[0]
+    own = fam_a.with_multipliers([2.0 * w for w in fam_a._w], fam_a._leq)
+    assert own._w[0] is not fam_a._w[0]
+
+
+def test_dropped_family_is_freed_without_cycle_collection():
+    import gc
+    import weakref
+    gc.disable()
+    try:
+        fam = PhaseFamily(connection(), +1, 0.25, small_cache())
+        op = WaveOperator(fam, CUT)
+        op.apply(0.4, annulus_coeffs())
+        fam.slice_at(0.4, 0).grad
+        ref = weakref.ref(fam)
+        del fam, op
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -22,7 +22,7 @@ import struct
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import PreconditionError, StructuralError
 from .grid import FREQUENCY, PHYSICAL, GridSpec, ScalarField
 
 MAGIC = b"CRNL"
@@ -45,20 +45,29 @@ def write_field(path, field: ScalarField, extension=()) -> None:
 
 
 def read_field(path):
-    """Returns (ScalarField, extension ndarray)."""
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        magic, version, n, N, L, rep_flag, ext_count = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise StructuralError(f"bad magic {magic!r} in {path}")
-        if version != VERSION:
-            raise StructuralError(f"unsupported field-dump version {version}")
-        ext = np.frombuffer(fh.read(8 * ext_count), dtype="<f8").copy()
-        grid = GridSpec(n=n, N=N, L=L)
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-        if raw.size != 2 * grid.num_points:
-            raise StructuralError(f"truncated field data in {path}")
-        pairs = raw.reshape(grid.shape + (2,))
-        values = pairs[..., 0] + 1j * pairs[..., 1]
-        rep = FREQUENCY if rep_flag else PHYSICAL
-        return ScalarField(grid, values, rep=rep), ext
+    """Returns (ScalarField, extension ndarray).
+
+    A file that cannot be opened, or whose header, extension block or data is
+    shorter than the header announces, raises a CronlabError."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise PreconditionError(f"cannot read field file {path}: {exc}") from exc
+    if len(blob) < _HEADER.size:
+        raise StructuralError(f"truncated header in {path}: {len(blob)} of "
+                              f"{_HEADER.size} bytes")
+    magic, version, n, N, L, rep_flag, ext_count = _HEADER.unpack_from(blob)
+    if magic != MAGIC:
+        raise StructuralError(f"bad magic {magic!r} in {path}")
+    if version != VERSION:
+        raise StructuralError(f"unsupported field-dump version {version}")
+    grid = GridSpec(n=n, N=N, L=L)
+    data_at = _HEADER.size + 8 * ext_count
+    if len(blob) != data_at + 16 * grid.num_points:
+        raise StructuralError(f"truncated field data in {path}")
+    ext = np.frombuffer(blob, dtype="<f8", count=ext_count, offset=_HEADER.size).copy()
+    pairs = np.frombuffer(blob, dtype="<f8", offset=data_at).reshape(grid.shape + (2,))
+    values = pairs[..., 0] + 1j * pairs[..., 1]
+    rep = FREQUENCY if rep_flag else PHYSICAL
+    return ScalarField(grid, values, rep=rep), ext

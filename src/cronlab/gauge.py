@@ -240,19 +240,21 @@ def curvature(A0: ScalarField, A0_t: ScalarField, Asp: VectorField, Asp_t: Vecto
 
     Index 0 is time; F_{0j} = d_t A_j - d_j A0 uses the stored time derivatives.
     """
-    n = A0.grid.n
+    return curvature_from_gradients(gradient(A0), Asp_t,
+                                    [gradient(c) for c in Asp.components])
+
+
+def curvature_from_gradients(grad_A0: VectorField, Asp_t: VectorField, grad_A: list) -> dict:
+    """``curvature`` from the first partials of A0 and of each A_k
+    (``grad_A[k].components[j]`` is d_j A_k), for callers that hold them."""
+    n = Asp_t.grid.n
     F = {}
     for j in range(n):
-        F[(0, j + 1)] = Asp_t.components[j] - partial_derivative(A0, j)
+        F[(0, j + 1)] = Asp_t.components[j] - grad_A0.components[j]
     for j in range(n):
         for k in range(j + 1, n):
-            F[(j + 1, k + 1)] = (partial_derivative(Asp.components[k], j)
-                                 - partial_derivative(Asp.components[j], k))
+            F[(j + 1, k + 1)] = grad_A[k].components[j] - grad_A[j].components[k]
     return F
-
-
-def curvature_l2(F: dict) -> float:
-    return float(np.sqrt(sum(lebesgue_norm(v, 2) ** 2 for v in F.values())))
 
 
 def covariant_derivative(phi: ScalarField, phi_t: ScalarField, A0: ScalarField,
@@ -301,12 +303,16 @@ def _point_mul(a: ScalarField, b: np.ndarray) -> ScalarField:
 
 def current_density(phi: ScalarField, Asp: VectorField) -> VectorField:
     """Im(phi conj(D_j phi)) componentwise (the spatial matter current)."""
+    return current_from_gradient(phi, gradient(phi), Asp)
+
+
+def current_from_gradient(phi: ScalarField, grad_phi: VectorField, Asp: VectorField) -> VectorField:
+    """``current_density`` from the first partials of phi, for callers that hold them."""
     grid = phi.grid
     ph = phi.phys_values
     comps = []
-    for j in range(grid.n):
-        dj = partial_derivative(phi, j).phys_values
-        cov = dj + 1j * Asp.components[j].phys_values * ph
+    for dphi, a in zip(grad_phi.components, Asp.components):
+        cov = dphi.phys_values + 1j * a.phys_values * ph
         comps.append(ScalarField(grid, np.imag(ph * np.conj(cov)), real_valued=True))
     return VectorField(tuple(comps))
 
@@ -333,7 +339,7 @@ def null_form_check(phi: ScalarField, Asp: VectorField):
     lhs = leray_project(current_density(phi, Asp), keep_mean=True) * (-1.0)
     lhs = lhs.map(drop_mean)
 
-    derivs = [partial_derivative(phi, j).phys_values for j in range(grid.n)]
+    derivs = [d.phys_values for d in gradient(phi).components]
     absphi2 = np.abs(phi.phys_values) ** 2
     phisq = phi.phys_values ** 2
 

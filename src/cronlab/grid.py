@@ -104,6 +104,40 @@ class GridSpec:
         mask.flags.writeable = False
         return mask
 
+    # Multiplier symbols, built once per grid in the form ``evaluate_symbol``
+    # returns (complex, full shape, read-only), so ``apply_multiplier`` takes
+    # them as they are.
+
+    @cached_property
+    def derivative_symbols(self) -> tuple:
+        """Symbols 2 pi i xi_j of d/dx_j, one per axis."""
+        return tuple(_frozen_symbol(self, 2j * np.pi * self.xi[axis]) for axis in range(self.n))
+
+    @cached_property
+    def laplacian_symbol(self) -> np.ndarray:
+        return _frozen_symbol(self, -4.0 * np.pi ** 2 * self.xi_norm ** 2)
+
+    @cached_property
+    def inverse_laplacian_symbol(self) -> np.ndarray:
+        """-1/(4 pi^2 |xi|^2) with the zero mode mapped to zero."""
+        with np.errstate(divide="ignore"):
+            sym = -1.0 / (4.0 * np.pi ** 2 * self.xi_norm ** 2)
+        sym.flat[0] = 0.0
+        return _frozen_symbol(self, sym)
+
+    @cached_property
+    def dealias_symbol(self) -> np.ndarray:
+        """2/3-rule truncation: 1 where every |mode| <= N // 3, else 0."""
+        cut = self.N // 3
+        modes = np.rint(self.freq_1d * self.L).astype(int)
+        keep1d = np.abs(modes) <= cut
+        mask = np.ones(self.shape, dtype=bool)
+        for axis in range(self.n):
+            shape = [1] * self.n
+            shape[axis] = self.N
+            mask &= keep1d.reshape(shape)
+        return _frozen_symbol(self, mask.astype(np.complex128))
+
     def mode_index(self, mode) -> tuple:
         """Array index of the integer mode m (frequency m/L); negative m allowed."""
         if len(mode) != self.n:
@@ -270,15 +304,9 @@ class VectorField:
 
     def verify_divergence_free(self, tol=1e-10) -> bool:
         dv = lebesgue_norm(divergence(self), np.inf)
-        scale = max(lebesgue_norm(c, np.inf) for c in gradient_magnitude_components(self))
+        scale = max(lebesgue_norm(d, np.inf)
+                    for c in self.components for d in gradient(c).components)
         return dv <= tol * max(scale, 1e-300)
-
-
-def gradient_magnitude_components(V: VectorField):
-    comps = []
-    for c in V.components:
-        comps.extend(gradient(c).components)
-    return comps
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +335,13 @@ def evaluate_symbol(grid: GridSpec, symbol) -> np.ndarray:
     """Evaluate a multiplier symbol on the frequency lattice.
 
     ``symbol`` is either an ndarray of shape grid.shape or a callable taking the
-    stacked coordinate array grid.xi (shape (n,) + grid.shape).
+    stacked coordinate array grid.xi (shape (n,) + grid.shape).  A read-only
+    complex array of that shape counts as evaluated already and is returned
+    as it is (the GridSpec symbol properties are such arrays).
     """
+    if (isinstance(symbol, np.ndarray) and not symbol.flags.writeable
+            and symbol.dtype == np.complex128 and symbol.shape == grid.shape):
+        return symbol
     sym = symbol(grid.xi) if callable(symbol) else np.asarray(symbol)
     sym = np.asarray(sym, dtype=np.complex128) + np.zeros(grid.shape, dtype=np.complex128)
     if sym.shape != grid.shape:
@@ -337,33 +370,48 @@ def apply_multiplier(f: ScalarField, symbol) -> ScalarField:
                 "which carries a nonzero coefficient")
         sym = np.where(bad, 0.0, sym)
     G = sym * F
-    G = np.where(grid.nyquist_mask, 0.0, G)
+    zero_nyquist(G)
     out = ScalarField(grid, G, rep=FREQUENCY, time_tag=f.time_tag)
     return out if f.rep == FREQUENCY else to_physical(out)
 
 
-def radial_symbol(grid: GridSpec, profile) -> np.ndarray:
-    """Symbol depending only on |xi|."""
-    return np.asarray(profile(grid.xi_norm), dtype=np.complex128)
+def zero_nyquist(F: np.ndarray) -> np.ndarray:
+    """Set the Nyquist rows (index N/2 along any axis) of frequency data to zero, in place."""
+    half = F.shape[0] // 2
+    for axis in range(F.ndim):
+        F[(slice(None),) * axis + (half,)] = 0.0
+    return F
+
+
+def _frozen_symbol(grid: GridSpec, symbol) -> np.ndarray:
+    sym = evaluate_symbol(grid, symbol)
+    sym.flags.writeable = False
+    return sym
 
 
 # ---------------------------------------------------------------------------
 # derivatives
-
-def derivative_symbol(grid: GridSpec, axis: int) -> np.ndarray:
-    return 2j * np.pi * grid.xi[axis]
-
+#
+# A field is transformed once and every derivative is taken from the
+# frequency side (``gradient`` does this): for a physical f,
+# ``partial_derivative(f.in_frequency(), j).in_physical()`` does the same
+# multiply and inverse transform as ``partial_derivative(f, j)``.  A physical
+# field is never replaced by ``to_physical(to_frequency(f))``: that round trip
+# moves the last bits of the samples.
 
 def partial_derivative(f: ScalarField, axis: int) -> ScalarField:
-    return apply_multiplier(f, derivative_symbol(f.grid, axis))
+    return apply_multiplier(f, f.grid.derivative_symbols[axis])
 
 
 def gradient(f: ScalarField) -> VectorField:
-    return VectorField(tuple(partial_derivative(f, j) for j in range(f.grid.n)))
+    """All first partials from one transform of f, each in f's representation."""
+    f_hat = f.in_frequency()
+    parts = tuple(partial_derivative(f_hat, j) for j in range(f.grid.n))
+    return VectorField(parts if f.rep == FREQUENCY else tuple(d.in_physical() for d in parts))
 
 
 def laplacian(f: ScalarField) -> ScalarField:
-    return apply_multiplier(f, -4.0 * np.pi ** 2 * f.grid.xi_norm ** 2)
+    return apply_multiplier(f, f.grid.laplacian_symbol)
 
 
 def divergence(V: VectorField) -> ScalarField:
@@ -375,11 +423,7 @@ def divergence(V: VectorField) -> ScalarField:
 
 def inverse_laplacian(f: ScalarField) -> ScalarField:
     """Delta^{-1} with the zero mode mapped to zero (zero-mean data expected)."""
-    grid = f.grid
-    with np.errstate(divide="ignore"):
-        sym = -1.0 / (4.0 * np.pi ** 2 * grid.xi_norm ** 2)
-    sym.flat[0] = 0.0
-    return apply_multiplier(f, sym)
+    return apply_multiplier(f, f.grid.inverse_laplacian_symbol)
 
 
 # ---------------------------------------------------------------------------

@@ -140,11 +140,6 @@ def restrict_annulus(f: ScalarField, r_lo: float, r_hi: float) -> ScalarField:
     return apply_multiplier(f, ((rad >= r_lo) & (rad <= r_hi)).astype(np.complex128))
 
 
-def project_annulus(f: ScalarField, band_range: BandRange, bump=DEFAULT_BUMP) -> ScalarField:
-    """Smooth restriction to the range's bands: P_{<=k_max} - P_{<=k_min-1}."""
-    return project_range(f, band_range.k_min, band_range.k_max, bump, band_range)
-
-
 # ---------------------------------------------------------------------------
 # Besov norms
 

@@ -29,8 +29,9 @@ import numpy as np
 from .errors import ConvergenceError, ParameterError, PreconditionError
 from . import grid as gr
 from .grid import (FREQUENCY, GridSpec, ScalarField, VectorField, inner_product,
-                   inverse_laplacian, laplacian, lebesgue_norm, partial_derivative)
-from .gauge import covariant_derivative, current_density, curvature, leray_project
+                   inverse_laplacian, laplacian, lebesgue_norm)
+from .gauge import (covariant_derivative, current_density, current_from_gradient,
+                    curvature_from_gradients, leray_project)
 from .lp import besov_norm
 from .exponents import exponents
 
@@ -67,21 +68,9 @@ class EnergyReport:
     div_residual: float
 
 
-def _dealias_mask(grid: GridSpec) -> np.ndarray:
-    cut = grid.N // 3
-    modes = np.rint(grid.freq_1d * grid.L).astype(int)
-    keep1d = np.abs(modes) <= cut
-    mask = np.ones(grid.shape, dtype=bool)
-    for axis in range(grid.n):
-        shape = [1] * grid.n
-        shape[axis] = grid.N
-        mask &= keep1d.reshape(shape)
-    return mask
-
-
 def dealias(f: ScalarField) -> ScalarField:
     """2/3-rule truncation applied after nonlinear products."""
-    return gr.apply_multiplier(f, _dealias_mask(f.grid).astype(np.complex128))
+    return gr.apply_multiplier(f, f.grid.dealias_symbol)
 
 
 def _field(grid, values, real=False) -> ScalarField:
@@ -104,9 +93,7 @@ def elliptic_a0(phi: ScalarField, phi_t: ScalarField, tol: float = 1e-10,
 
     def project(arr):
         # keep the solve inside the Nyquist-free subspace every multiplier uses
-        F = np.fft.fftn(arr)
-        F = np.where(grid.nyquist_mask, 0.0, F)
-        return np.fft.ifftn(F).real
+        return np.fft.ifftn(gr.zero_nyquist(np.fft.fftn(arr))).real
 
     source = project(-np.imag(phi.phys_values * np.conj(phi_t.phys_values)))
     absphi2 = np.abs(phi.phys_values) ** 2
@@ -115,9 +102,9 @@ def elliptic_a0(phi: ScalarField, phi_t: ScalarField, tol: float = 1e-10,
     if src_scale == 0.0:
         return _field(grid, np.zeros(grid.shape), real=True), 0.0, 0
     a0 = np.zeros(grid.shape)
+    coupling = project(absphi2 * a0)
     history = []
     for it in range(1, max_iter + 1):
-        coupling = project(absphi2 * a0)
         rhs_arr = source + coupling
         fluct = inverse_laplacian(
             _field(grid, rhs_arr - rhs_arr.mean(), real=True)).phys_values.real.copy()
@@ -125,8 +112,9 @@ def elliptic_a0(phi: ScalarField, phi_t: ScalarField, tol: float = 1e-10,
         # mean balance of (Delta - |phi|^2) A0 = S: mean(|phi|^2 A0) = -mean(S)
         bar = -(source.mean() + (absphi2 * fluct).mean()) / mean_phi2 if mean_phi2 > 0 else 0.0
         a0 = fluct + bar
-        resid = laplacian(_field(grid, a0, real=True)).phys_values.real \
-            - project(absphi2 * a0) - source
+        # the coupling of the new iterate, which the next iteration reuses
+        coupling = project(absphi2 * a0)
+        resid = laplacian(_field(grid, a0, real=True)).phys_values.real - coupling - source
         rel = np.linalg.norm(resid) / src_scale
         history.append(rel)
         if rel <= tol:
@@ -169,8 +157,8 @@ def make_compatible_data(f: ScalarField, g: ScalarField, a: VectorField,
             g = g + ScalarField(grid, 1j * lam * f.phys_values)
     A0, _, _ = elliptic_a0(f, g)
     A0_t = reconstruct_a0_t(f, g, A0, Asp)
-    state = ConnectionState(t=0.0, A0=A0, A0_t=A0_t, A_sp=Asp, A_sp_t=Asp_t,
-                            phi=f, phi_t=g)
+    state = _mark_slaved(ConnectionState(t=0.0, A0=A0, A0_t=A0_t, A_sp=Asp, A_sp_t=Asp_t,
+                                         phi=f, phi_t=g))
     if self_check:
         rep = constraint_residuals(state)
         if rep.gauss_residual > 1e-8 or rep.div_residual > 1e-8:
@@ -192,9 +180,7 @@ def rhs(state: ConnectionState, dealiased: bool = True):
     """
     grid = state.grid
     trunc = dealias if dealiased else (lambda x: x)
-    J = current_density(state.phi, state.A_sp)
-    forcing_A = leray_project(VectorField(tuple(trunc(c) * (-1.0) for c in J.components)),
-                              keep_mean=True)
+    forcing_A = _forcing_A(state, trunc)
     ph, pht = state.phi.phys_values, state.phi_t.phys_values
     a0 = state.A0.phys_values.real
     a0t = state.A0_t.phys_values.real
@@ -204,15 +190,21 @@ def rhs(state: ConnectionState, dealiased: bool = True):
     return forcing_A, forcing_phi
 
 
+def _forcing_A(state: ConnectionState, trunc=dealias) -> VectorField:
+    """The A part of ``rhs``: -P of the truncated current."""
+    J = current_density(state.phi, state.A_sp)
+    return leray_project(VectorField(tuple(trunc(c) * (-1.0) for c in J.components)),
+                         keep_mean=True)
+
+
 def _phi_acceleration_extras(state: ConnectionState, dealiased=True) -> ScalarField:
     """Everything in phi_tt besides Delta phi and the implicit A0 phi_t term:
     2i A.grad phi - i (d_t A0) phi - |A|^2 phi + A0^2 phi."""
     grid = state.grid
     trunc = dealias if dealiased else (lambda x: x)
     transport = np.zeros(grid.shape, dtype=np.complex128)
-    for j in range(grid.n):
-        transport += state.A_sp.components[j].phys_values.real \
-            * partial_derivative(state.phi, j).phys_values
+    for a, dphi in zip(state.A_sp.components, gr.gradient(state.phi).components):
+        transport += a.phys_values.real * dphi.phys_values
     ph = state.phi.phys_values
     a0 = state.A0.phys_values.real
     a0t = state.A0_t.phys_values.real
@@ -228,10 +220,22 @@ def stability_limit(grid: GridSpec) -> float:
     return 0.5 * grid.dx
 
 
+def _mark_slaved(state: ConnectionState) -> ConnectionState:
+    """Record that state's A0 and A0_t solve the elliptic equations of its own
+    (phi, phi_t, A).  The mark is an attribute, not a field, so
+    ``dataclasses.replace`` (which builds every changed state) drops it."""
+    object.__setattr__(state, "_slaved", True)
+    return state
+
+
 def _slave_a0(state: ConnectionState) -> ConnectionState:
+    """A0 and d_t A0 solved from the state's (phi, phi_t, A); a state that is
+    marked as already slaved is returned as it is."""
+    if getattr(state, "_slaved", False):
+        return state
     A0, _, _ = elliptic_a0(state.phi, state.phi_t)
     A0_t = reconstruct_a0_t(state.phi, state.phi_t, A0, state.A_sp)
-    return replace(state, A0=A0, A0_t=A0_t)
+    return _mark_slaved(replace(state, A0=A0, A0_t=A0_t))
 
 
 def _kick(state: ConnectionState, h: float) -> ConnectionState:
@@ -241,7 +245,7 @@ def _kick(state: ConnectionState, h: float) -> ConnectionState:
     The wave-equation display box A = -P J together with box = -d_t^2 + Delta
     makes the acceleration A_tt = Delta A + P J, so the kick adds +P J."""
     grid = state.grid
-    forcing_A, _ = rhs(state)   # the displayed forcing, -P J
+    forcing_A = _forcing_A(state)   # the displayed forcing, -P J
     Asp_t = VectorField(tuple(c - f * h for c, f in
                               zip(state.A_sp_t.components, forcing_A.components)),
                         divergence_free=True)
@@ -278,7 +282,8 @@ def _drift(state: ConnectionState, h: float) -> ConnectionState:
 
 def step(state: ConnectionState, dt: float) -> ConnectionState:
     """One Strang kick-drift-kick step; A0 re-slaved at each substep and the
-    connection re-projected by Leray at the end."""
+    connection re-projected by Leray at the end.  The returned state is marked
+    as slaved, so the next step does not solve for its A0 again."""
     grid = state.grid
     if dt > stability_limit(grid) * (1.0 + 1e-12):
         raise ParameterError(f"dt={dt} exceeds the stability bound {stability_limit(grid)}")
@@ -304,48 +309,59 @@ def evolve(state: ConnectionState, t_final: float, dt: float, callback=None) -> 
 # ---------------------------------------------------------------------------
 # diagnostics
 
-def energy_report(state: ConnectionState) -> EnergyReport:
-    return constraint_residuals(state)
-
-
 def constraint_residuals(state: ConnectionState) -> EnergyReport:
-    """Energies plus the relative L2 residuals of the constraint equations."""
+    """Energies plus the relative L2 residuals of the constraint equations.
+
+    Each field is transformed once and all its partials are taken from that
+    transform, in the field's own representation as gradient() returns them.
+    Groups of partials are dropped once used, which bounds peak memory."""
     grid = state.grid
     vol = grid.cell_volume
+    ph = state.phi.phys_values
 
     # covariant kinetic energy over all indices
     d0 = covariant_derivative(state.phi, state.phi_t, state.A0, state.A_sp, 0)
     kin = 0.5 * np.sum(np.abs(d0.phys_values) ** 2) * vol
-    for j in range(grid.n):
-        dj = covariant_derivative(state.phi, state.phi_t, state.A0, state.A_sp, j + 1)
+    grad_phi = gr.gradient(state.phi)
+    for dphi, a in zip(grad_phi.components, state.A_sp.components):
+        # D_j phi exactly as covariant_derivative forms it
+        dj = dphi + ScalarField(grid, 1j * a.phys_values * ph)
         kin += 0.5 * np.sum(np.abs(dj.phys_values) ** 2) * vol
-
-    F = curvature(state.A0, state.A0_t, state.A_sp, state.A_sp_t)
-    curv = 0.5 * sum(np.sum(np.abs(v.phys_values) ** 2) * vol for v in F.values())
+    J = current_from_gradient(state.phi, grad_phi, state.A_sp)
+    del grad_phi
 
     # Gauss law: Delta A0 + Im(phi conj(D_0 phi)) = 0
-    rho_cov = np.imag(state.phi.phys_values * np.conj(d0.phys_values))
-    gauss_lhs = laplacian(state.A0).phys_values.real + rho_cov
-    gauss_scale = max(np.linalg.norm(laplacian(state.A0).phys_values.real),
-                      np.linalg.norm(rho_cov), 1e-300)
+    A0_hat = state.A0.in_frequency()
+    rho_cov = np.imag(ph * np.conj(d0.phys_values))
+    lap_a0 = laplacian(A0_hat).phys_values.real
+    gauss_lhs = lap_a0 + rho_cov
+    gauss_scale = max(np.linalg.norm(lap_a0), np.linalg.norm(rho_cov), 1e-300)
     gauss = np.linalg.norm(gauss_lhs) / gauss_scale
 
     # non-solenoidal spatial Maxwell: grad(d_t A0) + (1 - P) Im(phi conj(D phi)) = 0
-    J = current_density(state.phi, state.A_sp)
     J_sol = leray_project(J, keep_mean=True)
     nonsol = tuple(a - b for a, b in zip(J.components, J_sol.components))
-    g_a0t = tuple(partial_derivative(state.A0_t, j) for j in range(grid.n))
+    del J, J_sol
+    g_a0t = gr.gradient(state.A0_t).components
     m_num = math.sqrt(sum(lebesgue_norm(a + b, 2) ** 2 for a, b in zip(g_a0t, nonsol)))
     m_scale = max(math.sqrt(sum(lebesgue_norm(a, 2) ** 2 for a in g_a0t)),
                   math.sqrt(sum(lebesgue_norm(b, 2) ** 2 for b in nonsol)), 1e-300)
     maxwell = m_num / m_scale
+    del g_a0t, nonsol
 
-    # Coulomb constraint
-    div_num = max(lebesgue_norm(gr.divergence(state.A_sp), 2),
-                  lebesgue_norm(gr.divergence(state.A_sp_t), 2))
-    div_scale = max(math.sqrt(sum(lebesgue_norm(partial_derivative(c, j), 2) ** 2
-                                  for c in state.A_sp.components for j in range(grid.n))),
-                    1e-300)
+    grad_A0 = gr.gradient(A0_hat)
+    if state.A0.rep != FREQUENCY:
+        grad_A0 = grad_A0.in_physical()
+    grad_A = [gr.gradient(c) for c in state.A_sp.components]
+    F = curvature_from_gradients(grad_A0, state.A_sp_t, grad_A)
+    curv = 0.5 * sum(np.sum(np.abs(v.phys_values) ** 2) * vol for v in F.values())
+    del grad_A0, F
+
+    # Coulomb constraint (div A summed in divergence()'s order)
+    div_a = sum((grad_A[j].components[j] for j in range(1, grid.n)), grad_A[0].components[0])
+    div_num = max(lebesgue_norm(div_a, 2), lebesgue_norm(gr.divergence(state.A_sp_t), 2))
+    div_scale = max(math.sqrt(sum(lebesgue_norm(d, 2) ** 2
+                                  for g in grad_A for d in g.components)), 1e-300)
     divres = div_num / div_scale
 
     return EnergyReport(total=float(kin + curv), kinetic=float(kin), curvature=float(curv),
@@ -419,8 +435,8 @@ def data_norm(state: ConnectionState, band_range=None) -> float:
                           exclude_zero_mode=True) ** 2
 
     for fld in (state.phi, state.A0, *state.A_sp.components):
-        for j in range(n):
-            add(partial_derivative(fld, j))
+        for d in gr.gradient(fld).components:
+            add(d)
     for fld in (state.phi_t, state.A0_t, *state.A_sp_t.components):
         add(fld)
     return math.sqrt(acc)
@@ -448,34 +464,30 @@ def critical_norm_tracker(trajectory, delta: float = 1e-2, band_range=None):
     n2_acc = 0.0
     prev_t = None
 
-    def grad_fields(state):
-        for fld in (state.phi, state.A0, *state.A_sp.components):
-            for j in range(n):
-                yield partial_derivative(fld, j)
-        for fld in (state.phi_t, state.A0_t, *state.A_sp_t.components):
-            yield fld
-
     for state in trajectory:
         d = data_norm(state, band_range)
         sup_d = max(sup_d, d)
         bsum = 0.0
         esum_1 = 0.0
-        for f in grad_fields(state):
+        grad_A0 = gr.gradient(state.A0).components
+        for f in (*gr.gradient(state.phi).components, *grad_A0,
+                  *(da for c in state.A_sp.components for da in gr.gradient(c).components),
+                  state.phi_t, state.A0_t, *state.A_sp_t.components):
             bsum += besov_norm(f, p_star, 2 * n / 3.0, 2, band_range,
                                allow_decreasing=True, exclude_zero_mode=True) ** 2
-        for j in range(n):
-            esum_1 += besov_norm(partial_derivative(state.A0, j), p_sstar, n, 1, band_range,
+        for f in grad_A0:
+            esum_1 += besov_norm(f, p_sstar, n, 1, band_range,
                                  allow_decreasing=True, exclude_zero_mode=True) ** 2
         esum_1 += besov_norm(state.A0_t, p_sstar, n, 1, band_range,
                              allow_decreasing=True, exclude_zero_mode=True) ** 2
         e_d = math.sqrt(
-            sum(besov_norm(partial_derivative(state.A0, j), 2, half, 2, band_range,
+            sum(besov_norm(f, 2, half, 2, band_range,
                            allow_decreasing=True, exclude_zero_mode=True) ** 2
-                for j in range(n))
+                for f in grad_A0)
             + besov_norm(state.A0_t, 2, half, 2, band_range, allow_decreasing=True,
                          exclude_zero_mode=True) ** 2)
         sup_e = max(sup_e, e_d)
-        forcing_A, _ = rhs(state)
+        forcing_A = _forcing_A(state)
         f_n1 = sum(besov_norm(c, 2, half, 1, band_range, allow_decreasing=True,
                               exclude_zero_mode=True) for c in forcing_A.components)
         f_n2 = math.sqrt(sum(besov_norm(c, 2, half, 2, band_range, allow_decreasing=True,

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cronlab.errors import StructuralError
+from cronlab.cli import main as cli_main
+from cronlab.errors import PreconditionError, StructuralError
 from cronlab.fieldio import MAGIC, read_field, write_field
 from cronlab.grid import GridSpec, relative_l2_difference
 from cronlab.random_fields import random_field, stream
@@ -49,3 +50,26 @@ def test_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(StructuralError):
         read_field(path)
+
+
+def test_short_files_raise_structural_error(tmp_path):
+    g = GridSpec(2, 8, 2.0)
+    path = tmp_path / "snap.crnl"
+    write_field(path, random_field(g, stream(9, 3)).in_physical(), extension=[1.0])
+    blob = path.read_bytes()
+    # cut inside the header, the extension block and the data
+    for size in (0, 10, 28, 33, len(blob) - 3):
+        path.write_bytes(blob[:size])
+        with pytest.raises(StructuralError):
+            read_field(path)
+    with pytest.raises(PreconditionError):
+        read_field(tmp_path / "missing.crnl")
+
+
+def test_cli_dump_field_bad_files(tmp_path, capsys):
+    short = tmp_path / "short.crnl"
+    short.write_bytes(MAGIC + b"\x01\x00")
+    assert cli_main(["dump-field", str(short)]) == 2
+    assert "error: truncated header" in capsys.readouterr().err
+    assert cli_main(["dump-field", str(tmp_path / "missing.crnl")]) == 2
+    assert "error: cannot read field file" in capsys.readouterr().err

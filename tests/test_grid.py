@@ -225,3 +225,17 @@ def test_mode_field_matches_plane_wave():
     g = GridSpec(2, 16, 2.0)
     assert relative_l2_difference(to_physical(mode_field(g, (1, -2))),
                                   plane_wave(g, (1, -2))) < 1e-12
+
+
+def test_grid_symbols_built_once_and_read_only():
+    g = GridSpec(3, 16, 4.0)
+    syms = [g.laplacian_symbol, g.inverse_laplacian_symbol, g.dealias_symbol,
+            *g.derivative_symbols]
+    again = [g.laplacian_symbol, g.inverse_laplacian_symbol, g.dealias_symbol,
+             *g.derivative_symbols]
+    assert all(a is b for a, b in zip(syms, again))
+    for sym in syms:
+        assert sym.dtype == np.complex128 and sym.shape == g.shape
+        with pytest.raises(ValueError):
+            sym[(0,) * g.n] = 1.0
+    assert np.array_equal(g.derivative_symbols[1], 2j * np.pi * g.xi[1])

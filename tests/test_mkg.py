@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -181,6 +182,101 @@ def test_integrator_second_order():
     errs = [lebesgue_norm(sols[i].phi - sols[i + 1].phi, 2) for i in range(3)]
     slope = fit_loglog(dts[:-1], errs)
     assert 1.8 <= slope <= 2.2
+
+
+# ---------------------------------------------------------------------------
+# transform and solve counts: each field transformed once per function, A0
+# solved once per state
+
+def _count_transforms(monkeypatch):
+    calls = {"fftn": 0, "ifftn": 0}
+    for name in calls:
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def _count_elliptic_solves(monkeypatch):
+    import cronlab.mkg as mkg_module
+    iterations = []
+    original = mkg_module.elliptic_a0
+
+    def counted(*args, **kwargs):
+        out = original(*args, **kwargs)
+        iterations.append(out[2])
+        return out
+    monkeypatch.setattr(mkg_module, "elliptic_a0", counted)
+    return iterations
+
+
+def _stepped_state():
+    # one step first, so every field is physical, as along a trajectory
+    g = GridSpec(3, 16, 4.0)
+    return step(make_compatible_data(*small_data(g, 1e-2, seed=48)), 0.05)
+
+
+def test_step_transform_count(monkeypatch):
+    st = _stepped_state()
+    calls = _count_transforms(monkeypatch)
+    iterations = _count_elliptic_solves(monkeypatch)
+    step(st, 0.05)
+    assert iterations == [2, 2]
+    # per solve with k = 2 iterations: source 1+1, first coupling 1+1, then
+    # k * (inverse Laplacian, Laplacian, coupling) 3+3; per d_t A0: phi 1+3,
+    # divergence 3+3, inverse Laplacian 1+1; per kick: A forcing (phi 1+3,
+    # dealias 3+3, Leray 3+3) and phi extras (phi 1+3, dealias 1+1); drift
+    # 8+8; final Leray of A and A_t 6+6
+    fftn = 2 * (2 + 3 * 2) + 2 * 5 + 2 * (7 + 2) + 8 + 6
+    ifftn = 2 * (2 + 3 * 2) + 2 * 7 + 2 * (9 + 4) + 8 + 6
+    assert (calls["fftn"], calls["ifftn"]) == (fftn, ifftn) == (58, 70)
+
+
+def test_constraint_residuals_transform_count(monkeypatch):
+    st = _stepped_state()
+    calls = _count_transforms(monkeypatch)
+    constraint_residuals(st)
+    # forward: phi, A0, A_j (3), A0_t, A_t for its divergence (3), Leray of J (3);
+    # inverse: d_j phi (3), d_j A0 (3), Delta A0, d_j A_k (9, shared by the
+    # curvature and the Coulomb residual), d_j A0_t (3), div A_t (3), Leray of J (3)
+    assert (calls["fftn"], calls["ifftn"]) == (12, 25)
+
+
+def test_step_skips_the_solve_of_a_slaved_state(monkeypatch):
+    g = GridSpec(3, 16, 4.0)
+    st = make_compatible_data(*small_data(g, 1e-2, seed=48))
+    iterations = _count_elliptic_solves(monkeypatch)
+    marked = step(st, 0.05)
+    n_marked = len(iterations)
+    # replace() builds a new state, which drops the mark
+    unmarked = step(replace(st), 0.05)
+    assert n_marked == 2 and len(iterations) - n_marked == 3
+    for name in ("A0", "A0_t", "phi", "phi_t"):
+        assert np.array_equal(getattr(marked, name).values, getattr(unmarked, name).values)
+    for name in ("A_sp", "A_sp_t"):
+        for a, b in zip(getattr(marked, name).components, getattr(unmarked, name).components):
+            assert np.array_equal(a.values, b.values)
+    # the returned state is marked: the next step solves twice
+    step(marked, 0.05)
+    assert len(iterations) - n_marked == 5
+
+
+def test_hand_built_state_is_solved(monkeypatch):
+    g = GridSpec(3, 16, 4.0)
+    st = make_compatible_data(*small_data(g, 1e-2, seed=48))
+    z = zero_field(g)
+    hand = ConnectionState(t=st.t, A0=z, A0_t=z, A_sp=st.A_sp, A_sp_t=st.A_sp_t,
+                           phi=st.phi, phi_t=st.phi_t)
+    iterations = _count_elliptic_solves(monkeypatch)
+    out = step(hand, 0.05)
+    assert len(iterations) == 3
+    ref = step(st, 0.05)
+    assert len(iterations) == 5
+    assert np.array_equal(out.phi.values, ref.phi.values)
+    assert np.array_equal(out.A0.values, ref.A0.values)
 
 
 def test_energy_drift_small_data():

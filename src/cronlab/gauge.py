@@ -50,7 +50,6 @@ class SectorSpec:
     omega: Direction
     theta: float
     mode: str = "greater"
-    bump: object = DEFAULT_BUMP
 
     def __post_init__(self):
         if not 0.0 < self.theta <= THETA_MAX:
@@ -69,19 +68,19 @@ def angle_to(grid: GridSpec, omega) -> np.ndarray:
     return np.arccos(c)
 
 
-def greater_symbol(grid: GridSpec, omega, theta: float, bump=DEFAULT_BUMP) -> np.ndarray:
+def greater_symbol(grid: GridSpec, omega, theta: float) -> np.ndarray:
     ang = angle_to(grid, omega)
-    return ((1.0 - bump.eta(ang / theta)) *
-            (1.0 - bump.eta((np.pi - ang) / theta))).astype(np.complex128)
+    return ((1.0 - DEFAULT_BUMP.eta(ang / theta)) *
+            (1.0 - DEFAULT_BUMP.eta((np.pi - ang) / theta))).astype(np.complex128)
 
 
 def sector_symbol(grid: GridSpec, spec: SectorSpec) -> np.ndarray:
-    g = greater_symbol(grid, spec.omega, spec.theta, spec.bump)
+    g = greater_symbol(grid, spec.omega, spec.theta)
     if spec.mode == "greater":
         return g
     if spec.mode == "leq":
         return 1.0 - g
-    return greater_symbol(grid, spec.omega, spec.theta / 2.0, spec.bump) - g
+    return greater_symbol(grid, spec.omega, spec.theta / 2.0) - g
 
 
 def sector_project(f: ScalarField, spec: SectorSpec) -> ScalarField:
@@ -204,8 +203,7 @@ def null_derivative(F, omega, sign: int):
 # ---------------------------------------------------------------------------
 # divergence-free angular gain
 
-def coulomb_gain_ratio(B: VectorField, omega, theta: float, mode: str = "leq",
-                       bump=DEFAULT_BUMP) -> float:
+def coulomb_gain_ratio(B: VectorField, omega, theta: float, mode: str = "leq") -> float:
     """max over lattice modes of |(Pi B)^(xi).omega| / (theta |(Pi B)^(xi)|).
 
     Pi is the angular 'leq' (or 'band') projection about omega; B must carry a
@@ -217,7 +215,7 @@ def coulomb_gain_ratio(B: VectorField, omega, theta: float, mode: str = "leq",
         raise ParameterError(f"projection mode must be 'leq' or 'band', got {mode!r}")
     grid = B.grid
     w = omega.omega if isinstance(omega, Direction) else np.asarray(omega, dtype=float)
-    spec = SectorSpec(Direction(w), theta, mode=mode, bump=bump)
+    spec = SectorSpec(Direction(w), theta, mode=mode)
     sym = sector_symbol(grid, spec)
     hats = [sym * c.freq_values for c in B.in_frequency().components]
     num = np.abs(sum(h * wj for h, wj in zip(hats, w)))

@@ -15,7 +15,7 @@ are forced to zero by every multiplier applied here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -185,9 +185,6 @@ class ScalarField:
                            rep=self.rep if rep is None else rep,
                            time_tag=self.time_tag,
                            real_valued=self.real_valued if real_valued is None else real_valued)
-
-    def at_time(self, t) -> "ScalarField":
-        return replace(self, time_tag=t)
 
     def in_frequency(self) -> "ScalarField":
         return self if self.rep == FREQUENCY else to_frequency(self)
@@ -451,22 +448,18 @@ def frequency_l2(grid: GridSpec, F: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(F) ** 2) / grid.L ** grid.n))
 
 
-def sobolev_norm(f: ScalarField, s: float, homogeneous: bool = True,
-                 exclude_zero_mode: bool = False) -> float:
-    """Homogeneous |2 pi xi|^s or inhomogeneous <2 pi xi>^s weighted L^2 norm."""
+def sobolev_norm(f: ScalarField, s: float, exclude_zero_mode: bool = False) -> float:
+    """Homogeneous |2 pi xi|^s weighted L^2 norm (the zero mode carries no weight)."""
     grid = f.grid
     F = f.freq_values
-    if homogeneous:
-        scale = np.abs(F).max()
-        if not exclude_zero_mode and scale > 0 and np.abs(F.flat[0]) > SUPPORT_TOL * scale:
-            raise PreconditionError(
-                "homogeneous Sobolev norm needs zero-mean data "
-                "(or exclude_zero_mode=True)")
-        with np.errstate(divide="ignore"):
-            w = (2.0 * np.pi * grid.xi_norm) ** s
-        w.flat[0] = 0.0
-    else:
-        w = (1.0 + 4.0 * np.pi ** 2 * grid.xi_norm ** 2) ** (s / 2.0)
+    scale = np.abs(F).max()
+    if not exclude_zero_mode and scale > 0 and np.abs(F.flat[0]) > SUPPORT_TOL * scale:
+        raise PreconditionError(
+            "homogeneous Sobolev norm needs zero-mean data "
+            "(or exclude_zero_mode=True)")
+    with np.errstate(divide="ignore"):
+        w = (2.0 * np.pi * grid.xi_norm) ** s
+    w.flat[0] = 0.0
     return frequency_l2(grid, w * F)
 
 

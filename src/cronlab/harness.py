@@ -18,7 +18,7 @@ import os
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -32,15 +32,30 @@ from . import gauge
 from .gauge import Direction, coulomb_gain_ratio, leray_project, null_form_check
 from . import mkg
 from . import parametrix as pmx
-from .exponents import exponents, sigma_window, validate_sigma
+from .exponents import exponents, sigma_window
 from .random_fields import (flat_spectrum_field, packet_field, random_divergence_free,
                             random_field, stream)
 
 CSV_SCHEMA = "experiment,n,N,L,param,seed,lhs,rhs,ratio"
 CSV_VERSION = 1
 
-EXPERIMENT_NAMES = ("identities", "lp-suite", "coulomb-gain", "mkg-evolve",
-                    "parametrix-residual", "unitarity", "dispersive", "norms")
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
+# the JSON type from_json accepts for each config field (null where the default is None)
+_INT, _NUMBER = ("an integer", _is_int), ("a number", _is_number)
+_STRING = ("a string", lambda v: isinstance(v, str))
+_JSON_TYPES = {
+    "experiment": _STRING, "n": _INT, "N": _INT, "L": _NUMBER, "sigma": _NUMBER,
+    "eps_list": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
+    "seed": _INT, "t_max": _NUMBER, "t_samples": _INT, "out_dir": _STRING,
+}
 
 
 @dataclass(frozen=True)
@@ -49,29 +64,28 @@ class ExperimentConfig:
     n: int | None = None          # suite defaults apply when unset
     N: int | None = None
     L: float | None = None
-    k_range: tuple | None = None
     sigma: float = 0.25
-    delta: float = 1e-2
     eps_list: tuple = (1e-1, 3e-2, 1e-2, 3e-3)
     seed: int = 7
     t_max: float | None = None
     t_samples: int = 5
-    direction_cache: str = "auto"   # auto | exact | bucketed
     out_dir: str = "out"
 
     def validate(self) -> "ExperimentConfig":
-        if self.experiment not in EXPERIMENT_NAMES:
+        if self.experiment not in EXPERIMENTS:
             raise ParameterError(
-                f"unknown experiment {self.experiment!r}; choose from {EXPERIMENT_NAMES}")
+                f"unknown experiment {self.experiment!r}; choose from {tuple(EXPERIMENTS)}")
+        reads = SUITE_FIELDS[self.experiment] + ("experiment", "seed", "out_dir")
+        unread = [f.name for f in fields(self)
+                  if f.name not in reads and getattr(self, f.name) != f.default]
+        if unread:
+            raise ParameterError(f"suite {self.experiment!r} does not read {unread}; "
+                                 "leave them unset")
         if len(self.eps_list) == 0:
             raise ParameterError("eps_list must not be empty")
         if any(e <= 0 for e in self.eps_list):
             raise ParameterError("eps values must be positive")
-        if self.direction_cache not in ("auto", "exact", "bucketed"):
-            raise ParameterError(f"unknown direction-cache policy {self.direction_cache!r}")
-        if self.n is not None and self.n >= 6:
-            validate_sigma(self.n, self.sigma)
-        elif not 0.0 < self.sigma < 0.5:
+        if not 0.0 < self.sigma < 0.5:
             raise ParameterError(f"sigma={self.sigma} outside (0, 1/2)")
         if self.t_max is not None and self.L is not None and not self.t_max < self.L / 2.0:
             raise ParameterError(f"time window t_max={self.t_max} must stay below the "
@@ -95,13 +109,21 @@ class ExperimentConfig:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ParameterError(f"cannot read config file {path}: {exc}") from exc
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ParameterError(f"config file {path} must hold a JSON object, "
+                                 f"not {type(raw).__name__}")
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = set(raw) - set(defaults)
         if unknown:
             raise ParameterError(f"unknown config fields: {sorted(unknown)}")
-        for key in ("eps_list", "k_range"):
-            if key in raw and raw[key] is not None:
-                raw[key] = tuple(raw[key])
+        if "experiment" not in raw:
+            raise ParameterError(f"config file {path} names no experiment")
+        for name, value in raw.items():
+            kind, ok = _JSON_TYPES[name]
+            if not (ok(value) or (value is None and defaults[name] is None)):
+                raise ParameterError(f"config field {name!r} must be {kind}, got {value!r}")
+        if "eps_list" in raw:
+            raw["eps_list"] = tuple(raw["eps_list"])
         return cls(**raw)
 
 
@@ -215,15 +237,15 @@ def make_free_connection(grid: GridSpec, band: BandRange, eps: float, seed: int,
     return pmx.FreeConnection(grid, a_hat, ad_hat, band, forcing=forcing)
 
 
-def _parametrix_setup(n=2, N=64, L=8.0, seed=7, eps=1e-2, sigma=0.25,
-                      policy="auto", eta_dir=0.1):
-    """Shared grid / annulus / cache / operators for the parametrix suites."""
-    grid = GridSpec(n, N, L)
+def _parametrix_setup(seed, N=64, eta_dir=0.1):
+    """Shared grid / annulus / bucketed cache / eps = 1e-2 connection for the
+    parametrix suites, on the n = 2, L = 8 box."""
+    grid = GridSpec(2, N, 8.0)
     band = BandRange(-3, -2)
     cut = pmx.AnnulusCutoff(rho=grid.N / (8.0 * grid.L)).validate(grid)
     modes = cut.modes(grid)
-    cache = pmx.DirectionCache.build(grid, modes, policy=policy, eta_dir=eta_dir)
-    conn = make_free_connection(grid, band, eps, seed)
+    cache = pmx.DirectionCache.build(grid, modes, policy="bucketed", eta_dir=eta_dir)
+    conn = make_free_connection(grid, band, 1e-2, seed)
     return grid, band, cut, cache, conn
 
 
@@ -413,7 +435,7 @@ def run_lp_suite(config: ExperimentConfig):
         for k in ks:
             vals = []
             for s in range(6):
-                f = packet_field(grid, stream(seed, 1000 + 97 * k + s), k, packets=1)
+                f = packet_field(grid, stream(seed, 1000 + 97 * k + s), k)
                 vals.append(lp.bernstein_ratio(f, k, p, q))
             ratios_by_k.append(float(np.mean(vals)))
             for v in vals:
@@ -586,8 +608,7 @@ def run_parametrix_residual(config: ExperimentConfig):
     records, rows = [], []
     seed = config.seed
     elapsed = _timer()
-    grid, band, cut, cache, _ = _parametrix_setup(seed=seed, sigma=config.sigma,
-                                                  policy="bucketed")
+    grid, band, cut, cache, _ = _parametrix_setup(seed)
     h = (stream(seed, 10).standard_normal(grid.shape)
          + 1j * stream(seed, 11).standard_normal(grid.shape)) * (cut.symbol(grid) > 0)
     tgrid = np.array([0.2, 0.5, 0.8]) * (config.t_max / 0.8 if config.t_max else 1.0)
@@ -647,8 +668,7 @@ def run_unitarity(config: ExperimentConfig):
     records, rows = [], []
     seed = config.seed
     elapsed = _timer()
-    grid, band, cut, cache, _ = _parametrix_setup(seed=seed, sigma=config.sigma,
-                                                  policy="bucketed")
+    grid, band, cut, cache, _ = _parametrix_setup(seed)
     times = np.linspace(0.0, 0.45 * grid.L / 2.0, config.t_samples)
     h = (stream(seed, 30).standard_normal(grid.shape)
          + 1j * stream(seed, 31).standard_normal(grid.shape)) * (cut.symbol(grid) > 0)
@@ -804,8 +824,7 @@ def run_norms(config: ExperimentConfig):
     rows.append(ScanRow("norms", 4, 16, 4.0, 0.0, seed, ratio, 100.0, ratio / 100.0))
 
     # decomposable surrogate: reduction for direction-independent families
-    grid2, band, cut, cache, conn = _parametrix_setup(N=32, seed=seed, sigma=config.sigma,
-                                                      policy="bucketed", eta_dir=0.2)
+    grid2, band, cut, cache, conn = _parametrix_setup(seed, N=32, eta_dir=0.2)
     theta = 0.6
     B = cache.num_buckets
     tgrid = np.linspace(0.0, 1.0, 3)
@@ -851,6 +870,19 @@ EXPERIMENTS = {
     "unitarity": run_unitarity,
     "dispersive": run_dispersive,
     "norms": run_norms,
+}
+
+# the config fields each suite reads besides experiment, seed and out_dir;
+# ExperimentConfig.validate rejects any other field set away from its default
+SUITE_FIELDS = {
+    "identities": ("sigma",),
+    "lp-suite": ("n", "N", "L"),
+    "coulomb-gain": ("n", "N", "L"),
+    "mkg-evolve": ("n", "N", "L", "eps_list", "t_max"),
+    "parametrix-residual": ("sigma", "eps_list", "t_max"),
+    "unitarity": ("sigma", "eps_list", "t_samples"),
+    "dispersive": ("sigma", "eps_list"),
+    "norms": ("sigma",),
 }
 
 

@@ -22,8 +22,8 @@ class BumpProfile:
 
     The transition is the standard smooth-step quotient
         m(r) = psi(2 - r) / (psi(2 - r) + psi(r - 1)),   psi(u) = exp(-1/u) for u > 0,
-    which is C-infinity and monotone; this exact formula is the package-wide
-    dyadic cutoff (projections, sector profiles, annulus cutoffs all reuse it).
+    which is C-infinity and monotone.  ``DEFAULT_BUMP`` is the one cutoff of the
+    package: dyadic projections, sector profiles and annulus cutoffs all use it.
     """
 
     lower = 1.0
@@ -97,12 +97,12 @@ class BandRange:
 # ---------------------------------------------------------------------------
 # projection symbols
 
-def leq_symbol(grid: GridSpec, k: int, bump: BumpProfile = DEFAULT_BUMP) -> np.ndarray:
-    return np.asarray(bump(grid.xi_norm * 2.0 ** (-k)), dtype=np.complex128)
+def leq_symbol(grid: GridSpec, k: int) -> np.ndarray:
+    return np.asarray(DEFAULT_BUMP(grid.xi_norm * 2.0 ** (-k)), dtype=np.complex128)
 
 
-def band_symbol(grid: GridSpec, k: int, bump: BumpProfile = DEFAULT_BUMP) -> np.ndarray:
-    return leq_symbol(grid, k, bump) - leq_symbol(grid, k - 1, bump)
+def band_symbol(grid: GridSpec, k: int) -> np.ndarray:
+    return leq_symbol(grid, k) - leq_symbol(grid, k - 1)
 
 
 def _check_band(grid: GridSpec, k: int, band_range: BandRange | None):
@@ -112,21 +112,21 @@ def _check_band(grid: GridSpec, k: int, band_range: BandRange | None):
                              f"{br.k_min}..{br.k_max}")
 
 
-def project_leq(f: ScalarField, k: int, bump=DEFAULT_BUMP, band_range=None) -> ScalarField:
+def project_leq(f: ScalarField, k: int, band_range=None) -> ScalarField:
     _check_band(f.grid, k, band_range)
-    return apply_multiplier(f, leq_symbol(f.grid, k, bump))
+    return apply_multiplier(f, leq_symbol(f.grid, k))
 
 
-def project_band(f: ScalarField, k: int, bump=DEFAULT_BUMP, band_range=None) -> ScalarField:
+def project_band(f: ScalarField, k: int, band_range=None) -> ScalarField:
     _check_band(f.grid, k, band_range)
-    return apply_multiplier(f, band_symbol(f.grid, k, bump))
+    return apply_multiplier(f, band_symbol(f.grid, k))
 
 
-def project_range(f: ScalarField, k1: int, k2: int, bump=DEFAULT_BUMP, band_range=None) -> ScalarField:
+def project_range(f: ScalarField, k1: int, k2: int, band_range=None) -> ScalarField:
     """Telescoped sum of bands k1..k2: P_{<=k2} - P_{<=k1-1}."""
     _check_band(f.grid, k1, band_range)
     _check_band(f.grid, k2, band_range)
-    sym = leq_symbol(f.grid, k2, bump) - leq_symbol(f.grid, k1 - 1, bump)
+    sym = leq_symbol(f.grid, k2) - leq_symbol(f.grid, k1 - 1)
     return apply_multiplier(f, sym)
 
 
@@ -143,32 +143,36 @@ def restrict_annulus(f: ScalarField, r_lo: float, r_hi: float) -> ScalarField:
 # ---------------------------------------------------------------------------
 # Besov norms
 
-def besov_norm(f: ScalarField, p, q, r, band_range=None, bump=DEFAULT_BUMP,
+def besov_norm(f: ScalarField, p, q, r, band_range=None,
                allow_decreasing=False, exclude_zero_mode=False) -> float:
     """(sum_k (2^{(n/p - n/q) k} ||P_k f||_p)^r)^{1/r} over the band range.
 
     ``allow_decreasing`` admits q < p (negative-regularity weights), which the
-    spacetime nonlinearity norms need in low dimension.
+    spacetime nonlinearity norms need in low dimension.  With
+    ``exclude_zero_mode`` a field with a mean is normed by its mean-free part.
+    f is transformed once; every band is projected from that transform.
     """
     if r not in (1, 2):
         raise ParameterError(f"Besov summability r={r} must be 1 or 2")
     if p > q and not allow_decreasing:
         raise ParameterError(f"Besov exponents need p <= q, got p={p}, q={q}")
     grid = f.grid
-    scale = np.abs(f.freq_values).max()
-    if scale > 0 and np.abs(f.freq_values.flat[0]) > gr.SUPPORT_TOL * scale:
+    f_hat = f.in_frequency()
+    F = f_hat.values
+    scale = np.abs(F).max()
+    if scale > 0 and np.abs(F.flat[0]) > gr.SUPPORT_TOL * scale:
         if not exclude_zero_mode:
             raise PreconditionError("besov_norm needs zero-mean data "
                                     "(or exclude_zero_mode=True)")
-        F = f.freq_values.copy()
+        F = F.copy()
         F.flat[0] = 0.0
-        f = f.with_values(F)
+        f_hat = ScalarField(grid, F, rep=gr.FREQUENCY)
     br = band_range if band_range is not None else BandRange.widest(grid)
     n = grid.n
     total = 0.0
     for k in br:
         w = 2.0 ** ((n / p - n / q) * k)
-        term = w * lebesgue_norm(project_band(f, k, bump, br), p)
+        term = w * lebesgue_norm(project_band(f_hat, k, br), p)
         total += term if r == 1 else term ** 2
     return total if r == 1 else math.sqrt(total)
 
@@ -178,12 +182,10 @@ def besov_norm(f: ScalarField, p, q, r, band_range=None, bump=DEFAULT_BUMP,
 
 @dataclass(frozen=True, eq=False)
 class SpacetimeField:
-    """A field sampled on sorted time instants; quadrature is trapezoidal (order 2)."""
+    """A field sampled on sorted time instants; time integrals use the trapezoid rule."""
 
     times: np.ndarray
     slices: tuple
-    quadrature: str = "trapezoid"
-    quadrature_order: int = 2
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -205,8 +207,7 @@ class SpacetimeField:
         return self.slices[0].grid
 
     def map(self, fn) -> "SpacetimeField":
-        return SpacetimeField(self.times, tuple(fn(s) for s in self.slices),
-                              self.quadrature, self.quadrature_order)
+        return SpacetimeField(self.times, tuple(fn(s) for s in self.slices))
 
 
 def spacetime_norm(F: SpacetimeField, q_t, spatial_norm) -> float:
@@ -245,7 +246,7 @@ def time_derivative(F: SpacetimeField):
         inner = range(1, len(t) - 1)
         derivs = [(s[i + 1] - s[i - 1]) * (1.0 / (2.0 * h)) for i in inner]
         times = t[1:-1]
-    return SpacetimeField(times, tuple(derivs), F.quadrature, F.quadrature_order), order
+    return SpacetimeField(times, tuple(derivs)), order
 
 
 # ---------------------------------------------------------------------------
@@ -263,20 +264,20 @@ def fit_loglog(x, y):
     return float(np.polyfit(lx, np.log(y), 1)[0])
 
 
-def shell_support_defect(f: ScalarField, k: int, bump=DEFAULT_BUMP) -> float:
+def shell_support_defect(f: ScalarField, k: int) -> float:
     """Relative L^2 mass of f outside the band-k symbol footprint."""
-    outside = np.abs(band_symbol(f.grid, k, bump)) == 0.0
+    outside = np.abs(band_symbol(f.grid, k)) == 0.0
     F = f.freq_values
     num = np.sqrt(np.sum(np.abs(np.where(outside, F, 0.0)) ** 2))
     den = np.sqrt(np.sum(np.abs(F) ** 2))
     return float(num / den) if den > 0 else 0.0
 
 
-def bernstein_ratio(f: ScalarField, k: int, p, q, bump=DEFAULT_BUMP) -> float:
+def bernstein_ratio(f: ScalarField, k: int, p, q) -> float:
     """||f||_q / (2^{n k (1/p - 1/q)} ||f||_p) for a shell-k supported field."""
     if p > q:
         raise ParameterError(f"Bernstein needs p <= q, got p={p}, q={q}")
-    if shell_support_defect(f, k, bump) > 1e-8:
+    if shell_support_defect(f, k) > 1e-8:
         raise PreconditionError(f"field is not supported in the |xi| ~ 2^{k} shell")
     n = f.grid.n
     qinv = 0.0 if q == np.inf else 1.0 / q
@@ -284,22 +285,21 @@ def bernstein_ratio(f: ScalarField, k: int, p, q, bump=DEFAULT_BUMP) -> float:
     return lebesgue_norm(f, q) / (2.0 ** (n * k * (pinv - qinv)) * lebesgue_norm(f, p))
 
 
-def commutator_field(f: ScalarField, g: ScalarField, k: int, bump=DEFAULT_BUMP) -> ScalarField:
+def commutator_field(f: ScalarField, g: ScalarField, k: int) -> ScalarField:
     """[P_k, f] g = P_k(f g) - f P_k(g), products taken pointwise."""
     fg = ScalarField(f.grid, f.phys_values * g.phys_values)
-    return project_band(fg, k, bump) - ScalarField(
-        f.grid, f.phys_values * project_band(g, k, bump).phys_values)
+    return project_band(fg, k) - ScalarField(
+        f.grid, f.phys_values * project_band(g, k).phys_values)
 
 
-def commutator_ratio(f: ScalarField, g: ScalarField, k: int, p, q, r,
-                     bump=DEFAULT_BUMP) -> float:
+def commutator_ratio(f: ScalarField, g: ScalarField, k: int, p, q, r) -> float:
     """||[P_k,f] g||_r 2^k / (||grad f||_p ||g||_q) under the Hoelder triple."""
     pinv = 0.0 if p == np.inf else 1.0 / p
     qinv = 0.0 if q == np.inf else 1.0 / q
     rinv = 0.0 if r == np.inf else 1.0 / r
     if abs(pinv + qinv - rinv) > 1e-12:
         raise ParameterError(f"Hoelder triple violated: 1/{p} + 1/{q} != 1/{r}")
-    comm = commutator_field(f, g, k, bump)
+    comm = commutator_field(f, g, k)
     den = gr.vector_lebesgue_norm(gr.gradient(f), p) * lebesgue_norm(g, q)
     num = lebesgue_norm(comm, r) * 2.0 ** k
     return num / den if den > 0 else 0.0
@@ -320,19 +320,19 @@ def _check_product_exponents(p, q, p1, q1, p2, q2):
 
 
 def product_ratio(f: ScalarField, g: ScalarField, p, q, p1, q1, p2, q2,
-                  band_range=None, bump=DEFAULT_BUMP) -> float:
+                  band_range=None) -> float:
     """Measured ||fg||_{B[p,q],1} / (||f||_{B[p1,q1],2} ||g||_{B[p2,q2],2}); 0/0 -> 0."""
     _check_product_exponents(p, q, p1, q1, p2, q2)
     fg = ScalarField(f.grid, f.phys_values * g.phys_values)
     # products of zero-mean fields pick up a mean on the box; the homogeneous
     # norm is read on the mean-free part
-    lhs = besov_norm(fg, p, q, 1, band_range, bump, exclude_zero_mode=True)
-    rhs = besov_norm(f, p1, q1, 2, band_range, bump) * besov_norm(g, p2, q2, 2, band_range, bump)
+    lhs = besov_norm(fg, p, q, 1, band_range, exclude_zero_mode=True)
+    rhs = besov_norm(f, p1, q1, 2, band_range) * besov_norm(g, p2, q2, 2, band_range)
     return lhs / rhs if rhs > 0 else 0.0
 
 
 def spacetime_product_ratio(F: SpacetimeField, G: SpacetimeField, p, q,
-                            band_range=None, bump=DEFAULT_BUMP) -> float:
+                            band_range=None) -> float:
     """Measured ratio for the spacetime bound
 
         ||FG||_{L1_t B[2,n/2],2} <~ ||F||_{L1_t B[inf,inf],1} ||G||_{Linf_t B[2,n/2],2}
@@ -356,7 +356,7 @@ def spacetime_product_ratio(F: SpacetimeField, G: SpacetimeField, p, q,
     prod = SpacetimeField(F.times, tuple(
         ScalarField(F.grid, a.phys_values * b.phys_values)
         for a, b in zip(F.slices, G.slices)))
-    bn = lambda pp, qq, rr: (lambda s: besov_norm(s, pp, qq, rr, band_range, bump,
+    bn = lambda pp, qq, rr: (lambda s: besov_norm(s, pp, qq, rr, band_range,
                                                   allow_decreasing=True,
                                                   exclude_zero_mode=True))
     lhs = spacetime_norm(prod, 1, bn(2, half, 2))

@@ -80,9 +80,9 @@ def _field(grid, values, real=False) -> ScalarField:
 # ---------------------------------------------------------------------------
 # the elliptic A0 solve
 
-def elliptic_a0(phi: ScalarField, phi_t: ScalarField, tol: float = 1e-10,
-                max_iter: int = 200):
-    """Solve (Delta - |phi|^2) A0 = -Im(phi conj(phi_t)) by fixed-point iteration.
+def elliptic_a0(phi: ScalarField, phi_t: ScalarField):
+    """Solve (Delta - |phi|^2) A0 = -Im(phi conj(phi_t)) by fixed-point iteration
+    to a relative residual of 1e-10 within 200 iterations.
 
     The iteration inverts Delta on the mean-free part and balances the mean of
     the source against the |phi|^2 coupling (on the box, the constant mode of
@@ -104,7 +104,7 @@ def elliptic_a0(phi: ScalarField, phi_t: ScalarField, tol: float = 1e-10,
     a0 = np.zeros(grid.shape)
     coupling = project(absphi2 * a0)
     history = []
-    for it in range(1, max_iter + 1):
+    for it in range(1, 201):
         rhs_arr = source + coupling
         fluct = inverse_laplacian(
             _field(grid, rhs_arr - rhs_arr.mean(), real=True)).phys_values.real.copy()
@@ -117,10 +117,10 @@ def elliptic_a0(phi: ScalarField, phi_t: ScalarField, tol: float = 1e-10,
         resid = laplacian(_field(grid, a0, real=True)).phys_values.real - coupling - source
         rel = np.linalg.norm(resid) / src_scale
         history.append(rel)
-        if rel <= tol:
+        if rel <= 1e-10:
             return _field(grid, a0, real=True), rel, it
     raise ConvergenceError(
-        f"elliptic A0 iteration did not contract to {tol} in {max_iter} steps",
+        "elliptic A0 iteration did not contract to 1e-10 in 200 steps",
         history=history)
 
 
@@ -138,33 +138,32 @@ def reconstruct_a0_t(phi: ScalarField, phi_t: ScalarField, A0: ScalarField,
 # compatible data
 
 def make_compatible_data(f: ScalarField, g: ScalarField, a: VectorField,
-                         adot: VectorField, neutralize_charge: bool = True,
-                         self_check: bool = True) -> ConnectionState:
+                         adot: VectorField) -> ConnectionState:
     """Assemble a constraint-satisfying state from raw (phi, phi_t, A, A_t) data.
 
     a/adot are Leray-projected; A0 solves its elliptic equation; d_t A0 is
-    reconstructed from the current.  With neutralize_charge the velocity g is
-    shifted by i lambda f (lambda real) to cancel the net charge Im<f, g>,
-    which keeps the constant mode of A0 at the nonlinear (quadratic) scale.
+    reconstructed from the current.  The velocity g is shifted by i lambda f
+    (lambda real) to cancel the net charge Im<f, g>, which keeps the constant
+    mode of A0 at the nonlinear (quadratic) scale.  The assembled state must
+    meet the Gauss and Coulomb constraints to 1e-8, or ConvergenceError is
+    raised.
     """
     grid = f.grid
     Asp = leray_project(a)
     Asp_t = leray_project(adot)
-    if neutralize_charge:
-        nf = lebesgue_norm(f, 2)
-        if nf > 0:
-            lam = float(np.imag(inner_product(f, g))) / nf ** 2
-            g = g + ScalarField(grid, 1j * lam * f.phys_values)
+    nf = lebesgue_norm(f, 2)
+    if nf > 0:
+        lam = float(np.imag(inner_product(f, g))) / nf ** 2
+        g = g + ScalarField(grid, 1j * lam * f.phys_values)
     A0, _, _ = elliptic_a0(f, g)
     A0_t = reconstruct_a0_t(f, g, A0, Asp)
     state = _mark_slaved(ConnectionState(t=0.0, A0=A0, A0_t=A0_t, A_sp=Asp, A_sp_t=Asp_t,
                                          phi=f, phi_t=g))
-    if self_check:
-        rep = constraint_residuals(state)
-        if rep.gauss_residual > 1e-8 or rep.div_residual > 1e-8:
-            raise ConvergenceError(
-                f"compatible data failed its self-check: gauss={rep.gauss_residual:.2e} "
-                f"div={rep.div_residual:.2e}")
+    rep = constraint_residuals(state)
+    if rep.gauss_residual > 1e-8 or rep.div_residual > 1e-8:
+        raise ConvergenceError(
+            f"compatible data failed its self-check: gauss={rep.gauss_residual:.2e} "
+            f"div={rep.div_residual:.2e}")
     return state
 
 
@@ -197,11 +196,10 @@ def _forcing_A(state: ConnectionState, trunc=dealias) -> VectorField:
                          keep_mean=True)
 
 
-def _phi_acceleration_extras(state: ConnectionState, dealiased=True) -> ScalarField:
-    """Everything in phi_tt besides Delta phi and the implicit A0 phi_t term:
-    2i A.grad phi - i (d_t A0) phi - |A|^2 phi + A0^2 phi."""
+def _phi_acceleration_extras(state: ConnectionState) -> ScalarField:
+    """Everything in phi_tt besides Delta phi and the implicit A0 phi_t term,
+    dealiased: 2i A.grad phi - i (d_t A0) phi - |A|^2 phi + A0^2 phi."""
     grid = state.grid
-    trunc = dealias if dealiased else (lambda x: x)
     transport = np.zeros(grid.shape, dtype=np.complex128)
     for a, dphi in zip(state.A_sp.components, gr.gradient(state.phi).components):
         transport += a.phys_values.real * dphi.phys_values
@@ -210,7 +208,7 @@ def _phi_acceleration_extras(state: ConnectionState, dealiased=True) -> ScalarFi
     a0t = state.A0_t.phys_values.real
     asq = sum(np.abs(c.phys_values.real) ** 2 for c in state.A_sp.components)
     vals = 2j * transport - 1j * a0t * ph - asq * ph + a0 ** 2 * ph
-    return trunc(_field(grid, vals))
+    return dealias(_field(grid, vals))
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +293,12 @@ def step(state: ConnectionState, dt: float) -> ConnectionState:
     return _slave_a0(replace(s3, A_sp=Asp, A_sp_t=Asp_t))
 
 
-def evolve(state: ConnectionState, t_final: float, dt: float, callback=None) -> ConnectionState:
+def evolve(state: ConnectionState, t_final: float, dt: float) -> ConnectionState:
     steps = int(round((t_final - state.t) / dt))
     if abs(state.t + steps * dt - t_final) > 1e-9:
         raise ParameterError("t_final must be an integer number of steps away")
     for _ in range(steps):
         state = step(state, dt)
-        if callback is not None:
-            callback(state)
     return state
 
 
@@ -442,16 +438,16 @@ def data_norm(state: ConnectionState, band_range=None) -> float:
     return math.sqrt(acc)
 
 
-def critical_norm_tracker(trajectory, delta: float = 1e-2, band_range=None):
+def critical_norm_tracker(trajectory, band_range=None):
     """Norm samples along a sampled trajectory (a list of states at increasing
     times): the data norm, the running solution and elliptic norms, and the
-    accumulated N_1/N_2 forcing norms.  Requires n > 3 (p_* is undefined below
-    that)."""
+    accumulated N_1/N_2 forcing norms, with exponents at delta = 1e-2.
+    Requires n > 3 (p_* is undefined below that)."""
     if not trajectory:
         raise ParameterError("empty trajectory")
     grid = trajectory[0].grid
     n = grid.n
-    exps = exponents(n, delta)  # raises for n <= 3
+    exps = exponents(n, 1e-2)  # raises for n <= 3
     p_star = float(exps.p_star)
     p_sstar = float(exps.p_sstar)
     half = n / 2.0

@@ -27,7 +27,7 @@ from .errors import ConvergenceError, ParameterError, PreconditionError, Structu
 from . import grid as gr
 from .grid import FREQUENCY, GridSpec, ScalarField, VectorField, lebesgue_norm
 from .gauge import THETA_MAX, greater_symbol, transverse_inverse_symbol
-from .lp import (BandRange, DEFAULT_BUMP, SpacetimeField, band_symbol, besov_norm, fit_loglog,
+from .lp import (BandRange, DEFAULT_BUMP, SpacetimeField, band_symbol, fit_loglog,
                  spacetime_norm)
 from .exponents import validate_sigma
 
@@ -259,12 +259,6 @@ class FreeConnection:
                       for j in range(self.grid.n))
         return VectorField(comps, divergence_free=True)
 
-    def field_dt(self, t: float) -> VectorField:
-        _, At = self.eval_hat(t)
-        comps = tuple(gr.to_physical(ScalarField(self.grid, At[j], rep=FREQUENCY, time_tag=t))
-                      for j in range(self.grid.n))
-        return VectorField(comps, divergence_free=True)
-
     @classmethod
     def zero(cls, grid: GridSpec, band_range: BandRange) -> "FreeConnection":
         z = np.zeros((grid.n,) + grid.shape, dtype=np.complex128)
@@ -277,28 +271,24 @@ class FreeConnection:
 @dataclass(frozen=True)
 class AnnulusCutoff:
     """Radial cutoff a(|xi|): identically 1 on [rho, 2 rho], smoothly falling to 0
-    at rho/inner_margin and 2 rho * outer_margin."""
+    at rho/2 and 2 rho * 1.5."""
 
     rho: float
-    inner_margin: float = 2.0
-    outer_margin: float = 1.5
-    bump: object = DEFAULT_BUMP
 
     def __post_init__(self):
-        if self.rho <= 0 or self.inner_margin <= 1 or self.outer_margin <= 1:
-            raise ParameterError("annulus cutoff needs rho > 0 and margins > 1")
+        if self.rho <= 0:
+            raise ParameterError("annulus cutoff needs rho > 0")
 
     @property
     def support(self) -> tuple:
-        return self.rho / self.inner_margin, 2.0 * self.rho * self.outer_margin
+        return self.rho / 2.0, 2.0 * self.rho * 1.5
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        lo = self.rho / self.inner_margin
-        hi = 2.0 * self.rho * self.outer_margin
+        lo, hi = self.support
         with np.errstate(invalid="ignore", divide="ignore"):
-            up = self.bump(1.0 + (self.rho - r) / (self.rho - lo))
-            down = self.bump(1.0 + (r - 2.0 * self.rho) / (hi - 2.0 * self.rho))
+            up = DEFAULT_BUMP(1.0 + (self.rho - r) / (self.rho - lo))
+            down = DEFAULT_BUMP(1.0 + (r - 2.0 * self.rho) / (hi - 2.0 * self.rho))
         return up * down
 
     def validate(self, grid: GridSpec) -> "AnnulusCutoff":
@@ -340,7 +330,7 @@ class DirectionCache:
         self.directions = directions
         self.assignment = assignment
         self.eta_dir = eta_dir
-        self.multipliers = {}     # (grid, band range, sigma, bump) -> (ws, leqs)
+        self.multipliers = {}     # (grid, band range, sigma) -> (ws, leqs)
         self.flat_index = np.ravel_multi_index((modes % grid.N).T, grid.shape)
         self.bucket_masks = []
         for b in range(len(directions)):
@@ -353,17 +343,16 @@ class DirectionCache:
         return len(self.directions)
 
     @classmethod
-    def build(cls, grid: GridSpec, modes: np.ndarray, policy: str = "auto",
-              eta_dir: float | None = None, max_exact: int = 512) -> "DirectionCache":
+    def build(cls, grid: GridSpec, modes: np.ndarray, policy: str,
+              eta_dir: float | None = None) -> "DirectionCache":
+        """policy is "exact" or "bucketed" (which needs eta_dir > 0)."""
         modes = np.asarray(modes, dtype=int)
         if modes.ndim != 2 or modes.shape[1] != grid.n:
             raise StructuralError("modes must be an (M, n) integer array")
         if len(modes) == 0:
             raise StructuralError("direction cache needs at least one mode")
-        if policy not in ("auto", "exact", "bucketed"):
+        if policy not in ("exact", "bucketed"):
             raise ParameterError(f"unknown direction-cache policy {policy!r}")
-        if policy == "auto":
-            policy = "exact" if len(modes) <= max_exact else "bucketed"
         unit = modes / np.linalg.norm(modes, axis=1, keepdims=True)
         if policy == "exact":
             prim = modes // np.gcd.reduce(np.abs(modes), axis=1, keepdims=True).clip(min=1)
@@ -461,7 +450,7 @@ class PhaseFamily:
     """
 
     def __init__(self, conn: FreeConnection, sign: int, sigma: float,
-                 cache: DirectionCache, bump=DEFAULT_BUMP, _premultipliers=None):
+                 cache: DirectionCache, _premultipliers=None):
         if sign not in (+1, -1):
             raise ParameterError("sign must be +1 or -1")
         validate_sigma(conn.grid.n, sigma)
@@ -470,7 +459,6 @@ class PhaseFamily:
         self.sign = sign
         self.sigma = sigma
         self.cache = cache
-        self.bump = bump
         self.thetas = {k: min(2.0 ** (sigma * k), THETA_MAX) for k in conn.band_range}
         self._w, self._leq = _premultipliers or self._shared_multipliers()
         self._t = None
@@ -479,7 +467,7 @@ class PhaseFamily:
         self.max_imag_defect = 0.0
 
     def _shared_multipliers(self):
-        key = (self.grid, self.conn.band_range, self.sigma, self.bump)
+        key = (self.grid, self.conn.band_range, self.sigma)
         if key not in self.cache.multipliers:
             grid = self.grid
             theta_min = min(self.thetas.values()) / 4.0
@@ -489,8 +477,8 @@ class PhaseFamily:
                 S_g = np.zeros(grid.shape, dtype=np.complex128)
                 S_l = np.zeros(grid.shape, dtype=np.complex128)
                 for k in self.conn.band_range:
-                    pk = band_symbol(grid, k, self.bump)
-                    gk = greater_symbol(grid, w_dir, self.thetas[k], self.bump)
+                    pk = band_symbol(grid, k)
+                    gk = greater_symbol(grid, w_dir, self.thetas[k])
                     S_g += pk * gk
                     S_l += pk * (1.0 - gk)
                 ws.append(inv * S_g)
@@ -527,12 +515,11 @@ class PhaseFamily:
         return sum(w_dir[j] * sl.grad[j] for j in range(self.grid.n)) - self.sign * sl.psi_t
 
     def with_multipliers(self, ws, leqs) -> "PhaseFamily":
-        return PhaseFamily(self.conn, self.sign, self.sigma, self.cache, self.bump,
+        return PhaseFamily(self.conn, self.sign, self.sigma, self.cache,
                            _premultipliers=(list(ws), list(leqs)))
 
 
-def build_phase(conn: FreeConnection, omega, sign: int, sigma: float,
-                bump=DEFAULT_BUMP) -> PhaseFamily:
+def build_phase(conn: FreeConnection, omega, sign: int, sigma: float) -> PhaseFamily:
     """Single-direction phase (a one-bucket family); omega need not be a lattice
     direction."""
     w = np.asarray(omega, dtype=float)
@@ -541,7 +528,7 @@ def build_phase(conn: FreeConnection, omega, sign: int, sigma: float,
     probe = np.zeros((1, conn.grid.n), dtype=int)
     probe[0, 0] = 1
     cache = DirectionCache(conn.grid, probe, np.array([w]), np.zeros(1, dtype=int), 0.0)
-    return PhaseFamily(conn, sign, sigma, cache, bump)
+    return PhaseFamily(conn, sign, sigma, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -733,8 +720,7 @@ class WaveOperator:
         rhs = self.apply(t, self.sign * 2j * np.pi * self.grid.xi_norm * np.asarray(h))
         return lebesgue_norm(lhs - rhs, 2) / self.coefficient_norm(h)
 
-    def operator_norm_at(self, t: float, rng, tol: float = 1e-6,
-                         max_iter: int = 100) -> float:
+    def operator_norm_at(self, t: float, rng, tol: float = 1e-6) -> float:
         """||U(t)||_{L2_xi -> L2_x} via power iteration on U* U.
 
         The start vector lives on the cutoff plateau (a == 1), where the top
@@ -747,7 +733,7 @@ class WaveOperator:
         h /= self.coefficient_norm(h)
         lam_prev = 0.0
         history = []
-        for _ in range(max_iter):
+        for _ in range(100):
             w = self.apply_adjoint(t, self.apply(t, h))
             lam = np.vdot(h.ravel(), w.ravel()).real / grid.L ** grid.n
             nrm = self.coefficient_norm(w)
@@ -758,7 +744,7 @@ class WaveOperator:
             if abs(lam - lam_prev) <= tol * max(abs(lam), 1e-300):
                 return math.sqrt(abs(lam))
             lam_prev = lam
-        raise ConvergenceError(f"power iteration did not settle in {max_iter} steps",
+        raise ConvergenceError("power iteration did not settle in 100 steps",
                                history=history)
 
 
@@ -848,10 +834,10 @@ def covariant_box_amplitude(op: WaveOperator, t: float, h) -> ScalarField:
     return ScalarField(grid, 2.0 * np.pi * out, time_tag=t)
 
 
-def residual_check(op: WaveOperator, h, times, dt: float, wrap_limit=None) -> ResidualReport:
+def residual_check(op: WaveOperator, h, times, dt: float) -> ResidualReport:
     grid = op.grid
     times = np.asarray(times, dtype=float)
-    limit = wrap_limit if wrap_limit is not None else grid.L / 2.0
+    limit = grid.L / 2.0
     if np.abs(times).max() + dt >= limit:
         raise ParameterError(f"time window exceeds the wrap limit {limit}")
     diffs, norms, slices = [], [], []
@@ -963,8 +949,7 @@ def bucketing_error(op: WaveOperator, t: float, h, subsample: int = 64) -> float
     h_sub = np.zeros(grid.shape, dtype=np.complex128)
     h_sub.ravel()[flat[order]] = np.asarray(h).ravel()[flat[order]]
     exact_cache = DirectionCache.build(grid, modes, policy="exact")
-    exact_fam = PhaseFamily(op.family.conn, op.family.sign, op.family.sigma, exact_cache,
-                            op.family.bump)
+    exact_fam = PhaseFamily(op.family.conn, op.family.sign, op.family.sigma, exact_cache)
     exact_op = WaveOperator(exact_fam, op.cutoff, check_cover=False)
     u_bucketed = op.apply(t, h_sub)
     u_exact = exact_op.apply(t, h_sub)
@@ -992,14 +977,14 @@ def split_phase_at(family: PhaseFamily, theta_star: float):
         high = np.zeros(grid.shape, dtype=np.complex128)
         for k in family.conn.band_range:
             theta_k = family.thetas[k]
-            pk = band_symbol(grid, k, family.bump)
-            g_base = greater_symbol(grid, w_dir, theta_k, family.bump)
+            pk = band_symbol(grid, k)
+            g_base = greater_symbol(grid, w_dir, theta_k)
             # largest dyadic angle still below theta_star
             theta_edge = theta_k
             while theta_edge * 2.0 < theta_star:
                 theta_edge *= 2.0
             if theta_edge < theta_star and theta_edge > theta_k / 2.0:
-                g_edge = greater_symbol(grid, w_dir, theta_edge, family.bump) \
+                g_edge = greater_symbol(grid, w_dir, theta_edge) \
                     if theta_edge != theta_k else g_base
                 low += pk * (g_base - g_edge)
                 high += pk * g_edge
@@ -1020,16 +1005,16 @@ def split_phase_at(family: PhaseFamily, theta_star: float):
 # decomposable-norm surrogate
 
 def decomposable_surrogate(directions, fields, theta: float, q_t, r_x,
-                           l_max: int = 4, annulus_volume: float = 1.0,
-                           weights=None):
+                           annulus_volume: float = 1.0):
     """Discretized smoothness-based upper bound for direction-dependent factors:
 
-        sum_{l=0}^{l_max} (theta^{1-n} int_Sigma ||(theta grad_xi)^l F||^2 dxi)^{1/2}
+        sum_{l=0}^{4} (theta^{1-n} int_Sigma ||(theta grad_xi)^l F||^2 dxi)^{1/2}
 
     with grad_xi realized as nearest-neighbour difference quotients across the
     direction quadrature (F homogeneous of degree 0, so only angular
-    derivatives survive).  Returns (value, tail_ratio) where tail_ratio is the
-    last retained term against the total.
+    derivatives survive), each direction weighted annulus_volume / B.  Returns
+    (value, tail_ratio) where tail_ratio is the last retained term against the
+    total.
     """
     directions = np.asarray(directions, dtype=float)
     B, n = directions.shape
@@ -1042,8 +1027,7 @@ def decomposable_surrogate(directions, fields, theta: float, q_t, r_x,
     if gaps.max() > theta / 2.0 + 1e-12:
         raise ParameterError(
             f"direction quadrature too coarse for theta={theta}: max spacing {gaps.max()}")
-    if weights is None:
-        weights = np.full(B, annulus_volume / B)
+    weights = np.full(B, annulus_volume / B)
 
     def st_norm(F):
         return spacetime_norm(F, q_t, lambda s: lebesgue_norm(s, r_x))
@@ -1078,10 +1062,10 @@ def decomposable_surrogate(directions, fields, theta: float, q_t, r_x,
 
     level = list(fields)
     terms = []
-    for l in range(l_max + 1):
+    for l in range(5):
         vals = np.array([st_norm(F) for F in level])
         terms.append(math.sqrt(float(theta ** (1 - n) * np.sum(weights * vals ** 2))))
-        if l == l_max:
+        if l == 4:
             break
         level = differentiate(level)
     total = float(sum(terms))

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import FREQUENCY, GridSpec, ScalarField, VectorField, hermitianize
+from .grid import FREQUENCY, GridSpec, ScalarField, VectorField, hermitianize, lebesgue_norm
 from .gauge import leray_project
-from .lp import BandRange, DEFAULT_BUMP, project_band, restrict_annulus
+from .lp import BandRange, project_band, restrict_annulus
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
@@ -52,57 +52,46 @@ def random_field(grid: GridSpec, rng, r_lo=None, r_hi=None, real=False,
     return f
 
 
-def random_band_field(grid: GridSpec, rng, k: int, real=False, bump=DEFAULT_BUMP) -> ScalarField:
+def random_band_field(grid: GridSpec, rng, k: int, real=False) -> ScalarField:
     """Random-phase field projected to the dyadic band k, unit L^2."""
-    f = project_band(random_field(grid, rng, real=real, normalize=False), k, bump)
-    from .grid import lebesgue_norm
+    f = project_band(random_field(grid, rng, real=real, normalize=False), k)
     nrm = lebesgue_norm(f, 2)
     return f * (1.0 / nrm) if nrm > 0 else f
 
 
-def packet_field(grid: GridSpec, rng, k: int, packets: int = 3, real=False,
-                 bump=DEFAULT_BUMP) -> ScalarField:
-    """Band-k wave packets: random point sources band-projected.
+def packet_field(grid: GridSpec, rng, k: int) -> ScalarField:
+    """A band-k wave packet: a random complex point source band-projected.
 
-    The inverse band kernel around each source is a bump of width ~ 2^{-k}
+    The inverse band kernel around the source is a bump of width ~ 2^{-k}
     modulated at frequency ~ 2^k, the profile that makes Bernstein ratios
     scale-free."""
     vals = np.zeros(grid.shape, dtype=np.complex128)
-    for _ in range(packets):
-        idx = tuple(rng.integers(0, grid.N, size=grid.n))
-        amp = rng.standard_normal() + (0.0 if real else 1j * rng.standard_normal())
-        vals[idx] += amp
-    f = ScalarField(grid, vals)
-    out = project_band(f, k, bump)
-    if real:
-        out = ScalarField(grid, out.phys_values.real, real_valued=True)
-    from .grid import lebesgue_norm
+    idx = tuple(rng.integers(0, grid.N, size=grid.n))
+    vals[idx] = rng.standard_normal() + 1j * rng.standard_normal()
+    out = project_band(ScalarField(grid, vals), k)
     nrm = lebesgue_norm(out, 2)
     return out * (1.0 / nrm) if nrm > 0 else out
 
 
-def flat_spectrum_field(grid: GridSpec, rng, band_range: BandRange, real=False,
-                        bump=DEFAULT_BUMP) -> ScalarField:
+def flat_spectrum_field(grid: GridSpec, rng, band_range: BandRange, real=False) -> ScalarField:
     """Equal L^2 mass in every dyadic band of the range (unit mass per band)."""
     acc = None
     for k in band_range:
-        f = random_band_field(grid, rng, k, real=real, bump=bump)
+        f = random_band_field(grid, rng, k, real=real)
         acc = f if acc is None else acc + f
     if real:
         acc = ScalarField(grid, acc.phys_values.real, real_valued=True)
     return acc
 
 
-def random_divergence_free(grid: GridSpec, rng, r_lo=None, r_hi=None,
-                           normalize=True) -> VectorField:
-    """Real, zero-mean, divergence-free vector field (Leray of a random draw)."""
+def random_divergence_free(grid: GridSpec, rng, r_lo=None, r_hi=None) -> VectorField:
+    """Real, zero-mean, divergence-free vector field (Leray of a random draw),
+    normalized to unit L^2."""
     comps = tuple(random_field(grid, rng, r_lo, r_hi, real=True, normalize=False)
                   for _ in range(grid.n))
     V = leray_project(VectorField(comps))
-    if normalize:
-        from .grid import lebesgue_norm
-        scale = np.sqrt(sum(lebesgue_norm(c, 2) ** 2 for c in V.components))
-        if scale > 0:
-            V = VectorField(tuple(c * (1.0 / scale) for c in V.components),
-                            divergence_free=True)
+    scale = np.sqrt(sum(lebesgue_norm(c, 2) ** 2 for c in V.components))
+    if scale > 0:
+        V = VectorField(tuple(c * (1.0 / scale) for c in V.components),
+                        divergence_free=True)
     return V

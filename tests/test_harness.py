@@ -15,17 +15,17 @@ def test_config_validation():
     ExperimentConfig(experiment="norms").validate()
     with pytest.raises(ParameterError):
         ExperimentConfig(experiment="does-not-exist").validate()
-    with pytest.raises(ParameterError):
-        ExperimentConfig(experiment="norms", eps_list=()).validate()
+    with pytest.raises(ParameterError, match="must not be empty"):
+        ExperimentConfig(experiment="unitarity", eps_list=()).validate()
     with pytest.raises(ParameterError):
         ExperimentConfig(experiment="norms", sigma=0.7).validate()
-    with pytest.raises(ParameterError):
-        ExperimentConfig(experiment="norms", n=6, sigma=0.3).validate()   # below window
-    ExperimentConfig(experiment="norms", n=6, sigma=0.48).validate()
-    with pytest.raises(ParameterError):
-        ExperimentConfig(experiment="norms", L=8.0, t_max=5.0).validate()  # wrap limit
-    with pytest.raises(ParameterError):
-        ExperimentConfig(experiment="norms", direction_cache="magic").validate()
+    # no suite reads both n and sigma; norms reads sigma only
+    with pytest.raises(ParameterError, match=r"'norms' does not read \['n'\]"):
+        ExperimentConfig(experiment="norms", n=6, sigma=0.3).validate()
+    with pytest.raises(ParameterError, match=r"'norms' does not read \['n'\]"):
+        ExperimentConfig(experiment="norms", n=6, sigma=0.48).validate()
+    with pytest.raises(ParameterError, match="wrap limit"):
+        ExperimentConfig(experiment="mkg-evolve", L=8.0, t_max=5.0).validate()
 
 
 def test_config_hash_ignores_out_dir():
@@ -45,6 +45,83 @@ def test_config_from_json(tmp_path):
     path.write_text(json.dumps({"experiment": "norms", "bogus": 1}))
     with pytest.raises(ParameterError):
         ExperimentConfig.from_json(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k_range", [0, 3]), ("delta", 0.02), ("direction_cache", "exact"),
+])
+def test_removed_config_fields_are_rejected(tmp_path, monkeypatch, capsys, field, value):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "norms", field: value}))
+    with pytest.raises(ParameterError, match="unknown config fields"):
+        ExperimentConfig.from_json(path)
+    assert cli_main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown config fields")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, needle", [
+    ("5", "JSON object"),
+    ('["norms"]', "JSON object"),
+    ('{"seed": 7}', "names no experiment"),
+    ('{"experiment": "norms", "seed": "x"}', "'seed' must be an integer"),
+    ('{"experiment": "norms", "seed": true}', "'seed' must be an integer"),
+    ('{"experiment": "unitarity", "eps_list": 5}', "'eps_list' must be a list of numbers"),
+    ('{"experiment": "unitarity", "eps_list": [0.1, "a"]}', "'eps_list' must be a list"),
+    ('{"experiment": "norms", "sigma": "a"}', "'sigma' must be a number"),
+    ('{"experiment": "unitarity", "t_samples": 2.5}', "'t_samples' must be an integer"),
+    ('{"experiment": "lp-suite", "N": 256.0}', "'N' must be an integer"),
+    ('{"experiment": 3}', "'experiment' must be a string"),
+    ('{"experiment": "norms", "out_dir": 1}', "'out_dir' must be a string"),
+])
+def test_cli_rejects_wrongly_typed_config(tmp_path, monkeypatch, capsys, text, needle):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ParameterError, match=needle):
+        ExperimentConfig.from_json(path)
+    assert cli_main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_from_json_accepts_null_for_unset_geometry(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "mkg-evolve", "n": None, "L": 8, "t_max": None}))
+    cfg = ExperimentConfig.from_json(path).validate()
+    assert cfg.n is None and cfg.L == 8 and cfg.t_max is None
+
+
+# the fields each suite reads besides experiment, seed and out_dir
+READS = {
+    "identities": {"sigma"},
+    "norms": {"sigma"},
+    "lp-suite": {"n", "N", "L"},
+    "coulomb-gain": {"n", "N", "L"},
+    "mkg-evolve": {"n", "N", "L", "eps_list", "t_max"},
+    "parametrix-residual": {"sigma", "eps_list", "t_max"},
+    "unitarity": {"sigma", "eps_list", "t_samples"},
+    "dispersive": {"sigma", "eps_list"},
+}
+# a valid value other than the default for each optional field
+SET_VALUES = {"n": 3, "N": 64, "L": 4.0, "sigma": 0.3, "eps_list": (0.1, 0.01),
+              "t_max": 1.0, "t_samples": 3}
+
+
+@pytest.mark.parametrize("suite, field", [
+    (suite, field) for suite in READS for field in SET_VALUES if field not in READS[suite]])
+def test_config_rejects_field_the_suite_does_not_read(suite, field):
+    cfg = ExperimentConfig(experiment=suite, **{field: SET_VALUES[field]})
+    with pytest.raises(ParameterError, match=f"suite '{suite}' does not read \\['{field}'\\]"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("suite, field", [
+    (suite, field) for suite in READS for field in sorted(READS[suite])])
+def test_config_accepts_field_the_suite_reads(suite, field):
+    ExperimentConfig(experiment=suite, **{field: SET_VALUES[field]}).validate()
 
 
 def test_record_bounds():

@@ -164,6 +164,19 @@ def test_besov_l2_below_l1_on_random_fields():
         assert besov_norm(f, 2, 4, 2, br) <= besov_norm(f, 2, 4, 1, br) * (1 + 1e-12)
 
 
+def test_besov_norm_of_physical_field_with_mean_is_norm_of_mean_free_part():
+    g = GridSpec(2, 64, 1.0)
+    br = BandRange.widest(g)
+    f = flat_spectrum_field(g, stream(12, 7), br).in_physical()
+    shifted = f + constant_field(g, 4.0)
+    assert abs(shifted.mean() - 4.0) < 1e-12
+    expect = besov_norm(f, 2, 4, 2, br)
+    got = besov_norm(shifted, 2, 4, 2, br, exclude_zero_mode=True)
+    assert abs(got - expect) <= 1e-12 * expect
+    with pytest.raises(PreconditionError):
+        besov_norm(shifted, 2, 4, 2, br)
+
+
 def test_besov_rejects_p_above_q():
     g = GridSpec(2, 32, 1.0)
     f = random_field(g, stream(12, 0), 1.0, 8.0)
@@ -249,7 +262,7 @@ def test_bernstein_scan_uniform_over_packets():
     ks = [2, 3, 4]
     means = []
     for k in ks:
-        vals = [bernstein_ratio(packet_field(g, stream(14, 5 + 7 * k + s), k, packets=1),
+        vals = [bernstein_ratio(packet_field(g, stream(14, 5 + 7 * k + s), k),
                                 k, 2, 4) for s in range(4)]
         means.append(np.mean(vals))
     assert max(means) / min(means) < 10.0

@@ -575,8 +575,8 @@ def test_direction_cache_policies():
     assert bucketed.num_buckets < exact.num_buckets
     with pytest.raises(ParameterError):
         DirectionCache.build(GRID, modes, policy="bucketed")   # eta_dir missing
-    auto = DirectionCache.build(GRID, modes, policy="auto", eta_dir=0.3, max_exact=10)
-    assert auto.num_buckets == bucketed.num_buckets
+    with pytest.raises(ParameterError):
+        DirectionCache.build(GRID, modes, policy="auto", eta_dir=0.3)   # no such policy
 
 
 def test_wave_operator_requires_cover():

@@ -17,20 +17,17 @@ from .grid import (FREQUENCY, PHYSICAL, GridSpec, ScalarField, VectorField, appl
                    laplacian, lebesgue_norm, mode_field, partial_derivative, plane_wave,
                    sobolev_norm, to_frequency, to_physical, vector_lebesgue_norm, zero_field)
 from .lp import (BandRange, BumpProfile, DEFAULT_BUMP, SpacetimeField, bernstein_ratio,
-                 besov_norm, commutator_ratio, product_ratio, project_band, project_leq,
-                 project_range, restrict_annulus, spacetime_norm, spacetime_product_ratio)
+                 besov_norm, commutator_ratio, project_band, project_leq, project_range,
+                 restrict_annulus, spacetime_norm, spacetime_product_ratio)
 from .gauge import (Direction, SectorSpec, coulomb_gain_ratio, covariant_derivative,
-                    curvature, gauge_transform, leray_project, null_derivative,
-                    null_form_check, sector_project, transverse_laplacian,
-                    transverse_laplacian_inverse)
+                    leray_project, null_derivative, null_form_check)
 from .exponents import exponents, sigma_window
-from .mkg import (ConnectionState, EnergyReport, constraint_residuals, critical_norm_tracker,
-                  elliptic_a0, evolve, make_compatible_data, rhs, save_trajectory, step)
+from .mkg import (ConnectionState, EnergyReport, constraint_residuals, elliptic_a0, evolve,
+                  make_compatible_data, step)
 from .parametrix import (AnnulusCutoff, DirectionCache, FreeConnection, HalfWaveField,
-                         HarmonicForcing, PhaseFamily, SampledForcing, WaveOperator,
-                         build_amplitude, build_phase, decomposable_surrogate,
-                         dispersive_scan, match_data, phase_defect, residual_check,
-                         split_phase_at, unitarity_scan)
+                         PhaseFamily, WaveOperator, decomposable_surrogate, dispersive_scan,
+                         match_data, phase_defect, residual_check, split_phase_at,
+                         unitarity_scan)
 from .harness import AcceptanceRecord, ExperimentConfig, run
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -5,8 +5,10 @@
     cronlab report DIR
     cronlab dump-field FILE
 
-Config files are JSON objects with the ExperimentConfig fields; CRONLAB_THREADS
-sets the worker count for ensemble scans.
+Config files are JSON objects with the ExperimentConfig fields;
+CRONLAB_THREADS, a positive integer (default 1), sets the worker count of the
+coulomb-gain ensemble scan.  The exit status is 0 when every gate passes, 1
+when one fails and 2 on bad input (an `error:` line, no traceback).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import CronlabError, PreconditionError
+from .errors import CronlabError, PreconditionError, StructuralError
 from .fieldio import read_field
 from .grid import lebesgue_norm
 from .harness import ExperimentConfig, all_passed, report_text, run
@@ -69,6 +71,7 @@ def _cmd_report(args) -> int:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise PreconditionError(f"cannot read run summary {path}: {exc}") from exc
+    _check_summary(payload, path)
     records = payload["records"]
     failures = [r for r in records if not r["passed"]]
     print(f"experiment {payload['experiment']}  (config {payload['config_hash']})")
@@ -77,6 +80,17 @@ def _cmd_report(args) -> int:
         print(f"[{status}] {r['id']}: {r['value']}")
     print(f"{len(records) - len(failures)}/{len(records)} criteria passed")
     return 0 if not failures else 1
+
+
+def _check_summary(payload, path) -> None:
+    """The layout machine_summary writes: an object with experiment, config_hash
+    and a list of records, each an object with id, value and passed."""
+    ok = (isinstance(payload, dict) and {"experiment", "config_hash"} <= payload.keys()
+          and isinstance(payload.get("records"), list)
+          and all(isinstance(r, dict) and {"id", "value", "passed"} <= r.keys()
+                  for r in payload["records"]))
+    if not ok:
+        raise StructuralError(f"run summary {path} is not a cronlab summary")
 
 
 def _cmd_dump_field(args) -> int:

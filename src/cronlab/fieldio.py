@@ -12,8 +12,8 @@ Layout (all little-endian):
     ext[.]  f64 * ext
     data    f64 pairs (re, im), row-major over the grid
 
-The extension block carries per-field metadata such as the direction vector of
-a phase field; plain fields write an empty block.
+The extension block carries per-field metadata such as a direction vector;
+plain fields write an empty block.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ def write_field(path, field: ScalarField, extension=()) -> None:
 def read_field(path):
     """Returns (ScalarField, extension ndarray).
 
-    A file that cannot be opened, or whose header, extension block or data is
-    shorter than the header announces, raises a CronlabError."""
+    A file that cannot be opened, whose header, extension block or data is
+    shorter than the header announces, or that holds a non-finite number
+    raises a CronlabError."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -68,6 +69,8 @@ def read_field(path):
         raise StructuralError(f"truncated field data in {path}")
     ext = np.frombuffer(blob, dtype="<f8", count=ext_count, offset=_HEADER.size).copy()
     pairs = np.frombuffer(blob, dtype="<f8", offset=data_at).reshape(grid.shape + (2,))
+    if not (np.isfinite(ext).all() and np.isfinite(pairs).all()):
+        raise StructuralError(f"non-finite value in {path}")
     values = pairs[..., 0] + 1j * pairs[..., 1]
     rep = FREQUENCY if rep_flag else PHYSICAL
     return ScalarField(grid, values, rep=rep), ext

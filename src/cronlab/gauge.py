@@ -1,7 +1,7 @@
 """Gauge-theoretic and microlocal operators: Leray projection, curvature and
-covariant derivatives, sector projections about a direction, the transverse
-Laplacian and its inverse, null derivatives, and the divergence-free angular
-gain measurement.
+covariant derivatives, sector symbols about a direction, the inverse
+transverse Laplacian symbol, null derivatives of closed-form free waves, and
+the divergence-free angular gain measurement.
 """
 
 from __future__ import annotations
@@ -10,11 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, PreconditionError, SingularSymbolError, StructuralError
+from .errors import ParameterError, PreconditionError
 from . import grid as gr
-from .grid import (GridSpec, ScalarField, VectorField, apply_multiplier, gradient,
-                   inverse_laplacian, lebesgue_norm, partial_derivative)
-from .lp import DEFAULT_BUMP, SpacetimeField, time_derivative
+from .grid import (GridSpec, ScalarField, VectorField, gradient, inverse_laplacian,
+                   lebesgue_norm, partial_derivative)
+from .lp import DEFAULT_BUMP
 
 THETA_MAX = np.pi / 4  # admissible sector half-angles
 
@@ -32,11 +32,6 @@ class Direction:
             raise ParameterError(f"direction must be unit length, |omega|={nrm}")
         w.flags.writeable = False
         object.__setattr__(self, "omega", w)
-
-    @classmethod
-    def of(cls, vec) -> "Direction":
-        v = np.asarray(vec, dtype=float)
-        return cls(v / np.linalg.norm(v))
 
 
 @dataclass(frozen=True)
@@ -83,13 +78,6 @@ def sector_symbol(grid: GridSpec, spec: SectorSpec) -> np.ndarray:
     return greater_symbol(grid, spec.omega, spec.theta / 2.0) - g
 
 
-def sector_project(f: ScalarField, spec: SectorSpec) -> ScalarField:
-    scale = np.abs(f.freq_values).max()
-    if scale > 0 and np.abs(f.freq_values.flat[0]) > gr.SUPPORT_TOL * scale:
-        raise PreconditionError("sector projection needs zero-mean data")
-    return apply_multiplier(f, sector_symbol(f.grid, spec))
-
-
 # ---------------------------------------------------------------------------
 # Leray projection
 
@@ -125,21 +113,6 @@ def leray_project(V: VectorField, keep_mean: bool = False) -> VectorField:
 # ---------------------------------------------------------------------------
 # null frame operators
 
-def directional_derivative(f: ScalarField, omega) -> ScalarField:
-    w = omega.omega if isinstance(omega, Direction) else np.asarray(omega, dtype=float)
-    sym = 2j * np.pi * np.tensordot(w, f.grid.xi, axes=(0, 0))
-    return apply_multiplier(f, sym)
-
-
-def transverse_laplacian(f: ScalarField, omega) -> ScalarField:
-    """Delta - (omega . grad)^2."""
-    w = omega.omega if isinstance(omega, Direction) else np.asarray(omega, dtype=float)
-    grid = f.grid
-    dot = np.tensordot(w, grid.xi, axes=(0, 0))
-    sym = -4.0 * np.pi ** 2 * (grid.xi_norm ** 2 - dot ** 2)
-    return apply_multiplier(f, sym)
-
-
 def transverse_inverse_symbol(grid: GridSpec, omega, theta_min: float) -> np.ndarray:
     """Symbol of the inverse transverse Laplacian, zero within theta_min of the axis."""
     w = omega.omega if isinstance(omega, Direction) else np.asarray(omega, dtype=float)
@@ -151,53 +124,15 @@ def transverse_inverse_symbol(grid: GridSpec, omega, theta_min: float) -> np.nda
     return np.where(near_axis | (grid.xi_norm == 0), 0.0, sym).astype(np.complex128)
 
 
-def transverse_laplacian_inverse(f: ScalarField, omega, theta_min: float) -> ScalarField:
-    """Exact inverse of the transverse Laplacian on sector-supported data.
-
-    The caller certifies (via a prior sector projection) that no energy sits
-    within theta_min of the +-omega axis; violations raise SingularSymbolError.
-    """
-    if not theta_min > 0:
-        raise ParameterError("theta_min must be positive")
-    grid = f.grid
-    F = f.freq_values
-    ang = angle_to(grid, omega)
-    near_axis = (np.minimum(ang, np.pi - ang) < theta_min) & (grid.xi_norm > 0)
-    scale = np.abs(F).max()
-    hit = near_axis & (np.abs(F) > gr.SUPPORT_TOL * scale)
-    if hit.any():
-        where = np.argwhere(hit)[0]
-        mode = tuple(int(m) if m <= grid.N // 2 else int(m) - grid.N for m in where)
-        raise SingularSymbolError(
-            f"coefficient at mode {mode} lies within theta_min={theta_min} of the axis")
-    return apply_multiplier(f, transverse_inverse_symbol(grid, omega, theta_min))
-
-
 def null_derivative(F, omega, sign: int):
-    """L_omega^s = omega . grad_x + s d_t applied to a spacetime field.
-
-    Closed-form evolutions (objects with mul_symbol/dt) keep analytic time
-    derivatives; sampled SpacetimeFields use centered differences and return
-    the interior slab.  Returns (result, fd_order); order 0 marks analytic.
-    """
+    """L_omega^s = omega . grad_x + s d_t applied to a closed-form free wave (an
+    object with mul_symbol and dt, such as HalfWaveField), with the analytic
+    time derivative."""
     if sign not in (+1, -1):
         raise ParameterError("sign must be +1 or -1")
     w = omega.omega if isinstance(omega, Direction) else np.asarray(omega, dtype=float)
-    if hasattr(F, "mul_symbol") and hasattr(F, "dt"):
-        sym = 2j * np.pi * np.tensordot(w, F.grid.xi, axes=(0, 0))
-        out = F.mul_symbol(sym) + F.dt() * float(sign)
-        return out, 0
-    if isinstance(F, SpacetimeField):
-        if len(F.times) < 3:
-            raise StructuralError("null derivative of a sampled field needs >= 3 slices")
-        dt_part, order = time_derivative(F)
-        spatial = F.map(lambda s: directional_derivative(s, w))
-        lo = (len(F.times) - len(dt_part.times)) // 2
-        inner = SpacetimeField(dt_part.times, spatial.slices[lo:lo + len(dt_part.times)])
-        combined = SpacetimeField(dt_part.times, tuple(
-            a + (b * float(sign)) for a, b in zip(inner.slices, dt_part.slices)))
-        return combined, order
-    raise StructuralError(f"cannot take a null derivative of {type(F).__name__}")
+    sym = 2j * np.pi * np.tensordot(w, F.grid.xi, axes=(0, 0))
+    return F.mul_symbol(sym) + F.dt() * float(sign)
 
 
 # ---------------------------------------------------------------------------
@@ -231,20 +166,13 @@ def coulomb_gain_ratio(B: VectorField, omega, theta: float, mode: str = "leq") -
 
 
 # ---------------------------------------------------------------------------
-# connection geometry: curvature, covariant derivatives, gauge transforms
-
-def curvature(A0: ScalarField, A0_t: ScalarField, Asp: VectorField, Asp_t: VectorField) -> dict:
-    """F_{alpha beta} = d_alpha A_beta - d_beta A_alpha as a dict over alpha < beta.
-
-    Index 0 is time; F_{0j} = d_t A_j - d_j A0 uses the stored time derivatives.
-    """
-    return curvature_from_gradients(gradient(A0), Asp_t,
-                                    [gradient(c) for c in Asp.components])
-
+# connection geometry: curvature and covariant derivatives
 
 def curvature_from_gradients(grad_A0: VectorField, Asp_t: VectorField, grad_A: list) -> dict:
-    """``curvature`` from the first partials of A0 and of each A_k
-    (``grad_A[k].components[j]`` is d_j A_k), for callers that hold them."""
+    """F_{alpha beta} = d_alpha A_beta - d_beta A_alpha as a dict over alpha < beta,
+    from the first partials of A0 and of each A_k (``grad_A[k].components[j]``
+    is d_j A_k).  Index 0 is time; F_{0j} = d_t A_j - d_j A0 uses the stored
+    time derivatives."""
     n = Asp_t.grid.n
     F = {}
     for j in range(n):
@@ -263,33 +191,6 @@ def covariant_derivative(phi: ScalarField, phi_t: ScalarField, A0: ScalarField,
     j = alpha - 1
     return partial_derivative(phi, j) + ScalarField(
         phi.grid, 1j * Asp.components[j].phys_values * phi.phys_values)
-
-
-def _require_real(f: ScalarField, name: str):
-    v = f.phys_values
-    scale = np.abs(v).max()
-    if scale > 0 and np.abs(v.imag).max() > 1e-12 * scale:
-        raise PreconditionError(f"{name} must be real-valued")
-
-
-def gauge_transform(phi, phi_t, A0, A0_t, Asp, Asp_t, chi, chi_t, chi_tt):
-    """phi -> e^{i chi} phi, A_alpha -> A_alpha - d_alpha chi, with the induced
-    time derivatives; chi is a real spacetime scalar given as (chi, d_t chi,
-    d_t^2 chi) at the state's instant.  Returns the transformed 6-tuple."""
-    for f, name in ((chi, "chi"), (chi_t, "d_t chi"), (chi_tt, "d_t^2 chi")):
-        _require_real(f, name)
-    grid = phi.grid
-    phase = np.exp(1j * chi.phys_values)
-    phi2 = ScalarField(grid, phase * phi.phys_values)
-    phi2_t = ScalarField(grid, phase * (phi_t.phys_values + 1j * chi_t.phys_values
-                                        * phi.phys_values))
-    A0_2 = A0 - chi_t
-    A0_2t = A0_t - chi_tt
-    gch = gradient(chi)
-    gch_t = gradient(chi_t)
-    Asp2 = VectorField(tuple(a - b for a, b in zip(Asp.components, gch.components)))
-    Asp2_t = VectorField(tuple(a - b for a, b in zip(Asp_t.components, gch_t.components)))
-    return phi2, phi2_t, A0_2, A0_2t, Asp2, Asp2_t
 
 
 # ---------------------------------------------------------------------------

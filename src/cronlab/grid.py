@@ -42,8 +42,8 @@ class GridSpec:
             raise ParameterError(f"dimension n={self.n} outside the supported range 2..6")
         if self.N < 8 or self.N & (self.N - 1) != 0:
             raise ParameterError(f"N={self.N} must be a power of two >= 8")
-        if not self.L > 0:
-            raise ParameterError(f"box side L={self.L} must be positive")
+        if not 0.0 < self.L < np.inf:
+            raise ParameterError(f"box side L={self.L} must be positive and finite")
 
     @property
     def dx(self) -> float:
@@ -203,15 +203,6 @@ class ScalarField:
     def mean(self) -> complex:
         return complex(self.phys_values.mean())
 
-    def conjugation_defect(self) -> float:
-        """Max deviation of the frequency data from conjugate symmetry, relative."""
-        F = self.freq_values
-        G = _reflect(F)
-        scale = np.abs(F).max()
-        if scale == 0.0:
-            return 0.0
-        return float(np.abs(F - np.conj(G)).max() / scale)
-
     def __add__(self, other):
         other = _match(self, other)
         return self.with_values(self.values + other.values, real_valued=False)
@@ -224,9 +215,6 @@ class ScalarField:
         return self.with_values(self.values * scalar, real_valued=False)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return self.with_values(-self.values)
 
 
 def _match(f: ScalarField, g: ScalarField) -> ScalarField:
@@ -280,19 +268,8 @@ class VectorField:
     def map(self, fn, divergence_free=False) -> "VectorField":
         return VectorField(tuple(fn(c) for c in self.components), divergence_free=divergence_free)
 
-    def dot(self, omega) -> ScalarField:
-        """Pointwise dot product with a constant vector."""
-        omega = np.asarray(omega, dtype=float)
-        acc = self.components[0] * omega[0]
-        for j in range(1, len(self.components)):
-            acc = acc + self.components[j] * omega[j]
-        return acc
-
     def __add__(self, other):
         return VectorField(tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other):
-        return VectorField(tuple(a - b for a, b in zip(self.components, other.components)))
 
     def __mul__(self, scalar):
         return VectorField(tuple(c * scalar for c in self.components))

@@ -48,6 +48,13 @@ def _is_number(v) -> bool:
     return _is_int(v) or isinstance(v, float)
 
 
+def _is_finite(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:      # an int beyond the float range
+        return False
+
+
 # the JSON type from_json accepts for each config field (null where the default is None)
 _INT, _NUMBER = ("an integer", _is_int), ("a number", _is_number)
 _STRING = ("a string", lambda v: isinstance(v, str))
@@ -83,10 +90,14 @@ class ExperimentConfig:
                                  "leave them unset")
         if len(self.eps_list) == 0:
             raise ParameterError("eps_list must not be empty")
-        if any(e <= 0 for e in self.eps_list):
-            raise ParameterError("eps values must be positive")
+        if not all(_is_finite(e) and e > 0 for e in self.eps_list):
+            raise ParameterError("eps values must be positive and finite")
         if not 0.0 < self.sigma < 0.5:
             raise ParameterError(f"sigma={self.sigma} outside (0, 1/2)")
+        if self.L is not None and not (_is_finite(self.L) and self.L > 0):
+            raise ParameterError(f"box side L={self.L} must be positive and finite")
+        if self.t_max is not None and not (_is_finite(self.t_max) and self.t_max > 0):
+            raise ParameterError(f"t_max={self.t_max} must be positive and finite")
         if self.t_max is not None and self.L is not None and not self.t_max < self.L / 2.0:
             raise ParameterError(f"time window t_max={self.t_max} must stay below the "
                                  f"wrap limit L/2={self.L / 2.0}")
@@ -186,10 +197,11 @@ def _atomic_write(path, text: str) -> None:
 
 
 def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("CRONLAB_THREADS", "1")))
-    except ValueError:
-        return 1
+    """CRONLAB_THREADS, a positive integer (default 1)."""
+    text = os.environ.get("CRONLAB_THREADS", "1")
+    if not (text.isdecimal() and int(text) > 0):
+        raise ParameterError(f"CRONLAB_THREADS={text!r} must be a positive integer")
+    return int(text)
 
 
 def parallel_map(fn, items):
@@ -227,14 +239,14 @@ def _pair_data_norm(a: VectorField, adot: VectorField, band: BandRange) -> float
 
 
 def make_free_connection(grid: GridSpec, band: BandRange, eps: float, seed: int,
-                         index: int = 0, forcing=None) -> pmx.FreeConnection:
+                         index: int = 0) -> pmx.FreeConnection:
     """A random divergence-free free-wave connection with data norm eps."""
     a, adot = _connection_data(grid, band, seed, index)
     scale = _pair_data_norm(a, adot, band)
     factor = eps / scale if scale > 0 else 0.0
     a_hat = np.stack([c.freq_values for c in a.components]) * factor
     ad_hat = np.stack([c.freq_values for c in adot.components]) * factor
-    return pmx.FreeConnection(grid, a_hat, ad_hat, band, forcing=forcing)
+    return pmx.FreeConnection(grid, a_hat, ad_hat, band)
 
 
 def _parametrix_setup(seed, N=64, eta_dir=0.1):
@@ -310,8 +322,8 @@ def run_identities(config: ExperimentConfig):
         for k_dir in range(20):
             wdir = rng.standard_normal(n)
             wdir /= np.linalg.norm(wdir)
-            lplus, _ = gauge.null_derivative(wave, wdir, +1)
-            lpm, _ = gauge.null_derivative(lplus, wdir, -1)
+            lplus = gauge.null_derivative(wave, wdir, +1)
+            lpm = gauge.null_derivative(lplus, wdir, -1)
             sym = -4.0 * np.pi ** 2 * (grid.xi_norm ** 2
                                        - np.tensordot(wdir, grid.xi, axes=(0, 0)) ** 2)
             composed = lpm + wave.mul_symbol(sym)
@@ -344,10 +356,7 @@ def run_identities(config: ExperimentConfig):
         probe_rng = stream(seed, 600 + idx)
         probe_dirs = probe_rng.standard_normal((6, n))
         probe_dirs /= np.linalg.norm(probe_dirs, axis=1, keepdims=True)
-        probe_modes = np.zeros((6, n), dtype=int)
-        probe_modes[:, 0] = 1
-        probe_cache = pmx.DirectionCache(grid, probe_modes, probe_dirs,
-                                         np.arange(6), 0.0)
+        probe_cache = pmx.DirectionCache.of_directions(grid, probe_dirs)
         for sign in (+1, -1):
             fam = pmx.PhaseFamily(conn, sign, config.sigma, probe_cache)
             tgrid = np.linspace(0.0, 0.45 * L / 2.0, 5)
@@ -894,6 +903,7 @@ def run(config: ExperimentConfig):
 
     Returns (records, paths).  Exit-status handling lives in the CLI."""
     config = config.validate()
+    worker_count()              # a bad CRONLAB_THREADS fails before any output
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
     records, rows = EXPERIMENTS[config.experiment](config)

@@ -206,9 +206,6 @@ class SpacetimeField:
     def grid(self) -> GridSpec:
         return self.slices[0].grid
 
-    def map(self, fn) -> "SpacetimeField":
-        return SpacetimeField(self.times, tuple(fn(s) for s in self.slices))
-
 
 def spacetime_norm(F: SpacetimeField, q_t, spatial_norm) -> float:
     """L^{q_t} in time (trapezoid quadrature; max for q_t = inf) of per-slice
@@ -219,34 +216,6 @@ def spacetime_norm(F: SpacetimeField, q_t, spatial_norm) -> float:
     if len(F.times) < 2:
         raise StructuralError("finite q_t needs at least 2 time samples")
     return float(np.trapezoid(vals ** q_t, F.times) ** (1.0 / q_t))
-
-
-def time_derivative(F: SpacetimeField):
-    """Centered finite differences on a uniform time grid.
-
-    Returns (SpacetimeField on the interior instants, order), order 4 when at
-    least 5 slices exist, else order 2.
-    """
-    t = F.times
-    if len(t) < 3:
-        raise StructuralError("time differencing needs at least 3 slices")
-    dt = np.diff(t)
-    if not np.allclose(dt, dt[0], rtol=1e-12):
-        raise StructuralError("time differencing needs uniform sampling")
-    h = float(dt[0])
-    s = F.slices
-    if len(t) >= 5:
-        order = 4
-        inner = range(2, len(t) - 2)
-        derivs = [(s[i - 2] - 8.0 * s[i - 1] + 8.0 * s[i + 1] - s[i + 2]) * (1.0 / (12.0 * h))
-                  for i in inner]
-        times = t[2:-2]
-    else:
-        order = 2
-        inner = range(1, len(t) - 1)
-        derivs = [(s[i + 1] - s[i - 1]) * (1.0 / (2.0 * h)) for i in inner]
-        times = t[1:-1]
-    return SpacetimeField(times, tuple(derivs)), order
 
 
 # ---------------------------------------------------------------------------
@@ -303,32 +272,6 @@ def commutator_ratio(f: ScalarField, g: ScalarField, k: int, p, q, r) -> float:
     den = gr.vector_lebesgue_norm(gr.gradient(f), p) * lebesgue_norm(g, q)
     num = lebesgue_norm(comm, r) * 2.0 ** k
     return num / den if den > 0 else 0.0
-
-
-def _check_product_exponents(p, q, p1, q1, p2, q2):
-    checks = [
-        (1 <= p1 < q1 < np.inf, f"1 <= p1 < q1 < inf fails for p1={p1}, q1={q1}"),
-        (1 <= p2 < q2 < np.inf, f"1 <= p2 < q2 < inf fails for p2={p2}, q2={q2}"),
-        (1 <= p <= q < np.inf, f"1 <= p <= q < inf fails for p={p}, q={q}"),
-        (abs(1.0 / q - 1.0 / q1 - 1.0 / q2) < 1e-12, f"1/q = 1/q1 + 1/q2 fails for q={q}"),
-        (1.0 / p < 1.0 / p1 + 1.0 / q2 - 1e-15, f"1/p < 1/p1 + 1/q2 fails for p={p}"),
-        (1.0 / p < 1.0 / q1 + 1.0 / p2 - 1e-15, f"1/p < 1/q1 + 1/p2 fails for p={p}"),
-    ]
-    for ok, msg in checks:
-        if not ok:
-            raise ParameterError("product-estimate exponents: " + msg)
-
-
-def product_ratio(f: ScalarField, g: ScalarField, p, q, p1, q1, p2, q2,
-                  band_range=None) -> float:
-    """Measured ||fg||_{B[p,q],1} / (||f||_{B[p1,q1],2} ||g||_{B[p2,q2],2}); 0/0 -> 0."""
-    _check_product_exponents(p, q, p1, q1, p2, q2)
-    fg = ScalarField(f.grid, f.phys_values * g.phys_values)
-    # products of zero-mean fields pick up a mean on the box; the homogeneous
-    # norm is read on the mean-free part
-    lhs = besov_norm(fg, p, q, 1, band_range, exclude_zero_mode=True)
-    rhs = besov_norm(f, p1, q1, 2, band_range) * besov_norm(g, p2, q2, 2, band_range)
-    return lhs / rhs if rhs > 0 else 0.0
 
 
 def spacetime_product_ratio(F: SpacetimeField, G: SpacetimeField, p, q,

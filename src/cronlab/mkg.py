@@ -32,8 +32,6 @@ from .grid import (FREQUENCY, GridSpec, ScalarField, VectorField, inner_product,
                    inverse_laplacian, laplacian, lebesgue_norm)
 from .gauge import (covariant_derivative, current_density, current_from_gradient,
                     curvature_from_gradients, leray_project)
-from .lp import besov_norm
-from .exponents import exponents
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,29 +168,12 @@ def make_compatible_data(f: ScalarField, g: ScalarField, a: VectorField,
 # ---------------------------------------------------------------------------
 # right-hand sides
 
-def rhs(state: ConnectionState, dealiased: bool = True):
-    """The forcing pair of the caricature system: (wave forcing of A, the
-    lower-order forcing of box'_A phi), both exactly as the system displays.
-
-    Products are dealiased by the 2/3 rule; the A-forcing is Leray projected
-    (its constant mode, genuinely divergence free, passes through).
-    """
-    grid = state.grid
-    trunc = dealias if dealiased else (lambda x: x)
-    forcing_A = _forcing_A(state, trunc)
-    ph, pht = state.phi.phys_values, state.phi_t.phys_values
-    a0 = state.A0.phys_values.real
-    a0t = state.A0_t.phys_values.real
-    asq = sum(np.abs(c.phys_values.real) ** 2 for c in state.A_sp.components)
-    vals = (2j * a0 * pht + 1j * a0t * ph + asq * ph - a0 ** 2 * ph)
-    forcing_phi = trunc(_field(grid, vals))
-    return forcing_A, forcing_phi
-
-
-def _forcing_A(state: ConnectionState, trunc=dealias) -> VectorField:
-    """The A part of ``rhs``: -P of the truncated current."""
+def _forcing_A(state: ConnectionState) -> VectorField:
+    """The wave forcing of A as the system displays it: -P of the current,
+    dealiased by the 2/3 rule and Leray projected (its constant mode, genuinely
+    divergence free, passes through)."""
     J = current_density(state.phi, state.A_sp)
-    return leray_project(VectorField(tuple(trunc(c) * (-1.0) for c in J.components)),
+    return leray_project(VectorField(tuple(dealias(c) * (-1.0) for c in J.components)),
                          keep_mean=True)
 
 
@@ -363,140 +344,3 @@ def constraint_residuals(state: ConnectionState) -> EnergyReport:
     return EnergyReport(total=float(kin + curv), kinetic=float(kin), curvature=float(curv),
                         gauss_residual=float(gauss), maxwell_residual=float(maxwell),
                         div_residual=float(divres))
-
-
-# ---------------------------------------------------------------------------
-# trajectory checkpoints
-
-def save_trajectory(directory, states, tag="state") -> str:
-    """Write a checkpoint sequence: one binary field dump per field per state
-    plus a manifest CSV of (t, energy, residuals).  Returns the manifest path."""
-    import os
-    from .fieldio import write_field
-    os.makedirs(directory, exist_ok=True)
-    lines = ["# cronlab trajectory manifest v1",
-             "index,t,total_energy,gauss_residual,maxwell_residual,div_residual,files"]
-    for i, state in enumerate(states):
-        rep = constraint_residuals(state)
-        names = []
-        fields = {"phi": state.phi, "phi_t": state.phi_t, "A0": state.A0,
-                  "A0_t": state.A0_t}
-        for j, c in enumerate(state.A_sp.components):
-            fields[f"A{j}"] = c
-        for j, c in enumerate(state.A_sp_t.components):
-            fields[f"A{j}_t"] = c
-        for name, fld in fields.items():
-            fname = f"{tag}_{i:04d}_{name}.crnl"
-            write_field(os.path.join(directory, fname), fld.in_physical(),
-                        extension=[state.t])
-            names.append(fname)
-        lines.append(",".join([str(i), format(state.t, ".17g"),
-                               format(rep.total, ".17g"),
-                               format(rep.gauss_residual, ".17g"),
-                               format(rep.maxwell_residual, ".17g"),
-                               format(rep.div_residual, ".17g"),
-                               ";".join(names)]))
-    manifest = os.path.join(directory, "manifest.csv")
-    with open(manifest, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return manifest
-
-
-# ---------------------------------------------------------------------------
-# critical norms along a trajectory
-
-@dataclass(frozen=True)
-class NormSample:
-    t: float
-    data_norm: float          # ||Phi[t]||_D
-    solution_sup: float       # running L^infty_t part of S
-    solution_l2: float        # running L^2_t B[p_*, 2n/3] part of S
-    elliptic_sup: float       # running L^infty_t part of S_ellip
-    elliptic_l1: float        # running L^1_t B[p_**, n]_1 part of S_ellip
-    forcing_n1: float         # running N_1 of the accumulated A-forcing
-    forcing_n2: float         # running N_2
-
-
-def data_norm(state: ConnectionState, band_range=None) -> float:
-    """||Phi[t]||_D: the l2 combination of B[2, n/2]_2 norms of all first
-    derivatives of (A, phi, A0)."""
-    grid = state.grid
-    n = grid.n
-    half = n / 2.0
-    acc = 0.0
-
-    def add(f: ScalarField):
-        nonlocal acc
-        acc += besov_norm(f, 2, half, 2, band_range, allow_decreasing=True,
-                          exclude_zero_mode=True) ** 2
-
-    for fld in (state.phi, state.A0, *state.A_sp.components):
-        for d in gr.gradient(fld).components:
-            add(d)
-    for fld in (state.phi_t, state.A0_t, *state.A_sp_t.components):
-        add(fld)
-    return math.sqrt(acc)
-
-
-def critical_norm_tracker(trajectory, band_range=None):
-    """Norm samples along a sampled trajectory (a list of states at increasing
-    times): the data norm, the running solution and elliptic norms, and the
-    accumulated N_1/N_2 forcing norms, with exponents at delta = 1e-2.
-    Requires n > 3 (p_* is undefined below that)."""
-    if not trajectory:
-        raise ParameterError("empty trajectory")
-    grid = trajectory[0].grid
-    n = grid.n
-    exps = exponents(n, 1e-2)  # raises for n <= 3
-    p_star = float(exps.p_star)
-    p_sstar = float(exps.p_sstar)
-    half = n / 2.0
-    samples = []
-    sup_d = 0.0
-    sup_e = 0.0
-    l2_acc = 0.0
-    l1_acc = 0.0
-    n1_acc = 0.0
-    n2_acc = 0.0
-    prev_t = None
-
-    for state in trajectory:
-        d = data_norm(state, band_range)
-        sup_d = max(sup_d, d)
-        bsum = 0.0
-        esum_1 = 0.0
-        grad_A0 = gr.gradient(state.A0).components
-        for f in (*gr.gradient(state.phi).components, *grad_A0,
-                  *(da for c in state.A_sp.components for da in gr.gradient(c).components),
-                  state.phi_t, state.A0_t, *state.A_sp_t.components):
-            bsum += besov_norm(f, p_star, 2 * n / 3.0, 2, band_range,
-                               allow_decreasing=True, exclude_zero_mode=True) ** 2
-        for f in grad_A0:
-            esum_1 += besov_norm(f, p_sstar, n, 1, band_range,
-                                 allow_decreasing=True, exclude_zero_mode=True) ** 2
-        esum_1 += besov_norm(state.A0_t, p_sstar, n, 1, band_range,
-                             allow_decreasing=True, exclude_zero_mode=True) ** 2
-        e_d = math.sqrt(
-            sum(besov_norm(f, 2, half, 2, band_range,
-                           allow_decreasing=True, exclude_zero_mode=True) ** 2
-                for f in grad_A0)
-            + besov_norm(state.A0_t, 2, half, 2, band_range, allow_decreasing=True,
-                         exclude_zero_mode=True) ** 2)
-        sup_e = max(sup_e, e_d)
-        forcing_A = _forcing_A(state)
-        f_n1 = sum(besov_norm(c, 2, half, 1, band_range, allow_decreasing=True,
-                              exclude_zero_mode=True) for c in forcing_A.components)
-        f_n2 = math.sqrt(sum(besov_norm(c, 2, half, 2, band_range, allow_decreasing=True,
-                                        exclude_zero_mode=True) ** 2
-                             for c in forcing_A.components))
-        if prev_t is not None:
-            dt = state.t - prev_t
-            l2_acc += dt * bsum
-            l1_acc += dt * math.sqrt(esum_1)
-            n1_acc += dt * f_n1
-            n2_acc += dt * f_n2
-        prev_t = state.t
-        samples.append(NormSample(t=state.t, data_norm=d, solution_sup=sup_d,
-                                  solution_l2=math.sqrt(l2_acc), elliptic_sup=sup_e,
-                                  elliptic_l1=l1_acc, forcing_n1=n1_acc, forcing_n2=n2_acc))
-    return samples

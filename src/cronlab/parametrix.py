@@ -80,80 +80,19 @@ class HalfWaveField:
         return HalfWaveField(self.grid, lap.u0 - dtt.u0, lap.u1 - dtt.u1)
 
 
-@dataclass(frozen=True)
-class HarmonicForcing:
-    """F(t) = cos(mu t) G1 + sin(mu t) G2 with divergence-free band amplitudes.
-
-    Time-harmonic forcing admits exact particular solutions, so the forced
-    evolution stays closed form (no Duhamel quadrature error)."""
-
-    mu: float
-    G1: np.ndarray  # stacked (n,) + grid.shape frequency amplitudes
-    G2: np.ndarray
-
-    def hat(self, t: float) -> np.ndarray:
-        return math.cos(self.mu * t) * self.G1 + math.sin(self.mu * t) * self.G2
-
-    def hat_dt(self, t: float) -> np.ndarray:
-        return self.mu * (-math.sin(self.mu * t) * self.G1 + math.cos(self.mu * t) * self.G2)
-
-
-class SampledForcing:
-    """Forcing given by a callable t -> stacked frequency array on fixed nodes.
-
-    The Duhamel integral uses composite trapezoid quadrature over the node
-    grid, so evaluation times must be nodes; refinement of the node count is
-    how the induced error is measured."""
-
-    def __init__(self, func, t_nodes):
-        self.func = func
-        self.t_nodes = np.asarray(t_nodes, dtype=float)
-        if self.t_nodes.ndim != 1 or self.t_nodes[0] != 0.0 or len(self.t_nodes) < 2:
-            raise ParameterError("forcing nodes must be a 1-d grid starting at 0")
-        steps = np.diff(self.t_nodes)
-        if not np.allclose(steps, steps[0], rtol=1e-12) or steps[0] <= 0:
-            raise ParameterError("forcing nodes must be uniform and increasing")
-        self._cache = {}
-
-    def node_index(self, t: float) -> int:
-        idx = int(round((t - self.t_nodes[0]) / (self.t_nodes[1] - self.t_nodes[0])))
-        if not (0 <= idx < len(self.t_nodes) and abs(self.t_nodes[idx] - t) < 1e-9):
-            raise ParameterError(f"t={t} is not a forcing quadrature node")
-        return idx
-
-    def hat(self, t: float) -> np.ndarray:
-        i = self.node_index(t)
-        if i not in self._cache:
-            self._cache[i] = np.asarray(self.func(self.t_nodes[i]), dtype=np.complex128)
-        return self._cache[i]
-
-    def hat_dt(self, t: float) -> np.ndarray:
-        i = self.node_index(t)
-        h = self.t_nodes[1] - self.t_nodes[0]
-        if i == 0:
-            return (self.hat(self.t_nodes[1]) - self.hat(self.t_nodes[0])) / h
-        if i == len(self.t_nodes) - 1:
-            return (self.hat(self.t_nodes[-1]) - self.hat(self.t_nodes[-2])) / h
-        return (self.hat(self.t_nodes[i + 1]) - self.hat(self.t_nodes[i - 1])) / (2.0 * h)
-
-
 class FreeConnection:
-    """Closed-form spectral evolution of a divergence-free connection.
+    """Closed-form spectral evolution of a divergence-free free-wave connection.
 
     Data (a, adot) are stacked frequency arrays, hard-restricted to the
     annulus of ``band_range`` at construction (so dyadic partitions of the
-    data telescope exactly).  With no forcing, box A = 0 holds per mode; with
-    HarmonicForcing the forced solution is still exact, with SampledForcing it
-    is trapezoid-accurate and evaluation is restricted to the nodes.
+    data telescope exactly); box A = 0 holds per mode.
     """
 
-    def __init__(self, grid: GridSpec, a_hat, adot_hat, band_range: BandRange,
-                 forcing=None):
+    def __init__(self, grid: GridSpec, a_hat, adot_hat, band_range: BandRange):
         self.grid = grid
         self.band_range = band_range.validate(grid)
         lo, hi = band_range.annulus()
         mask = (grid.xi_norm >= lo) & (grid.xi_norm <= hi) & ~grid.nyquist_mask
-        self.mask = mask
         a_hat = np.asarray(a_hat, dtype=np.complex128) * mask
         adot_hat = np.asarray(adot_hat, dtype=np.complex128) * mask
         if a_hat.shape != (grid.n,) + grid.shape:
@@ -161,20 +100,7 @@ class FreeConnection:
         self._check_div_free(a_hat, "a")
         self._check_div_free(adot_hat, "adot")
         self.rho = 2.0 * np.pi * grid.xi_norm
-        self.forcing = []
-        hom0, hom1 = a_hat, adot_hat
-        if forcing is not None:
-            items = forcing if isinstance(forcing, (list, tuple)) else [forcing]
-            for item in items:
-                if isinstance(item, HarmonicForcing):
-                    part0, part1 = self._register_harmonic(item, mask)
-                    hom0 = hom0 - part0
-                    hom1 = hom1 - part1
-                elif isinstance(item, SampledForcing):
-                    self.forcing.append(("sampled", item))
-                else:
-                    raise StructuralError(f"unknown forcing type {type(item).__name__}")
-        self.hom0, self.hom1 = hom0, hom1
+        self.a_hat, self.adot_hat = a_hat, adot_hat
 
     def _check_div_free(self, hat, name):
         dot = sum(self.grid.xi[j] * hat[j] for j in range(self.grid.n))
@@ -182,76 +108,19 @@ class FreeConnection:
         if np.abs(dot).max() > 1e-10 * scale:
             raise PreconditionError(f"connection data {name} is not divergence free")
 
-    def _register_harmonic(self, item: HarmonicForcing, mask):
-        G1 = np.asarray(item.G1, dtype=np.complex128) * mask
-        G2 = np.asarray(item.G2, dtype=np.complex128) * mask
-        self._check_div_free(G1, "forcing G1")
-        self._check_div_free(G2, "forcing G2")
-        denom = self.rho ** 2 - item.mu ** 2
-        live = (np.abs(G1) + np.abs(G2)) > 0
-        if np.any(np.abs(denom)[live.any(axis=0)] < 1e-8):
-            raise ParameterError("harmonic forcing is resonant with a lattice frequency")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            P1 = np.where(live, -G1 / denom, 0.0)
-            P2 = np.where(live, -G2 / denom, 0.0)
-        self.forcing.append(("harmonic", HarmonicForcing(item.mu, G1, G2), P1, P2))
-        return P1, item.mu * P2
-
     # -- closed-form evaluation ------------------------------------------------
     def eval_hat(self, t: float):
         """(A_hat(t), d_t A_hat(t)) stacked arrays."""
         rho = self.rho
         c, s = np.cos(rho * t), np.sin(rho * t)
         sinc = np.where(rho > 0, s / np.where(rho > 0, rho, 1.0), t)
-        A = c * self.hom0 + sinc * self.hom1
-        At = -rho * s * self.hom0 + c * self.hom1
-        for entry in self.forcing:
-            if entry[0] == "harmonic":
-                _, item, P1, P2 = entry
-                mu = item.mu
-                A = A + math.cos(mu * t) * P1 + math.sin(mu * t) * P2
-                At = At + mu * (-math.sin(mu * t) * P1 + math.cos(mu * t) * P2)
-            else:
-                dA, dAt = self._duhamel(entry[1], t)
-                A = A + dA
-                At = At + dAt
+        A = c * self.a_hat + sinc * self.adot_hat
+        At = -rho * s * self.a_hat + c * self.adot_hat
         return A, At
-
-    def _duhamel(self, sf: SampledForcing, t: float):
-        idx = sf.node_index(t)
-        nodes = sf.t_nodes[: idx + 1]
-        if idx == 0:
-            z = np.zeros_like(self.hom0)
-            return z, z.copy()
-        rho = self.rho
-        h = nodes[1] - nodes[0]
-        w = np.full(len(nodes), h)
-        w[0] = w[-1] = h / 2.0
-        A = np.zeros_like(self.hom0)
-        At = np.zeros_like(self.hom0)
-        for wi, si in zip(w, nodes):
-            F = sf.hat(si) * self.mask
-            arg = rho * (t - si)
-            sinc = np.where(rho > 0, np.sin(arg) / np.where(rho > 0, rho, 1.0), t - si)
-            A -= wi * sinc * F
-            At -= wi * np.cos(arg) * F
-        return A, At
-
-    def forcing_hat(self, t: float) -> np.ndarray:
-        out = np.zeros_like(self.hom0)
-        for entry in self.forcing:
-            out = out + entry[1].hat(t) * self.mask
-        return out
-
-    def forcing_hat_dt(self, t: float) -> np.ndarray:
-        out = np.zeros_like(self.hom0)
-        for entry in self.forcing:
-            out = out + entry[1].hat_dt(t) * self.mask
-        return out
 
     def eval_hat_tt(self, t: float) -> np.ndarray:
         A, _ = self.eval_hat(t)
-        return -self.rho ** 2 * A - self.forcing_hat(t)
+        return -self.rho ** 2 * A
 
     def field(self, t: float) -> VectorField:
         A, _ = self.eval_hat(t)
@@ -384,6 +253,21 @@ class DirectionCache:
             assignment[i] = len(reps) - 1
         return cls(grid, modes, rep_mat, assignment, eta_dir=eta_dir)
 
+    @classmethod
+    def of_directions(cls, grid: GridSpec, directions) -> "DirectionCache":
+        """One bucket per given unit direction, taken as it is (not renormalized);
+        the directions need not be lattice directions.  Every bucket carries the
+        placeholder mode (1, 0, ..., 0), so the cache serves the phase family
+        (defect identity, phase split) but covers no cutoff support."""
+        directions = np.asarray(directions, dtype=float)
+        if directions.ndim != 2 or directions.shape[1] != grid.n or len(directions) == 0:
+            raise StructuralError("directions must be a nonempty (B, n) array")
+        if np.abs(np.linalg.norm(directions, axis=1) - 1.0).max() > 1e-12:
+            raise ParameterError("directions must be unit vectors")
+        modes = np.zeros(directions.shape, dtype=int)
+        modes[:, 0] = 1
+        return cls(grid, modes, directions, np.arange(len(directions)), 0.0)
+
 
 # ---------------------------------------------------------------------------
 # the phase family
@@ -399,13 +283,13 @@ def _dot_omega(stacked, w_dir) -> np.ndarray:
 class PhaseSlice:
     """One direction's phase at one time (physical arrays).
 
-    psi is computed at construction; psi_t, grad and box on first access.  A
-    slice holds the connection samples and the multiplier it was built from,
-    never its family, so a dropped family is freed at once."""
+    psi is computed at construction; psi_t and grad on first access.  A slice
+    holds the connection samples and the multiplier it was built from, never
+    its family, so a dropped family is freed at once."""
 
     def __init__(self, grid: GridSpec, sign: int, w_dir, W, samples):
         self._grid, self._sign, self._w_dir, self._W = grid, sign, w_dir, W
-        self._samples = samples        # (A, A_t, A_tt, F, F_t) at the slice's time
+        self._samples = samples        # (A, A_t, A_tt) at the slice's time
         psi_c = _ifft(grid, self._lift(0))
         scale = max(np.abs(psi_c).max(), 1e-300)
         self.imag_defect = float(np.abs(psi_c.imag).max() / scale)
@@ -428,12 +312,6 @@ class PhaseSlice:
         psi_hat = self._lift(0)
         return tuple(_ifft(self._grid, 2j * np.pi * self._grid.xi[j] * psi_hat).real
                      for j in range(self._grid.n))
-
-    @cached_property
-    def box(self) -> np.ndarray:
-        if self._samples[3] is None:
-            return np.zeros(self._grid.shape)
-        return _ifft(self._grid, self._lift(3)).real
 
 
 class PhaseFamily:
@@ -487,13 +365,11 @@ class PhaseFamily:
         return self.cache.multipliers[key]
 
     def _conn_at(self, t: float):
-        """(A, A_t, A_tt, F, F_t) at t; moving to a new time drops the phase table."""
+        """(A, A_t, A_tt) at t; moving to a new time drops the phase table."""
         if t != self._t:
             A, At = self.conn.eval_hat(t)
             Att = self.conn.eval_hat_tt(t)
-            F = self.conn.forcing_hat(t) if self.conn.forcing else None
-            Ft = self.conn.forcing_hat_dt(t) if self.conn.forcing else None
-            self._t, self._samples, self._table = t, (A, At, Att, F, Ft), {}
+            self._t, self._samples, self._table = t, (A, At, Att), {}
         return self._samples
 
     def slice_at(self, t: float, b: int) -> PhaseSlice:
@@ -519,18 +395,6 @@ class PhaseFamily:
                            _premultipliers=(list(ws), list(leqs)))
 
 
-def build_phase(conn: FreeConnection, omega, sign: int, sigma: float) -> PhaseFamily:
-    """Single-direction phase (a one-bucket family); omega need not be a lattice
-    direction."""
-    w = np.asarray(omega, dtype=float)
-    w = w / np.linalg.norm(w)
-    # any annulus mode works as the representative; directions drive everything
-    probe = np.zeros((1, conn.grid.n), dtype=int)
-    probe[0, 0] = 1
-    cache = DirectionCache(conn.grid, probe, np.array([w]), np.zeros(1, dtype=int), 0.0)
-    return PhaseFamily(conn, sign, sigma, cache)
-
-
 # ---------------------------------------------------------------------------
 # the exact defect identity
 
@@ -544,9 +408,7 @@ class DefectReport:
 def phase_defect(family: PhaseFamily, times) -> DefectReport:
     """Relative L2 difference of the two sides of
 
-        2 pi L^{-s} psi_s + A.omega
-            = sum_k Pi_{omega,<=theta_k} P_k A . omega
-            + sum_k Dperp^{-1} Pi_{omega,>theta_k} P_k F . omega
+        2 pi L^{-s} psi_s + A.omega = sum_k Pi_{omega,<=theta_k} P_k A . omega
 
     evaluated through independent multiplier paths (the left side through the
     built phase's analytic derivatives, the right through fresh projections).
@@ -554,7 +416,7 @@ def phase_defect(family: PhaseFamily, times) -> DefectReport:
     grid = family.grid
     out = []
     for t in times:
-        A, _, _, F, _ = family._conn_at(t)
+        A, _, _ = family._conn_at(t)
         worst = 0.0
         for b in range(family.cache.num_buckets):
             w_dir = family.cache.directions[b]
@@ -562,10 +424,7 @@ def phase_defect(family: PhaseFamily, times) -> DefectReport:
             Aw = _dot_omega(A, w_dir)
             aw_field = _ifft(grid, Aw).real
             lhs = lhs + aw_field
-            rhs_hat = family._leq[b] * Aw
-            if F is not None:
-                rhs_hat = rhs_hat + family._w[b] * _dot_omega(F, w_dir)
-            rhs = _ifft(grid, rhs_hat).real
+            rhs = _ifft(grid, family._leq[b] * Aw).real
             num = np.linalg.norm(lhs - rhs)
             # both sides can vanish identically (on-axis directions see no
             # small-angle energy); normalize against the driving field too
@@ -574,55 +433,6 @@ def phase_defect(family: PhaseFamily, times) -> DefectReport:
             worst = max(worst, num / den)
         out.append(worst)
     return DefectReport(times=tuple(times), residuals=tuple(out), max_residual=max(out))
-
-
-# ---------------------------------------------------------------------------
-# amplitude
-
-@dataclass(frozen=True, eq=False)
-class AmplitudeReport:
-    omega_field: np.ndarray
-    term_norms: dict
-
-
-def build_amplitude(family: PhaseFamily, t: float, xi_mode) -> AmplitudeReport:
-    """The order-reduction amplitude for one frequency xi (integer mode):
-
-        Omega = -4 pi |xi| L^{-s} psi - 2 A.xi + i box psi
-                + 2 pi (psi_t^2 - |grad psi|^2) - 2 A . grad psi,
-
-    assembled term by term with the analytic derivative fields."""
-    grid = family.grid
-    xi = grid.mode_frequency(xi_mode)
-    r = float(np.linalg.norm(xi))
-    if r == 0:
-        raise ParameterError("amplitude needs a nonzero frequency")
-    w_dir = xi / r
-    # locate / create the bucket for this direction
-    b = _bucket_for(family, w_dir)
-    sl = family.slice_at(t, b)
-    Afield = family.conn.field(t)
-    Avals = [c.phys_values.real for c in Afield.components]
-    term1 = -4.0 * np.pi * r * family.opposite_null_derivative(t, b)
-    term2 = -2.0 * sum(Avals[j] * xi[j] for j in range(grid.n))
-    term3 = 1j * sl.box
-    term4 = 2.0 * np.pi * (sl.psi_t ** 2 - sum(g ** 2 for g in sl.grad))
-    term5 = -2.0 * sum(Avals[j] * sl.grad[j] for j in range(grid.n))
-    total = term1 + term2 + term3 + term4 + term5
-    vol = grid.cell_volume
-    norms = {name: float(np.linalg.norm(v) * math.sqrt(vol)) for name, v in
-             (("null_derivative", term1), ("connection_dot_xi", term2), ("box_phase", term3),
-              ("phase_gradient_square", term4), ("connection_dot_grad", term5))}
-    return AmplitudeReport(omega_field=total, term_norms=norms)
-
-
-def _bucket_for(family: PhaseFamily, w_dir) -> int:
-    dots = family.cache.directions @ w_dir
-    b = int(np.argmax(dots))
-    if dots[b] < 1.0 - 1e-12:
-        raise StructuralError("direction not covered by the family's cache; "
-                              "pre-build the cache with this mode")
-    return b
 
 
 # ---------------------------------------------------------------------------
@@ -823,7 +633,7 @@ def covariant_box_amplitude(op: WaveOperator, t: float, h) -> ScalarField:
         sl = fam.slice_at(t, b)
         w_dir = fam.cache.directions[b]
         null_op = sum(w_dir[j] * sl.grad[j] for j in range(grid.n)) - fam.sign * sl.psi_t
-        alpha = (1j * sl.box + 2.0 * np.pi * (sl.psi_t ** 2 - sum(g ** 2 for g in sl.grad))
+        alpha = (2.0 * np.pi * (sl.psi_t ** 2 - sum(g ** 2 for g in sl.grad))
                  - 2.0 * sum(Avals[j] * sl.grad[j] for j in range(grid.n)))
         beta = -4.0 * np.pi * null_op
         phase = np.exp(2j * np.pi * sl.psi)
@@ -924,16 +734,6 @@ def dispersive_scan(op: WaveOperator | None, taus, f: ScalarField, *, grid=None,
             vals.append(lebesgue_norm(op.apply(float(tau), g), np.inf) / l1)
     return DecayScan(taus=tuple(taus), values=tuple(vals),
                      slope=fit_loglog(taus, np.asarray(vals)))
-
-
-def dump_phase_field(path, family: PhaseFamily, t: float, bucket: int) -> None:
-    """Snapshot one direction's phase at time t; omega goes into the header
-    extension block (followed by the sample time)."""
-    from .fieldio import write_field
-    sl = family.slice_at(t, bucket)
-    field = ScalarField(family.grid, sl.psi, time_tag=t, real_valued=True)
-    w_dir = family.cache.directions[bucket]
-    write_field(path, field, extension=list(w_dir) + [t])
 
 
 def bucketing_error(op: WaveOperator, t: float, h, subsample: int = 64) -> float:

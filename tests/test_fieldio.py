@@ -73,3 +73,46 @@ def test_cli_dump_field_bad_files(tmp_path, capsys):
     assert "error: truncated header" in capsys.readouterr().err
     assert cli_main(["dump-field", str(tmp_path / "missing.crnl")]) == 2
     assert "error: cannot read field file" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fuzzed input: any byte string ends in a CronlabError or a finite field
+
+from hypothesis import given, settings, strategies as st
+
+from cronlab.errors import CronlabError
+from cronlab.fieldio import _HEADER
+
+_F64 = st.floats(width=64)          # NaN and +-inf included
+
+
+@st.composite
+def near_field_files(draw):
+    """Byte strings close to the layout, mostly a valid one for n = 2, N = 8: a
+    header of drawn values (magic, version, n, N, L, flag, extension count),
+    drawn extension and data values, and in one case of four a cut or
+    trailing bytes."""
+    ext_count = draw(st.integers(0, 3))
+    blob = _HEADER.pack(draw(st.sampled_from([MAGIC] * 3 + [b"CRNX"])),
+                        draw(st.sampled_from([1, 1, 1, 2])),
+                        draw(st.sampled_from([2, 2, 2, 0, 7])),
+                        draw(st.sampled_from([8, 8, 8, 4, 12])),
+                        draw(_F64), draw(st.integers(0, 255)), ext_count)
+    values = draw(st.lists(_F64, min_size=ext_count + 128, max_size=ext_count + 128))
+    blob += np.asarray(values, dtype="<f8").tobytes()
+    if draw(st.integers(0, 3)) == 0:
+        blob = blob[:draw(st.integers(0, len(blob)))] + draw(st.binary(max_size=8))
+    return blob
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=200) | near_field_files())
+def test_read_field_fuzz_ends_in_error_or_finite_field(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "fuzz.crnl"
+    path.write_bytes(blob)
+    try:
+        field, ext = read_field(path)
+    except CronlabError:
+        return
+    assert np.isfinite(field.grid.L)
+    assert np.isfinite(field.values).all() and np.isfinite(ext).all()

@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
-from cronlab.errors import ParameterError, PreconditionError, SingularSymbolError
+from cronlab.errors import ParameterError, PreconditionError
 from cronlab.gauge import (Direction, SectorSpec, angle_to, coulomb_gain_ratio,
-                           covariant_derivative, curvature, current_density,
-                           gauge_transform, greater_symbol, leray_project, null_derivative,
-                           null_form_check, sector_project, sector_symbol,
-                           transverse_laplacian, transverse_laplacian_inverse)
-from cronlab.grid import (GridSpec, ScalarField, VectorField, constant_field, gradient,
-                          inner_product, lebesgue_norm, mode_field,
+                           covariant_derivative, curvature_from_gradients, current_density,
+                           greater_symbol, leray_project, null_derivative, null_form_check,
+                           sector_symbol, transverse_inverse_symbol)
+from cronlab.grid import (GridSpec, ScalarField, VectorField, apply_multiplier, constant_field,
+                          gradient, inner_product, lebesgue_norm, mode_field,
                           relative_l2_difference, to_physical, zero_field)
-from cronlab.lp import SpacetimeField
 from cronlab.parametrix import HalfWaveField
 from cronlab.random_fields import random_divergence_free, random_field, stream
+
+
+def unit(vec):
+    v = np.asarray(vec, dtype=float)
+    return Direction(v / np.linalg.norm(v))
 
 
 def vec_norm(V):
@@ -65,7 +68,7 @@ def test_leray_mean_handling():
 
 def test_sector_symbol_pointwise_values():
     g = GridSpec(3, 32, 8.0)
-    w = Direction.of([1.0, 0.0, 0.0])
+    w = unit([1.0, 0.0, 0.0])
     sg = sector_symbol(g, SectorSpec(w, 0.2, "greater"))
     sl = sector_symbol(g, SectorSpec(w, 0.2, "leq"))
     on_axis = g.mode_index((4, 0, 0))
@@ -78,21 +81,21 @@ def test_sector_symbol_pointwise_values():
 
 def test_sector_partition_and_range():
     g = GridSpec(2, 32, 4.0)
-    w = Direction.of([0.6, 0.8])
+    w = unit([0.6, 0.8])
     for theta in (0.1, 0.3, 0.7):
         sg = sector_symbol(g, SectorSpec(w, theta, "greater"))
         sl = sector_symbol(g, SectorSpec(w, theta, "leq"))
         assert np.abs(sg + sl - 1.0).max() < 1e-13
         assert sg.real.min() >= 0.0 and sg.real.max() <= 1.0
     f = random_field(g, stream(21, 0), 0.5, 3.0)
-    back = sector_project(f, SectorSpec(w, 0.3, "greater")) \
-        + sector_project(f, SectorSpec(w, 0.3, "leq"))
+    back = apply_multiplier(f, sector_symbol(g, SectorSpec(w, 0.3, "greater"))) \
+        + apply_multiplier(f, sector_symbol(g, SectorSpec(w, 0.3, "leq")))
     assert relative_l2_difference(back, f) < 1e-13
 
 
 def test_sector_evenness_and_monotonicity():
     g = GridSpec(2, 32, 4.0)
-    w = Direction.of([1.0, 2.0])
+    w = unit([1.0, 2.0])
     idx = g.mode_index((3, -1))
     ridx = g.mode_index((-3, 1))
     prev = None
@@ -104,20 +107,17 @@ def test_sector_evenness_and_monotonicity():
         prev = sl
 
 
-def test_sector_theta_validation_and_zero_mean():
-    g = GridSpec(2, 32, 4.0)
-    w = Direction.of([1.0, 0.0])
+def test_sector_theta_validation():
+    w = unit([1.0, 0.0])
     with pytest.raises(ParameterError):
         SectorSpec(w, 2.0)
     with pytest.raises(ParameterError):
         SectorSpec(w, -0.1)
-    with pytest.raises(PreconditionError):
-        sector_project(constant_field(g), SectorSpec(w, 0.2))
 
 
 def test_band_sector_is_difference_of_greaters():
     g = GridSpec(2, 32, 4.0)
-    w = Direction.of([1.0, 1.0])
+    w = unit([1.0, 1.0])
     theta = 0.4
     band = sector_symbol(g, SectorSpec(w, theta, "band"))
     expect = greater_symbol(g, w, theta / 2.0) - greater_symbol(g, w, theta)
@@ -137,33 +137,12 @@ def test_null_derivative_annihilates_matched_free_wave():
     u0 = mode_field(g, mode).values
     u1 = 2j * np.pi * rho * u0
     wave = HalfWaveField(g, u0, u1)     # forward wave: time factor e^{+2 pi i rho t}
-    out_minus, _ = null_derivative(wave, w, -1)
-    out_plus, _ = null_derivative(wave, w, +1)
+    out_minus = null_derivative(wave, w, -1)
+    out_plus = null_derivative(wave, w, +1)
     t = 0.42
     assert lebesgue_norm(out_minus.sample(t), 2) < 1e-12 * lebesgue_norm(out_plus.sample(t), 2)
     expect = wave.sample(t) * (4j * np.pi * rho)
     assert relative_l2_difference(out_plus.sample(t), expect) < 1e-12
-
-
-def test_null_derivative_on_time_constant_field_is_directional():
-    g = GridSpec(2, 32, 4.0)
-    f = random_field(g, stream(22, 0), 0.5, 3.0)
-    ts = np.linspace(0.0, 1.0, 5)
-    F = SpacetimeField(ts, tuple(f for _ in ts))
-    out, order = null_derivative(F, np.array([0.6, 0.8]), +1)
-    assert order == 4
-    from cronlab.gauge import directional_derivative
-    expect = directional_derivative(f, np.array([0.6, 0.8]))
-    assert relative_l2_difference(out.slices[0], expect) < 1e-12
-
-
-def test_null_derivative_needs_three_slices():
-    g = GridSpec(2, 16, 4.0)
-    f = random_field(g, stream(22, 1))
-    F = SpacetimeField(np.array([0.0, 0.1]), (f, f))
-    from cronlab.errors import StructuralError
-    with pytest.raises(StructuralError):
-        null_derivative(F, np.array([1.0, 0.0]), +1)
 
 
 def test_box_equals_null_frame_composition():
@@ -178,8 +157,8 @@ def test_box_equals_null_frame_composition():
     for i in range(20):
         w = rng.standard_normal(3)
         w /= np.linalg.norm(w)
-        lp_, _ = null_derivative(wave, w, +1)
-        lpm, _ = null_derivative(lp_, w, -1)
+        lp_ = null_derivative(wave, w, +1)
+        lpm = null_derivative(lp_, w, -1)
         sym = -4.0 * np.pi ** 2 * (g.xi_norm ** 2 - np.tensordot(w, g.xi, axes=(0, 0)) ** 2)
         composed = lpm + wave.mul_symbol(sym)
         assert lebesgue_norm(composed.sample(t) - box.sample(t), 2) < 1e-10 * scale
@@ -190,30 +169,24 @@ def test_box_equals_null_frame_composition():
 
 def test_transverse_inverse_is_exact_on_sector_support():
     g = GridSpec(3, 16, 4.0)
-    w = Direction.of([0.0, 0.0, 1.0])
+    w = unit([0.0, 0.0, 1.0])
     f = random_field(g, stream(23, 0), 0.3, 1.5)
-    fs = sector_project(f, SectorSpec(w, 0.4, "greater"))
-    inv = transverse_laplacian_inverse(fs, w, 0.1)
-    assert relative_l2_difference(transverse_laplacian(inv, w), fs) < 1e-12
+    fs = apply_multiplier(f, sector_symbol(g, SectorSpec(w, 0.4, "greater")))
+    inv = apply_multiplier(fs, transverse_inverse_symbol(g, w, 0.1))
+    dot = np.tensordot(w.omega, g.xi, axes=(0, 0))
+    transverse_laplacian = -4.0 * np.pi ** 2 * (g.xi_norm ** 2 - dot ** 2)
+    assert relative_l2_difference(apply_multiplier(inv, transverse_laplacian), fs) < 1e-12
 
 
 def test_transverse_inverse_single_equatorial_mode():
     g = GridSpec(2, 32, 4.0)
-    w = Direction.of([1.0, 0.0])
+    w = unit([1.0, 0.0])
     mode = (0, 3)
     rho = float(np.linalg.norm(g.mode_frequency(mode)))
     f = to_physical(mode_field(g, mode))
-    out = transverse_laplacian_inverse(f, w, 0.5)
+    out = apply_multiplier(f, transverse_inverse_symbol(g, w, 0.5))
     expect = f * (-1.0 / (4.0 * np.pi ** 2 * rho ** 2))
     assert relative_l2_difference(out, expect) < 1e-13
-
-
-def test_transverse_inverse_support_guard():
-    g = GridSpec(2, 32, 4.0)
-    w = Direction.of([1.0, 0.0])
-    f = to_physical(mode_field(g, (3, 0)))  # on-axis energy
-    with pytest.raises(SingularSymbolError):
-        transverse_laplacian_inverse(f, w, 0.3)
 
 
 def test_transverse_inverse_band_symbol_magnitude():
@@ -237,7 +210,7 @@ def test_transverse_inverse_band_symbol_magnitude():
 
 def test_coulomb_gain_zero_on_axis():
     g = GridSpec(3, 16, 4.0)
-    w = Direction.of([1.0, 0.0, 0.0])
+    w = unit([1.0, 0.0, 0.0])
     # a single on-axis mode pair: B_hat perpendicular to xi makes B_hat . omega = 0
     F = np.zeros((3,) + g.shape, dtype=complex)
     idx = g.mode_index((2, 0, 0))
@@ -257,7 +230,7 @@ def test_coulomb_gain_bounded_over_scan():
         B = random_divergence_free(g, stream(24, 1 + i), 0.5, 1.8)
         for j in range(5):
             v = rng.standard_normal(3)
-            w = Direction.of(v)
+            w = unit(v)
             for theta in (0.25, 0.125, 0.0625):
                 for mode in ("leq", "band"):
                     worst = max(worst, coulomb_gain_ratio(B, w, theta, mode))
@@ -268,11 +241,11 @@ def test_coulomb_gain_needs_certificate():
     g = GridSpec(2, 16, 4.0)
     V = VectorField(tuple(random_field(g, stream(24, 9 + i), 0.5, 1.5) for i in range(2)))
     with pytest.raises(PreconditionError):
-        coulomb_gain_ratio(V, Direction.of([1.0, 0.0]), 0.25)
+        coulomb_gain_ratio(V, unit([1.0, 0.0]), 0.25)
 
 
 # ---------------------------------------------------------------------------
-# curvature, covariant derivatives, gauge transforms
+# curvature and covariant derivatives
 
 def _random_connection(g, rng, scale=1.0):
     A0 = random_field(g, rng, 0.5, 2.0, real=True) * scale
@@ -293,7 +266,7 @@ def test_curvature_of_pure_gauge_vanishes():
     gch, gch_t = gradient(chi), gradient(chi_t)
     Asp = VectorField(tuple(c * (-1.0) for c in gch.components))
     Asp_t = VectorField(tuple(c * (-1.0) for c in gch_t.components))
-    F = curvature(A0, A0_t, Asp, Asp_t)
+    F = curvature_from_gradients(gradient(A0), Asp_t, [gradient(c) for c in Asp.components])
     scale = max(lebesgue_norm(c, 2) for c in gch.components)
     assert max(lebesgue_norm(v, 2) for v in F.values()) < 1e-11 * scale
 
@@ -325,64 +298,6 @@ def test_covariant_derivative_flat_connection():
         partial_derivative(phi, 0)) < 1e-14
     assert relative_l2_difference(
         covariant_derivative(phi, phi_t, zero_field(g), Z, 0), phi_t) < 1e-14
-
-
-def test_gauge_transform_identity_and_constant():
-    g = GridSpec(2, 16, 4.0)
-    rng = stream(25, 3)
-    phi = random_field(g, rng, 0.5, 2.0)
-    phi_t = random_field(g, rng, 0.5, 2.0)
-    A0, A0_t, Asp, Asp_t = _random_connection(g, rng)
-    z = zero_field(g)
-    out = gauge_transform(phi, phi_t, A0, A0_t, Asp, Asp_t, z, z, z)
-    assert relative_l2_difference(out[0], phi) < 1e-14
-    assert relative_l2_difference(out[2], A0) < 1e-14
-    c = constant_field(g, 0.7)
-    out = gauge_transform(phi, phi_t, A0, A0_t, Asp, Asp_t, c, z, z)
-    assert relative_l2_difference(out[0], phi * np.exp(0.7j)) < 1e-13
-    assert max(relative_l2_difference(a, b)
-               for a, b in zip(out[4].components, Asp.components)) < 1e-14
-
-
-def test_gauge_transform_invariants():
-    # chi sits in a low band at modest amplitude so the harmonics of e^{i chi}
-    # stay below Nyquist to machine precision (the modulus identity involves a
-    # pointwise exponential, which aliases for rough large chi)
-    g = GridSpec(2, 32, 4.0)
-    rng = stream(25, 4)
-    phi = random_field(g, rng, 0.25, 0.5)
-    phi_t = random_field(g, rng, 0.25, 0.5)
-    A0, A0_t, Asp, Asp_t = _random_connection(g, rng)
-    chi = random_field(g, rng, 0.25, 0.5, real=True) * 0.3
-    chi_t = random_field(g, rng, 0.25, 0.5, real=True) * 0.3
-    chi_tt = random_field(g, rng, 0.25, 0.5, real=True) * 0.3
-    p2, p2t, B0, B0t, Bsp, Bspt = gauge_transform(phi, phi_t, A0, A0_t, Asp, Asp_t,
-                                                  chi, chi_t, chi_tt)
-    F = curvature(A0, A0_t, Asp, Asp_t)
-    F2 = curvature(B0, B0t, Bsp, Bspt)
-    scale = max(max(lebesgue_norm(v, 2) for v in F.values()), 1e-30)
-    assert max(lebesgue_norm(F[key] - F2[key], 2) for key in F) < 1e-11 * scale
-    # |D phi| is pointwise gauge invariant
-    d1 = covariant_derivative(phi, phi_t, A0, Asp, 0)
-    d2 = covariant_derivative(p2, p2t, B0, Bsp, 0)
-    assert np.abs(np.abs(d1.phys_values) - np.abs(d2.phys_values)).max() \
-        < 1e-11 * np.abs(d1.phys_values).max()
-    for alpha in (1, 2):
-        d1 = covariant_derivative(phi, phi_t, A0, Asp, alpha)
-        d2 = covariant_derivative(p2, p2t, B0, Bsp, alpha)
-        assert np.abs(np.abs(d1.phys_values) - np.abs(d2.phys_values)).max() \
-            < 1e-11 * np.abs(d1.phys_values).max()
-
-
-def test_gauge_transform_rejects_complex_chi():
-    g = GridSpec(2, 16, 4.0)
-    rng = stream(25, 5)
-    phi = random_field(g, rng, 0.5, 2.0)
-    A0, A0_t, Asp, Asp_t = _random_connection(g, rng)
-    bad = random_field(g, rng, 0.5, 2.0)  # complex
-    z = zero_field(g)
-    with pytest.raises(PreconditionError):
-        gauge_transform(phi, phi, A0, A0_t, Asp, Asp_t, bad, z, z)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from cronlab.cli import main as cli_main
-from cronlab.errors import ParameterError
+from cronlab.errors import CronlabError, ParameterError
 from cronlab.fieldio import write_field
 from cronlab.grid import GridSpec
-from cronlab.harness import (AcceptanceRecord, ExperimentConfig, all_passed, machine_summary,
-                             parallel_map, report_text, run, worker_count)
+from cronlab.harness import (EXPERIMENTS, SUITE_FIELDS, AcceptanceRecord, ExperimentConfig,
+                             all_passed, machine_summary, parallel_map, report_text, run,
+                             worker_count)
 from cronlab.random_fields import random_field, stream
 
 
@@ -26,6 +31,19 @@ def test_config_validation():
         ExperimentConfig(experiment="norms", n=6, sigma=0.48).validate()
     with pytest.raises(ParameterError, match="wrap limit"):
         ExperimentConfig(experiment="mkg-evolve", L=8.0, t_max=5.0).validate()
+    # out-of-range numbers: no time window, non-finite values
+    for t_max in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="t_max"):
+            ExperimentConfig(experiment="mkg-evolve", t_max=t_max).validate()
+    for eps in (math.inf, math.nan):
+        with pytest.raises(ParameterError, match="eps values"):
+            ExperimentConfig(experiment="unitarity", eps_list=(0.1, eps)).validate()
+    for L in (math.inf, math.nan, 10 ** 400):
+        with pytest.raises(ParameterError, match="box side"):
+            ExperimentConfig(experiment="lp-suite", L=L).validate()
+    for L in (math.inf, math.nan):
+        with pytest.raises(ParameterError, match="box side"):
+            GridSpec(2, 16, L)
 
 
 def test_config_hash_ignores_out_dir():
@@ -213,8 +231,18 @@ def test_parallel_map_order_and_env(monkeypatch):
     assert worker_count() == 3
     out = parallel_map(lambda x: x * x, range(7))
     assert out == [x * x for x in range(7)]
+    for bad in ("junk", "0", "-2"):
+        monkeypatch.setenv("CRONLAB_THREADS", bad)
+        with pytest.raises(ParameterError, match="CRONLAB_THREADS"):
+            worker_count()
+
+
+def test_cli_rejects_bad_thread_count(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("CRONLAB_THREADS", "junk")
-    assert worker_count() == 1
+    assert cli_main(["run", "--experiment", "norms"]) == 2
+    assert capsys.readouterr().err.startswith("error: CRONLAB_THREADS='junk'")
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_rejects_seed_outside_philox_key():
@@ -225,15 +253,44 @@ def test_config_rejects_seed_outside_philox_key():
     ExperimentConfig(experiment="norms", seed=2 ** 64 - 1).validate()
 
 
+BAD_CONFIGS = {
+    "bad.json": '{"experiment": ',
+    "inf_L.json": '{"experiment": "lp-suite", "L": Infinity}',
+    "zero_t_max.json": '{"experiment": "mkg-evolve", "t_max": 0.0}',
+    "neg_t_max.json": '{"experiment": "parametrix-residual", "t_max": -1}',
+    "nan_eps.json": '{"experiment": "unitarity", "eps_list": [0.1, NaN]}',
+}
+BAD_SUMMARIES = {
+    "list_summary": "[]",
+    "no_hash": '{"experiment": "x"}',
+    "bad_records": '{"experiment": "x", "config_hash": "h", "records": [1]}',
+    "record_fields": '{"experiment": "x", "config_hash": "h", "records": [{"id": "a"}]}',
+}
+
+
 @pytest.mark.parametrize("argv, needle", [
     (["run", "--config", "missing.json"], "missing.json"),
     (["report", "missing_dir"], "missing_dir"),
     (["run", "--config", "bad.json"], "bad.json"),
     (["run", "--experiment", "norms", "--seed", "-1"], "seed=-1"),
-])
+    (["run", "--config", "inf_L.json"], "L=inf"),
+    (["run", "--config", "zero_t_max.json"], "t_max=0.0"),
+    (["run", "--config", "neg_t_max.json"], "t_max=-1"),
+    (["run", "--config", "nan_eps.json"], "eps values"),
+    (["dump-field", "inf_L.crnl"], "L=inf"),
+] + [(["report", name], name) for name in BAD_SUMMARIES])
 def test_cli_maps_bad_input_to_exit_2(tmp_path, monkeypatch, capsys, argv, needle):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "bad.json").write_text('{"experiment": ')
+    for name, text in BAD_CONFIGS.items():
+        (tmp_path / name).write_text(text)
+    for name, text in BAD_SUMMARIES.items():
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "summary.json").write_text(text)
+    snap = tmp_path / "inf_L.crnl"
+    write_field(snap, random_field(GridSpec(2, 8, 2.0), stream(5, 1)))
+    blob = bytearray(snap.read_bytes())
+    blob[16:24] = np.float64(np.inf).tobytes()      # the f64 L after magic, version, n, N
+    snap.write_bytes(bytes(blob))
     assert cli_main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and needle in err
@@ -250,3 +307,42 @@ def test_lp_commutator_scan_below_default_grid():
     norms_by_k, ratios, rows = _commutator_scan(grid, br, comm_ks, 7)
     assert len(rows) == 12 * len(comm_ks) == len(ratios)
     assert all(len(v) == 12 and min(v) > 0 for v in norms_by_k.values())
+
+
+# ---------------------------------------------------------------------------
+# fuzzed config files: any JSON object ends in a CronlabError or a finite config
+
+_JSON_LEAF = (st.none() | st.booleans() | st.integers() | st.floats()
+              | st.text(max_size=6) | st.sampled_from(list(EXPERIMENTS)))
+_JSON_VALUE = st.recursive(_JSON_LEAF, lambda inner: st.lists(inner, max_size=4), max_leaves=6)
+# NaN, +-inf (drawn often on purpose), other floats and ints beyond the float range
+_NUMBER = st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats() | st.integers()
+_TYPED = {"n": st.integers(), "N": st.integers(), "L": _NUMBER, "sigma": _NUMBER,
+          "eps_list": st.lists(_NUMBER, max_size=4), "seed": st.integers(), "t_max": _NUMBER,
+          "t_samples": st.integers()}
+
+
+@st.composite
+def suite_configs(draw):
+    """A suite with a drawn subset of the fields it reads, each of its JSON type."""
+    name = draw(st.sampled_from(sorted(EXPERIMENTS)))
+    keys = draw(st.lists(st.sampled_from(SUITE_FIELDS[name] + ("seed",)), unique=True))
+    return {"experiment": name, **{key: draw(_TYPED[key]) for key in keys}}
+
+
+_CONFIGS = (st.dictionaries(st.sampled_from([*_TYPED, "experiment", "out_dir", "bogus"]),
+                            _JSON_VALUE, max_size=5)
+            | suite_configs())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CONFIGS)
+def test_config_fuzz_ends_in_error_or_finite_config(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(raw))     # NaN and Infinity spelled as json.load reads them
+    try:
+        cfg = ExperimentConfig.from_json(path).validate()
+    except CronlabError:
+        return
+    for value in (cfg.L, cfg.sigma, cfg.t_max, *cfg.eps_list):
+        assert value is None or math.isfinite(value)

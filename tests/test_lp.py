@@ -8,10 +8,9 @@ from cronlab.grid import (GridSpec, ScalarField, constant_field, lebesgue_norm, 
                           plane_wave, relative_l2_difference, sobolev_norm, to_physical)
 from cronlab.lp import (BandRange, DEFAULT_BUMP, SpacetimeField, bernstein_ratio,
                         besov_norm, commutator_field, commutator_ratio, fit_loglog,
-                        product_ratio, project_band, project_leq, project_range,
-                        restrict_annulus, spacetime_norm, spacetime_product_ratio,
-                        time_derivative)
-from cronlab.random_fields import (flat_spectrum_field, packet_field, random_band_field,
+                        project_band, project_leq, project_range, restrict_annulus,
+                        spacetime_norm, spacetime_product_ratio)
+from cronlab.random_fields import (flat_spectrum_field, packet_field,
                                    random_field, stream)
 
 
@@ -227,17 +226,6 @@ def test_spacetime_needs_two_samples():
         SpacetimeField(np.array([]), ())
 
 
-def test_time_derivative_orders():
-    g = GridSpec(2, 16, 2.0)
-    f = random_field(g, stream(13, 4))
-    ts3 = np.linspace(0.0, 1.0, 3)
-    _, order3 = time_derivative(SpacetimeField(ts3, tuple(f * np.exp(t) for t in ts3)))
-    assert order3 == 2
-    ts5 = np.linspace(0.0, 1.0, 6)
-    _, order5 = time_derivative(SpacetimeField(ts5, tuple(f * np.exp(t) for t in ts5)))
-    assert order5 == 4
-
-
 # ---------------------------------------------------------------------------
 # Bernstein
 
@@ -302,43 +290,6 @@ def test_commutator_hoelder_validation():
 
 # ---------------------------------------------------------------------------
 # product estimates
-
-def test_product_ratio_zero_g():
-    g = GridSpec(2, 64, 1.0)
-    br = BandRange.widest(g)
-    f = random_field(g, stream(16, 0), *br.annulus())
-    z = ScalarField(g, np.zeros(g.shape))
-    assert product_ratio(f, z, 2, 2, 2, 4, 2, 4, br) == 0.0
-
-
-def test_product_ratio_single_shell_high_high():
-    g = GridSpec(2, 64, 1.0)
-    br = BandRange.widest(g)
-    k = br.k_max - 1
-    f = random_band_field(g, stream(16, 1), k)
-    h = random_band_field(g, stream(16, 2), k)
-    r = product_ratio(f, h, 2, 2, 2, 4, 2, 4, br)
-    assert np.isfinite(r) and r > 0
-
-
-def test_product_ratio_ensemble_bound():
-    g = GridSpec(3, 32, 1.0)
-    br = BandRange.widest(g)
-    worst = 0.0
-    for i in range(10):
-        f = flat_spectrum_field(g, stream(16, 10 + i), br)
-        h = flat_spectrum_field(g, stream(16, 50 + i), br)
-        worst = max(worst, product_ratio(f, h, 2, 2, 2, 4, 2, 4, br))
-    assert worst <= 100.0
-
-
-def test_product_exponent_validation_names_inequality():
-    g = GridSpec(2, 32, 1.0)
-    f = random_field(g, stream(16, 3), 1.0, 8.0)
-    with pytest.raises(ParameterError) as err:
-        product_ratio(f, f, 2, 2, 4, 2, 2, 4)   # p1 >= q1
-    assert "p1" in str(err.value)
-
 
 def test_spacetime_product_needs_n_above_3():
     g = GridSpec(3, 16, 1.0)

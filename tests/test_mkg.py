@@ -9,9 +9,9 @@ from cronlab.exponents import exponents, sigma_window, validate_sigma
 from cronlab.grid import (GridSpec, ScalarField, VectorField, lebesgue_norm, plane_wave,
                           relative_l2_difference, zero_field)
 from cronlab.lp import fit_loglog
-from cronlab.mkg import (ConnectionState, constraint_residuals, critical_norm_tracker,
-                         data_norm, dealias, elliptic_a0, evolve, make_compatible_data,
-                         rhs, stability_limit, step)
+from cronlab.mkg import (ConnectionState, _forcing_A, _phi_acceleration_extras,
+                         constraint_residuals, dealias, elliptic_a0, evolve,
+                         make_compatible_data, stability_limit, step)
 from cronlab.random_fields import random_divergence_free, random_field, stream
 
 
@@ -120,7 +120,7 @@ def test_rhs_vanishes_without_matter():
     g = GridSpec(2, 16, 4.0)
     _, _, a, adot = small_data(g, 1.0, seed=35)
     st = make_compatible_data(zero_field(g), zero_field(g), a, adot)
-    fA, fphi = rhs(st)
+    fA, fphi = _forcing_A(st), _phi_acceleration_extras(st)
     assert max(lebesgue_norm(c, 2) for c in fA.components) == 0.0
     assert lebesgue_norm(fphi, 2) == 0.0
 
@@ -128,8 +128,7 @@ def test_rhs_vanishes_without_matter():
 def test_rhs_forcing_is_divergence_free():
     g = GridSpec(2, 32, 8.0)
     st = make_compatible_data(*small_data(g, 0.1, seed=36))
-    fA, _ = rhs(st)
-    assert fA.verify_divergence_free(1e-10)
+    assert _forcing_A(st).verify_divergence_free(1e-10)
 
 
 def test_rhs_cross_checks_null_form_identity():
@@ -140,7 +139,7 @@ def test_rhs_cross_checks_null_form_identity():
     f, gg, _, _ = small_data(g, 0.1, seed=37, r_lo=0.25, r_hi=0.45)
     Z = VectorField(tuple(zero_field(g) for _ in range(2)), divergence_free=True)
     st = make_compatible_data(f, gg, Z, Z)
-    fA, _ = rhs(st, dealiased=False)
+    fA = _forcing_A(st)
     derivs = [partial_derivative(st.phi, j).phys_values for j in range(2)]
     for j in range(2):
         acc = zero_field(g)
@@ -298,18 +297,11 @@ def test_energy_report_total_is_sum_of_parts():
 
 
 def test_constant_gauge_preserves_residuals():
-    from cronlab.gauge import gauge_transform
-    from cronlab.grid import constant_field
+    # a constant gauge chi = 0.4 multiplies phi and phi_t by e^{0.4 i} and
+    # leaves the connection as it is
     g = GridSpec(2, 32, 8.0)
     st = make_compatible_data(*small_data(g, 0.1, seed=42))
-    z = zero_field(g)
-    c = constant_field(g, 0.4)
-    p2, p2t, B0, B0t, Bsp, Bspt = gauge_transform(
-        st.phi, st.phi_t, st.A0, st.A0_t, st.A_sp, st.A_sp_t, c, z, z)
-    st2 = ConnectionState(t=st.t, A0=B0, A0_t=B0t,
-                          A_sp=VectorField(Bsp.components, divergence_free=True),
-                          A_sp_t=VectorField(Bspt.components, divergence_free=True),
-                          phi=p2, phi_t=p2t)
+    st2 = replace(st, phi=st.phi * np.exp(0.4j), phi_t=st.phi_t * np.exp(0.4j))
     r1 = constraint_residuals(st)
     r2 = constraint_residuals(st2)
     assert abs(r1.gauss_residual - r2.gauss_residual) < 1e-12
@@ -335,7 +327,7 @@ def test_dealias_kills_top_third():
 
 
 # ---------------------------------------------------------------------------
-# exponents and norm tracking
+# exponents
 
 def test_exponents_n6_exact():
     e = exponents(6, Fraction(0))
@@ -368,33 +360,6 @@ def test_sigma_validation():
         validate_sigma(3, 0.7)
 
 
-def test_tracker_rejects_n3():
-    g = GridSpec(3, 16, 4.0)
-    st = make_compatible_data(*small_data(g, 1e-2, seed=44))
-    with pytest.raises(ParameterError):
-        critical_norm_tracker([st])
-
-
-def test_tracker_zero_trajectory():
-    g = GridSpec(4, 8, 4.0)
-    Z = VectorField(tuple(zero_field(g) for _ in range(4)), divergence_free=True)
-    st = make_compatible_data(zero_field(g), zero_field(g), Z, Z)
-    samples = critical_norm_tracker([st])
-    assert samples[0].data_norm == 0.0
-    assert samples[0].forcing_n1 == 0.0
-
-
-def test_tracker_runs_at_n4():
-    g = GridSpec(4, 16, 4.0)
-    st = make_compatible_data(*small_data(g, 1e-2, seed=45, r_lo=0.25, r_hi=0.5))
-    traj = [st, step(st, 0.05)]
-    samples = critical_norm_tracker(traj)
-    assert len(samples) == 2
-    assert samples[0].data_norm > 0
-    assert samples[1].solution_l2 > 0
-    assert data_norm(st) == samples[0].data_norm
-
-
 def test_scaling_symmetry_replay():
     g = GridSpec(2, 32, 8.0)
     lam = 2.0
@@ -414,19 +379,3 @@ def test_scaling_symmetry_replay():
     s2 = evolve(st_l, lam * 1.0, lam * 0.05)
     replay = relative_l2_difference(ScalarField(g, s2.phi.phys_values * lam), s1.phi)
     assert replay < 1e-10
-
-
-def test_trajectory_checkpoints(tmp_path):
-    from cronlab.fieldio import read_field
-    from cronlab.mkg import save_trajectory
-    g = GridSpec(2, 16, 4.0)
-    st = make_compatible_data(*small_data(g, 1e-2, seed=47, r_lo=0.25, r_hi=0.5))
-    traj = [st, step(st, 0.05)]
-    manifest = save_trajectory(tmp_path, traj)
-    lines = open(manifest).read().splitlines()
-    assert lines[0].startswith("# cronlab trajectory manifest")
-    assert len(lines) == 2 + len(traj)
-    fname = lines[2].split(",")[-1].split(";")[0]
-    back, ext = read_field(tmp_path / fname)
-    assert back.grid == g
-    assert abs(ext[0] - traj[0].t) < 1e-15

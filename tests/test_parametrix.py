@@ -5,12 +5,10 @@ from cronlab.errors import ParameterError, PreconditionError, StructuralError
 from cronlab.grid import (GridSpec, ScalarField, inner_product, lebesgue_norm,
                           relative_l2_difference, to_physical)
 from cronlab.lp import BandRange, SpacetimeField, fit_loglog, spacetime_norm
-from cronlab.parametrix import (AnnulusCutoff, DirectionCache, FreeConnection,
-                                HarmonicForcing, PhaseFamily, SampledForcing,
-                                WaveOperator, bucketing_error, build_amplitude, build_phase,
-                                covariant_box_amplitude, decomposable_surrogate,
-                                dispersive_scan, match_data, phase_defect, residual_check,
-                                split_phase_at)
+from cronlab.parametrix import (AnnulusCutoff, DirectionCache, FreeConnection, PhaseFamily,
+                                WaveOperator, bucketing_error, covariant_box_amplitude,
+                                decomposable_surrogate, dispersive_scan, match_data,
+                                phase_defect, residual_check, split_phase_at)
 from cronlab.harness import make_free_connection
 from cronlab.random_fields import random_divergence_free, random_field, stream
 
@@ -19,12 +17,12 @@ BAND = BandRange(-3, -2)
 CUT = AnnulusCutoff(rho=1.0).validate(GRID)
 
 
-def connection(eps=1e-2, seed=50, grid=GRID, band=BAND, forcing=None):
+def connection(eps=1e-2, seed=50, grid=GRID, band=BAND):
     a = random_divergence_free(grid, stream(seed, 0), 0.12, 0.26)
     ad = random_divergence_free(grid, stream(seed, 1), 0.12, 0.26)
     a_hat = np.stack([c.freq_values for c in a.components]) * eps
     ad_hat = np.stack([c.freq_values for c in ad.components]) * eps
-    return FreeConnection(grid, a_hat, ad_hat, band, forcing=forcing)
+    return FreeConnection(grid, a_hat, ad_hat, band)
 
 
 def annulus_coeffs(seed=51, grid=GRID, cut=CUT):
@@ -35,6 +33,11 @@ def annulus_coeffs(seed=51, grid=GRID, cut=CUT):
 
 def small_cache(grid=GRID, cut=CUT, eta=0.15):
     return DirectionCache.build(grid, cut.modes(grid), policy="bucketed", eta_dir=eta)
+
+
+def one_direction(conn, omega, sign, sigma):
+    """The phase family of one unit direction (not necessarily a lattice one)."""
+    return PhaseFamily(conn, sign, sigma, DirectionCache.of_directions(conn.grid, [omega]))
 
 
 # ---------------------------------------------------------------------------
@@ -62,38 +65,6 @@ def test_connection_requires_divergence_free_data():
         FreeConnection(GRID, bad, bad, BAND)
 
 
-def test_harmonic_forcing_is_exact():
-    base = random_divergence_free(GRID, stream(53, 0), 0.12, 0.26)
-    G1 = np.stack([c.freq_values for c in base.components]) * 1e-3
-    forcing = HarmonicForcing(mu=0.4, G1=G1, G2=0.0 * G1)
-    conn = connection(forcing=forcing)
-    t = 1.1
-    A, _ = conn.eval_hat(t)
-    Att = conn.eval_hat_tt(t)
-    box = -Att - (2.0 * np.pi * GRID.xi_norm) ** 2 * A
-    F = conn.forcing_hat(t)
-    assert np.abs(box - F).max() < 1e-11 * np.abs(F).max()
-
-
-def test_resonant_forcing_rejected():
-    base = random_divergence_free(GRID, stream(53, 1), 0.12, 0.26)
-    G1 = np.stack([c.freq_values for c in base.components])
-    # resonance with a lattice frequency inside the band: mu = 2 pi |xi| there
-    mu = 2.0 * np.pi * 0.25
-    with pytest.raises(ParameterError):
-        connection(forcing=HarmonicForcing(mu=mu, G1=G1, G2=0.0 * G1))
-
-
-def test_sampled_forcing_node_restriction():
-    base = random_divergence_free(GRID, stream(53, 2), 0.12, 0.26)
-    G = np.stack([c.freq_values for c in base.components]) * 1e-3
-    sf = SampledForcing(lambda t: np.cos(0.3 * t) * G, np.linspace(0.0, 2.0, 21))
-    conn = connection(forcing=sf)
-    conn.eval_hat(0.5)   # a node
-    with pytest.raises(ParameterError):
-        conn.eval_hat(0.53)
-
-
 # ---------------------------------------------------------------------------
 # annulus cutoff
 
@@ -114,15 +85,15 @@ def test_annulus_nyquist_validation():
 
 def test_phase_vanishes_without_connection():
     conn = FreeConnection.zero(GRID, BAND)
-    fam = build_phase(conn, [1.0, 0.0], +1, 0.25)
+    fam = one_direction(conn, [1.0, 0.0], +1, 0.25)
     assert np.abs(fam.psi(0.5, 0)).max() == 0.0
 
 
 def test_sigma_window_enforced_at_high_dimension():
     conn = FreeConnection.zero(GRID, BAND)
-    build_phase(conn, [1.0, 0.0], +1, 0.49)
+    one_direction(conn, [1.0, 0.0], +1, 0.49)
     with pytest.raises(ParameterError):
-        build_phase(conn, [1.0, 0.0], +1, 0.6)
+        one_direction(conn, [1.0, 0.0], +1, 0.6)
 
 
 def test_single_mode_phase_oracle():
@@ -136,7 +107,7 @@ def test_single_mode_phase_oracle():
     F[0][ridx] = 1.0
     conn = FreeConnection(grid, 1e-2 * F, 0.0 * F, BAND)
     sigma = 0.25
-    fam = build_phase(conn, w, +1, sigma)
+    fam = one_direction(conn, w, +1, sigma)
     t = 0.6
     got = np.fft.fftn(fam.psi(t, 0)) * grid.cell_volume
 
@@ -171,7 +142,7 @@ def test_phase_realness_invariant():
 
 def test_phase_defect_spectral_precision():
     conn = connection()
-    fam = build_phase(conn, [np.cos(0.4), np.sin(0.4)], +1, 0.25)
+    fam = one_direction(conn, [np.cos(0.4), np.sin(0.4)], +1, 0.25)
     rep = phase_defect(fam, np.linspace(0.0, 1.8, 5))
     assert rep.max_residual < 1e-10
 
@@ -186,60 +157,14 @@ def test_phase_defect_small_angle_mode():
     F[1][grid.mode_index((-2, 0))] = 1.0
     conn = FreeConnection(grid, 1e-2 * F, 0.0 * F, BAND)
     w = np.array([np.cos(0.02), np.sin(0.02)])  # 0.02 rad off-axis
-    fam = build_phase(conn, w, +1, 0.25)
+    fam = one_direction(conn, w, +1, 0.25)
     assert np.abs(fam.psi(0.5, 0)).max() < 1e-18
     rep = phase_defect(fam, [0.5])
     assert rep.max_residual < 1e-12
 
 
-def test_phase_defect_with_harmonic_forcing():
-    base = random_divergence_free(GRID, stream(54, 0), 0.12, 0.26)
-    G1 = np.stack([c.freq_values for c in base.components]) * 1e-3
-    conn = connection(forcing=HarmonicForcing(mu=0.37, G1=G1, G2=0.5 * G1))
-    fam = build_phase(conn, [0.6, 0.8], +1, 0.25)
-    rep = phase_defect(fam, [0.4, 1.2])
-    assert rep.max_residual < 1e-10
-
-
-def test_phase_defect_quadrature_forcing_stays_exact():
-    # the defect identity telescopes through the stored second derivative, so
-    # it stays spectrally exact even when the Duhamel integral is quadratured
-    base = random_divergence_free(GRID, stream(54, 1), 0.12, 0.26)
-    G = np.stack([c.freq_values for c in base.components]) * 1e-2
-    sf = SampledForcing(lambda t: np.cos(0.4 * t) * G, np.linspace(0.0, 2.0, 11))
-    conn = connection(forcing=sf)
-    fam = build_phase(conn, [0.6, 0.8], +1, 0.25)
-    assert phase_defect(fam, [1.0]).max_residual < 1e-10
-
-
-def test_duhamel_quadrature_second_order():
-    # trapezoid error of the forced evolution, measured against the exact
-    # harmonic-forcing closed form and extrapolated under node refinement
-    base = random_divergence_free(GRID, stream(54, 1), 0.12, 0.26)
-    G = np.stack([c.freq_values for c in base.components]) * 1e-2
-    mu = 0.4
-    exact = connection(forcing=HarmonicForcing(mu=mu, G1=G, G2=0.0 * G))
-    A_ref, _ = exact.eval_hat(2.0)
-    errs, hs = [], []
-    for nodes in (11, 21, 41):
-        sf = SampledForcing(lambda t: np.cos(mu * t) * G, np.linspace(0.0, 2.0, nodes))
-        conn = connection(forcing=sf)
-        A, _ = conn.eval_hat(2.0)
-        errs.append(np.abs(A - A_ref).max())
-        hs.append(2.0 / (nodes - 1))
-    slope = fit_loglog(hs, errs)
-    assert 1.7 <= slope <= 2.3
-
-
 # ---------------------------------------------------------------------------
 # amplitude
-
-def test_amplitude_zero_for_free_connection():
-    conn = FreeConnection.zero(GRID, BAND)
-    fam = build_phase(conn, [1.0, 0.0], +1, 0.25)
-    rep = build_amplitude(fam, 0.5, (8, 0))
-    assert np.abs(rep.omega_field).max() == 0.0
-
 
 def test_amplitude_leading_order_cancellation():
     # -4 pi |xi| L psi - 2 A.xi equals -2|xi| (defect right-hand side)
@@ -247,7 +172,7 @@ def test_amplitude_leading_order_cancellation():
     mode = (8, 3)
     xi = GRID.mode_frequency(mode)
     w = xi / np.linalg.norm(xi)
-    fam = build_phase(conn, w, +1, 0.25)
+    fam = one_direction(conn, w, +1, 0.25)
     t = 0.7
     r = float(np.linalg.norm(xi))
     lead = -4.0 * np.pi * r * fam.opposite_null_derivative(t, 0)
@@ -260,23 +185,6 @@ def test_amplitude_leading_order_cancellation():
     scale = max(np.linalg.norm(
         sum(A.components[j].phys_values.real * xi[j] for j in range(2))), 1e-300)
     assert np.linalg.norm(lead - rhs) < 1e-10 * scale
-
-
-def test_amplitude_scales_linearly_in_eps():
-    # a tilted mode keeps the linear small-angle term alive (exactly on-axis
-    # the divergence-free gain cancels it and the quadratic terms take over)
-    epss = [1e-2, 3e-3, 1e-3]
-    vals = []
-    mode = (8, 3)
-    xi = GRID.mode_frequency(mode)
-    w = xi / np.linalg.norm(xi)
-    for eps in epss:
-        conn = connection(eps=eps)
-        fam = build_phase(conn, w, +1, 0.25)
-        rep = build_amplitude(fam, 0.5, mode)
-        vals.append(np.linalg.norm(rep.omega_field))
-    slope = fit_loglog(epss, vals)
-    assert abs(slope - 1.0) <= 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +417,7 @@ def test_split_phase_partition_exact():
     # sigma = 0.45 puts the first dyadic piece of each band below theta* = 1,
     # so both halves of the split are populated
     conn = connection()
-    fam = build_phase(conn, [0.6, 0.8], +1, 0.45)
+    fam = one_direction(conn, [0.6, 0.8], +1, 0.45)
     lo, hi, defect = split_phase_at(fam, 1.0)
     assert defect < 1e-12
     t = 0.7
@@ -579,25 +487,23 @@ def test_direction_cache_policies():
         DirectionCache.build(GRID, modes, policy="auto", eta_dir=0.3)   # no such policy
 
 
+def test_cache_of_directions_keeps_given_directions():
+    dirs = stream(81, 0).standard_normal((3, 2))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    cache = DirectionCache.of_directions(GRID, dirs)
+    assert cache.num_buckets == 3
+    assert cache.directions.tobytes() == dirs.tobytes()
+    with pytest.raises(ParameterError):
+        DirectionCache.of_directions(GRID, 2.0 * dirs)
+    with pytest.raises(StructuralError):
+        DirectionCache.of_directions(GRID, dirs[:, :1])
+
+
 def test_wave_operator_requires_cover():
     conn = connection()
     probe = DirectionCache.build(GRID, CUT.modes(GRID)[:4], policy="exact")
     with pytest.raises(StructuralError):
         WaveOperator(PhaseFamily(conn, +1, 0.25, probe), CUT)
-
-
-def test_dump_phase_field_records_direction(tmp_path):
-    from cronlab.fieldio import read_field
-    from cronlab.parametrix import dump_phase_field
-    conn = connection()
-    w = np.array([0.6, 0.8])
-    fam = build_phase(conn, w, +1, 0.25)
-    path = tmp_path / "phase.crnl"
-    dump_phase_field(path, fam, 0.4, 0)
-    back, ext = read_field(path)
-    assert np.allclose(ext[:2], w)
-    assert abs(ext[2] - 0.4) < 1e-15
-    assert np.abs(back.phys_values.real - fam.psi(0.4, 0)).max() < 1e-15
 
 
 def test_unitarity_scan_report():
@@ -651,7 +557,7 @@ def test_apply_builds_no_derivative_fields(monkeypatch):
     fam = PhaseFamily(connection(), +1, 0.25, small_cache())
     WaveOperator(fam, CUT).apply(0.4, annulus_coeffs())
     sl = fam.slice_at(0.4, 0)
-    assert not {"psi_t", "grad", "box"} & set(vars(sl))
+    assert not {"psi_t", "grad"} & set(vars(sl))
     calls = _counting_ifftn(monkeypatch)
     sl.grad
     assert len(calls) == GRID.n and "grad" in vars(sl)

@@ -14,11 +14,16 @@ Layout (all little-endian):
 
 The extension block carries per-field metadata such as a direction vector;
 plain fields write an empty block.
+
+``atomic_open`` is the one way cronlab writes a file: through a temporary file
+in the target's directory that replaces the target only once fully written.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -30,10 +35,29 @@ VERSION = 1
 _HEADER = struct.Struct("<4sIIIdBI")
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """A file open for writing ("w" for text, "wb" for bytes) that replaces
+    path when the block ends normally.  The directory is created if needed;
+    if the block raises, path is left as it was and the temporary file is
+    removed.  The file gets the permissions a plain open would give it."""
+    path = os.path.abspath(path)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_field(path, field: ScalarField, extension=()) -> None:
     ext = np.asarray(extension, dtype=np.float64)
     rep_flag = 1 if field.rep == FREQUENCY else 0
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, field.grid.n, field.grid.N,
                               field.grid.L, rep_flag, ext.size))
         if ext.size:

@@ -15,7 +15,6 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -33,6 +32,7 @@ from .gauge import Direction, coulomb_gain_ratio, leray_project, null_form_check
 from . import mkg
 from . import parametrix as pmx
 from .exponents import exponents, sigma_window
+from .fieldio import atomic_open
 from .random_fields import (flat_spectrum_field, packet_field, random_divergence_free,
                             random_field, stream)
 
@@ -180,20 +180,8 @@ def write_scan_csv(path, rows, config_hash: str) -> None:
         lines.append(",".join(_fmt(v) for v in
                               (r.experiment, r.n, r.N, r.L, r.param, r.seed,
                                r.lhs, r.rhs, r.ratio)))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _atomic_write(path, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def worker_count() -> int:
@@ -904,16 +892,17 @@ def run(config: ExperimentConfig):
     Returns (records, paths).  Exit-status handling lives in the CLI."""
     config = config.validate()
     worker_count()              # a bad CRONLAB_THREADS fails before any output
-    out_dir = config.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = config.out_dir    # created by the first write, so a failed suite leaves none
     records, rows = EXPERIMENTS[config.experiment](config)
     chash = config.config_hash()
     csv_path = os.path.join(out_dir, f"{config.experiment}.csv")
     write_scan_csv(csv_path, rows, chash)
     summary_path = os.path.join(out_dir, "summary.json")
-    _atomic_write(summary_path, machine_summary(config, records))
+    with atomic_open(summary_path) as fh:
+        fh.write(machine_summary(config, records))
     report_path = os.path.join(out_dir, "report.txt")
-    _atomic_write(report_path, report_text(records, chash))
+    with atomic_open(report_path) as fh:
+        fh.write(report_text(records, chash))
     return records, {"csv": csv_path, "summary": summary_path, "report": report_path}
 
 

@@ -112,22 +112,9 @@ def _check_band(grid: GridSpec, k: int, band_range: BandRange | None):
                              f"{br.k_min}..{br.k_max}")
 
 
-def project_leq(f: ScalarField, k: int, band_range=None) -> ScalarField:
-    _check_band(f.grid, k, band_range)
-    return apply_multiplier(f, leq_symbol(f.grid, k))
-
-
 def project_band(f: ScalarField, k: int, band_range=None) -> ScalarField:
     _check_band(f.grid, k, band_range)
     return apply_multiplier(f, band_symbol(f.grid, k))
-
-
-def project_range(f: ScalarField, k1: int, k2: int, band_range=None) -> ScalarField:
-    """Telescoped sum of bands k1..k2: P_{<=k2} - P_{<=k1-1}."""
-    _check_band(f.grid, k1, band_range)
-    _check_band(f.grid, k2, band_range)
-    sym = leq_symbol(f.grid, k2) - leq_symbol(f.grid, k1 - 1)
-    return apply_multiplier(f, sym)
 
 
 def restrict_annulus(f: ScalarField, r_lo: float, r_hi: float) -> ScalarField:

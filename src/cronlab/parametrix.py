@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -188,6 +188,7 @@ class DirectionCache:
     Exact mode: one direction per primitive integer vector.  Bucketed mode:
     greedy clustering to representatives within eta_dir/2, used when the shell
     carries more distinct directions than per-direction FFTs can afford.
+    ``bucket_index[b]`` holds the flat grid indices of bucket b's modes.
     The geometry is read-only after construction; ``multipliers`` memoizes the
     phase multipliers of the families built on the cache (a concurrent first
     build computes the same arrays twice, never different ones).
@@ -199,13 +200,9 @@ class DirectionCache:
         self.directions = directions
         self.assignment = assignment
         self.eta_dir = eta_dir
-        self.multipliers = {}     # (grid, band range, sigma) -> (ws, leqs)
+        self.multipliers = {}     # (grid, band range, sigma) -> _Multipliers
         self.flat_index = np.ravel_multi_index((modes % grid.N).T, grid.shape)
-        self.bucket_masks = []
-        for b in range(len(directions)):
-            mask = np.zeros(grid.num_points, dtype=bool)
-            mask[self.flat_index[assignment == b]] = True
-            self.bucket_masks.append(mask.reshape(grid.shape))
+        self.bucket_index = [self.flat_index[assignment == b] for b in range(len(directions))]
 
     @property
     def num_buckets(self) -> int:
@@ -276,41 +273,70 @@ def _ifft(grid: GridSpec, F: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(F) / grid.cell_volume
 
 
+def _scatter(grid: GridSpec, idx, vals) -> np.ndarray:
+    """The complex grid array holding vals at the flat indices idx, zero elsewhere."""
+    out = np.zeros(grid.num_points, dtype=np.complex128)
+    out[idx] = vals
+    return out.reshape(grid.shape)
+
+
 def _dot_omega(stacked, w_dir) -> np.ndarray:
     return sum(stacked[j] * w_dir[j] for j in range(len(w_dir)))
 
 
+class _Multipliers(NamedTuple):
+    """The time-independent phase multipliers of one (grid, band range, sigma),
+    per direction bucket, on the band support: the flat indices where some
+    P_k of the range is nonzero.  Both multipliers vanish off it."""
+
+    support: np.ndarray
+    ws: tuple          # inv sum_k P_k Pi_{omega, > theta_k}
+    leqs: tuple        # sum_k P_k Pi_{omega, <= theta_k}
+    xi_dots: tuple     # xi . omega
+
+
 class PhaseSlice:
-    """One direction's phase at one time (physical arrays).
+    """One direction's phase at one time.
 
-    psi is computed at construction; psi_t and grad on first access.  A slice
-    holds the connection samples and the multiplier it was built from, never
-    its family, so a dropped family is freed at once."""
+    Holds the phase factor e^{2 pi i psi} on the grid and the phase symbol on
+    the band support.  psi, psi_t and grad are recomputed from the support on
+    each access, one transform per field, so a caller binds them once.  A
+    slice holds the connection samples and the multiplier it was built from,
+    never its family, so a dropped family is freed at once."""
 
-    def __init__(self, grid: GridSpec, sign: int, w_dir, W, samples):
-        self._grid, self._sign, self._w_dir, self._W = grid, sign, w_dir, W
-        self._samples = samples        # (A, A_t, A_tt) at the slice's time
-        psi_c = _ifft(grid, self._lift(0))
+    def __init__(self, grid: GridSpec, support, sign: int, w_dir, xi_dot, W, samples):
+        self._grid, self._support, self._sign = grid, support, sign
+        self._w_dir, self._xi_dot, self._W = w_dir, xi_dot, W
+        self._samples = samples        # (A, A_t, A_tt) at the slice's time, on the support
+        self._psi_hat = self._lift(0)
+        psi_c = self._field(self._psi_hat)
         scale = max(np.abs(psi_c).max(), 1e-300)
         self.imag_defect = float(np.abs(psi_c.imag).max() / scale)
-        self.psi = psi_c.real
+        self.phase = np.exp(2j * np.pi * psi_c.real)
 
     def _lift(self, i: int) -> np.ndarray:
         """W (i xi.omega X.omega + (s / 2 pi) Y.omega) for (X, Y) = samples i, i + 1:
-        the phase symbol of a field and its time derivative."""
+        the phase symbol of a field and its time derivative, on the support."""
         X, Y = self._samples[i], self._samples[i + 1]
-        dot = np.tensordot(self._w_dir, self._grid.xi, axes=(0, 0))
-        return self._W * (1j * dot * _dot_omega(X, self._w_dir)
+        return self._W * (1j * self._xi_dot * _dot_omega(X, self._w_dir)
                           + (self._sign / (2.0 * np.pi)) * _dot_omega(Y, self._w_dir))
 
-    @cached_property
-    def psi_t(self) -> np.ndarray:
-        return _ifft(self._grid, self._lift(1)).real
+    def _field(self, vals) -> np.ndarray:
+        """The grid field of a symbol given on the support."""
+        return _ifft(self._grid, _scatter(self._grid, self._support, vals))
 
-    @cached_property
+    @property
+    def psi(self) -> np.ndarray:
+        return self._field(self._psi_hat).real
+
+    @property
+    def psi_t(self) -> np.ndarray:
+        return self._field(self._lift(1)).real
+
+    @property
     def grad(self) -> tuple:
-        psi_hat = self._lift(0)
-        return tuple(_ifft(self._grid, 2j * np.pi * self._grid.xi[j] * psi_hat).real
+        xi, support = self._grid.xi, self._support
+        return tuple(self._field(2j * np.pi * xi[j].ravel()[support] * self._psi_hat).real
                      for j in range(self._grid.n))
 
 
@@ -322,9 +348,10 @@ class PhaseFamily:
     the connection within a few octaves of the data shell; the defect identity
     is exact for any angles).  The combined time-independent multipliers
     (inverse transverse Laplacian against the kept sectors, and the
-    complementary kept-small-angle sum) are built per direction once for each
-    direction cache and shared by every family on it.  Phase slices are kept
-    for the most recent time only; a call at a new time drops them.
+    complementary kept-small-angle sum) live on the band support, are built
+    per direction once for each direction cache and are shared by every family
+    on it.  Phase slices are kept for the most recent time only; a call at a
+    new time drops them.
     """
 
     def __init__(self, conn: FreeConnection, sign: int, sigma: float,
@@ -338,45 +365,51 @@ class PhaseFamily:
         self.sigma = sigma
         self.cache = cache
         self.thetas = {k: min(2.0 ** (sigma * k), THETA_MAX) for k in conn.band_range}
-        self._w, self._leq = _premultipliers or self._shared_multipliers()
+        self._support, self._w, self._leq, self._xi_dot = \
+            _premultipliers or self._shared_multipliers()
         self._t = None
-        self._samples = None     # connection samples at time _t
+        self._samples = None     # connection samples at time _t, on the support
         self._table = {}         # bucket -> PhaseSlice at time _t
         self.max_imag_defect = 0.0
 
-    def _shared_multipliers(self):
+    def _shared_multipliers(self) -> _Multipliers:
         key = (self.grid, self.conn.band_range, self.sigma)
         if key not in self.cache.multipliers:
             grid = self.grid
             theta_min = min(self.thetas.values()) / 4.0
-            ws, leqs = [], []
+            pks = {k: band_symbol(grid, k) for k in self.conn.band_range}
+            support = np.flatnonzero(np.logical_or.reduce([pk != 0 for pk in pks.values()]))
+            ws, leqs, dots = [], [], []
             for w_dir in self.cache.directions:
                 inv = transverse_inverse_symbol(grid, w_dir, theta_min)
                 S_g = np.zeros(grid.shape, dtype=np.complex128)
                 S_l = np.zeros(grid.shape, dtype=np.complex128)
-                for k in self.conn.band_range:
-                    pk = band_symbol(grid, k)
+                for k, pk in pks.items():
                     gk = greater_symbol(grid, w_dir, self.thetas[k])
                     S_g += pk * gk
                     S_l += pk * (1.0 - gk)
-                ws.append(inv * S_g)
-                leqs.append(S_l)
-            self.cache.multipliers[key] = (tuple(ws), tuple(leqs))
+                ws.append((inv * S_g).ravel()[support])
+                leqs.append(S_l.ravel()[support])
+                dots.append(np.tensordot(w_dir, grid.xi, axes=(0, 0)).ravel()[support])
+            self.cache.multipliers[key] = _Multipliers(support, tuple(ws), tuple(leqs),
+                                                       tuple(dots))
         return self.cache.multipliers[key]
 
     def _conn_at(self, t: float):
-        """(A, A_t, A_tt) at t; moving to a new time drops the phase table."""
+        """(A, A_t, A_tt) on the support at t; moving to a new time drops the
+        phase table."""
         if t != self._t:
             A, At = self.conn.eval_hat(t)
             Att = self.conn.eval_hat_tt(t)
-            self._t, self._samples, self._table = t, (A, At, Att), {}
+            flat = [X.reshape(self.grid.n, -1)[:, self._support] for X in (A, At, Att)]
+            self._t, self._samples, self._table = t, tuple(flat), {}
         return self._samples
 
     def slice_at(self, t: float, b: int) -> PhaseSlice:
         samples = self._conn_at(t)
         if b not in self._table:
-            sl = PhaseSlice(self.grid, self.sign, self.cache.directions[b], self._w[b],
-                            samples)
+            sl = PhaseSlice(self.grid, self._support, self.sign, self.cache.directions[b],
+                            self._xi_dot[b], self._w[b], samples)
             self.max_imag_defect = max(self.max_imag_defect, sl.imag_defect)
             self._table[b] = sl
         return self._table[b]
@@ -388,11 +421,14 @@ class PhaseFamily:
         """L_omega^{-s} psi_s = omega.grad psi - s d_t psi (the defect operator)."""
         sl = self.slice_at(t, b)
         w_dir = self.cache.directions[b]
-        return sum(w_dir[j] * sl.grad[j] for j in range(self.grid.n)) - self.sign * sl.psi_t
+        grad = sl.grad
+        return sum(w_dir[j] * grad[j] for j in range(self.grid.n)) - self.sign * sl.psi_t
 
     def with_multipliers(self, ws, leqs) -> "PhaseFamily":
+        """The family with its own multipliers, given on the band support."""
         return PhaseFamily(self.conn, self.sign, self.sigma, self.cache,
-                           _premultipliers=(list(ws), list(leqs)))
+                           _premultipliers=_Multipliers(self._support, tuple(ws),
+                                                        tuple(leqs), self._xi_dot))
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +450,10 @@ def phase_defect(family: PhaseFamily, times) -> DefectReport:
     built phase's analytic derivatives, the right through fresh projections).
     """
     grid = family.grid
+    support = family._support
     out = []
     for t in times:
-        A, _, _ = family._conn_at(t)
+        A, _ = family.conn.eval_hat(t)
         worst = 0.0
         for b in range(family.cache.num_buckets):
             w_dir = family.cache.directions[b]
@@ -424,7 +461,8 @@ def phase_defect(family: PhaseFamily, times) -> DefectReport:
             Aw = _dot_omega(A, w_dir)
             aw_field = _ifft(grid, Aw).real
             lhs = lhs + aw_field
-            rhs = _ifft(grid, family._leq[b] * Aw).real
+            leq_aw = family._leq[b] * Aw.ravel()[support]
+            rhs = _ifft(grid, _scatter(grid, support, leq_aw)).real
             num = np.linalg.norm(lhs - rhs)
             # both sides can vanish identically (on-axis directions see no
             # small-angle energy); normalize against the driving field too
@@ -452,39 +490,44 @@ class WaveOperator:
         self.cutoff = cutoff.validate(self.grid)
         self.a_sym = cutoff.symbol(self.grid)
         self.cache = family.cache
+        a_flat = self.a_sym.ravel()
         if check_cover:
-            covered = np.logical_or.reduce(self.cache.bucket_masks)
-            if np.any((self.a_sym > 0) & ~covered):
+            covered = np.zeros(self.grid.num_points, dtype=bool)
+            covered[self.cache.flat_index] = True
+            if np.any((a_flat > 0) & ~covered):
                 raise StructuralError("direction cache does not cover the cutoff support; "
                                       "build it from cutoff.modes(grid)")
+        # (b, flat indices, a(xi), |xi|) per bucket; a(xi) zeroes the others
+        xi_norm = self.grid.xi_norm.ravel()
+        self._live = [(b, idx, a_flat[idx], xi_norm[idx])
+                      for b, idx in enumerate(self.cache.bucket_index) if a_flat[idx].any()]
 
     @property
     def sign(self) -> int:
         return self.family.sign
 
-    def half_wave_phase(self, t: float) -> np.ndarray:
-        return np.exp(self.sign * 2j * np.pi * t * self.grid.xi_norm)
-
     def coefficient_norm(self, h: np.ndarray) -> float:
         return gr.frequency_l2(self.grid, h)
 
-    def _weighted(self, t: float, h) -> np.ndarray:
-        return np.asarray(h, dtype=np.complex128) * self.a_sym * self.half_wave_phase(t)
+    def _half_wave(self, t: float, r) -> np.ndarray:
+        return np.exp(self.sign * 2j * np.pi * t * r)
 
-    def _buckets(self, base: np.ndarray):
-        """(b, mask, c) per direction bucket, c = base restricted to the bucket;
+    def _buckets(self, t: float, h):
+        """(b, idx, r, c) per direction bucket: its flat indices, |xi| there and
+        the weighted coefficients c = h a(xi) e^{s 2 pi i t |xi|} there;
         buckets where c vanishes are skipped."""
-        for b, mask in enumerate(self.cache.bucket_masks):
-            c = np.where(mask, base, 0.0)
-            if np.abs(c).any():
-                yield b, mask, c
+        h = np.broadcast_to(np.asarray(h, dtype=np.complex128), self.grid.shape).ravel()
+        for b, idx, a, r in self._live:
+            c = h[idx] * a * self._half_wave(t, r)
+            if c.any():
+                yield b, idx, r, c
 
     def apply(self, t: float, h: np.ndarray) -> ScalarField:
         grid = self.grid
         out = np.zeros(grid.shape, dtype=np.complex128)
-        for b, _, c in self._buckets(self._weighted(t, h)):
-            part = _ifft(grid, c)
-            out += np.exp(2j * np.pi * self.family.psi(t, b)) * part
+        for b, idx, _, c in self._buckets(t, h):
+            part = _ifft(grid, _scatter(grid, idx, c))
+            out += self.family.slice_at(t, b).phase * part
         return ScalarField(grid, out, time_tag=t)
 
     def apply_dt(self, t: float, h: np.ndarray) -> ScalarField:
@@ -493,25 +536,24 @@ class WaveOperator:
         grid = self.grid
         out = np.zeros(grid.shape, dtype=np.complex128)
         two_pi_i = 2j * np.pi
-        for b, _, c in self._buckets(self._weighted(t, h)):
-            part0 = _ifft(grid, c)
-            part1 = _ifft(grid, grid.xi_norm * c)
+        for b, idx, r, c in self._buckets(t, h):
+            part0 = _ifft(grid, _scatter(grid, idx, c))
+            part1 = _ifft(grid, _scatter(grid, idx, r * c))
             sl = self.family.slice_at(t, b)
-            phase = np.exp(two_pi_i * sl.psi)
-            out += phase * (two_pi_i * sl.psi_t * part0 + self.sign * two_pi_i * part1)
+            out += sl.phase * (two_pi_i * sl.psi_t * part0 + self.sign * two_pi_i * part1)
         return ScalarField(grid, out, time_tag=t)
 
     def apply_adjoint(self, t: float, f: ScalarField) -> np.ndarray:
-        """h(xi) = conj(half-wave) a(xi) FFT[e^{-2 pi i psi} f](xi); the exact
-        adjoint of apply under the lattice inner products; buckets off the
-        cutoff support are skipped, since a(xi) zeroes them."""
+        """h(xi) = conj(half-wave) a(xi) FFT[e^{-2 pi i psi} f](xi) per bucket;
+        the exact adjoint of apply under the lattice inner products."""
         grid = self.grid
         fv = f.phys_values
-        out = np.zeros(grid.shape, dtype=np.complex128)
-        for b, mask, _ in self._buckets(self.a_sym):
-            g = np.fft.fftn(np.exp(-2j * np.pi * self.family.psi(t, b)) * fv) * grid.cell_volume
-            out += np.where(mask, g, 0.0)
-        return np.conj(self.half_wave_phase(t)) * self.a_sym * out
+        out = np.zeros(grid.num_points, dtype=np.complex128)
+        for b, idx, a, r in self._live:
+            phase = self.family.slice_at(t, b).phase
+            g = np.fft.fftn(np.conj(phase) * fv) * grid.cell_volume
+            out[idx] += np.conj(self._half_wave(t, r)) * a * g.ravel()[idx]
+        return out.reshape(grid.shape)
 
     def gradient_commutation_defect(self, t: float, h: np.ndarray) -> float:
         """||grad(U h) - U(2 pi i xi h)||_2 / ||h||_2."""
@@ -626,21 +668,22 @@ def covariant_box_amplitude(op: WaveOperator, t: float, h) -> ScalarField:
     A = fam.conn.field(t)
     Avals = [c.phys_values.real for c in A.components]
     out = np.zeros(grid.shape, dtype=np.complex128)
-    for b, _, c in op._buckets(op._weighted(t, h)):
-        part0 = _ifft(grid, c)
-        part1 = _ifft(grid, grid.xi_norm * c)
-        parts2 = [_ifft(grid, grid.xi[j] * c) for j in range(grid.n)]
+    for b, idx, r, c in op._buckets(t, h):
+        part0 = _ifft(grid, _scatter(grid, idx, c))
+        part1 = _ifft(grid, _scatter(grid, idx, r * c))
+        parts2 = [_ifft(grid, _scatter(grid, idx, grid.xi[j].ravel()[idx] * c))
+                  for j in range(grid.n)]
         sl = fam.slice_at(t, b)
+        grad, psi_t = sl.grad, sl.psi_t
         w_dir = fam.cache.directions[b]
-        null_op = sum(w_dir[j] * sl.grad[j] for j in range(grid.n)) - fam.sign * sl.psi_t
-        alpha = (2.0 * np.pi * (sl.psi_t ** 2 - sum(g ** 2 for g in sl.grad))
-                 - 2.0 * sum(Avals[j] * sl.grad[j] for j in range(grid.n)))
+        null_op = sum(w_dir[j] * grad[j] for j in range(grid.n)) - fam.sign * psi_t
+        alpha = (2.0 * np.pi * (psi_t ** 2 - sum(g ** 2 for g in grad))
+                 - 2.0 * sum(Avals[j] * grad[j] for j in range(grid.n)))
         beta = -4.0 * np.pi * null_op
-        phase = np.exp(2j * np.pi * sl.psi)
         acc = alpha * part0 + beta * part1
         for j in range(grid.n):
             acc += -2.0 * Avals[j] * parts2[j]
-        out += phase * acc
+        out += sl.phase * acc
     return ScalarField(grid, 2.0 * np.pi * out, time_tag=t)
 
 
@@ -768,16 +811,17 @@ def split_phase_at(family: PhaseFamily, theta_star: float):
     if theta_star <= 0:
         raise ParameterError("theta_star must be positive")
     grid = family.grid
+    support = family._support
+    theta_min = min(family.thetas.values()) / 4.0
+    pks = {k: band_symbol(grid, k) for k in family.conn.band_range}
     ws_low, ws_high = [], []
     defect = 0.0
     for b, w_dir in enumerate(family.cache.directions):
-        theta_min = min(family.thetas.values()) / 4.0
         inv = transverse_inverse_symbol(grid, w_dir, theta_min)
         low = np.zeros(grid.shape, dtype=np.complex128)
         high = np.zeros(grid.shape, dtype=np.complex128)
-        for k in family.conn.band_range:
+        for k, pk in pks.items():
             theta_k = family.thetas[k]
-            pk = band_symbol(grid, k)
             g_base = greater_symbol(grid, w_dir, theta_k)
             # largest dyadic angle still below theta_star
             theta_edge = theta_k
@@ -790,10 +834,11 @@ def split_phase_at(family: PhaseFamily, theta_star: float):
                 high += pk * g_edge
             else:
                 high += pk * g_base
-        low *= inv
-        high *= inv
-        scale = max(np.abs(family._w[b]).max(), 1e-300)
-        defect = max(defect, float(np.abs((low + high) - family._w[b]).max() / scale))
+        low = (low * inv).ravel()[support]
+        high = (high * inv).ravel()[support]
+        W = family._w[b]
+        scale = max(np.abs(W).max(initial=0.0), 1e-300)
+        defect = max(defect, float(np.abs((low + high) - W).max(initial=0.0) / scale))
         ws_low.append(low)
         ws_high.append(high)
     fam_low = family.with_multipliers(ws_low, family._leq)

@@ -3,7 +3,7 @@ import pytest
 
 from cronlab.cli import main as cli_main
 from cronlab.errors import PreconditionError, StructuralError
-from cronlab.fieldio import MAGIC, read_field, write_field
+from cronlab.fieldio import MAGIC, atomic_open, read_field, write_field
 from cronlab.grid import GridSpec, relative_l2_difference
 from cronlab.random_fields import random_field, stream
 
@@ -64,6 +64,36 @@ def test_short_files_raise_structural_error(tmp_path):
             read_field(path)
     with pytest.raises(PreconditionError):
         read_field(tmp_path / "missing.crnl")
+
+
+def test_failed_write_leaves_earlier_file(tmp_path):
+    g = GridSpec(2, 8, 2.0)
+    path = tmp_path / "snap.crnl"
+    write_field(path, random_field(g, stream(9, 4)).in_physical())
+    before = path.read_bytes()
+
+    class Unwritable:               # the header goes out, then the values fail
+        grid, rep = g, "physical"
+
+        @property
+        def values(self):
+            raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        write_field(path, Unwritable())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["snap.crnl"]
+
+
+def test_atomic_write_keeps_default_permissions(tmp_path):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("x")
+    for mode, data in (("w", "x"), ("wb", b"x")):
+        path = tmp_path / "sub" / f"atomic-{mode}"
+        with atomic_open(path, mode) as fh:
+            fh.write(data)
+        assert path.stat().st_mode == plain.stat().st_mode
+    assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == ["atomic-w", "atomic-wb"]
 
 
 def test_cli_dump_field_bad_files(tmp_path, capsys):

@@ -259,6 +259,8 @@ BAD_CONFIGS = {
     "zero_t_max.json": '{"experiment": "mkg-evolve", "t_max": 0.0}',
     "neg_t_max.json": '{"experiment": "parametrix-residual", "t_max": -1}',
     "nan_eps.json": '{"experiment": "unitarity", "eps_list": [0.1, NaN]}',
+    "odd_N.json": '{"experiment": "lp-suite", "N": 7}',
+    "wrap_t_max.json": '{"experiment": "parametrix-residual", "t_max": 3.95}',
 }
 BAD_SUMMARIES = {
     "list_summary": "[]",
@@ -278,7 +280,10 @@ BAD_SUMMARIES = {
     (["run", "--config", "neg_t_max.json"], "t_max=-1"),
     (["run", "--config", "nan_eps.json"], "eps values"),
     (["dump-field", "inf_L.crnl"], "L=inf"),
-] + [(["report", name], name) for name in BAD_SUMMARIES])
+] + [(["report", name], name) for name in BAD_SUMMARIES] + [
+    (["run", "--config", "odd_N.json"], "N=7"),
+    (["run", "--config", "wrap_t_max.json"], "wrap limit"),
+])
 def test_cli_maps_bad_input_to_exit_2(tmp_path, monkeypatch, capsys, argv, needle):
     monkeypatch.chdir(tmp_path)
     for name, text in BAD_CONFIGS.items():

@@ -8,7 +8,7 @@ from cronlab.grid import (GridSpec, ScalarField, constant_field, lebesgue_norm, 
                           plane_wave, relative_l2_difference, sobolev_norm, to_physical)
 from cronlab.lp import (BandRange, DEFAULT_BUMP, SpacetimeField, bernstein_ratio,
                         besov_norm, commutator_field, commutator_ratio, fit_loglog,
-                        project_band, project_leq, project_range, restrict_annulus,
+                        project_band, restrict_annulus,
                         spacetime_norm, spacetime_product_ratio)
 from cronlab.random_fields import (flat_spectrum_field, packet_field,
                                    random_field, stream)
@@ -80,8 +80,6 @@ def test_partition_of_unity_on_annulus():
     for k in range(br.k_min + 1, br.k_max + 1):
         total = total + project_band(f, k)
     assert relative_l2_difference(total, f) < 1e-12
-    ranged = project_range(f, br.k_min, br.k_max)
-    assert relative_l2_difference(ranged, f) < 1e-12
 
 
 def test_out_of_range_band_errors():
@@ -89,8 +87,6 @@ def test_out_of_range_band_errors():
     f = random_field(g, stream(10, 2))
     with pytest.raises(ParameterError):
         project_band(f, 9)
-    with pytest.raises(ParameterError):
-        project_leq(f, -5)
 
 
 def test_projections_commute_with_multipliers():

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from cronlab.errors import ParameterError, PreconditionError, StructuralError
+from cronlab.gauge import greater_symbol, transverse_inverse_symbol
 from cronlab.grid import (GridSpec, ScalarField, inner_product, lebesgue_norm,
                           relative_l2_difference, to_physical)
-from cronlab.lp import BandRange, SpacetimeField, fit_loglog, spacetime_norm
+from cronlab.lp import BandRange, SpacetimeField, band_symbol, fit_loglog, spacetime_norm
 from cronlab.parametrix import (AnnulusCutoff, DirectionCache, FreeConnection, PhaseFamily,
                                 WaveOperator, bucketing_error, covariant_box_amplitude,
                                 decomposable_surrogate, dispersive_scan, match_data,
@@ -180,7 +181,9 @@ def test_amplitude_leading_order_cancellation():
     lead = lead - 2.0 * sum(A.components[j].phys_values.real * xi[j] for j in range(2))
     Ah, _ = conn.eval_hat(t)
     Aw = sum(Ah[j] * w[j] for j in range(2))
-    rhs_hat = fam._leq[0] * Aw
+    rhs_hat = np.zeros(GRID.num_points, dtype=complex)
+    rhs_hat[fam._support] = fam._leq[0] * Aw.ravel()[fam._support]
+    rhs_hat = rhs_hat.reshape(GRID.shape)
     rhs = -2.0 * r * np.fft.ifftn(rhs_hat).real / GRID.cell_volume
     scale = max(np.linalg.norm(
         sum(A.components[j].phys_values.real * xi[j] for j in range(2))), 1e-300)
@@ -224,6 +227,8 @@ def test_apply_linearity():
     lhs = op.apply(t, h1 + 2.0 * h2)
     rhs = ScalarField(GRID, op.apply(t, h1).phys_values + 2.0 * op.apply(t, h2).phys_values)
     assert relative_l2_difference(lhs, rhs) < 1e-12
+    with pytest.raises(ValueError):
+        op.apply(t, h1[:, :10])          # coefficients must cover the lattice
 
 
 def test_adjoint_identity():
@@ -533,8 +538,8 @@ def _counting_ifftn(monkeypatch):
 
 
 def _live_buckets(op, h):
-    base = np.asarray(h) * op.a_sym
-    return sum(1 for m in op.cache.bucket_masks if np.abs(np.where(m, base, 0.0)).any())
+    base = (np.asarray(h) * op.a_sym).ravel()
+    return sum(1 for idx in op.cache.bucket_index if base[idx].any())
 
 
 def test_repeat_apply_at_same_time_reuses_phases(monkeypatch):
@@ -555,14 +560,19 @@ def test_repeat_apply_at_same_time_reuses_phases(monkeypatch):
 
 def test_apply_builds_no_derivative_fields(monkeypatch):
     fam = PhaseFamily(connection(), +1, 0.25, small_cache())
-    WaveOperator(fam, CUT).apply(0.4, annulus_coeffs())
-    sl = fam.slice_at(0.4, 0)
-    assert not {"psi_t", "grad"} & set(vars(sl))
+    op = WaveOperator(fam, CUT)
+    h = annulus_coeffs()
     calls = _counting_ifftn(monkeypatch)
-    sl.grad
-    assert len(calls) == GRID.n and "grad" in vars(sl)
-    sl.grad
-    assert len(calls) == GRID.n
+    op.apply(0.4, h)
+    assert len(calls) == 2 * _live_buckets(op, h)     # no psi_t, no grad
+    sl = fam.slice_at(0.4, 0)
+    for _ in range(2):                   # recomputed on each access, never cached
+        del calls[:]
+        sl.grad
+        assert len(calls) == GRID.n
+    del calls[:]
+    sl.psi_t
+    assert len(calls) == 1
 
 
 def test_lazy_derivative_fields_match_family_defect_identity():
@@ -570,19 +580,110 @@ def test_lazy_derivative_fields_match_family_defect_identity():
     rep = phase_defect(fam, [0.0, 0.7])
     assert rep.max_residual < 1e-10
     sl = fam.slice_at(0.7, 1)
-    assert {"psi_t", "grad"} <= set(vars(sl))
+    assert not {"psi", "psi_t", "grad"} & set(vars(sl))
 
 
 def test_families_on_one_cache_share_multipliers():
     cache = small_cache()
     fam_a = PhaseFamily(connection(1e-2), +1, 0.25, cache)
     fam_b = PhaseFamily(connection(3e-2, seed=70), -1, 0.25, cache)
+    assert fam_a._support is fam_b._support
     assert all(wa is wb for wa, wb in zip(fam_a._w, fam_b._w))
     assert all(la is lb for la, lb in zip(fam_a._leq, fam_b._leq))
     other_sigma = PhaseFamily(connection(), +1, 0.3, cache)
     assert other_sigma._w[0] is not fam_a._w[0]
     own = fam_a.with_multipliers([2.0 * w for w in fam_a._w], fam_a._leq)
     assert own._w[0] is not fam_a._w[0]
+    assert own._support is fam_a._support
+
+
+def _band_support(grid=GRID, band=BAND):
+    return np.flatnonzero(sum(band_symbol(grid, k) for k in band) != 0)
+
+
+def test_multipliers_live_on_band_support():
+    cache = small_cache()
+    fam = PhaseFamily(connection(), +1, 0.25, cache)
+    S = _band_support()
+    assert np.array_equal(fam._support, S) and len(S) < GRID.num_points // 50
+    stored = sum(a.nbytes for a in fam._w + fam._leq)
+    assert stored <= 2 * cache.num_buckets * len(S) * 16
+
+
+def _full_grid_w(fam, b):
+    """inv sum_k P_k Pi_{omega, > theta_k} on the whole grid (the reference)."""
+    grid, w_dir = fam.grid, fam.cache.directions[b]
+    inv = transverse_inverse_symbol(grid, w_dir, min(fam.thetas.values()) / 4.0)
+    S_g = np.zeros(grid.shape, dtype=np.complex128)
+    for k in fam.conn.band_range:
+        S_g += band_symbol(grid, k) * greater_symbol(grid, w_dir, fam.thetas[k])
+    return inv * S_g
+
+
+def test_psi_matches_full_grid_formula():
+    conn = connection()
+    cache = small_cache()
+    t = 0.6
+    A, At = conn.eval_hat(t)
+    for sign in (+1, -1):
+        fam = PhaseFamily(conn, sign, 0.25, cache)
+        for b in range(0, cache.num_buckets, 11):
+            w_dir = cache.directions[b]
+            W = _full_grid_w(fam, b)
+            off = np.ones(GRID.num_points, dtype=bool)
+            off[fam._support] = False
+            assert not W.ravel()[off].any()
+            assert np.array_equal(fam._w[b], W.ravel()[fam._support])
+            dot = np.tensordot(w_dir, GRID.xi, axes=(0, 0))
+            Aw = sum(A[j] * w_dir[j] for j in range(GRID.n))
+            Atw = sum(At[j] * w_dir[j] for j in range(GRID.n))
+            psi_hat = W * (1j * dot * Aw + (sign / (2.0 * np.pi)) * Atw)
+            ref = (np.fft.ifftn(psi_hat) / GRID.cell_volume).real
+            assert np.array_equal(fam.psi(t, b), ref)
+
+
+def test_apply_and_adjoint_match_bucket_sum_formula():
+    cache = small_cache()
+    h = annulus_coeffs(90)
+    rng = stream(91, 0)
+    f = rng.standard_normal(GRID.shape) + 1j * rng.standard_normal(GRID.shape)
+    a = CUT.symbol(GRID)
+    t = 0.45
+    for sign in (+1, -1):
+        fam = PhaseFamily(connection(), sign, 0.25, cache)
+        op = WaveOperator(fam, CUT)
+        half_wave = np.exp(sign * 2j * np.pi * t * GRID.xi_norm)
+        weighted = np.asarray(h, dtype=complex) * a * half_wave
+        ref = np.zeros(GRID.shape, dtype=complex)
+        ref_adj = np.zeros(GRID.shape, dtype=complex)
+        for b, idx in enumerate(cache.bucket_index):
+            mask = np.zeros(GRID.num_points, dtype=bool)
+            mask[idx] = True
+            mask = mask.reshape(GRID.shape)
+            psi = fam.psi(t, b)
+            c = np.where(mask, weighted, 0.0)
+            ref += np.exp(2j * np.pi * psi) * (np.fft.ifftn(c) / GRID.cell_volume)
+            g = np.fft.fftn(np.exp(-2j * np.pi * psi) * f) * GRID.cell_volume
+            ref_adj += np.where(mask, g, 0.0)
+        ref_adj = np.conj(half_wave) * a * ref_adj
+        assert np.array_equal(op.apply(t, h).phys_values, ref)
+        assert np.array_equal(op.apply_adjoint(t, ScalarField(GRID, f)), ref_adj)
+
+
+def test_second_apply_takes_no_full_grid_exponential(monkeypatch):
+    op = WaveOperator(PhaseFamily(connection(), +1, 0.25, small_cache()), CUT)
+    h = annulus_coeffs()
+    op.apply(0.4, h)
+    sizes = []
+    exp = np.exp
+
+    def counted(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    op.apply(0.4, h)
+    assert sizes and max(sizes) < GRID.num_points
 
 
 def test_dropped_family_is_freed_without_cycle_collection():

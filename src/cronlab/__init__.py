@@ -10,6 +10,14 @@ Layers, bottom up:
 * ``harness``     reproducible experiment suites, CSV artifacts, acceptance records
 """
 
+import os
+
+# One BLAS thread unless the caller set a count: the small matrix products and
+# reductions here wake idle OpenBLAS workers, which then spin.  This must run
+# before numpy is first imported, which loads BLAS and reads the variables.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 from .errors import (ConvergenceError, CronlabError, ParameterError, PreconditionError,
                      SingularSymbolError, StructuralError)
 from .grid import (FREQUENCY, PHYSICAL, GridSpec, ScalarField, VectorField, apply_multiplier,

@@ -612,8 +612,7 @@ def run_parametrix_residual(config: ExperimentConfig):
 
     # (a) dual-path Richardson
     conn = make_free_connection(grid, band, 1e-2, seed)
-    fam = pmx.PhaseFamily(conn, +1, config.sigma, cache)
-    op = pmx.WaveOperator(fam, cut)
+    op = pmx.WaveOperator(pmx.PhaseFamily(conn, +1, config.sigma, cache), cut)
     dts = [0.1, 0.05, 0.025, 0.0125]
     diffs = []
     for d in dts:
@@ -621,6 +620,7 @@ def run_parametrix_residual(config: ExperimentConfig):
         diffs.append(float(np.mean(rr.mutual_differences)))
         rows.append(ScanRow("parametrix-residual", grid.n, grid.N, grid.L, d, seed,
                             diffs[-1], d ** 2, diffs[-1] / d ** 2))
+    del op                               # its phase table is not read again
     order = fit_loglog(dts, diffs)
     records.append(AcceptanceRecord.bounded("parametrix.dual_path_order", order,
                                             lo=1.8, hi=2.2))
@@ -631,9 +631,8 @@ def run_parametrix_residual(config: ExperimentConfig):
     g2 = random_field(grid, stream(seed, 21), cut.rho, 2 * cut.rho)
     for eps in config.eps_list:
         ce = make_free_connection(grid, band, eps, seed)
-        fp = pmx.PhaseFamily(ce, +1, config.sigma, cache)
-        fm = pmx.PhaseFamily(ce, -1, config.sigma, cache)
-        o1, o2 = pmx.WaveOperator(fp, cut), pmx.WaveOperator(fm, cut)
+        o1, o2 = (pmx.WaveOperator(pmx.PhaseFamily(ce, sign, config.sigma, cache), cut)
+                  for sign in (+1, -1))
         rr = pmx.residual_check(o1, h, tgrid, 0.02)
         m = pmx.match_data(o1, o2, f, g2)
         n2_vals.append(rr.residual_n2)
@@ -641,6 +640,7 @@ def run_parametrix_residual(config: ExperimentConfig):
         rows.append(ScanRow("parametrix-residual", grid.n, grid.N, grid.L, eps, seed,
                             rr.residual_n2, match_vals[-1],
                             rr.residual_n2 / max(match_vals[-1], 1e-300)))
+    del o1, o2
     records.append(AcceptanceRecord.bounded(
         "parametrix.residual_eps_slope", fit_loglog(config.eps_list, n2_vals), lo=0.5))
     records.append(AcceptanceRecord.bounded(
@@ -673,6 +673,7 @@ def run_unitarity(config: ExperimentConfig):
     zconn = pmx.FreeConnection.zero(grid, band)
     zop = pmx.WaveOperator(pmx.PhaseFamily(zconn, +1, config.sigma, cache), cut)
     free_norm = zop.operator_norm_at(float(times[1]), stream(seed, 32), tol=1e-12)
+    del zop                              # its phase table is not read again
     records.append(AcceptanceRecord.bounded("unitarity.free_norm", abs(free_norm - 1.0),
                                             hi=1e-10))
 
@@ -730,6 +731,7 @@ def run_dispersive(config: ExperimentConfig):
                                             lo=-1.15, hi=-0.85))
     for t, v in zip(scan3.taus, scan3.values):
         rows.append(ScanRow("dispersive", 3, 128, 8.0, t, seed, v, t ** (-1.0), v * t))
+    del g3                               # frees its cached 128^3 frequency arrays
 
     # free decay, n = 2
     g2 = GridSpec(2, 512, 16.0)

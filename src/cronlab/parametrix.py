@@ -10,7 +10,10 @@ and the wave operator
 
     (U_s(t) h)(x) = sum_xi  e^{2 pi i psi_s(t,x,omega(xi))} e^{2 pi i x.xi} e^{s 2 pi i t |xi|} h(xi) a(xi) / L^n
 
-as a lattice sum, grouped by frequency direction so each group costs one FFT.
+as a lattice sum, grouped by frequency direction.  Every spectrum here is
+carried by a few modes (the band support of the connection, or one
+direction bucket), so each goes to the grid through a separable
+trigonometric sum over those modes instead of a full-grid FFT.
 Everything downstream (defect identity, amplitude, adjoint, data matching,
 residuals, unitarity and decay scans) is built from these two objects.
 """
@@ -118,10 +121,6 @@ class FreeConnection:
         At = -rho * s * self.a_hat + c * self.adot_hat
         return A, At
 
-    def eval_hat_tt(self, t: float) -> np.ndarray:
-        A, _ = self.eval_hat(t)
-        return -self.rho ** 2 * A
-
     def field(self, t: float) -> VectorField:
         A, _ = self.eval_hat(t)
         comps = tuple(gr.to_physical(ScalarField(self.grid, A[j], rep=FREQUENCY, time_tag=t))
@@ -180,6 +179,72 @@ class AnnulusCutoff:
 
 
 # ---------------------------------------------------------------------------
+# transforms of spectra carried by a few modes
+
+def _dft_table(N: int) -> np.ndarray:
+    """E[k, j] = e^{2 pi i k j / N}, the exponent reduced mod N before scaling."""
+    k = np.arange(N)
+    out = np.exp(2j * np.pi * (np.outer(k, k) % N) / N)
+    out.flags.writeable = False
+    return out
+
+
+def _along(X: np.ndarray, axis: int, mat: np.ndarray) -> np.ndarray:
+    """X with its axis ``axis`` (counted from the end) multiplied by mat (new, old).
+
+    Leading axes only repeat the same matrix product, so a batched call
+    computes each field exactly as a call on that field alone."""
+    if axis == -1:
+        return X @ mat.T
+    a = X.ndim + axis
+    Y = mat @ X.reshape((math.prod(X.shape[:a]), X.shape[a], -1))
+    return Y.reshape(X.shape[:a] + (len(mat),) + X.shape[a + 1:])
+
+
+class _ModeKernel:
+    """The DFT between the grid and spectra carried by a fixed set of flat
+    lattice indices, as a separable trigonometric sum (a pruned DFT: Sorensen
+    & Burrus, IEEE Trans. Signal Process. 41, 1993).
+
+    ``synthesize`` maps values v_m on the indices to the grid field
+    sum_m v_m e^{2 pi i x.xi_m} / L^n, which is IFFT of the scattered spectrum
+    over dx^n, with one small matrix product per axis over that axis's
+    distinct indices.  ``analyze`` is its exact conjugate transpose: the
+    forward DFT times dx^n, evaluated only at the indices.  Leading axes of
+    the input batch several fields in one call.  ``xi`` holds the
+    frequencies (n, M) of the indices.
+    """
+
+    def __init__(self, grid: GridSpec, index: np.ndarray, table: np.ndarray):
+        self.grid = grid
+        self.index = index
+        self.xi = grid.xi.reshape(grid.n, -1)[:, index]
+        per_axis = [np.unique(k, return_inverse=True)
+                    for k in np.unravel_index(index, grid.shape)]
+        self._rows = tuple(u for u, _ in per_axis)
+        self._pos = (Ellipsis,) + tuple(p for _, p in per_axis)
+        self._dense = tuple(len(u) for u in self._rows)
+        # synthesis widens the axis with the most distinct indices first, so
+        # the last product, the one onto the full grid, runs over the fewest
+        self._order = tuple(sorted(range(-grid.n, 0), key=lambda axis: -self._dense[axis]))
+        self._table = table
+
+    def synthesize(self, vals) -> np.ndarray:
+        vals = np.asarray(vals)
+        X = np.zeros(vals.shape[:-1] + self._dense, dtype=np.complex128)
+        X[self._pos] = vals / self.grid.L ** self.grid.n
+        for axis in self._order:
+            X = _along(X, axis, self._table[self._rows[axis]].T)
+        return X
+
+    def analyze(self, f) -> np.ndarray:
+        X = np.asarray(f)
+        for axis in reversed(self._order):
+            X = _along(X, axis, np.conj(self._table[self._rows[axis]]))
+        return X[self._pos] * self.grid.cell_volume
+
+
+# ---------------------------------------------------------------------------
 # direction handling
 
 class DirectionCache:
@@ -187,11 +252,13 @@ class DirectionCache:
 
     Exact mode: one direction per primitive integer vector.  Bucketed mode:
     greedy clustering to representatives within eta_dir/2, used when the shell
-    carries more distinct directions than per-direction FFTs can afford.
-    ``bucket_index[b]`` holds the flat grid indices of bucket b's modes.
+    carries more distinct directions than per-direction transforms can afford.
+    ``bucket_index[b]`` holds the flat grid indices of bucket b's modes and
+    ``bucket_kernels[b]`` their transforms, which share one DFT table.
     The geometry is read-only after construction; ``multipliers`` memoizes the
-    phase multipliers of the families built on the cache (a concurrent first
-    build computes the same arrays twice, never different ones).
+    phase multipliers and support transforms of the families built on the
+    cache (a concurrent first build computes the same arrays twice, never
+    different ones).
     """
 
     def __init__(self, grid, modes, directions, assignment, eta_dir):
@@ -203,6 +270,9 @@ class DirectionCache:
         self.multipliers = {}     # (grid, band range, sigma) -> _Multipliers
         self.flat_index = np.ravel_multi_index((modes % grid.N).T, grid.shape)
         self.bucket_index = [self.flat_index[assignment == b] for b in range(len(directions))]
+        self.dft_table = _dft_table(grid.N)
+        self.bucket_kernels = [_ModeKernel(grid, idx, self.dft_table)
+                               for idx in self.bucket_index]
 
     @property
     def num_buckets(self) -> int:
@@ -269,17 +339,6 @@ class DirectionCache:
 # ---------------------------------------------------------------------------
 # the phase family
 
-def _ifft(grid: GridSpec, F: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(F) / grid.cell_volume
-
-
-def _scatter(grid: GridSpec, idx, vals) -> np.ndarray:
-    """The complex grid array holding vals at the flat indices idx, zero elsewhere."""
-    out = np.zeros(grid.num_points, dtype=np.complex128)
-    out[idx] = vals
-    return out.reshape(grid.shape)
-
-
 def _dot_omega(stacked, w_dir) -> np.ndarray:
     return sum(stacked[j] * w_dir[j] for j in range(len(w_dir)))
 
@@ -289,7 +348,7 @@ class _Multipliers(NamedTuple):
     per direction bucket, on the band support: the flat indices where some
     P_k of the range is nonzero.  Both multipliers vanish off it."""
 
-    support: np.ndarray
+    kernel: _ModeKernel    # the transforms of the band support
     ws: tuple          # inv sum_k P_k Pi_{omega, > theta_k}
     leqs: tuple        # sum_k P_k Pi_{omega, <= theta_k}
     xi_dots: tuple     # xi . omega
@@ -300,16 +359,17 @@ class PhaseSlice:
 
     Holds the phase factor e^{2 pi i psi} on the grid and the phase symbol on
     the band support.  psi, psi_t and grad are recomputed from the support on
-    each access, one transform per field, so a caller binds them once.  A
-    slice holds the connection samples and the multiplier it was built from,
-    never its family, so a dropped family is freed at once."""
+    each access, one support transform each (grad batches its n fields), so a
+    caller binds them once.  A slice holds the connection samples, the
+    multiplier and the support transforms it was built from, never its
+    family, so a dropped family is freed at once."""
 
-    def __init__(self, grid: GridSpec, support, sign: int, w_dir, xi_dot, W, samples):
-        self._grid, self._support, self._sign = grid, support, sign
+    def __init__(self, kernel: _ModeKernel, sign: int, w_dir, xi_dot, W, samples):
+        self._kernel, self._sign = kernel, sign
         self._w_dir, self._xi_dot, self._W = w_dir, xi_dot, W
         self._samples = samples        # (A, A_t, A_tt) at the slice's time, on the support
         self._psi_hat = self._lift(0)
-        psi_c = self._field(self._psi_hat)
+        psi_c = kernel.synthesize(self._psi_hat)
         scale = max(np.abs(psi_c).max(), 1e-300)
         self.imag_defect = float(np.abs(psi_c.imag).max() / scale)
         self.phase = np.exp(2j * np.pi * psi_c.real)
@@ -321,23 +381,17 @@ class PhaseSlice:
         return self._W * (1j * self._xi_dot * _dot_omega(X, self._w_dir)
                           + (self._sign / (2.0 * np.pi)) * _dot_omega(Y, self._w_dir))
 
-    def _field(self, vals) -> np.ndarray:
-        """The grid field of a symbol given on the support."""
-        return _ifft(self._grid, _scatter(self._grid, self._support, vals))
-
     @property
     def psi(self) -> np.ndarray:
-        return self._field(self._psi_hat).real
+        return self._kernel.synthesize(self._psi_hat).real
 
     @property
     def psi_t(self) -> np.ndarray:
-        return self._field(self._lift(1)).real
+        return self._kernel.synthesize(self._lift(1)).real
 
     @property
     def grad(self) -> tuple:
-        xi, support = self._grid.xi, self._support
-        return tuple(self._field(2j * np.pi * xi[j].ravel()[support] * self._psi_hat).real
-                     for j in range(self._grid.n))
+        return tuple(self._kernel.synthesize(2j * np.pi * self._kernel.xi * self._psi_hat).real)
 
 
 class PhaseFamily:
@@ -365,8 +419,9 @@ class PhaseFamily:
         self.sigma = sigma
         self.cache = cache
         self.thetas = {k: min(2.0 ** (sigma * k), THETA_MAX) for k in conn.band_range}
-        self._support, self._w, self._leq, self._xi_dot = \
+        self._kernel, self._w, self._leq, self._xi_dot = \
             _premultipliers or self._shared_multipliers()
+        self._support = self._kernel.index
         self._t = None
         self._samples = None     # connection samples at time _t, on the support
         self._table = {}         # bucket -> PhaseSlice at time _t
@@ -391,7 +446,8 @@ class PhaseFamily:
                 ws.append((inv * S_g).ravel()[support])
                 leqs.append(S_l.ravel()[support])
                 dots.append(np.tensordot(w_dir, grid.xi, axes=(0, 0)).ravel()[support])
-            self.cache.multipliers[key] = _Multipliers(support, tuple(ws), tuple(leqs),
+            kernel = _ModeKernel(grid, support, self.cache.dft_table)
+            self.cache.multipliers[key] = _Multipliers(kernel, tuple(ws), tuple(leqs),
                                                        tuple(dots))
         return self.cache.multipliers[key]
 
@@ -399,16 +455,16 @@ class PhaseFamily:
         """(A, A_t, A_tt) on the support at t; moving to a new time drops the
         phase table."""
         if t != self._t:
-            A, At = self.conn.eval_hat(t)
-            Att = self.conn.eval_hat_tt(t)
-            flat = [X.reshape(self.grid.n, -1)[:, self._support] for X in (A, At, Att)]
-            self._t, self._samples, self._table = t, tuple(flat), {}
+            A, At = (X.reshape(self.grid.n, -1)[:, self._support]
+                     for X in self.conn.eval_hat(t))
+            Att = -self.conn.rho.ravel()[self._support] ** 2 * A
+            self._t, self._samples, self._table = t, (A, At, Att), {}
         return self._samples
 
     def slice_at(self, t: float, b: int) -> PhaseSlice:
         samples = self._conn_at(t)
         if b not in self._table:
-            sl = PhaseSlice(self.grid, self._support, self.sign, self.cache.directions[b],
+            sl = PhaseSlice(self._kernel, self.sign, self.cache.directions[b],
                             self._xi_dot[b], self._w[b], samples)
             self.max_imag_defect = max(self.max_imag_defect, sl.imag_defect)
             self._table[b] = sl
@@ -427,7 +483,7 @@ class PhaseFamily:
     def with_multipliers(self, ws, leqs) -> "PhaseFamily":
         """The family with its own multipliers, given on the band support."""
         return PhaseFamily(self.conn, self.sign, self.sigma, self.cache,
-                           _premultipliers=_Multipliers(self._support, tuple(ws),
+                           _premultipliers=_Multipliers(self._kernel, tuple(ws),
                                                         tuple(leqs), self._xi_dot))
 
 
@@ -450,7 +506,7 @@ def phase_defect(family: PhaseFamily, times) -> DefectReport:
     built phase's analytic derivatives, the right through fresh projections).
     """
     grid = family.grid
-    support = family._support
+    kernel = family._kernel
     out = []
     for t in times:
         A, _ = family.conn.eval_hat(t)
@@ -459,10 +515,10 @@ def phase_defect(family: PhaseFamily, times) -> DefectReport:
             w_dir = family.cache.directions[b]
             lhs = 2.0 * np.pi * family.opposite_null_derivative(t, b)
             Aw = _dot_omega(A, w_dir)
-            aw_field = _ifft(grid, Aw).real
+            # a full-grid transform, independent of the support kernel
+            aw_field = (np.fft.ifftn(Aw) / grid.cell_volume).real
             lhs = lhs + aw_field
-            leq_aw = family._leq[b] * Aw.ravel()[support]
-            rhs = _ifft(grid, _scatter(grid, support, leq_aw)).real
+            rhs = kernel.synthesize(family._leq[b] * Aw.ravel()[kernel.index]).real
             num = np.linalg.norm(lhs - rhs)
             # both sides can vanish identically (on-axis directions see no
             # small-angle energy); normalize against the driving field too
@@ -497,10 +553,11 @@ class WaveOperator:
             if np.any((a_flat > 0) & ~covered):
                 raise StructuralError("direction cache does not cover the cutoff support; "
                                       "build it from cutoff.modes(grid)")
-        # (b, flat indices, a(xi), |xi|) per bucket; a(xi) zeroes the others
+        # (b, transforms, a(xi), |xi|) per bucket; a(xi) zeroes the others
         xi_norm = self.grid.xi_norm.ravel()
-        self._live = [(b, idx, a_flat[idx], xi_norm[idx])
-                      for b, idx in enumerate(self.cache.bucket_index) if a_flat[idx].any()]
+        self._live = [(b, kern, a_flat[kern.index], xi_norm[kern.index])
+                      for b, kern in enumerate(self.cache.bucket_kernels)
+                      if a_flat[kern.index].any()]
 
     @property
     def sign(self) -> int:
@@ -513,21 +570,20 @@ class WaveOperator:
         return np.exp(self.sign * 2j * np.pi * t * r)
 
     def _buckets(self, t: float, h):
-        """(b, idx, r, c) per direction bucket: its flat indices, |xi| there and
-        the weighted coefficients c = h a(xi) e^{s 2 pi i t |xi|} there;
-        buckets where c vanishes are skipped."""
+        """(b, kern, r, c) per direction bucket: its transforms, |xi| on its
+        modes and the weighted coefficients c = h a(xi) e^{s 2 pi i t |xi|}
+        there; buckets where c vanishes are skipped."""
         h = np.broadcast_to(np.asarray(h, dtype=np.complex128), self.grid.shape).ravel()
-        for b, idx, a, r in self._live:
-            c = h[idx] * a * self._half_wave(t, r)
+        for b, kern, a, r in self._live:
+            c = h[kern.index] * a * self._half_wave(t, r)
             if c.any():
-                yield b, idx, r, c
+                yield b, kern, r, c
 
     def apply(self, t: float, h: np.ndarray) -> ScalarField:
         grid = self.grid
         out = np.zeros(grid.shape, dtype=np.complex128)
-        for b, idx, _, c in self._buckets(t, h):
-            part = _ifft(grid, _scatter(grid, idx, c))
-            out += self.family.slice_at(t, b).phase * part
+        for b, kern, _, c in self._buckets(t, h):
+            out += self.family.slice_at(t, b).phase * kern.synthesize(c)
         return ScalarField(grid, out, time_tag=t)
 
     def apply_dt(self, t: float, h: np.ndarray) -> ScalarField:
@@ -536,23 +592,23 @@ class WaveOperator:
         grid = self.grid
         out = np.zeros(grid.shape, dtype=np.complex128)
         two_pi_i = 2j * np.pi
-        for b, idx, r, c in self._buckets(t, h):
-            part0 = _ifft(grid, _scatter(grid, idx, c))
-            part1 = _ifft(grid, _scatter(grid, idx, r * c))
+        for b, kern, r, c in self._buckets(t, h):
+            part0, part1 = kern.synthesize(np.stack([c, r * c]))
             sl = self.family.slice_at(t, b)
             out += sl.phase * (two_pi_i * sl.psi_t * part0 + self.sign * two_pi_i * part1)
         return ScalarField(grid, out, time_tag=t)
 
     def apply_adjoint(self, t: float, f: ScalarField) -> np.ndarray:
-        """h(xi) = conj(half-wave) a(xi) FFT[e^{-2 pi i psi} f](xi) per bucket;
-        the exact adjoint of apply under the lattice inner products."""
+        """h(xi) = conj(half-wave) a(xi) FFT[e^{-2 pi i psi} f](xi) dx^n per
+        bucket, through the transpose of apply's bucket transform; the exact
+        adjoint of apply under the lattice inner products."""
         grid = self.grid
         fv = f.phys_values
         out = np.zeros(grid.num_points, dtype=np.complex128)
-        for b, idx, a, r in self._live:
+        for b, kern, a, r in self._live:
             phase = self.family.slice_at(t, b).phase
-            g = np.fft.fftn(np.conj(phase) * fv) * grid.cell_volume
-            out[idx] += np.conj(self._half_wave(t, r)) * a * g.ravel()[idx]
+            g = kern.analyze(np.conj(phase) * fv)
+            out[kern.index] += np.conj(self._half_wave(t, r)) * a * g
         return out.reshape(grid.shape)
 
     def gradient_commutation_defect(self, t: float, h: np.ndarray) -> float:
@@ -645,11 +701,13 @@ class ResidualReport:
 
 
 def covariant_box_direct(op: WaveOperator, t: float, h, dt: float) -> ScalarField:
-    """(-d_t^2 + Delta + 2 i A.grad)(U h) with centered second time differences."""
+    """(-d_t^2 + Delta + 2 i A.grad)(U h) with centered second time differences.
+    U is applied at t last, so the phase table then holds time t for a
+    following covariant_box_amplitude."""
     grid = op.grid
     um = op.apply(t - dt, h).phys_values
-    u0 = op.apply(t, h)
     up = op.apply(t + dt, h).phys_values
+    u0 = op.apply(t, h)
     dtt = (up - 2.0 * u0.phys_values + um) / dt ** 2
     lap = gr.laplacian(u0).phys_values
     A = op.family.conn.field(t)
@@ -668,11 +726,8 @@ def covariant_box_amplitude(op: WaveOperator, t: float, h) -> ScalarField:
     A = fam.conn.field(t)
     Avals = [c.phys_values.real for c in A.components]
     out = np.zeros(grid.shape, dtype=np.complex128)
-    for b, idx, r, c in op._buckets(t, h):
-        part0 = _ifft(grid, _scatter(grid, idx, c))
-        part1 = _ifft(grid, _scatter(grid, idx, r * c))
-        parts2 = [_ifft(grid, _scatter(grid, idx, grid.xi[j].ravel()[idx] * c))
-                  for j in range(grid.n)]
+    for b, kern, r, c in op._buckets(t, h):
+        part0, part1, *parts2 = kern.synthesize(np.vstack([c, r * c, kern.xi * c]))
         sl = fam.slice_at(t, b)
         grad, psi_t = sl.grad, sl.psi_t
         w_dir = fam.cache.directions[b]

@@ -351,3 +351,23 @@ def test_config_fuzz_ends_in_error_or_finite_config(tmp_path_factory, raw):
         return
     for value in (cfg.L, cfg.sigma, cfg.t_max, *cfg.eps_list):
         assert value is None or math.isfinite(value)
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("given,expect", [(None, "1"), ("2", "2")])
+def test_import_defaults_blas_to_one_thread_unless_set(given, expect):
+    import os
+    import subprocess
+    import sys
+    import cronlab
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    if given is not None:
+        env.update(dict.fromkeys(_BLAS_VARS, given))
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cronlab.__file__))
+    code = ("import sys, os, cronlab; assert 'numpy' in sys.modules; "
+            f"print(*(os.environ[k] for k in {_BLAS_VARS!r}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.split() == [expect] * len(_BLAS_VARS)

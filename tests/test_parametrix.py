@@ -6,10 +6,12 @@ from cronlab.gauge import greater_symbol, transverse_inverse_symbol
 from cronlab.grid import (GridSpec, ScalarField, inner_product, lebesgue_norm,
                           relative_l2_difference, to_physical)
 from cronlab.lp import BandRange, SpacetimeField, band_symbol, fit_loglog, spacetime_norm
+from cronlab import parametrix as pmx
 from cronlab.parametrix import (AnnulusCutoff, DirectionCache, FreeConnection, PhaseFamily,
-                                WaveOperator, bucketing_error, covariant_box_amplitude,
-                                decomposable_surrogate, dispersive_scan, match_data,
-                                phase_defect, residual_check, split_phase_at)
+                                WaveOperator, _dft_table, _ModeKernel, bucketing_error,
+                                covariant_box_amplitude, decomposable_surrogate,
+                                dispersive_scan, match_data, phase_defect, residual_check,
+                                split_phase_at)
 from cronlab.harness import make_free_connection
 from cronlab.random_fields import random_divergence_free, random_field, stream
 
@@ -54,9 +56,10 @@ def test_connection_solves_free_wave_exactly():
     conn = connection()
     t = 0.8
     A, _ = conn.eval_hat(t)
-    Att = conn.eval_hat_tt(t)
+    d = 1e-4                             # A_tt as a centered difference of the analytic A_t
+    Att = (conn.eval_hat(t + d)[1] - conn.eval_hat(t - d)[1]) / (2.0 * d)
     box = -Att - (2.0 * np.pi * GRID.xi_norm) ** 2 * A  # -(A_tt + rho^2 A) = box A
-    assert np.abs(box).max() < 1e-12 * max(np.abs(A).max(), 1e-300)
+    assert np.abs(box).max() < 1e-8 * max(np.abs(A).max(), 1e-300)
 
 
 def test_connection_requires_divergence_free_data():
@@ -525,15 +528,16 @@ def test_unitarity_scan_report():
 # ---------------------------------------------------------------------------
 # the per-time phase table
 
-def _counting_ifftn(monkeypatch):
+def _counting(monkeypatch, owner, name):
+    """Record the input shape of every call to owner.name."""
     calls = []
-    ifftn = np.fft.ifftn
+    fn = getattr(owner, name)
 
-    def counted(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return ifftn(a, *args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[-1]))
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "ifftn", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -546,7 +550,8 @@ def test_repeat_apply_at_same_time_reuses_phases(monkeypatch):
     op = WaveOperator(PhaseFamily(connection(), +1, 0.25, small_cache()), CUT)
     h = annulus_coeffs()
     live = _live_buckets(op, h)
-    calls = _counting_ifftn(monkeypatch)
+    ffts = [_counting(monkeypatch, np.fft, name) for name in ("fftn", "ifftn")]
+    calls = _counting(monkeypatch, _ModeKernel, "synthesize")
     first = op.apply(0.4, h).phys_values
     assert len(calls) == 2 * live        # one phase slice and one bucket transform each
     del calls[:]
@@ -556,23 +561,24 @@ def test_repeat_apply_at_same_time_reuses_phases(monkeypatch):
     del calls[:]
     op.apply(0.5, h)                     # a new time drops the table
     assert len(calls) == 2 * live
+    assert ffts == [[], []]              # no full-grid transform anywhere
 
 
 def test_apply_builds_no_derivative_fields(monkeypatch):
     fam = PhaseFamily(connection(), +1, 0.25, small_cache())
     op = WaveOperator(fam, CUT)
     h = annulus_coeffs()
-    calls = _counting_ifftn(monkeypatch)
+    calls = _counting(monkeypatch, _ModeKernel, "synthesize")
     op.apply(0.4, h)
     assert len(calls) == 2 * _live_buckets(op, h)     # no psi_t, no grad
     sl = fam.slice_at(0.4, 0)
     for _ in range(2):                   # recomputed on each access, never cached
         del calls[:]
         sl.grad
-        assert len(calls) == GRID.n
+        assert calls == [(GRID.n, len(fam._support))]  # the n fields in one call
     del calls[:]
     sl.psi_t
-    assert len(calls) == 1
+    assert calls == [(len(fam._support),)]
 
 
 def test_lazy_derivative_fields_match_family_defect_identity():
@@ -620,6 +626,10 @@ def _full_grid_w(fam, b):
     return inv * S_g
 
 
+def _rel_max(x, ref):
+    return float(np.abs(x - ref).max() / np.abs(ref).max())
+
+
 def test_psi_matches_full_grid_formula():
     conn = connection()
     cache = small_cache()
@@ -639,7 +649,7 @@ def test_psi_matches_full_grid_formula():
             Atw = sum(At[j] * w_dir[j] for j in range(GRID.n))
             psi_hat = W * (1j * dot * Aw + (sign / (2.0 * np.pi)) * Atw)
             ref = (np.fft.ifftn(psi_hat) / GRID.cell_volume).real
-            assert np.array_equal(fam.psi(t, b), ref)
+            assert _rel_max(fam.psi(t, b), ref) <= 1e-13
 
 
 def test_apply_and_adjoint_match_bucket_sum_formula():
@@ -666,8 +676,8 @@ def test_apply_and_adjoint_match_bucket_sum_formula():
             g = np.fft.fftn(np.exp(-2j * np.pi * psi) * f) * GRID.cell_volume
             ref_adj += np.where(mask, g, 0.0)
         ref_adj = np.conj(half_wave) * a * ref_adj
-        assert np.array_equal(op.apply(t, h).phys_values, ref)
-        assert np.array_equal(op.apply_adjoint(t, ScalarField(GRID, f)), ref_adj)
+        assert _rel_max(op.apply(t, h).phys_values, ref) <= 1e-13
+        assert _rel_max(op.apply_adjoint(t, ScalarField(GRID, f)), ref_adj) <= 1e-13
 
 
 def test_second_apply_takes_no_full_grid_exponential(monkeypatch):
@@ -700,3 +710,82 @@ def test_dropped_family_is_freed_without_cycle_collection():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_residual_check_builds_three_slice_sets_per_time(monkeypatch):
+    op = WaveOperator(PhaseFamily(connection(), +1, 0.25, small_cache()), CUT)
+    h = annulus_coeffs()
+    builds = []
+
+    class Counted(pmx.PhaseSlice):
+        def __init__(self, *args):
+            builds.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(pmx, "PhaseSlice", Counted)
+    times = [0.2, 0.5]
+    residual_check(op, h, times, 0.02)
+    # t - dt, t + dt and t; the amplitude path at t reuses the last set
+    assert len(builds) == 3 * len(times) * _live_buckets(op, h)
+
+
+# ---------------------------------------------------------------------------
+# transforms of spectra carried by a few modes
+
+def _kernel_indices(grid, rng):
+    """Random flat indices plus the zero mode, the -1 mode and the Nyquist
+    index on every axis."""
+    N = grid.N
+    edges = [(0,) * grid.n, (N - 1,) * grid.n, (N // 2,) + (1,) * (grid.n - 1),
+             (N - 1, N // 2) + (0,) * (grid.n - 2)]
+    picked = rng.choice(grid.num_points, 40, replace=False)
+    edge = np.ravel_multi_index(np.array(edges).T, grid.shape)
+    return np.unique(np.concatenate([picked, edge]))
+
+
+def _random_complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("n,N", [(2, 32), (3, 16)])
+def test_mode_kernel_synthesis_matches_full_grid_ifft(n, N):
+    grid = GridSpec(n, N, 8.0)
+    rng = stream(95, n)
+    idx = _kernel_indices(grid, rng)
+    kern = _ModeKernel(grid, idx, _dft_table(N))
+    vals = _random_complex(rng, len(idx))
+    F = np.zeros(grid.num_points, dtype=complex)
+    F[idx] = vals
+    ref = np.fft.ifftn(F.reshape(grid.shape)) / grid.cell_volume
+    assert _rel_max(kern.synthesize(vals), ref) <= 1e-13
+    f = _random_complex(rng, grid.shape)
+    ref_an = (np.fft.fftn(f) * grid.cell_volume).ravel()[idx]
+    assert _rel_max(kern.analyze(f), ref_an) <= 1e-13
+    assert np.array_equal(kern.xi, grid.xi.reshape(n, -1)[:, idx])
+
+
+@pytest.mark.parametrize("n,N", [(2, 32), (3, 16)])
+def test_mode_kernel_analysis_is_adjoint_of_synthesis(n, N):
+    grid = GridSpec(n, N, 8.0)
+    rng = stream(96, n)
+    idx = _kernel_indices(grid, rng)
+    kern = _ModeKernel(grid, idx, _dft_table(N))
+    c = _random_complex(rng, len(idx))
+    f = _random_complex(rng, grid.shape)
+    lhs = np.vdot(f, kern.synthesize(c)) * grid.cell_volume
+    rhs = np.vdot(kern.analyze(f), c) / grid.L ** n
+    assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
+
+
+@pytest.mark.parametrize("n,N", [(2, 32), (3, 16)])
+def test_mode_kernel_batched_call_equals_per_row_calls(n, N):
+    grid = GridSpec(n, N, 8.0)
+    rng = stream(97, n)
+    kern = _ModeKernel(grid, _kernel_indices(grid, rng), _dft_table(N))
+    vals = _random_complex(rng, (3, len(kern.index)))
+    batched = kern.synthesize(vals)
+    assert batched.shape == (3,) + grid.shape
+    assert all(np.array_equal(batched[i], kern.synthesize(vals[i])) for i in range(3))
+    fields = _random_complex(rng, (2,) + grid.shape)
+    coeffs = kern.analyze(fields)
+    assert all(np.array_equal(coeffs[i], kern.analyze(fields[i])) for i in range(2))

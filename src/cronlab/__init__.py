@@ -2,7 +2,7 @@
 
 Layers, bottom up:
 
-* ``grid``        sampled complex fields, transforms, multipliers, norms
+* ``grid``        sampled real and complex fields, transforms, multipliers, norms
 * ``lp``          dyadic projections, Besov / spacetime norms, measured inequalities
 * ``gauge``       Leray projection, sector cutoffs, null frame, connection geometry
 * ``mkg``         the Coulomb-gauge Maxwell-Klein-Gordon evolution and diagnostics

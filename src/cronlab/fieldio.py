@@ -55,6 +55,7 @@ def atomic_open(path, mode: str = "w"):
 
 
 def write_field(path, field: ScalarField, extension=()) -> None:
+    """A real field is written as its whole-lattice values, like a complex one."""
     ext = np.asarray(extension, dtype=np.float64)
     rep_flag = 1 if field.rep == FREQUENCY else 0
     with atomic_open(path, "wb") as fh:
@@ -62,9 +63,10 @@ def write_field(path, field: ScalarField, extension=()) -> None:
                               field.grid.L, rep_flag, ext.size))
         if ext.size:
             fh.write(ext.tobytes())
-        data = np.empty(field.values.shape + (2,), dtype=np.float64)
-        data[..., 0] = field.values.real
-        data[..., 1] = field.values.imag
+        values = field.freq_values if field.rep == FREQUENCY else field.values
+        data = np.empty(field.grid.shape + (2,), dtype=np.float64)
+        data[..., 0] = values.real
+        data[..., 1] = values.imag
         fh.write(data.tobytes())
 
 

@@ -83,7 +83,7 @@ def sector_symbol(grid: GridSpec, spec: SectorSpec) -> np.ndarray:
 
 def leray_project(V: VectorField, keep_mean: bool = False) -> VectorField:
     """A_k -> A_k - xi_k (xi.A)/|xi|^2 on the frequency side; output certified
-    divergence free.
+    divergence free, and real when every component is.
 
     Constant (zero-mode) vector fields are already divergence free; by default
     their presence is a precondition error, with keep_mean=True they pass
@@ -91,20 +91,22 @@ def leray_project(V: VectorField, keep_mean: bool = False) -> VectorField:
     """
     grid = V.grid
     comps = [c.in_frequency() for c in V.components]
+    if not all(c.real_valued for c in comps):
+        comps = [c.as_complex() for c in comps]
     if not keep_mean:
         for c in comps:
             scale = np.abs(c.values).max()
             if scale > 0 and np.abs(c.values.flat[0]) > gr.SUPPORT_TOL * scale:
                 raise PreconditionError("Leray projection needs zero-mean components")
-    xi = grid.xi
+    xi, xi_norm, nyquist_mask = comps[0].lattice
     dot = sum(xi[j] * comps[j].values for j in range(grid.n))
     with np.errstate(invalid="ignore", divide="ignore"):
-        dot_over_sq = dot / grid.xi_norm ** 2
-    dot_over_sq = np.where(grid.xi_norm == 0, 0.0, dot_over_sq)
-    dot_over_sq = np.where(grid.nyquist_mask, 0.0, dot_over_sq)
+        dot_over_sq = dot / xi_norm ** 2
+    dot_over_sq = np.where(xi_norm == 0, 0.0, dot_over_sq)
+    dot_over_sq = np.where(nyquist_mask, 0.0, dot_over_sq)
     out = []
     for j in range(grid.n):
-        vals = np.where(grid.nyquist_mask, 0.0, comps[j].values - xi[j] * dot_over_sq)
+        vals = np.where(nyquist_mask, 0.0, comps[j].values - xi[j] * dot_over_sq)
         out.append(comps[j].with_values(vals))
     projected = VectorField(tuple(out), divergence_free=True)
     return projected if V.components[0].rep == gr.FREQUENCY else projected.in_physical()

@@ -11,12 +11,23 @@ coefficient of value L^n, and Plancherel holds exactly:
 
 The Nyquist rows (index N/2 along any axis) are not closed under negation and
 are forced to zero by every multiplier applied here.
+
+Real fields.  A field made with ``real_valued=True`` holds float64 samples in
+physical representation and, in frequency representation, the half spectrum
+``rfftn(values) * dx**n`` (the last axis cut to N//2 + 1; the other half is its
+conjugate mirror); its transforms are ``rfftn``/``irfftn``.  Only this module
+knows that layout.  ``freq_values`` returns the whole lattice for every field;
+``ScalarField.lattice`` and ``plancherel_l2`` serve code that works on the
+stored spectrum.  A real field stays real through a Hermitian multiplier
+(m(-xi) = conj(m(xi)), which every real-kernel operator has), real +- real
+and a real scalar factor; any other operation returns a complex field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +38,14 @@ FREQUENCY = "frequency"
 
 # relative magnitude below which a frequency coefficient counts as "not present"
 SUPPORT_TOL = 1e-13
+
+
+class Lattice(NamedTuple):
+    """Frequency coordinates on the lattice a field's spectrum is stored on."""
+
+    xi: np.ndarray
+    xi_norm: np.ndarray
+    nyquist_mask: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -138,6 +157,27 @@ class GridSpec:
             mask &= keep1d.reshape(shape)
         return _frozen_symbol(self, mask.astype(np.complex128))
 
+    @cached_property
+    def _lattices(self) -> dict:
+        """real_valued -> the lattice such a field stores its spectrum on."""
+        full = Lattice(self.xi, self.xi_norm, self.nyquist_mask)
+        return {False: full, True: Lattice(*(_half_copy(self, a) for a in full))}
+
+    @property
+    def _half_shape(self) -> tuple:
+        return self.shape[:-1] + (self.N // 2 + 1,)
+
+    @cached_property
+    def _mirror(self) -> tuple:
+        """Index of -xi in the whole lattice for each xi of the half lattice."""
+        neg = (-np.arange(self.N)) % self.N
+        return np.ix_(*([neg] * (self.n - 1) + [neg[:self.N // 2 + 1]]))
+
+    @cached_property
+    def _hermitian_halves(self) -> dict:
+        """id -> (symbol, its half-lattice part) for the symbols of this grid."""
+        return {}
+
     def mode_index(self, mode) -> tuple:
         """Array index of the integer mode m (frequency m/L); negative m allowed."""
         if len(mode) != self.n:
@@ -149,14 +189,35 @@ class GridSpec:
         return np.asarray(mode, dtype=float) / self.L
 
 
-def _as_complex(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128)
-    return arr
+def _half_copy(grid: GridSpec, arr: np.ndarray) -> np.ndarray:
+    out = np.ascontiguousarray(arr[..., :grid.N // 2 + 1])
+    out.flags.writeable = False
+    return out
+
+
+def _unfold(grid: GridSpec, H: np.ndarray) -> np.ndarray:
+    """The whole-lattice spectrum of a real field from its half spectrum H."""
+    N, h = grid.N, grid.N // 2 + 1
+    F = np.empty(grid.shape, dtype=np.complex128)
+    F[..., :h] = H
+    # F(xi) = conj(F(-xi)): last-axis indices h..N-1 mirror N/2-1..1
+    rest = np.conj(H[..., N - h:0:-1])
+    neg = (-np.arange(N)) % N
+    for axis in range(grid.n - 1):
+        rest = np.take(rest, neg, axis=axis)
+    F[..., h:] = rest
+    return F
 
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
-    """A sampled complex field on a GridSpec, in physical or frequency representation.
+    """A sampled field on a GridSpec, in physical or frequency representation.
+
+    A complex field stores complex128 values on the whole lattice.  A field
+    with ``real_valued=True`` stores float64 samples (the imaginary part of
+    complex input is dropped) or its half spectrum; in frequency
+    representation it also accepts a whole-lattice conjugate-symmetric
+    spectrum, of which it keeps the half.
 
     Fields are immutable values: the sample array is marked read-only at
     construction and every operation returns a new field.
@@ -169,13 +230,24 @@ class ScalarField:
     real_valued: bool = False
 
     def __post_init__(self):
-        arr = _as_complex(self.values)
-        if arr.shape != self.grid.shape:
-            raise StructuralError(
-                f"field shape {arr.shape} does not match grid shape {self.grid.shape}")
         if self.rep not in (PHYSICAL, FREQUENCY):
             raise StructuralError(f"unknown representation {self.rep!r}")
-        if arr is self.values:
+        grid = self.grid
+        arr = np.asarray(self.values)
+        expect = grid.shape
+        if not self.real_valued:
+            arr = np.asarray(arr, dtype=np.complex128)
+        elif self.rep == PHYSICAL:
+            arr = np.asarray(arr.real, dtype=np.float64)
+        else:
+            arr = np.asarray(arr, dtype=np.complex128)
+            if arr.shape == grid.shape:
+                arr = arr[..., :grid.N // 2 + 1]
+            expect = grid._half_shape
+        if arr.shape != expect:
+            raise StructuralError(
+                f"field shape {arr.shape} does not match grid shape {self.grid.shape}")
+        if np.may_share_memory(arr, self.values):
             arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -194,25 +266,50 @@ class ScalarField:
 
     @property
     def freq_values(self) -> np.ndarray:
-        return self.in_frequency().values
+        """Frequency values on the whole lattice; for a real field the mirrored
+        half is filled in on every call."""
+        F = self.in_frequency().values
+        if not self.real_valued:
+            return F
+        F = _unfold(self.grid, F)
+        F.flags.writeable = False
+        return F
 
     @property
     def phys_values(self) -> np.ndarray:
         return self.in_physical().values
 
+    @property
+    def lattice(self) -> Lattice:
+        """Coordinates of the frequency values this field stores."""
+        return self.grid._lattices[self.real_valued]
+
+    def as_complex(self) -> "ScalarField":
+        """The same field stored as a complex one, in the same representation."""
+        if not self.real_valued:
+            return self
+        vals = self.freq_values if self.rep == FREQUENCY else self.values
+        return ScalarField(self.grid, vals, rep=self.rep, time_tag=self.time_tag)
+
     def mean(self) -> complex:
         return complex(self.phys_values.mean())
 
-    def __add__(self, other):
+    def _combine(self, other, op) -> "ScalarField":
         other = _match(self, other)
-        return self.with_values(self.values + other.values, real_valued=False)
+        if self.real_valued and other.real_valued:
+            return self.with_values(op(self.values, other.values))
+        a, b = self.as_complex(), other.as_complex()
+        return a.with_values(op(a.values, b.values))
+
+    def __add__(self, other):
+        return self._combine(other, np.add)
 
     def __sub__(self, other):
-        other = _match(self, other)
-        return self.with_values(self.values - other.values, real_valued=False)
+        return self._combine(other, np.subtract)
 
     def __mul__(self, scalar):
-        return self.with_values(self.values * scalar, real_valued=False)
+        f = self if np.isrealobj(scalar) else self.as_complex()
+        return f.with_values(f.values * scalar)
 
     __rmul__ = __mul__
 
@@ -286,20 +383,36 @@ class VectorField:
 # ---------------------------------------------------------------------------
 # transforms
 
+def _wrap(grid: GridSpec, values: np.ndarray, rep: str, time_tag, real_valued: bool) -> ScalarField:
+    """A field around an array this module has just made in the layout the
+    field stores; it is neither checked nor copied."""
+    f = object.__new__(ScalarField)
+    values.flags.writeable = False
+    for name, value in (("grid", grid), ("values", values), ("rep", rep),
+                        ("time_tag", time_tag), ("real_valued", real_valued)):
+        object.__setattr__(f, name, value)
+    return f
+
+
 def to_frequency(f: ScalarField) -> ScalarField:
-    """Riemann-sum Fourier transform: fftn(values) * dx^n."""
+    """Riemann-sum Fourier transform: fftn(values) * dx^n (rfftn for a real field)."""
     if f.rep != PHYSICAL:
         raise StructuralError("to_frequency expects a physical-representation field")
-    F = np.fft.fftn(f.values) * f.grid.cell_volume
-    return ScalarField(f.grid, F, rep=FREQUENCY, time_tag=f.time_tag, real_valued=f.real_valued)
+    F = (np.fft.rfftn if f.real_valued else np.fft.fftn)(f.values)
+    F *= f.grid.cell_volume
+    return _wrap(f.grid, F, FREQUENCY, f.time_tag, f.real_valued)
 
 
 def to_physical(f: ScalarField) -> ScalarField:
     """Inverse transform: the Riemann synthesis sum with d(xi) = 1/L^n per mode."""
     if f.rep != FREQUENCY:
         raise StructuralError("to_physical expects a frequency-representation field")
-    v = np.fft.ifftn(f.values) / f.grid.cell_volume
-    return ScalarField(f.grid, v, rep=PHYSICAL, time_tag=f.time_tag, real_valued=f.real_valued)
+    if f.real_valued:
+        v = np.fft.irfftn(f.values)   # N is even: the last axis comes back at N
+    else:
+        v = np.fft.ifftn(f.values)
+    v /= f.grid.cell_volume
+    return _wrap(f.grid, v, PHYSICAL, f.time_tag, f.real_valued)
 
 
 # ---------------------------------------------------------------------------
@@ -326,40 +439,85 @@ def evaluate_symbol(grid: GridSpec, symbol) -> np.ndarray:
 def apply_multiplier(f: ScalarField, symbol) -> ScalarField:
     """f_hat -> m(xi) f_hat, with the Nyquist rows forced to zero.
 
+    A real field stays real, on the half lattice, when m is Hermitian
+    (``_hermitian_half``); under any other symbol the result is complex.
     A non-finite symbol value on a lattice point whose coefficient is nonzero
     (relative to the field's peak) raises SingularSymbolError naming the point.
     """
     grid = f.grid
     sym = evaluate_symbol(grid, symbol)
-    F = f.freq_values
-    bad = ~np.isfinite(sym)
-    if bad.any():
-        scale = np.abs(F).max()
-        hit = bad & (np.abs(F) > SUPPORT_TOL * scale)
-        if hit.any():
-            where = np.argwhere(hit)[0]
-            mode = tuple(int(m) if m <= grid.N // 2 else int(m) - grid.N for m in where)
-            raise SingularSymbolError(
-                f"symbol is not finite at lattice mode {mode} (xi={tuple(np.asarray(mode)/grid.L)}) "
-                "which carries a nonzero coefficient")
-        sym = np.where(bad, 0.0, sym)
-    G = sym * F
+    f_hat = f.in_frequency()
+    if id(sym) not in grid._hermitian_halves:   # the grid's own symbols are finite
+        sym = _finite_on_support(f_hat, sym)
+    if f.real_valued:
+        half = _hermitian_half(grid, sym)
+        if half is None:
+            f_hat = f_hat.as_complex()
+        else:
+            sym = half
+    G = sym * f_hat.values
     zero_nyquist(G)
-    out = ScalarField(grid, G, rep=FREQUENCY, time_tag=f.time_tag)
+    out = _wrap(grid, G, FREQUENCY, f.time_tag, f_hat.real_valued)
     return out if f.rep == FREQUENCY else to_physical(out)
 
 
+def _finite_on_support(f_hat: ScalarField, sym: np.ndarray) -> np.ndarray:
+    """sym with its non-finite values set to zero, or SingularSymbolError when
+    one sits on a nonzero coefficient of f_hat."""
+    bad = ~np.isfinite(sym)
+    if not bad.any():
+        return sym
+    grid = f_hat.grid
+    F = f_hat.freq_values
+    hit = bad & (np.abs(F) > SUPPORT_TOL * np.abs(F).max())
+    if hit.any():
+        where = np.argwhere(hit)[0]
+        mode = tuple(int(m) if m <= grid.N // 2 else int(m) - grid.N for m in where)
+        raise SingularSymbolError(
+            f"symbol is not finite at lattice mode {mode} (xi={tuple(np.asarray(mode)/grid.L)}) "
+            "which carries a nonzero coefficient")
+    return np.where(bad, 0.0, sym)
+
+
+def _hermitian_half(grid: GridSpec, sym: np.ndarray):
+    """The half-lattice part of sym when sym(-xi) = conj(sym(xi)) off the
+    Nyquist rows, to SUPPORT_TOL of its peak (such a multiplier maps real
+    fields to real fields); None for any other symbol."""
+    known = grid._hermitian_halves.get(id(sym))   # holds its symbol, so the id is its own
+    if known is not None:
+        return known[1]
+    half = sym[..., :grid.N // 2 + 1]
+    defect = np.abs(sym[grid._mirror] - np.conj(half))
+    defect[grid._lattices[True].nyquist_mask] = 0.0
+    return half if defect.max() <= SUPPORT_TOL * np.abs(half).max() else None
+
+
 def zero_nyquist(F: np.ndarray) -> np.ndarray:
-    """Set the Nyquist rows (index N/2 along any axis) of frequency data to zero, in place."""
+    """Set the Nyquist rows (index N/2 along any axis) of frequency data to
+    zero, in place; whole or half lattice alike."""
     half = F.shape[0] // 2
     for axis in range(F.ndim):
         F[(slice(None),) * axis + (half,)] = 0.0
     return F
 
 
+def drop_nyquist(f: ScalarField) -> ScalarField:
+    """f with its Nyquist rows removed, in f's representation: the projection
+    onto the subspace every multiplier maps into."""
+    F = f.in_frequency().values.copy()
+    zero_nyquist(F)
+    out = _wrap(f.grid, F, FREQUENCY, f.time_tag, f.real_valued)
+    return out if f.rep == FREQUENCY else to_physical(out)
+
+
 def _frozen_symbol(grid: GridSpec, symbol) -> np.ndarray:
+    """A read-only grid symbol; a Hermitian one is registered with its half
+    part, so real fields take it without a check."""
     sym = evaluate_symbol(grid, symbol)
     sym.flags.writeable = False
+    half = _hermitian_half(grid, sym)
+    if half is not None:
+        grid._hermitian_halves[id(sym)] = (sym, _half_copy(grid, half))
     return sym
 
 
@@ -422,22 +580,40 @@ def vector_lebesgue_norm(V: VectorField, p) -> float:
 
 
 def frequency_l2(grid: GridSpec, F: np.ndarray) -> float:
+    """Plancherel L^2 norm of frequency values given on the whole lattice."""
     return float(np.sqrt(np.sum(np.abs(F) ** 2) / grid.L ** grid.n))
+
+
+def _lattice_sum(f_hat: ScalarField, density: np.ndarray) -> float:
+    """Sum over the whole lattice of a per-mode quantity given where f_hat
+    stores its spectrum: on the half lattice each mode with last index in
+    1..N/2-1 also stands for its mirror."""
+    total = np.sum(density)
+    if f_hat.real_valued:
+        total += np.sum(density[..., 1:f_hat.grid.N // 2])
+    return total
+
+
+def plancherel_l2(f: ScalarField) -> float:
+    """The L^2 norm of f from its frequency values; lebesgue_norm(f, 2) up to rounding."""
+    f_hat = f.in_frequency()
+    return float(np.sqrt(_lattice_sum(f_hat, np.abs(f_hat.values) ** 2) / f.grid.L ** f.grid.n))
 
 
 def sobolev_norm(f: ScalarField, s: float, exclude_zero_mode: bool = False) -> float:
     """Homogeneous |2 pi xi|^s weighted L^2 norm (the zero mode carries no weight)."""
     grid = f.grid
-    F = f.freq_values
+    f_hat = f.in_frequency()
+    F = f_hat.values
     scale = np.abs(F).max()
     if not exclude_zero_mode and scale > 0 and np.abs(F.flat[0]) > SUPPORT_TOL * scale:
         raise PreconditionError(
             "homogeneous Sobolev norm needs zero-mean data "
             "(or exclude_zero_mode=True)")
     with np.errstate(divide="ignore"):
-        w = (2.0 * np.pi * grid.xi_norm) ** s
+        w = (2.0 * np.pi * f_hat.lattice.xi_norm) ** s
     w.flat[0] = 0.0
-    return frequency_l2(grid, w * F)
+    return float(np.sqrt(_lattice_sum(f_hat, np.abs(w * F) ** 2) / grid.L ** grid.n))
 
 
 def inner_product(f: ScalarField, g: ScalarField) -> complex:

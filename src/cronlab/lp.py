@@ -153,7 +153,7 @@ def besov_norm(f: ScalarField, p, q, r, band_range=None,
                                     "(or exclude_zero_mode=True)")
         F = F.copy()
         F.flat[0] = 0.0
-        f_hat = ScalarField(grid, F, rep=gr.FREQUENCY)
+        f_hat = f_hat.with_values(F)
     br = band_range if band_range is not None else BandRange.widest(grid)
     n = grid.n
     total = 0.0

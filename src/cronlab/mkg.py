@@ -91,7 +91,7 @@ def elliptic_a0(phi: ScalarField, phi_t: ScalarField):
 
     def project(arr):
         # keep the solve inside the Nyquist-free subspace every multiplier uses
-        return np.fft.ifftn(gr.zero_nyquist(np.fft.fftn(arr))).real
+        return gr.drop_nyquist(_field(grid, arr, real=True)).values
 
     source = project(-np.imag(phi.phys_values * np.conj(phi_t.phys_values)))
     absphi2 = np.abs(phi.phys_values) ** 2
@@ -105,14 +105,14 @@ def elliptic_a0(phi: ScalarField, phi_t: ScalarField):
     for it in range(1, 201):
         rhs_arr = source + coupling
         fluct = inverse_laplacian(
-            _field(grid, rhs_arr - rhs_arr.mean(), real=True)).phys_values.real.copy()
+            _field(grid, rhs_arr - rhs_arr.mean(), real=True)).phys_values.copy()
         fluct -= fluct.mean()
         # mean balance of (Delta - |phi|^2) A0 = S: mean(|phi|^2 A0) = -mean(S)
         bar = -(source.mean() + (absphi2 * fluct).mean()) / mean_phi2 if mean_phi2 > 0 else 0.0
         a0 = fluct + bar
         # the coupling of the new iterate, which the next iteration reuses
         coupling = project(absphi2 * a0)
-        resid = laplacian(_field(grid, a0, real=True)).phys_values.real - coupling - source
+        resid = laplacian(_field(grid, a0, real=True)).phys_values - coupling - source
         rel = np.linalg.norm(resid) / src_scale
         history.append(rel)
         if rel <= 1e-10:
@@ -122,14 +122,10 @@ def elliptic_a0(phi: ScalarField, phi_t: ScalarField):
         history=history)
 
 
-def reconstruct_a0_t(phi: ScalarField, phi_t: ScalarField, A0: ScalarField,
-                     Asp: VectorField) -> ScalarField:
+def reconstruct_a0_t(phi: ScalarField, Asp: VectorField) -> ScalarField:
     """d_t A0 = -Delta^{-1} div Im(phi conj(D phi)); the non-solenoidal part of
     the current determines d_t grad A0, inverted through the Laplacian."""
-    grid = phi.grid
-    J = current_density(phi, Asp)
-    divJ = gr.divergence(J)
-    return _field(grid, -inverse_laplacian(divJ).phys_values.real, real=True)
+    return inverse_laplacian(gr.divergence(current_density(phi, Asp))) * (-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +150,7 @@ def make_compatible_data(f: ScalarField, g: ScalarField, a: VectorField,
         lam = float(np.imag(inner_product(f, g))) / nf ** 2
         g = g + ScalarField(grid, 1j * lam * f.phys_values)
     A0, _, _ = elliptic_a0(f, g)
-    A0_t = reconstruct_a0_t(f, g, A0, Asp)
+    A0_t = reconstruct_a0_t(f, Asp)
     state = _mark_slaved(ConnectionState(t=0.0, A0=A0, A0_t=A0_t, A_sp=Asp, A_sp_t=Asp_t,
                                          phi=f, phi_t=g))
     rep = constraint_residuals(state)
@@ -168,21 +164,22 @@ def make_compatible_data(f: ScalarField, g: ScalarField, a: VectorField,
 # ---------------------------------------------------------------------------
 # right-hand sides
 
-def _forcing_A(state: ConnectionState) -> VectorField:
+def _forcing_A(state: ConnectionState, grad_phi: VectorField) -> VectorField:
     """The wave forcing of A as the system displays it: -P of the current,
     dealiased by the 2/3 rule and Leray projected (its constant mode, genuinely
-    divergence free, passes through)."""
-    J = current_density(state.phi, state.A_sp)
+    divergence free, passes through).  grad_phi is gr.gradient(state.phi)."""
+    J = current_from_gradient(state.phi, grad_phi, state.A_sp)
     return leray_project(VectorField(tuple(dealias(c) * (-1.0) for c in J.components)),
                          keep_mean=True)
 
 
-def _phi_acceleration_extras(state: ConnectionState) -> ScalarField:
+def _phi_acceleration_extras(state: ConnectionState, grad_phi: VectorField) -> ScalarField:
     """Everything in phi_tt besides Delta phi and the implicit A0 phi_t term,
-    dealiased: 2i A.grad phi - i (d_t A0) phi - |A|^2 phi + A0^2 phi."""
+    dealiased: 2i A.grad phi - i (d_t A0) phi - |A|^2 phi + A0^2 phi.
+    grad_phi is gr.gradient(state.phi)."""
     grid = state.grid
     transport = np.zeros(grid.shape, dtype=np.complex128)
-    for a, dphi in zip(state.A_sp.components, gr.gradient(state.phi).components):
+    for a, dphi in zip(state.A_sp.components, grad_phi.components):
         transport += a.phys_values.real * dphi.phys_values
     ph = state.phi.phys_values
     a0 = state.A0.phys_values.real
@@ -213,7 +210,7 @@ def _slave_a0(state: ConnectionState) -> ConnectionState:
     if getattr(state, "_slaved", False):
         return state
     A0, _, _ = elliptic_a0(state.phi, state.phi_t)
-    A0_t = reconstruct_a0_t(state.phi, state.phi_t, A0, state.A_sp)
+    A0_t = reconstruct_a0_t(state.phi, state.A_sp)
     return _mark_slaved(replace(state, A0=A0, A0_t=A0_t))
 
 
@@ -224,28 +221,38 @@ def _kick(state: ConnectionState, h: float) -> ConnectionState:
     The wave-equation display box A = -P J together with box = -d_t^2 + Delta
     makes the acceleration A_tt = Delta A + P J, so the kick adds +P J."""
     grid = state.grid
-    forcing_A = _forcing_A(state)   # the displayed forcing, -P J
+    grad_phi = gr.gradient(state.phi).in_physical()   # both consumers read samples
+    forcing_A = _forcing_A(state, grad_phi)   # the displayed forcing, -P J
     Asp_t = VectorField(tuple(c - f * h for c, f in
                               zip(state.A_sp_t.components, forcing_A.components)),
                         divergence_free=True)
-    extras = _phi_acceleration_extras(state)
+    extras = _phi_acceleration_extras(state, grad_phi)
     a0 = state.A0.phys_values.real
     new_phi_t = (state.phi_t.phys_values + h * extras.phys_values) / (1.0 + 2j * h * a0)
     return replace(state, A_sp_t=Asp_t, phi_t=_field(grid, new_phi_t))
 
 
 def _drift(state: ConnectionState, h: float) -> ConnectionState:
-    """Exact free-wave flow of (A, phi) for time h in Fourier space."""
+    """Exact free-wave flow of (A, phi) for time h in Fourier space; the
+    rotation is real and even in xi, so real fields stay real."""
     grid = state.grid
-    rho = 2.0 * np.pi * grid.xi_norm
-    c = np.cos(rho * h)
-    s = np.sin(rho * h)
-    sinc = np.where(rho > 0, s / np.where(rho > 0, rho, 1.0), h)
+    rotations = {}   # real_valued -> the rotation on that field's lattice
 
     def rotate(u: ScalarField, v: ScalarField):
-        U, V = u.freq_values, v.freq_values
-        return (ScalarField(grid, c * U + sinc * V, rep=FREQUENCY).in_physical(),
-                ScalarField(grid, -rho * s * U + c * V, rep=FREQUENCY).in_physical())
+        u, v = u.in_frequency(), v.in_frequency()
+        real = u.real_valued and v.real_valued
+        if not real:
+            u, v = u.as_complex(), v.as_complex()
+        if real not in rotations:
+            rho = 2.0 * np.pi * u.lattice.xi_norm
+            s = np.sin(rho * h)
+            rotations[real] = (rho, np.cos(rho * h), s,
+                               np.where(rho > 0, s / np.where(rho > 0, rho, 1.0), h))
+        rho, c, s, sinc = rotations[real]
+        U, V = u.values, v.values
+        return (ScalarField(grid, c * U + sinc * V, rep=FREQUENCY, real_valued=real).in_physical(),
+                ScalarField(grid, -rho * s * U + c * V, rep=FREQUENCY,
+                            real_valued=real).in_physical())
 
     phi, phi_t = rotate(state.phi, state.phi_t)
     comps, comps_t = [], []
@@ -307,13 +314,14 @@ def constraint_residuals(state: ConnectionState) -> EnergyReport:
     J = current_from_gradient(state.phi, grad_phi, state.A_sp)
     del grad_phi
 
-    # Gauss law: Delta A0 + Im(phi conj(D_0 phi)) = 0
+    # Gauss law: Delta A0 + Im(phi conj(D_0 phi)) = 0, on the Nyquist-free
+    # subspace elliptic_a0 solves on, measured in frequency
     A0_hat = state.A0.in_frequency()
-    rho_cov = np.imag(ph * np.conj(d0.phys_values))
-    lap_a0 = laplacian(A0_hat).phys_values.real
-    gauss_lhs = lap_a0 + rho_cov
-    gauss_scale = max(np.linalg.norm(lap_a0), np.linalg.norm(rho_cov), 1e-300)
-    gauss = np.linalg.norm(gauss_lhs) / gauss_scale
+    rho_cov = gr.drop_nyquist(_field(grid, np.imag(ph * np.conj(d0.phys_values)),
+                                     real=True).in_frequency())
+    lap_a0 = laplacian(A0_hat)
+    gauss_scale = max(gr.plancherel_l2(lap_a0), gr.plancherel_l2(rho_cov), 1e-300)
+    gauss = gr.plancherel_l2(lap_a0 + rho_cov) / gauss_scale
 
     # non-solenoidal spatial Maxwell: grad(d_t A0) + (1 - P) Im(phi conj(D phi)) = 0
     J_sol = leray_project(J, keep_mean=True)

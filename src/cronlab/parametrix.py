@@ -700,17 +700,17 @@ class ResidualReport:
     fd_dt: float
 
 
-def covariant_box_direct(op: WaveOperator, t: float, h, dt: float) -> ScalarField:
-    """(-d_t^2 + Delta + 2 i A.grad)(U h) with centered second time differences.
-    U is applied at t last, so the phase table then holds time t for a
-    following covariant_box_amplitude."""
+def covariant_box_direct(op: WaveOperator, t: float, h, dt: float,
+                         A: VectorField) -> ScalarField:
+    """(-d_t^2 + Delta + 2 i A.grad)(U h) with centered second time differences,
+    A being the connection at t.  U is applied at t last, so the phase table
+    then holds time t for a following covariant_box_amplitude."""
     grid = op.grid
     um = op.apply(t - dt, h).phys_values
     up = op.apply(t + dt, h).phys_values
     u0 = op.apply(t, h)
     dtt = (up - 2.0 * u0.phys_values + um) / dt ** 2
     lap = gr.laplacian(u0).phys_values
-    A = op.family.conn.field(t)
     transport = np.zeros(grid.shape, dtype=np.complex128)
     for j in range(grid.n):
         transport += A.components[j].phys_values.real * gr.partial_derivative(u0, j).phys_values
@@ -718,12 +718,11 @@ def covariant_box_direct(op: WaveOperator, t: float, h, dt: float) -> ScalarFiel
     return ScalarField(grid, vals, time_tag=t)
 
 
-def covariant_box_amplitude(op: WaveOperator, t: float, h) -> ScalarField:
+def covariant_box_amplitude(op: WaveOperator, t: float, h, A: VectorField) -> ScalarField:
     """The same quantity through the order-reduction identity: the U-style sum
     with the extra factor 2 pi Omega_s(t, x, xi)."""
     grid = op.grid
     fam = op.family
-    A = fam.conn.field(t)
     Avals = [c.phys_values.real for c in A.components]
     out = np.zeros(grid.shape, dtype=np.complex128)
     for b, kern, r, c in op._buckets(t, h):
@@ -750,8 +749,9 @@ def residual_check(op: WaveOperator, h, times, dt: float) -> ResidualReport:
         raise ParameterError(f"time window exceeds the wrap limit {limit}")
     diffs, norms, slices = [], [], []
     for t in times:
-        direct = covariant_box_direct(op, t, h, dt)
-        via = covariant_box_amplitude(op, t, h)
+        A = op.family.conn.field(t)   # one connection transform per time, for both paths
+        direct = covariant_box_direct(op, t, h, dt, A)
+        via = covariant_box_amplitude(op, t, h, A)
         diffs.append(lebesgue_norm(direct - via, 2))
         norms.append(lebesgue_norm(via, 2))
         slices.append(via)

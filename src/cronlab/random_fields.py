@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import FREQUENCY, GridSpec, ScalarField, VectorField, hermitianize, lebesgue_norm
+from .grid import (FREQUENCY, GridSpec, ScalarField, VectorField, hermitianize, lebesgue_norm,
+                   plancherel_l2)
 from .gauge import leray_project
 from .lp import BandRange, project_band, restrict_annulus
 
@@ -46,7 +47,7 @@ def random_field(grid: GridSpec, rng, r_lo=None, r_hi=None, real=False,
     else:
         f = restrict_annulus(f, 0.0, grid.nyquist)  # drops Nyquist rows
     if normalize:
-        scale = np.sqrt(np.sum(np.abs(f.values) ** 2) / grid.L ** grid.n)
+        scale = plancherel_l2(f)
         if scale > 0:
             f = f * (1.0 / scale)
     return f

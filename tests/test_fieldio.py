@@ -20,6 +20,20 @@ def test_round_trip(tmp_path):
     assert relative_l2_difference(f, back) < 1e-15
 
 
+def test_real_frequency_field_round_trip(tmp_path):
+    # a real field stores half its spectrum; the file holds the whole lattice
+    g = GridSpec(3, 8, 2.0)
+    f = random_field(g, stream(9, 3), real=True)
+    assert f.real_valued and f.rep == "frequency"
+    path = tmp_path / "real.crnl"
+    write_field(path, f)
+    assert len(path.read_bytes()) == 29 + 16 * g.num_points   # header, then (re, im) pairs
+    back, _ = read_field(path)
+    assert back.rep == "frequency"
+    assert np.array_equal(back.freq_values, f.freq_values)
+    assert relative_l2_difference(f, back) < 1e-15
+
+
 def test_extension_block_round_trip(tmp_path):
     g = GridSpec(3, 8, 1.0)
     f = random_field(g, stream(9, 1))

@@ -8,7 +8,7 @@ from cronlab.grid import (GridSpec, ScalarField, VectorField, apply_multiplier, 
                           divergence, gradient, inner_product, laplacian, lebesgue_norm,
                           mode_field, plane_wave, sobolev_norm,
                           to_frequency, to_physical, zero_field)
-from cronlab.grid import frequency_l2, hermitianize, relative_l2_difference
+from cronlab.grid import frequency_l2, hermitianize, plancherel_l2, relative_l2_difference
 from cronlab.random_fields import random_field, stream
 
 
@@ -67,6 +67,57 @@ def test_real_flag_means_conjugate_symmetric():
     F = f.freq_values
     assert np.abs(F - hermitianize(g, F)).max() < 1e-12 * np.abs(F).max()
     assert np.abs(f.phys_values.imag).max() < 1e-12 * np.abs(f.phys_values).max()
+
+
+def test_real_field_storage_and_transforms():
+    g = GridSpec(3, 8, 2.0)
+    f = random_field(g, stream(2, 1), real=True)
+    x = f.in_physical()
+    assert x.values.dtype == np.float64 and x.values.shape == g.shape
+    assert x.real_valued and to_frequency(x).real_valued
+    assert relative_l2_difference(to_physical(to_frequency(x)), x) < 1e-15
+    assert np.abs(f.freq_values - to_frequency(x.as_complex()).values).max() \
+        < 1e-13 * np.abs(f.freq_values).max()
+    assert (x * 2.0).real_valued and (x + x).real_valued and (x - f).real_valued
+    assert not (x * 1j).real_valued and not (x + x.as_complex()).real_valued
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_real_path_matches_complex_path(n):
+    from cronlab.gauge import leray_project
+    from cronlab.lp import besov_norm
+    g = GridSpec(n, 16, 4.0)
+    rng = stream(60, n)
+    reals = [random_field(g, rng, real=True).in_physical() for _ in range(n)]
+    comps = [f.as_complex() for f in reals]
+
+    def same_field(a, b):
+        assert relative_l2_difference(a, b) <= 1e-13
+
+    def same_number(a, b):
+        assert abs(a - b) <= 1e-13 * abs(b)
+
+    f, c = reals[0], comps[0]
+    hermitian = lambda xi: np.exp(-np.sum(xi ** 2, axis=0)) + 2j * np.pi * xi[0]
+    out = apply_multiplier(f, hermitian)
+    assert out.real_valued and out.values.dtype == np.float64
+    same_field(out, apply_multiplier(c, hermitian))
+    odd = lambda xi: 1.0 + xi[0]   # real but not even: the result is complex
+    out = apply_multiplier(f, odd)
+    assert not out.real_valued
+    same_field(out, apply_multiplier(c, odd))
+    for a, b in zip(gradient(f).components, gradient(c).components):
+        assert a.real_valued
+        same_field(a, b)
+    for a, b in zip(leray_project(VectorField(tuple(reals))).components,
+                    leray_project(VectorField(tuple(comps))).components):
+        assert a.real_valued
+        same_field(a, b)
+    same_number(frequency_l2(g, f.freq_values), frequency_l2(g, c.freq_values))
+    same_number(plancherel_l2(f), plancherel_l2(c))
+    same_number(plancherel_l2(f), lebesgue_norm(f, 2))
+    same_number(sobolev_norm(f, 1.5), sobolev_norm(c, 1.5))
+    same_number(besov_norm(f, 2, 4, 2), besov_norm(c, 2, 4, 2))
 
 
 def test_multiplier_identity_and_derivative_symbol():

@@ -338,7 +338,7 @@ def test_residual_zero_for_free_connection():
     conn = FreeConnection.zero(GRID, BAND)
     op = WaveOperator(PhaseFamily(conn, +1, 0.25, small_cache()), CUT)
     h = annulus_coeffs(71)
-    via = covariant_box_amplitude(op, 0.5, h)
+    via = covariant_box_amplitude(op, 0.5, h, conn.field(0.5))
     assert lebesgue_norm(via, 2) == 0.0
     rep = residual_check(op, h, [0.5], 0.01)
     assert rep.residual_n2 == 0.0
@@ -727,6 +727,21 @@ def test_residual_check_builds_three_slice_sets_per_time(monkeypatch):
     residual_check(op, h, times, 0.02)
     # t - dt, t + dt and t; the amplitude path at t reuses the last set
     assert len(builds) == 3 * len(times) * _live_buckets(op, h)
+
+
+def test_residual_check_transforms_the_connection_once_per_time(monkeypatch):
+    conn = connection()
+    op = WaveOperator(PhaseFamily(conn, +1, 0.25, small_cache()), CUT)
+    fetched = []
+    original = conn.field
+
+    def counted(t):
+        fetched.append(t)
+        return original(t)
+    monkeypatch.setattr(conn, "field", counted)
+    times = [0.2, 0.5, 0.8]
+    residual_check(op, annulus_coeffs(), times, 0.02)
+    assert fetched == times
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .grid import (FREQUENCY, PHYSICAL, GridSpec, ScalarField, VectorField, appl
                    laplacian, lebesgue_norm, mode_field, partial_derivative, plane_wave,
                    sobolev_norm, to_frequency, to_physical, vector_lebesgue_norm, zero_field)
 from .lp import (BandRange, BumpProfile, DEFAULT_BUMP, SpacetimeField, bernstein_ratio,
-                 besov_norm, commutator_ratio, project_band, restrict_annulus, spacetime_norm,
+                 besov_norm, commutator_ratios, project_band, restrict_annulus, spacetime_norm,
                  spacetime_product_ratio)
 from .gauge import (Direction, SectorSpec, coulomb_gain_ratio, covariant_derivative,
                     leray_project, null_derivative, null_form_check)

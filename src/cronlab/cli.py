@@ -5,10 +5,9 @@
     cronlab report DIR
     cronlab dump-field FILE
 
-Config files are JSON objects with the ExperimentConfig fields;
-CRONLAB_THREADS, a positive integer (default 1), sets the worker count of the
-coulomb-gain ensemble scan.  The exit status is 0 when every gate passes, 1
-when one fails and 2 on bad input (an `error:` line, no traceback).
+Config files are JSON objects with the ExperimentConfig fields.  The exit
+status is 0 when every gate passes, 1 when one fails and 2 on bad input (an
+`error:` line, no traceback).
 """
 
 from __future__ import annotations

@@ -140,20 +140,17 @@ def null_derivative(F, omega, sign: int):
 # ---------------------------------------------------------------------------
 # divergence-free angular gain
 
-def coulomb_gain_ratio(B: VectorField, omega, theta: float, mode: str = "leq") -> float:
+def coulomb_gain_ratio(B: VectorField, omega, theta: float, sym: np.ndarray) -> float:
     """max over lattice modes of |(Pi B)^(xi).omega| / (theta |(Pi B)^(xi)|).
 
-    Pi is the angular 'leq' (or 'band') projection about omega; B must carry a
-    divergence-free certificate.  0/0 modes count as 0.
+    Pi is the angular projection whose symbol ``sym`` the caller builds once
+    with ``sector_symbol`` (mode 'leq' or 'band' about omega at opening theta);
+    B must carry a divergence-free certificate.  0/0 modes count as 0.
     """
     if not B.divergence_free:
         raise PreconditionError("coulomb_gain_ratio needs a divergence-free certificate")
-    if mode not in ("leq", "band"):
-        raise ParameterError(f"projection mode must be 'leq' or 'band', got {mode!r}")
     grid = B.grid
     w = omega.omega if isinstance(omega, Direction) else np.asarray(omega, dtype=float)
-    spec = SectorSpec(Direction(w), theta, mode=mode)
-    sym = sector_symbol(grid, spec)
     hats = [sym * c.freq_values for c in B.in_frequency().components]
     num = np.abs(sum(h * wj for h, wj in zip(hats, w)))
     mag = np.sqrt(sum(np.abs(h) ** 2 for h in hats))

@@ -252,11 +252,14 @@ class ScalarField:
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
-    def with_values(self, values, rep=None, real_valued=None) -> "ScalarField":
-        return ScalarField(self.grid, values,
-                           rep=self.rep if rep is None else rep,
-                           time_tag=self.time_tag,
-                           real_valued=self.real_valued if real_valued is None else real_valued)
+    def with_values(self, values: np.ndarray) -> "ScalarField":
+        """This field's grid, representation and time tag around ``values``, a
+        fresh array in the layout this field stores.  The new field takes the
+        array over: it is frozen, not copied."""
+        if values.shape != self.values.shape or values.dtype != self.values.dtype:
+            raise StructuralError(f"values {values.dtype}{values.shape} do not match the "
+                                  f"field's layout {self.values.dtype}{self.values.shape}")
+        return _wrap(self.grid, values, self.rep, self.time_tag, self.real_valued)
 
     def in_frequency(self) -> "ScalarField":
         return self if self.rep == FREQUENCY else to_frequency(self)

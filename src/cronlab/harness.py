@@ -16,7 +16,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
@@ -182,24 +181,6 @@ def write_scan_csv(path, rows, config_hash: str) -> None:
                                r.lhs, r.rhs, r.ratio)))
     with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def worker_count() -> int:
-    """CRONLAB_THREADS, a positive integer (default 1)."""
-    text = os.environ.get("CRONLAB_THREADS", "1")
-    if not (text.isdecimal() and int(text) > 0):
-        raise ParameterError(f"CRONLAB_THREADS={text!r} must be a positive integer")
-    return int(text)
-
-
-def parallel_map(fn, items):
-    """Order-preserving map, threaded when CRONLAB_THREADS > 1."""
-    items = list(items)
-    workers = worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +386,12 @@ def _commutator_scan(grid: GridSpec, br: BandRange, comm_ks, seed: int):
     for s in range(12):
         f = flat_spectrum_field(grid, stream(seed, 2000 + s), smooth_band, real=True)
         g = flat_spectrum_field(grid, stream(seed, 3000 + s), g_band)
-        for k in comm_ks:
-            c = lp.commutator_field(f, g, k)
-            norms_by_k[k].append(lebesgue_norm(c, 2))
-            ratios.append(lp.commutator_ratio(f, g, k, np.inf, 2, 2))
+        scan = lp.commutator_ratios(f, g, comm_ks, np.inf, 2, 2)
+        for k, (norm, ratio) in zip(comm_ks, scan):
+            norms_by_k[k].append(norm)
+            ratios.append(ratio)
             rows.append(ScanRow("lp-suite", grid.n, grid.N, grid.L, float(k), seed,
-                                norms_by_k[k][-1], 2.0 ** (-k), ratios[-1]))
+                                norm, 2.0 ** (-k), ratio))
     return norms_by_k, ratios, rows
 
 
@@ -494,24 +475,18 @@ def run_coulomb_gain(config: ExperimentConfig):
         v = dir_rng.standard_normal(n)
         dirs.append(v / np.linalg.norm(v))
 
-    def one_field(s):
-        rng = stream(seed, 100 + s)
-        B = random_divergence_free(grid, rng, 2.0 / L, grid.nyquist * 0.9)
-        worst_local = 0.0
-        local_rows = []
-        for w in dirs:
-            for theta in thetas:
-                for mode in ("leq", "band"):
-                    ratio = coulomb_gain_ratio(B, Direction(w), theta, mode)
-                    worst_local = max(worst_local, ratio)
-                    local_rows.append(ScanRow("coulomb-gain", n, N, L, theta, seed,
-                                              ratio, 4.0, ratio / 4.0))
-        return worst_local, local_rows
-
-    results = parallel_map(one_field, range(50))
-    worst = max(r[0] for r in results)
-    for _, lr in results:
-        rows.extend(lr)
+    # every (direction, theta, mode) symbol is built once and serves all 50 fields
+    sectors = [(w, theta, gauge.sector_symbol(grid, gauge.SectorSpec(Direction(w), theta, mode)))
+               for w in dirs for theta in thetas for mode in ("leq", "band")]
+    worst = 0.0
+    for s in range(50):
+        B = random_divergence_free(grid, stream(seed, 100 + s), 2.0 / L, grid.nyquist * 0.9)
+        # whole-lattice spectra, so the 200 ratios do not each unfold B's half spectrum
+        B = B.in_frequency().map(ScalarField.as_complex, divergence_free=True)
+        for w, theta, sym in sectors:
+            ratio = coulomb_gain_ratio(B, w, theta, sym)
+            worst = max(worst, ratio)
+            rows.append(ScanRow("coulomb-gain", n, N, L, theta, seed, ratio, 4.0, ratio / 4.0))
     records.append(AcceptanceRecord.bounded("coulomb.per_mode_ratio", worst, hi=4.0))
     records.append(AcceptanceRecord.bounded("coulomb.runtime_seconds", elapsed(),
                                             hi=120.0, seconds=elapsed()))
@@ -893,7 +868,6 @@ def run(config: ExperimentConfig):
 
     Returns (records, paths).  Exit-status handling lives in the CLI."""
     config = config.validate()
-    worker_count()              # a bad CRONLAB_THREADS fails before any output
     out_dir = config.out_dir    # created by the first write, so a failed suite leaves none
     records, rows = EXPERIMENTS[config.experiment](config)
     chash = config.config_hash()

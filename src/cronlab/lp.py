@@ -248,17 +248,22 @@ def commutator_field(f: ScalarField, g: ScalarField, k: int) -> ScalarField:
         f.grid, f.phys_values * project_band(g, k).phys_values)
 
 
-def commutator_ratio(f: ScalarField, g: ScalarField, k: int, p, q, r) -> float:
-    """||[P_k,f] g||_r 2^k / (||grad f||_p ||g||_q) under the Hoelder triple."""
+def commutator_ratios(f: ScalarField, g: ScalarField, ks, p, q, r) -> list:
+    """(||[P_k,f] g||_r, ||[P_k,f] g||_r 2^k / (||grad f||_p ||g||_q)) for each
+    band k in ks, under the Hoelder triple; each commutator is built once and
+    the two norms of the denominator once for all bands."""
     pinv = 0.0 if p == np.inf else 1.0 / p
     qinv = 0.0 if q == np.inf else 1.0 / q
     rinv = 0.0 if r == np.inf else 1.0 / r
     if abs(pinv + qinv - rinv) > 1e-12:
         raise ParameterError(f"Hoelder triple violated: 1/{p} + 1/{q} != 1/{r}")
-    comm = commutator_field(f, g, k)
     den = gr.vector_lebesgue_norm(gr.gradient(f), p) * lebesgue_norm(g, q)
-    num = lebesgue_norm(comm, r) * 2.0 ** k
-    return num / den if den > 0 else 0.0
+    out = []
+    for k in ks:
+        norm = lebesgue_norm(commutator_field(f, g, k), r)
+        num = norm * 2.0 ** k
+        out.append((norm, num / den if den > 0 else 0.0))
+    return out
 
 
 def spacetime_product_ratio(F: SpacetimeField, G: SpacetimeField, p, q,

@@ -257,8 +257,7 @@ class DirectionCache:
     ``bucket_kernels[b]`` their transforms, which share one DFT table.
     The geometry is read-only after construction; ``multipliers`` memoizes the
     phase multipliers and support transforms of the families built on the
-    cache (a concurrent first build computes the same arrays twice, never
-    different ones).
+    cache.
     """
 
     def __init__(self, grid, modes, directions, assignment, eta_dir):
@@ -710,10 +709,12 @@ def covariant_box_direct(op: WaveOperator, t: float, h, dt: float,
     up = op.apply(t + dt, h).phys_values
     u0 = op.apply(t, h)
     dtt = (up - 2.0 * u0.phys_values + um) / dt ** 2
-    lap = gr.laplacian(u0).phys_values
+    u0_hat = u0.in_frequency()      # one transform serves the Laplacian and every partial
+    lap = gr.laplacian(u0_hat).phys_values
     transport = np.zeros(grid.shape, dtype=np.complex128)
     for j in range(grid.n):
-        transport += A.components[j].phys_values.real * gr.partial_derivative(u0, j).phys_values
+        du0 = gr.partial_derivative(u0_hat, j).phys_values
+        transport += A.components[j].phys_values.real * du0
     vals = -dtt + lap + 2j * transport
     return ScalarField(grid, vals, time_tag=t)
 

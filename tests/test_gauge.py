@@ -219,7 +219,7 @@ def test_coulomb_gain_zero_on_axis():
     F[1][ridx] = 1.0
     comps = tuple(ScalarField(g, F[j], rep="frequency") for j in range(3))
     B = VectorField(comps, divergence_free=True)
-    assert coulomb_gain_ratio(B, w, 0.25) == 0.0
+    assert coulomb_gain_ratio(B, w, 0.25, sector_symbol(g, SectorSpec(w, 0.25, "leq"))) == 0.0
 
 
 def test_coulomb_gain_bounded_over_scan():
@@ -233,7 +233,8 @@ def test_coulomb_gain_bounded_over_scan():
             w = unit(v)
             for theta in (0.25, 0.125, 0.0625):
                 for mode in ("leq", "band"):
-                    worst = max(worst, coulomb_gain_ratio(B, w, theta, mode))
+                    sym = sector_symbol(g, SectorSpec(w, theta, mode))
+                    worst = max(worst, coulomb_gain_ratio(B, w, theta, sym))
     assert worst <= 4.0
 
 
@@ -241,7 +242,8 @@ def test_coulomb_gain_needs_certificate():
     g = GridSpec(2, 16, 4.0)
     V = VectorField(tuple(random_field(g, stream(24, 9 + i), 0.5, 1.5) for i in range(2)))
     with pytest.raises(PreconditionError):
-        coulomb_gain_ratio(V, unit([1.0, 0.0]), 0.25)
+        w = unit([1.0, 0.0])
+        coulomb_gain_ratio(V, w, 0.25, sector_symbol(g, SectorSpec(w, 0.25, "leq")))
 
 
 # ---------------------------------------------------------------------------

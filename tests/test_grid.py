@@ -250,6 +250,18 @@ def test_fields_are_immutable():
         f.values[0, 0] = 1.0
 
 
+def test_with_values_takes_over_a_matching_array():
+    g = GridSpec(2, 16, 1.0)
+    f = random_field(g, stream(8, 2), real=True).in_frequency()
+    vals = f.values * 2.0
+    h = f.with_values(vals)
+    assert h.values is vals and not vals.flags.writeable
+    assert (h.rep, h.real_valued) == (f.rep, f.real_valued)
+    for bad in (np.zeros(g.shape, dtype=complex), vals.real.copy()):
+        with pytest.raises(StructuralError):
+            f.with_values(bad)
+
+
 def test_nyquist_rows_zeroed_by_multipliers():
     g = GridSpec(2, 16, 1.0)
     F = np.zeros(g.shape, dtype=complex)

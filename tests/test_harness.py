@@ -11,8 +11,7 @@ from cronlab.errors import CronlabError, ParameterError
 from cronlab.fieldio import write_field
 from cronlab.grid import GridSpec
 from cronlab.harness import (EXPERIMENTS, SUITE_FIELDS, AcceptanceRecord, ExperimentConfig,
-                             all_passed, machine_summary, parallel_map, report_text, run,
-                             worker_count)
+                             all_passed, machine_summary, report_text, run)
 from cronlab.random_fields import random_field, stream
 
 
@@ -226,25 +225,6 @@ def test_cli_rejects_bad_experiment(capsys):
     assert "unknown experiment" in capsys.readouterr().err
 
 
-def test_parallel_map_order_and_env(monkeypatch):
-    monkeypatch.setenv("CRONLAB_THREADS", "3")
-    assert worker_count() == 3
-    out = parallel_map(lambda x: x * x, range(7))
-    assert out == [x * x for x in range(7)]
-    for bad in ("junk", "0", "-2"):
-        monkeypatch.setenv("CRONLAB_THREADS", bad)
-        with pytest.raises(ParameterError, match="CRONLAB_THREADS"):
-            worker_count()
-
-
-def test_cli_rejects_bad_thread_count(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("CRONLAB_THREADS", "junk")
-    assert cli_main(["run", "--experiment", "norms"]) == 2
-    assert capsys.readouterr().err.startswith("error: CRONLAB_THREADS='junk'")
-    assert not (tmp_path / "out").exists()
-
-
 def test_config_rejects_seed_outside_philox_key():
     with pytest.raises(ParameterError):
         ExperimentConfig(experiment="norms", seed=-1).validate()
@@ -300,6 +280,21 @@ def test_cli_maps_bad_input_to_exit_2(tmp_path, monkeypatch, capsys, argv, needl
     err = capsys.readouterr().err
     assert err.startswith("error: ") and needle in err
     assert not (tmp_path / "out").exists()
+
+
+def test_coulomb_gain_builds_each_sector_symbol_once(tmp_path, monkeypatch):
+    import cronlab.gauge as gauge_module
+    calls = []
+    original = gauge_module.sector_symbol
+
+    def counted(grid, spec):
+        calls.append(spec)
+        return original(grid, spec)
+    monkeypatch.setattr(gauge_module, "sector_symbol", counted)
+    records, _ = run(ExperimentConfig(experiment="coulomb-gain", N=16, out_dir=str(tmp_path)))
+    assert all_passed(records)
+    # 20 directions x 5 angles x {leq, band}, each built once for all 50 fields
+    assert len(calls) == 200 == len(set((tuple(c.omega.omega), c.theta, c.mode) for c in calls))
 
 
 def test_lp_commutator_scan_below_default_grid():

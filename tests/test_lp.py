@@ -7,7 +7,7 @@ from cronlab.errors import ParameterError, PreconditionError, StructuralError
 from cronlab.grid import (GridSpec, ScalarField, constant_field, lebesgue_norm, mode_field,
                           plane_wave, relative_l2_difference, sobolev_norm, to_physical)
 from cronlab.lp import (BandRange, DEFAULT_BUMP, SpacetimeField, bernstein_ratio,
-                        besov_norm, commutator_field, commutator_ratio, fit_loglog,
+                        besov_norm, commutator_field, commutator_ratios, fit_loglog,
                         project_band, restrict_annulus,
                         spacetime_norm, spacetime_product_ratio)
 from cronlab.random_fields import (flat_spectrum_field, packet_field,
@@ -272,8 +272,9 @@ def test_commutator_slope_and_ratio():
     norms = [lebesgue_norm(commutator_field(f, h, k), 2) for k in ks]
     slope = fit_loglog([2.0 ** k for k in ks], norms)
     assert -1.15 <= slope <= -0.85
-    for k in ks:
-        assert commutator_ratio(f, h, k, np.inf, 2, 2) <= 10.0
+    for k, (norm, ratio) in zip(ks, commutator_ratios(f, h, ks, np.inf, 2, 2)):
+        assert norm == lebesgue_norm(commutator_field(f, h, k), 2)
+        assert ratio <= 10.0
 
 
 def test_commutator_hoelder_validation():
@@ -281,7 +282,7 @@ def test_commutator_hoelder_validation():
     f = random_field(g, stream(15, 3), 1.0, 2.0, real=True)
     h = random_field(g, stream(15, 4), 1.0, 8.0)
     with pytest.raises(ParameterError):
-        commutator_ratio(f, h, 2, 4, 4, 4)
+        commutator_ratios(f, h, [2], 4, 4, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,9 @@ from cronlab.lp import BandRange, SpacetimeField, band_symbol, fit_loglog, space
 from cronlab import parametrix as pmx
 from cronlab.parametrix import (AnnulusCutoff, DirectionCache, FreeConnection, PhaseFamily,
                                 WaveOperator, _dft_table, _ModeKernel, bucketing_error,
-                                covariant_box_amplitude, decomposable_surrogate,
-                                dispersive_scan, match_data, phase_defect, residual_check,
-                                split_phase_at)
+                                covariant_box_amplitude, covariant_box_direct,
+                                decomposable_surrogate, dispersive_scan, match_data,
+                                phase_defect, residual_check, split_phase_at)
 from cronlab.harness import make_free_connection
 from cronlab.random_fields import random_divergence_free, random_field, stream
 
@@ -342,6 +344,22 @@ def test_residual_zero_for_free_connection():
     assert lebesgue_norm(via, 2) == 0.0
     rep = residual_check(op, h, [0.5], 0.01)
     assert rep.residual_n2 == 0.0
+
+
+def test_covariant_box_direct_transforms_u0_once(monkeypatch):
+    conn = connection()
+    op = WaveOperator(PhaseFamily(conn, +1, 0.25, small_cache()), CUT)
+    h = annulus_coeffs(74)
+    A = conn.field(0.5)
+    calls = Counter()
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        def counted(*args, _original=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    covariant_box_direct(op, 0.5, h, 0.01, A)
+    # U(t)h forward once; the Laplacian and the two partials back from that spectrum
+    assert calls == {"fftn": 1, "ifftn": 3}
 
 
 def test_residual_dual_path_second_order():

@@ -3,7 +3,6 @@
     cronlab run --config cfg.json [--seed S] [--out DIR]
     cronlab run --experiment dispersive [--seed S] [--out DIR]
     cronlab report DIR
-    cronlab dump-field FILE
 
 Config files are JSON objects with the ExperimentConfig fields.  The exit
 status is 0 when every gate passes, 1 when one fails and 2 on bad input (an
@@ -18,11 +17,7 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .errors import CronlabError, PreconditionError, StructuralError
-from .fieldio import read_field
-from .grid import lebesgue_norm
 from .harness import ExperimentConfig, all_passed, report_text, run
 
 
@@ -39,9 +34,6 @@ def _build_parser():
 
     p_rep = sub.add_parser("report", help="print the stored summary of a run directory")
     p_rep.add_argument("dir")
-
-    p_dump = sub.add_parser("dump-field", help="describe a binary field snapshot")
-    p_dump.add_argument("file")
     return parser
 
 
@@ -92,18 +84,6 @@ def _check_summary(payload, path) -> None:
         raise StructuralError(f"run summary {path} is not a cronlab summary")
 
 
-def _cmd_dump_field(args) -> int:
-    field, ext = read_field(args.file)
-    g = field.grid
-    print(f"grid: n={g.n} N={g.N} L={g.L}  rep={field.rep}")
-    if ext.size:
-        print(f"extension block: {np.array2string(ext, precision=6)}")
-    print(f"L2 norm: {lebesgue_norm(field, 2):.12g}")
-    print(f"Linf norm: {lebesgue_norm(field, np.inf):.12g}")
-    print(f"mean: {field.mean():.6g}")
-    return 0
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -111,8 +91,6 @@ def main(argv=None) -> int:
             return _cmd_run(args)
         if args.command == "report":
             return _cmd_report(args)
-        if args.command == "dump-field":
-            return _cmd_dump_field(args)
     except CronlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -65,6 +65,7 @@ def angle_to(grid: GridSpec, omega) -> np.ndarray:
 
 def greater_symbol(grid: GridSpec, omega, theta: float) -> np.ndarray:
     ang = angle_to(grid, omega)
+    # complex128: float64 saves memory, but each spectrum product then promotes it (1.6x slower)
     return ((1.0 - DEFAULT_BUMP.eta(ang / theta)) *
             (1.0 - DEFAULT_BUMP.eta((np.pi - ang) / theta))).astype(np.complex128)
 

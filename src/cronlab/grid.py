@@ -376,12 +376,6 @@ class VectorField:
 
     __rmul__ = __mul__
 
-    def verify_divergence_free(self, tol=1e-10) -> bool:
-        dv = lebesgue_norm(divergence(self), np.inf)
-        scale = max(lebesgue_norm(d, np.inf)
-                    for c in self.components for d in gradient(c).components)
-        return dv <= tol * max(scale, 1e-300)
-
 
 # ---------------------------------------------------------------------------
 # transforms

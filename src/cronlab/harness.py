@@ -445,7 +445,7 @@ def run_lp_suite(config: ExperimentConfig):
         emb["lp_lower"] = max(emb["lp_lower"],
                               lebesgue_norm(f, 4) / besov_norm(f, 4, 4, 2, br))
         emb["p_upgrade"] = max(emb["p_upgrade"],
-                               besov_norm(f, 3, 4, 2, br) / besov_norm(f, 2, 4, 2, br))
+                               besov_norm(f, 3, 4, 2, br) / b2)
     records.append(AcceptanceRecord.bounded("embedding.besov_l2_vs_l1",
                                             emb["besov_l2_vs_l1"], hi=1.0 + 1e-12))
     records.append(AcceptanceRecord.bounded("embedding.littlewood_constant",

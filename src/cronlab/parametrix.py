@@ -353,6 +353,19 @@ class _Multipliers(NamedTuple):
     xi_dots: tuple     # xi . omega
 
 
+def _support_symbols(family, support):
+    """(direction, support lattice, inverse transverse symbol, band symbols P_k)
+    for each direction bucket of the family's cache.  These symbols read only
+    xi and |xi|, so they are evaluated at the band support's modes alone."""
+    grid = family.grid
+    lat = gr.Lattice(grid.xi.reshape(grid.n, -1)[:, support], grid.xi_norm.ravel()[support],
+                     grid.nyquist_mask.ravel()[support])
+    theta_min = min(family.thetas.values()) / 4.0
+    pks = {k: band_symbol(lat, k) for k in family.conn.band_range}
+    for w_dir in family.cache.directions:
+        yield w_dir, lat, transverse_inverse_symbol(lat, w_dir, theta_min), pks
+
+
 class PhaseSlice:
     """One direction's phase at one time.
 
@@ -429,23 +442,20 @@ class PhaseFamily:
     def _shared_multipliers(self) -> _Multipliers:
         key = (self.grid, self.conn.band_range, self.sigma)
         if key not in self.cache.multipliers:
-            grid = self.grid
-            theta_min = min(self.thetas.values()) / 4.0
-            pks = {k: band_symbol(grid, k) for k in self.conn.band_range}
-            support = np.flatnonzero(np.logical_or.reduce([pk != 0 for pk in pks.values()]))
+            support = np.flatnonzero(np.logical_or.reduce(
+                [band_symbol(self.grid, k) != 0 for k in self.conn.band_range]))
             ws, leqs, dots = [], [], []
-            for w_dir in self.cache.directions:
-                inv = transverse_inverse_symbol(grid, w_dir, theta_min)
-                S_g = np.zeros(grid.shape, dtype=np.complex128)
-                S_l = np.zeros(grid.shape, dtype=np.complex128)
+            for w_dir, lat, inv, pks in _support_symbols(self, support):
+                S_g = np.zeros(support.size, dtype=np.complex128)
+                S_l = np.zeros(support.size, dtype=np.complex128)
                 for k, pk in pks.items():
-                    gk = greater_symbol(grid, w_dir, self.thetas[k])
+                    gk = greater_symbol(lat, w_dir, self.thetas[k])
                     S_g += pk * gk
                     S_l += pk * (1.0 - gk)
-                ws.append((inv * S_g).ravel()[support])
-                leqs.append(S_l.ravel()[support])
-                dots.append(np.tensordot(w_dir, grid.xi, axes=(0, 0)).ravel()[support])
-            kernel = _ModeKernel(grid, support, self.cache.dft_table)
+                ws.append(inv * S_g)
+                leqs.append(S_l)
+                dots.append(np.tensordot(w_dir, lat.xi, axes=(0, 0)))
+            kernel = _ModeKernel(self.grid, support, self.cache.dft_table)
             self.cache.multipliers[key] = _Multipliers(kernel, tuple(ws), tuple(leqs),
                                                        tuple(dots))
         return self.cache.multipliers[key]
@@ -796,14 +806,6 @@ def unitarity_scan(op: WaveOperator, times, rng, h=None) -> UnitarityReport:
                            gradient_defects=tuple(gdefs), time_defects=tuple(tdefs))
 
 
-def free_halfwave_kernel_sup(grid: GridSpec, cutoff: AnnulusCutoff, sign: int,
-                             tau: float, fhat: np.ndarray) -> float:
-    """sup_x |U_free(tau) U_free(0)* f| via the multiplier a^2 e^{s 2 pi i tau |xi|}."""
-    sym = cutoff.symbol(grid) ** 2 * np.exp(sign * 2j * np.pi * tau * grid.xi_norm)
-    vals = np.fft.ifftn(sym * fhat) / grid.cell_volume
-    return float(np.abs(vals).max())
-
-
 @dataclass(frozen=True)
 class DecayScan:
     taus: tuple
@@ -814,8 +816,9 @@ class DecayScan:
 def dispersive_scan(op: WaveOperator | None, taus, f: ScalarField, *, grid=None,
                     cutoff=None, sign=+1) -> DecayScan:
     """||U(t) U(0)* f||_inf / ||f||_1 against tau = t; op=None runs the free
-    closed-form propagator (the oracle path).  All taus must sit below the
-    wrap limit L/2."""
+    closed-form propagator (the oracle path), sup_x |U_free(tau) U_free(0)* f|
+    through the multiplier a^2 e^{s 2 pi i tau |xi|}.  All taus must sit below
+    the wrap limit L/2."""
     if op is not None:
         grid, cutoff, sign = op.grid, op.cutoff, op.sign
     taus = np.asarray(taus, dtype=float)
@@ -825,8 +828,13 @@ def dispersive_scan(op: WaveOperator | None, taus, f: ScalarField, *, grid=None,
     vals = []
     if op is None:
         fhat = f.freq_values
+        a2 = cutoff.symbol(grid) ** 2
         for tau in taus:
-            vals.append(free_halfwave_kernel_sup(grid, cutoff, sign, tau, fhat) / l1)
+            sym = np.exp(sign * 2j * np.pi * tau * grid.xi_norm)
+            sym *= a2
+            sym *= fhat
+            sup = float(np.abs(np.fft.ifftn(sym) / grid.cell_volume).max())
+            vals.append(sup / l1)
     else:
         g = op.apply_adjoint(0.0, f)
         for tau in taus:
@@ -866,32 +874,27 @@ def split_phase_at(family: PhaseFamily, theta_star: float):
     original (an exact partition up to rounding)."""
     if theta_star <= 0:
         raise ParameterError("theta_star must be positive")
-    grid = family.grid
-    support = family._support
-    theta_min = min(family.thetas.values()) / 4.0
-    pks = {k: band_symbol(grid, k) for k in family.conn.band_range}
     ws_low, ws_high = [], []
     defect = 0.0
-    for b, w_dir in enumerate(family.cache.directions):
-        inv = transverse_inverse_symbol(grid, w_dir, theta_min)
-        low = np.zeros(grid.shape, dtype=np.complex128)
-        high = np.zeros(grid.shape, dtype=np.complex128)
+    for b, (w_dir, lat, inv, pks) in enumerate(_support_symbols(family, family._support)):
+        low = np.zeros(family._support.size, dtype=np.complex128)
+        high = np.zeros(family._support.size, dtype=np.complex128)
         for k, pk in pks.items():
             theta_k = family.thetas[k]
-            g_base = greater_symbol(grid, w_dir, theta_k)
+            g_base = greater_symbol(lat, w_dir, theta_k)
             # largest dyadic angle still below theta_star
             theta_edge = theta_k
             while theta_edge * 2.0 < theta_star:
                 theta_edge *= 2.0
             if theta_edge < theta_star and theta_edge > theta_k / 2.0:
-                g_edge = greater_symbol(grid, w_dir, theta_edge) \
+                g_edge = greater_symbol(lat, w_dir, theta_edge) \
                     if theta_edge != theta_k else g_base
                 low += pk * (g_base - g_edge)
                 high += pk * g_edge
             else:
                 high += pk * g_base
-        low = (low * inv).ravel()[support]
-        high = (high * inv).ravel()[support]
+        low *= inv
+        high *= inv
         W = family._w[b]
         scale = max(np.abs(W).max(initial=0.0), 1e-300)
         defect = max(defect, float(np.abs((low + high) - W).max(initial=0.0) / scale))

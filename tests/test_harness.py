@@ -1,18 +1,15 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
 from cronlab.cli import main as cli_main
 from cronlab.errors import CronlabError, ParameterError
-from cronlab.fieldio import write_field
 from cronlab.grid import GridSpec
 from cronlab.harness import (EXPERIMENTS, SUITE_FIELDS, AcceptanceRecord, ExperimentConfig,
                              all_passed, machine_summary, report_text, run)
-from cronlab.random_fields import random_field, stream
 
 
 def test_config_validation():
@@ -199,15 +196,6 @@ def test_cli_run_report_dump(tmp_path, capsys):
     assert code == 0
     assert "exponents.n6_values" in capsys.readouterr().out
 
-    g = GridSpec(2, 16, 2.0)
-    f = random_field(g, stream(5, 0)).in_physical()
-    snap = tmp_path / "f.crnl"
-    write_field(snap, f, extension=[0.6, 0.8])
-    code = cli_main(["dump-field", str(snap)])
-    assert code == 0
-    seen = capsys.readouterr().out
-    assert "n=2 N=16 L=2.0" in seen and "0.6" in seen
-
 
 def test_cli_run_from_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -236,6 +224,7 @@ def test_config_rejects_seed_outside_philox_key():
 BAD_CONFIGS = {
     "bad.json": '{"experiment": ',
     "inf_L.json": '{"experiment": "lp-suite", "L": Infinity}',
+    "overflow_L.json": '{"experiment": "coulomb-gain", "L": 1e400}',   # parses as inf
     "zero_t_max.json": '{"experiment": "mkg-evolve", "t_max": 0.0}',
     "neg_t_max.json": '{"experiment": "parametrix-residual", "t_max": -1}',
     "nan_eps.json": '{"experiment": "unitarity", "eps_list": [0.1, NaN]}',
@@ -259,7 +248,7 @@ BAD_SUMMARIES = {
     (["run", "--config", "zero_t_max.json"], "t_max=0.0"),
     (["run", "--config", "neg_t_max.json"], "t_max=-1"),
     (["run", "--config", "nan_eps.json"], "eps values"),
-    (["dump-field", "inf_L.crnl"], "L=inf"),
+    (["run", "--config", "overflow_L.json"], "L=inf"),
 ] + [(["report", name], name) for name in BAD_SUMMARIES] + [
     (["run", "--config", "odd_N.json"], "N=7"),
     (["run", "--config", "wrap_t_max.json"], "wrap limit"),
@@ -271,11 +260,6 @@ def test_cli_maps_bad_input_to_exit_2(tmp_path, monkeypatch, capsys, argv, needl
     for name, text in BAD_SUMMARIES.items():
         (tmp_path / name).mkdir()
         (tmp_path / name / "summary.json").write_text(text)
-    snap = tmp_path / "inf_L.crnl"
-    write_field(snap, random_field(GridSpec(2, 8, 2.0), stream(5, 1)))
-    blob = bytearray(snap.read_bytes())
-    blob[16:24] = np.float64(np.inf).tobytes()      # the f64 L after magic, version, n, N
-    snap.write_bytes(bytes(blob))
     assert cli_main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and needle in err

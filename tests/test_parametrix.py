@@ -48,10 +48,10 @@ def one_direction(conn, omega, sign, sigma):
 # ---------------------------------------------------------------------------
 # free connections
 
-def test_connection_divergence_free_at_all_times():
+def test_connection_divergence_free_at_all_times(divergence_free):
     conn = connection()
     for t in (0.0, 0.7, 1.9):
-        assert conn.field(t).verify_divergence_free(1e-11)
+        assert divergence_free(conn.field(t), 1e-11)
 
 
 def test_connection_solves_free_wave_exactly():
@@ -405,6 +405,25 @@ def test_free_dispersive_slopes():
     assert -0.65 <= scan.slope <= -0.35
 
 
+def test_free_dispersive_scan_builds_the_cutoff_once(monkeypatch):
+    g2 = GridSpec(2, 64, 8.0)
+    cut2 = AnnulusCutoff(rho=1.0).validate(g2)
+    vals = np.zeros(g2.shape)
+    vals[0, 0] = 1.0 / g2.cell_volume
+    f = ScalarField(g2, vals)
+    calls = []
+    original = AnnulusCutoff.symbol
+
+    def counted(self, grid):
+        calls.append(grid)
+        return original(self, grid)
+
+    monkeypatch.setattr(AnnulusCutoff, "symbol", counted)
+    scan = dispersive_scan(None, np.geomspace(1.0, 2.0, 5), f, grid=g2, cutoff=cut2, sign=+1)
+    assert len(scan.values) == 5
+    assert calls == [g2]
+
+
 def test_dispersive_wrap_guard():
     g2 = GridSpec(2, 64, 8.0)
     cut2 = AnnulusCutoff(rho=1.0).validate(g2)
@@ -438,6 +457,48 @@ def test_bucketing_error_is_small():
 
 # ---------------------------------------------------------------------------
 # phase split and surrogate
+
+def full_grid_multipliers(fam):
+    """The family's phase multipliers built the direct way: each symbol on the
+    whole grid, then gathered on the band support."""
+    grid = fam.grid
+    pks = {k: band_symbol(grid, k) for k in fam.conn.band_range}
+    support = np.flatnonzero(np.logical_or.reduce([pk != 0 for pk in pks.values()]))
+    theta_min = min(fam.thetas.values()) / 4.0
+    ws, leqs, dots = [], [], []
+    for w_dir in fam.cache.directions:
+        inv = transverse_inverse_symbol(grid, w_dir, theta_min)
+        S_g = np.zeros(grid.shape, dtype=np.complex128)
+        S_l = np.zeros(grid.shape, dtype=np.complex128)
+        for k, pk in pks.items():
+            gk = greater_symbol(grid, w_dir, fam.thetas[k])
+            S_g += pk * gk
+            S_l += pk * (1.0 - gk)
+        ws.append((inv * S_g).ravel()[support])
+        leqs.append(S_l.ravel()[support])
+        dots.append(np.tensordot(w_dir, grid.xi, axes=(0, 0)).ravel()[support])
+    return support, ws, leqs, dots
+
+
+def test_phase_multipliers_match_full_grid_evaluation():
+    # in 2-D the support evaluation keeps every bit
+    fam = PhaseFamily(connection(), +1, 0.25, small_cache())
+    support, ws, leqs, dots = full_grid_multipliers(fam)
+    assert np.array_equal(fam._support, support)
+    for got, want in ((fam._w, ws), (fam._leq, leqs), (fam._xi_dot, dots)):
+        assert len(got) == len(want) == len(fam.cache.directions)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    # in 3-D the dot products with omega may round differently on the gathered modes
+    g3 = GridSpec(3, 32, 8.0)
+    dirs = stream(58, 0).standard_normal((6, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    fam3 = PhaseFamily(connection(grid=g3), -1, 0.25, DirectionCache.of_directions(g3, dirs))
+    support, ws, leqs, dots = full_grid_multipliers(fam3)
+    assert np.array_equal(fam3._support, support)
+    for got, want in ((fam3._w, ws), (fam3._leq, leqs), (fam3._xi_dot, dots)):
+        for a, b in zip(got, want, strict=True):
+            assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
+
 
 def test_split_phase_partition_exact():
     # sigma = 0.45 puts the first dyadic piece of each band below theta* = 1,

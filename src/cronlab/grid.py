@@ -226,7 +226,6 @@ class ScalarField:
     grid: GridSpec
     values: np.ndarray
     rep: str = PHYSICAL
-    time_tag: float | None = None
     real_valued: bool = False
 
     def __post_init__(self):
@@ -253,13 +252,13 @@ class ScalarField:
         object.__setattr__(self, "values", arr)
 
     def with_values(self, values: np.ndarray) -> "ScalarField":
-        """This field's grid, representation and time tag around ``values``, a
+        """This field's grid and representation around ``values``, a
         fresh array in the layout this field stores.  The new field takes the
         array over: it is frozen, not copied."""
         if values.shape != self.values.shape or values.dtype != self.values.dtype:
             raise StructuralError(f"values {values.dtype}{values.shape} do not match the "
                                   f"field's layout {self.values.dtype}{self.values.shape}")
-        return _wrap(self.grid, values, self.rep, self.time_tag, self.real_valued)
+        return _wrap(self.grid, values, self.rep, self.real_valued)
 
     def in_frequency(self) -> "ScalarField":
         return self if self.rep == FREQUENCY else to_frequency(self)
@@ -292,7 +291,7 @@ class ScalarField:
         if not self.real_valued:
             return self
         vals = self.freq_values if self.rep == FREQUENCY else self.values
-        return ScalarField(self.grid, vals, rep=self.rep, time_tag=self.time_tag)
+        return ScalarField(self.grid, vals, rep=self.rep)
 
     def mean(self) -> complex:
         return complex(self.phys_values.mean())
@@ -380,13 +379,13 @@ class VectorField:
 # ---------------------------------------------------------------------------
 # transforms
 
-def _wrap(grid: GridSpec, values: np.ndarray, rep: str, time_tag, real_valued: bool) -> ScalarField:
+def _wrap(grid: GridSpec, values: np.ndarray, rep: str, real_valued: bool) -> ScalarField:
     """A field around an array this module has just made in the layout the
     field stores; it is neither checked nor copied."""
     f = object.__new__(ScalarField)
     values.flags.writeable = False
     for name, value in (("grid", grid), ("values", values), ("rep", rep),
-                        ("time_tag", time_tag), ("real_valued", real_valued)):
+                        ("real_valued", real_valued)):
         object.__setattr__(f, name, value)
     return f
 
@@ -397,7 +396,7 @@ def to_frequency(f: ScalarField) -> ScalarField:
         raise StructuralError("to_frequency expects a physical-representation field")
     F = (np.fft.rfftn if f.real_valued else np.fft.fftn)(f.values)
     F *= f.grid.cell_volume
-    return _wrap(f.grid, F, FREQUENCY, f.time_tag, f.real_valued)
+    return _wrap(f.grid, F, FREQUENCY, f.real_valued)
 
 
 def to_physical(f: ScalarField) -> ScalarField:
@@ -409,7 +408,7 @@ def to_physical(f: ScalarField) -> ScalarField:
     else:
         v = np.fft.ifftn(f.values)
     v /= f.grid.cell_volume
-    return _wrap(f.grid, v, PHYSICAL, f.time_tag, f.real_valued)
+    return _wrap(f.grid, v, PHYSICAL, f.real_valued)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +453,7 @@ def apply_multiplier(f: ScalarField, symbol) -> ScalarField:
             sym = half
     G = sym * f_hat.values
     zero_nyquist(G)
-    out = _wrap(grid, G, FREQUENCY, f.time_tag, f_hat.real_valued)
+    out = _wrap(grid, G, FREQUENCY, f_hat.real_valued)
     return out if f.rep == FREQUENCY else to_physical(out)
 
 
@@ -503,7 +502,7 @@ def drop_nyquist(f: ScalarField) -> ScalarField:
     onto the subspace every multiplier maps into."""
     F = f.in_frequency().values.copy()
     zero_nyquist(F)
-    out = _wrap(f.grid, F, FREQUENCY, f.time_tag, f.real_valued)
+    out = _wrap(f.grid, F, FREQUENCY, f.real_valued)
     return out if f.rep == FREQUENCY else to_physical(out)
 
 

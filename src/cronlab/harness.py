@@ -144,13 +144,11 @@ class AcceptanceRecord:
     lo: float
     hi: float
     passed: bool
-    seconds: float
 
     @classmethod
-    def bounded(cls, rid, value, lo=-math.inf, hi=math.inf, seconds=0.0):
+    def bounded(cls, rid, value, lo=-math.inf, hi=math.inf):
         ok = bool(lo <= value <= hi) and math.isfinite(value)
-        return cls(id=rid, value=float(value), lo=float(lo), hi=float(hi),
-                   passed=ok, seconds=seconds)
+        return cls(id=rid, value=float(value), lo=float(lo), hi=float(hi), passed=ok)
 
 
 @dataclass(frozen=True)
@@ -361,13 +359,10 @@ def run_identities(config: ExperimentConfig):
 
     for key in ("leray", "lp_partition", "box_null", "null_form", "phase_defect",
                 "psi_real", "adjoint", "phase_split"):
-        records.append(AcceptanceRecord.bounded(f"identities.{key}", worst[key],
-                                                hi=1e-10, seconds=0.0))
+        records.append(AcceptanceRecord.bounded(f"identities.{key}", worst[key], hi=1e-10))
     records.append(AcceptanceRecord.bounded("identities.null_form_literal_gap",
-                                            worst["null_form_literal_gap"], lo=1e-6,
-                                            seconds=0.0))
-    records.append(AcceptanceRecord.bounded("identities.runtime_seconds", elapsed(),
-                                            hi=300.0, seconds=elapsed()))
+                                            worst["null_form_literal_gap"], lo=1e-6))
+    records.append(AcceptanceRecord.bounded("identities.runtime_seconds", elapsed(), hi=300.0))
     return records, rows
 
 
@@ -452,8 +447,7 @@ def run_lp_suite(config: ExperimentConfig):
                                             emb["lp_lower"], hi=10.0))
     records.append(AcceptanceRecord.bounded("embedding.bernstein_upgrade_constant",
                                             emb["p_upgrade"], hi=10.0))
-    records.append(AcceptanceRecord.bounded("lp-suite.runtime_seconds", elapsed(),
-                                            hi=240.0, seconds=elapsed()))
+    records.append(AcceptanceRecord.bounded("lp-suite.runtime_seconds", elapsed(), hi=240.0))
     return records, rows
 
 
@@ -488,8 +482,7 @@ def run_coulomb_gain(config: ExperimentConfig):
             worst = max(worst, ratio)
             rows.append(ScanRow("coulomb-gain", n, N, L, theta, seed, ratio, 4.0, ratio / 4.0))
     records.append(AcceptanceRecord.bounded("coulomb.per_mode_ratio", worst, hi=4.0))
-    records.append(AcceptanceRecord.bounded("coulomb.runtime_seconds", elapsed(),
-                                            hi=120.0, seconds=elapsed()))
+    records.append(AcceptanceRecord.bounded("coulomb.runtime_seconds", elapsed(), hi=120.0))
     return records, rows
 
 
@@ -568,8 +561,7 @@ def run_mkg_evolve(config: ExperimentConfig):
     replay = gr.relative_l2_difference(
         ScalarField(order_grid, s_scaled.phi.phys_values * lam), s_base.phi)
     records.append(AcceptanceRecord.bounded("mkg.scaling_replay", replay, hi=1e-6))
-    records.append(AcceptanceRecord.bounded("mkg.runtime_seconds", elapsed(),
-                                            hi=600.0, seconds=elapsed()))
+    records.append(AcceptanceRecord.bounded("mkg.runtime_seconds", elapsed(), hi=600.0))
     return records, rows
 
 
@@ -628,8 +620,7 @@ def run_parametrix_residual(config: ExperimentConfig):
     mz = pmx.match_data(zp, zm, f, g2)
     records.append(AcceptanceRecord.bounded(
         "parametrix.free_match", mz.position_error + mz.velocity_error, hi=1e-12))
-    records.append(AcceptanceRecord.bounded("parametrix.runtime_seconds", elapsed(),
-                                            hi=900.0, seconds=elapsed()))
+    records.append(AcceptanceRecord.bounded("parametrix.runtime_seconds", elapsed(), hi=900.0))
     return records, rows
 
 
@@ -677,8 +668,7 @@ def run_unitarity(config: ExperimentConfig):
                             gd / max(td, 1e-300)))
     records.append(AcceptanceRecord.bounded("unitarity.derivative_defect_over_eps",
                                             worst, hi=10.0))
-    records.append(AcceptanceRecord.bounded("unitarity.runtime_seconds", elapsed(),
-                                            hi=600.0, seconds=elapsed()))
+    records.append(AcceptanceRecord.bounded("unitarity.runtime_seconds", elapsed(), hi=600.0))
     return records, rows
 
 
@@ -743,8 +733,7 @@ def run_dispersive(config: ExperimentConfig):
                                      cutp.symbol(gp) * (1.0 + 0j), subsample=48)
     records.append(AcceptanceRecord.bounded("dispersive.bucketing_error", bucket_err,
                                             hi=1e-2))
-    records.append(AcceptanceRecord.bounded("dispersive.runtime_seconds", elapsed(),
-                                            hi=600.0, seconds=elapsed()))
+    records.append(AcceptanceRecord.bounded("dispersive.runtime_seconds", elapsed(), hi=600.0))
     return records, rows
 
 
@@ -830,8 +819,7 @@ def run_norms(config: ExperimentConfig):
                                             val_psi / 1e-2, hi=20.0))
     rows.append(ScanRow("norms", grid2.n, grid2.N, grid2.L, 1e-2, seed, val_psi,
                         tail_psi, val_psi / 1e-2))
-    records.append(AcceptanceRecord.bounded("norms.runtime_seconds", elapsed(),
-                                            hi=120.0, seconds=elapsed()))
+    records.append(AcceptanceRecord.bounded("norms.runtime_seconds", elapsed(), hi=120.0))
     return records, rows
 
 

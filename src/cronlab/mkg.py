@@ -7,22 +7,23 @@ dynamical fields (A, phi) evolve by their wave equations
     box'_A phi   = 2 i A0 d_t phi + i (d_t A0) phi + |A|^2 phi - A0^2 phi,
     box'_A       = box + 2 i A . grad,
 
-while A0 is slaved to the matter field through the elliptic equation
+while A0 is fixed by the matter field through the elliptic equation
 
     (Delta - |phi|^2) A0 = -Im(phi conj(phi_t))
 
-and d_t A0 is reconstructed from the non-solenoidal part of the current.  The
-remaining Maxwell equations become monitored residuals.  Integration is a
-Strang kick-drift-kick split: exact free-wave flow in Fourier space, forcing
-kicks applied to the velocities with the A0 phi_t coupling handled
-pointwise-implicitly, A0 re-solved each substep, and Leray re-projection of A
-each step.  Quadratic nonlinear products are 2/3-rule dealiased.
+and d_t A0 by the non-solenoidal part of the current; a state derives both
+from its own fields.  The remaining Maxwell equations become monitored
+residuals.  Integration is a Strang kick-drift-kick split: exact free-wave flow
+in Fourier space, forcing kicks applied to the velocities with the A0 phi_t
+coupling handled pointwise-implicitly, and Leray re-projection of A each step.
+Quadratic nonlinear products are 2/3-rule dealiased.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -30,17 +31,19 @@ from .errors import ConvergenceError, ParameterError, PreconditionError
 from . import grid as gr
 from .grid import (FREQUENCY, GridSpec, ScalarField, VectorField, inner_product,
                    inverse_laplacian, laplacian, lebesgue_norm)
-from .gauge import (covariant_derivative, current_density, current_from_gradient,
-                    curvature_from_gradients, leray_project)
+from .gauge import (covariant_derivative, current_from_gradient, curvature_from_gradients,
+                    leray_project)
 
 
 @dataclass(frozen=True, eq=False)
 class ConnectionState:
-    """The full unknown at one instant, with time derivatives of every field."""
+    """The dynamical fields at one instant, with their time derivatives.
+
+    A0, d_t A0, grad phi and the current are derived from these fields when
+    first read and then kept, so every state, ``dataclasses.replace`` ones
+    included, carries the A0 of its own (phi, phi_t)."""
 
     t: float
-    A0: ScalarField
-    A0_t: ScalarField
     A_sp: VectorField
     A_sp_t: VectorField
     phi: ScalarField
@@ -54,6 +57,27 @@ class ConnectionState:
     @property
     def grid(self) -> GridSpec:
         return self.phi.grid
+
+    @cached_property
+    def A0(self) -> ScalarField:
+        """The solution of the elliptic equation of this state's (phi, phi_t)."""
+        return elliptic_a0(self.phi, self.phi_t)[0]
+
+    @cached_property
+    def A0_t(self) -> ScalarField:
+        """d_t A0 = -Delta^{-1} div J; the non-solenoidal part of the current
+        determines d_t grad A0, inverted through the Laplacian."""
+        return inverse_laplacian(gr.divergence(self.current)) * (-1.0)
+
+    @cached_property
+    def grad_phi(self) -> VectorField:
+        """The first partials of phi, in phi's own representation."""
+        return gr.gradient(self.phi)
+
+    @cached_property
+    def current(self) -> VectorField:
+        """J_j = Im(phi conj(D_j phi)), the spatial matter current."""
+        return current_from_gradient(self.phi, self.grad_phi, self.A_sp)
 
 
 @dataclass(frozen=True)
@@ -122,12 +146,6 @@ def elliptic_a0(phi: ScalarField, phi_t: ScalarField):
         history=history)
 
 
-def reconstruct_a0_t(phi: ScalarField, Asp: VectorField) -> ScalarField:
-    """d_t A0 = -Delta^{-1} div Im(phi conj(D phi)); the non-solenoidal part of
-    the current determines d_t grad A0, inverted through the Laplacian."""
-    return inverse_laplacian(gr.divergence(current_density(phi, Asp))) * (-1.0)
-
-
 # ---------------------------------------------------------------------------
 # compatible data
 
@@ -135,12 +153,11 @@ def make_compatible_data(f: ScalarField, g: ScalarField, a: VectorField,
                          adot: VectorField) -> ConnectionState:
     """Assemble a constraint-satisfying state from raw (phi, phi_t, A, A_t) data.
 
-    a/adot are Leray-projected; A0 solves its elliptic equation; d_t A0 is
-    reconstructed from the current.  The velocity g is shifted by i lambda f
-    (lambda real) to cancel the net charge Im<f, g>, which keeps the constant
-    mode of A0 at the nonlinear (quadratic) scale.  The assembled state must
-    meet the Gauss and Coulomb constraints to 1e-8, or ConvergenceError is
-    raised.
+    a/adot are Leray-projected, and the state derives A0 and d_t A0.  The
+    velocity g is shifted by i lambda f (lambda real) to cancel the net charge
+    Im<f, g>, which keeps the constant mode of A0 at the nonlinear (quadratic)
+    scale.  The assembled state must meet the Gauss and Coulomb constraints to
+    1e-8, or ConvergenceError is raised.
     """
     grid = f.grid
     Asp = leray_project(a)
@@ -149,10 +166,7 @@ def make_compatible_data(f: ScalarField, g: ScalarField, a: VectorField,
     if nf > 0:
         lam = float(np.imag(inner_product(f, g))) / nf ** 2
         g = g + ScalarField(grid, 1j * lam * f.phys_values)
-    A0, _, _ = elliptic_a0(f, g)
-    A0_t = reconstruct_a0_t(f, Asp)
-    state = _mark_slaved(ConnectionState(t=0.0, A0=A0, A0_t=A0_t, A_sp=Asp, A_sp_t=Asp_t,
-                                         phi=f, phi_t=g))
+    state = ConnectionState(t=0.0, A_sp=Asp, A_sp_t=Asp_t, phi=f, phi_t=g)
     rep = constraint_residuals(state)
     if rep.gauss_residual > 1e-8 or rep.div_residual > 1e-8:
         raise ConvergenceError(
@@ -164,22 +178,21 @@ def make_compatible_data(f: ScalarField, g: ScalarField, a: VectorField,
 # ---------------------------------------------------------------------------
 # right-hand sides
 
-def _forcing_A(state: ConnectionState, grad_phi: VectorField) -> VectorField:
+def _forcing_A(state: ConnectionState) -> VectorField:
     """The wave forcing of A as the system displays it: -P of the current,
     dealiased by the 2/3 rule and Leray projected (its constant mode, genuinely
-    divergence free, passes through).  grad_phi is gr.gradient(state.phi)."""
-    J = current_from_gradient(state.phi, grad_phi, state.A_sp)
-    return leray_project(VectorField(tuple(dealias(c) * (-1.0) for c in J.components)),
+    divergence free, passes through)."""
+    return leray_project(VectorField(tuple(dealias(c) * (-1.0)
+                                           for c in state.current.components)),
                          keep_mean=True)
 
 
-def _phi_acceleration_extras(state: ConnectionState, grad_phi: VectorField) -> ScalarField:
+def _phi_acceleration_extras(state: ConnectionState) -> ScalarField:
     """Everything in phi_tt besides Delta phi and the implicit A0 phi_t term,
-    dealiased: 2i A.grad phi - i (d_t A0) phi - |A|^2 phi + A0^2 phi.
-    grad_phi is gr.gradient(state.phi)."""
+    dealiased: 2i A.grad phi - i (d_t A0) phi - |A|^2 phi + A0^2 phi."""
     grid = state.grid
     transport = np.zeros(grid.shape, dtype=np.complex128)
-    for a, dphi in zip(state.A_sp.components, grad_phi.components):
+    for a, dphi in zip(state.A_sp.components, state.grad_phi.components):
         transport += a.phys_values.real * dphi.phys_values
     ph = state.phi.phys_values
     a0 = state.A0.phys_values.real
@@ -196,24 +209,6 @@ def stability_limit(grid: GridSpec) -> float:
     return 0.5 * grid.dx
 
 
-def _mark_slaved(state: ConnectionState) -> ConnectionState:
-    """Record that state's A0 and A0_t solve the elliptic equations of its own
-    (phi, phi_t, A).  The mark is an attribute, not a field, so
-    ``dataclasses.replace`` (which builds every changed state) drops it."""
-    object.__setattr__(state, "_slaved", True)
-    return state
-
-
-def _slave_a0(state: ConnectionState) -> ConnectionState:
-    """A0 and d_t A0 solved from the state's (phi, phi_t, A); a state that is
-    marked as already slaved is returned as it is."""
-    if getattr(state, "_slaved", False):
-        return state
-    A0, _, _ = elliptic_a0(state.phi, state.phi_t)
-    A0_t = reconstruct_a0_t(state.phi, state.A_sp)
-    return _mark_slaved(replace(state, A0=A0, A0_t=A0_t))
-
-
 def _kick(state: ConnectionState, h: float) -> ConnectionState:
     """Velocity kick over h; phi_t gets the lower-order terms with the
     A0 phi_t coupling solved pointwise implicitly.
@@ -221,12 +216,11 @@ def _kick(state: ConnectionState, h: float) -> ConnectionState:
     The wave-equation display box A = -P J together with box = -d_t^2 + Delta
     makes the acceleration A_tt = Delta A + P J, so the kick adds +P J."""
     grid = state.grid
-    grad_phi = gr.gradient(state.phi).in_physical()   # both consumers read samples
-    forcing_A = _forcing_A(state, grad_phi)   # the displayed forcing, -P J
+    forcing_A = _forcing_A(state)   # the displayed forcing, -P J
     Asp_t = VectorField(tuple(c - f * h for c, f in
                               zip(state.A_sp_t.components, forcing_A.components)),
                         divergence_free=True)
-    extras = _phi_acceleration_extras(state, grad_phi)
+    extras = _phi_acceleration_extras(state)
     a0 = state.A0.phys_values.real
     new_phi_t = (state.phi_t.phys_values + h * extras.phys_values) / (1.0 + 2j * h * a0)
     return replace(state, A_sp_t=Asp_t, phi_t=_field(grid, new_phi_t))
@@ -267,18 +261,14 @@ def _drift(state: ConnectionState, h: float) -> ConnectionState:
 
 
 def step(state: ConnectionState, dt: float) -> ConnectionState:
-    """One Strang kick-drift-kick step; A0 re-slaved at each substep and the
-    connection re-projected by Leray at the end.  The returned state is marked
-    as slaved, so the next step does not solve for its A0 again."""
+    """One Strang kick-drift-kick step, with the connection re-projected by
+    Leray at the end.  Each kick reads the A0 and d_t A0 of the state it kicks."""
     grid = state.grid
     if dt > stability_limit(grid) * (1.0 + 1e-12):
         raise ParameterError(f"dt={dt} exceeds the stability bound {stability_limit(grid)}")
-    s1 = _kick(_slave_a0(state), dt / 2.0)
-    s2 = _drift(s1, dt)
-    s3 = _kick(_slave_a0(s2), dt / 2.0)
-    Asp = leray_project(s3.A_sp, keep_mean=True)
-    Asp_t = leray_project(s3.A_sp_t, keep_mean=True)
-    return _slave_a0(replace(s3, A_sp=Asp, A_sp_t=Asp_t))
+    s = _kick(_drift(_kick(state, dt / 2.0), dt), dt / 2.0)
+    return replace(s, A_sp=leray_project(s.A_sp, keep_mean=True),
+                   A_sp_t=leray_project(s.A_sp_t, keep_mean=True))
 
 
 def evolve(state: ConnectionState, t_final: float, dt: float) -> ConnectionState:
@@ -298,7 +288,8 @@ def constraint_residuals(state: ConnectionState) -> EnergyReport:
 
     Each field is transformed once and all its partials are taken from that
     transform, in the field's own representation as gradient() returns them.
-    Groups of partials are dropped once used, which bounds peak memory."""
+    grad phi, the current, A0 and d_t A0 are the state's own, shared with the
+    step; the other groups of partials are dropped once used."""
     grid = state.grid
     vol = grid.cell_volume
     ph = state.phi.phys_values
@@ -306,13 +297,10 @@ def constraint_residuals(state: ConnectionState) -> EnergyReport:
     # covariant kinetic energy over all indices
     d0 = covariant_derivative(state.phi, state.phi_t, state.A0, state.A_sp, 0)
     kin = 0.5 * np.sum(np.abs(d0.phys_values) ** 2) * vol
-    grad_phi = gr.gradient(state.phi)
-    for dphi, a in zip(grad_phi.components, state.A_sp.components):
+    for dphi, a in zip(state.grad_phi.components, state.A_sp.components):
         # D_j phi exactly as covariant_derivative forms it
         dj = dphi + ScalarField(grid, 1j * a.phys_values * ph)
         kin += 0.5 * np.sum(np.abs(dj.phys_values) ** 2) * vol
-    J = current_from_gradient(state.phi, grad_phi, state.A_sp)
-    del grad_phi
 
     # Gauss law: Delta A0 + Im(phi conj(D_0 phi)) = 0, on the Nyquist-free
     # subspace elliptic_a0 solves on, measured in frequency
@@ -324,9 +312,9 @@ def constraint_residuals(state: ConnectionState) -> EnergyReport:
     gauss = gr.plancherel_l2(lap_a0 + rho_cov) / gauss_scale
 
     # non-solenoidal spatial Maxwell: grad(d_t A0) + (1 - P) Im(phi conj(D phi)) = 0
-    J_sol = leray_project(J, keep_mean=True)
-    nonsol = tuple(a - b for a, b in zip(J.components, J_sol.components))
-    del J, J_sol
+    J = state.current
+    nonsol = tuple(a - b for a, b in zip(J.components,
+                                         leray_project(J, keep_mean=True).components))
     g_a0t = gr.gradient(state.A0_t).components
     m_num = math.sqrt(sum(lebesgue_norm(a + b, 2) ** 2 for a, b in zip(g_a0t, nonsol)))
     m_scale = max(math.sqrt(sum(lebesgue_norm(a, 2) ** 2 for a in g_a0t)),
@@ -334,9 +322,7 @@ def constraint_residuals(state: ConnectionState) -> EnergyReport:
     maxwell = m_num / m_scale
     del g_a0t, nonsol
 
-    grad_A0 = gr.gradient(A0_hat)
-    if state.A0.rep != FREQUENCY:
-        grad_A0 = grad_A0.in_physical()
+    grad_A0 = gr.gradient(A0_hat).in_physical()   # A0 is solved in samples
     grad_A = [gr.gradient(c) for c in state.A_sp.components]
     F = curvature_from_gradients(grad_A0, state.A_sp_t, grad_A)
     curv = 0.5 * sum(np.sum(np.abs(v.phys_values) ** 2) * vol for v in F.values())

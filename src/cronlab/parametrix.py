@@ -60,7 +60,7 @@ class HalfWaveField:
     def sample(self, t: float) -> ScalarField:
         s = np.where(self.rho > 0, np.sin(self.rho * t) / np.where(self.rho > 0, self.rho, 1.0), t)
         F = np.cos(self.rho * t) * self.u0 + s * self.u1
-        return gr.to_physical(ScalarField(self.grid, F, rep=FREQUENCY, time_tag=t))
+        return gr.to_physical(ScalarField(self.grid, F, rep=FREQUENCY))
 
     def dt(self) -> "HalfWaveField":
         return HalfWaveField(self.grid, self.u1, -self.rho ** 2 * self.u0)
@@ -123,7 +123,7 @@ class FreeConnection:
 
     def field(self, t: float) -> VectorField:
         A, _ = self.eval_hat(t)
-        comps = tuple(gr.to_physical(ScalarField(self.grid, A[j], rep=FREQUENCY, time_tag=t))
+        comps = tuple(gr.to_physical(ScalarField(self.grid, A[j], rep=FREQUENCY))
                       for j in range(self.grid.n))
         return VectorField(comps, divergence_free=True)
 
@@ -260,12 +260,10 @@ class DirectionCache:
     cache.
     """
 
-    def __init__(self, grid, modes, directions, assignment, eta_dir):
+    def __init__(self, grid, modes, directions, assignment):
         self.grid = grid
         self.modes = modes
         self.directions = directions
-        self.assignment = assignment
-        self.eta_dir = eta_dir
         self.multipliers = {}     # (grid, band range, sigma) -> _Multipliers
         self.flat_index = np.ravel_multi_index((modes % grid.N).T, grid.shape)
         self.bucket_index = [self.flat_index[assignment == b] for b in range(len(directions))]
@@ -300,7 +298,7 @@ class DirectionCache:
                     reps[key] = len(directions)
                     directions.append(unit[i])
                 assignment[i] = reps[key]
-            return cls(grid, modes, np.array(directions), assignment, eta_dir=0.0)
+            return cls(grid, modes, np.array(directions), assignment)
         if eta_dir is None or eta_dir <= 0:
             raise ParameterError("bucketed direction cache needs eta_dir > 0")
         reps = []
@@ -317,7 +315,7 @@ class DirectionCache:
             reps.append(unit[i])
             rep_mat = np.asarray(reps)
             assignment[i] = len(reps) - 1
-        return cls(grid, modes, rep_mat, assignment, eta_dir=eta_dir)
+        return cls(grid, modes, rep_mat, assignment)
 
     @classmethod
     def of_directions(cls, grid: GridSpec, directions) -> "DirectionCache":
@@ -332,7 +330,7 @@ class DirectionCache:
             raise ParameterError("directions must be unit vectors")
         modes = np.zeros(directions.shape, dtype=int)
         modes[:, 0] = 1
-        return cls(grid, modes, directions, np.arange(len(directions)), 0.0)
+        return cls(grid, modes, directions, np.arange(len(directions)))
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +591,7 @@ class WaveOperator:
         out = np.zeros(grid.shape, dtype=np.complex128)
         for b, kern, _, c in self._buckets(t, h):
             out += self.family.slice_at(t, b).phase * kern.synthesize(c)
-        return ScalarField(grid, out, time_tag=t)
+        return ScalarField(grid, out)
 
     def apply_dt(self, t: float, h: np.ndarray) -> ScalarField:
         """Analytic d_t of apply: the phase and half-wave factors differentiate
@@ -605,7 +603,7 @@ class WaveOperator:
             part0, part1 = kern.synthesize(np.stack([c, r * c]))
             sl = self.family.slice_at(t, b)
             out += sl.phase * (two_pi_i * sl.psi_t * part0 + self.sign * two_pi_i * part1)
-        return ScalarField(grid, out, time_tag=t)
+        return ScalarField(grid, out)
 
     def apply_adjoint(self, t: float, f: ScalarField) -> np.ndarray:
         """h(xi) = conj(half-wave) a(xi) FFT[e^{-2 pi i psi} f](xi) dx^n per
@@ -726,7 +724,7 @@ def covariant_box_direct(op: WaveOperator, t: float, h, dt: float,
         du0 = gr.partial_derivative(u0_hat, j).phys_values
         transport += A.components[j].phys_values.real * du0
     vals = -dtt + lap + 2j * transport
-    return ScalarField(grid, vals, time_tag=t)
+    return ScalarField(grid, vals)
 
 
 def covariant_box_amplitude(op: WaveOperator, t: float, h, A: VectorField) -> ScalarField:
@@ -749,7 +747,7 @@ def covariant_box_amplitude(op: WaveOperator, t: float, h, A: VectorField) -> Sc
         for j in range(grid.n):
             acc += -2.0 * Avals[j] * parts2[j]
         out += sl.phase * acc
-    return ScalarField(grid, 2.0 * np.pi * out, time_tag=t)
+    return ScalarField(grid, 2.0 * np.pi * out)
 
 
 def residual_check(op: WaveOperator, h, times, dt: float) -> ResidualReport:

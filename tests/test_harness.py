@@ -158,8 +158,9 @@ def test_report_lists_failures_first():
 
 def test_machine_summary_is_deterministic_and_clockless():
     cfg = ExperimentConfig(experiment="norms")
-    recs = [AcceptanceRecord("b", 1.0, 0.0, 2.0, True, seconds=1.23),
-            AcceptanceRecord("a", 0.5, 0.0, 2.0, True, seconds=9.87)]
+    recs = [AcceptanceRecord("b", 1.0, 0.0, 2.0, True),
+            AcceptanceRecord("b.runtime_seconds", 1.23, -math.inf, 600.0, True),
+            AcceptanceRecord("a", 0.5, 0.0, 2.0, True)]
     s1 = machine_summary(cfg, recs)
     s2 = machine_summary(cfg, list(reversed(recs)))
     assert s1 == s2

@@ -7,8 +7,8 @@ import pytest
 
 from cronlab.errors import ParameterError
 from cronlab.exponents import exponents, sigma_window, validate_sigma
-from cronlab.grid import (GridSpec, ScalarField, VectorField, gradient, lebesgue_norm,
-                          plane_wave, relative_l2_difference, zero_field)
+from cronlab.grid import (GridSpec, ScalarField, VectorField, lebesgue_norm, plane_wave,
+                          relative_l2_difference, zero_field)
 from cronlab.lp import fit_loglog
 from cronlab.mkg import (ConnectionState, _forcing_A, _phi_acceleration_extras,
                          constraint_residuals, dealias, elliptic_a0, evolve,
@@ -141,8 +141,7 @@ def test_rhs_vanishes_without_matter():
     g = GridSpec(2, 16, 4.0)
     _, _, a, adot = small_data(g, 1.0, seed=35)
     st = make_compatible_data(zero_field(g), zero_field(g), a, adot)
-    grad_phi = gradient(st.phi)
-    fA, fphi = _forcing_A(st, grad_phi), _phi_acceleration_extras(st, grad_phi)
+    fA, fphi = _forcing_A(st), _phi_acceleration_extras(st)
     assert max(lebesgue_norm(c, 2) for c in fA.components) == 0.0
     assert lebesgue_norm(fphi, 2) == 0.0
 
@@ -150,7 +149,7 @@ def test_rhs_vanishes_without_matter():
 def test_rhs_forcing_is_divergence_free(divergence_free):
     g = GridSpec(2, 32, 8.0)
     st = make_compatible_data(*small_data(g, 0.1, seed=36))
-    assert divergence_free(_forcing_A(st, gradient(st.phi)), 1e-10)
+    assert divergence_free(_forcing_A(st), 1e-10)
 
 
 def test_rhs_cross_checks_null_form_identity():
@@ -161,7 +160,7 @@ def test_rhs_cross_checks_null_form_identity():
     f, gg, _, _ = small_data(g, 0.1, seed=37, r_lo=0.25, r_hi=0.45)
     Z = VectorField(tuple(zero_field(g) for _ in range(2)), divergence_free=True)
     st = make_compatible_data(f, gg, Z, Z)
-    fA = _forcing_A(st, gradient(st.phi))
+    fA = _forcing_A(st)
     derivs = [partial_derivative(st.phi, j).phys_values for j in range(2)]
     for j in range(2):
         acc = zero_field(g)
@@ -246,71 +245,101 @@ def _stepped_state():
 
 
 def test_step_transform_count(monkeypatch):
+    # along a trajectory the monitor reads each state before the next step,
+    # so the first kick finds grad phi, the current, A0 and d_t A0 derived
     st = _stepped_state()
+    constraint_residuals(st)
     calls = _count_transforms(monkeypatch)
     iterations = _count_elliptic_solves(monkeypatch)
     step(st, 0.05)
-    assert iterations == [2, 2]
-    # complex transforms (phi, phi_t) as forward+inverse: per d_t A0 grad phi
-    # 1+3; per kick grad phi 1+3, shared by the A forcing and the phi extras,
-    # and the phi extras' dealias 1+1; drift of (phi, phi_t) 2+2
-    fftn = 2 * 1 + 2 * (1 + 1) + 2
-    ifftn = 2 * 3 + 2 * (3 + 1) + 2
-    # real transforms (A0, A0_t, A_j, A_j_t, the current): per solve with
-    # k = 2 iterations source 1+1, first coupling 1+1, then k * (inverse
-    # Laplacian, Laplacian, coupling) 3+3; per d_t A0 divergence of J 3+3,
-    # inverse Laplacian 1+1; per kick dealias of J 3+3, Leray 3+3; drift of
-    # (A_j, A_j_t) 6+6; final Leray of A and A_t 6+6
-    real = 2 * (2 + 3 * 2) + 2 * (3 + 1) + 2 * (3 + 3) + 6 + 6
+    assert iterations == [2]
+    # complex transforms (phi, phi_t) as forward+inverse: per kick the phi
+    # extras' dealias 1+1; the drifted state's grad phi 1+3; drift of
+    # (phi, phi_t) 2+2
+    fftn = 2 * 1 + 1 + 2
+    ifftn = 2 * 1 + 3 + 2
+    # real transforms (A0, A0_t, A_j, A_j_t, the current): per kick dealias
+    # of J 3+3, Leray 3+3; drift of (A_j, A_j_t) 6+6; the drifted state's
+    # solve with k = 2 iterations source 1+1, first coupling 1+1, then
+    # k * (inverse Laplacian, Laplacian, coupling) 3+3, and its d_t A0
+    # divergence of J 3+3, inverse Laplacian 1+1; final Leray of A and A_t 6+6
+    real = 2 * (3 + 3) + 6 + (2 + 3 * 2) + (3 + 1) + 6
     assert calls == {"fftn": fftn, "ifftn": ifftn, "rfftn": real, "irfftn": real}
-    assert (fftn, ifftn, real) == (8, 16, 48)
+    assert (fftn, ifftn, real) == (5, 7, 36)
 
 
 def test_constraint_residuals_transform_count(monkeypatch):
+    # the monitor is the first reader of a stepped state, so it derives A0
     st = _stepped_state()
     calls = _count_transforms(monkeypatch)
+    iterations = _count_elliptic_solves(monkeypatch)
     constraint_residuals(st)
-    # complex: phi forward, d_j phi (3) inverse.  Real forward: A0, the charge
-    # density (the Gauss residual is taken in frequency), A_j (3), A0_t, A_t
-    # for its divergence (3), Leray of J (3); real inverse: d_j A0 (3), d_j A_k
-    # (9, shared by the curvature and the Coulomb residual), d_j A0_t (3),
-    # div A_t (3), Leray of J (3)
-    assert calls == {"fftn": 1, "ifftn": 3, "rfftn": 1 + 1 + 3 + 1 + 3 + 3,
-                     "irfftn": 3 + 9 + 3 + 3 + 3}
+    assert iterations == [2]
+    # complex: phi forward, d_j phi (3) inverse.  Real: the solve with k = 2
+    # iterations 8+8 and d_t A0 4+4, as in a step.  Then real forward: A0, the
+    # charge density (the Gauss residual is taken in frequency), A_j (3),
+    # A0_t, A_t for its divergence (3), Leray of J (3); real inverse: d_j A0
+    # (3), d_j A_k (9, shared by the curvature and the Coulomb residual),
+    # d_j A0_t (3), div A_t (3), Leray of J (3)
+    assert calls == {"fftn": 1, "ifftn": 3, "rfftn": 8 + 4 + 1 + 1 + 3 + 1 + 3 + 3,
+                     "irfftn": 8 + 4 + 3 + 9 + 3 + 3 + 3}
 
 
-def test_step_skips_the_solve_of_a_slaved_state(monkeypatch):
+def test_monitored_trajectory_solves_twice_per_step(monkeypatch):
+    # each step solves at its drifted state and at the state it returns, whose
+    # A0 the monitor and the next step's first kick share
     g = GridSpec(3, 16, 4.0)
     st = make_compatible_data(*small_data(g, 1e-2, seed=48))
     iterations = _count_elliptic_solves(monkeypatch)
-    marked = step(st, 0.05)
-    n_marked = len(iterations)
-    # replace() builds a new state, which drops the mark
-    unmarked = step(replace(st), 0.05)
-    assert n_marked == 2 and len(iterations) - n_marked == 3
+    s, k = st, 3
+    for _ in range(k):
+        s = step(s, 0.05)
+        constraint_residuals(s)
+    assert len(iterations) == 2 * k
+    # replace() builds a new state, which derives everything again
+    ref, again = step(st, 0.05), step(replace(st), 0.05)
     for name in ("A0", "A0_t", "phi", "phi_t"):
-        assert np.array_equal(getattr(marked, name).values, getattr(unmarked, name).values)
+        assert np.array_equal(getattr(ref, name).values, getattr(again, name).values)
     for name in ("A_sp", "A_sp_t"):
-        for a, b in zip(getattr(marked, name).components, getattr(unmarked, name).components):
+        for a, b in zip(getattr(ref, name).components, getattr(again, name).components):
             assert np.array_equal(a.values, b.values)
-    # the returned state is marked: the next step solves twice
-    step(marked, 0.05)
-    assert len(iterations) - n_marked == 5
 
 
 def test_hand_built_state_is_solved(monkeypatch):
     g = GridSpec(3, 16, 4.0)
     st = make_compatible_data(*small_data(g, 1e-2, seed=48))
-    z = zero_field(g)
-    hand = ConnectionState(t=st.t, A0=z, A0_t=z, A_sp=st.A_sp, A_sp_t=st.A_sp_t,
-                           phi=st.phi, phi_t=st.phi_t)
+    hand = ConnectionState(t=st.t, A_sp=st.A_sp, A_sp_t=st.A_sp_t, phi=st.phi,
+                           phi_t=st.phi_t)
     iterations = _count_elliptic_solves(monkeypatch)
     out = step(hand, 0.05)
+    assert len(iterations) == 2
+    ref = step(st, 0.05)   # st's own A0 was solved by its self-check
     assert len(iterations) == 3
-    ref = step(st, 0.05)
-    assert len(iterations) == 5
     assert np.array_equal(out.phi.values, ref.phi.values)
     assert np.array_equal(out.A0.values, ref.A0.values)
+
+
+def test_replaced_state_derives_its_own_a0_and_a0_t():
+    from cronlab.grid import drop_nyquist, inner_product, laplacian
+    g = GridSpec(2, 32, 8.0)
+    st = make_compatible_data(*small_data(g, 1e-2, seed=49))
+    rng = stream(49, 1)
+    # a new phi_t, shifted to zero net charge as make_compatible_data shifts
+    # it: A0 solves (Delta - |phi|^2) A0 = -Im(phi conj(phi_t)) on the
+    # Nyquist-free subspace, to the solver's own 1e-10
+    phi_t = random_field(g, rng, 2.0 / g.L, g.N / (8.0 * g.L)) * 1e-2
+    lam = float(np.imag(inner_product(st.phi, phi_t))) / lebesgue_norm(st.phi, 2) ** 2
+    st_t = replace(st, phi_t=phi_t + ScalarField(g, 1j * lam * st.phi.phys_values))
+    ph = st_t.phi.phys_values
+    source = drop_nyquist(ScalarField(g, -np.imag(ph * np.conj(st_t.phi_t.phys_values)),
+                                      real_valued=True))
+    coupling = drop_nyquist(ScalarField(g, np.abs(ph) ** 2 * st_t.A0.phys_values,
+                                        real_valued=True))
+    resid = laplacian(st_t.A0) - coupling - source
+    assert lebesgue_norm(resid, 2) <= 1e-10 * lebesgue_norm(source, 2)
+    # a new A: d_t A0 meets the non-solenoidal Maxwell equation of the new current
+    a = random_divergence_free(g, rng, 2.0 / g.L, g.N / (8.0 * g.L))
+    assert constraint_residuals(replace(st, A_sp=a)).maxwell_residual <= 1e-10
 
 
 def test_energy_drift_small_data():

@@ -1,7 +1,8 @@
-"""Gauge-theoretic and microlocal operators: Leray projection, curvature and
-covariant derivatives, sector symbols about a direction, the inverse
-transverse Laplacian symbol, null derivatives of closed-form free waves, and
-the divergence-free angular gain measurement.
+"""Gauge-theoretic and microlocal operators: Leray projection, curvature, the
+covariant gradient D_j phi (which the current and the MKG monitor share),
+sector symbols about a direction, the inverse transverse Laplacian symbol,
+null derivatives of closed-form free waves, and the divergence-free angular
+gain measurement.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ def coulomb_gain_ratio(B: VectorField, omega, theta: float, sym: np.ndarray) -> 
 
 
 # ---------------------------------------------------------------------------
-# connection geometry: curvature and covariant derivatives
+# connection geometry: curvature and the covariant gradient
 
 def curvature_from_gradients(grad_A0: VectorField, Asp_t: VectorField, grad_A: list) -> dict:
     """F_{alpha beta} = d_alpha A_beta - d_beta A_alpha as a dict over alpha < beta,
@@ -183,14 +184,13 @@ def curvature_from_gradients(grad_A0: VectorField, Asp_t: VectorField, grad_A: l
     return F
 
 
-def covariant_derivative(phi: ScalarField, phi_t: ScalarField, A0: ScalarField,
-                         Asp: VectorField, alpha: int) -> ScalarField:
-    """D_alpha phi = (d_alpha + i A_alpha) phi; alpha = 0 is time."""
-    if alpha == 0:
-        return phi_t + ScalarField(phi.grid, 1j * A0.phys_values * phi.phys_values)
-    j = alpha - 1
-    return partial_derivative(phi, j) + ScalarField(
-        phi.grid, 1j * Asp.components[j].phys_values * phi.phys_values)
+def covariant_gradient(phi_samples: np.ndarray, grad_phi: VectorField,
+                       Asp: VectorField) -> list:
+    """Samples of D_j phi = d_j phi + i A_j phi, j = 1..n, from phi's samples,
+    its first partials and the spatial connection.  The current and the MKG
+    monitor both take D_j phi from here."""
+    return [dphi.phys_values + 1j * a.phys_values * phi_samples
+            for dphi, a in zip(grad_phi.components, Asp.components)]
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +207,9 @@ def current_density(phi: ScalarField, Asp: VectorField) -> VectorField:
 
 def current_from_gradient(phi: ScalarField, grad_phi: VectorField, Asp: VectorField) -> VectorField:
     """``current_density`` from the first partials of phi, for callers that hold them."""
-    grid = phi.grid
     ph = phi.phys_values
-    comps = []
-    for dphi, a in zip(grad_phi.components, Asp.components):
-        cov = dphi.phys_values + 1j * a.phys_values * ph
-        comps.append(ScalarField(grid, np.imag(ph * np.conj(cov)), real_valued=True))
-    return VectorField(tuple(comps))
+    return VectorField(tuple(ScalarField(phi.grid, np.imag(ph * np.conj(cov)), real_valued=True)
+                             for cov in covariant_gradient(ph, grad_phi, Asp)))
 
 
 def null_form_check(phi: ScalarField, Asp: VectorField):

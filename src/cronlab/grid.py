@@ -167,11 +167,11 @@ class GridSpec:
     def _half_shape(self) -> tuple:
         return self.shape[:-1] + (self.N // 2 + 1,)
 
-    @cached_property
-    def _mirror(self) -> tuple:
-        """Index of -xi in the whole lattice for each xi of the half lattice."""
+    def _reflection(self, last: slice) -> tuple:
+        """Index of -xi in the whole lattice for each xi whose last-axis index
+        lies in ``last`` (all indices on the other axes)."""
         neg = (-np.arange(self.N)) % self.N
-        return np.ix_(*([neg] * (self.n - 1) + [neg[:self.N // 2 + 1]]))
+        return np.ix_(*([neg] * (self.n - 1) + [neg[last]]))
 
     @cached_property
     def _hermitian_halves(self) -> dict:
@@ -197,16 +197,9 @@ def _half_copy(grid: GridSpec, arr: np.ndarray) -> np.ndarray:
 
 def _unfold(grid: GridSpec, H: np.ndarray) -> np.ndarray:
     """The whole-lattice spectrum of a real field from its half spectrum H."""
-    N, h = grid.N, grid.N // 2 + 1
-    F = np.empty(grid.shape, dtype=np.complex128)
-    F[..., :h] = H
-    # F(xi) = conj(F(-xi)): last-axis indices h..N-1 mirror N/2-1..1
-    rest = np.conj(H[..., N - h:0:-1])
-    neg = (-np.arange(N)) % N
-    for axis in range(grid.n - 1):
-        rest = np.take(rest, neg, axis=axis)
-    F[..., h:] = rest
-    return F
+    # F(xi) = conj(F(-xi)): last-axis indices N/2+1..N-1 mirror N/2-1..1
+    return np.concatenate([H, np.conj(H[grid._reflection(slice(grid.N // 2 + 1, None))])],
+                          axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,15 +315,6 @@ def _match(f: ScalarField, g: ScalarField) -> ScalarField:
     if g.grid != f.grid:
         raise StructuralError("fields live on different grids")
     return g.in_frequency() if f.rep == FREQUENCY else g.in_physical()
-
-
-def _reflect(F: np.ndarray) -> np.ndarray:
-    """F evaluated at -xi (index map m -> -m mod N along every axis)."""
-    idx = (-np.arange(F.shape[0])) % F.shape[0]
-    out = F
-    for axis in range(F.ndim):
-        out = np.take(out, idx, axis=axis)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -483,7 +467,7 @@ def _hermitian_half(grid: GridSpec, sym: np.ndarray):
     if known is not None:
         return known[1]
     half = sym[..., :grid.N // 2 + 1]
-    defect = np.abs(sym[grid._mirror] - np.conj(half))
+    defect = np.abs(sym[grid._reflection(slice(grid.N // 2 + 1))] - np.conj(half))
     defect[grid._lattices[True].nyquist_mask] = 0.0
     return half if defect.max() <= SUPPORT_TOL * np.abs(half).max() else None
 
@@ -552,6 +536,27 @@ def divergence(V: VectorField) -> ScalarField:
 def inverse_laplacian(f: ScalarField) -> ScalarField:
     """Delta^{-1} with the zero mode mapped to zero (zero-mean data expected)."""
     return apply_multiplier(f, f.grid.inverse_laplacian_symbol)
+
+
+# ---------------------------------------------------------------------------
+# the exact free wave flow
+
+class FreeFlow:
+    """The exact flow over time t of d_t^2 u = -rho^2 u, mode by mode, from
+    (u0, u1) = (u, d_t u) at time 0: u(t) = cos(rho t) u0 + sin(rho t)/rho u1
+    (t u1 where rho = 0) and d_t u(t) = -rho sin(rho t) u0 + cos(rho t) u1.
+    cos and sin are evaluated once and serve every data pair."""
+
+    def __init__(self, rho: np.ndarray, t: float):
+        self.rho = rho
+        self.c, self.s = np.cos(rho * t), np.sin(rho * t)
+        self.sinc = np.where(rho > 0, self.s / np.where(rho > 0, rho, 1.0), t)
+
+    def u(self, u0, u1) -> np.ndarray:
+        return self.c * u0 + self.sinc * u1
+
+    def u_t(self, u0, u1) -> np.ndarray:
+        return -self.rho * self.s * u0 + self.c * u1
 
 
 # ---------------------------------------------------------------------------
@@ -653,4 +658,4 @@ def mode_field(grid: GridSpec, mode, coefficient=None) -> ScalarField:
 
 def hermitianize(grid: GridSpec, F: np.ndarray) -> np.ndarray:
     """Project frequency data onto the conjugate-symmetric (real-field) part."""
-    return 0.5 * (F + np.conj(_reflect(F)))
+    return 0.5 * (F + np.conj(F[grid._reflection(slice(None))]))

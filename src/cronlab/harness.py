@@ -205,27 +205,34 @@ def _pair_data_norm(a: VectorField, adot: VectorField, band: BandRange) -> float
     return math.sqrt(acc)
 
 
+def _free_connections(grid: GridSpec, band: BandRange, seed: int, index: int = 0):
+    """eps -> a random divergence-free free-wave connection with data norm
+    eps; the data are drawn and normalized once, and every eps scales them."""
+    a, adot = _connection_data(grid, band, seed, index)
+    scale = _pair_data_norm(a, adot, band)
+    a_hat, ad_hat = (np.stack([c.freq_values for c in v.components]) for v in (a, adot))
+
+    def at(eps: float) -> pmx.FreeConnection:
+        factor = eps / scale if scale > 0 else 0.0
+        return pmx.FreeConnection(grid, a_hat * factor, ad_hat * factor, band)
+    return at
+
+
 def make_free_connection(grid: GridSpec, band: BandRange, eps: float, seed: int,
                          index: int = 0) -> pmx.FreeConnection:
     """A random divergence-free free-wave connection with data norm eps."""
-    a, adot = _connection_data(grid, band, seed, index)
-    scale = _pair_data_norm(a, adot, band)
-    factor = eps / scale if scale > 0 else 0.0
-    a_hat = np.stack([c.freq_values for c in a.components]) * factor
-    ad_hat = np.stack([c.freq_values for c in adot.components]) * factor
-    return pmx.FreeConnection(grid, a_hat, ad_hat, band)
+    return _free_connections(grid, band, seed, index)(eps)
 
 
 def _parametrix_setup(seed, N=64, eta_dir=0.1):
-    """Shared grid / annulus / bucketed cache / eps = 1e-2 connection for the
-    parametrix suites, on the n = 2, L = 8 box."""
+    """Shared grid / annulus / bucketed cache / connection draw (eps -> its
+    connection) for the parametrix suites, on the n = 2, L = 8 box."""
     grid = GridSpec(2, N, 8.0)
     band = BandRange(-3, -2)
     cut = pmx.AnnulusCutoff(rho=grid.N / (8.0 * grid.L)).validate(grid)
     modes = cut.modes(grid)
     cache = pmx.DirectionCache.build(grid, modes, policy="bucketed", eta_dir=eta_dir)
-    conn = make_free_connection(grid, band, 1e-2, seed)
-    return grid, band, cut, cache, conn
+    return grid, band, cut, cache, _free_connections(grid, band, seed)
 
 
 def _timer():
@@ -572,14 +579,13 @@ def run_parametrix_residual(config: ExperimentConfig):
     records, rows = [], []
     seed = config.seed
     elapsed = _timer()
-    grid, band, cut, cache, _ = _parametrix_setup(seed)
+    grid, band, cut, cache, connections = _parametrix_setup(seed)
     h = (stream(seed, 10).standard_normal(grid.shape)
          + 1j * stream(seed, 11).standard_normal(grid.shape)) * (cut.symbol(grid) > 0)
     tgrid = np.array([0.2, 0.5, 0.8]) * (config.t_max / 0.8 if config.t_max else 1.0)
 
     # (a) dual-path Richardson
-    conn = make_free_connection(grid, band, 1e-2, seed)
-    op = pmx.WaveOperator(pmx.PhaseFamily(conn, +1, config.sigma, cache), cut)
+    op = pmx.WaveOperator(pmx.PhaseFamily(connections(1e-2), +1, config.sigma, cache), cut)
     dts = [0.1, 0.05, 0.025, 0.0125]
     diffs = []
     for d in dts:
@@ -597,7 +603,7 @@ def run_parametrix_residual(config: ExperimentConfig):
     f = random_field(grid, stream(seed, 20), cut.rho, 2 * cut.rho)
     g2 = random_field(grid, stream(seed, 21), cut.rho, 2 * cut.rho)
     for eps in config.eps_list:
-        ce = make_free_connection(grid, band, eps, seed)
+        ce = connections(eps)
         o1, o2 = (pmx.WaveOperator(pmx.PhaseFamily(ce, sign, config.sigma, cache), cut)
                   for sign in (+1, -1))
         rr = pmx.residual_check(o1, h, tgrid, 0.02)
@@ -631,7 +637,7 @@ def run_unitarity(config: ExperimentConfig):
     records, rows = [], []
     seed = config.seed
     elapsed = _timer()
-    grid, band, cut, cache, _ = _parametrix_setup(seed)
+    grid, band, cut, cache, connections = _parametrix_setup(seed)
     times = np.linspace(0.0, 0.45 * grid.L / 2.0, config.t_samples)
     h = (stream(seed, 30).standard_normal(grid.shape)
          + 1j * stream(seed, 31).standard_normal(grid.shape)) * (cut.symbol(grid) > 0)
@@ -646,8 +652,8 @@ def run_unitarity(config: ExperimentConfig):
     eps = config.eps_list[min(2, len(config.eps_list) - 1)]
     norm_excess = 0.0
     for sign in (+1, -1):
-        conn = make_free_connection(grid, band, eps, seed)
-        op = pmx.WaveOperator(pmx.PhaseFamily(conn, sign, config.sigma, cache), cut)
+        op = pmx.WaveOperator(pmx.PhaseFamily(connections(eps), sign, config.sigma, cache),
+                              cut)
         rep = pmx.unitarity_scan(op, times, stream(seed, 33), h=h)
         for t, nrm in zip(rep.times, rep.operator_norms):
             norm_excess = max(norm_excess, nrm - 1.0)
@@ -659,8 +665,8 @@ def run_unitarity(config: ExperimentConfig):
     # derivative commutation defects scale with eps
     worst = 0.0
     for eps_i in config.eps_list:
-        conn = make_free_connection(grid, band, eps_i, seed)
-        op = pmx.WaveOperator(pmx.PhaseFamily(conn, +1, config.sigma, cache), cut)
+        op = pmx.WaveOperator(pmx.PhaseFamily(connections(eps_i), +1, config.sigma, cache),
+                              cut)
         rep = pmx.unitarity_scan(op, [times[1]], stream(seed, 34), h=h)
         gd, td = rep.gradient_defects[0], rep.time_defects[0]
         worst = max(worst, gd / eps_i, td / eps_i)
@@ -690,8 +696,7 @@ def run_dispersive(config: ExperimentConfig):
     g3 = GridSpec(3, 128, 8.0)
     cut3 = pmx.AnnulusCutoff(rho=2.5).validate(g3)
     taus3 = np.geomspace(1.0, g3.L / 4.0, 9)
-    scan3 = pmx.dispersive_scan(None, taus3, _point_source(g3), grid=g3, cutoff=cut3,
-                                sign=+1)
+    scan3 = pmx.dispersive_scan(None, taus3, _point_source(g3), grid=g3, cutoff=cut3)
     records.append(AcceptanceRecord.bounded("dispersive.free_slope_n3", scan3.slope,
                                             lo=-1.15, hi=-0.85))
     for t, v in zip(scan3.taus, scan3.values):
@@ -702,8 +707,7 @@ def run_dispersive(config: ExperimentConfig):
     g2 = GridSpec(2, 512, 16.0)
     cut2 = pmx.AnnulusCutoff(rho=4.0).validate(g2)
     taus2 = np.geomspace(1.0, g2.L / 4.0, 9)
-    scan2 = pmx.dispersive_scan(None, taus2, _point_source(g2), grid=g2, cutoff=cut2,
-                                sign=+1)
+    scan2 = pmx.dispersive_scan(None, taus2, _point_source(g2), grid=g2, cutoff=cut2)
     records.append(AcceptanceRecord.bounded("dispersive.free_slope_n2", scan2.slope,
                                             lo=-0.65, hi=-0.35))
     for t, v in zip(scan2.taus, scan2.values):
@@ -715,7 +719,7 @@ def run_dispersive(config: ExperimentConfig):
     cutp = pmx.AnnulusCutoff(rho=4.0).validate(gp)
     tausp = np.geomspace(1.0, gp.L / 4.0, 7)
     fp = _point_source(gp)
-    free_scan = pmx.dispersive_scan(None, tausp, fp, grid=gp, cutoff=cutp, sign=+1)
+    free_scan = pmx.dispersive_scan(None, tausp, fp, grid=gp, cutoff=cutp)
     band = BandRange(-3, -2)
     eps = config.eps_list[min(2, len(config.eps_list) - 1)]
     conn = make_free_connection(gp, band, eps, seed)
@@ -787,7 +791,7 @@ def run_norms(config: ExperimentConfig):
     rows.append(ScanRow("norms", 4, 16, 4.0, 0.0, seed, ratio, 100.0, ratio / 100.0))
 
     # decomposable surrogate: reduction for direction-independent families
-    grid2, band, cut, cache, conn = _parametrix_setup(seed, N=32, eta_dir=0.2)
+    grid2, band, cut, cache, connections = _parametrix_setup(seed, N=32, eta_dir=0.2)
     theta = 0.6
     B = cache.num_buckets
     tgrid = np.linspace(0.0, 1.0, 3)
@@ -804,7 +808,7 @@ def run_norms(config: ExperimentConfig):
                         val / expect))
 
     # surrogate of the phase-derivative family scales with eps (L^inf_x family)
-    fam = pmx.PhaseFamily(conn, +1, config.sigma, cache)
+    fam = pmx.PhaseFamily(connections(1e-2), +1, config.sigma, cache)
     psi_fields = []
     for b in range(B):
         slices = []

@@ -31,7 +31,7 @@ from .errors import ConvergenceError, ParameterError, PreconditionError
 from . import grid as gr
 from .grid import (FREQUENCY, GridSpec, ScalarField, VectorField, inner_product,
                    inverse_laplacian, laplacian, lebesgue_norm)
-from .gauge import (covariant_derivative, current_from_gradient, curvature_from_gradients,
+from .gauge import (covariant_gradient, current_from_gradient, curvature_from_gradients,
                     leray_project)
 
 
@@ -228,35 +228,27 @@ def _kick(state: ConnectionState, h: float) -> ConnectionState:
 
 def _drift(state: ConnectionState, h: float) -> ConnectionState:
     """Exact free-wave flow of (A, phi) for time h in Fourier space; the
-    rotation is real and even in xi, so real fields stay real."""
+    flow is real and even in xi, so real fields stay real."""
     grid = state.grid
-    rotations = {}   # real_valued -> the rotation on that field's lattice
+    flows = {}   # real_valued -> the flow on that field's lattice
 
-    def rotate(u: ScalarField, v: ScalarField):
+    def flow(u: ScalarField, v: ScalarField):
         u, v = u.in_frequency(), v.in_frequency()
         real = u.real_valued and v.real_valued
         if not real:
             u, v = u.as_complex(), v.as_complex()
-        if real not in rotations:
-            rho = 2.0 * np.pi * u.lattice.xi_norm
-            s = np.sin(rho * h)
-            rotations[real] = (rho, np.cos(rho * h), s,
-                               np.where(rho > 0, s / np.where(rho > 0, rho, 1.0), h))
-        rho, c, s, sinc = rotations[real]
-        U, V = u.values, v.values
-        return (ScalarField(grid, c * U + sinc * V, rep=FREQUENCY, real_valued=real).in_physical(),
-                ScalarField(grid, -rho * s * U + c * V, rep=FREQUENCY,
-                            real_valued=real).in_physical())
+        if real not in flows:
+            flows[real] = gr.FreeFlow(2.0 * np.pi * u.lattice.xi_norm, h)
+        fl, U, V = flows[real], u.values, v.values
+        return (ScalarField(grid, fl.u(U, V), rep=FREQUENCY, real_valued=real).in_physical(),
+                ScalarField(grid, fl.u_t(U, V), rep=FREQUENCY, real_valued=real).in_physical())
 
-    phi, phi_t = rotate(state.phi, state.phi_t)
-    comps, comps_t = [], []
-    for u, v in zip(state.A_sp.components, state.A_sp_t.components):
-        cu, cv = rotate(u, v)
-        comps.append(cu)
-        comps_t.append(cv)
+    phi, phi_t = flow(state.phi, state.phi_t)
+    comps, comps_t = zip(*(flow(u, v) for u, v in zip(state.A_sp.components,
+                                                     state.A_sp_t.components)))
     return replace(state, t=state.t + h,
-                   A_sp=VectorField(tuple(comps), divergence_free=True),
-                   A_sp_t=VectorField(tuple(comps_t), divergence_free=True),
+                   A_sp=VectorField(comps, divergence_free=True),
+                   A_sp_t=VectorField(comps_t, divergence_free=True),
                    phi=phi, phi_t=phi_t)
 
 
@@ -294,18 +286,17 @@ def constraint_residuals(state: ConnectionState) -> EnergyReport:
     vol = grid.cell_volume
     ph = state.phi.phys_values
 
-    # covariant kinetic energy over all indices
-    d0 = covariant_derivative(state.phi, state.phi_t, state.A0, state.A_sp, 0)
-    kin = 0.5 * np.sum(np.abs(d0.phys_values) ** 2) * vol
-    for dphi, a in zip(state.grad_phi.components, state.A_sp.components):
-        # D_j phi exactly as covariant_derivative forms it
-        dj = dphi + ScalarField(grid, 1j * a.phys_values * ph)
-        kin += 0.5 * np.sum(np.abs(dj.phys_values) ** 2) * vol
+    # covariant kinetic energy over all indices, D_0 phi in samples as the kick
+    # forms it and D_j phi from the function the current is built from
+    d0 = state.phi_t.phys_values + 1j * state.A0.phys_values * ph
+    kin = 0.5 * np.sum(np.abs(d0) ** 2) * vol
+    for dj in covariant_gradient(ph, state.grad_phi, state.A_sp):
+        kin += 0.5 * np.sum(np.abs(dj) ** 2) * vol
 
     # Gauss law: Delta A0 + Im(phi conj(D_0 phi)) = 0, on the Nyquist-free
     # subspace elliptic_a0 solves on, measured in frequency
     A0_hat = state.A0.in_frequency()
-    rho_cov = gr.drop_nyquist(_field(grid, np.imag(ph * np.conj(d0.phys_values)),
+    rho_cov = gr.drop_nyquist(_field(grid, np.imag(ph * np.conj(d0)),
                                      real=True).in_frequency())
     lap_a0 = laplacian(A0_hat)
     gauss_scale = max(gr.plancherel_l2(lap_a0), gr.plancherel_l2(rho_cov), 1e-300)

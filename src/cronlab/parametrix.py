@@ -58,8 +58,7 @@ class HalfWaveField:
         self.rho = 2.0 * np.pi * grid.xi_norm
 
     def sample(self, t: float) -> ScalarField:
-        s = np.where(self.rho > 0, np.sin(self.rho * t) / np.where(self.rho > 0, self.rho, 1.0), t)
-        F = np.cos(self.rho * t) * self.u0 + s * self.u1
+        F = gr.FreeFlow(self.rho, t).u(self.u0, self.u1)
         return gr.to_physical(ScalarField(self.grid, F, rep=FREQUENCY))
 
     def dt(self) -> "HalfWaveField":
@@ -114,12 +113,8 @@ class FreeConnection:
     # -- closed-form evaluation ------------------------------------------------
     def eval_hat(self, t: float):
         """(A_hat(t), d_t A_hat(t)) stacked arrays."""
-        rho = self.rho
-        c, s = np.cos(rho * t), np.sin(rho * t)
-        sinc = np.where(rho > 0, s / np.where(rho > 0, rho, 1.0), t)
-        A = c * self.a_hat + sinc * self.adot_hat
-        At = -rho * s * self.a_hat + c * self.adot_hat
-        return A, At
+        flow = gr.FreeFlow(self.rho, t)
+        return flow.u(self.a_hat, self.adot_hat), flow.u_t(self.a_hat, self.adot_hat)
 
     def field(self, t: float) -> VectorField:
         A, _ = self.eval_hat(t)
@@ -768,10 +763,7 @@ def residual_check(op: WaveOperator, h, times, dt: float) -> ResidualReport:
     # unlike the banded Besov sum which would truncate the data shell)
     s_reg = grid.n / 2.0 - 2.0
     spatial = lambda f: gr.sobolev_norm(f, s_reg, exclude_zero_mode=True)
-    if len(times) == 1:
-        n2 = spatial(slices[0])   # instantaneous norm for a single-slice window
-    else:
-        n2 = spacetime_norm(SpacetimeField(times, tuple(slices)), 1, spatial)
+    n2 = spacetime_norm(SpacetimeField(times, tuple(slices)), 1, spatial)
     return ResidualReport(times=tuple(times), mutual_differences=tuple(diffs),
                           residual_slice_norms=tuple(norms), residual_n2=n2, fd_dt=dt)
 
@@ -787,13 +779,9 @@ class UnitarityReport:
     time_defects: tuple       # ||d_t(U h) - s U(2 pi i |xi| h)|| / ||h|| per time
 
 
-def unitarity_scan(op: WaveOperator, times, rng, h=None) -> UnitarityReport:
-    """Power-iteration operator norms of U(t) and its derivative-commutation
-    defects across the sampled times."""
-    grid = op.grid
-    if h is None:
-        h = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)) \
-            * (op.a_sym > 0)
+def unitarity_scan(op: WaveOperator, times, rng, h) -> UnitarityReport:
+    """Power-iteration operator norms of U(t) and the derivative-commutation
+    defects on the coefficients h across the sampled times."""
     norms, gdefs, tdefs = [], [], []
     for t in times:
         norms.append(op.operator_norm_at(float(t), rng))
@@ -812,13 +800,13 @@ class DecayScan:
 
 
 def dispersive_scan(op: WaveOperator | None, taus, f: ScalarField, *, grid=None,
-                    cutoff=None, sign=+1) -> DecayScan:
+                    cutoff=None) -> DecayScan:
     """||U(t) U(0)* f||_inf / ||f||_1 against tau = t; op=None runs the free
     closed-form propagator (the oracle path), sup_x |U_free(tau) U_free(0)* f|
-    through the multiplier a^2 e^{s 2 pi i tau |xi|}.  All taus must sit below
+    through the multiplier a^2 e^{2 pi i tau |xi|}.  All taus must sit below
     the wrap limit L/2."""
     if op is not None:
-        grid, cutoff, sign = op.grid, op.cutoff, op.sign
+        grid, cutoff = op.grid, op.cutoff
     taus = np.asarray(taus, dtype=float)
     if taus.max() >= grid.L / 2.0:
         raise ParameterError(f"tau window exceeds the wrap limit {grid.L / 2.0}")
@@ -828,7 +816,7 @@ def dispersive_scan(op: WaveOperator | None, taus, f: ScalarField, *, grid=None,
         fhat = f.freq_values
         a2 = cutoff.symbol(grid) ** 2
         for tau in taus:
-            sym = np.exp(sign * 2j * np.pi * tau * grid.xi_norm)
+            sym = np.exp(2j * np.pi * tau * grid.xi_norm)
             sym *= a2
             sym *= fhat
             sup = float(np.abs(np.fft.ifftn(sym) / grid.cell_volume).max())
@@ -912,14 +900,16 @@ def decomposable_surrogate(directions, fields, theta: float, q_t, r_x,
 
         sum_{l=0}^{4} (theta^{1-n} int_Sigma ||(theta grad_xi)^l F||^2 dxi)^{1/2}
 
-    with grad_xi realized as nearest-neighbour difference quotients across the
-    direction quadrature (F homogeneous of degree 0, so only angular
+    in n = 2, with grad_xi realized as centered difference quotients along the
+    circle of directions (F homogeneous of degree 0, so only angular
     derivatives survive), each direction weighted annulus_volume / B.  Returns
     (value, tail_ratio) where tail_ratio is the last retained term against the
     total.
     """
     directions = np.asarray(directions, dtype=float)
     B, n = directions.shape
+    if n != 2:
+        raise ParameterError(f"surrogate needs directions in the plane, got dimension {n}")
     if B < 2:
         raise ParameterError("surrogate needs at least two directions")
     dots = np.clip(directions @ directions.T, -1.0, 1.0)
@@ -934,33 +924,22 @@ def decomposable_surrogate(directions, fields, theta: float, q_t, r_x,
     def st_norm(F):
         return spacetime_norm(F, q_t, lambda s: lebesgue_norm(s, r_x))
 
-    if n == 2:
-        # directions are circularly ordered: centered differences along the circle
-        angles = np.arctan2(directions[:, 1], directions[:, 0])
-        order = np.argsort(angles)
+    # directions are circularly ordered: centered differences along the circle
+    angles = np.arctan2(directions[:, 1], directions[:, 0])
+    order = np.argsort(angles)
 
-        def differentiate(level):
-            nxt = [None] * B
-            for pos in range(B):
-                i = int(order[pos])
-                ip = int(order[(pos + 1) % B])
-                im = int(order[(pos - 1) % B])
-                gap = (angles[ip] - angles[im]) % (2.0 * np.pi)
-                gap = max(float(gap), 1e-300)
-                nxt[i] = SpacetimeField(level[i].times, tuple(
-                    (a - b) * (theta / gap)
-                    for a, b in zip(level[ip].slices, level[im].slices)))
-            return nxt
-    else:
-        def differentiate(level):
-            nxt = []
-            for i in range(B):
-                j = int(nearest[i])
-                gap = max(float(gaps[i]), 1e-300)
-                nxt.append(SpacetimeField(level[i].times, tuple(
-                    (a - b) * (theta / gap)
-                    for a, b in zip(level[j].slices, level[i].slices))))
-            return nxt
+    def differentiate(level):
+        nxt = [None] * B
+        for pos in range(B):
+            i = int(order[pos])
+            ip = int(order[(pos + 1) % B])
+            im = int(order[(pos - 1) % B])
+            gap = (angles[ip] - angles[im]) % (2.0 * np.pi)
+            gap = max(float(gap), 1e-300)
+            nxt[i] = SpacetimeField(level[i].times, tuple(
+                (a - b) * (theta / gap)
+                for a, b in zip(level[ip].slices, level[im].slices)))
+        return nxt
 
     level = list(fields)
     terms = []

@@ -303,3 +303,32 @@ def test_grid_symbols_built_once_and_read_only():
         with pytest.raises(ValueError):
             sym[(0,) * g.n] = 1.0
     assert np.array_equal(g.derivative_symbols[1], 2j * np.pi * g.xi[1])
+
+
+def test_free_flow_closed_form_and_group_law():
+    from cronlab.grid import FreeFlow
+    g = GridSpec(2, 16, 4.0)
+    rng = stream(91, 0)
+    rho = 2.0 * np.pi * g.xi_norm          # rho = 0 at the zero mode, > 0 elsewhere
+    u0, u1 = (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+              for _ in range(2))
+    t = 0.9
+    flow = FreeFlow(rho, t)
+    live = rho > 0
+    r = rho[live]
+    u = np.empty(g.shape, dtype=complex)
+    u_t = np.empty(g.shape, dtype=complex)
+    u[live] = np.cos(r * t) * u0[live] + np.sin(r * t) / r * u1[live]
+    u_t[live] = -r * np.sin(r * t) * u0[live] + np.cos(r * t) * u1[live]
+    u[~live] = u0[~live] + t * u1[~live]
+    u_t[~live] = u1[~live]
+    assert np.abs(flow.u(u0, u1) - u).max() <= 1e-14 * np.abs(u).max()
+    assert np.abs(flow.u_t(u0, u1) - u_t).max() <= 1e-14 * np.abs(u_t).max()
+    assert flow.u(u0, u1)[0, 0] == u0[0, 0] + t * u1[0, 0]
+    # flowing for t1 and then t2 is flowing for t1 + t2
+    t1, t2 = 0.37, 1.21
+    f1, f2, f12 = FreeFlow(rho, t1), FreeFlow(rho, t2), FreeFlow(rho, t1 + t2)
+    v, v_t = f1.u(u0, u1), f1.u_t(u0, u1)
+    w, w_t = f12.u(u0, u1), f12.u_t(u0, u1)
+    assert np.abs(f2.u(v, v_t) - w).max() <= 1e-14 * np.abs(w).max()
+    assert np.abs(f2.u_t(v, v_t) - w_t).max() <= 1e-14 * np.abs(w_t).max()

@@ -282,6 +282,22 @@ def test_coulomb_gain_builds_each_sector_symbol_once(tmp_path, monkeypatch):
     assert len(calls) == 200 == len(set((tuple(c.omega.omega), c.theta, c.mode) for c in calls))
 
 
+@pytest.mark.parametrize("suite", ["unitarity", "parametrix-residual"])
+def test_parametrix_suite_draws_its_connection_once(tmp_path, monkeypatch, suite):
+    import cronlab.harness as harness_module
+    calls = []
+    original = harness_module._connection_data
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(harness_module, "_connection_data", counted)
+    records, _ = run(ExperimentConfig(experiment=suite, out_dir=str(tmp_path)))
+    assert all_passed(records)
+    # one draw serves every eps and both signs
+    assert len(calls) == 1
+
+
 def test_lp_commutator_scan_below_default_grid():
     from cronlab.harness import _commutator_scan
     from cronlab.lp import BandRange

@@ -7,8 +7,8 @@ import pytest
 
 from cronlab.errors import ParameterError
 from cronlab.exponents import exponents, sigma_window, validate_sigma
-from cronlab.grid import (GridSpec, ScalarField, VectorField, lebesgue_norm, plane_wave,
-                          relative_l2_difference, zero_field)
+from cronlab.grid import (GridSpec, ScalarField, VectorField, lebesgue_norm,
+                          partial_derivative, plane_wave, relative_l2_difference, zero_field)
 from cronlab.lp import fit_loglog
 from cronlab.mkg import (ConnectionState, _forcing_A, _phi_acceleration_extras,
                          constraint_residuals, dealias, elliptic_a0, evolve,
@@ -283,6 +283,40 @@ def test_constraint_residuals_transform_count(monkeypatch):
     # d_j A0_t (3), div A_t (3), Leray of J (3)
     assert calls == {"fftn": 1, "ifftn": 3, "rfftn": 8 + 4 + 1 + 1 + 3 + 1 + 3 + 3,
                      "irfftn": 8 + 4 + 3 + 9 + 3 + 3 + 3}
+
+
+def test_constraint_residuals_transform_count_at_fresh_data(monkeypatch):
+    # make_compatible_data's self-check has derived A0 (in samples), grad phi,
+    # the current and d_t A0 (in samples); phi, phi_t, A_j and A_j_t are still
+    # in frequency, as the random data come
+    g = GridSpec(3, 16, 4.0)
+    st = make_compatible_data(*small_data(g, 1e-2, seed=48))
+    calls = _count_transforms(monkeypatch)
+    iterations = _count_elliptic_solves(monkeypatch)
+    constraint_residuals(st)
+    assert iterations == []
+    # complex inverse: the samples of phi and phi_t, d_j phi (3); D_0 phi and
+    # D_j phi are formed in samples, so no complex forward transform.
+    # Real forward: A0, the charge density, Leray of J (3), A0_t, and d_j A0
+    # (3) back to frequency for F_0j = d_t A_j - d_j A0.  Real inverse: A_j
+    # (3) for D_j phi, Leray of J (3), d_j A0_t (3), d_j A0 (3), F_0j (3),
+    # F_jk (3), div A and div A_t (2), d_j A_k (9)
+    assert calls == {"ifftn": 2 + 3, "rfftn": 1 + 1 + 3 + 1 + 3,
+                     "irfftn": 3 + 3 + 3 + 3 + 3 + 3 + 2 + 9}
+    assert sum(calls.values()) == 43
+
+
+def test_kinetic_energy_is_the_covariant_form():
+    # (1/2) sum over alpha of |D_alpha phi|^2, every D formed in samples
+    g = GridSpec(3, 16, 4.0)
+    st = make_compatible_data(*small_data(g, 1e-2, seed=48))
+    ph = st.phi.phys_values
+    cov = [st.phi_t.phys_values + 1j * st.A0.phys_values * ph]
+    for j in range(3):
+        cov.append(partial_derivative(st.phi, j).phys_values
+                   + 1j * st.A_sp.components[j].phys_values * ph)
+    expect = sum(0.5 * np.sum(np.abs(d) ** 2) * g.cell_volume for d in cov)
+    assert abs(constraint_residuals(st).kinetic - expect) <= 1e-14 * expect
 
 
 def test_monitored_trajectory_solves_twice_per_step(monkeypatch):

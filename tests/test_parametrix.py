@@ -342,7 +342,7 @@ def test_residual_zero_for_free_connection():
     h = annulus_coeffs(71)
     via = covariant_box_amplitude(op, 0.5, h, conn.field(0.5))
     assert lebesgue_norm(via, 2) == 0.0
-    rep = residual_check(op, h, [0.5], 0.01)
+    rep = residual_check(op, h, [0.5, 1.0], 0.01)
     assert rep.residual_n2 == 0.0
 
 
@@ -401,7 +401,7 @@ def test_free_dispersive_slopes():
     vals[0, 0] = 1.0 / g2.cell_volume
     f = ScalarField(g2, vals)
     taus = np.geomspace(1.0, 4.0, 7)
-    scan = dispersive_scan(None, taus, f, grid=g2, cutoff=cut2, sign=+1)
+    scan = dispersive_scan(None, taus, f, grid=g2, cutoff=cut2)
     assert -0.65 <= scan.slope <= -0.35
 
 
@@ -419,7 +419,7 @@ def test_free_dispersive_scan_builds_the_cutoff_once(monkeypatch):
         return original(self, grid)
 
     monkeypatch.setattr(AnnulusCutoff, "symbol", counted)
-    scan = dispersive_scan(None, np.geomspace(1.0, 2.0, 5), f, grid=g2, cutoff=cut2, sign=+1)
+    scan = dispersive_scan(None, np.geomspace(1.0, 2.0, 5), f, grid=g2, cutoff=cut2)
     assert len(scan.values) == 5
     assert calls == [g2]
 
@@ -429,7 +429,7 @@ def test_dispersive_wrap_guard():
     cut2 = AnnulusCutoff(rho=1.0).validate(g2)
     f = ScalarField(g2, np.ones(g2.shape))
     with pytest.raises(ParameterError):
-        dispersive_scan(None, [1.0, 5.0], f, grid=g2, cutoff=cut2, sign=+1)
+        dispersive_scan(None, [1.0, 5.0], f, grid=g2, cutoff=cut2)
 
 
 def test_perturbed_dispersive_near_free():
@@ -439,7 +439,7 @@ def test_perturbed_dispersive_near_free():
     vals[0, 0] = 1.0 / g2.cell_volume
     f = ScalarField(g2, vals)
     taus = np.geomspace(1.0, 2.0, 5)
-    free = dispersive_scan(None, taus, f, grid=g2, cutoff=cut2, sign=+1)
+    free = dispersive_scan(None, taus, f, grid=g2, cutoff=cut2)
     conn = make_free_connection(g2, BAND, 1e-2, 75)
     cache = DirectionCache.build(g2, cut2.modes(g2), policy="bucketed", eta_dir=0.1)
     op = WaveOperator(PhaseFamily(conn, +1, 0.25, cache), cut2)
@@ -562,6 +562,17 @@ def test_surrogate_quadrature_spacing_guard():
         decomposable_surrogate(dirs, fields, 0.3, 2, 2)
 
 
+def test_surrogate_rejects_directions_off_the_plane():
+    # a quadrature fine enough for theta, but of directions in R^3
+    ts = np.linspace(0.0, 1.0, 3)
+    angles = 2 * np.pi * np.arange(48) / 48
+    dirs = np.stack([np.cos(angles), np.sin(angles), np.zeros(48)], axis=1)
+    base = random_field(GridSpec(3, 8, 4.0), stream(78, 1), 0.5, 1.0)
+    fields = [SpacetimeField(ts, tuple(base for _ in ts)) for _ in angles]
+    with pytest.raises(ParameterError, match="plane"):
+        decomposable_surrogate(dirs, fields, 0.8, 2, 2)
+
+
 def test_direction_cache_policies():
     modes = CUT.modes(GRID)
     exact = DirectionCache.build(GRID, modes, policy="exact")
@@ -598,7 +609,7 @@ def test_unitarity_scan_report():
     eps = 1e-2
     conn = make_free_connection(GRID, BAND, eps, 80)
     op = WaveOperator(PhaseFamily(conn, +1, 0.25, small_cache()), CUT)
-    rep = unitarity_scan(op, [0.2, 0.9], stream(80, 0))
+    rep = unitarity_scan(op, [0.2, 0.9], stream(80, 0), annulus_coeffs(80))
     assert all(n <= 1.0 + 10.0 * eps for n in rep.operator_norms)
     assert all(d <= 10.0 * eps for d in rep.gradient_defects)
     assert all(d <= 10.0 * eps for d in rep.time_defects)

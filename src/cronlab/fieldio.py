@@ -11,17 +11,17 @@ from contextlib import contextmanager
 
 
 @contextmanager
-def atomic_open(path, mode: str = "w"):
-    """A file open for writing ("w" for text, "wb" for bytes) that replaces
-    path when the block ends normally.  The directory is created if needed;
-    if the block raises, path is left as it was and the temporary file is
-    removed.  The file gets the permissions a plain open would give it."""
+def atomic_open(path):
+    """A text file open for writing that replaces path when the block ends
+    normally.  The directory is created if needed; if the block raises, path
+    is left as it was and the temporary file is removed.  The file gets the
+    permissions a plain open would give it."""
     path = os.path.abspath(path)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, mode) as fh:
+        with os.fdopen(fd, "w") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -638,8 +638,8 @@ def constant_field(grid: GridSpec, value=1.0) -> ScalarField:
                        real_valued=float(np.imag(value)) == 0.0)
 
 
-def zero_field(grid: GridSpec, rep=PHYSICAL) -> ScalarField:
-    return ScalarField(grid, np.zeros(grid.shape, dtype=np.complex128), rep=rep, real_valued=True)
+def zero_field(grid: GridSpec) -> ScalarField:
+    return ScalarField(grid, np.zeros(grid.shape, dtype=np.complex128), real_valued=True)
 
 
 def plane_wave(grid: GridSpec, mode) -> ScalarField:

@@ -102,48 +102,53 @@ def _field(grid, values, real=False) -> ScalarField:
 # ---------------------------------------------------------------------------
 # the elliptic A0 solve
 
+def _half_spectrum(grid: GridSpec, samples: np.ndarray) -> ScalarField:
+    """P F of real samples: their half spectrum with the Nyquist rows removed,
+    the subspace every multiplier maps into.  The A0 solve and the Gauss
+    monitor build their spectra here."""
+    return gr.drop_nyquist(_field(grid, samples, real=True).in_frequency())
+
+
 def elliptic_a0(phi: ScalarField, phi_t: ScalarField):
     """Solve (Delta - |phi|^2) A0 = -Im(phi conj(phi_t)) by fixed-point iteration
     to a relative residual of 1e-10 within 200 iterations.
 
-    The iteration inverts Delta on the mean-free part and balances the mean of
-    the source against the |phi|^2 coupling (on the box, the constant mode of
-    A0 absorbs any net charge, keeping the Gauss law exact).  Returns
-    (A0, relative_residual, iterations).
+    The iteration runs on the Nyquist-free half spectrum the Gauss monitor
+    measures on.  It inverts Delta on the mean-free part and balances the mean
+    of the source against the |phi|^2 coupling (on the box, the constant mode
+    of A0 absorbs any net charge, keeping the Gauss law exact).  The residual
+    is taken by Plancherel.  The iteration raises ConvergenceError, with its
+    residual history, once 10 steps pass without a new least residual.
+    Returns (A0 in samples, relative_residual, iterations).
     """
     grid = phi.grid
-
-    def project(arr):
-        # keep the solve inside the Nyquist-free subspace every multiplier uses
-        return gr.drop_nyquist(_field(grid, arr, real=True)).values
-
-    source = project(-np.imag(phi.phys_values * np.conj(phi_t.phys_values)))
-    absphi2 = np.abs(phi.phys_values) ** 2
-    mean_phi2 = absphi2.mean()
-    src_scale = np.linalg.norm(source)
+    ph, pt = phi.phys_values, phi_t.phys_values
+    source = _half_spectrum(grid, -np.imag(ph * np.conj(pt)))
+    src_scale = gr.plancherel_l2(source)
     if src_scale == 0.0:
-        return _field(grid, np.zeros(grid.shape), real=True), 0.0, 0
-    a0 = np.zeros(grid.shape)
-    coupling = project(absphi2 * a0)
-    history = []
+        return gr.zero_field(grid), 0.0, 0
+    absphi2 = np.abs(ph) ** 2
+    mean_phi2 = absphi2.mean()
+    source_mean = source.values.flat[0].real / grid.L ** grid.n
+    rhs, history = source, []
     for it in range(1, 201):
-        rhs_arr = source + coupling
-        fluct = inverse_laplacian(
-            _field(grid, rhs_arr - rhs_arr.mean(), real=True)).phys_values.copy()
-        fluct -= fluct.mean()
-        # mean balance of (Delta - |phi|^2) A0 = S: mean(|phi|^2 A0) = -mean(S)
-        bar = -(source.mean() + (absphi2 * fluct).mean()) / mean_phi2 if mean_phi2 > 0 else 0.0
-        a0 = fluct + bar
+        fluct = inverse_laplacian(rhs)
+        a0 = fluct.phys_values
+        # the constant mode balances the mean: mean(|phi|^2 A0) = -mean(S)
+        a0 = a0 - (source_mean + (absphi2 * a0).mean()) / mean_phi2
         # the coupling of the new iterate, which the next iteration reuses
-        coupling = project(absphi2 * a0)
-        resid = laplacian(_field(grid, a0, real=True)).phys_values - coupling - source
-        rel = np.linalg.norm(resid) / src_scale
+        coupling = _half_spectrum(grid, absphi2 * a0)
+        rel = gr.plancherel_l2(laplacian(fluct) - coupling - source) / src_scale
         history.append(rel)
         if rel <= 1e-10:
             return _field(grid, a0, real=True), rel, it
+        least = int(np.argmin(history))
+        if it - 1 - least == 10:
+            break
+        rhs = source + coupling
     raise ConvergenceError(
-        "elliptic A0 iteration did not contract to 1e-10 in 200 steps",
-        history=history)
+        f"elliptic A0 iteration did not contract to 1e-10: least residual "
+        f"{history[least]:.3e} at step {least + 1} of {it}", history=history)
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +301,7 @@ def constraint_residuals(state: ConnectionState) -> EnergyReport:
     # Gauss law: Delta A0 + Im(phi conj(D_0 phi)) = 0, on the Nyquist-free
     # subspace elliptic_a0 solves on, measured in frequency
     A0_hat = state.A0.in_frequency()
-    rho_cov = gr.drop_nyquist(_field(grid, np.imag(ph * np.conj(d0)),
-                                     real=True).in_frequency())
+    rho_cov = _half_spectrum(grid, np.imag(ph * np.conj(d0)))
     lap_a0 = laplacian(A0_hat)
     gauss_scale = max(gr.plancherel_l2(lap_a0), gr.plancherel_l2(rho_cov), 1e-300)
     gauss = gr.plancherel_l2(lap_a0 + rho_cov) / gauss_scale

@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cronlab.errors import ParameterError
+from cronlab.errors import ConvergenceError, ParameterError
 from cronlab.exponents import exponents, sigma_window, validate_sigma
-from cronlab.grid import (GridSpec, ScalarField, VectorField, lebesgue_norm,
+from cronlab.grid import (GridSpec, ScalarField, VectorField, inner_product, lebesgue_norm,
                           partial_derivative, plane_wave, relative_l2_difference, zero_field)
 from cronlab.lp import fit_loglog
 from cronlab.mkg import (ConnectionState, _forcing_A, _phi_acceleration_extras,
@@ -71,6 +71,61 @@ def test_elliptic_closed_form_source():
     assert np.abs(src - lam * np.abs(phi.phys_values) ** 2).max() < 1e-14
     a0, rel, _ = elliptic_a0(phi, phi_t)
     assert rel <= 1e-10
+
+
+def test_elliptic_charged_source_converges():
+    # a phi_t with net charge Im<phi, phi_t> = 5.1e-6 against |phi|^2 = 1e-4,
+    # which the constant mode of A0 carries.  The half-spectrum equation
+    # P(Delta A0 - |phi|^2 A0) = S is checked from rfftn in its inverted form:
+    # A0's samples hold a constant 1e5 times their fluctuation, and Delta
+    # amplifies that constant's rounding to 5e-10 of S
+    g = GridSpec(2, 32, 8.0)
+    phi = make_compatible_data(*small_data(g, 1e-2, seed=49)).phi
+    phi_t = random_field(g, stream(49, 1), 2.0 / g.L, g.N / (8.0 * g.L)) * 1e-2
+    a0, rel, it = elliptic_a0(phi, phi_t)
+    assert it <= 5 and rel <= 1e-10
+    ph, pt, vol = phi.phys_values, phi_t.phys_values, g.cell_volume
+
+    def half(samples):   # P F on the half lattice
+        F = np.fft.rfftn(samples) * vol
+        F[g.N // 2] = 0.0
+        F[:, g.N // 2] = 0.0
+        return F
+    source = half(-np.imag(ph * np.conj(pt)))
+    coupling = half(np.abs(ph) ** 2 * a0.phys_values)
+    rho2 = 4.0 * np.pi ** 2 * g.xi_norm[:, :g.N // 2 + 1] ** 2
+    inv_lap = -1.0 / np.where(rho2 > 0, rho2, np.inf)
+    resid = half(a0.phys_values) - inv_lap * (coupling + source)
+    resid[0, 0] = 0.0
+    weight = np.ones(rho2.shape)   # a mode with last index 1..N/2-1 also stands for its mirror
+    weight[:, 1:g.N // 2] = 2.0
+    norm = lambda F: np.sqrt(np.sum(weight * np.abs(F) ** 2))
+    assert norm(resid) <= 1e-10 * norm(inv_lap * source)
+    # the zero mode: mean(|phi|^2 A0) = -mean(S)
+    assert abs(coupling[0, 0] + source[0, 0]) <= 1e-10 * norm(source)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_elliptic_sweep_converges_or_fails_fast(n):
+    # the amplitudes of the suite's geometries where the fixed-point iteration
+    # converges (n=2: eps <= 4, n=3: eps <= 8) and where it diverges; phi and
+    # phi_t are drawn as the suite draws them and shifted to zero net charge
+    g = GridSpec(n, 32, 8.0)
+    lo, hi = 2.0 / g.L, g.N / (8.0 * g.L)
+    for eps in (1, 4, 8, 16, 40):
+        rng = stream(7, 0)
+        phi = random_field(g, rng, lo, hi) * eps
+        phi_t = random_field(g, rng, lo, hi) * eps
+        lam = float(np.imag(inner_product(phi, phi_t))) / lebesgue_norm(phi, 2) ** 2
+        phi_t = phi_t + ScalarField(g, 1j * lam * phi.phys_values)
+        try:
+            _, rel, _ = elliptic_a0(phi, phi_t)
+        except ConvergenceError as err:
+            history = err.history
+            assert len(history) - 1 - int(np.argmin(history)) <= 20
+            assert f"{min(history):.3e}" in str(err)
+        else:
+            assert rel <= 1e-10
 
 
 def test_elliptic_iteration_count_small_data():
@@ -260,12 +315,15 @@ def test_step_transform_count(monkeypatch):
     ifftn = 2 * 1 + 3 + 2
     # real transforms (A0, A0_t, A_j, A_j_t, the current): per kick dealias
     # of J 3+3, Leray 3+3; drift of (A_j, A_j_t) 6+6; the drifted state's
-    # solve with k = 2 iterations source 1+1, first coupling 1+1, then
-    # k * (inverse Laplacian, Laplacian, coupling) 3+3, and its d_t A0
-    # divergence of J 3+3, inverse Laplacian 1+1; final Leray of A and A_t 6+6
-    real = 2 * (3 + 3) + 6 + (2 + 3 * 2) + (3 + 1) + 6
-    assert calls == {"fftn": fftn, "ifftn": ifftn, "rfftn": real, "irfftn": real}
-    assert (fftn, ifftn, real) == (5, 7, 36)
+    # solve with k = 2 iterations: the source's half spectrum 1+0, then per
+    # iteration the samples of Delta^{-1} 0+1 and the coupling's half
+    # spectrum 1+0, so 1 + 2k transforms; its d_t A0: divergence of J 3+3,
+    # inverse Laplacian 1+1; final Leray of A and A_t 6+6
+    solve_fwd, solve_inv = 1 + 2, 2
+    rfftn = 2 * (3 + 3) + 6 + solve_fwd + (3 + 1) + 6
+    irfftn = 2 * (3 + 3) + 6 + solve_inv + (3 + 1) + 6
+    assert calls == {"fftn": fftn, "ifftn": ifftn, "rfftn": rfftn, "irfftn": irfftn}
+    assert (fftn, ifftn, rfftn, irfftn) == (5, 7, 31, 30)
 
 
 def test_constraint_residuals_transform_count(monkeypatch):
@@ -276,13 +334,14 @@ def test_constraint_residuals_transform_count(monkeypatch):
     constraint_residuals(st)
     assert iterations == [2]
     # complex: phi forward, d_j phi (3) inverse.  Real: the solve with k = 2
-    # iterations 8+8 and d_t A0 4+4, as in a step.  Then real forward: A0, the
+    # iterations 3+2 and d_t A0 4+4, as in a step.  Then real forward: A0, the
     # charge density (the Gauss residual is taken in frequency), A_j (3),
     # A0_t, A_t for its divergence (3), Leray of J (3); real inverse: d_j A0
     # (3), d_j A_k (9, shared by the curvature and the Coulomb residual),
     # d_j A0_t (3), div A_t (3), Leray of J (3)
-    assert calls == {"fftn": 1, "ifftn": 3, "rfftn": 8 + 4 + 1 + 1 + 3 + 1 + 3 + 3,
-                     "irfftn": 8 + 4 + 3 + 9 + 3 + 3 + 3}
+    assert calls == {"fftn": 1, "ifftn": 3, "rfftn": 3 + 4 + 1 + 1 + 3 + 1 + 3 + 3,
+                     "irfftn": 2 + 4 + 3 + 9 + 3 + 3 + 3}
+    assert (calls["rfftn"], calls["irfftn"]) == (19, 27)
 
 
 def test_constraint_residuals_transform_count_at_fresh_data(monkeypatch):

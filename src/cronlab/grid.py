@@ -213,7 +213,9 @@ class ScalarField:
     spectrum, of which it keeps the half.
 
     Fields are immutable values: the sample array is marked read-only at
-    construction and every operation returns a new field.
+    construction and every operation returns a new field.  A field keeps the
+    array its first transform to the other representation computes, so it
+    is transformed at most once each way; a new field starts without one.
     """
 
     grid: GridSpec
@@ -254,10 +256,21 @@ class ScalarField:
         return _wrap(self.grid, values, self.rep, self.real_valued)
 
     def in_frequency(self) -> "ScalarField":
-        return self if self.rep == FREQUENCY else to_frequency(self)
+        return self if self.rep == FREQUENCY else self._transformed(to_frequency, FREQUENCY)
 
     def in_physical(self) -> "ScalarField":
-        return self if self.rep == PHYSICAL else to_physical(self)
+        return self if self.rep == PHYSICAL else self._transformed(to_physical, PHYSICAL)
+
+    # the other representation's values, once a read has transformed them
+    _other = None
+
+    def _transformed(self, transform, rep: str) -> "ScalarField":
+        """The field in ``rep``, transformed on the first read only.  The
+        values are read-only, so the kept array is the transform of them; the
+        field keeps the array, not the field, so no reference cycle forms."""
+        if self._other is None:
+            object.__setattr__(self, "_other", transform(self).values)
+        return _wrap(self.grid, self._other, rep, self.real_valued)
 
     @property
     def freq_values(self) -> np.ndarray:
@@ -504,12 +517,13 @@ def _frozen_symbol(grid: GridSpec, symbol) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # derivatives
 #
-# A field is transformed once and every derivative is taken from the
-# frequency side (``gradient`` does this): for a physical f,
-# ``partial_derivative(f.in_frequency(), j).in_physical()`` does the same
-# multiply and inverse transform as ``partial_derivative(f, j)``.  A physical
-# field is never replaced by ``to_physical(to_frequency(f))``: that round trip
-# moves the last bits of the samples.
+# A field keeps the transform its first ``in_frequency``/``in_physical``
+# read computes, so every later read (``phys_values``, ``freq_values``, each
+# multiplier, derivative and Leray projection) wraps that array: each field
+# is transformed at most once each way.  The field wrapped around the kept
+# array keeps no link back, so ``to_physical(to_frequency(f))`` stays a
+# genuine round trip, which moves the last bits of the samples; code never
+# replaces a physical field by it.
 
 def partial_derivative(f: ScalarField, axis: int) -> ScalarField:
     return apply_multiplier(f, f.grid.derivative_symbols[axis])

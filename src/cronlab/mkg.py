@@ -17,6 +17,12 @@ residuals.  Integration is a Strang kick-drift-kick split: exact free-wave flow
 in Fourier space, forcing kicks applied to the velocities with the A0 phi_t
 coupling handled pointwise-implicitly, and Leray re-projection of A each step.
 Quadratic nonlinear products are 2/3-rule dealiased.
+
+A enters its equation linearly, so A, d_t A, A0 and d_t A0 are kept as half
+spectra and go to samples only for the products (the current, D phi and the
+phi_t forcing); phi and phi_t are kept as samples.  A field keeps each
+transform it has computed, so every field is transformed at most once each
+way.
 """
 
 from __future__ import annotations
@@ -39,9 +45,11 @@ from .gauge import (covariant_gradient, current_from_gradient, curvature_from_gr
 class ConnectionState:
     """The dynamical fields at one instant, with their time derivatives.
 
-    A0, d_t A0, grad phi and the current are derived from these fields when
-    first read and then kept, so every state, ``dataclasses.replace`` ones
-    included, carries the A0 of its own (phi, phi_t)."""
+    ``make_compatible_data`` and ``step`` store A and d_t A as half spectra
+    and phi and phi_t as samples.  A0, d_t A0 (both spectra), grad phi and
+    the current are derived from these fields when first read and then kept,
+    so every state, ``dataclasses.replace`` ones included, carries the A0 of
+    its own (phi, phi_t)."""
 
     t: float
     A_sp: VectorField
@@ -65,9 +73,9 @@ class ConnectionState:
 
     @cached_property
     def A0_t(self) -> ScalarField:
-        """d_t A0 = -Delta^{-1} div J; the non-solenoidal part of the current
-        determines d_t grad A0, inverted through the Laplacian."""
-        return inverse_laplacian(gr.divergence(self.current)) * (-1.0)
+        """d_t A0 = -Delta^{-1} div J, as a spectrum; the non-solenoidal part
+        of the current determines d_t grad A0, inverted through the Laplacian."""
+        return inverse_laplacian(gr.divergence(self.current.in_frequency())) * (-1.0)
 
     @cached_property
     def grad_phi(self) -> VectorField:
@@ -119,14 +127,16 @@ def elliptic_a0(phi: ScalarField, phi_t: ScalarField):
     of A0 absorbs any net charge, keeping the Gauss law exact).  The residual
     is taken by Plancherel.  The iteration raises ConvergenceError, with its
     residual history, once 10 steps pass without a new least residual.
-    Returns (A0 in samples, relative_residual, iterations).
+    Returns (A0, relative_residual, iterations), A0 as the half spectrum of
+    the mean-free part with the balancing constant c in its zero mode as
+    c L^n, so no sample rounding enters Delta A0.
     """
     grid = phi.grid
     ph, pt = phi.phys_values, phi_t.phys_values
     source = _half_spectrum(grid, -np.imag(ph * np.conj(pt)))
     src_scale = gr.plancherel_l2(source)
     if src_scale == 0.0:
-        return gr.zero_field(grid), 0.0, 0
+        return source, 0.0, 0   # the zero spectrum
     absphi2 = np.abs(ph) ** 2
     mean_phi2 = absphi2.mean()
     source_mean = source.values.flat[0].real / grid.L ** grid.n
@@ -135,13 +145,16 @@ def elliptic_a0(phi: ScalarField, phi_t: ScalarField):
         fluct = inverse_laplacian(rhs)
         a0 = fluct.phys_values
         # the constant mode balances the mean: mean(|phi|^2 A0) = -mean(S)
-        a0 = a0 - (source_mean + (absphi2 * a0).mean()) / mean_phi2
+        bar = -(source_mean + (absphi2 * a0).mean()) / mean_phi2
+        a0 = a0 + bar
         # the coupling of the new iterate, which the next iteration reuses
         coupling = _half_spectrum(grid, absphi2 * a0)
         rel = gr.plancherel_l2(laplacian(fluct) - coupling - source) / src_scale
         history.append(rel)
         if rel <= 1e-10:
-            return _field(grid, a0, real=True), rel, it
+            A0 = fluct.values.copy()
+            A0.flat[0] += bar * grid.L ** grid.n
+            return fluct.with_values(A0), rel, it
         least = int(np.argmin(history))
         if it - 1 - least == 10:
             break
@@ -158,15 +171,15 @@ def make_compatible_data(f: ScalarField, g: ScalarField, a: VectorField,
                          adot: VectorField) -> ConnectionState:
     """Assemble a constraint-satisfying state from raw (phi, phi_t, A, A_t) data.
 
-    a/adot are Leray-projected, and the state derives A0 and d_t A0.  The
-    velocity g is shifted by i lambda f (lambda real) to cancel the net charge
-    Im<f, g>, which keeps the constant mode of A0 at the nonlinear (quadratic)
-    scale.  The assembled state must meet the Gauss and Coulomb constraints to
+    a/adot are Leray-projected in frequency, and the state derives A0 and
+    d_t A0.  The velocity g is shifted by i lambda f (lambda real) to cancel
+    the net charge Im<f, g>, which keeps the constant mode of A0 at the
+    nonlinear (quadratic) scale.  The assembled state must meet the Gauss and Coulomb constraints to
     1e-8, or ConvergenceError is raised.
     """
     grid = f.grid
-    Asp = leray_project(a)
-    Asp_t = leray_project(adot)
+    Asp = leray_project(a.in_frequency())
+    Asp_t = leray_project(adot.in_frequency())
     nf = lebesgue_norm(f, 2)
     if nf > 0:
         lam = float(np.imag(inner_product(f, g))) / nf ** 2
@@ -186,9 +199,9 @@ def make_compatible_data(f: ScalarField, g: ScalarField, a: VectorField,
 def _forcing_A(state: ConnectionState) -> VectorField:
     """The wave forcing of A as the system displays it: -P of the current,
     dealiased by the 2/3 rule and Leray projected (its constant mode, genuinely
-    divergence free, passes through)."""
-    return leray_project(VectorField(tuple(dealias(c) * (-1.0)
-                                           for c in state.current.components)),
+    divergence free, passes through), as spectra."""
+    return leray_project(VectorField(tuple(dealias(c) * (-1.0) for c in
+                                           state.current.in_frequency().components)),
                          keep_mean=True)
 
 
@@ -233,7 +246,8 @@ def _kick(state: ConnectionState, h: float) -> ConnectionState:
 
 def _drift(state: ConnectionState, h: float) -> ConnectionState:
     """Exact free-wave flow of (A, phi) for time h in Fourier space; the
-    flow is real and even in xi, so real fields stay real."""
+    flow is real and even in xi, so real fields stay real.  A and d_t A
+    come back as spectra, phi and phi_t as samples."""
     grid = state.grid
     flows = {}   # real_valued -> the flow on that field's lattice
 
@@ -245,10 +259,10 @@ def _drift(state: ConnectionState, h: float) -> ConnectionState:
         if real not in flows:
             flows[real] = gr.FreeFlow(2.0 * np.pi * u.lattice.xi_norm, h)
         fl, U, V = flows[real], u.values, v.values
-        return (ScalarField(grid, fl.u(U, V), rep=FREQUENCY, real_valued=real).in_physical(),
-                ScalarField(grid, fl.u_t(U, V), rep=FREQUENCY, real_valued=real).in_physical())
+        return (ScalarField(grid, fl.u(U, V), rep=FREQUENCY, real_valued=real),
+                ScalarField(grid, fl.u_t(U, V), rep=FREQUENCY, real_valued=real))
 
-    phi, phi_t = flow(state.phi, state.phi_t)
+    phi, phi_t = (f.in_physical() for f in flow(state.phi, state.phi_t))
     comps, comps_t = zip(*(flow(u, v) for u, v in zip(state.A_sp.components,
                                                      state.A_sp_t.components)))
     return replace(state, t=state.t + h,
@@ -259,7 +273,8 @@ def _drift(state: ConnectionState, h: float) -> ConnectionState:
 
 def step(state: ConnectionState, dt: float) -> ConnectionState:
     """One Strang kick-drift-kick step, with the connection re-projected by
-    Leray at the end.  Each kick reads the A0 and d_t A0 of the state it kicks."""
+    Leray at the end (on its spectra, so without a transform).  Each kick
+    reads the A0 and d_t A0 of the state it kicks."""
     grid = state.grid
     if dt > stability_limit(grid) * (1.0 + 1e-12):
         raise ParameterError(f"dt={dt} exceeds the stability bound {stability_limit(grid)}")
@@ -283,13 +298,16 @@ def evolve(state: ConnectionState, t_final: float, dt: float) -> ConnectionState
 def constraint_residuals(state: ConnectionState) -> EnergyReport:
     """Energies plus the relative L2 residuals of the constraint equations.
 
-    Each field is transformed once and all its partials are taken from that
-    transform, in the field's own representation as gradient() returns them.
-    grad phi, the current, A0 and d_t A0 are the state's own, shared with the
-    step; the other groups of partials are dropped once used."""
+    Each field is transformed once.  The products (the kinetic term and the
+    charge density) are formed in samples; the linear terms (the Maxwell and
+    Coulomb residuals and the curvature energy) are taken on spectra, their
+    norms by Plancherel.  grad phi, the current, A0 and d_t A0 are the
+    state's own, shared with the step; the other groups of partials are
+    dropped once used."""
     grid = state.grid
     vol = grid.cell_volume
     ph = state.phi.phys_values
+    norm = gr.plancherel_l2
 
     # covariant kinetic energy over all indices, D_0 phi in samples as the kick
     # forms it and D_j phi from the function the current is built from
@@ -299,35 +317,33 @@ def constraint_residuals(state: ConnectionState) -> EnergyReport:
         kin += 0.5 * np.sum(np.abs(dj) ** 2) * vol
 
     # Gauss law: Delta A0 + Im(phi conj(D_0 phi)) = 0, on the Nyquist-free
-    # subspace elliptic_a0 solves on, measured in frequency
-    A0_hat = state.A0.in_frequency()
+    # subspace elliptic_a0 solves on, with Delta applied to A0's own spectrum
     rho_cov = _half_spectrum(grid, np.imag(ph * np.conj(d0)))
-    lap_a0 = laplacian(A0_hat)
-    gauss_scale = max(gr.plancherel_l2(lap_a0), gr.plancherel_l2(rho_cov), 1e-300)
-    gauss = gr.plancherel_l2(lap_a0 + rho_cov) / gauss_scale
+    lap_a0 = laplacian(state.A0)
+    gauss_scale = max(norm(lap_a0), norm(rho_cov), 1e-300)
+    gauss = norm(lap_a0 + rho_cov) / gauss_scale
 
     # non-solenoidal spatial Maxwell: grad(d_t A0) + (1 - P) Im(phi conj(D phi)) = 0
-    J = state.current
+    J = state.current.in_frequency()
     nonsol = tuple(a - b for a, b in zip(J.components,
                                          leray_project(J, keep_mean=True).components))
     g_a0t = gr.gradient(state.A0_t).components
-    m_num = math.sqrt(sum(lebesgue_norm(a + b, 2) ** 2 for a, b in zip(g_a0t, nonsol)))
-    m_scale = max(math.sqrt(sum(lebesgue_norm(a, 2) ** 2 for a in g_a0t)),
-                  math.sqrt(sum(lebesgue_norm(b, 2) ** 2 for b in nonsol)), 1e-300)
+    m_num = math.sqrt(sum(norm(a + b) ** 2 for a, b in zip(g_a0t, nonsol)))
+    m_scale = max(math.sqrt(sum(norm(a) ** 2 for a in g_a0t)),
+                  math.sqrt(sum(norm(b) ** 2 for b in nonsol)), 1e-300)
     maxwell = m_num / m_scale
     del g_a0t, nonsol
 
-    grad_A0 = gr.gradient(A0_hat).in_physical()   # A0 is solved in samples
+    grad_A0 = gr.gradient(state.A0)
     grad_A = [gr.gradient(c) for c in state.A_sp.components]
     F = curvature_from_gradients(grad_A0, state.A_sp_t, grad_A)
-    curv = 0.5 * sum(np.sum(np.abs(v.phys_values) ** 2) * vol for v in F.values())
+    curv = 0.5 * sum(norm(v) ** 2 for v in F.values())
     del grad_A0, F
 
     # Coulomb constraint (div A summed in divergence()'s order)
     div_a = sum((grad_A[j].components[j] for j in range(1, grid.n)), grad_A[0].components[0])
-    div_num = max(lebesgue_norm(div_a, 2), lebesgue_norm(gr.divergence(state.A_sp_t), 2))
-    div_scale = max(math.sqrt(sum(lebesgue_norm(d, 2) ** 2
-                                  for g in grad_A for d in g.components)), 1e-300)
+    div_num = max(norm(div_a), norm(gr.divergence(state.A_sp_t)))
+    div_scale = max(math.sqrt(sum(norm(d) ** 2 for g in grad_A for d in g.components)), 1e-300)
     divres = div_num / div_scale
 
     return EnergyReport(total=float(kin + curv), kinetic=float(kin), curvature=float(curv),

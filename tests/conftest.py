@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -16,3 +18,22 @@ def _divergence_free(V, tol=1e-10) -> bool:
 @pytest.fixture
 def divergence_free():
     return _divergence_free
+
+
+FFT_ENTRY_POINTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+                    "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
+
+
+@pytest.fixture
+def count_transforms(monkeypatch):
+    """A function that starts counting calls into every numpy.fft entry point,
+    by name, and returns the counter; names never called are absent."""
+    def start() -> Counter:
+        calls = Counter()
+        for name in FFT_ENTRY_POINTS:
+            def counted(*args, _original=getattr(np.fft, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        return calls
+    return start

@@ -262,6 +262,52 @@ def test_with_values_takes_over_a_matching_array():
             f.with_values(bad)
 
 
+@pytest.mark.parametrize("real", [False, True])
+def test_field_transforms_once_each_way(count_transforms, real):
+    g = GridSpec(2, 16, 1.0)
+    phys = random_field(g, stream(8, 3), real=real).in_physical()
+    freq = random_field(g, stream(8, 4), real=real)
+    calls = count_transforms()
+    for _ in range(3):
+        phys.in_frequency(), phys.freq_values, phys.in_physical(), phys.phys_values
+        freq.in_physical(), freq.phys_values, freq.in_frequency(), freq.freq_values
+    gradient(phys), laplacian(phys), gradient(freq)
+    fwd, inv = ("rfftn", "irfftn") if real else ("fftn", "ifftn")
+    # phys forward once and freq inverse once; the gradient and laplacian of
+    # phys read its kept spectrum and bring their new spectra to samples (2 + 1)
+    assert calls == {fwd: 1, inv: 1 + 2 + 1}
+    # the kept arrays are the transforms of the values, bit for bit
+    assert np.array_equal(phys.in_frequency().values, to_frequency(phys).values)
+    assert np.array_equal(freq.in_physical().values, to_physical(freq).values)
+
+
+def test_new_fields_start_untransformed(count_transforms):
+    g = GridSpec(2, 16, 1.0)
+    f = random_field(g, stream(8, 5), real=True).in_physical()
+    f.in_frequency()
+    calls = count_transforms()
+    for new in (f.with_values(f.values * 2.0), f + f, f - f, f * 3.0, f * 1j):
+        new.in_frequency()
+    assert sum(calls.values()) == 5
+
+
+def test_transformed_field_holds_no_reference_cycle():
+    import gc
+    import weakref
+    g = GridSpec(2, 16, 1.0)
+    gc.disable()
+    try:
+        for rep in ("frequency", "physical"):
+            f = random_field(g, stream(8, 6), real=True)
+            f = f.in_frequency() if rep == "frequency" else f.in_physical()
+            f.in_frequency().freq_values, f.in_physical().phys_values
+            ref = weakref.ref(f)
+            del f
+            assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_nyquist_rows_zeroed_by_multipliers():
     g = GridSpec(2, 16, 1.0)
     F = np.zeros(g.shape, dtype=complex)

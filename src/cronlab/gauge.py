@@ -219,7 +219,8 @@ def null_form_check(phi: ScalarField, Asp: VectorField):
                                    - d_j phi conj(d_k phi)) + P(A_j |phi|^2),
 
     returned for the |phi|^2 coupling and, for the record, for the literal
-    phi^2 coupling (which does not close; both numbers are reported).
+    phi^2 coupling (which does not close; both numbers are reported).  The sum
+    over k is taken on spectra, with one inverse transform per component j.
 
     Both sides are compared on their mean-free parts: on the box the constant
     mode carries the conserved net current, which the homogeneous display
@@ -238,16 +239,17 @@ def null_form_check(phi: ScalarField, Asp: VectorField):
     absphi2 = np.abs(phi.phys_values) ** 2
     phisq = phi.phys_values ** 2
 
+    comps = []
+    for j in range(grid.n):
+        acc = 0.0
+        for k in range(grid.n):
+            antis = ScalarField(grid, derivs[k] * np.conj(derivs[j])
+                                - derivs[j] * np.conj(derivs[k])).in_frequency()
+            acc = acc + partial_derivative(inverse_laplacian(antis), k).values
+        comps.append(antis.with_values(acc * 1j).in_physical())
+    grad_part = VectorField(tuple(comps))
+
     def rhs_with(coupling):
-        comps = []
-        for j in range(grid.n):
-            acc = gr.zero_field(grid)
-            for k in range(grid.n):
-                antis = ScalarField(grid, derivs[k] * np.conj(derivs[j])
-                                    - derivs[j] * np.conj(derivs[k]))
-                acc = acc + partial_derivative(inverse_laplacian(antis), k)
-            comps.append(acc * 1j)
-        grad_part = VectorField(tuple(comps))
         coupling_part = leray_project(VectorField(tuple(
             _point_mul(Asp.components[j], coupling) for j in range(grid.n))), keep_mean=True)
         return (grad_part + coupling_part).map(drop_mean)

@@ -243,132 +243,130 @@ def _timer():
 # ---------------------------------------------------------------------------
 # suite: identities (criterion 1)
 
+def _leray_identity(grid: GridSpec, rng) -> float:
+    """Leray: gradients annihilated, fixed point, idempotence, self-adjointness."""
+    def l2(V):
+        return math.sqrt(sum(lebesgue_norm(c, 2) ** 2 for c in V.components))
+
+    gradchi = gr.gradient(random_field(grid, rng, 0.2, 1.0, real=True))
+    r = l2(leray_project(gradchi)) / l2(gradchi)
+    V = VectorField(tuple(random_field(grid, rng, 0.2, 1.0) for _ in range(grid.n)))
+    PV = leray_project(V)
+    r = max(r, max(gr.relative_l2_difference(x, y)
+                   for x, y in zip(PV.components, leray_project(PV).components)))
+    W = VectorField(tuple(random_field(grid, rng, 0.2, 1.0) for _ in range(grid.n)))
+    ip1 = sum(gr.inner_product(x, y) for x, y in zip(PV.components, W.components))
+    ip2 = sum(gr.inner_product(x, y) for x, y in zip(V.components,
+                                                     leray_project(W).components))
+    return max(r, abs(ip1 - ip2) / (l2(V) * l2(W)))
+
+
+def _lp_partition_identity(grid: GridSpec, rng) -> float:
+    """Littlewood-Paley partition on the representable annulus."""
+    br = BandRange.widest(grid)
+    f = lp.restrict_annulus(random_field(grid, rng), *br.annulus())
+    total = sum((lp.project_band(f, k) for k in range(br.k_min + 1, br.k_max + 1)),
+                lp.project_band(f, br.k_min))
+    return gr.relative_l2_difference(total, f)
+
+
+def _null_frame_identity(grid: GridSpec, rng) -> float:
+    """Null frame decomposition of the box on a closed-form free wave, worst of
+    20 directions; the box and the scale are sampled once for all of them."""
+    u0, u1 = (random_field(grid, rng, 0.2, 1.0) for _ in range(2))
+    wave = pmx.HalfWaveField(grid, u0.freq_values, u1.freq_values)
+    t_test = 0.37 * grid.L / 8.0
+    box = wave.box().sample(t_test)
+    scale = max(lebesgue_norm(wave.mul_symbol(
+        -4.0 * np.pi ** 2 * grid.xi_norm ** 2).sample(t_test), 2), 1e-300)
+    r = 0.0
+    for _ in range(20):
+        wdir = rng.standard_normal(grid.n)
+        wdir /= np.linalg.norm(wdir)
+        lpm = gauge.null_derivative(gauge.null_derivative(wave, wdir, +1), wdir, -1)
+        sym = -4.0 * np.pi ** 2 * (grid.xi_norm ** 2
+                                   - np.tensordot(wdir, grid.xi, axes=(0, 0)) ** 2)
+        composed = lpm + wave.mul_symbol(sym)
+        r = max(r, lebesgue_norm(composed.sample(t_test) - box, 2) / scale)
+    return r
+
+
+def _null_form_identity(grid: GridSpec, rng):
+    """Null-form decomposition of the spatial current on alias-free bands:
+    (|phi|^2 coupling residual, literal phi^2 coupling residual)."""
+    hi_band = grid.N / (8.0 * grid.L)
+    return null_form_check(random_field(grid, rng, 2.0 / grid.L, hi_band),
+                           random_divergence_free(grid, rng, 2.0 / grid.L, hi_band))
+
+
+def _phase_identities(grid: GridSpec, sigma: float, seed: int, idx: int) -> dict:
+    """Phase machinery, worst over both signs: the defect identity, realness of
+    psi, the split at a threshold angle and the adjoint.  The identities hold
+    per direction and per coefficient, so probe directions and a mode
+    subsample suffice (and keep the suite fast)."""
+    conn = make_free_connection(grid, BandRange(-3, -2), 1e-2, seed, index=idx)
+    cut = pmx.AnnulusCutoff(rho=grid.N / (8.0 * grid.L)).validate(grid)
+    modes = cut.modes(grid)
+    pick = stream(seed, 500 + idx).choice(len(modes), size=min(32, len(modes)),
+                                          replace=False)
+    sub_cache = pmx.DirectionCache.build(grid, modes[np.sort(pick)], policy="exact")
+    probe_dirs = stream(seed, 600 + idx).standard_normal((6, grid.n))
+    probe_dirs /= np.linalg.norm(probe_dirs, axis=1, keepdims=True)
+    probe_cache = pmx.DirectionCache.of_directions(grid, probe_dirs)
+    live = np.zeros(grid.shape, dtype=bool)
+    live.ravel()[sub_cache.flat_index] = True
+    h = (stream(seed, 100 + idx).standard_normal(grid.shape)
+         + 1j * stream(seed, 200 + idx).standard_normal(grid.shape)) * live
+    fld = ScalarField(grid, stream(seed, 300 + idx).standard_normal(grid.shape)
+                      + 1j * stream(seed, 400 + idx).standard_normal(grid.shape))
+    worst = dict.fromkeys(("phase_defect", "psi_real", "adjoint", "phase_split"), 0.0)
+    for sign in (+1, -1):
+        fam = pmx.PhaseFamily(conn, sign, sigma, probe_cache)
+        rep = pmx.phase_defect(fam, np.linspace(0.0, 0.45 * grid.L / 2.0, 5))
+        worst["phase_defect"] = max(worst["phase_defect"], rep.max_residual)
+        worst["psi_real"] = max(worst["psi_real"], fam.max_imag_defect)
+        # threshold above the first dyadic piece so both halves carry weight
+        theta_star = 4.01 * min(fam.thetas.values())
+        fam_lo, fam_hi, part_defect = pmx.split_phase_at(fam, theta_star)
+        psi_all = fam.psi(0.3, 0)
+        r_split = float(np.linalg.norm(fam_lo.psi(0.3, 0) + fam_hi.psi(0.3, 0) - psi_all)
+                        / max(np.linalg.norm(psi_all), 1e-300))
+        worst["phase_split"] = max(worst["phase_split"], part_defect, r_split)
+
+        op = pmx.WaveOperator(pmx.PhaseFamily(conn, sign, sigma, sub_cache),
+                              cut, check_cover=False)
+        lhs_ip = gr.inner_product(op.apply(0.3, h), fld)
+        rhs_ip = np.vdot(np.where(live, op.apply_adjoint(0.3, fld), 0.0),
+                         np.where(live, h, 0.0)) / grid.L ** grid.n
+        worst["adjoint"] = max(worst["adjoint"], abs(lhs_ip - rhs_ip) / max(abs(lhs_ip), 1e-300))
+    return worst
+
+
 def run_identities(config: ExperimentConfig):
-    records, rows = [], []
-    seed = config.seed
-    worst = {"leray": 0.0, "lp_partition": 0.0, "box_null": 0.0, "null_form": 0.0,
-             "phase_defect": 0.0, "psi_real": 0.0, "adjoint": 0.0, "phase_split": 0.0,
-             "null_form_literal_gap": math.inf}
+    """One function per identity, so each check's fields die on return.  Each
+    (n, N) row reports its own residuals, param 0..4 in the order of ``keys``."""
+    seed, rows, results = config.seed, [], []
+    keys = ("leray", "lp_partition", "box_null", "null_form", "phase_defect")
     elapsed = _timer()
-    combos = [(2, 32), (2, 64), (3, 32), (3, 64)]
-    for idx, (n, N) in enumerate(combos):
-        L = 8.0
-        grid = GridSpec(n, N, L)
+    for idx, (n, N) in enumerate([(2, 32), (2, 64), (3, 32), (3, 64)]):
+        grid = GridSpec(n, N, 8.0)
         rng = stream(seed, idx)
-        band = BandRange(-3, -2)
+        res = {"leray": _leray_identity(grid, rng),
+               "lp_partition": _lp_partition_identity(grid, rng),
+               "box_null": _null_frame_identity(grid, rng)}
+        res["null_form"], res["null_form_literal_gap"] = _null_form_identity(grid, rng)
+        res.update(_phase_identities(grid, config.sigma, seed, idx))
+        results.append(res)
+        for param, key in enumerate(keys):
+            rhs = res["null_form_literal_gap"] if key == "null_form" else 1e-10
+            rows.append(ScanRow("identities", n, N, grid.L, float(param), seed, res[key], rhs,
+                                res[key] / max(rhs, 1e-300)))
 
-        # Leray: gradients annihilated, fixed point, idempotence, self-adjointness
-        chi = random_field(grid, rng, 0.2, 1.0, real=True)
-        gradchi = gr.gradient(chi)
-        r = math.sqrt(sum(lebesgue_norm(c, 2) ** 2 for c in leray_project(gradchi).components))
-        r /= math.sqrt(sum(lebesgue_norm(c, 2) ** 2 for c in gradchi.components))
-        V = VectorField(tuple(random_field(grid, rng, 0.2, 1.0) for _ in range(n)))
-        PV = leray_project(V)
-        PPV = leray_project(PV)
-        r = max(r, max(gr.relative_l2_difference(x, y)
-                       for x, y in zip(PV.components, PPV.components)))
-        W = VectorField(tuple(random_field(grid, rng, 0.2, 1.0) for _ in range(n)))
-        ip1 = sum(gr.inner_product(x, y) for x, y in zip(PV.components, W.components))
-        ip2 = sum(gr.inner_product(x, y) for x, y in zip(V.components,
-                                                         leray_project(W).components))
-        scale = math.sqrt(sum(lebesgue_norm(c, 2) ** 2 for c in V.components)) * \
-            math.sqrt(sum(lebesgue_norm(c, 2) ** 2 for c in W.components))
-        r = max(r, abs(ip1 - ip2) / scale)
-        worst["leray"] = max(worst["leray"], r)
-        rows.append(ScanRow("identities", n, N, L, 0.0, seed, r, 1e-10, r / 1e-10))
-
-        # Littlewood-Paley partition on the representable annulus
-        br = BandRange.widest(grid)
-        f = lp.restrict_annulus(random_field(grid, rng), *br.annulus())
-        total = lp.project_band(f, br.k_min)
-        for k in range(br.k_min + 1, br.k_max + 1):
-            total = total + lp.project_band(f, k)
-        r = gr.relative_l2_difference(total, f)
-        worst["lp_partition"] = max(worst["lp_partition"], r)
-        rows.append(ScanRow("identities", n, N, L, 1.0, seed, r, 1e-10, r / 1e-10))
-
-        # null frame decomposition on closed-form free waves, 20 directions
-        u0 = random_field(grid, rng, 0.2, 1.0)
-        u1 = random_field(grid, rng, 0.2, 1.0)
-        wave = pmx.HalfWaveField(grid, u0.freq_values, u1.freq_values)
-        box = wave.box()
-        t_test = 0.37 * L / 8.0
-        for k_dir in range(20):
-            wdir = rng.standard_normal(n)
-            wdir /= np.linalg.norm(wdir)
-            lplus = gauge.null_derivative(wave, wdir, +1)
-            lpm = gauge.null_derivative(lplus, wdir, -1)
-            sym = -4.0 * np.pi ** 2 * (grid.xi_norm ** 2
-                                       - np.tensordot(wdir, grid.xi, axes=(0, 0)) ** 2)
-            composed = lpm + wave.mul_symbol(sym)
-            diff = composed.sample(t_test) - box.sample(t_test)
-            r = lebesgue_norm(diff, 2) / max(lebesgue_norm(wave.mul_symbol(
-                -4.0 * np.pi ** 2 * grid.xi_norm ** 2).sample(t_test), 2), 1e-300)
-            worst["box_null"] = max(worst["box_null"], r)
-        rows.append(ScanRow("identities", n, N, L, 2.0, seed, worst["box_null"], 1e-10,
-                            worst["box_null"] / 1e-10))
-
-        # null-form decomposition of the spatial current (alias-free bands)
-        hi_band = grid.N / (8.0 * L)
-        phi = random_field(grid, rng, 2.0 / L, hi_band)
-        Asp = random_divergence_free(grid, rng, 2.0 / L, hi_band)
-        r_mod, r_lit = null_form_check(phi, Asp)
-        worst["null_form"] = max(worst["null_form"], r_mod)
-        worst["null_form_literal_gap"] = min(worst["null_form_literal_gap"], r_lit)
-        rows.append(ScanRow("identities", n, N, L, 3.0, seed, r_mod, r_lit,
-                            r_mod / max(r_lit, 1e-300)))
-
-        # phase machinery: defect identity, realness, split, adjoint.  The
-        # identities hold per direction and per coefficient, so probe
-        # directions and a mode subsample suffice (and keep the suite fast).
-        conn = make_free_connection(grid, band, 1e-2, seed, index=idx)
-        cut = pmx.AnnulusCutoff(rho=N / (8.0 * L)).validate(grid)
-        modes = cut.modes(grid)
-        pick = stream(seed, 500 + idx).choice(len(modes), size=min(32, len(modes)),
-                                              replace=False)
-        sub_cache = pmx.DirectionCache.build(grid, modes[np.sort(pick)], policy="exact")
-        probe_rng = stream(seed, 600 + idx)
-        probe_dirs = probe_rng.standard_normal((6, n))
-        probe_dirs /= np.linalg.norm(probe_dirs, axis=1, keepdims=True)
-        probe_cache = pmx.DirectionCache.of_directions(grid, probe_dirs)
-        for sign in (+1, -1):
-            fam = pmx.PhaseFamily(conn, sign, config.sigma, probe_cache)
-            tgrid = np.linspace(0.0, 0.45 * L / 2.0, 5)
-            rep = pmx.phase_defect(fam, tgrid)
-            worst["phase_defect"] = max(worst["phase_defect"], rep.max_residual)
-            worst["psi_real"] = max(worst["psi_real"], fam.max_imag_defect)
-            # threshold above the first dyadic piece so both halves carry weight
-            theta_star = 4.01 * min(fam.thetas.values())
-            fam_lo, fam_hi, part_defect = pmx.split_phase_at(fam, theta_star)
-            psi_sum = fam_lo.psi(0.3, 0) + fam_hi.psi(0.3, 0)
-            psi_all = fam.psi(0.3, 0)
-            r_split = float(np.linalg.norm(psi_sum - psi_all)
-                            / max(np.linalg.norm(psi_all), 1e-300))
-            worst["phase_split"] = max(worst["phase_split"], max(part_defect, r_split))
-
-            op = pmx.WaveOperator(pmx.PhaseFamily(conn, sign, config.sigma, sub_cache),
-                                  cut, check_cover=False)
-            live = np.zeros(grid.shape, dtype=bool)
-            live.ravel()[sub_cache.flat_index] = True
-            h = (stream(seed, 100 + idx).standard_normal(grid.shape)
-                 + 1j * stream(seed, 200 + idx).standard_normal(grid.shape)) * live
-            fld = ScalarField(grid, stream(seed, 300 + idx).standard_normal(grid.shape)
-                              + 1j * stream(seed, 400 + idx).standard_normal(grid.shape))
-            u = op.apply(0.3, h)
-            lhs_ip = gr.inner_product(u, fld)
-            h_masked = np.where(live, h, 0.0)
-            rhs_ip = np.vdot(np.where(live, op.apply_adjoint(0.3, fld), 0.0),
-                             h_masked) / grid.L ** grid.n
-            r = abs(lhs_ip - rhs_ip) / max(abs(lhs_ip), 1e-300)
-            worst["adjoint"] = max(worst["adjoint"], r)
-        rows.append(ScanRow("identities", n, N, L, 4.0, seed, worst["phase_defect"],
-                            1e-10, worst["phase_defect"] / 1e-10))
-
-    for key in ("leray", "lp_partition", "box_null", "null_form", "phase_defect",
-                "psi_real", "adjoint", "phase_split"):
-        records.append(AcceptanceRecord.bounded(f"identities.{key}", worst[key], hi=1e-10))
-    records.append(AcceptanceRecord.bounded("identities.null_form_literal_gap",
-                                            worst["null_form_literal_gap"], lo=1e-6))
+    records = [AcceptanceRecord.bounded(f"identities.{key}", max(r[key] for r in results),
+                                        hi=1e-10)
+               for key in keys + ("psi_real", "adjoint", "phase_split")]
+    gap = min(r["null_form_literal_gap"] for r in results)
+    records.append(AcceptanceRecord.bounded("identities.null_form_literal_gap", gap, lo=1e-6))
     records.append(AcceptanceRecord.bounded("identities.runtime_seconds", elapsed(), hi=300.0))
     return records, rows
 

@@ -9,7 +9,7 @@ Two ensemble shapes matter for the measured inequalities:
 
 * random-phase fields (every lattice mode in a region gets an independent
   Gaussian coefficient) - generic fields for identity checks;
-* wave-packet fields (a few random point sources band-projected to a shell) -
+* wave-packet fields (one random point source band-projected to a shell) -
   the family that saturates Bernstein-type bounds uniformly in the shell
   index, used wherever a ratio is scanned across dyadic scales.
 """

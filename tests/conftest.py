@@ -1,5 +1,6 @@
 from collections import Counter
 
+import cronlab  # noqa: F401  first: its one-BLAS-thread default must precede numpy's import
 import numpy as np
 import pytest
 

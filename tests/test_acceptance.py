@@ -3,18 +3,31 @@ prints one pass/fail line.  The suites come from the experiment harness with
 their default (pinned) grids and the default seed.
 """
 
+import hashlib
+import json
+import os
+import pathlib
+
 import numpy as np
-from cronlab.harness import ExperimentConfig, run
+import pytest
+from cronlab.harness import EXPERIMENTS, ExperimentConfig, run
 
 _RESULTS = {}
+_GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_seed7.json").read_text())
 
 
-def _suite(name, tmp_path_factory):
+def _run_suite(name, tmp_path_factory):
+    """(records by id, artifact paths) of one run of the suite at its defaults,
+    run once per session."""
     if name not in _RESULTS:
         out = tmp_path_factory.mktemp(f"acc_{name.replace('-', '_')}")
         records, paths = run(ExperimentConfig(experiment=name, out_dir=str(out)))
-        _RESULTS[name] = {r.id: r for r in records}
+        _RESULTS[name] = ({r.id: r for r in records}, paths)
     return _RESULTS[name]
+
+
+def _suite(name, tmp_path_factory):
+    return _run_suite(name, tmp_path_factory)[0]
 
 
 def _check(record, label):
@@ -121,3 +134,24 @@ def test_criterion_9_determinism(tmp_path_factory):
     ok = blobs[0] == blobs[1]
     print(f"[{'PASS' if ok else 'FAIL'}] criterion-9: rerun artifacts byte-identical")
     assert ok
+
+
+# -- pinned artifacts: every suite's seed-7 summary and CSV, bit for bit ----------
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_seed7_artifacts_match_golden_digests(tmp_path_factory, name):
+    """Bit-for-bit reproducibility is promised for a fixed numpy version only,
+    so under another version the pins are skipped, not failed.  They were made
+    with one BLAS thread (cronlab's default): a threaded dot product sums in
+    another order, which moves identities.adjoint and identities.phase_split."""
+    if np.__version__ != _GOLDEN["numpy"]:
+        pytest.skip(f"digests pinned with numpy {_GOLDEN['numpy']}, running {np.__version__}")
+    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+        pytest.skip(f"digests pinned with OPENBLAS_NUM_THREADS=1, running "
+                    f"{os.environ.get('OPENBLAS_NUM_THREADS')}")
+    _, paths = _run_suite(name, tmp_path_factory)
+    for key in ("summary", "csv"):
+        path = pathlib.Path(paths[key])
+        got = hashlib.sha256(path.read_bytes()).hexdigest()
+        want = _GOLDEN["sha256"][name][path.name]
+        assert got == want, f"{name}: {path.name} has sha256 {got}, pinned {want}"

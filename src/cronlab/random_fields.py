@@ -11,7 +11,8 @@ Two ensemble shapes matter for the measured inequalities:
   Gaussian coefficient) - generic fields for identity checks;
 * wave-packet fields (one random point source band-projected to a shell) -
   the family that saturates Bernstein-type bounds uniformly in the shell
-  index, used wherever a ratio is scanned across dyadic scales.
+  index.  A packet is the band kernel, translated and scaled, and Bernstein
+  ratios see neither, so the Bernstein scan takes one packet per band.
 """
 
 from __future__ import annotations

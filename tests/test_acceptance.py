@@ -5,7 +5,6 @@ their default (pinned) grids and the default seed.
 
 import hashlib
 import json
-import os
 import pathlib
 
 import numpy as np
@@ -141,14 +140,9 @@ def test_criterion_9_determinism(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_seed7_artifacts_match_golden_digests(tmp_path_factory, name):
     """Bit-for-bit reproducibility is promised for a fixed numpy version only,
-    so under another version the pins are skipped, not failed.  They were made
-    with one BLAS thread (cronlab's default): a threaded dot product sums in
-    another order, which moves identities.adjoint and identities.phase_split."""
+    so under another version the pins are skipped, not failed."""
     if np.__version__ != _GOLDEN["numpy"]:
         pytest.skip(f"digests pinned with numpy {_GOLDEN['numpy']}, running {np.__version__}")
-    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
-        pytest.skip(f"digests pinned with OPENBLAS_NUM_THREADS=1, running "
-                    f"{os.environ.get('OPENBLAS_NUM_THREADS')}")
     _, paths = _run_suite(name, tmp_path_factory)
     for key in ("summary", "csv"):
         path = pathlib.Path(paths[key])

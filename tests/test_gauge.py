@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cronlab.errors import ParameterError, PreconditionError
-from cronlab.gauge import (Direction, SectorSpec, angle_to, coulomb_gain_ratio,
+from cronlab.gauge import (THETA_MAX, Direction, SectorSpec, angle_to, coulomb_gain_ratios,
                            covariant_gradient, curvature_from_gradients, current_density,
                            greater_symbol, leray_project, null_derivative, null_form_check,
                            sector_symbol, transverse_inverse_symbol)
@@ -219,7 +219,8 @@ def test_coulomb_gain_zero_on_axis():
     F[1][ridx] = 1.0
     comps = tuple(ScalarField(g, F[j], rep="frequency") for j in range(3))
     B = VectorField(comps, divergence_free=True)
-    assert coulomb_gain_ratio(B, w, 0.25, sector_symbol(g, SectorSpec(w, 0.25, "leq"))) == 0.0
+    assert coulomb_gain_ratios(B, [(w, 0.25, sector_symbol(g, SectorSpec(w, 0.25, "leq")))]) \
+        == [0.0]
 
 
 def test_coulomb_gain_bounded_over_scan():
@@ -231,10 +232,9 @@ def test_coulomb_gain_bounded_over_scan():
         for j in range(5):
             v = rng.standard_normal(3)
             w = unit(v)
-            for theta in (0.25, 0.125, 0.0625):
-                for mode in ("leq", "band"):
-                    sym = sector_symbol(g, SectorSpec(w, theta, mode))
-                    worst = max(worst, coulomb_gain_ratio(B, w, theta, sym))
+            sectors = [(w, theta, sector_symbol(g, SectorSpec(w, theta, mode)))
+                       for theta in (0.25, 0.125, 0.0625) for mode in ("leq", "band")]
+            worst = max(worst, *coulomb_gain_ratios(B, sectors))
     assert worst <= 4.0
 
 
@@ -243,7 +243,49 @@ def test_coulomb_gain_needs_certificate():
     V = VectorField(tuple(random_field(g, stream(24, 9 + i), 0.5, 1.5) for i in range(2)))
     with pytest.raises(PreconditionError):
         w = unit([1.0, 0.0])
-        coulomb_gain_ratio(V, w, 0.25, sector_symbol(g, SectorSpec(w, 0.25, "leq")))
+        coulomb_gain_ratios(V, [(w, 0.25, sector_symbol(g, SectorSpec(w, 0.25, "leq")))])
+
+
+def _coulomb_gain_reference(B, w, theta, sym):
+    """The per-mode quotient as written out before the symbol was cancelled:
+    max over live modes of |sum_j sym c_j w_j| / (theta |sym c|)."""
+    hats = [sym * c.freq_values for c in B.in_frequency().components]
+    num = np.abs(sum(h * wj for h, wj in zip(hats, w.omega)))
+    mag = np.sqrt(sum(np.abs(h) ** 2 for h in hats))
+    live = mag > 1e-14 * mag.max()
+    live.flat[0] = False
+    return float((num[live] / (theta * mag[live])).max(initial=0.0))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_coulomb_gain_ratios_match_the_uncancelled_quotient(n):
+    g = GridSpec(n, 16, 4.0)
+    rng = stream(31, n)
+    for i in range(3):
+        B = random_divergence_free(g, stream(31, 10 * n + i), 0.5, 1.8)
+        sectors = [(w, theta, sector_symbol(g, SectorSpec(w, theta, mode)))
+                   for w in (unit(rng.standard_normal(n)) for _ in range(3))
+                   for theta in (0.5, 0.25, 0.1, 0.0625)
+                   for mode in ("leq", "band", "greater")]
+        want = [_coulomb_gain_reference(B, *sector) for sector in sectors]
+        got = coulomb_gain_ratios(B, sectors)
+        assert all(abs(r - v) <= 1e-12 * v for r, v in zip(got, want))
+        # a narrow cone can hold no lattice mode; most sectors are live
+        assert sum(v > 0.0 for v in want) >= 0.75 * len(want)
+
+
+def test_sector_symbols_are_real_and_non_negative():
+    """coulomb_gain_ratios cancels the symbol from its quotient, which needs
+    every sector symbol real and >= 0."""
+    rng = stream(32, 0)
+    for n in (2, 3):
+        g = GridSpec(n, 16, 4.0)
+        for _ in range(8):
+            w = unit(rng.standard_normal(n))
+            for theta in (THETA_MAX, 0.5, 0.3, 0.125, 0.05, 0.01):
+                for mode in ("leq", "band", "greater"):
+                    sym = sector_symbol(g, SectorSpec(w, theta, mode))
+                    assert sym.dtype == np.float64 and sym.min() >= 0.0
 
 
 # ---------------------------------------------------------------------------

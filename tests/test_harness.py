@@ -282,6 +282,21 @@ def test_coulomb_gain_builds_each_sector_symbol_once(tmp_path, monkeypatch):
     assert len(calls) == 200 == len(set((tuple(c.omega.omega), c.theta, c.mode) for c in calls))
 
 
+def test_lp_suite_builds_one_packet_per_bernstein_band(tmp_path, monkeypatch):
+    import cronlab.harness as harness_module
+    calls = []
+    original = harness_module.packet_field
+
+    def counted(grid, rng, k):
+        calls.append(k)
+        return original(grid, rng, k)
+    monkeypatch.setattr(harness_module, "packet_field", counted)
+    records, _ = run(ExperimentConfig(experiment="lp-suite", N=64, out_dir=str(tmp_path)))
+    # each band's kernel is measured once, for all three (p, q) pairs
+    assert len(calls) == len(set(calls)) >= 2
+    assert sum(r.id.startswith("bernstein.") for r in records) == 6
+
+
 @pytest.mark.parametrize("suite", ["unitarity", "parametrix-residual"])
 def test_parametrix_suite_draws_its_connection_once(tmp_path, monkeypatch, suite):
     import cronlab.harness as harness_module

@@ -405,6 +405,9 @@ def run_lp_suite(config: ExperimentConfig):
     grid = GridSpec(n, N, L)
     br = BandRange.widest(grid)
     ks = [k for k in range(br.k_min + 2, br.k_max + 1)]
+    if len(ks) < 3:   # the Bernstein and commutator slopes are fits over the bands
+        raise ParameterError(f"lp-suite needs at least 3 Bernstein bands; N={N}, L={L} "
+                             f"leaves {len(ks)}")
 
     # Bernstein over the band kernel: one packet per band serves every (p, q)
     pairs = [(2, 4), (2, np.inf), (1, 2)]

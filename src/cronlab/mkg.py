@@ -14,15 +14,19 @@ while A0 is fixed by the matter field through the elliptic equation
 and d_t A0 by the non-solenoidal part of the current; a state derives both
 from its own fields.  The remaining Maxwell equations become monitored
 residuals.  Integration is a Strang kick-drift-kick split: exact free-wave flow
-in Fourier space, forcing kicks applied to the velocities with the A0 phi_t
-coupling handled pointwise-implicitly, and Leray re-projection of A each step.
-Quadratic nonlinear products are 2/3-rule dealiased.
+in Fourier space, which re-projects A by Leray, and forcing kicks applied to
+the velocities with the A0 phi_t coupling handled pointwise-implicitly; d_t A
+is re-projected at the end of each step.  Quadratic nonlinear products are
+2/3-rule dealiased.
 
 A enters its equation linearly, so A, d_t A, A0 and d_t A0 are kept as half
 spectra and go to samples only for the products (the current, D phi and the
 phi_t forcing); phi and phi_t are kept as samples.  A field keeps each
 transform it has computed, so every field is transformed at most once each
-way.
+way.  grad phi, the current, d_t A0 and A's forcing depend on the positions
+(A, phi) alone; the kicks and the final d_t A projection, which move only
+velocities, hand the ones their state has derived to the state they
+return, so each is derived once per drifted position.
 """
 
 from __future__ import annotations
@@ -46,10 +50,12 @@ class ConnectionState:
     """The dynamical fields at one instant, with their time derivatives.
 
     ``make_compatible_data`` and ``step`` store A and d_t A as half spectra
-    and phi and phi_t as samples.  A0, d_t A0 (both spectra), grad phi and
-    the current are derived from these fields when first read and then kept,
-    so every state, ``dataclasses.replace`` ones included, carries the A0 of
-    its own (phi, phi_t)."""
+    and phi and phi_t as samples.  A0, d_t A0 (both spectra), grad phi, the
+    current, A's forcing and the monitor's report are derived from these
+    fields when first read and then kept, so every state,
+    ``dataclasses.replace`` ones included, carries the A0 of its own
+    (phi, phi_t).  Only ``step``'s velocity updates start a state with the
+    position fields of the one they update."""
 
     t: float
     A_sp: VectorField
@@ -86,6 +92,35 @@ class ConnectionState:
     def current(self) -> VectorField:
         """J_j = Im(phi conj(D_j phi)), the spatial matter current."""
         return current_from_gradient(self.phi, self.grad_phi, self.A_sp)
+
+    @cached_property
+    def forcing_A(self) -> VectorField:
+        """The wave forcing of A as the system displays it: -P of the current,
+        dealiased by the 2/3 rule and Leray projected (its constant mode,
+        genuinely divergence free, passes through), as spectra."""
+        return leray_project(VectorField(tuple(dealias(c) * (-1.0) for c in
+                                               self.current.in_frequency().components)),
+                             keep_mean=True)
+
+    @cached_property
+    def report(self) -> EnergyReport:
+        """The energies and constraint residuals ``constraint_residuals``
+        returns, taken once."""
+        return _energy_report(self)
+
+
+# the fields a state derives from its positions (A, phi) alone
+_POSITION_FIELDS = ("grad_phi", "current", "A0_t", "forcing_A")
+
+
+def _with_velocities(state: ConnectionState, **velocities) -> ConnectionState:
+    """``state`` with new velocities (A_sp_t, phi_t), keeping the position
+    fields it has derived.  A0 and the report depend on phi_t, so the new
+    state derives them again."""
+    new = replace(state, **velocities)
+    new.__dict__.update((name, state.__dict__[name]) for name in _POSITION_FIELDS
+                        if name in state.__dict__)
+    return new
 
 
 @dataclass(frozen=True)
@@ -196,15 +231,6 @@ def make_compatible_data(f: ScalarField, g: ScalarField, a: VectorField,
 # ---------------------------------------------------------------------------
 # right-hand sides
 
-def _forcing_A(state: ConnectionState) -> VectorField:
-    """The wave forcing of A as the system displays it: -P of the current,
-    dealiased by the 2/3 rule and Leray projected (its constant mode, genuinely
-    divergence free, passes through), as spectra."""
-    return leray_project(VectorField(tuple(dealias(c) * (-1.0) for c in
-                                           state.current.in_frequency().components)),
-                         keep_mean=True)
-
-
 def _phi_acceleration_extras(state: ConnectionState) -> ScalarField:
     """Everything in phi_tt besides Delta phi and the implicit A0 phi_t term,
     dealiased: 2i A.grad phi - i (d_t A0) phi - |A|^2 phi + A0^2 phi."""
@@ -233,21 +259,19 @@ def _kick(state: ConnectionState, h: float) -> ConnectionState:
 
     The wave-equation display box A = -P J together with box = -d_t^2 + Delta
     makes the acceleration A_tt = Delta A + P J, so the kick adds +P J."""
-    grid = state.grid
-    forcing_A = _forcing_A(state)   # the displayed forcing, -P J
     Asp_t = VectorField(tuple(c - f * h for c, f in
-                              zip(state.A_sp_t.components, forcing_A.components)),
+                              zip(state.A_sp_t.components, state.forcing_A.components)),
                         divergence_free=True)
     extras = _phi_acceleration_extras(state)
     a0 = state.A0.phys_values.real
     new_phi_t = (state.phi_t.phys_values + h * extras.phys_values) / (1.0 + 2j * h * a0)
-    return replace(state, A_sp_t=Asp_t, phi_t=_field(grid, new_phi_t))
+    return _with_velocities(state, A_sp_t=Asp_t, phi_t=_field(state.grid, new_phi_t))
 
 
 def _drift(state: ConnectionState, h: float) -> ConnectionState:
     """Exact free-wave flow of (A, phi) for time h in Fourier space; the
-    flow is real and even in xi, so real fields stay real.  A and d_t A
-    come back as spectra, phi and phi_t as samples."""
+    flow is real and even in xi, so real fields stay real.  A, re-projected
+    by Leray, and d_t A come back as spectra, phi and phi_t as samples."""
     grid = state.grid
     flows = {}   # real_valued -> the flow on that field's lattice
 
@@ -266,21 +290,25 @@ def _drift(state: ConnectionState, h: float) -> ConnectionState:
     comps, comps_t = zip(*(flow(u, v) for u, v in zip(state.A_sp.components,
                                                      state.A_sp_t.components)))
     return replace(state, t=state.t + h,
-                   A_sp=VectorField(comps, divergence_free=True),
+                   A_sp=leray_project(VectorField(comps), keep_mean=True),
                    A_sp_t=VectorField(comps_t, divergence_free=True),
                    phi=phi, phi_t=phi_t)
 
 
 def step(state: ConnectionState, dt: float) -> ConnectionState:
-    """One Strang kick-drift-kick step, with the connection re-projected by
-    Leray at the end (on its spectra, so without a transform).  Each kick
-    reads the A0 and d_t A0 of the state it kicks."""
+    """One Strang kick-drift-kick step.  The drift, the only sub-step that
+    moves A, re-projects A by Leray, and d_t A is re-projected at the end
+    (both on spectra, so without a transform).  Each kick reads the A0 and
+    d_t A0 of the state it kicks.  The kicks and the final projection move
+    only velocities, so the states they return keep the grad phi, current,
+    d_t A0 and A forcing of the state they start from: the second kick of
+    one step and the first kick of the next read one forcing.  A0 depends
+    on phi_t and is solved for every state."""
     grid = state.grid
     if dt > stability_limit(grid) * (1.0 + 1e-12):
         raise ParameterError(f"dt={dt} exceeds the stability bound {stability_limit(grid)}")
     s = _kick(_drift(_kick(state, dt / 2.0), dt), dt / 2.0)
-    return replace(s, A_sp=leray_project(s.A_sp, keep_mean=True),
-                   A_sp_t=leray_project(s.A_sp_t, keep_mean=True))
+    return _with_velocities(s, A_sp_t=leray_project(s.A_sp_t, keep_mean=True))
 
 
 def evolve(state: ConnectionState, t_final: float, dt: float) -> ConnectionState:
@@ -296,7 +324,9 @@ def evolve(state: ConnectionState, t_final: float, dt: float) -> ConnectionState
 # diagnostics
 
 def constraint_residuals(state: ConnectionState) -> EnergyReport:
-    """Energies plus the relative L2 residuals of the constraint equations.
+    """Energies plus the relative L2 residuals of the constraint equations,
+    taken once per state (``make_compatible_data``'s self-check takes the
+    report of the state it returns).
 
     Each field is transformed once.  The products (the kinetic term and the
     charge density) are formed in samples; the linear terms (the Maxwell and
@@ -304,6 +334,10 @@ def constraint_residuals(state: ConnectionState) -> EnergyReport:
     norms by Plancherel.  grad phi, the current, A0 and d_t A0 are the
     state's own, shared with the step; the other groups of partials are
     dropped once used."""
+    return state.report
+
+
+def _energy_report(state: ConnectionState) -> EnergyReport:
     grid = state.grid
     vol = grid.cell_volume
     ph = state.phi.phys_values

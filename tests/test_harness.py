@@ -230,6 +230,7 @@ BAD_CONFIGS = {
     "neg_t_max.json": '{"experiment": "parametrix-residual", "t_max": -1}',
     "nan_eps.json": '{"experiment": "unitarity", "eps_list": [0.1, NaN]}',
     "odd_N.json": '{"experiment": "lp-suite", "N": 7}',
+    "two_bands.json": '{"experiment": "lp-suite", "N": 64}',
     "wrap_t_max.json": '{"experiment": "parametrix-residual", "t_max": 3.95}',
 }
 BAD_SUMMARIES = {
@@ -252,6 +253,7 @@ BAD_SUMMARIES = {
     (["run", "--config", "overflow_L.json"], "L=inf"),
 ] + [(["report", name], name) for name in BAD_SUMMARIES] + [
     (["run", "--config", "odd_N.json"], "N=7"),
+    (["run", "--config", "two_bands.json"], "at least 3 Bernstein bands"),
     (["run", "--config", "wrap_t_max.json"], "wrap limit"),
 ])
 def test_cli_maps_bad_input_to_exit_2(tmp_path, monkeypatch, capsys, argv, needle):
@@ -291,7 +293,7 @@ def test_lp_suite_builds_one_packet_per_bernstein_band(tmp_path, monkeypatch):
         calls.append(k)
         return original(grid, rng, k)
     monkeypatch.setattr(harness_module, "packet_field", counted)
-    records, _ = run(ExperimentConfig(experiment="lp-suite", N=64, out_dir=str(tmp_path)))
+    records, _ = run(ExperimentConfig(experiment="lp-suite", N=128, out_dir=str(tmp_path)))
     # each band's kernel is measured once, for all three (p, q) pairs
     assert len(calls) == len(set(calls)) >= 2
     assert sum(r.id.startswith("bernstein.") for r in records) == 6

@@ -9,7 +9,7 @@ from cronlab.exponents import exponents, sigma_window, validate_sigma
 from cronlab.grid import (GridSpec, ScalarField, VectorField, inner_product, lebesgue_norm,
                           partial_derivative, plane_wave, relative_l2_difference, zero_field)
 from cronlab.lp import fit_loglog
-from cronlab.mkg import (ConnectionState, _forcing_A, _phi_acceleration_extras,
+from cronlab.mkg import (ConnectionState, _kick, _phi_acceleration_extras,
                          constraint_residuals, dealias, elliptic_a0, evolve,
                          make_compatible_data, stability_limit, step)
 from cronlab.random_fields import random_divergence_free, random_field, stream
@@ -205,7 +205,7 @@ def test_rhs_vanishes_without_matter():
     g = GridSpec(2, 16, 4.0)
     _, _, a, adot = small_data(g, 1.0, seed=35)
     st = make_compatible_data(zero_field(g), zero_field(g), a, adot)
-    fA, fphi = _forcing_A(st), _phi_acceleration_extras(st)
+    fA, fphi = st.forcing_A, _phi_acceleration_extras(st)
     assert max(lebesgue_norm(c, 2) for c in fA.components) == 0.0
     assert lebesgue_norm(fphi, 2) == 0.0
 
@@ -213,7 +213,7 @@ def test_rhs_vanishes_without_matter():
 def test_rhs_forcing_is_divergence_free(divergence_free):
     g = GridSpec(2, 32, 8.0)
     st = make_compatible_data(*small_data(g, 0.1, seed=36))
-    assert divergence_free(_forcing_A(st), 1e-10)
+    assert divergence_free(st.forcing_A, 1e-10)
 
 
 def test_rhs_cross_checks_null_form_identity():
@@ -224,7 +224,7 @@ def test_rhs_cross_checks_null_form_identity():
     f, gg, _, _ = small_data(g, 0.1, seed=37, r_lo=0.25, r_hi=0.45)
     Z = VectorField(tuple(zero_field(g) for _ in range(2)), divergence_free=True)
     st = make_compatible_data(f, gg, Z, Z)
-    fA = _forcing_A(st)
+    fA = st.forcing_A
     derivs = [partial_derivative(st.phi, j).phys_values for j in range(2)]
     for j in range(2):
         acc = zero_field(g)
@@ -294,8 +294,10 @@ def _stepped_state():
 
 def test_step_transform_count(monkeypatch, count_transforms):
     # along a trajectory the monitor reads each state before the next step,
-    # so the first kick finds grad phi, the current (with its spectrum), A0
-    # and the samples of phi, A_j and A0 already transformed
+    # so the first kick finds A0 and the samples of phi and A0 already
+    # transformed; grad phi, the current (with its spectrum), d_t A0 (with
+    # its samples) and A's forcing are the previous drifted state's, which
+    # the second kick and the final projection handed on
     st = _stepped_state()
     constraint_residuals(st)
     calls = count_transforms()
@@ -308,47 +310,103 @@ def test_step_transform_count(monkeypatch, count_transforms):
     fftn = 2 * 1 + 1 + 1
     ifftn = 2 * 1 + 2 + 3
     # real transforms.  A and A_t stay spectra through the drift, the kicks
-    # and the final Leray, and d_t A0 is taken on the current's spectrum, so
-    # the first kick reads only the samples of A0_t 0+1.  The drifted state:
-    # samples of A_j 0+3; the current's spectrum 3+0 for the forcing and
-    # d_t A0; the solve with k = 2 iterations, the source's half spectrum 1+0
-    # and per iteration the samples of Delta^{-1} 0+1 and the coupling's half
-    # spectrum 1+0, so 1 + 2k; the samples of A0 0+1 and A0_t 0+1
+    # and both Leray projections, and d_t A0 and the forcing are taken on
+    # the current's spectrum, so only the drifted state transforms: samples
+    # of A_j 0+3; the current's spectrum 3+0; the solve with k = 2
+    # iterations, the source's half spectrum 1+0 and per iteration the
+    # samples of Delta^{-1} 0+1 and the coupling's half spectrum 1+0, so
+    # 1 + 2k; the samples of A0 0+1 and A0_t 0+1
     solve_fwd, solve_inv = 1 + 2, 2
     rfftn = 3 + solve_fwd
-    irfftn = 1 + 3 + solve_inv + 1 + 1
+    irfftn = 3 + solve_inv + 1 + 1
     assert calls == {"fftn": fftn, "ifftn": ifftn, "rfftn": rfftn, "irfftn": irfftn}
-    assert (fftn, ifftn, rfftn, irfftn) == (4, 7, 6, 8)
+    assert (fftn, ifftn, rfftn, irfftn) == (4, 7, 6, 7)
 
 
 def test_constraint_residuals_transform_count(monkeypatch, count_transforms):
-    # the monitor is the first reader of a stepped state, so it derives A0
+    # the monitor is the first reader of a stepped state, so it derives A0;
+    # grad phi, the current with its spectrum and the samples of A_j come
+    # from the step's drifted state
     st = _stepped_state()
     calls = count_transforms()
     iterations = _count_elliptic_solves(monkeypatch)
     constraint_residuals(st)
     assert iterations == [2]
-    # complex: d_j phi (3) inverse; phi's spectrum is kept from the step's
-    # grad phi.  Real: the solve with k = 2 iterations 3+2, as in a step, and
-    # the samples of A0 0+1 for D_0 phi; the samples of A_j 0+3 for D_j phi;
-    # the charge density 1+0; the current's spectrum 3+0.  The Maxwell,
+    # real: the solve with k = 2 iterations 3+2, as in a step; the samples
+    # of A0 0+1 for D_0 phi; the charge density 1+0.  The Maxwell,
     # curvature and Coulomb terms are taken on spectra by Plancherel
-    assert calls == {"ifftn": 3, "rfftn": 3 + 1 + 3, "irfftn": 2 + 1 + 3}
-    assert sum(calls.values()) == 16
+    assert calls == {"rfftn": 3 + 1, "irfftn": 2 + 1}
+    assert sum(calls.values()) == 7
+    # a second reading is the report already taken
+    calls.clear()
+    assert constraint_residuals(st) is st.report
+    assert calls == {}
 
 
 def test_constraint_residuals_transform_count_at_fresh_data(monkeypatch, count_transforms):
-    # make_compatible_data's self-check has derived A0, grad phi, the current
-    # and d_t A0 and transformed each field it read, and the fields keep those
-    # transforms
+    # make_compatible_data's self-check has taken the state's report
     g = GridSpec(3, 16, 4.0)
     st = make_compatible_data(*small_data(g, 1e-2, seed=48))
     calls = count_transforms()
     iterations = _count_elliptic_solves(monkeypatch)
     constraint_residuals(st)
     assert iterations == []
-    # only the charge density, a new product, is transformed
-    assert calls == {"rfftn": 1}
+    assert calls == {}
+
+
+# ---------------------------------------------------------------------------
+# position fields shared across velocity updates
+
+_POSITION_FIELDS = ("grad_phi", "current", "A0_t", "forcing_A")
+
+
+def test_kick_keeps_the_position_fields():
+    st = _stepped_state()
+    report = constraint_residuals(st)
+    kicked = _kick(st, 0.025)
+    assert kicked.A_sp is st.A_sp and kicked.phi is st.phi
+    for name in _POSITION_FIELDS:
+        assert getattr(kicked, name) is getattr(st, name), name
+    # A0 and the report depend on phi_t: the kicked state takes its own
+    assert kicked.A0 is not st.A0
+    assert constraint_residuals(kicked) != report
+
+
+def test_sharing_serves_no_stale_field(monkeypatch):
+    # the same trajectory, monitored after each step, with every state that
+    # a velocity update makes rebuilt by replace(), which derives everything
+    # from the state's own fields, is bitwise the same
+    import cronlab.mkg as mkg_module
+    g = GridSpec(3, 16, 4.0)
+    st = make_compatible_data(*small_data(g, 1e-2, seed=48))
+
+    def trajectory():
+        out, s = [], st
+        for _ in range(3):
+            s = step(s, 0.05)
+            out.append((s, constraint_residuals(s)))
+        return out
+    shared = trajectory()
+    monkeypatch.setattr(mkg_module, "_with_velocities",
+                        lambda state, **velocities: replace(state, **velocities))
+    rebuilt = trajectory()
+    for (a, rep_a), (b, rep_b) in zip(shared, rebuilt):
+        assert rep_a == rep_b
+        for name in ("phi", "phi_t", "A0", "A0_t"):
+            assert np.array_equal(getattr(a, name).values, getattr(b, name).values), name
+        for name in ("A_sp", "A_sp_t", "grad_phi", "current", "forcing_A"):
+            for u, v in zip(getattr(a, name).components, getattr(b, name).components):
+                assert np.array_equal(u.values, v.values), name
+
+
+def test_replaced_positions_derive_their_own_fields():
+    st = _stepped_state()
+    constraint_residuals(st)
+    moved = replace(st, phi=st.phi * np.exp(0.4j))
+    assert moved.grad_phi is not st.grad_phi
+    for got, was in zip(moved.grad_phi.components, st.grad_phi.components):
+        assert np.allclose(got.values, was.values * np.exp(0.4j), rtol=0, atol=1e-15)
+    assert moved.current is not st.current and moved.forcing_A is not st.forcing_A
 
 
 def test_kinetic_energy_is_the_covariant_form():

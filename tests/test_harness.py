@@ -253,8 +253,8 @@ BAD_SUMMARIES = {
     (["run", "--config", "overflow_L.json"], "L=inf"),
 ] + [(["report", name], name) for name in BAD_SUMMARIES] + [
     (["run", "--config", "odd_N.json"], "N=7"),
-    (["run", "--config", "two_bands.json"], "at least 3 Bernstein bands"),
     (["run", "--config", "wrap_t_max.json"], "wrap limit"),
+    (["run", "--config", "two_bands.json"], "at least 3 Bernstein bands"),
 ])
 def test_cli_maps_bad_input_to_exit_2(tmp_path, monkeypatch, capsys, argv, needle):
     monkeypatch.chdir(tmp_path)

@@ -337,13 +337,13 @@ def _dot_omega(stacked, w_dir) -> np.ndarray:
 
 class _Multipliers(NamedTuple):
     """The time-independent phase multipliers of one (grid, band range, sigma),
-    per direction bucket, on the band support: the flat indices where some
-    P_k of the range is nonzero.  Both multipliers vanish off it."""
+    one row per direction bucket, on the band support: the flat indices where
+    some P_k of the range is nonzero.  Both multipliers vanish off it."""
 
     kernel: _ModeKernel    # the transforms of the band support
-    ws: tuple          # inv sum_k P_k Pi_{omega, > theta_k}
-    leqs: tuple        # sum_k P_k Pi_{omega, <= theta_k}
-    xi_dots: tuple     # xi . omega
+    ws: np.ndarray         # (B, |S|): inv sum_k P_k Pi_{omega, > theta_k}
+    leqs: np.ndarray       # (B, |S|): sum_k P_k Pi_{omega, <= theta_k}
+    xi_dots: np.ndarray    # (B, |S|): xi . omega
 
 
 def _support_symbols(family, support):
@@ -359,32 +359,30 @@ def _support_symbols(family, support):
         yield w_dir, lat, transverse_inverse_symbol(lat, w_dir, theta_min), pks
 
 
+def _lift(samples, i: int, sign: int, w_dir, xi_dot, W) -> np.ndarray:
+    """W (i xi.omega X.omega + (s / 2 pi) Y.omega) for (X, Y) = samples i, i + 1:
+    the phase symbol of a field and its time derivative, on the support.  Given
+    directions (B, n) and multipliers (B, |S|), it lifts every bucket at once."""
+    X, Y = samples[i], samples[i + 1]
+    w = w_dir.T[..., None]
+    return W * (1j * xi_dot * _dot_omega(X, w) + (sign / (2.0 * np.pi)) * _dot_omega(Y, w))
+
+
 class PhaseSlice:
-    """One direction's phase at one time.
+    """One direction's phase at one time: views of one row of its family's
+    phase table, the phase factor e^{2 pi i psi} on the grid and the phase
+    symbol on the band support.  psi, psi_t and grad are recomputed from the
+    support on each access, one support transform each (grad batches its n
+    fields), so a caller binds them once.  A slice holds the connection
+    samples, the multiplier and the support transforms it was built from,
+    never its family, so a dropped family is freed at once."""
 
-    Holds the phase factor e^{2 pi i psi} on the grid and the phase symbol on
-    the band support.  psi, psi_t and grad are recomputed from the support on
-    each access, one support transform each (grad batches its n fields), so a
-    caller binds them once.  A slice holds the connection samples, the
-    multiplier and the support transforms it was built from, never its
-    family, so a dropped family is freed at once."""
-
-    def __init__(self, kernel: _ModeKernel, sign: int, w_dir, xi_dot, W, samples):
+    def __init__(self, kernel: _ModeKernel, sign: int, w_dir, xi_dot, W, samples,
+                 psi_hat, phase):
         self._kernel, self._sign = kernel, sign
         self._w_dir, self._xi_dot, self._W = w_dir, xi_dot, W
         self._samples = samples        # (A, A_t, A_tt) at the slice's time, on the support
-        self._psi_hat = self._lift(0)
-        psi_c = kernel.synthesize(self._psi_hat)
-        scale = max(np.abs(psi_c).max(), 1e-300)
-        self.imag_defect = float(np.abs(psi_c.imag).max() / scale)
-        self.phase = np.exp(2j * np.pi * psi_c.real)
-
-    def _lift(self, i: int) -> np.ndarray:
-        """W (i xi.omega X.omega + (s / 2 pi) Y.omega) for (X, Y) = samples i, i + 1:
-        the phase symbol of a field and its time derivative, on the support."""
-        X, Y = self._samples[i], self._samples[i + 1]
-        return self._W * (1j * self._xi_dot * _dot_omega(X, self._w_dir)
-                          + (self._sign / (2.0 * np.pi)) * _dot_omega(Y, self._w_dir))
+        self._psi_hat, self.phase = psi_hat, phase
 
     @property
     def psi(self) -> np.ndarray:
@@ -392,7 +390,8 @@ class PhaseSlice:
 
     @property
     def psi_t(self) -> np.ndarray:
-        return self._kernel.synthesize(self._lift(1)).real
+        return self._kernel.synthesize(_lift(self._samples, 1, self._sign, self._w_dir,
+                                             self._xi_dot, self._W)).real
 
     @property
     def grad(self) -> tuple:
@@ -409,9 +408,13 @@ class PhaseFamily:
     (inverse transverse Laplacian against the kept sectors, and the
     complementary kept-small-angle sum) live on the band support, are built
     per direction once for each direction cache and are shared by every family
-    on it.  Phase slices are kept for the most recent time only; a call at a
-    new time drops them.
+    on it.  The phase table is kept for the most recent time only: a call at a
+    new time drops it and builds the row of every bucket, read or not, in one
+    pass (psi_hat in one lift, the phase factors in chunks of _CHUNK_BYTES: 8
+    rows at 64^2, one at 256^2).  A slice is a view of one row.
     """
+
+    _CHUNK_BYTES = 512 * 1024
 
     def __init__(self, conn: FreeConnection, sign: int, sigma: float,
                  cache: DirectionCache, _premultipliers=None):
@@ -429,7 +432,7 @@ class PhaseFamily:
         self._support = self._kernel.index
         self._t = None
         self._samples = None     # connection samples at time _t, on the support
-        self._table = {}         # bucket -> PhaseSlice at time _t
+        self._psi_hat = self._phase = None      # the phase table at time _t
         self.max_imag_defect = 0.0
 
     def _shared_multipliers(self) -> _Multipliers:
@@ -449,28 +452,34 @@ class PhaseFamily:
                 leqs.append(S_l)
                 dots.append(np.tensordot(w_dir, lat.xi, axes=(0, 0)))
             kernel = _ModeKernel(self.grid, support, self.cache.dft_table)
-            self.cache.multipliers[key] = _Multipliers(kernel, tuple(ws), tuple(leqs),
-                                                       tuple(dots))
+            self.cache.multipliers[key] = _Multipliers(kernel, np.stack(ws), np.stack(leqs),
+                                                       np.stack(dots))
         return self.cache.multipliers[key]
 
-    def _conn_at(self, t: float):
-        """(A, A_t, A_tt) on the support at t; moving to a new time drops the
-        phase table."""
-        if t != self._t:
-            A, At = (X.reshape(self.grid.n, -1)[:, self._support]
-                     for X in self.conn.eval_hat(t))
-            Att = -self.conn.rho.ravel()[self._support] ** 2 * A
-            self._t, self._samples, self._table = t, (A, At, Att), {}
-        return self._samples
+    def _build_table(self, t: float):
+        """The connection samples (A, A_t, A_tt) on the support at t and the
+        phase table of every bucket; the realness defect is taken per row."""
+        self._phase = None       # the old table goes before the new one is allocated
+        A, At = (X.reshape(self.grid.n, -1)[:, self._support] for X in self.conn.eval_hat(t))
+        Att = -self.conn.rho.ravel()[self._support] ** 2 * A
+        self._t, self._samples = t, (A, At, Att)
+        self._psi_hat = _lift(self._samples, 0, self.sign, self.cache.directions,
+                              self._xi_dot, self._w)
+        self._phase = np.empty((len(self._psi_hat),) + self.grid.shape, dtype=np.complex128)
+        rows = max(1, self._CHUNK_BYTES // self._phase[0].nbytes)
+        axes = tuple(range(1, self._phase.ndim))
+        for i in range(0, len(self._phase), rows):
+            psi_c = self._kernel.synthesize(self._psi_hat[i:i + rows])
+            scale = np.maximum(np.abs(psi_c).max(axis=axes), 1e-300)
+            defect = float((np.abs(psi_c.imag).max(axis=axes) / scale).max())
+            self.max_imag_defect = max(self.max_imag_defect, defect)
+            np.exp(2j * np.pi * psi_c.real, out=self._phase[i:i + rows])
 
     def slice_at(self, t: float, b: int) -> PhaseSlice:
-        samples = self._conn_at(t)
-        if b not in self._table:
-            sl = PhaseSlice(self._kernel, self.sign, self.cache.directions[b],
-                            self._xi_dot[b], self._w[b], samples)
-            self.max_imag_defect = max(self.max_imag_defect, sl.imag_defect)
-            self._table[b] = sl
-        return self._table[b]
+        if t != self._t:
+            self._build_table(t)
+        return PhaseSlice(self._kernel, self.sign, self.cache.directions[b], self._xi_dot[b],
+                          self._w[b], self._samples, self._psi_hat[b], self._phase[b])
 
     def psi(self, t: float, b: int) -> np.ndarray:
         return self.slice_at(t, b).psi
@@ -485,8 +494,8 @@ class PhaseFamily:
     def with_multipliers(self, ws, leqs) -> "PhaseFamily":
         """The family with its own multipliers, given on the band support."""
         return PhaseFamily(self.conn, self.sign, self.sigma, self.cache,
-                           _premultipliers=_Multipliers(self._kernel, tuple(ws),
-                                                        tuple(leqs), self._xi_dot))
+                           _premultipliers=_Multipliers(self._kernel, np.stack(ws),
+                                                        np.stack(leqs), self._xi_dot))
 
 
 # ---------------------------------------------------------------------------
@@ -695,31 +704,31 @@ def match_data(op_plus: WaveOperator, op_minus: WaveOperator, f: ScalarField,
 @dataclass(frozen=True, eq=False)
 class ResidualReport:
     times: tuple
-    mutual_differences: tuple     # ||direct - amplitude-path||_2 per time (absolute;
+    mutual_differences: tuple     # ||direct - amplitude-path||_2 per (dt, time) (absolute;
                                   # decays at the differencing order under dt refinement)
     residual_slice_norms: tuple   # L2 of the amplitude-path residual per time
     residual_n2: float            # L1_t Sobolev(n/2-2) of the residual
-    fd_dt: float
+    fd_dts: tuple
 
 
-def covariant_box_direct(op: WaveOperator, t: float, h, dt: float,
-                         A: VectorField) -> ScalarField:
+def covariant_box_direct(op: WaveOperator, t: float, h, dts, A: VectorField) -> list:
     """(-d_t^2 + Delta + 2 i A.grad)(U h) with centered second time differences,
-    A being the connection at t.  U is applied at t last, so the phase table
+    one field per step in dts, A being the connection at t.  U(t)h and its
+    spatial part are taken once for all steps, and last, so the phase table
     then holds time t for a following covariant_box_amplitude."""
     grid = op.grid
-    um = op.apply(t - dt, h).phys_values
-    up = op.apply(t + dt, h).phys_values
+    shifted = [(op.apply(t - dt, h).phys_values, op.apply(t + dt, h).phys_values)
+               for dt in dts]
     u0 = op.apply(t, h)
-    dtt = (up - 2.0 * u0.phys_values + um) / dt ** 2
     u0_hat = u0.in_frequency()      # one transform serves the Laplacian and every partial
     lap = gr.laplacian(u0_hat).phys_values
     transport = np.zeros(grid.shape, dtype=np.complex128)
     for j in range(grid.n):
         du0 = gr.partial_derivative(u0_hat, j).phys_values
         transport += A.components[j].phys_values.real * du0
-    vals = -dtt + lap + 2j * transport
-    return ScalarField(grid, vals)
+    transport = 2j * transport
+    return [ScalarField(grid, -((up - 2.0 * u0.phys_values + um) / dt ** 2) + lap + transport)
+            for dt, (um, up) in zip(dts, shifted)]
 
 
 def covariant_box_amplitude(op: WaveOperator, t: float, h, A: VectorField) -> ScalarField:
@@ -745,18 +754,22 @@ def covariant_box_amplitude(op: WaveOperator, t: float, h, A: VectorField) -> Sc
     return ScalarField(grid, 2.0 * np.pi * out)
 
 
-def residual_check(op: WaveOperator, h, times, dt: float) -> ResidualReport:
+def residual_check(op: WaveOperator, h, times, dts) -> ResidualReport:
+    """Both paths of the covariant box of U h per time, the direct one at every
+    step in dts.  The connection, U(t)h, its spatial part and the amplitude
+    path are computed once per time; per step only U(t +- dt)h."""
     grid = op.grid
     times = np.asarray(times, dtype=float)
+    dts = tuple(dts)
     limit = grid.L / 2.0
-    if np.abs(times).max() + dt >= limit:
+    if np.abs(times).max() + max(dts) >= limit:
         raise ParameterError(f"time window exceeds the wrap limit {limit}")
     diffs, norms, slices = [], [], []
     for t in times:
         A = op.family.conn.field(t)   # one connection transform per time, for both paths
-        direct = covariant_box_direct(op, t, h, dt, A)
+        directs = covariant_box_direct(op, t, h, dts, A)
         via = covariant_box_amplitude(op, t, h, A)
-        diffs.append(lebesgue_norm(direct - via, 2))
+        diffs.append([lebesgue_norm(direct - via, 2) for direct in directs])
         norms.append(lebesgue_norm(via, 2))
         slices.append(via)
     # nonlinearity norm in its Sobolev normalization (covers the whole lattice,
@@ -764,8 +777,8 @@ def residual_check(op: WaveOperator, h, times, dt: float) -> ResidualReport:
     s_reg = grid.n / 2.0 - 2.0
     spatial = lambda f: gr.sobolev_norm(f, s_reg, exclude_zero_mode=True)
     n2 = spacetime_norm(SpacetimeField(times, tuple(slices)), 1, spatial)
-    return ResidualReport(times=tuple(times), mutual_differences=tuple(diffs),
-                          residual_slice_norms=tuple(norms), residual_n2=n2, fd_dt=dt)
+    return ResidualReport(times=tuple(times), mutual_differences=tuple(zip(*diffs)),
+                          residual_slice_norms=tuple(norms), residual_n2=n2, fd_dts=dts)
 
 
 # ---------------------------------------------------------------------------

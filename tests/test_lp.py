@@ -277,6 +277,25 @@ def test_commutator_slope_and_ratio():
         assert ratio <= 10.0
 
 
+def test_commutator_ratios_transform_the_product_once(monkeypatch):
+    g = GridSpec(2, 64, 1.0)
+    forward = []
+    for name in ("fftn", "rfftn"):
+        def counted(*args, _original=getattr(np.fft, name), **kwargs):
+            forward.append(1)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    counts = []
+    for ks in ([3], [1, 2, 3]):
+        f = random_field(g, stream(15, 5), 1.0, 2.0, real=True)
+        h = random_field(g, stream(15, 6), 1.0, 16.0)
+        del forward[:]
+        commutator_ratios(f, h, ks, np.inf, 2, 2)
+        counts.append(len(forward))
+    # f and g are drawn as spectra; only f g goes forward, once for all bands
+    assert counts == [1, 1]
+
+
 def test_commutator_hoelder_validation():
     g = GridSpec(2, 32, 1.0)
     f = random_field(g, stream(15, 3), 1.0, 2.0, real=True)

@@ -342,7 +342,7 @@ def test_residual_zero_for_free_connection():
     h = annulus_coeffs(71)
     via = covariant_box_amplitude(op, 0.5, h, conn.field(0.5))
     assert lebesgue_norm(via, 2) == 0.0
-    rep = residual_check(op, h, [0.5, 1.0], 0.01)
+    rep = residual_check(op, h, [0.5, 1.0], [0.01])
     assert rep.residual_n2 == 0.0
 
 
@@ -357,8 +357,10 @@ def test_covariant_box_direct_transforms_u0_once(monkeypatch):
             calls[_name] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
-    covariant_box_direct(op, 0.5, h, 0.01, A)
-    # U(t)h forward once; the Laplacian and the two partials back from that spectrum
+    directs = covariant_box_direct(op, 0.5, h, [0.01, 0.005], A)
+    # U(t)h forward once for both steps; the Laplacian and the two partials back
+    # from that spectrum
+    assert len(directs) == 2
     assert calls == {"fftn": 1, "ifftn": 3}
 
 
@@ -367,9 +369,22 @@ def test_residual_dual_path_second_order():
     op = WaveOperator(PhaseFamily(conn, +1, 0.25, small_cache()), CUT)
     h = annulus_coeffs(72)
     dts = [0.08, 0.04, 0.02]
-    diffs = [np.mean(residual_check(op, h, [0.5, 1.0], d).mutual_differences)
-             for d in dts]
+    rep = residual_check(op, h, [0.5, 1.0], dts)
+    diffs = [np.mean(per_time) for per_time in rep.mutual_differences]
     assert 1.8 <= fit_loglog(dts, diffs) <= 2.2
+
+
+def test_residual_check_over_steps_equals_one_call_per_step():
+    op = WaveOperator(PhaseFamily(connection(), +1, 0.25, small_cache()), CUT)
+    h = annulus_coeffs(72)
+    times, dts = [0.5, 1.0], [0.04, 0.02]
+    together = residual_check(op, h, times, dts)
+    assert together.fd_dts == tuple(dts)
+    for dt, per_time in zip(dts, together.mutual_differences, strict=True):
+        alone = residual_check(op, h, times, [dt])
+        assert alone.mutual_differences == (per_time,)
+        assert alone.residual_slice_norms == together.residual_slice_norms
+        assert alone.residual_n2 == together.residual_n2
 
 
 def test_residual_eps_slope():
@@ -380,7 +395,7 @@ def test_residual_eps_slope():
     for eps in epss:
         conn = make_free_connection(GRID, BAND, eps, 73)
         op = WaveOperator(PhaseFamily(conn, +1, 0.25, cache), CUT)
-        vals.append(residual_check(op, h, [0.4, 0.9], 0.02).residual_n2)
+        vals.append(residual_check(op, h, [0.4, 0.9], [0.02]).residual_n2)
     assert abs(fit_loglog(epss, vals) - 1.0) <= 0.1
 
 
@@ -388,7 +403,7 @@ def test_residual_window_guard():
     conn = connection()
     op = WaveOperator(PhaseFamily(conn, +1, 0.25, small_cache()), CUT)
     with pytest.raises(ParameterError):
-        residual_check(op, annulus_coeffs(74), [GRID.L], 0.01)
+        residual_check(op, annulus_coeffs(74), [GRID.L], [0.01])
 
 
 # ---------------------------------------------------------------------------
@@ -641,16 +656,17 @@ def test_repeat_apply_at_same_time_reuses_phases(monkeypatch):
     h = annulus_coeffs()
     live = _live_buckets(op, h)
     ffts = [_counting(monkeypatch, np.fft, name) for name in ("fftn", "ifftn")]
+    tables = _counting(monkeypatch, PhaseFamily, "_build_table")
     calls = _counting(monkeypatch, _ModeKernel, "synthesize")
     first = op.apply(0.4, h).phys_values
-    assert len(calls) == 2 * live        # one phase slice and one bucket transform each
+    assert len(tables) == 1              # one phase table for the time
     del calls[:]
     second = op.apply(0.4, h).phys_values
-    assert len(calls) == live
+    assert len(tables) == 1
+    assert len(calls) == live            # only the bucket transforms
     assert np.array_equal(first, second)
-    del calls[:]
-    op.apply(0.5, h)                     # a new time drops the table
-    assert len(calls) == 2 * live
+    op.apply(0.5, h)                     # a new time rebuilds the table
+    assert len(tables) == 2
     assert ffts == [[], []]              # no full-grid transform anywhere
 
 
@@ -658,9 +674,16 @@ def test_apply_builds_no_derivative_fields(monkeypatch):
     fam = PhaseFamily(connection(), +1, 0.25, small_cache())
     op = WaveOperator(fam, CUT)
     h = annulus_coeffs()
+    tables = _counting(monkeypatch, PhaseFamily, "_build_table")
     calls = _counting(monkeypatch, _ModeKernel, "synthesize")
     op.apply(0.4, h)
-    assert len(calls) == 2 * _live_buckets(op, h)     # no psi_t, no grad
+    # one table: every bucket's phase row through the support transform in
+    # batches, then one transform per live bucket; no psi_t, no grad
+    assert len(tables) == 1
+    rows = [shape for shape in calls if len(shape) == 2]
+    assert all(shape[1] == len(fam._support) for shape in rows)
+    assert sum(shape[0] for shape in rows) == fam.cache.num_buckets
+    assert len(calls) - len(rows) == _live_buckets(op, h)
     sl = fam.slice_at(0.4, 0)
     for _ in range(2):                   # recomputed on each access, never cached
         del calls[:]
@@ -669,6 +692,24 @@ def test_apply_builds_no_derivative_fields(monkeypatch):
     del calls[:]
     sl.psi_t
     assert calls == [(len(fam._support),)]
+
+
+def test_phase_table_row_equals_single_bucket_synthesis():
+    cache = small_cache()
+    fam = PhaseFamily(connection(), -1, 0.25, cache)
+    rows = PhaseFamily._CHUNK_BYTES // (16 * GRID.num_points)
+    assert cache.num_buckets > rows      # the table takes more than one chunk
+    defects = []
+    for t in (0.4, 0.9):
+        for b in range(cache.num_buckets):
+            sl = fam.slice_at(t, b)
+            psi_hat = pmx._lift(fam._samples, 0, -1, cache.directions[b], fam._xi_dot[b],
+                                fam._w[b])
+            psi_c = fam._kernel.synthesize(psi_hat)
+            assert np.array_equal(sl._psi_hat, psi_hat)
+            assert np.array_equal(sl.phase, np.exp(2j * np.pi * psi_c.real))
+            defects.append(np.abs(psi_c.imag).max() / max(np.abs(psi_c).max(), 1e-300))
+    assert fam.max_imag_defect == max(defects)
 
 
 def test_lazy_derivative_fields_match_family_defect_identity():
@@ -684,8 +725,7 @@ def test_families_on_one_cache_share_multipliers():
     fam_a = PhaseFamily(connection(1e-2), +1, 0.25, cache)
     fam_b = PhaseFamily(connection(3e-2, seed=70), -1, 0.25, cache)
     assert fam_a._support is fam_b._support
-    assert all(wa is wb for wa, wb in zip(fam_a._w, fam_b._w))
-    assert all(la is lb for la, lb in zip(fam_a._leq, fam_b._leq))
+    assert fam_a._w is fam_b._w and fam_a._leq is fam_b._leq
     other_sigma = PhaseFamily(connection(), +1, 0.3, cache)
     assert other_sigma._w[0] is not fam_a._w[0]
     own = fam_a.with_multipliers([2.0 * w for w in fam_a._w], fam_a._leq)
@@ -702,7 +742,7 @@ def test_multipliers_live_on_band_support():
     fam = PhaseFamily(connection(), +1, 0.25, cache)
     S = _band_support()
     assert np.array_equal(fam._support, S) and len(S) < GRID.num_points // 50
-    stored = sum(a.nbytes for a in fam._w + fam._leq)
+    stored = fam._w.nbytes + fam._leq.nbytes
     assert stored <= 2 * cache.num_buckets * len(S) * 16
 
 
@@ -805,18 +845,13 @@ def test_dropped_family_is_freed_without_cycle_collection():
 def test_residual_check_builds_three_slice_sets_per_time(monkeypatch):
     op = WaveOperator(PhaseFamily(connection(), +1, 0.25, small_cache()), CUT)
     h = annulus_coeffs()
-    builds = []
-
-    class Counted(pmx.PhaseSlice):
-        def __init__(self, *args):
-            builds.append(1)
-            super().__init__(*args)
-
-    monkeypatch.setattr(pmx, "PhaseSlice", Counted)
+    tables = _counting(monkeypatch, PhaseFamily, "_build_table")
     times = [0.2, 0.5]
-    residual_check(op, h, times, 0.02)
-    # t - dt, t + dt and t; the amplitude path at t reuses the last set
-    assert len(builds) == 3 * len(times) * _live_buckets(op, h)
+    for dts in ([0.02], [0.02, 0.01]):
+        del tables[:]
+        residual_check(op, h, times, dts)
+        # t - dt and t + dt per step, then t; the amplitude path at t reuses it
+        assert len(tables) == (1 + 2 * len(dts)) * len(times)
 
 
 def test_residual_check_transforms_the_connection_once_per_time(monkeypatch):
@@ -830,7 +865,7 @@ def test_residual_check_transforms_the_connection_once_per_time(monkeypatch):
         return original(t)
     monkeypatch.setattr(conn, "field", counted)
     times = [0.2, 0.5, 0.8]
-    residual_check(op, annulus_coeffs(), times, 0.02)
+    residual_check(op, annulus_coeffs(), times, [0.02, 0.01])
     assert fetched == times
 
 
@@ -887,10 +922,11 @@ def test_mode_kernel_batched_call_equals_per_row_calls(n, N):
     grid = GridSpec(n, N, 8.0)
     rng = stream(97, n)
     kern = _ModeKernel(grid, _kernel_indices(grid, rng), _dft_table(N))
-    vals = _random_complex(rng, (3, len(kern.index)))
+    rows = PhaseFamily._CHUNK_BYTES // (16 * grid.num_points) + 3   # more than a table chunk
+    vals = _random_complex(rng, (rows, len(kern.index)))
     batched = kern.synthesize(vals)
-    assert batched.shape == (3,) + grid.shape
-    assert all(np.array_equal(batched[i], kern.synthesize(vals[i])) for i in range(3))
+    assert batched.shape == (rows,) + grid.shape
+    assert all(np.array_equal(batched[i], kern.synthesize(vals[i])) for i in range(rows))
     fields = _random_complex(rng, (2,) + grid.shape)
     coeffs = kern.analyze(fields)
     assert all(np.array_equal(coeffs[i], kern.analyze(fields[i])) for i in range(2))

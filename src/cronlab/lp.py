@@ -241,10 +241,12 @@ def bernstein_ratio(f: ScalarField, k: int, p, q) -> float:
     return lebesgue_norm(f, q) / (2.0 ** (n * k * (pinv - qinv)) * lebesgue_norm(f, p))
 
 
-def commutator_field(f: ScalarField, g: ScalarField, k: int, _fg=None) -> ScalarField:
-    """[P_k, f] g = P_k(f g) - f P_k(g), products taken pointwise; _fg, if
-    given, is the product f g already formed."""
-    fg = ScalarField(f.grid, f.phys_values * g.phys_values) if _fg is None else _fg
+def commutator_field(f: ScalarField, g: ScalarField, k: int) -> ScalarField:
+    """[P_k, f] g = P_k(f g) - f P_k(g), products taken pointwise."""
+    return _commutator(f, g, ScalarField(f.grid, f.phys_values * g.phys_values), k)
+
+
+def _commutator(f: ScalarField, g: ScalarField, fg: ScalarField, k: int) -> ScalarField:
     return project_band(fg, k) - ScalarField(
         f.grid, f.phys_values * project_band(g, k).phys_values)
 
@@ -262,7 +264,7 @@ def commutator_ratios(f: ScalarField, g: ScalarField, ks, p, q, r) -> list:
     fg = ScalarField(f.grid, f.phys_values * g.phys_values)   # transformed once for all bands
     out = []
     for k in ks:
-        norm = lebesgue_norm(commutator_field(f, g, k, _fg=fg), r)
+        norm = lebesgue_norm(_commutator(f, g, fg, k), r)
         num = norm * 2.0 ** k
         out.append((norm, num / den if den > 0 else 0.0))
     return out

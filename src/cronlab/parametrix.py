@@ -362,10 +362,12 @@ def _support_symbols(family, support):
 def _lift(samples, i: int, sign: int, w_dir, xi_dot, W) -> np.ndarray:
     """W (i xi.omega X.omega + (s / 2 pi) Y.omega) for (X, Y) = samples i, i + 1:
     the phase symbol of a field and its time derivative, on the support.  Given
-    directions (B, n) and multipliers (B, |S|), it lifts every bucket at once."""
+    directions (B, n) and multipliers (B, |S|), it lifts every bucket at once,
+    each row bitwise the per-row lift: np.multiply keeps W the first factor,
+    which W * (...) does not from 16,384 elements on (numpy elides in place)."""
     X, Y = samples[i], samples[i + 1]
     w = w_dir.T[..., None]
-    return W * (1j * xi_dot * _dot_omega(X, w) + (sign / (2.0 * np.pi)) * _dot_omega(Y, w))
+    return np.multiply(W, 1j * xi_dot * _dot_omega(X, w) + sign / (2 * np.pi) * _dot_omega(Y, w))
 
 
 class PhaseSlice:

@@ -712,6 +712,18 @@ def test_phase_table_row_equals_single_bucket_synthesis():
     assert fam.max_imag_defect == max(defects)
 
 
+def test_batched_lift_equals_per_row_lift_past_numpy_elision_size():
+    # 127 x 255 > 16,384 elements: there W * (...) would run in place as (...) * W
+    rng = stream(71, 0)
+    B, S = 127, 255
+    cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    samples = (cplx(2, S), cplx(2, S), cplx(2, S))
+    dirs, xi_dot, W = rng.standard_normal((B, 2)), rng.standard_normal((B, S)), cplx(B, S)
+    for i in (0, 1):
+        rows = [pmx._lift(samples, i, -1, dirs[b], xi_dot[b], W[b]) for b in range(B)]
+        assert np.array_equal(pmx._lift(samples, i, -1, dirs, xi_dot, W), np.stack(rows))
+
+
 def test_lazy_derivative_fields_match_family_defect_identity():
     fam = PhaseFamily(connection(), -1, 0.25, small_cache())
     rep = phase_defect(fam, [0.0, 0.7])
@@ -727,9 +739,11 @@ def test_families_on_one_cache_share_multipliers():
     assert fam_a._support is fam_b._support
     assert fam_a._w is fam_b._w and fam_a._leq is fam_b._leq
     other_sigma = PhaseFamily(connection(), +1, 0.3, cache)
-    assert other_sigma._w[0] is not fam_a._w[0]
+    assert not np.shares_memory(other_sigma._w, fam_a._w)
+    assert not np.array_equal(other_sigma._w, fam_a._w)
     own = fam_a.with_multipliers([2.0 * w for w in fam_a._w], fam_a._leq)
-    assert own._w[0] is not fam_a._w[0]
+    assert not np.shares_memory(own._w, fam_a._w)
+    assert not np.shares_memory(own._leq, fam_a._leq)
     assert own._support is fam_a._support
 
 

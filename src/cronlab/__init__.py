@@ -33,9 +33,9 @@ from .exponents import exponents, sigma_window
 from .mkg import (ConnectionState, EnergyReport, constraint_residuals, elliptic_a0, evolve,
                   make_compatible_data, step)
 from .parametrix import (AnnulusCutoff, DirectionCache, FreeConnection, HalfWaveField,
-                         PhaseFamily, WaveOperator, decomposable_surrogate, dispersive_scan,
-                         match_data, phase_defect, residual_check, split_phase_at,
-                         unitarity_scan)
+                         PhaseFamily, WaveOperator, amplitude_residual, decomposable_surrogate,
+                         dispersive_scan, match_data, phase_defect, residual_check,
+                         split_phase_at)
 from .harness import AcceptanceRecord, ExperimentConfig, run
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -603,13 +603,12 @@ def run_parametrix_residual(config: ExperimentConfig):
         ce = connections(eps)
         o1, o2 = (pmx.WaveOperator(pmx.PhaseFamily(ce, sign, config.sigma, cache), cut)
                   for sign in (+1, -1))
-        rr = pmx.residual_check(o1, h, tgrid, [0.02])
+        n2_vals.append(pmx.amplitude_residual(o1, h, tgrid))
         m = pmx.match_data(o1, o2, f, g2)
-        n2_vals.append(rr.residual_n2)
         match_vals.append(m.position_error + m.velocity_error)
         rows.append(ScanRow("parametrix-residual", grid.n, grid.N, grid.L, eps, seed,
-                            rr.residual_n2, match_vals[-1],
-                            rr.residual_n2 / max(match_vals[-1], 1e-300)))
+                            n2_vals[-1], match_vals[-1],
+                            n2_vals[-1] / max(match_vals[-1], 1e-300)))
     del o1, o2
     records.append(AcceptanceRecord.bounded(
         "parametrix.residual_eps_slope", fit_loglog(config.eps_list, n2_vals), lo=0.5))
@@ -651,8 +650,9 @@ def run_unitarity(config: ExperimentConfig):
     for sign in (+1, -1):
         op = pmx.WaveOperator(pmx.PhaseFamily(connections(eps), sign, config.sigma, cache),
                               cut)
-        rep = pmx.unitarity_scan(op, times, stream(seed, 33), h=h)
-        for t, nrm in zip(rep.times, rep.operator_norms):
+        rng = stream(seed, 33)
+        for t in times:
+            nrm = op.operator_norm_at(float(t), rng)
             norm_excess = max(norm_excess, nrm - 1.0)
             rows.append(ScanRow("unitarity", grid.n, grid.N, grid.L, float(t), seed,
                                 nrm, 1.0 + 10.0 * eps, nrm / (1.0 + 10.0 * eps)))
@@ -664,8 +664,8 @@ def run_unitarity(config: ExperimentConfig):
     for eps_i in config.eps_list:
         op = pmx.WaveOperator(pmx.PhaseFamily(connections(eps_i), +1, config.sigma, cache),
                               cut)
-        rep = pmx.unitarity_scan(op, [times[1]], stream(seed, 34), h=h)
-        gd, td = rep.gradient_defects[0], rep.time_defects[0]
+        gd = op.gradient_commutation_defect(float(times[1]), h)
+        td = op.time_commutation_defect(float(times[1]), h)
         worst = max(worst, gd / eps_i, td / eps_i)
         rows.append(ScanRow("unitarity", grid.n, grid.N, grid.L, eps_i, seed, gd, td,
                             gd / max(td, 1e-300)))

@@ -15,7 +15,7 @@ carried by a few modes (the band support of the connection, or one
 direction bucket), so each goes to the grid through a separable
 trigonometric sum over those modes instead of a full-grid FFT.
 Everything downstream (defect identity, amplitude, adjoint, data matching,
-residuals, unitarity and decay scans) is built from these two objects.
+residuals and decay scans) is built from these two objects.
 """
 
 from __future__ import annotations
@@ -756,56 +756,50 @@ def covariant_box_amplitude(op: WaveOperator, t: float, h, A: VectorField) -> Sc
     return ScalarField(grid, 2.0 * np.pi * out)
 
 
+def _in_window(grid: GridSpec, times, reach: float = 0.0) -> np.ndarray:
+    times = np.asarray(times, dtype=float)
+    limit = grid.L / 2.0
+    if np.abs(times).max() + reach >= limit:
+        raise ParameterError(f"time window exceeds the wrap limit {limit}")
+    return times
+
+
+def _residual_n2(grid: GridSpec, times, slices) -> float:
+    """L1_t Sobolev(n/2-2) of the residual: the nonlinearity norm in its Sobolev
+    normalization (covers the whole lattice, unlike the banded Besov sum which
+    would truncate the data shell)."""
+    spatial = lambda f: gr.sobolev_norm(f, grid.n / 2.0 - 2.0, exclude_zero_mode=True)
+    return spacetime_norm(SpacetimeField(times, tuple(slices)), 1, spatial)
+
+
 def residual_check(op: WaveOperator, h, times, dts) -> ResidualReport:
     """Both paths of the covariant box of U h per time, the direct one at every
     step in dts.  The connection, U(t)h, its spatial part and the amplitude
     path are computed once per time; per step only U(t +- dt)h."""
-    grid = op.grid
-    times = np.asarray(times, dtype=float)
     dts = tuple(dts)
-    limit = grid.L / 2.0
-    if np.abs(times).max() + max(dts) >= limit:
-        raise ParameterError(f"time window exceeds the wrap limit {limit}")
-    diffs, norms, slices = [], [], []
+    times = _in_window(op.grid, times, max(dts))
+    diffs, slices = [], []
     for t in times:
         A = op.family.conn.field(t)   # one connection transform per time, for both paths
         directs = covariant_box_direct(op, t, h, dts, A)
         via = covariant_box_amplitude(op, t, h, A)
         diffs.append([lebesgue_norm(direct - via, 2) for direct in directs])
-        norms.append(lebesgue_norm(via, 2))
         slices.append(via)
-    # nonlinearity norm in its Sobolev normalization (covers the whole lattice,
-    # unlike the banded Besov sum which would truncate the data shell)
-    s_reg = grid.n / 2.0 - 2.0
-    spatial = lambda f: gr.sobolev_norm(f, s_reg, exclude_zero_mode=True)
-    n2 = spacetime_norm(SpacetimeField(times, tuple(slices)), 1, spatial)
     return ResidualReport(times=tuple(times), mutual_differences=tuple(zip(*diffs)),
-                          residual_slice_norms=tuple(norms), residual_n2=n2, fd_dts=dts)
+                          residual_slice_norms=tuple(lebesgue_norm(v, 2) for v in slices),
+                          residual_n2=_residual_n2(op.grid, times, slices), fd_dts=dts)
+
+
+def amplitude_residual(op: WaveOperator, h, times) -> float:
+    """residual_check's residual_n2 through the amplitude path alone: one phase
+    table and one connection transform per time, no U(t +- dt)h."""
+    times = _in_window(op.grid, times)
+    slices = [covariant_box_amplitude(op, t, h, op.family.conn.field(t)) for t in times]
+    return _residual_n2(op.grid, times, slices)
 
 
 # ---------------------------------------------------------------------------
 # scans
-
-@dataclass(frozen=True)
-class UnitarityReport:
-    times: tuple
-    operator_norms: tuple
-    gradient_defects: tuple   # ||grad(U h) - U(2 pi i xi h)|| / ||h|| per time
-    time_defects: tuple       # ||d_t(U h) - s U(2 pi i |xi| h)|| / ||h|| per time
-
-
-def unitarity_scan(op: WaveOperator, times, rng, h) -> UnitarityReport:
-    """Power-iteration operator norms of U(t) and the derivative-commutation
-    defects on the coefficients h across the sampled times."""
-    norms, gdefs, tdefs = [], [], []
-    for t in times:
-        norms.append(op.operator_norm_at(float(t), rng))
-        gdefs.append(op.gradient_commutation_defect(float(t), h))
-        tdefs.append(op.time_commutation_defect(float(t), h))
-    return UnitarityReport(times=tuple(float(t) for t in times),
-                           operator_norms=tuple(norms),
-                           gradient_defects=tuple(gdefs), time_defects=tuple(tdefs))
-
 
 @dataclass(frozen=True)
 class DecayScan:

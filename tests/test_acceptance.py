@@ -98,6 +98,8 @@ def test_criterion_6_parametrix(tmp_path_factory):
     urecs = _suite("unitarity", tmp_path_factory)
     _check(urecs["unitarity.norm_excess"], "criterion-6c")
     _check(urecs["unitarity.free_norm"], "criterion-6c")
+    _check(urecs["unitarity.derivative_defect_over_eps"], "criterion-6c")
+    _check(urecs["unitarity.runtime_seconds"], "criterion-6c (<= 10 min)")
 
 
 # -- criterion 7: the gauge-wave evolution --------------------------------------

@@ -315,6 +315,33 @@ def test_parametrix_suite_draws_its_connection_once(tmp_path, monkeypatch, suite
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("suite, transforms", [("unitarity", 28), ("parametrix-residual", 75)])
+def test_parametrix_suite_transform_count(tmp_path, count_transforms, suite, transforms):
+    calls = count_transforms()
+    records, _ = run(ExperimentConfig(experiment=suite, out_dir=str(tmp_path)))
+    assert all_passed(records)
+    # the seed-7 count of the work the suite's records read, and no more
+    assert sum(calls.values()) == transforms
+
+
+def test_unitarity_suite_calls_each_check_per_record(tmp_path, monkeypatch):
+    from cronlab.parametrix import WaveOperator
+    calls = {}
+    for name in ("operator_norm_at", "gradient_commutation_defect", "time_commutation_defect"):
+        def counted(*args, _original=getattr(WaveOperator, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(WaveOperator, name, counted)
+    config = ExperimentConfig(experiment="unitarity", t_samples=3, eps_list=(3e-2, 1e-2),
+                              out_dir=str(tmp_path))
+    records, _ = run(config)
+    assert all_passed(records)
+    # the free norm, then one norm per time and sign; one defect of each kind per eps
+    assert calls == {"operator_norm_at": 1 + 2 * config.t_samples,
+                     "gradient_commutation_defect": len(config.eps_list),
+                     "time_commutation_defect": len(config.eps_list)}
+
+
 def test_lp_commutator_scan_below_default_grid():
     from cronlab.harness import _commutator_scan
     from cronlab.lp import BandRange

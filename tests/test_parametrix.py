@@ -10,8 +10,8 @@ from cronlab.grid import (GridSpec, ScalarField, inner_product, lebesgue_norm,
 from cronlab.lp import BandRange, SpacetimeField, band_symbol, fit_loglog, spacetime_norm
 from cronlab import parametrix as pmx
 from cronlab.parametrix import (AnnulusCutoff, DirectionCache, FreeConnection, PhaseFamily,
-                                WaveOperator, _dft_table, _ModeKernel, bucketing_error,
-                                covariant_box_amplitude, covariant_box_direct,
+                                WaveOperator, _dft_table, _ModeKernel, amplitude_residual,
+                                bucketing_error, covariant_box_amplitude, covariant_box_direct,
                                 decomposable_surrogate, dispersive_scan, match_data,
                                 phase_defect, residual_check, split_phase_at)
 from cronlab.harness import make_free_connection
@@ -406,6 +406,35 @@ def test_residual_window_guard():
         residual_check(op, annulus_coeffs(74), [GRID.L], [0.01])
 
 
+@pytest.mark.parametrize("dts", [[0.02], [0.04, 0.02]])
+def test_amplitude_residual_equals_residual_check(dts):
+    op = WaveOperator(PhaseFamily(connection(), +1, 0.25, small_cache()), CUT)
+    h = annulus_coeffs(72)
+    times = [0.5, 1.0]
+    n2 = amplitude_residual(op, h, times)
+    assert n2 > 0.0
+    assert n2 == residual_check(op, h, times, dts).residual_n2
+
+
+def test_amplitude_residual_builds_one_table_per_time(monkeypatch):
+    op = WaveOperator(PhaseFamily(connection(), +1, 0.25, small_cache()), CUT)
+    tables = _counting(monkeypatch, PhaseFamily, "_build_table")
+
+    def direct(*args):
+        raise AssertionError("the amplitude residual took the direct path")
+    monkeypatch.setattr(pmx, "covariant_box_direct", direct)
+    times = [0.2, 0.5, 0.8]
+    amplitude_residual(op, annulus_coeffs(), times)
+    assert len(tables) == len(times)
+
+
+def test_amplitude_residual_window_guard():
+    op = WaveOperator(PhaseFamily(connection(), +1, 0.25, small_cache()), CUT)
+    for t in (GRID.L / 2.0, -GRID.L / 2.0, GRID.L):
+        with pytest.raises(ParameterError, match="wrap limit"):
+            amplitude_residual(op, annulus_coeffs(74), [0.5, t])
+
+
 # ---------------------------------------------------------------------------
 # dispersive scans
 
@@ -619,15 +648,16 @@ def test_wave_operator_requires_cover():
         WaveOperator(PhaseFamily(conn, +1, 0.25, probe), CUT)
 
 
-def test_unitarity_scan_report():
-    from cronlab.parametrix import unitarity_scan
+def test_unitarity_bounds_at_sampled_times():
     eps = 1e-2
     conn = make_free_connection(GRID, BAND, eps, 80)
     op = WaveOperator(PhaseFamily(conn, +1, 0.25, small_cache()), CUT)
-    rep = unitarity_scan(op, [0.2, 0.9], stream(80, 0), annulus_coeffs(80))
-    assert all(n <= 1.0 + 10.0 * eps for n in rep.operator_norms)
-    assert all(d <= 10.0 * eps for d in rep.gradient_defects)
-    assert all(d <= 10.0 * eps for d in rep.time_defects)
+    h = annulus_coeffs(80)
+    rng = stream(80, 0)
+    for t in (0.2, 0.9):
+        assert op.operator_norm_at(t, rng) <= 1.0 + 10.0 * eps
+        assert op.gradient_commutation_defect(t, h) <= 10.0 * eps
+        assert op.time_commutation_defect(t, h) <= 10.0 * eps
 
 
 # ---------------------------------------------------------------------------

@@ -404,6 +404,10 @@ def test_residual_window_guard():
     op = WaveOperator(PhaseFamily(conn, +1, 0.25, small_cache()), CUT)
     with pytest.raises(ParameterError):
         residual_check(op, annulus_coeffs(74), [GRID.L], [0.01])
+    # with no finite-difference step the window ends at |t| = L/2
+    for t in (GRID.L / 2.0, -GRID.L / 2.0, GRID.L):
+        with pytest.raises(ParameterError, match="wrap limit"):
+            amplitude_residual(op, annulus_coeffs(74), [0.5, t])
 
 
 @pytest.mark.parametrize("dts", [[0.02], [0.04, 0.02]])
@@ -426,13 +430,6 @@ def test_amplitude_residual_builds_one_table_per_time(monkeypatch):
     times = [0.2, 0.5, 0.8]
     amplitude_residual(op, annulus_coeffs(), times)
     assert len(tables) == len(times)
-
-
-def test_amplitude_residual_window_guard():
-    op = WaveOperator(PhaseFamily(connection(), +1, 0.25, small_cache()), CUT)
-    for t in (GRID.L / 2.0, -GRID.L / 2.0, GRID.L):
-        with pytest.raises(ParameterError, match="wrap limit"):
-            amplitude_residual(op, annulus_coeffs(74), [0.5, t])
 
 
 # ---------------------------------------------------------------------------

@@ -92,8 +92,7 @@ class GridSpec:
     @cached_property
     def xi(self) -> np.ndarray:
         """Frequency lattice coordinates, stacked: shape (n,) + shape."""
-        axes = np.meshgrid(*([self.freq_1d] * self.n), indexing="ij")
-        out = np.stack(axes)
+        out = np.stack(np.meshgrid(*([self.freq_1d] * self.n), indexing="ij"))
         out.flags.writeable = False
         return out
 
@@ -114,48 +113,60 @@ class GridSpec:
     @cached_property
     def nyquist_mask(self) -> np.ndarray:
         """Boolean array, True on lattice points with any axis at the Nyquist index."""
-        mask = np.zeros(self.shape, dtype=bool)
-        half = self.N // 2
-        for axis in range(self.n):
-            sl = [slice(None)] * self.n
-            sl[axis] = half
-            mask[tuple(sl)] = True
+        mask = np.any(self.xi == self.freq_1d[self.N // 2], axis=0)
         mask.flags.writeable = False
         return mask
 
-    # Multiplier symbols, built once per grid in the form ``evaluate_symbol``
-    # returns (complex, full shape, read-only), so ``apply_multiplier`` takes
-    # them as they are.
+    # The grid's registry: each multiplier symbol and free flow built on this
+    # grid, keyed by (kind, parameters), built on first use and kept as long as
+    # the grid.  A symbol is checked finite and Hermitian once, when it is built,
+    # and held read-only with its half-lattice part for ``apply_multiplier``.
 
     @cached_property
+    def _registry(self) -> dict:
+        return {}
+
+    def _registered(self, key, build):
+        if key not in self._registry:
+            self._registry[key] = build()
+        return self._registry[key]
+
+    def symbol(self, key, build) -> np.ndarray:
+        """The registry symbol under ``key``; ``build()`` makes it on first use,
+        as an array of grid shape in the dtype it is kept in."""
+        return self._registered(key, lambda: _registry_symbol(self, build()))[0]
+
+    def _symbol_entry(self, sym):
+        """(sym, its half-lattice part) when the registry holds the array sym."""
+        return next((e for e in self._registry.values()
+                     if isinstance(e, tuple) and e[0] is sym), None)
+
+    def free_flow(self, real_valued: bool, t: float) -> "FreeFlow":
+        """The free flow over time t on the lattice of fields with ``real_valued``."""
+        return self._registered(("free_flow", real_valued, t), lambda: FreeFlow(
+            2.0 * np.pi * self._lattices[real_valued].xi_norm, t))
+
+    @property
     def derivative_symbols(self) -> tuple:
         """Symbols 2 pi i xi_j of d/dx_j, one per axis."""
-        return tuple(_frozen_symbol(self, 2j * np.pi * self.xi[axis]) for axis in range(self.n))
+        return tuple(self.symbol(("derivative", j), lambda j=j: 2j * np.pi * self.xi[j] + 0j)
+                     for j in range(self.n))
 
-    @cached_property
+    @property
     def laplacian_symbol(self) -> np.ndarray:
-        return _frozen_symbol(self, -4.0 * np.pi ** 2 * self.xi_norm ** 2)
+        return self.symbol(("laplacian",), lambda: -4.0 * np.pi ** 2 * self.xi_norm ** 2 + 0j)
 
-    @cached_property
+    @property
     def inverse_laplacian_symbol(self) -> np.ndarray:
         """-1/(4 pi^2 |xi|^2) with the zero mode mapped to zero."""
-        with np.errstate(divide="ignore"):
-            sym = -1.0 / (4.0 * np.pi ** 2 * self.xi_norm ** 2)
-        sym.flat[0] = 0.0
-        return _frozen_symbol(self, sym)
+        return self.symbol(("inverse_laplacian",), lambda: -1.0 / np.where(
+            self.xi_norm > 0, 4.0 * np.pi ** 2 * self.xi_norm ** 2, np.inf) + 0j)
 
-    @cached_property
+    @property
     def dealias_symbol(self) -> np.ndarray:
         """2/3-rule truncation: 1 where every |mode| <= N // 3, else 0."""
-        cut = self.N // 3
-        modes = np.rint(self.freq_1d * self.L).astype(int)
-        keep1d = np.abs(modes) <= cut
-        mask = np.ones(self.shape, dtype=bool)
-        for axis in range(self.n):
-            shape = [1] * self.n
-            shape[axis] = self.N
-            mask &= keep1d.reshape(shape)
-        return _frozen_symbol(self, mask.astype(np.complex128))
+        return self.symbol(("dealias",), lambda: np.all(
+            np.abs(np.rint(self.xi * self.L)) <= self.N // 3, axis=0).astype(np.complex128))
 
     @cached_property
     def _lattices(self) -> dict:
@@ -172,11 +183,6 @@ class GridSpec:
         lies in ``last`` (all indices on the other axes)."""
         neg = (-np.arange(self.N)) % self.N
         return np.ix_(*([neg] * (self.n - 1) + [neg[last]]))
-
-    @cached_property
-    def _hermitian_halves(self) -> dict:
-        """id -> (symbol, its half-lattice part) for the symbols of this grid."""
-        return {}
 
     def mode_index(self, mode) -> tuple:
         """Array index of the integer mode m (frequency m/L); negative m allowed."""
@@ -415,12 +421,11 @@ def evaluate_symbol(grid: GridSpec, symbol) -> np.ndarray:
     """Evaluate a multiplier symbol on the frequency lattice.
 
     ``symbol`` is either an ndarray of shape grid.shape or a callable taking the
-    stacked coordinate array grid.xi (shape (n,) + grid.shape).  A read-only
-    complex array of that shape counts as evaluated already and is returned
-    as it is (the GridSpec symbol properties are such arrays).
+    stacked coordinate array grid.xi (shape (n,) + grid.shape).  A symbol of
+    the grid's registry (``GridSpec.symbol``) is returned as it is, any other
+    as a new complex array.
     """
-    if (isinstance(symbol, np.ndarray) and not symbol.flags.writeable
-            and symbol.dtype == np.complex128 and symbol.shape == grid.shape):
+    if grid._symbol_entry(symbol) is not None:
         return symbol
     sym = symbol(grid.xi) if callable(symbol) else np.asarray(symbol)
     sym = np.asarray(sym, dtype=np.complex128) + np.zeros(grid.shape, dtype=np.complex128)
@@ -436,14 +441,16 @@ def apply_multiplier(f: ScalarField, symbol) -> ScalarField:
     (``_hermitian_half``); under any other symbol the result is complex.
     A non-finite symbol value on a lattice point whose coefficient is nonzero
     (relative to the field's peak) raises SingularSymbolError naming the point.
+    A symbol of the grid's registry was checked when it was built.
     """
     grid = f.grid
     sym = evaluate_symbol(grid, symbol)
+    entry = grid._symbol_entry(sym)
     f_hat = f.in_frequency()
-    if id(sym) not in grid._hermitian_halves:   # the grid's own symbols are finite
+    if entry is None:
         sym = _finite_on_support(f_hat, sym)
     if f.real_valued:
-        half = _hermitian_half(grid, sym)
+        half = _hermitian_half(grid, sym) if entry is None else entry[1]
         if half is None:
             f_hat = f_hat.as_complex()
         else:
@@ -476,9 +483,6 @@ def _hermitian_half(grid: GridSpec, sym: np.ndarray):
     """The half-lattice part of sym when sym(-xi) = conj(sym(xi)) off the
     Nyquist rows, to SUPPORT_TOL of its peak (such a multiplier maps real
     fields to real fields); None for any other symbol."""
-    known = grid._hermitian_halves.get(id(sym))   # holds its symbol, so the id is its own
-    if known is not None:
-        return known[1]
     half = sym[..., :grid.N // 2 + 1]
     defect = np.abs(sym[grid._reflection(slice(grid.N // 2 + 1))] - np.conj(half))
     defect[grid._lattices[True].nyquist_mask] = 0.0
@@ -503,15 +507,12 @@ def drop_nyquist(f: ScalarField) -> ScalarField:
     return out if f.rep == FREQUENCY else to_physical(out)
 
 
-def _frozen_symbol(grid: GridSpec, symbol) -> np.ndarray:
-    """A read-only grid symbol; a Hermitian one is registered with its half
-    part, so real fields take it without a check."""
-    sym = evaluate_symbol(grid, symbol)
+def _registry_symbol(grid: GridSpec, sym: np.ndarray) -> tuple:
+    """(sym, made read-only, and its half-lattice part); sym must be finite and Hermitian."""
+    if not np.isfinite(sym).all() or (half := _hermitian_half(grid, sym)) is None:
+        raise StructuralError("a registry symbol must be finite and Hermitian")
     sym.flags.writeable = False
-    half = _hermitian_half(grid, sym)
-    if half is not None:
-        grid._hermitian_halves[id(sym)] = (sym, _half_copy(grid, half))
-    return sym
+    return sym, _half_copy(grid, half)
 
 
 # ---------------------------------------------------------------------------

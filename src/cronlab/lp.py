@@ -97,12 +97,15 @@ class BandRange:
 # ---------------------------------------------------------------------------
 # projection symbols
 
-def leq_symbol(grid: GridSpec, k: int) -> np.ndarray:
-    return np.asarray(DEFAULT_BUMP(grid.xi_norm * 2.0 ** (-k)), dtype=np.complex128)
+def leq_symbol(grid, k: int) -> np.ndarray:
+    """The float64 symbol of P_{<=k} on a GridSpec or a Lattice."""
+    return DEFAULT_BUMP(grid.xi_norm * 2.0 ** (-k))
 
 
-def band_symbol(grid: GridSpec, k: int) -> np.ndarray:
-    return leq_symbol(grid, k) - leq_symbol(grid, k - 1)
+def band_symbol(grid, k: int) -> np.ndarray:
+    """The float64 symbol of P_k, kept in a GridSpec's registry; on a Lattice, evaluated."""
+    band = lambda: leq_symbol(grid, k) - leq_symbol(grid, k - 1)
+    return grid.symbol(("band", k), band) if isinstance(grid, GridSpec) else band()
 
 
 def _check_band(grid: GridSpec, k: int, band_range: BandRange | None):

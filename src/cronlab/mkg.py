@@ -272,19 +272,14 @@ def _drift(state: ConnectionState, h: float) -> ConnectionState:
     """Exact free-wave flow of (A, phi) for time h in Fourier space; the
     flow is real and even in xi, so real fields stay real.  A, re-projected
     by Leray, and d_t A come back as spectra, phi and phi_t as samples."""
-    grid = state.grid
-    flows = {}   # real_valued -> the flow on that field's lattice
-
     def flow(u: ScalarField, v: ScalarField):
         u, v = u.in_frequency(), v.in_frequency()
         real = u.real_valued and v.real_valued
         if not real:
             u, v = u.as_complex(), v.as_complex()
-        if real not in flows:
-            flows[real] = gr.FreeFlow(2.0 * np.pi * u.lattice.xi_norm, h)
-        fl, U, V = flows[real], u.values, v.values
-        return (ScalarField(grid, fl.u(U, V), rep=FREQUENCY, real_valued=real),
-                ScalarField(grid, fl.u_t(U, V), rep=FREQUENCY, real_valued=real))
+        fl, U, V = state.grid.free_flow(real, h), u.values, v.values
+        return (ScalarField(state.grid, fl.u(U, V), rep=FREQUENCY, real_valued=real),
+                ScalarField(state.grid, fl.u_t(U, V), rep=FREQUENCY, real_valued=real))
 
     phi, phi_t = (f.in_physical() for f in flow(state.phi, state.phi_t))
     comps, comps_t = zip(*(flow(u, v) for u, v in zip(state.A_sp.components,

@@ -351,6 +351,20 @@ def test_grid_symbols_built_once_and_read_only():
     assert np.array_equal(g.derivative_symbols[1], 2j * np.pi * g.xi[1])
 
 
+def test_registry_takes_only_finite_hermitian_symbols():
+    g = GridSpec(2, 16, 4.0)
+    with pytest.raises(StructuralError, match="finite and Hermitian"):
+        g.symbol(("odd",), lambda: g.xi[0] + 0.0)          # m(-xi) = -m(xi)
+    with pytest.raises(StructuralError, match="finite and Hermitian"):
+        g.symbol(("pole",), lambda: np.where(g.xi_norm > 0, 1.0, np.inf))
+    assert not g._registry
+    # a registry symbol takes a real field to a real one without a check
+    sym = g.symbol(("even",), lambda: np.exp(-g.xi_norm ** 2))
+    f = random_field(g, stream(8, 2), real=True)
+    assert g.symbol(("even",), lambda: None) is sym
+    assert apply_multiplier(f, sym).real_valued
+
+
 def test_free_flow_closed_form_and_group_law():
     from cronlab.grid import FreeFlow
     g = GridSpec(2, 16, 4.0)

@@ -323,6 +323,22 @@ def test_step_transform_count(monkeypatch, count_transforms):
     assert (fftn, ifftn, rfftn, irfftn) == (4, 7, 6, 7)
 
 
+def test_steps_at_one_dt_share_one_free_flow_per_lattice(monkeypatch):
+    import cronlab.grid as grid_module
+    built = []
+
+    class Counted(grid_module.FreeFlow):
+        def __init__(self, rho, t):
+            built.append((rho.shape, t))
+            super().__init__(rho, t)
+    monkeypatch.setattr(grid_module, "FreeFlow", Counted)
+    g = GridSpec(3, 16, 4.0)
+    st = make_compatible_data(*small_data(g, 1e-2, seed=48))
+    step(step(st, 0.05), 0.05)
+    # phi on the whole lattice, A on the half lattice; each flow built once
+    assert sorted(built) == [(g._half_shape, 0.05), (g.shape, 0.05)]
+
+
 def test_constraint_residuals_transform_count(monkeypatch, count_transforms):
     # the monitor is the first reader of a stepped state, so it derives A0;
     # grad phi, the current with its spectrum and the samples of A_j come

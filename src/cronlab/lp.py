@@ -85,6 +85,7 @@ class BandRange:
         if 2.0 ** (k_max + 1) >= grid.N / (2.0 * grid.L):
             k_max -= 1
         k_min = math.ceil(math.log2(1.0 / grid.L))
+        k_min += 2.0 ** k_min < 1.0 / grid.L    # log2 can round down onto an integer
         return cls(k_min, k_max).validate(grid)
 
     def __iter__(self):
@@ -140,7 +141,8 @@ def besov_norm(f: ScalarField, p, q, r, band_range=None,
     ``allow_decreasing`` admits q < p (negative-regularity weights), which the
     spacetime nonlinearity norms need in low dimension.  With
     ``exclude_zero_mode`` a field with a mean is normed by its mean-free part.
-    f is transformed once; every band is projected from that transform.
+    f is transformed once; every band is projected from that transform.  A
+    band is transformed back only at p != 2; at p = 2 its spectrum gives its norm.
     """
     if r not in (1, 2):
         raise ParameterError(f"Besov summability r={r} must be 1 or 2")
@@ -152,17 +154,15 @@ def besov_norm(f: ScalarField, p, q, r, band_range=None,
     scale = np.abs(F).max()
     if scale > 0 and np.abs(F.flat[0]) > gr.SUPPORT_TOL * scale:
         if not exclude_zero_mode:
-            raise PreconditionError("besov_norm needs zero-mean data "
-                                    "(or exclude_zero_mode=True)")
+            raise PreconditionError("besov_norm needs zero-mean data (or exclude_zero_mode=True)")
         F = F.copy()
         F.flat[0] = 0.0
         f_hat = f_hat.with_values(F)
     br = band_range if band_range is not None else BandRange.widest(grid)
-    n = grid.n
+    norm = gr.plancherel_l2 if p == 2 else lambda band: lebesgue_norm(band, p)
     total = 0.0
     for k in br:
-        w = 2.0 ** ((n / p - n / q) * k)
-        term = w * lebesgue_norm(project_band(f_hat, k, br), p)
+        term = 2.0 ** ((grid.n / p - grid.n / q) * k) * norm(project_band(f_hat, k, br))
         total += term if r == 1 else term ** 2
     return total if r == 1 else math.sqrt(total)
 

@@ -55,9 +55,9 @@ def random_field(grid: GridSpec, rng, r_lo=None, r_hi=None, real=False,
 
 
 def random_band_field(grid: GridSpec, rng, k: int, real=False) -> ScalarField:
-    """Random-phase field projected to the dyadic band k, unit L^2."""
+    """Random-phase field projected to the dyadic band k, unit L^2 by Plancherel."""
     f = project_band(random_field(grid, rng, real=real, normalize=False), k)
-    nrm = lebesgue_norm(f, 2)
+    nrm = plancherel_l2(f)
     return f * (1.0 / nrm) if nrm > 0 else f
 
 

@@ -315,13 +315,33 @@ def test_parametrix_suite_draws_its_connection_once(tmp_path, monkeypatch, suite
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("suite, transforms", [("unitarity", 28), ("parametrix-residual", 75)])
+@pytest.mark.parametrize("suite, transforms", [("unitarity", 16), ("parametrix-residual", 63)])
 def test_parametrix_suite_transform_count(tmp_path, count_transforms, suite, transforms):
     calls = count_transforms()
     records, _ = run(ExperimentConfig(experiment=suite, out_dir=str(tmp_path)))
     assert all_passed(records)
     # the seed-7 count of the work the suite's records read, and no more
     assert sum(calls.values()) == transforms
+
+
+def test_lp_suite_builds_each_cutoff_once_and_norms_l2_bands_by_plancherel(
+        tmp_path, monkeypatch, count_transforms):
+    from cronlab.lp import BandRange, BumpProfile
+    bumps = []
+
+    def counted(self, r, _original=BumpProfile.__call__):
+        bumps.append(r)
+        return _original(self, r)
+    monkeypatch.setattr(BumpProfile, "__call__", counted)
+    calls = count_transforms()
+    config = ExperimentConfig(experiment="lp-suite", N=128, out_dir=str(tmp_path))
+    records, _ = run(config)
+    assert all_passed(records)
+    # one grid: each band symbol of its range is two bumps, built once
+    bands = BandRange.widest(GridSpec(2, 128, 1.0))
+    assert len(bumps) == 2 * len(range(bands.k_min, bands.k_max + 1)) == 10
+    # the seed-7 count: no inverse transform for an L^2 band norm
+    assert sum(calls.values()) == 373
 
 
 def test_unitarity_suite_calls_each_check_per_record(tmp_path, monkeypatch):

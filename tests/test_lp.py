@@ -48,6 +48,12 @@ def test_band_range_constraints():
         BandRange(3, 1)
 
 
+def test_widest_band_range_when_log2_rounds_onto_an_integer():
+    # 1/L lies an ulp above 2^-5, and log2(1/L) rounds to -5.0
+    g = GridSpec(2, 8, 31.999999999999993)
+    assert BandRange.widest(g).k_min == -4
+
+
 def test_band_symbol_is_one_on_its_sphere():
     g = GridSpec(2, 64, 1.0)
     k = 3
@@ -170,6 +176,25 @@ def test_besov_norm_of_physical_field_with_mean_is_norm_of_mean_free_part():
     assert abs(got - expect) <= 1e-12 * expect
     with pytest.raises(PreconditionError):
         besov_norm(shifted, 2, 4, 2, br)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_besov_norm_transform_count(count_transforms, real):
+    g = GridSpec(2, 64, 1.0)
+    br = BandRange.widest(g)
+    spectrum = flat_spectrum_field(g, stream(12, 8), br, real=real).in_frequency()
+    forward, inverse = ("rfftn", "irfftn") if real else ("fftn", "ifftn")
+    bands = len(range(br.k_min, br.k_max + 1))
+    for physical, fwd in ((False, {}), (True, {forward: 1})):
+        for p, back in ((2, {}), (4, {inverse: bands})):
+            # a new field each time, which has not kept a transform
+            f = ScalarField(g, spectrum.phys_values, real_valued=real) if physical else \
+                spectrum.with_values(spectrum.values.copy())
+            calls = count_transforms()
+            besov_norm(f, p, 4, 2, br)
+            # p = 2 transforms a physical field once and no band back; any
+            # other p transforms each band back
+            assert calls == {**fwd, **back}
 
 
 def test_besov_rejects_p_above_q():

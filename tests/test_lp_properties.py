@@ -2,16 +2,17 @@
 registry over drawn grids: band symbols are real, in [0, 1] and telescope;
 a registry symbol is bit for bit the symbol a fresh evaluation gives, on a
 GridSpec and on a support Lattice; the float64 band symbol multiplies a
-field bit for bit as its complex128 form does.  n in {2, 3}, N in {8, 16},
-any box side, real and complex fields in either representation."""
+field bit for bit as its complex128 form does; the Besov norm at p = 2 is
+its Lebesgue-norm form.  n in {2, 3}, N in {8, 16}, any box side, real and
+complex fields in either representation."""
 
 import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from cronlab.grid import GridSpec, Lattice, apply_multiplier, evaluate_symbol
-from cronlab.lp import DEFAULT_BUMP, band_symbol, leq_symbol
+from cronlab.grid import GridSpec, Lattice, apply_multiplier, evaluate_symbol, lebesgue_norm
+from cronlab.lp import BandRange, DEFAULT_BUMP, band_symbol, besov_norm, leq_symbol, project_band
 from cronlab.random_fields import random_field, stream
 
 EPS = np.finfo(float).eps
@@ -112,3 +113,20 @@ def test_float64_band_multiplies_as_its_complex_form(drawn, real, physical, seed
     wide = apply_multiplier(f, _complex_band(grid, k))
     assert kept.real_valued == wide.real_valued == real and kept.rep == wide.rep == f.rep
     assert _same_bits(kept.values, wide.values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_bands(), st.booleans(), st.booleans(), st.sampled_from([2, 3, 4, np.inf]),
+       st.sampled_from([1, 2]), st.integers(0, 2 ** 32))
+def test_besov_l2_bands_by_plancherel_match_the_lebesgue_norm(drawn, real, physical, q, r,
+                                                              seed):
+    grid, _ = drawn
+    br = BandRange.widest(grid)
+    f = random_field(grid, stream(seed, 0), real=real)
+    if physical:
+        f = f.in_physical()
+    terms = [2.0 ** ((grid.n / 2 - grid.n / q) * k)
+             * lebesgue_norm(project_band(f.in_frequency(), k, br), 2) for k in br]
+    expect = sum(terms) if r == 1 else np.sqrt(sum(t ** 2 for t in terms))
+    got = besov_norm(f, 2, q, r, br)
+    assert abs(got - expect) <= 1e-13 * expect

@@ -92,7 +92,8 @@ class GridSpec:
     @cached_property
     def xi(self) -> np.ndarray:
         """Frequency lattice coordinates, stacked: shape (n,) + shape."""
-        out = np.stack(np.meshgrid(*([self.freq_1d] * self.n), indexing="ij"))
+        axes = np.meshgrid(*([self.freq_1d] * self.n), indexing="ij")
+        out = np.stack(axes)
         out.flags.writeable = False
         return out
 

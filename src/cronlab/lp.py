@@ -84,8 +84,7 @@ class BandRange:
         k_max = math.floor(math.log2(grid.N / (2.0 * grid.L))) - 1
         if 2.0 ** (k_max + 1) >= grid.N / (2.0 * grid.L):
             k_max -= 1
-        k_min = math.ceil(math.log2(1.0 / grid.L))
-        k_min += 2.0 ** k_min < 1.0 / grid.L    # log2 can round down onto an integer
+        k_min = 1 - math.frexp(grid.L)[1]   # the least k with 2^k >= 1/L; log2 could round
         return cls(k_min, k_max).validate(grid)
 
     def __iter__(self):
@@ -154,7 +153,8 @@ def besov_norm(f: ScalarField, p, q, r, band_range=None,
     scale = np.abs(F).max()
     if scale > 0 and np.abs(F.flat[0]) > gr.SUPPORT_TOL * scale:
         if not exclude_zero_mode:
-            raise PreconditionError("besov_norm needs zero-mean data (or exclude_zero_mode=True)")
+            raise PreconditionError("besov_norm needs zero-mean data "
+                                    "(or exclude_zero_mode=True)")
         F = F.copy()
         F.flat[0] = 0.0
         f_hat = f_hat.with_values(F)

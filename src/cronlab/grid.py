@@ -121,7 +121,7 @@ class GridSpec:
     # The grid's registry: each multiplier symbol and free flow built on this
     # grid, keyed by (kind, parameters), built on first use and kept as long as
     # the grid.  A symbol is checked finite and Hermitian once, when it is built,
-    # and held read-only with its half-lattice part for ``apply_multiplier``.
+    # and held read-only with its half-lattice part (a view, not a copy).
 
     @cached_property
     def _registry(self) -> dict:
@@ -513,7 +513,7 @@ def _registry_symbol(grid: GridSpec, sym: np.ndarray) -> tuple:
     if not np.isfinite(sym).all() or (half := _hermitian_half(grid, sym)) is None:
         raise StructuralError("a registry symbol must be finite and Hermitian")
     sym.flags.writeable = False
-    return sym, _half_copy(grid, half)
+    return sym, half
 
 
 # ---------------------------------------------------------------------------

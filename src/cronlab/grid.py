@@ -510,9 +510,9 @@ def drop_nyquist(f: ScalarField) -> ScalarField:
 
 def _registry_symbol(grid: GridSpec, sym: np.ndarray) -> tuple:
     """(sym, made read-only, and its half-lattice part); sym must be finite and Hermitian."""
+    sym.flags.writeable = False   # first, so the half part, a view, is read-only too
     if not np.isfinite(sym).all() or (half := _hermitian_half(grid, sym)) is None:
         raise StructuralError("a registry symbol must be finite and Hermitian")
-    sym.flags.writeable = False
     return sym, half
 
 

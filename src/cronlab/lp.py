@@ -125,9 +125,15 @@ def restrict_annulus(f: ScalarField, r_lo: float, r_hi: float) -> ScalarField:
 
     Fields restricted to a BandRange's annulus(), where every telescoped
     projection symbol is exactly 1, are reproduced exactly by the band sums;
-    tests pre-project their data this way so dyadic truncation is exact."""
-    rad = f.grid.xi_norm
-    return apply_multiplier(f, ((rad >= r_lo) & (rad <= r_hi)).astype(np.complex128))
+    tests pre-project their data this way so dyadic truncation is exact.  The
+    disk 0 <= |xi| <= nyquist, the default of every random field, is kept in
+    the grid's registry; any other annulus is built per call, as its radii
+    are floats."""
+    grid = f.grid
+    indicator = lambda: ((grid.xi_norm >= r_lo) & (grid.xi_norm <= r_hi)).astype(np.complex128)
+    if (r_lo, r_hi) == (0.0, grid.nyquist):
+        return apply_multiplier(f, grid.symbol(("nyquist_disk",), indicator))
+    return apply_multiplier(f, indicator())
 
 
 # ---------------------------------------------------------------------------

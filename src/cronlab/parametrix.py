@@ -432,6 +432,11 @@ class PhaseFamily:
         self._kernel, self._w, self._leq, self._xi_dot = \
             _premultipliers or self._shared_multipliers()
         self._support = self._kernel.index
+        # the connection data and 2 pi |xi| at the support's modes, the only
+        # ones the phase reads; the free flow runs on these alone
+        self._a, self._adot = (X.reshape(self.grid.n, -1)[:, self._support]
+                               for X in (conn.a_hat, conn.adot_hat))
+        self._rho = conn.rho.ravel()[self._support]
         self._t = None
         self._samples = None     # connection samples at time _t, on the support
         self._psi_hat = self._phase = None      # the phase table at time _t
@@ -458,12 +463,18 @@ class PhaseFamily:
                                                        np.stack(dots))
         return self.cache.multipliers[key]
 
+    def _connection_on_support(self, t: float):
+        """(A, A_t) at t on the support: the free flow of the support's modes,
+        each bitwise its value in the whole-grid flow of FreeConnection.eval_hat."""
+        flow = gr.FreeFlow(self._rho, t)
+        return flow.u(self._a, self._adot), flow.u_t(self._a, self._adot)
+
     def _build_table(self, t: float):
         """The connection samples (A, A_t, A_tt) on the support at t and the
         phase table of every bucket; the realness defect is taken per row."""
         self._phase = None       # the old table goes before the new one is allocated
-        A, At = (X.reshape(self.grid.n, -1)[:, self._support] for X in self.conn.eval_hat(t))
-        Att = -self.conn.rho.ravel()[self._support] ** 2 * A
+        A, At = self._connection_on_support(t)
+        Att = -self._rho ** 2 * A
         self._t, self._samples = t, (A, At, Att)
         self._psi_hat = _lift(self._samples, 0, self.sign, self.cache.directions,
                               self._xi_dot, self._w)
@@ -476,6 +487,13 @@ class PhaseFamily:
             defect = float((np.abs(psi_c.imag).max(axis=axes) / scale).max())
             self.max_imag_defect = max(self.max_imag_defect, defect)
             np.exp(2j * np.pi * psi_c.real, out=self._phase[i:i + rows])
+
+    def connection_at(self, t: float) -> np.ndarray:
+        """The connection A(t) on the grid, (n,) + grid real samples,
+        synthesized from the support (which carries the connection's annulus).
+        It builds no phase table; at the table's time it reads the table's samples."""
+        A = self._samples[0] if t == self._t else self._connection_on_support(t)[0]
+        return self._kernel.synthesize(A).real
 
     def slice_at(self, t: float, b: int) -> PhaseSlice:
         if t != self._t:
@@ -713,32 +731,35 @@ class ResidualReport:
     fd_dts: tuple
 
 
-def covariant_box_direct(op: WaveOperator, t: float, h, dts, A: VectorField) -> list:
+def covariant_box_direct(op: WaveOperator, t: float, h, dts) -> list:
     """(-d_t^2 + Delta + 2 i A.grad)(U h) with centered second time differences,
-    one field per step in dts, A being the connection at t.  U(t)h and its
-    spatial part are taken once for all steps, and last, so the phase table
-    then holds time t for a following covariant_box_amplitude."""
+    one field per step in dts, A being the connection at t, read from the
+    phase family's support with no transform.  U(t)h and its spatial part are
+    taken once for all steps, and last, so the phase table then holds time t
+    for the connection and a following covariant_box_amplitude."""
     grid = op.grid
     shifted = [(op.apply(t - dt, h).phys_values, op.apply(t + dt, h).phys_values)
                for dt in dts]
     u0 = op.apply(t, h)
+    A = op.family.connection_at(t)
     u0_hat = u0.in_frequency()      # one transform serves the Laplacian and every partial
     lap = gr.laplacian(u0_hat).phys_values
     transport = np.zeros(grid.shape, dtype=np.complex128)
     for j in range(grid.n):
         du0 = gr.partial_derivative(u0_hat, j).phys_values
-        transport += A.components[j].phys_values.real * du0
+        transport += A[j] * du0
     transport = 2j * transport
     return [ScalarField(grid, -((up - 2.0 * u0.phys_values + um) / dt ** 2) + lap + transport)
             for dt, (um, up) in zip(dts, shifted)]
 
 
-def covariant_box_amplitude(op: WaveOperator, t: float, h, A: VectorField) -> ScalarField:
+def covariant_box_amplitude(op: WaveOperator, t: float, h) -> ScalarField:
     """The same quantity through the order-reduction identity: the U-style sum
-    with the extra factor 2 pi Omega_s(t, x, xi)."""
+    with the extra factor 2 pi Omega_s(t, x, xi), the connection read from the
+    phase family's support with no transform."""
     grid = op.grid
     fam = op.family
-    Avals = [c.phys_values.real for c in A.components]
+    Avals = fam.connection_at(t)
     out = np.zeros(grid.shape, dtype=np.complex128)
     for b, kern, r, c in op._buckets(t, h):
         part0, part1, *parts2 = kern.synthesize(np.vstack([c, r * c, kern.xi * c]))
@@ -774,15 +795,15 @@ def _residual_n2(grid: GridSpec, times, slices) -> float:
 
 def residual_check(op: WaveOperator, h, times, dts) -> ResidualReport:
     """Both paths of the covariant box of U h per time, the direct one at every
-    step in dts.  The connection, U(t)h, its spatial part and the amplitude
-    path are computed once per time; per step only U(t +- dt)h."""
+    step in dts.  U(t)h, its spatial part and the amplitude path are computed
+    once per time; per step only U(t +- dt)h.  The connection comes from the
+    phase table at t, with no transform."""
     dts = tuple(dts)
     times = _in_window(op.grid, times, max(dts))
     diffs, slices = [], []
     for t in times:
-        A = op.family.conn.field(t)   # one connection transform per time, for both paths
-        directs = covariant_box_direct(op, t, h, dts, A)
-        via = covariant_box_amplitude(op, t, h, A)
+        directs = covariant_box_direct(op, t, h, dts)
+        via = covariant_box_amplitude(op, t, h)
         diffs.append([lebesgue_norm(direct - via, 2) for direct in directs])
         slices.append(via)
     return ResidualReport(times=tuple(times), mutual_differences=tuple(zip(*diffs)),
@@ -792,9 +813,9 @@ def residual_check(op: WaveOperator, h, times, dts) -> ResidualReport:
 
 def amplitude_residual(op: WaveOperator, h, times) -> float:
     """residual_check's residual_n2 through the amplitude path alone: one phase
-    table and one connection transform per time, no U(t +- dt)h."""
+    table and no connection transform per time, no U(t +- dt)h."""
     times = _in_window(op.grid, times)
-    slices = [covariant_box_amplitude(op, t, h, op.family.conn.field(t)) for t in times]
+    slices = [covariant_box_amplitude(op, t, h) for t in times]
     return _residual_n2(op.grid, times, slices)
 
 

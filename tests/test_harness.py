@@ -315,7 +315,7 @@ def test_parametrix_suite_draws_its_connection_once(tmp_path, monkeypatch, suite
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("suite, transforms", [("unitarity", 16), ("parametrix-residual", 63)])
+@pytest.mark.parametrize("suite, transforms", [("unitarity", 16), ("parametrix-residual", 33)])
 def test_parametrix_suite_transform_count(tmp_path, count_transforms, suite, transforms):
     calls = count_transforms()
     records, _ = run(ExperimentConfig(experiment=suite, out_dir=str(tmp_path)))

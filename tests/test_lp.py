@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cronlab.errors import ParameterError, PreconditionError, StructuralError
-from cronlab.grid import (GridSpec, ScalarField, constant_field, lebesgue_norm, mode_field,
-                          plane_wave, relative_l2_difference, sobolev_norm, to_physical)
+from cronlab.grid import (GridSpec, ScalarField, apply_multiplier, constant_field,
+                          lebesgue_norm, mode_field, plane_wave, relative_l2_difference, sobolev_norm, to_physical)
 from cronlab.lp import (BandRange, DEFAULT_BUMP, SpacetimeField, bernstein_ratio,
                         besov_norm, commutator_field, commutator_ratios, fit_loglog,
                         project_band, restrict_annulus,
@@ -86,6 +86,26 @@ def test_partition_of_unity_on_annulus():
     for k in range(br.k_min + 1, br.k_max + 1):
         total = total + project_band(f, k)
     assert relative_l2_difference(total, f) < 1e-12
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_default_annulus_is_one_registry_entry(real):
+    g = GridSpec(2, 32, 4.0)
+    f = ScalarField(g, np.asarray(stream(12, 0).standard_normal(g.shape)), real_valued=real)
+    disk = restrict_annulus(f, 0.0, g.nyquist)
+    random_field(g, stream(12, 1), real=real)
+    assert [key for key in g._registry if key[0] == "nyquist_disk"] == [("nyquist_disk",)]
+    # the kept indicator restricts bit for bit as one built for the call
+    indicator = (g.xi_norm <= g.nyquist).astype(np.complex128)
+    assert np.array_equal(g._registry[("nyquist_disk",)][0], indicator)
+    plain = apply_multiplier(f, indicator)
+    assert disk.real_valued == plain.real_valued == real
+    assert np.array_equal(disk.values.view(np.uint64), plain.values.view(np.uint64))
+    # an annulus with other radii is not kept
+    kept = len(g._registry)
+    restrict_annulus(f, 0.0, g.nyquist / 2.0)
+    restrict_annulus(f, 1.0, g.nyquist)
+    assert len(g._registry) == kept
 
 
 def test_out_of_range_band_errors():

@@ -340,7 +340,7 @@ def test_residual_zero_for_free_connection():
     conn = FreeConnection.zero(GRID, BAND)
     op = WaveOperator(PhaseFamily(conn, +1, 0.25, small_cache()), CUT)
     h = annulus_coeffs(71)
-    via = covariant_box_amplitude(op, 0.5, h, conn.field(0.5))
+    via = covariant_box_amplitude(op, 0.5, h)
     assert lebesgue_norm(via, 2) == 0.0
     rep = residual_check(op, h, [0.5, 1.0], [0.01])
     assert rep.residual_n2 == 0.0
@@ -350,16 +350,15 @@ def test_covariant_box_direct_transforms_u0_once(monkeypatch):
     conn = connection()
     op = WaveOperator(PhaseFamily(conn, +1, 0.25, small_cache()), CUT)
     h = annulus_coeffs(74)
-    A = conn.field(0.5)
     calls = Counter()
     for name in ("fftn", "ifftn", "rfftn", "irfftn"):
         def counted(*args, _original=getattr(np.fft, name), _name=name, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
-    directs = covariant_box_direct(op, 0.5, h, [0.01, 0.005], A)
+    directs = covariant_box_direct(op, 0.5, h, [0.01, 0.005])
     # U(t)h forward once for both steps; the Laplacian and the two partials back
-    # from that spectrum
+    # from that spectrum; the connection takes none
     assert len(directs) == 2
     assert calls == {"fftn": 1, "ifftn": 3}
 
@@ -895,19 +894,57 @@ def test_residual_check_builds_three_slice_sets_per_time(monkeypatch):
         assert len(tables) == (1 + 2 * len(dts)) * len(times)
 
 
-def test_residual_check_transforms_the_connection_once_per_time(monkeypatch):
+def test_residuals_read_the_connection_from_the_support(monkeypatch):
     conn = connection()
     op = WaveOperator(PhaseFamily(conn, +1, 0.25, small_cache()), CUT)
-    fetched = []
-    original = conn.field
 
-    def counted(t):
-        fetched.append(t)
-        return original(t)
-    monkeypatch.setattr(conn, "field", counted)
-    times = [0.2, 0.5, 0.8]
-    residual_check(op, annulus_coeffs(), times, [0.02, 0.01])
-    assert fetched == times
+    def full_grid(t):
+        raise AssertionError("the residual evaluated the connection on the whole grid")
+    monkeypatch.setattr(conn, "field", full_grid)
+    monkeypatch.setattr(conn, "eval_hat", full_grid)
+    tables = _counting(monkeypatch, PhaseFamily, "_build_table")
+    times, dts = [0.2, 0.5, 0.8], [0.02, 0.01]
+    residual_check(op, annulus_coeffs(), times, dts)
+    assert len(tables) == (1 + 2 * len(dts)) * len(times)
+    del tables[:]
+    amplitude_residual(op, annulus_coeffs(), times)
+    assert len(tables) == len(times)
+
+
+def test_connection_at_is_the_connection_field(monkeypatch):
+    conn = connection()
+    fam = PhaseFamily(conn, +1, 0.25, small_cache())
+    tables = _counting(monkeypatch, PhaseFamily, "_build_table")
+    fam.slice_at(0.4, 0)
+    del tables[:]
+    # at the table's time and at two others
+    for t in (0.4, 0.0, 1.3):
+        A = fam.connection_at(t)
+        ref = np.stack([c.phys_values.real for c in conn.field(t).components])
+        assert A.shape == (GRID.n,) + GRID.shape and A.dtype == np.float64
+        assert np.abs(A - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert not tables and fam._t == 0.4
+
+
+def test_phase_table_runs_the_free_flow_on_the_band_support(monkeypatch):
+    from cronlab import grid as grid_module
+    conn = connection()
+    fam = PhaseFamily(conn, +1, 0.25, small_cache())
+    sizes = []
+
+    class Counted(grid_module.FreeFlow):
+        def __init__(self, rho, t):
+            sizes.append(np.shape(rho))
+            super().__init__(rho, t)
+    monkeypatch.setattr(grid_module, "FreeFlow", Counted)
+    S = fam._support
+    for t in (0.0, 0.35, 1.9):
+        del sizes[:]
+        fam.slice_at(t, 0)
+        assert sizes == [(len(S),)]
+        # A and A_t bitwise their values in the whole-grid flow
+        for kept, full in zip(fam._samples, conn.eval_hat(t)):
+            assert np.array_equal(kept, full.reshape(GRID.n, -1)[:, S])
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,10 @@ class ExperimentConfig:
             raise ParameterError("eps_list must not be empty")
         if not all(_is_finite(e) and e > 0 for e in self.eps_list):
             raise ParameterError("eps values must be positive and finite")
+        # the suite fits its eps slopes in log-log, which needs two distinct abscissae
+        if self.experiment == "parametrix-residual" and len(set(map(math.log, self.eps_list))) < 2:
+            raise ParameterError(f"eps_list={list(self.eps_list)} needs at least two distinct "
+                                 "values: parametrix-residual fits its eps slopes")
         if not 0.0 < self.sigma < 0.5:
             raise ParameterError(f"sigma={self.sigma} outside (0, 1/2)")
         if self.L is not None and not (_is_finite(self.L) and self.L > 0):
@@ -322,8 +326,8 @@ def _phase_identities(grid: GridSpec, sigma: float, seed: int, idx: int) -> dict
     worst = dict.fromkeys(("phase_defect", "psi_real", "adjoint", "phase_split"), 0.0)
     for sign in (+1, -1):
         fam = pmx.PhaseFamily(conn, sign, sigma, probe_cache)
-        rep = pmx.phase_defect(fam, np.linspace(0.0, 0.45 * grid.L / 2.0, 5))
-        worst["phase_defect"] = max(worst["phase_defect"], rep.max_residual)
+        worst["phase_defect"] = max(worst["phase_defect"], pmx.phase_defect(
+            fam, np.linspace(0.0, 0.45 * grid.L / 2.0, 5)))
         worst["psi_real"] = max(worst["psi_real"], fam.max_imag_defect)
         # threshold above the first dyadic piece so both halves carry weight
         theta_star = 4.01 * min(fam.thetas.values())
@@ -585,8 +589,7 @@ def run_parametrix_residual(config: ExperimentConfig):
     # (a) dual-path Richardson
     op = pmx.WaveOperator(pmx.PhaseFamily(connections(1e-2), +1, config.sigma, cache), cut)
     dts = [0.1, 0.05, 0.025, 0.0125]
-    rr = pmx.residual_check(op, h, tgrid, dts)
-    diffs = [float(np.mean(per_time)) for per_time in rr.mutual_differences]
+    diffs = [float(np.mean(per_time)) for per_time in pmx.residual_check(op, h, tgrid, dts)]
     for d, e in zip(dts, diffs):
         rows.append(ScanRow("parametrix-residual", grid.n, grid.N, grid.L, d, seed,
                             e, d ** 2, e / d ** 2))
@@ -809,8 +812,7 @@ def run_norms(config: ExperimentConfig):
     slices = [[] for _ in range(B)]      # time outer: one phase table per time
     for t in tgrid:
         for b in range(B):
-            sl = fam.slice_at(float(t), b)
-            mag = np.sqrt(sl.psi_t ** 2 + sum(g ** 2 for g in sl.grad))
+            mag = np.sqrt(fam.psi_t(t, b) ** 2 + sum(g ** 2 for g in fam.grad(t, b)))
             slices[b].append(ScalarField(grid2, mag, real_valued=True))
     psi_fields = [SpacetimeField(tgrid, tuple(per_b)) for per_b in slices]
     val_psi, tail_psi = pmx.decomposable_surrogate(cache.directions, psi_fields, theta,

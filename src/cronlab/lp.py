@@ -128,9 +128,10 @@ def restrict_annulus(f: ScalarField, r_lo: float, r_hi: float) -> ScalarField:
     tests pre-project their data this way so dyadic truncation is exact.  The
     disk 0 <= |xi| <= nyquist, the default of every random field, is kept in
     the grid's registry; any other annulus is built per call, as its radii
-    are floats."""
+    are floats.  The indicator is float64: numpy casts it to complex before it
+    multiplies a complex spectrum, so it restricts bit for bit as a complex one."""
     grid = f.grid
-    indicator = lambda: ((grid.xi_norm >= r_lo) & (grid.xi_norm <= r_hi)).astype(np.complex128)
+    indicator = lambda: ((grid.xi_norm >= r_lo) & (grid.xi_norm <= r_hi)).astype(np.float64)
     if (r_lo, r_hi) == (0.0, grid.nyquist):
         return apply_multiplier(f, grid.symbol(("nyquist_disk",), indicator))
     return apply_multiplier(f, indicator())

@@ -370,36 +370,6 @@ def _lift(samples, i: int, sign: int, w_dir, xi_dot, W) -> np.ndarray:
     return np.multiply(W, 1j * xi_dot * _dot_omega(X, w) + sign / (2 * np.pi) * _dot_omega(Y, w))
 
 
-class PhaseSlice:
-    """One direction's phase at one time: views of one row of its family's
-    phase table, the phase factor e^{2 pi i psi} on the grid and the phase
-    symbol on the band support.  psi, psi_t and grad are recomputed from the
-    support on each access, one support transform each (grad batches its n
-    fields), so a caller binds them once.  A slice holds the connection
-    samples, the multiplier and the support transforms it was built from,
-    never its family, so a dropped family is freed at once."""
-
-    def __init__(self, kernel: _ModeKernel, sign: int, w_dir, xi_dot, W, samples,
-                 psi_hat, phase):
-        self._kernel, self._sign = kernel, sign
-        self._w_dir, self._xi_dot, self._W = w_dir, xi_dot, W
-        self._samples = samples        # (A, A_t, A_tt) at the slice's time, on the support
-        self._psi_hat, self.phase = psi_hat, phase
-
-    @property
-    def psi(self) -> np.ndarray:
-        return self._kernel.synthesize(self._psi_hat).real
-
-    @property
-    def psi_t(self) -> np.ndarray:
-        return self._kernel.synthesize(_lift(self._samples, 1, self._sign, self._w_dir,
-                                             self._xi_dot, self._W)).real
-
-    @property
-    def grad(self) -> tuple:
-        return tuple(self._kernel.synthesize(2j * np.pi * self._kernel.xi * self._psi_hat).real)
-
-
 class PhaseFamily:
     """The per-direction phases psi_s(t, x, omega) of one connection and sign.
 
@@ -413,7 +383,10 @@ class PhaseFamily:
     on it.  The phase table is kept for the most recent time only: a call at a
     new time drops it and builds the row of every bucket, read or not, in one
     pass (psi_hat in one lift, the phase factors in chunks of _CHUNK_BYTES: 8
-    rows at 64^2, one at 256^2).  A slice is a view of one row.
+    rows at 64^2, one at 256^2).  ``slice_at(t, b)`` returns a view of row b.
+    ``psi``, ``psi_t`` and ``grad`` at (t, b) are not kept: each call
+    recomputes its field from the support, one support transform each (grad
+    batches its n fields), so a caller binds them once.
     """
 
     _CHUNK_BYTES = 512 * 1024
@@ -495,21 +468,33 @@ class PhaseFamily:
         A = self._samples[0] if t == self._t else self._connection_on_support(t)[0]
         return self._kernel.synthesize(A).real
 
-    def slice_at(self, t: float, b: int) -> PhaseSlice:
+    def _table_at(self, t: float):
         if t != self._t:
             self._build_table(t)
-        return PhaseSlice(self._kernel, self.sign, self.cache.directions[b], self._xi_dot[b],
-                          self._w[b], self._samples, self._psi_hat[b], self._phase[b])
+
+    def slice_at(self, t: float, b: int) -> np.ndarray:
+        """Row b of the phase table at t: the phase factor e^{2 pi i psi} on the grid."""
+        self._table_at(t)
+        return self._phase[b]
 
     def psi(self, t: float, b: int) -> np.ndarray:
-        return self.slice_at(t, b).psi
+        self._table_at(t)
+        return self._kernel.synthesize(self._psi_hat[b]).real
+
+    def psi_t(self, t: float, b: int) -> np.ndarray:
+        self._table_at(t)
+        return self._kernel.synthesize(_lift(self._samples, 1, self.sign, self.cache.directions[b],
+                                             self._xi_dot[b], self._w[b])).real
+
+    def grad(self, t: float, b: int) -> tuple:
+        self._table_at(t)
+        return tuple(self._kernel.synthesize(2j * np.pi * self._kernel.xi * self._psi_hat[b]).real)
 
     def opposite_null_derivative(self, t: float, b: int) -> np.ndarray:
         """L_omega^{-s} psi_s = omega.grad psi - s d_t psi (the defect operator)."""
-        sl = self.slice_at(t, b)
         w_dir = self.cache.directions[b]
-        grad = sl.grad
-        return sum(w_dir[j] * grad[j] for j in range(self.grid.n)) - self.sign * sl.psi_t
+        grad = self.grad(t, b)
+        return sum(w_dir[j] * grad[j] for j in range(self.grid.n)) - self.sign * self.psi_t(t, b)
 
     def with_multipliers(self, ws, leqs) -> "PhaseFamily":
         """The family with its own multipliers, given on the band support."""
@@ -521,15 +506,8 @@ class PhaseFamily:
 # ---------------------------------------------------------------------------
 # the exact defect identity
 
-@dataclass(frozen=True)
-class DefectReport:
-    times: tuple
-    residuals: tuple          # per (time, bucket) relative L2 defect, max over buckets
-    max_residual: float
-
-
-def phase_defect(family: PhaseFamily, times) -> DefectReport:
-    """Relative L2 difference of the two sides of
+def phase_defect(family: PhaseFamily, times) -> float:
+    """The worst relative L2 difference, over times and buckets, of the two sides of
 
         2 pi L^{-s} psi_s + A.omega = sum_k Pi_{omega,<=theta_k} P_k A . omega
 
@@ -538,10 +516,9 @@ def phase_defect(family: PhaseFamily, times) -> DefectReport:
     """
     grid = family.grid
     kernel = family._kernel
-    out = []
+    worst = 0.0
     for t in times:
         A, _ = family.conn.eval_hat(t)
-        worst = 0.0
         for b in range(family.cache.num_buckets):
             w_dir = family.cache.directions[b]
             lhs = 2.0 * np.pi * family.opposite_null_derivative(t, b)
@@ -556,8 +533,7 @@ def phase_defect(family: PhaseFamily, times) -> DefectReport:
             den = max(np.linalg.norm(lhs), np.linalg.norm(rhs),
                       np.linalg.norm(aw_field), 1e-300)
             worst = max(worst, num / den)
-        out.append(worst)
-    return DefectReport(times=tuple(times), residuals=tuple(out), max_residual=max(out))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +590,7 @@ class WaveOperator:
         grid = self.grid
         out = np.zeros(grid.shape, dtype=np.complex128)
         for b, kern, _, c in self._buckets(t, h):
-            out += self.family.slice_at(t, b).phase * kern.synthesize(c)
+            out += self.family.slice_at(t, b) * kern.synthesize(c)
         return ScalarField(grid, out)
 
     def apply_dt(self, t: float, h: np.ndarray) -> ScalarField:
@@ -625,8 +601,8 @@ class WaveOperator:
         two_pi_i = 2j * np.pi
         for b, kern, r, c in self._buckets(t, h):
             part0, part1 = kern.synthesize(np.stack([c, r * c]))
-            sl = self.family.slice_at(t, b)
-            out += sl.phase * (two_pi_i * sl.psi_t * part0 + self.sign * two_pi_i * part1)
+            phase, psi_t = self.family.slice_at(t, b), self.family.psi_t(t, b)
+            out += phase * (two_pi_i * psi_t * part0 + self.sign * two_pi_i * part1)
         return ScalarField(grid, out)
 
     def apply_adjoint(self, t: float, f: ScalarField) -> np.ndarray:
@@ -637,8 +613,7 @@ class WaveOperator:
         fv = f.phys_values
         out = np.zeros(grid.num_points, dtype=np.complex128)
         for b, kern, a, r in self._live:
-            phase = self.family.slice_at(t, b).phase
-            g = kern.analyze(np.conj(phase) * fv)
+            g = kern.analyze(np.conj(self.family.slice_at(t, b)) * fv)
             out[kern.index] += np.conj(self._half_wave(t, r)) * a * g
         return out.reshape(grid.shape)
 
@@ -721,16 +696,6 @@ def match_data(op_plus: WaveOperator, op_minus: WaveOperator, f: ScalarField,
 # ---------------------------------------------------------------------------
 # residual of the covariant wave operator on the parametrix
 
-@dataclass(frozen=True, eq=False)
-class ResidualReport:
-    times: tuple
-    mutual_differences: tuple     # ||direct - amplitude-path||_2 per (dt, time) (absolute;
-                                  # decays at the differencing order under dt refinement)
-    residual_slice_norms: tuple   # L2 of the amplitude-path residual per time
-    residual_n2: float            # L1_t Sobolev(n/2-2) of the residual
-    fd_dts: tuple
-
-
 def covariant_box_direct(op: WaveOperator, t: float, h, dts) -> list:
     """(-d_t^2 + Delta + 2 i A.grad)(U h) with centered second time differences,
     one field per step in dts, A being the connection at t, read from the
@@ -763,8 +728,7 @@ def covariant_box_amplitude(op: WaveOperator, t: float, h) -> ScalarField:
     out = np.zeros(grid.shape, dtype=np.complex128)
     for b, kern, r, c in op._buckets(t, h):
         part0, part1, *parts2 = kern.synthesize(np.vstack([c, r * c, kern.xi * c]))
-        sl = fam.slice_at(t, b)
-        grad, psi_t = sl.grad, sl.psi_t
+        phase, grad, psi_t = fam.slice_at(t, b), fam.grad(t, b), fam.psi_t(t, b)
         w_dir = fam.cache.directions[b]
         null_op = sum(w_dir[j] * grad[j] for j in range(grid.n)) - fam.sign * psi_t
         alpha = (2.0 * np.pi * (psi_t ** 2 - sum(g ** 2 for g in grad))
@@ -773,7 +737,7 @@ def covariant_box_amplitude(op: WaveOperator, t: float, h) -> ScalarField:
         acc = alpha * part0 + beta * part1
         for j in range(grid.n):
             acc += -2.0 * Avals[j] * parts2[j]
-        out += sl.phase * acc
+        out += phase * acc
     return ScalarField(grid, 2.0 * np.pi * out)
 
 
@@ -785,38 +749,32 @@ def _in_window(grid: GridSpec, times, reach: float = 0.0) -> np.ndarray:
     return times
 
 
-def _residual_n2(grid: GridSpec, times, slices) -> float:
-    """L1_t Sobolev(n/2-2) of the residual: the nonlinearity norm in its Sobolev
-    normalization (covers the whole lattice, unlike the banded Besov sum which
-    would truncate the data shell)."""
-    spatial = lambda f: gr.sobolev_norm(f, grid.n / 2.0 - 2.0, exclude_zero_mode=True)
-    return spacetime_norm(SpacetimeField(times, tuple(slices)), 1, spatial)
-
-
-def residual_check(op: WaveOperator, h, times, dts) -> ResidualReport:
-    """Both paths of the covariant box of U h per time, the direct one at every
-    step in dts.  U(t)h, its spatial part and the amplitude path are computed
-    once per time; per step only U(t +- dt)h.  The connection comes from the
-    phase table at t, with no transform."""
+def residual_check(op: WaveOperator, h, times, dts) -> tuple:
+    """||direct - amplitude path||_2 of the covariant box of U h, one tuple
+    over times per step in dts (absolute; it decays at the differencing order
+    under dt refinement).  U(t)h, its spatial part and the amplitude path
+    are computed once per time; per step only U(t +- dt)h.  The connection
+    comes from the phase table at t, with no transform."""
     dts = tuple(dts)
-    times = _in_window(op.grid, times, max(dts))
-    diffs, slices = [], []
-    for t in times:
+    diffs = []
+    for t in _in_window(op.grid, times, max(dts)):
         directs = covariant_box_direct(op, t, h, dts)
         via = covariant_box_amplitude(op, t, h)
         diffs.append([lebesgue_norm(direct - via, 2) for direct in directs])
-        slices.append(via)
-    return ResidualReport(times=tuple(times), mutual_differences=tuple(zip(*diffs)),
-                          residual_slice_norms=tuple(lebesgue_norm(v, 2) for v in slices),
-                          residual_n2=_residual_n2(op.grid, times, slices), fd_dts=dts)
+    return tuple(zip(*diffs))
 
 
 def amplitude_residual(op: WaveOperator, h, times) -> float:
-    """residual_check's residual_n2 through the amplitude path alone: one phase
-    table and no connection transform per time, no U(t +- dt)h."""
-    times = _in_window(op.grid, times)
-    slices = [covariant_box_amplitude(op, t, h) for t in times]
-    return _residual_n2(op.grid, times, slices)
+    """L1_t Sobolev(n/2-2) of the covariant box of U h over times, through the
+    amplitude path alone: the nonlinearity norm in its Sobolev normalization
+    (it covers the whole lattice, unlike the banded Besov sum, which would
+    truncate the data shell).  One phase table and no connection transform
+    per time, no U(t +- dt)h."""
+    grid = op.grid
+    times = _in_window(grid, times)
+    slices = tuple(covariant_box_amplitude(op, t, h) for t in times)
+    spatial = lambda f: gr.sobolev_norm(f, grid.n / 2.0 - 2.0, exclude_zero_mode=True)
+    return spacetime_norm(SpacetimeField(times, slices), 1, spatial)
 
 
 # ---------------------------------------------------------------------------

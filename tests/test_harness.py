@@ -232,6 +232,8 @@ BAD_CONFIGS = {
     "odd_N.json": '{"experiment": "lp-suite", "N": 7}',
     "two_bands.json": '{"experiment": "lp-suite", "N": 64}',
     "wrap_t_max.json": '{"experiment": "parametrix-residual", "t_max": 3.95}',
+    "one_eps.json": '{"experiment": "parametrix-residual", "eps_list": [0.01]}',
+    "repeated_eps.json": '{"experiment": "parametrix-residual", "eps_list": [0.01, 0.01]}',
 }
 BAD_SUMMARIES = {
     "list_summary": "[]",
@@ -255,6 +257,8 @@ BAD_SUMMARIES = {
     (["run", "--config", "odd_N.json"], "N=7"),
     (["run", "--config", "wrap_t_max.json"], "wrap limit"),
     (["run", "--config", "two_bands.json"], "at least 3 Bernstein bands"),
+    (["run", "--config", "one_eps.json"], "eps_list=[0.01] needs at least two distinct"),
+    (["run", "--config", "repeated_eps.json"], "eps_list=[0.01, 0.01] needs at least two"),
 ])
 def test_cli_maps_bad_input_to_exit_2(tmp_path, monkeypatch, capsys, argv, needle):
     monkeypatch.chdir(tmp_path)
@@ -315,7 +319,7 @@ def test_parametrix_suite_draws_its_connection_once(tmp_path, monkeypatch, suite
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("suite, transforms", [("unitarity", 16), ("parametrix-residual", 33)])
+@pytest.mark.parametrize("suite, transforms", [("unitarity", 16), ("parametrix-residual", 30)])
 def test_parametrix_suite_transform_count(tmp_path, count_transforms, suite, transforms):
     calls = count_transforms()
     records, _ = run(ExperimentConfig(experiment=suite, out_dir=str(tmp_path)))

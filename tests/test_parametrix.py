@@ -6,7 +6,7 @@ import pytest
 from cronlab.errors import ParameterError, PreconditionError, StructuralError
 from cronlab.gauge import greater_symbol, transverse_inverse_symbol
 from cronlab.grid import (GridSpec, ScalarField, inner_product, lebesgue_norm,
-                          relative_l2_difference, to_physical)
+                          relative_l2_difference, sobolev_norm, to_physical)
 from cronlab.lp import BandRange, SpacetimeField, band_symbol, fit_loglog, spacetime_norm
 from cronlab import parametrix as pmx
 from cronlab.parametrix import (AnnulusCutoff, DirectionCache, FreeConnection, PhaseFamily,
@@ -149,8 +149,7 @@ def test_phase_realness_invariant():
 def test_phase_defect_spectral_precision():
     conn = connection()
     fam = one_direction(conn, [np.cos(0.4), np.sin(0.4)], +1, 0.25)
-    rep = phase_defect(fam, np.linspace(0.0, 1.8, 5))
-    assert rep.max_residual < 1e-10
+    assert phase_defect(fam, np.linspace(0.0, 1.8, 5)) < 1e-10
 
 
 def test_phase_defect_small_angle_mode():
@@ -165,8 +164,7 @@ def test_phase_defect_small_angle_mode():
     w = np.array([np.cos(0.02), np.sin(0.02)])  # 0.02 rad off-axis
     fam = one_direction(conn, w, +1, 0.25)
     assert np.abs(fam.psi(0.5, 0)).max() < 1e-18
-    rep = phase_defect(fam, [0.5])
-    assert rep.max_residual < 1e-12
+    assert phase_defect(fam, [0.5]) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +340,7 @@ def test_residual_zero_for_free_connection():
     h = annulus_coeffs(71)
     via = covariant_box_amplitude(op, 0.5, h)
     assert lebesgue_norm(via, 2) == 0.0
-    rep = residual_check(op, h, [0.5, 1.0], [0.01])
-    assert rep.residual_n2 == 0.0
+    assert amplitude_residual(op, h, [0.5, 1.0]) == 0.0
 
 
 def test_covariant_box_direct_transforms_u0_once(monkeypatch):
@@ -368,8 +365,7 @@ def test_residual_dual_path_second_order():
     op = WaveOperator(PhaseFamily(conn, +1, 0.25, small_cache()), CUT)
     h = annulus_coeffs(72)
     dts = [0.08, 0.04, 0.02]
-    rep = residual_check(op, h, [0.5, 1.0], dts)
-    diffs = [np.mean(per_time) for per_time in rep.mutual_differences]
+    diffs = [np.mean(per_time) for per_time in residual_check(op, h, [0.5, 1.0], dts)]
     assert 1.8 <= fit_loglog(dts, diffs) <= 2.2
 
 
@@ -378,12 +374,9 @@ def test_residual_check_over_steps_equals_one_call_per_step():
     h = annulus_coeffs(72)
     times, dts = [0.5, 1.0], [0.04, 0.02]
     together = residual_check(op, h, times, dts)
-    assert together.fd_dts == tuple(dts)
-    for dt, per_time in zip(dts, together.mutual_differences, strict=True):
-        alone = residual_check(op, h, times, [dt])
-        assert alone.mutual_differences == (per_time,)
-        assert alone.residual_slice_norms == together.residual_slice_norms
-        assert alone.residual_n2 == together.residual_n2
+    for dt, per_time in zip(dts, together, strict=True):
+        assert len(per_time) == len(times)
+        assert residual_check(op, h, times, [dt]) == (per_time,)
 
 
 def test_residual_eps_slope():
@@ -394,7 +387,7 @@ def test_residual_eps_slope():
     for eps in epss:
         conn = make_free_connection(GRID, BAND, eps, 73)
         op = WaveOperator(PhaseFamily(conn, +1, 0.25, cache), CUT)
-        vals.append(residual_check(op, h, [0.4, 0.9], [0.02]).residual_n2)
+        vals.append(amplitude_residual(op, h, [0.4, 0.9]))
     assert abs(fit_loglog(epss, vals) - 1.0) <= 0.1
 
 
@@ -409,14 +402,15 @@ def test_residual_window_guard():
             amplitude_residual(op, annulus_coeffs(74), [0.5, t])
 
 
-@pytest.mark.parametrize("dts", [[0.02], [0.04, 0.02]])
-def test_amplitude_residual_equals_residual_check(dts):
+def test_amplitude_residual_is_the_l1_sobolev_norm_of_the_amplitude_path():
     op = WaveOperator(PhaseFamily(connection(), +1, 0.25, small_cache()), CUT)
     h = annulus_coeffs(72)
     times = [0.5, 1.0]
     n2 = amplitude_residual(op, h, times)
     assert n2 > 0.0
-    assert n2 == residual_check(op, h, times, dts).residual_n2
+    slices = SpacetimeField(times, tuple(covariant_box_amplitude(op, t, h) for t in times))
+    sobolev = lambda f: sobolev_norm(f, GRID.n / 2.0 - 2.0, exclude_zero_mode=True)
+    assert n2 == spacetime_norm(slices, 1, sobolev)
 
 
 def test_amplitude_residual_builds_one_table_per_time(monkeypatch):
@@ -710,14 +704,14 @@ def test_apply_builds_no_derivative_fields(monkeypatch):
     assert all(shape[1] == len(fam._support) for shape in rows)
     assert sum(shape[0] for shape in rows) == fam.cache.num_buckets
     assert len(calls) - len(rows) == _live_buckets(op, h)
-    sl = fam.slice_at(0.4, 0)
-    for _ in range(2):                   # recomputed on each access, never cached
+    for _ in range(2):                   # recomputed on each call, never cached
         del calls[:]
-        sl.grad
+        fam.grad(0.4, 0)
         assert calls == [(GRID.n, len(fam._support))]  # the n fields in one call
     del calls[:]
-    sl.psi_t
+    fam.psi_t(0.4, 0)
     assert calls == [(len(fam._support),)]
+    assert len(tables) == 1
 
 
 def test_phase_table_row_equals_single_bucket_synthesis():
@@ -728,12 +722,12 @@ def test_phase_table_row_equals_single_bucket_synthesis():
     defects = []
     for t in (0.4, 0.9):
         for b in range(cache.num_buckets):
-            sl = fam.slice_at(t, b)
+            phase = fam.slice_at(t, b)
             psi_hat = pmx._lift(fam._samples, 0, -1, cache.directions[b], fam._xi_dot[b],
                                 fam._w[b])
             psi_c = fam._kernel.synthesize(psi_hat)
-            assert np.array_equal(sl._psi_hat, psi_hat)
-            assert np.array_equal(sl.phase, np.exp(2j * np.pi * psi_c.real))
+            assert np.array_equal(fam._psi_hat[b], psi_hat)
+            assert np.array_equal(phase, np.exp(2j * np.pi * psi_c.real))
             defects.append(np.abs(psi_c.imag).max() / max(np.abs(psi_c).max(), 1e-300))
     assert fam.max_imag_defect == max(defects)
 
@@ -752,10 +746,11 @@ def test_batched_lift_equals_per_row_lift_past_numpy_elision_size():
 
 def test_lazy_derivative_fields_match_family_defect_identity():
     fam = PhaseFamily(connection(), -1, 0.25, small_cache())
-    rep = phase_defect(fam, [0.0, 0.7])
-    assert rep.max_residual < 1e-10
-    sl = fam.slice_at(0.7, 1)
-    assert not {"psi", "psi_t", "grad"} & set(vars(sl))
+    assert phase_defect(fam, [0.0, 0.7]) < 1e-10
+    # the derivative fields are recomputed from the support, never kept
+    kept = {name: id(value) for name, value in vars(fam).items()}
+    fam.psi(0.7, 1), fam.psi_t(0.7, 1), fam.grad(0.7, 1)
+    assert {name: id(value) for name, value in vars(fam).items()} == kept
 
 
 def test_families_on_one_cache_share_multipliers():
@@ -874,7 +869,7 @@ def test_dropped_family_is_freed_without_cycle_collection():
         fam = PhaseFamily(connection(), +1, 0.25, small_cache())
         op = WaveOperator(fam, CUT)
         op.apply(0.4, annulus_coeffs())
-        fam.slice_at(0.4, 0).grad
+        fam.grad(0.4, 0)
         ref = weakref.ref(fam)
         del fam, op
         assert ref() is None

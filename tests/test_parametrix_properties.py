@@ -19,7 +19,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from cronlab.grid import GridSpec, ScalarField, frequency_l2, inner_product, lebesgue_norm
-from cronlab.lp import BandRange
+from cronlab.lp import BandRange, band_symbol
 from cronlab import parametrix as pmx
 from cronlab.parametrix import (AnnulusCutoff, DirectionCache, FreeConnection, PhaseFamily,
                                 WaveOperator, _dft_table, _ModeKernel)
@@ -123,7 +123,7 @@ def drawn_phase_families(draw):
     band = BandRange.widest(grid)
     conn = _connection(grid, band, rng, draw(st.floats(1e-3, 1.0)))
     support = np.flatnonzero(np.logical_or.reduce(
-        [pmx.band_symbol(grid, k) != 0 for k in band]))
+        [band_symbol(grid, k) != 0 for k in band]))
     if draw(st.booleans()):      # above: B |S| > 16,384 with B <= 257
         size = draw(st.integers(min(64, support.size), support.size))
         count = ELISION // size + 1 + draw(st.integers(0, 3))

@@ -402,15 +402,22 @@ def test_residual_window_guard():
             amplitude_residual(op, annulus_coeffs(74), [0.5, t])
 
 
-def test_amplitude_residual_is_the_l1_sobolev_norm_of_the_amplitude_path():
+@pytest.mark.parametrize("dts", [[0.02], [0.04, 0.02]])
+def test_amplitude_residual_equals_residual_check(dts):
+    # amplitude_residual is the L1_t H^{n/2-2} norm of the amplitude path, and
+    # residual_check measures the direct path against that same amplitude path
     op = WaveOperator(PhaseFamily(connection(), +1, 0.25, small_cache()), CUT)
     h = annulus_coeffs(72)
     times = [0.5, 1.0]
     n2 = amplitude_residual(op, h, times)
     assert n2 > 0.0
-    slices = SpacetimeField(times, tuple(covariant_box_amplitude(op, t, h) for t in times))
+    vias = tuple(covariant_box_amplitude(op, t, h) for t in times)
     sobolev = lambda f: sobolev_norm(f, GRID.n / 2.0 - 2.0, exclude_zero_mode=True)
-    assert n2 == spacetime_norm(slices, 1, sobolev)
+    assert n2 == spacetime_norm(SpacetimeField(times, vias), 1, sobolev)
+    per_time = zip(*residual_check(op, h, times, dts), strict=True)
+    for t, via, diffs in zip(times, vias, per_time, strict=True):
+        directs = covariant_box_direct(op, t, h, dts)
+        assert diffs == tuple(lebesgue_norm(direct - via, 2) for direct in directs)
 
 
 def test_amplitude_residual_builds_one_table_per_time(monkeypatch):

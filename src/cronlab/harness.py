@@ -16,7 +16,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -67,7 +67,7 @@ _JSON_TYPES = {
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
-    n: int | None = None          # suite defaults apply when unset
+    n: int | None = None          # DEFAULT_GEOMETRY applies when unset
     N: int | None = None
     L: float | None = None
     sigma: float = 0.25
@@ -101,15 +101,22 @@ class ExperimentConfig:
             raise ParameterError(f"box side L={self.L} must be positive and finite")
         if self.t_max is not None and not (_is_finite(self.t_max) and self.t_max > 0):
             raise ParameterError(f"t_max={self.t_max} must be positive and finite")
-        if self.t_max is not None and self.L is not None and not self.t_max < self.L / 2.0:
+        L = self.with_default_geometry().L
+        if self.t_max is not None and L is not None and not self.t_max < L / 2.0:
             raise ParameterError(f"time window t_max={self.t_max} must stay below the "
-                                 f"wrap limit L/2={self.L / 2.0}")
+                                 f"wrap limit L/2={L / 2.0}")
         if self.t_samples < 2:
             raise ParameterError("t_samples must be at least 2")
         if not 0 <= self.seed < 2 ** 64:
             raise ParameterError(f"seed={self.seed} outside 0..2^64-1 "
                                  "(it keys a Philox stream)")
         return self
+
+    def with_default_geometry(self) -> "ExperimentConfig":
+        """This config with each unset n, N and L at its suite's default; the
+        hash and the artifacts still read the config as given."""
+        preset = zip(("n", "N", "L"), DEFAULT_GEOMETRY.get(self.experiment, ()))
+        return replace(self, **{k: v for k, v in preset if getattr(self, k) is None})
 
     def config_hash(self) -> str:
         payload = {k: v for k, v in asdict(self).items() if k != "out_dir"}
@@ -239,11 +246,6 @@ def _parametrix_setup(seed, N=64, eta_dir=0.1):
     return grid, band, cut, cache, _free_connections(grid, band, seed)
 
 
-def _timer():
-    t0 = time.perf_counter()
-    return lambda: time.perf_counter() - t0
-
-
 # ---------------------------------------------------------------------------
 # suite: identities (criterion 1)
 
@@ -352,7 +354,6 @@ def run_identities(config: ExperimentConfig):
     (n, N) row reports its own residuals, param 0..4 in the order of ``keys``."""
     seed, rows, results = config.seed, [], []
     keys = ("leray", "lp_partition", "box_null", "null_form", "phase_defect")
-    elapsed = _timer()
     for idx, (n, N) in enumerate([(2, 32), (2, 64), (3, 32), (3, 64)]):
         grid = GridSpec(n, N, 8.0)
         rng = stream(seed, idx)
@@ -372,7 +373,6 @@ def run_identities(config: ExperimentConfig):
                for key in keys + ("psi_real", "adjoint", "phase_split")]
     gap = min(r["null_form_literal_gap"] for r in results)
     records.append(AcceptanceRecord.bounded("identities.null_form_literal_gap", gap, lo=1e-6))
-    records.append(AcceptanceRecord.bounded("identities.runtime_seconds", elapsed(), hi=300.0))
     return records, rows
 
 
@@ -403,10 +403,7 @@ def _commutator_scan(grid: GridSpec, br: BandRange, comm_ks, seed: int):
 def run_lp_suite(config: ExperimentConfig):
     records, rows = [], []
     seed = config.seed
-    elapsed = _timer()
-    n = config.n if config.n is not None else 2
-    N = config.N if config.N is not None else 512
-    L = config.L if config.L is not None else 1.0
+    n, N, L = config.n, config.N, config.L
     grid = GridSpec(n, N, L)
     br = BandRange.widest(grid)
     ks = [k for k in range(br.k_min + 2, br.k_max + 1)]
@@ -459,7 +456,6 @@ def run_lp_suite(config: ExperimentConfig):
                                             emb["lp_lower"], hi=10.0))
     records.append(AcceptanceRecord.bounded("embedding.bernstein_upgrade_constant",
                                             emb["p_upgrade"], hi=10.0))
-    records.append(AcceptanceRecord.bounded("lp-suite.runtime_seconds", elapsed(), hi=240.0))
     return records, rows
 
 
@@ -469,10 +465,7 @@ def run_lp_suite(config: ExperimentConfig):
 def run_coulomb_gain(config: ExperimentConfig):
     records, rows = [], []
     seed = config.seed
-    elapsed = _timer()
-    n = config.n if config.n is not None else 3
-    N = config.N if config.N is not None else 32
-    L = config.L if config.L is not None else 8.0
+    n, N, L = config.n, config.N, config.L
     grid = GridSpec(n, N, L)
     thetas = [2.0 ** (-j) for j in range(2, 7)]
     dir_rng = stream(seed, 1)
@@ -491,7 +484,6 @@ def run_coulomb_gain(config: ExperimentConfig):
             worst = max(worst, ratio)
             rows.append(ScanRow("coulomb-gain", n, N, L, theta, seed, ratio, 4.0, ratio / 4.0))
     records.append(AcceptanceRecord.bounded("coulomb.per_mode_ratio", worst, hi=4.0))
-    records.append(AcceptanceRecord.bounded("coulomb.runtime_seconds", elapsed(), hi=120.0))
     return records, rows
 
 
@@ -513,10 +505,7 @@ def _mkg_data(grid: GridSpec, eps: float, seed: int):
 def run_mkg_evolve(config: ExperimentConfig):
     records, rows = [], []
     seed = config.seed
-    elapsed = _timer()
-    n = config.n if config.n is not None else 3
-    N = config.N if config.N is not None else 32
-    L = config.L if config.L is not None else 8.0
+    n, N, L = config.n, config.N, config.L
     eps = config.eps_list[min(2, len(config.eps_list) - 1)]
     grid = GridSpec(n, N, L)
     state = _mkg_data(grid, eps, seed)
@@ -570,7 +559,6 @@ def run_mkg_evolve(config: ExperimentConfig):
     replay = gr.relative_l2_difference(
         ScalarField(order_grid, s_scaled.phi.phys_values * lam), s_base.phi)
     records.append(AcceptanceRecord.bounded("mkg.scaling_replay", replay, hi=1e-6))
-    records.append(AcceptanceRecord.bounded("mkg.runtime_seconds", elapsed(), hi=600.0))
     return records, rows
 
 
@@ -580,7 +568,6 @@ def run_mkg_evolve(config: ExperimentConfig):
 def run_parametrix_residual(config: ExperimentConfig):
     records, rows = [], []
     seed = config.seed
-    elapsed = _timer()
     grid, band, cut, cache, connections = _parametrix_setup(seed)
     h = (stream(seed, 10).standard_normal(grid.shape)
          + 1j * stream(seed, 11).standard_normal(grid.shape)) * (cut.symbol(grid) > 0)
@@ -625,7 +612,6 @@ def run_parametrix_residual(config: ExperimentConfig):
     mz = pmx.match_data(zp, zm, f, g2)
     records.append(AcceptanceRecord.bounded(
         "parametrix.free_match", mz.position_error + mz.velocity_error, hi=1e-12))
-    records.append(AcceptanceRecord.bounded("parametrix.runtime_seconds", elapsed(), hi=900.0))
     return records, rows
 
 
@@ -635,7 +621,6 @@ def run_parametrix_residual(config: ExperimentConfig):
 def run_unitarity(config: ExperimentConfig):
     records, rows = [], []
     seed = config.seed
-    elapsed = _timer()
     grid, band, cut, cache, connections = _parametrix_setup(seed)
     times = np.linspace(0.0, 0.45 * grid.L / 2.0, config.t_samples)
     h = (stream(seed, 30).standard_normal(grid.shape)
@@ -674,7 +659,6 @@ def run_unitarity(config: ExperimentConfig):
                             gd / max(td, 1e-300)))
     records.append(AcceptanceRecord.bounded("unitarity.derivative_defect_over_eps",
                                             worst, hi=10.0))
-    records.append(AcceptanceRecord.bounded("unitarity.runtime_seconds", elapsed(), hi=600.0))
     return records, rows
 
 
@@ -690,7 +674,6 @@ def _point_source(grid: GridSpec) -> ScalarField:
 def run_dispersive(config: ExperimentConfig):
     records, rows = [], []
     seed = config.seed
-    elapsed = _timer()
 
     # free decay, n = 3
     g3 = GridSpec(3, 128, 8.0)
@@ -737,7 +720,6 @@ def run_dispersive(config: ExperimentConfig):
                                      cutp.symbol(gp) * (1.0 + 0j), subsample=48)
     records.append(AcceptanceRecord.bounded("dispersive.bucketing_error", bucket_err,
                                             hi=1e-2))
-    records.append(AcceptanceRecord.bounded("dispersive.runtime_seconds", elapsed(), hi=600.0))
     return records, rows
 
 
@@ -747,7 +729,6 @@ def run_dispersive(config: ExperimentConfig):
 def run_norms(config: ExperimentConfig):
     records, rows = [], []
     seed = config.seed
-    elapsed = _timer()
 
     exps = exponents(6, Fraction(0))
     ok_exp = (exps.p_star == Fraction(10, 3) and exps.p_sstar == Fraction(3)
@@ -821,7 +802,6 @@ def run_norms(config: ExperimentConfig):
                                             val_psi / 1e-2, hi=20.0))
     rows.append(ScanRow("norms", grid2.n, grid2.N, grid2.L, 1e-2, seed, val_psi,
                         tail_psi, val_psi / 1e-2))
-    records.append(AcceptanceRecord.bounded("norms.runtime_seconds", elapsed(), hi=120.0))
     return records, rows
 
 
@@ -849,6 +829,19 @@ SUITE_FIELDS = {
     "norms": ("sigma",),
 }
 
+# each suite's wall-clock record <prefix>.runtime_seconds and its budget in seconds;
+# run times the suite and appends the record, which the machine summary leaves out
+RUNTIME_BUDGETS = {
+    "identities": ("identities", 300.0), "lp-suite": ("lp-suite", 240.0),
+    "coulomb-gain": ("coulomb", 120.0), "mkg-evolve": ("mkg", 600.0),
+    "parametrix-residual": ("parametrix", 900.0), "unitarity": ("unitarity", 600.0),
+    "dispersive": ("dispersive", 600.0), "norms": ("norms", 120.0),
+}
+
+# the (n, N, L) a suite runs on where its config leaves them unset
+DEFAULT_GEOMETRY = {"lp-suite": (2, 512, 1.0), "coulomb-gain": (3, 32, 8.0),
+                    "mkg-evolve": (3, 32, 8.0)}
+
 
 # ---------------------------------------------------------------------------
 # run / report plumbing
@@ -859,7 +852,11 @@ def run(config: ExperimentConfig):
     Returns (records, paths).  Exit-status handling lives in the CLI."""
     config = config.validate()
     out_dir = config.out_dir    # created by the first write, so a failed suite leaves none
-    records, rows = EXPERIMENTS[config.experiment](config)
+    prefix, budget = RUNTIME_BUDGETS[config.experiment]
+    t0 = time.perf_counter()
+    records, rows = EXPERIMENTS[config.experiment](config.with_default_geometry())
+    records.append(AcceptanceRecord.bounded(f"{prefix}.runtime_seconds",
+                                            time.perf_counter() - t0, hi=budget))
     chash = config.config_hash()
     csv_path = os.path.join(out_dir, f"{config.experiment}.csv")
     write_scan_csv(csv_path, rows, chash)

@@ -95,6 +95,9 @@ class FreeConnection:
         self.band_range = band_range.validate(grid)
         lo, hi = band_range.annulus()
         mask = (grid.xi_norm >= lo) & (grid.xi_norm <= hi) & ~grid.nyquist_mask
+        if not mask.any():
+            raise PreconditionError(f"the annulus [{lo:g}, {hi:g}] of band range {band_range} "
+                                    f"holds no lattice mode of {grid}")
         a_hat = np.asarray(a_hat, dtype=np.complex128) * mask
         adot_hat = np.asarray(adot_hat, dtype=np.complex128) * mask
         if a_hat.shape != (grid.n,) + grid.shape:

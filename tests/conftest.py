@@ -25,16 +25,20 @@ FFT_ENTRY_POINTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "ir
                     "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
 
 
+def count_fft_calls(monkeypatch) -> Counter:
+    """Count calls into every numpy.fft entry point, by name, until monkeypatch
+    undoes its patches; names never called are absent from the counter."""
+    calls = Counter()
+    for name in FFT_ENTRY_POINTS:
+        def counted(*args, _original=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
 @pytest.fixture
 def count_transforms(monkeypatch):
     """A function that starts counting calls into every numpy.fft entry point,
     by name, and returns the counter; names never called are absent."""
-    def start() -> Counter:
-        calls = Counter()
-        for name in FFT_ENTRY_POINTS:
-            def counted(*args, _original=getattr(np.fft, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-            monkeypatch.setattr(np.fft, name, counted)
-        return calls
-    return start
+    return lambda: count_fft_calls(monkeypatch)

@@ -10,18 +10,21 @@ import pathlib
 import numpy as np
 import pytest
 from cronlab.harness import EXPERIMENTS, ExperimentConfig, run
+from conftest import count_fft_calls
 
 _RESULTS = {}
 _GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_seed7.json").read_text())
 
 
 def _run_suite(name, tmp_path_factory):
-    """(records by id, artifact paths) of one run of the suite at its defaults,
-    run once per session."""
+    """(records by id, artifact paths, numpy.fft calls) of one run of the suite
+    at its defaults, run once per session."""
     if name not in _RESULTS:
         out = tmp_path_factory.mktemp(f"acc_{name.replace('-', '_')}")
-        records, paths = run(ExperimentConfig(experiment=name, out_dir=str(out)))
-        _RESULTS[name] = ({r.id: r for r in records}, paths)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_fft_calls(mp)
+            records, paths = run(ExperimentConfig(experiment=name, out_dir=str(out)))
+        _RESULTS[name] = ({r.id: r for r in records}, paths, sum(calls.values()))
     return _RESULTS[name]
 
 
@@ -139,15 +142,29 @@ def test_criterion_9_determinism(tmp_path_factory):
 
 # -- pinned artifacts: every suite's seed-7 summary and CSV, bit for bit ----------
 
-@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
-def test_seed7_artifacts_match_golden_digests(tmp_path_factory, name):
+def _skip_unless_pinned_numpy():
     """Bit-for-bit reproducibility is promised for a fixed numpy version only,
     so under another version the pins are skipped, not failed."""
     if np.__version__ != _GOLDEN["numpy"]:
-        pytest.skip(f"digests pinned with numpy {_GOLDEN['numpy']}, running {np.__version__}")
-    _, paths = _run_suite(name, tmp_path_factory)
+        pytest.skip(f"pinned with numpy {_GOLDEN['numpy']}, running {np.__version__}")
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_seed7_artifacts_match_golden_digests(tmp_path_factory, name):
+    _skip_unless_pinned_numpy()
+    _, paths, _ = _run_suite(name, tmp_path_factory)
     for key in ("summary", "csv"):
         path = pathlib.Path(paths[key])
         got = hashlib.sha256(path.read_bytes()).hexdigest()
         want = _GOLDEN["sha256"][name][path.name]
         assert got == want, f"{name}: {path.name} has sha256 {got}, pinned {want}"
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_seed7_transform_count_matches_golden(tmp_path_factory, name):
+    """The work of each suite, counted in the run the digests read: a
+    transform added anywhere in a suite fails here."""
+    _skip_unless_pinned_numpy()
+    _, _, transforms = _run_suite(name, tmp_path_factory)
+    assert transforms == _GOLDEN["transforms"][name], \
+        f"{name}: {transforms} numpy.fft calls, pinned {_GOLDEN['transforms'][name]}"

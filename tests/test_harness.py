@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -8,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from cronlab.cli import main as cli_main
 from cronlab.errors import CronlabError, ParameterError
 from cronlab.grid import GridSpec
-from cronlab.harness import (EXPERIMENTS, SUITE_FIELDS, AcceptanceRecord, ExperimentConfig,
-                             all_passed, machine_summary, report_text, run)
+from cronlab.harness import (DEFAULT_GEOMETRY, EXPERIMENTS, RUNTIME_BUDGETS, SUITE_FIELDS,
+                             AcceptanceRecord, ExperimentConfig, ScanRow, all_passed,
+                             machine_summary, report_text, run)
 
 
 def test_config_validation():
@@ -27,6 +29,9 @@ def test_config_validation():
         ExperimentConfig(experiment="norms", n=6, sigma=0.48).validate()
     with pytest.raises(ParameterError, match="wrap limit"):
         ExperimentConfig(experiment="mkg-evolve", L=8.0, t_max=5.0).validate()
+    # an unset L is checked as the default box the suite runs on
+    with pytest.raises(ParameterError, match=r"wrap limit L/2=4\.0"):
+        ExperimentConfig(experiment="mkg-evolve", t_max=5.0).validate()
     # out-of-range numbers: no time window, non-finite values
     for t_max in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ParameterError, match="t_max"):
@@ -179,6 +184,41 @@ def test_norms_run_writes_artifacts_and_is_byte_identical(tmp_path):
     header = csv1.decode().splitlines()
     assert header[0].startswith("# cronlab scan v1 schema=experiment,n,N,L,param,seed")
     assert header[1] == "experiment,n,N,L,param,seed,lhs,rhs,ratio"
+
+
+def test_suite_tables_name_the_same_suites():
+    assert set(EXPERIMENTS) == set(SUITE_FIELDS) == set(RUNTIME_BUDGETS)
+    # a default box for exactly the suites that read the geometry
+    assert set(DEFAULT_GEOMETRY) == {name for name, reads in SUITE_FIELDS.items() if "L" in reads}
+
+
+@pytest.mark.parametrize("given, seen", [({}, (3, 32, 8.0)), ({"N": 16}, (3, 16, 8.0))])
+def test_run_fills_default_geometry_and_appends_runtime_record(tmp_path, monkeypatch,
+                                                               given, seen):
+    calls = []
+
+    def stub(config):
+        calls.append(config)
+        return ([AcceptanceRecord.bounded("stub.value", 0.5, hi=1.0)],
+                [ScanRow("coulomb-gain", config.n, config.N, config.L, 0.0, config.seed,
+                         1.0, 2.0, 0.5)])
+    monkeypatch.setitem(EXPERIMENTS, "coulomb-gain", stub)
+    config = ExperimentConfig(experiment="coulomb-gain", out_dir=str(tmp_path), **given)
+    records, paths = run(config)
+    # the suite runs on the filled-in box; the artifacts still hash the config as given
+    assert [(c.n, c.N, c.L) for c in calls] == [seen]
+    assert calls[0] == replace(config, **dict(zip(("n", "N", "L"), seen)))
+    header = open(paths["csv"]).readline().split()
+    assert header[-1] == f"config={config.config_hash()}"
+    # run times the suite and appends the record its table names
+    assert [r.id for r in records] == ["stub.value", "coulomb.runtime_seconds"]
+    assert RUNTIME_BUDGETS["coulomb-gain"] == ("coulomb", 120.0)
+    runtime = records[-1]
+    assert runtime.passed and runtime.value >= 0.0 and runtime.hi == 120.0
+    summary = json.loads(open(paths["summary"]).read())
+    assert summary["config_hash"] == config.config_hash()
+    assert [r["id"] for r in summary["records"]] == ["stub.value"]
+    assert "coulomb.runtime_seconds" in open(paths["report"]).read()
 
 
 def test_different_seed_changes_scan(tmp_path):

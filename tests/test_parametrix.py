@@ -71,6 +71,18 @@ def test_connection_requires_divergence_free_data():
         FreeConnection(GRID, bad, bad, BAND)
 
 
+@pytest.mark.parametrize("grid, band", [
+    (GridSpec(3, 8, 1.5), BandRange.widest(GridSpec(3, 8, 1.5))),
+    (GridSpec(2, 16, 1.5), BandRange(0, 0))])
+def test_connection_rejects_band_range_with_empty_annulus(grid, band):
+    # the sphere |xi| = 1 needs |m| = 1.5: no lattice mode, so every phase would vanish
+    assert (band.k_min, band.k_max) == (0, 0)
+    with pytest.raises(PreconditionError, match=r"annulus \[1, 1\] .* holds no lattice mode"):
+        FreeConnection.zero(grid, band)
+    # the same band range on the unit box holds the modes |m| = 1
+    FreeConnection.zero(GridSpec(grid.n, grid.N, 1.0), band)
+
+
 # ---------------------------------------------------------------------------
 # annulus cutoff
 

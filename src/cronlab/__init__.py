@@ -27,8 +27,7 @@ from .grid import (FREQUENCY, PHYSICAL, GridSpec, ScalarField, VectorField, appl
 from .lp import (BandRange, BumpProfile, DEFAULT_BUMP, SpacetimeField, bernstein_ratio,
                  besov_norm, commutator_ratios, project_band, restrict_annulus, spacetime_norm,
                  spacetime_product_ratio)
-from .gauge import (Direction, SectorSpec, coulomb_gain_ratios, leray_project,
-                    null_derivative, null_form_check)
+from .gauge import coulomb_gain_ratios, leray_project, null_derivative, null_form_check
 from .exponents import exponents, sigma_window
 from .mkg import (ConnectionState, EnergyReport, constraint_residuals, elliptic_a0, evolve,
                   make_compatible_data, step)

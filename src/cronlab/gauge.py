@@ -7,8 +7,6 @@ gain measurement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ParameterError, PreconditionError
@@ -20,44 +18,13 @@ from .lp import DEFAULT_BUMP
 THETA_MAX = np.pi / 4  # admissible sector half-angles
 
 
-@dataclass(frozen=True)
-class Direction:
-    """A unit vector in R^n."""
-
-    omega: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.omega, dtype=float).copy()
-        nrm = float(np.linalg.norm(w))
-        if abs(nrm - 1.0) > 1e-14:
-            raise ParameterError(f"direction must be unit length, |omega|={nrm}")
-        w.flags.writeable = False
-        object.__setattr__(self, "omega", w)
-
-
-@dataclass(frozen=True)
-class SectorSpec:
-    """Smooth angular cutoff about +-omega at opening theta.
-
-    mode 'greater' keeps frequencies at angle >~ theta from both cones,
-    'leq' is its exact complement, 'band' is greater(theta/2) - greater(theta).
-    """
-
-    omega: Direction
-    theta: float
-    mode: str = "greater"
-
-    def __post_init__(self):
-        if not 0.0 < self.theta <= THETA_MAX:
-            raise ParameterError(f"sector angle theta={self.theta} outside (0, {THETA_MAX}]")
-        if self.mode not in ("greater", "leq", "band"):
-            raise ParameterError(f"unknown sector mode {self.mode!r}")
-
-
 def angle_to(grid: GridSpec, omega) -> np.ndarray:
     """Angle between each lattice frequency and omega (pi/2 at the zero mode)."""
-    w = omega.omega if isinstance(omega, Direction) else np.asarray(omega, dtype=float)
-    dot = np.tensordot(w, grid.xi, axes=(0, 0))
+    return _angle(grid, np.tensordot(np.asarray(omega, dtype=float), grid.xi, axes=(0, 0)))
+
+
+def _angle(grid: GridSpec, dot: np.ndarray) -> np.ndarray:
+    """arccos of omega.xi / |xi| from the dot product omega.xi already taken."""
     with np.errstate(invalid="ignore", divide="ignore"):
         c = dot / grid.xi_norm
     c = np.where(grid.xi_norm == 0, 0.0, np.clip(c, -1.0, 1.0))
@@ -69,13 +36,25 @@ def greater_symbol(grid: GridSpec, omega, theta: float) -> np.ndarray:
     return (1.0 - DEFAULT_BUMP.eta(ang / theta)) * (1.0 - DEFAULT_BUMP.eta((np.pi - ang) / theta))
 
 
-def sector_symbol(grid: GridSpec, spec: SectorSpec) -> np.ndarray:
-    g = greater_symbol(grid, spec.omega, spec.theta)
-    if spec.mode == "greater":
+def sector_symbol(grid: GridSpec, omega, theta: float, mode: str = "greater") -> np.ndarray:
+    """Smooth angular cutoff about +-omega (a unit vector) at opening theta.
+
+    mode 'greater' keeps frequencies at angle >~ theta from both cones,
+    'leq' is its exact complement, 'band' is greater(theta/2) - greater(theta).
+    """
+    nrm = float(np.linalg.norm(omega))
+    if abs(nrm - 1.0) > 1e-14:
+        raise ParameterError(f"direction must be unit length, |omega|={nrm}")
+    if not 0.0 < theta <= THETA_MAX:
+        raise ParameterError(f"sector angle theta={theta} outside (0, {THETA_MAX}]")
+    if mode not in ("greater", "leq", "band"):
+        raise ParameterError(f"unknown sector mode {mode!r}")
+    g = greater_symbol(grid, omega, theta)
+    if mode == "greater":
         return g
-    if spec.mode == "leq":
+    if mode == "leq":
         return 1.0 - g
-    return greater_symbol(grid, spec.omega, spec.theta / 2.0) - g
+    return greater_symbol(grid, omega, theta / 2.0) - g
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +96,8 @@ def leray_project(V: VectorField, keep_mean: bool = False) -> VectorField:
 
 def transverse_inverse_symbol(grid: GridSpec, omega, theta_min: float) -> np.ndarray:
     """Symbol of the inverse transverse Laplacian, zero within theta_min of the axis."""
-    w = omega.omega if isinstance(omega, Direction) else np.asarray(omega, dtype=float)
-    dot = np.tensordot(w, grid.xi, axes=(0, 0))
-    ang = angle_to(grid, w)
+    dot = np.tensordot(np.asarray(omega, dtype=float), grid.xi, axes=(0, 0))
+    ang = _angle(grid, dot)
     near_axis = np.minimum(ang, np.pi - ang) < theta_min
     with np.errstate(invalid="ignore", divide="ignore"):
         sym = -1.0 / (4.0 * np.pi ** 2 * (grid.xi_norm ** 2 - dot ** 2))
@@ -132,8 +110,7 @@ def null_derivative(F, omega, sign: int):
     time derivative."""
     if sign not in (+1, -1):
         raise ParameterError("sign must be +1 or -1")
-    w = omega.omega if isinstance(omega, Direction) else np.asarray(omega, dtype=float)
-    sym = 2j * np.pi * np.tensordot(w, F.grid.xi, axes=(0, 0))
+    sym = 2j * np.pi * np.tensordot(np.asarray(omega, dtype=float), F.grid.xi, axes=(0, 0))
     return F.mul_symbol(sym) + F.dt() * float(sign)
 
 
@@ -156,12 +133,11 @@ def coulomb_gain_ratios(B: VectorField, sectors) -> list:
     mag = np.sqrt(sum(np.abs(h) ** 2 for h in hats))
     last, out = None, []
     for omega, theta, sym in sectors:
-        w = omega.omega if isinstance(omega, Direction) else np.asarray(omega, dtype=float)
-        if not np.array_equal(w, last):
+        if not np.array_equal(omega, last):
             with np.errstate(invalid="ignore", divide="ignore"):
-                r0 = np.abs(sum(h * wj for h, wj in zip(hats, w))) / mag
+                r0 = np.abs(sum(h * wj for h, wj in zip(hats, omega))) / mag
             r0.flat[0] = 0.0
-            last = w
+            last = omega
         live_mag = sym * mag
         out.append(float(r0[live_mag > 1e-14 * live_mag.max()].max(initial=0.0) / theta))
     return out

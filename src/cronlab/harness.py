@@ -27,7 +27,7 @@ from .grid import GridSpec, ScalarField, VectorField, lebesgue_norm
 from . import lp
 from .lp import BandRange, SpacetimeField, besov_norm, fit_loglog
 from . import gauge
-from .gauge import Direction, coulomb_gain_ratios, leray_project, null_form_check
+from .gauge import coulomb_gain_ratios, leray_project, null_form_check
 from . import mkg
 from . import parametrix as pmx
 from .exponents import exponents, sigma_window
@@ -101,9 +101,12 @@ class ExperimentConfig:
             raise ParameterError(f"box side L={self.L} must be positive and finite")
         if self.t_max is not None and not (_is_finite(self.t_max) and self.t_max > 0):
             raise ParameterError(f"t_max={self.t_max} must be positive and finite")
-        L = self.with_default_geometry().L
-        if self.t_max is not None and L is not None and not self.t_max < L / 2.0:
-            raise ParameterError(f"time window t_max={self.t_max} must stay below the "
+        L, reach = self.with_default_geometry().L, 0.0
+        if self.experiment == "parametrix-residual":   # its fixed box, stepped past t_max
+            L, reach = PARAMETRIX_L, max(RICHARDSON_DTS)
+        if self.t_max is not None and L is not None and not self.t_max + reach < L / 2.0:
+            step = f" plus the Richardson step {reach}" if reach else ""
+            raise ParameterError(f"time window t_max={self.t_max}{step} must stay below the "
                                  f"wrap limit L/2={L / 2.0}")
         if self.t_samples < 2:
             raise ParameterError("t_samples must be at least 2")
@@ -235,10 +238,15 @@ def make_free_connection(grid: GridSpec, band: BandRange, eps: float, seed: int,
     return _free_connections(grid, band, seed, index)(eps)
 
 
+# the parametrix suites' box side and parametrix-residual's Richardson steps; validate() reads both
+PARAMETRIX_L = 8.0
+RICHARDSON_DTS = (0.1, 0.05, 0.025, 0.0125)
+
+
 def _parametrix_setup(seed, N=64, eta_dir=0.1):
     """Shared grid / annulus / bucketed cache / connection draw (eps -> its
-    connection) for the parametrix suites, on the n = 2, L = 8 box."""
-    grid = GridSpec(2, N, 8.0)
+    connection) for the parametrix suites, on the n = 2, L = PARAMETRIX_L box."""
+    grid = GridSpec(2, N, PARAMETRIX_L)
     band = BandRange(-3, -2)
     cut = pmx.AnnulusCutoff(rho=grid.N / (8.0 * grid.L)).validate(grid)
     modes = cut.modes(grid)
@@ -475,7 +483,7 @@ def run_coulomb_gain(config: ExperimentConfig):
         dirs.append(v / np.linalg.norm(v))
 
     # every (direction, theta, mode) symbol is built once and serves all 50 fields
-    sectors = [(w, theta, gauge.sector_symbol(grid, gauge.SectorSpec(Direction(w), theta, mode)))
+    sectors = [(w, theta, gauge.sector_symbol(grid, w, theta, mode))
                for w in dirs for theta in thetas for mode in ("leq", "band")]
     worst = 0.0
     for s in range(50):
@@ -575,7 +583,7 @@ def run_parametrix_residual(config: ExperimentConfig):
 
     # (a) dual-path Richardson
     op = pmx.WaveOperator(pmx.PhaseFamily(connections(1e-2), +1, config.sigma, cache), cut)
-    dts = [0.1, 0.05, 0.025, 0.0125]
+    dts = RICHARDSON_DTS
     diffs = [float(np.mean(per_time)) for per_time in pmx.residual_check(op, h, tgrid, dts)]
     for d, e in zip(dts, diffs):
         rows.append(ScanRow("parametrix-residual", grid.n, grid.N, grid.L, d, seed,

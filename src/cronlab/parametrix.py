@@ -338,6 +338,19 @@ def _dot_omega(stacked, w_dir) -> np.ndarray:
     return sum(stacked[j] * w_dir[j] for j in range(len(w_dir)))
 
 
+def _opposite_null(w_dir, sign: int, grad, psi_t) -> np.ndarray:
+    """L_omega^{-s} psi = omega.grad psi - s d_t psi from the fields of psi."""
+    return _dot_omega(grad, w_dir) - sign * psi_t
+
+
+def _band_sum(pks: dict, weights) -> np.ndarray:
+    """sum_k P_k w_k on the band support, added in band order from complex zeros."""
+    out = np.zeros(len(next(iter(pks.values()))), dtype=np.complex128)
+    for pk, wk in zip(pks.values(), weights):
+        out += pk * wk
+    return out
+
+
 class _Multipliers(NamedTuple):
     """The time-independent phase multipliers of one (grid, band range, sigma),
     one row per direction bucket, on the band support: the flat indices where
@@ -425,14 +438,9 @@ class PhaseFamily:
                 [band_symbol(self.grid, k) != 0 for k in self.conn.band_range]))
             ws, leqs, dots = [], [], []
             for w_dir, lat, inv, pks in _support_symbols(self, support):
-                S_g = np.zeros(support.size, dtype=np.complex128)
-                S_l = np.zeros(support.size, dtype=np.complex128)
-                for k, pk in pks.items():
-                    gk = greater_symbol(lat, w_dir, self.thetas[k])
-                    S_g += pk * gk
-                    S_l += pk * (1.0 - gk)
-                ws.append(inv * S_g)
-                leqs.append(S_l)
+                gs = [greater_symbol(lat, w_dir, self.thetas[k]) for k in pks]
+                ws.append(np.multiply(inv, _band_sum(pks, gs)))
+                leqs.append(_band_sum(pks, [1.0 - g for g in gs]))
                 dots.append(np.tensordot(w_dir, lat.xi, axes=(0, 0)))
             kernel = _ModeKernel(self.grid, support, self.cache.dft_table)
             self.cache.multipliers[key] = _Multipliers(kernel, np.stack(ws), np.stack(leqs),
@@ -495,9 +503,8 @@ class PhaseFamily:
 
     def opposite_null_derivative(self, t: float, b: int) -> np.ndarray:
         """L_omega^{-s} psi_s = omega.grad psi - s d_t psi (the defect operator)."""
-        w_dir = self.cache.directions[b]
-        grad = self.grad(t, b)
-        return sum(w_dir[j] * grad[j] for j in range(self.grid.n)) - self.sign * self.psi_t(t, b)
+        return _opposite_null(self.cache.directions[b], self.sign, self.grad(t, b),
+                              self.psi_t(t, b))
 
     def with_multipliers(self, ws, leqs) -> "PhaseFamily":
         """The family with its own multipliers, given on the band support."""
@@ -732,11 +739,9 @@ def covariant_box_amplitude(op: WaveOperator, t: float, h) -> ScalarField:
     for b, kern, r, c in op._buckets(t, h):
         part0, part1, *parts2 = kern.synthesize(np.vstack([c, r * c, kern.xi * c]))
         phase, grad, psi_t = fam.slice_at(t, b), fam.grad(t, b), fam.psi_t(t, b)
-        w_dir = fam.cache.directions[b]
-        null_op = sum(w_dir[j] * grad[j] for j in range(grid.n)) - fam.sign * psi_t
         alpha = (2.0 * np.pi * (psi_t ** 2 - sum(g ** 2 for g in grad))
                  - 2.0 * sum(Avals[j] * grad[j] for j in range(grid.n)))
-        beta = -4.0 * np.pi * null_op
+        beta = -4.0 * np.pi * _opposite_null(fam.cache.directions[b], fam.sign, grad, psi_t)
         acc = alpha * part0 + beta * part1
         for j in range(grid.n):
             acc += -2.0 * Avals[j] * parts2[j]
@@ -798,9 +803,7 @@ def dispersive_scan(op: WaveOperator | None, taus, f: ScalarField, *, grid=None,
     the wrap limit L/2."""
     if op is not None:
         grid, cutoff = op.grid, op.cutoff
-    taus = np.asarray(taus, dtype=float)
-    if taus.max() >= grid.L / 2.0:
-        raise ParameterError(f"tau window exceeds the wrap limit {grid.L / 2.0}")
+    taus = _in_window(grid, taus)
     l1 = lebesgue_norm(f, 1)
     vals = []
     if op is None:
@@ -851,35 +854,24 @@ def split_phase_at(family: PhaseFamily, theta_star: float):
     original (an exact partition up to rounding)."""
     if theta_star <= 0:
         raise ParameterError("theta_star must be positive")
-    ws_low, ws_high = [], []
-    defect = 0.0
-    for b, (w_dir, lat, inv, pks) in enumerate(_support_symbols(family, family._support)):
-        low = np.zeros(family._support.size, dtype=np.complex128)
-        high = np.zeros(family._support.size, dtype=np.complex128)
-        for k, pk in pks.items():
-            theta_k = family.thetas[k]
-            g_base = greater_symbol(lat, w_dir, theta_k)
-            # largest dyadic angle still below theta_star
-            theta_edge = theta_k
-            while theta_edge * 2.0 < theta_star:
-                theta_edge *= 2.0
-            if theta_edge < theta_star and theta_edge > theta_k / 2.0:
-                g_edge = greater_symbol(lat, w_dir, theta_edge) \
-                    if theta_edge != theta_k else g_base
-                low += pk * (g_base - g_edge)
-                high += pk * g_edge
-            else:
-                high += pk * g_base
-        low *= inv
-        high *= inv
-        W = family._w[b]
-        scale = max(np.abs(W).max(initial=0.0), 1e-300)
-        defect = max(defect, float(np.abs((low + high) - W).max(initial=0.0) / scale))
-        ws_low.append(low)
-        ws_high.append(high)
-    fam_low = family.with_multipliers(ws_low, family._leq)
-    fam_high = family.with_multipliers(ws_high, family._leq)
-    return fam_low, fam_high, defect
+    # each band's edge: the largest theta_k 2^j below theta_star (theta_k if none is)
+    edges = {}
+    for k, theta_k in family.thetas.items():
+        edges[k] = theta_k
+        while edges[k] * 2.0 < theta_star:
+            edges[k] *= 2.0
+    low, high = [], []
+    for w_dir, lat, inv, pks in _support_symbols(family, family._support):
+        g_base = [greater_symbol(lat, w_dir, family.thetas[k]) for k in pks]
+        g_edge = [g if edges[k] == family.thetas[k] else greater_symbol(lat, w_dir, edges[k])
+                  for k, g in zip(pks, g_base)]
+        low.append(np.multiply(_band_sum(pks, [g - e for g, e in zip(g_base, g_edge)]), inv))
+        high.append(np.multiply(_band_sum(pks, g_edge), inv))
+    W = family._w
+    scale = np.maximum(np.abs(W).max(axis=1, initial=0.0), 1e-300)
+    mismatch = np.abs((np.stack(low) + np.stack(high)) - W).max(axis=1, initial=0.0)
+    return (family.with_multipliers(low, family._leq), family.with_multipliers(high, family._leq),
+            float((mismatch / scale).max()))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cronlab.errors import ParameterError, PreconditionError
-from cronlab.gauge import (THETA_MAX, Direction, SectorSpec, angle_to, coulomb_gain_ratios,
+from cronlab.gauge import (THETA_MAX, angle_to, coulomb_gain_ratios,
                            covariant_gradient, curvature_from_gradients, current_density,
                            greater_symbol, leray_project, null_derivative, null_form_check,
                            sector_symbol, transverse_inverse_symbol)
@@ -15,7 +15,7 @@ from cronlab.random_fields import random_divergence_free, random_field, stream
 
 def unit(vec):
     v = np.asarray(vec, dtype=float)
-    return Direction(v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
 
 
 def vec_norm(V):
@@ -69,8 +69,8 @@ def test_leray_mean_handling():
 def test_sector_symbol_pointwise_values():
     g = GridSpec(3, 32, 8.0)
     w = unit([1.0, 0.0, 0.0])
-    sg = sector_symbol(g, SectorSpec(w, 0.2, "greater"))
-    sl = sector_symbol(g, SectorSpec(w, 0.2, "leq"))
+    sg = sector_symbol(g, w, 0.2, "greater")
+    sl = sector_symbol(g, w, 0.2, "leq")
     on_axis = g.mode_index((4, 0, 0))
     assert sg[on_axis] == 0.0 and sl[on_axis] == 1.0
     anti_axis = g.mode_index((-4, 0, 0))
@@ -83,13 +83,13 @@ def test_sector_partition_and_range():
     g = GridSpec(2, 32, 4.0)
     w = unit([0.6, 0.8])
     for theta in (0.1, 0.3, 0.7):
-        sg = sector_symbol(g, SectorSpec(w, theta, "greater"))
-        sl = sector_symbol(g, SectorSpec(w, theta, "leq"))
+        sg = sector_symbol(g, w, theta, "greater")
+        sl = sector_symbol(g, w, theta, "leq")
         assert np.abs(sg + sl - 1.0).max() < 1e-13
         assert sg.real.min() >= 0.0 and sg.real.max() <= 1.0
     f = random_field(g, stream(21, 0), 0.5, 3.0)
-    back = apply_multiplier(f, sector_symbol(g, SectorSpec(w, 0.3, "greater"))) \
-        + apply_multiplier(f, sector_symbol(g, SectorSpec(w, 0.3, "leq")))
+    back = apply_multiplier(f, sector_symbol(g, w, 0.3, "greater")) \
+        + apply_multiplier(f, sector_symbol(g, w, 0.3, "leq"))
     assert relative_l2_difference(back, f) < 1e-13
 
 
@@ -100,7 +100,7 @@ def test_sector_evenness_and_monotonicity():
     ridx = g.mode_index((-3, 1))
     prev = None
     for theta in (0.05, 0.1, 0.2, 0.4):
-        sl = sector_symbol(g, SectorSpec(w, theta, "leq"))
+        sl = sector_symbol(g, w, theta, "leq")
         assert abs(sl[idx] - sl[ridx]) < 1e-14
         if prev is not None:
             assert np.all(sl.real >= prev.real - 1e-14)  # leq grows with theta
@@ -108,18 +108,37 @@ def test_sector_evenness_and_monotonicity():
 
 
 def test_sector_theta_validation():
+    g = GridSpec(2, 16, 4.0)
     w = unit([1.0, 0.0])
-    with pytest.raises(ParameterError):
-        SectorSpec(w, 2.0)
-    with pytest.raises(ParameterError):
-        SectorSpec(w, -0.1)
+    for theta in (2.0, -0.1, 0.0, THETA_MAX * (1.0 + 1e-12)):
+        with pytest.raises(ParameterError, match="outside"):
+            sector_symbol(g, w, theta)
+
+
+@pytest.mark.parametrize("omega, mode, needle", [
+    ([1.0, 1.0], "greater", "unit length"),
+    ([1.0 + 1e-13, 0.0], "greater", "unit length"),
+    ([0.0, 0.0], "leq", "unit length"),
+    ([1.0, 0.0], "wider", "unknown sector mode"),
+])
+def test_sector_symbol_rejects_bad_sectors(omega, mode, needle):
+    with pytest.raises(ParameterError, match=needle):
+        sector_symbol(GridSpec(2, 16, 4.0), np.array(omega), 0.2, mode)
+
+
+def test_sector_symbol_admits_its_edges():
+    g = GridSpec(2, 16, 4.0)
+    w = np.array([1.0 + 5e-15, 0.0])       # unit length within 1e-14
+    assert sector_symbol(g, w, THETA_MAX, "band").shape == g.shape
+    # omega as any sequence of floats, read as a plain array
+    assert np.array_equal(sector_symbol(g, [0.6, 0.8], 0.3), sector_symbol(g, unit([3, 4]), 0.3))
 
 
 def test_band_sector_is_difference_of_greaters():
     g = GridSpec(2, 32, 4.0)
     w = unit([1.0, 1.0])
     theta = 0.4
-    band = sector_symbol(g, SectorSpec(w, theta, "band"))
+    band = sector_symbol(g, w, theta, "band")
     expect = greater_symbol(g, w, theta / 2.0) - greater_symbol(g, w, theta)
     assert np.abs(band - expect).max() < 1e-15
 
@@ -171,9 +190,9 @@ def test_transverse_inverse_is_exact_on_sector_support():
     g = GridSpec(3, 16, 4.0)
     w = unit([0.0, 0.0, 1.0])
     f = random_field(g, stream(23, 0), 0.3, 1.5)
-    fs = apply_multiplier(f, sector_symbol(g, SectorSpec(w, 0.4, "greater")))
+    fs = apply_multiplier(f, sector_symbol(g, w, 0.4, "greater"))
     inv = apply_multiplier(fs, transverse_inverse_symbol(g, w, 0.1))
-    dot = np.tensordot(w.omega, g.xi, axes=(0, 0))
+    dot = np.tensordot(w, g.xi, axes=(0, 0))
     transverse_laplacian = -4.0 * np.pi ** 2 * (g.xi_norm ** 2 - dot ** 2)
     assert relative_l2_difference(apply_multiplier(inv, transverse_laplacian), fs) < 1e-12
 
@@ -195,7 +214,7 @@ def test_transverse_inverse_band_symbol_magnitude():
     w = np.array([0.0, 0.0, 1.0])
     k, theta = 1, 0.4
     ang = angle_to(g, w)
-    band = (np.abs(sector_symbol(g, SectorSpec(Direction(w), theta, "band"))) > 0.5) \
+    band = (np.abs(sector_symbol(g, w, theta, "band")) > 0.5) \
         & (np.abs(g.xi_norm - 2.0 ** k) < 2.0 ** k * 0.25)
     assert band.sum() > 10
     dot = np.tensordot(w, g.xi, axes=(0, 0))
@@ -219,7 +238,7 @@ def test_coulomb_gain_zero_on_axis():
     F[1][ridx] = 1.0
     comps = tuple(ScalarField(g, F[j], rep="frequency") for j in range(3))
     B = VectorField(comps, divergence_free=True)
-    assert coulomb_gain_ratios(B, [(w, 0.25, sector_symbol(g, SectorSpec(w, 0.25, "leq")))]) \
+    assert coulomb_gain_ratios(B, [(w, 0.25, sector_symbol(g, w, 0.25, "leq"))]) \
         == [0.0]
 
 
@@ -232,7 +251,7 @@ def test_coulomb_gain_bounded_over_scan():
         for j in range(5):
             v = rng.standard_normal(3)
             w = unit(v)
-            sectors = [(w, theta, sector_symbol(g, SectorSpec(w, theta, mode)))
+            sectors = [(w, theta, sector_symbol(g, w, theta, mode))
                        for theta in (0.25, 0.125, 0.0625) for mode in ("leq", "band")]
             worst = max(worst, *coulomb_gain_ratios(B, sectors))
     assert worst <= 4.0
@@ -243,14 +262,14 @@ def test_coulomb_gain_needs_certificate():
     V = VectorField(tuple(random_field(g, stream(24, 9 + i), 0.5, 1.5) for i in range(2)))
     with pytest.raises(PreconditionError):
         w = unit([1.0, 0.0])
-        coulomb_gain_ratios(V, [(w, 0.25, sector_symbol(g, SectorSpec(w, 0.25, "leq")))])
+        coulomb_gain_ratios(V, [(w, 0.25, sector_symbol(g, w, 0.25, "leq"))])
 
 
 def _coulomb_gain_reference(B, w, theta, sym):
     """The per-mode quotient as written out before the symbol was cancelled:
     max over live modes of |sum_j sym c_j w_j| / (theta |sym c|)."""
     hats = [sym * c.freq_values for c in B.in_frequency().components]
-    num = np.abs(sum(h * wj for h, wj in zip(hats, w.omega)))
+    num = np.abs(sum(h * wj for h, wj in zip(hats, w)))
     mag = np.sqrt(sum(np.abs(h) ** 2 for h in hats))
     live = mag > 1e-14 * mag.max()
     live.flat[0] = False
@@ -263,7 +282,7 @@ def test_coulomb_gain_ratios_match_the_uncancelled_quotient(n):
     rng = stream(31, n)
     for i in range(3):
         B = random_divergence_free(g, stream(31, 10 * n + i), 0.5, 1.8)
-        sectors = [(w, theta, sector_symbol(g, SectorSpec(w, theta, mode)))
+        sectors = [(w, theta, sector_symbol(g, w, theta, mode))
                    for w in (unit(rng.standard_normal(n)) for _ in range(3))
                    for theta in (0.5, 0.25, 0.1, 0.0625)
                    for mode in ("leq", "band", "greater")]
@@ -284,7 +303,7 @@ def test_sector_symbols_are_real_and_non_negative():
             w = unit(rng.standard_normal(n))
             for theta in (THETA_MAX, 0.5, 0.3, 0.125, 0.05, 0.01):
                 for mode in ("leq", "band", "greater"):
-                    sym = sector_symbol(g, SectorSpec(w, theta, mode))
+                    sym = sector_symbol(g, w, theta, mode)
                     assert sym.dtype == np.float64 and sym.min() >= 0.0
 
 

@@ -67,7 +67,7 @@ _JSON_TYPES = {
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
-    n: int | None = None          # DEFAULT_GEOMETRY applies when unset
+    n: int | None = None          # the suite's box applies when unset
     N: int | None = None
     L: float | None = None
     sigma: float = 0.25
@@ -81,7 +81,8 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ParameterError(
                 f"unknown experiment {self.experiment!r}; choose from {tuple(EXPERIMENTS)}")
-        reads = SUITE_FIELDS[self.experiment] + ("experiment", "seed", "out_dir")
+        suite = SUITES[self.experiment]
+        reads = suite.reads + ("experiment", "seed", "out_dir")
         unread = [f.name for f in fields(self)
                   if f.name not in reads and getattr(self, f.name) != f.default]
         if unread:
@@ -101,10 +102,8 @@ class ExperimentConfig:
             raise ParameterError(f"box side L={self.L} must be positive and finite")
         if self.t_max is not None and not (_is_finite(self.t_max) and self.t_max > 0):
             raise ParameterError(f"t_max={self.t_max} must be positive and finite")
-        L, reach = self.with_default_geometry().L, 0.0
-        if self.experiment == "parametrix-residual":   # its fixed box, stepped past t_max
-            L, reach = PARAMETRIX_L, max(RICHARDSON_DTS)
-        if self.t_max is not None and L is not None and not self.t_max + reach < L / 2.0:
+        L, reach = self.with_default_geometry().L, suite.reach
+        if self.t_max is not None and not self.t_max + reach < L / 2.0:
             step = f" plus the Richardson step {reach}" if reach else ""
             raise ParameterError(f"time window t_max={self.t_max}{step} must stay below the "
                                  f"wrap limit L/2={L / 2.0}")
@@ -116,9 +115,9 @@ class ExperimentConfig:
         return self
 
     def with_default_geometry(self) -> "ExperimentConfig":
-        """This config with each unset n, N and L at its suite's default; the
+        """This config with each unset n, N and L from its suite's box; the
         hash and the artifacts still read the config as given."""
-        preset = zip(("n", "N", "L"), DEFAULT_GEOMETRY.get(self.experiment, ()))
+        preset = zip(("n", "N", "L"), SUITES[self.experiment].box)
         return replace(self, **{k: v for k, v in preset if getattr(self, k) is None})
 
     def config_hash(self) -> str:
@@ -238,20 +237,20 @@ def make_free_connection(grid: GridSpec, band: BandRange, eps: float, seed: int,
     return _free_connections(grid, band, seed, index)(eps)
 
 
-# the parametrix suites' box side and parametrix-residual's Richardson steps; validate() reads both
-PARAMETRIX_L = 8.0
+# parametrix-residual's Richardson steps; the largest is its suite's reach past t_max
 RICHARDSON_DTS = (0.1, 0.05, 0.025, 0.0125)
 
 
-def _parametrix_setup(seed, N=64, eta_dir=0.1):
-    """Shared grid / annulus / bucketed cache / connection draw (eps -> its
-    connection) for the parametrix suites, on the n = 2, L = PARAMETRIX_L box."""
-    grid = GridSpec(2, N, PARAMETRIX_L)
+def _parametrix_setup(grid: GridSpec, seed, sigma, eta_dir=0.1):
+    """Shared band / annulus / bucketed cache / connection draw (eps -> its connection)
+    of the parametrix suites on ``grid``, and their wave operator (connection, sign) -> U."""
     band = BandRange(-3, -2)
     cut = pmx.AnnulusCutoff(rho=grid.N / (8.0 * grid.L)).validate(grid)
-    modes = cut.modes(grid)
-    cache = pmx.DirectionCache.build(grid, modes, policy="bucketed", eta_dir=eta_dir)
-    return grid, band, cut, cache, _free_connections(grid, band, seed)
+    cache = pmx.DirectionCache.build(grid, cut.modes(grid), policy="bucketed", eta_dir=eta_dir)
+
+    def operator(conn: pmx.FreeConnection, sign: int) -> pmx.WaveOperator:
+        return pmx.WaveOperator(pmx.PhaseFamily(conn, sign, sigma, cache), cut)
+    return band, cut, cache, _free_connections(grid, band, seed), operator
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +417,9 @@ def run_lp_suite(config: ExperimentConfig):
     if len(ks) < 3:   # the Bernstein and commutator slopes are fits over the bands
         raise ParameterError(f"lp-suite needs at least 3 Bernstein bands; N={N}, L={L} "
                              f"leaves {len(ks)}")
+    if 1000 + 97 * ks[0] < 0:   # band k's packet draws the Philox stream 1000 + 97 k
+        raise ParameterError(f"lp-suite needs its lowest Bernstein band k >= -10 to key its "
+                             f"packet stream; L={L} puts it at k={ks[0]}")
 
     # Bernstein over the band kernel: one packet per band serves every (p, q)
     pairs = [(2, 4), (2, np.inf), (1, 2)]
@@ -514,6 +516,9 @@ def run_mkg_evolve(config: ExperimentConfig):
     records, rows = [], []
     seed = config.seed
     n, N, L = config.n, config.N, config.L
+    if N < 16:   # the data shell [2/L, N/(8L)] holds the lattice modes 2 <= |m| <= N/8
+        raise ParameterError(f"mkg-evolve needs N >= 16: at N={N} its data shell "
+                             "[2/L, N/(8L)] holds no lattice mode")
     eps = config.eps_list[min(2, len(config.eps_list) - 1)]
     grid = GridSpec(n, N, L)
     state = _mkg_data(grid, eps, seed)
@@ -576,13 +581,14 @@ def run_mkg_evolve(config: ExperimentConfig):
 def run_parametrix_residual(config: ExperimentConfig):
     records, rows = [], []
     seed = config.seed
-    grid, band, cut, cache, connections = _parametrix_setup(seed)
+    grid = GridSpec(config.n, config.N, config.L)
+    band, cut, _, connections, operator = _parametrix_setup(grid, seed, config.sigma)
     h = (stream(seed, 10).standard_normal(grid.shape)
          + 1j * stream(seed, 11).standard_normal(grid.shape)) * (cut.symbol(grid) > 0)
     tgrid = np.array([0.2, 0.5, 0.8]) * (config.t_max / 0.8 if config.t_max else 1.0)
 
     # (a) dual-path Richardson
-    op = pmx.WaveOperator(pmx.PhaseFamily(connections(1e-2), +1, config.sigma, cache), cut)
+    op = operator(connections(1e-2), +1)
     dts = RICHARDSON_DTS
     diffs = [float(np.mean(per_time)) for per_time in pmx.residual_check(op, h, tgrid, dts)]
     for d, e in zip(dts, diffs):
@@ -599,8 +605,7 @@ def run_parametrix_residual(config: ExperimentConfig):
     g2 = random_field(grid, stream(seed, 21), cut.rho, 2 * cut.rho)
     for eps in config.eps_list:
         ce = connections(eps)
-        o1, o2 = (pmx.WaveOperator(pmx.PhaseFamily(ce, sign, config.sigma, cache), cut)
-                  for sign in (+1, -1))
+        o1, o2 = operator(ce, +1), operator(ce, -1)
         n2_vals.append(pmx.amplitude_residual(o1, h, tgrid))
         m = pmx.match_data(o1, o2, f, g2)
         match_vals.append(m.position_error + m.velocity_error)
@@ -615,9 +620,7 @@ def run_parametrix_residual(config: ExperimentConfig):
 
     # free case matches data exactly
     zconn = pmx.FreeConnection.zero(grid, band)
-    zp = pmx.WaveOperator(pmx.PhaseFamily(zconn, +1, config.sigma, cache), cut)
-    zm = pmx.WaveOperator(pmx.PhaseFamily(zconn, -1, config.sigma, cache), cut)
-    mz = pmx.match_data(zp, zm, f, g2)
+    mz = pmx.match_data(operator(zconn, +1), operator(zconn, -1), f, g2)
     records.append(AcceptanceRecord.bounded(
         "parametrix.free_match", mz.position_error + mz.velocity_error, hi=1e-12))
     return records, rows
@@ -629,23 +632,21 @@ def run_parametrix_residual(config: ExperimentConfig):
 def run_unitarity(config: ExperimentConfig):
     records, rows = [], []
     seed = config.seed
-    grid, band, cut, cache, connections = _parametrix_setup(seed)
+    grid = GridSpec(config.n, config.N, config.L)
+    band, cut, _, connections, operator = _parametrix_setup(grid, seed, config.sigma)
     times = np.linspace(0.0, 0.45 * grid.L / 2.0, config.t_samples)
     h = (stream(seed, 30).standard_normal(grid.shape)
          + 1j * stream(seed, 31).standard_normal(grid.shape)) * (cut.symbol(grid) > 0)
 
-    zconn = pmx.FreeConnection.zero(grid, band)
-    zop = pmx.WaveOperator(pmx.PhaseFamily(zconn, +1, config.sigma, cache), cut)
-    free_norm = zop.operator_norm_at(float(times[1]), stream(seed, 32), tol=1e-12)
-    del zop                              # its phase table is not read again
+    free_norm = operator(pmx.FreeConnection.zero(grid, band), +1).operator_norm_at(
+        float(times[1]), stream(seed, 32), tol=1e-12)
     records.append(AcceptanceRecord.bounded("unitarity.free_norm", abs(free_norm - 1.0),
                                             hi=1e-10))
 
     eps = config.eps_list[min(2, len(config.eps_list) - 1)]
     norm_excess = 0.0
     for sign in (+1, -1):
-        op = pmx.WaveOperator(pmx.PhaseFamily(connections(eps), sign, config.sigma, cache),
-                              cut)
+        op = operator(connections(eps), sign)
         rng = stream(seed, 33)
         for t in times:
             nrm = op.operator_norm_at(float(t), rng)
@@ -658,8 +659,7 @@ def run_unitarity(config: ExperimentConfig):
     # derivative commutation defects scale with eps
     worst = 0.0
     for eps_i in config.eps_list:
-        op = pmx.WaveOperator(pmx.PhaseFamily(connections(eps_i), +1, config.sigma, cache),
-                              cut)
+        op = operator(connections(eps_i), +1)
         gd = op.gradient_commutation_defect(float(times[1]), h)
         td = op.time_commutation_defect(float(times[1]), h)
         worst = max(worst, gd / eps_i, td / eps_i)
@@ -780,7 +780,8 @@ def run_norms(config: ExperimentConfig):
     rows.append(ScanRow("norms", 4, 16, 4.0, 0.0, seed, ratio, 100.0, ratio / 100.0))
 
     # decomposable surrogate: reduction for direction-independent families
-    grid2, band, cut, cache, connections = _parametrix_setup(seed, N=32, eta_dir=0.2)
+    grid2 = GridSpec(2, 32, 8.0)
+    _, cut, cache, connections, _ = _parametrix_setup(grid2, seed, config.sigma, eta_dir=0.2)
     theta = 0.6
     B = cache.num_buckets
     tgrid = np.linspace(0.0, 1.0, 3)
@@ -824,31 +825,28 @@ EXPERIMENTS = {
     "norms": run_norms,
 }
 
-# the config fields each suite reads besides experiment, seed and out_dir;
-# ExperimentConfig.validate rejects any other field set away from its default
-SUITE_FIELDS = {
-    "identities": ("sigma",),
-    "lp-suite": ("n", "N", "L"),
-    "coulomb-gain": ("n", "N", "L"),
-    "mkg-evolve": ("n", "N", "L", "eps_list", "t_max"),
-    "parametrix-residual": ("sigma", "eps_list", "t_max"),
-    "unitarity": ("sigma", "eps_list", "t_samples"),
-    "dispersive": ("sigma", "eps_list"),
-    "norms": ("sigma",),
-}
 
-# each suite's wall-clock record <prefix>.runtime_seconds and its budget in seconds;
-# run times the suite and appends the record, which the machine summary leaves out
-RUNTIME_BUDGETS = {
-    "identities": ("identities", 300.0), "lp-suite": ("lp-suite", 240.0),
-    "coulomb-gain": ("coulomb", 120.0), "mkg-evolve": ("mkg", 600.0),
-    "parametrix-residual": ("parametrix", 900.0), "unitarity": ("unitarity", 600.0),
-    "dispersive": ("dispersive", 600.0), "norms": ("norms", 120.0),
-}
+@dataclass(frozen=True)
+class Suite:
+    """The harness's plumbing of one suite; its body is EXPERIMENTS[name]."""
+    reads: tuple        # config fields besides experiment, seed, out_dir; validate rejects others
+    record: str         # run times the suite into <record>.runtime_seconds, gated by budget (s)
+    budget: float
+    box: tuple = ()     # the (n, N, L) it runs on where the config leaves them unset
+    reach: float = 0.0  # how far past t_max it steps; validate admits t_max + reach < L/2
 
-# the (n, N, L) a suite runs on where its config leaves them unset
-DEFAULT_GEOMETRY = {"lp-suite": (2, 512, 1.0), "coulomb-gain": (3, 32, 8.0),
-                    "mkg-evolve": (3, 32, 8.0)}
+
+SUITES = {
+    "identities": Suite(("sigma",), "identities", 300.0),
+    "lp-suite": Suite(("n", "N", "L"), "lp-suite", 240.0, (2, 512, 1.0)),
+    "coulomb-gain": Suite(("n", "N", "L"), "coulomb", 120.0, (3, 32, 8.0)),
+    "mkg-evolve": Suite(("n", "N", "L", "eps_list", "t_max"), "mkg", 600.0, (3, 32, 8.0)),
+    "parametrix-residual": Suite(("sigma", "eps_list", "t_max"), "parametrix", 900.0,
+                                 (2, 64, 8.0), max(RICHARDSON_DTS)),
+    "unitarity": Suite(("sigma", "eps_list", "t_samples"), "unitarity", 600.0, (2, 64, 8.0)),
+    "dispersive": Suite(("sigma", "eps_list"), "dispersive", 600.0),
+    "norms": Suite(("sigma",), "norms", 120.0),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -860,11 +858,11 @@ def run(config: ExperimentConfig):
     Returns (records, paths).  Exit-status handling lives in the CLI."""
     config = config.validate()
     out_dir = config.out_dir    # created by the first write, so a failed suite leaves none
-    prefix, budget = RUNTIME_BUDGETS[config.experiment]
+    suite = SUITES[config.experiment]
     t0 = time.perf_counter()
     records, rows = EXPERIMENTS[config.experiment](config.with_default_geometry())
-    records.append(AcceptanceRecord.bounded(f"{prefix}.runtime_seconds",
-                                            time.perf_counter() - t0, hi=budget))
+    records.append(AcceptanceRecord.bounded(f"{suite.record}.runtime_seconds",
+                                            time.perf_counter() - t0, hi=suite.budget))
     chash = config.config_hash()
     csv_path = os.path.join(out_dir, f"{config.experiment}.csv")
     write_scan_csv(csv_path, rows, chash)

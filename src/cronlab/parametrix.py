@@ -411,6 +411,9 @@ class PhaseFamily:
                  cache: DirectionCache, _premultipliers=None):
         if sign not in (+1, -1):
             raise ParameterError("sign must be +1 or -1")
+        if cache.grid != conn.grid:
+            raise StructuralError(f"direction cache on {cache.grid} does not match the "
+                                  f"connection's grid {conn.grid}")
         validate_sigma(conn.grid.n, sigma)
         self.conn = conn
         self.grid = conn.grid

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from cronlab.cli import main as cli_main
 from cronlab.errors import CronlabError, ParameterError
 from cronlab.grid import GridSpec
-from cronlab.harness import (DEFAULT_GEOMETRY, EXPERIMENTS, RUNTIME_BUDGETS, SUITE_FIELDS,
-                             AcceptanceRecord, ExperimentConfig, ScanRow, all_passed,
-                             machine_summary, report_text, run)
+from cronlab.harness import (EXPERIMENTS, RICHARDSON_DTS, SUITES, AcceptanceRecord,
+                             ExperimentConfig, ScanRow, Suite, all_passed, machine_summary,
+                             report_text, run)
 
 
 def test_config_validation():
@@ -187,15 +187,24 @@ def test_norms_run_writes_artifacts_and_is_byte_identical(tmp_path):
 
 
 def test_suite_tables_name_the_same_suites():
-    assert set(EXPERIMENTS) == set(SUITE_FIELDS) == set(RUNTIME_BUDGETS)
-    # each budget is a gate of its suite's runtime record
-    assert RUNTIME_BUDGETS == {
-        "identities": ("identities", 300.0), "lp-suite": ("lp-suite", 240.0),
-        "coulomb-gain": ("coulomb", 120.0), "mkg-evolve": ("mkg", 600.0),
-        "parametrix-residual": ("parametrix", 900.0), "unitarity": ("unitarity", 600.0),
-        "dispersive": ("dispersive", 600.0), "norms": ("norms", 120.0)}
-    # a default box for exactly the suites that read the geometry
-    assert set(DEFAULT_GEOMETRY) == {name for name, reads in SUITE_FIELDS.items() if "L" in reads}
+    assert list(EXPERIMENTS) == list(SUITES)
+    # every field of every suite: what it reads, its runtime gate, its box and its reach
+    assert SUITES == {
+        "identities": Suite(("sigma",), "identities", 300.0, (), 0.0),
+        "lp-suite": Suite(("n", "N", "L"), "lp-suite", 240.0, (2, 512, 1.0), 0.0),
+        "coulomb-gain": Suite(("n", "N", "L"), "coulomb", 120.0, (3, 32, 8.0), 0.0),
+        "mkg-evolve": Suite(("n", "N", "L", "eps_list", "t_max"), "mkg", 600.0,
+                            (3, 32, 8.0), 0.0),
+        "parametrix-residual": Suite(("sigma", "eps_list", "t_max"), "parametrix", 900.0,
+                                     (2, 64, 8.0), 0.1),
+        "unitarity": Suite(("sigma", "eps_list", "t_samples"), "unitarity", 600.0,
+                           (2, 64, 8.0), 0.0),
+        "dispersive": Suite(("sigma", "eps_list"), "dispersive", 600.0, (), 0.0),
+        "norms": Suite(("sigma",), "norms", 120.0, (), 0.0)}
+    assert SUITES["parametrix-residual"].reach == max(RICHARDSON_DTS)
+    # a box for every suite whose L or t_max validate() checks
+    for name, suite in SUITES.items():
+        assert len(suite.box) == 3 or not {"L", "t_max"} & set(suite.reads), name
 
 
 @pytest.mark.parametrize("given, seen", [({}, (3, 32, 8.0)), ({"N": 16}, (3, 16, 8.0))])
@@ -224,6 +233,26 @@ def test_run_fills_default_geometry_and_appends_runtime_record(tmp_path, monkeyp
     assert summary["config_hash"] == config.config_hash()
     assert [r["id"] for r in summary["records"]] == ["stub.value"]
     assert "coulomb.runtime_seconds" in open(paths["report"]).read()
+
+
+def test_run_gives_unitarity_its_parametrix_box(tmp_path, monkeypatch):
+    calls = []
+
+    def stub(config):
+        calls.append(config)
+        return ([AcceptanceRecord.bounded("stub.value", 0.5, hi=1.0)],
+                [ScanRow("unitarity", config.n, config.N, config.L, 0.0, config.seed,
+                         1.0, 2.0, 0.5)])
+    monkeypatch.setitem(EXPERIMENTS, "unitarity", stub)
+    config = ExperimentConfig(experiment="unitarity", t_samples=3, out_dir=str(tmp_path))
+    records, paths = run(config)
+    # the suite reads its grid from the filled-in box; the artifacts read the config as given
+    assert calls == [replace(config, n=2, N=64, L=8.0)]
+    header = open(paths["csv"]).readline().split()
+    assert header[-1] == f"config={config.config_hash()}" != f"config={calls[0].config_hash()}"
+    assert json.loads(open(paths["summary"]).read())["config_hash"] == config.config_hash()
+    assert [r.id for r in records] == ["stub.value", "unitarity.runtime_seconds"]
+    assert records[-1].hi == 600.0
 
 
 def test_different_seed_changes_scan(tmp_path):
@@ -280,6 +309,8 @@ BAD_CONFIGS = {
     "far_t_max.json": '{"experiment": "parametrix-residual", "t_max": 7.0}',
     "one_eps.json": '{"experiment": "parametrix-residual", "eps_list": [0.01]}',
     "repeated_eps.json": '{"experiment": "parametrix-residual", "eps_list": [0.01, 0.01]}',
+    "empty_shell.json": '{"experiment": "mkg-evolve", "N": 8}',
+    "wide_box.json": '{"experiment": "lp-suite", "N": 128, "L": 8192}',
 }
 BAD_SUMMARIES = {
     "list_summary": "[]",
@@ -308,6 +339,9 @@ BAD_SUMMARIES = {
     # parametrix-residual's fixed box: t_max plus the largest Richardson step must fit
     (["run", "--config", "wrap_t_max.json"], "t_max=3.95 plus the Richardson step 0.1"),
     (["run", "--config", "far_t_max.json"], "t_max=7.0 plus the Richardson step 0.1"),
+    # configs validate() admits that the suite rejects before its first draw
+    (["run", "--config", "empty_shell.json"], "N=8"),
+    (["run", "--config", "wide_box.json"], "L=8192"),
 ])
 def test_cli_maps_bad_input_to_exit_2(tmp_path, monkeypatch, capsys, argv, needle):
     monkeypatch.chdir(tmp_path)
@@ -435,7 +469,7 @@ _TYPED = {"n": st.integers(), "N": st.integers(), "L": _NUMBER, "sigma": _NUMBER
 def suite_configs(draw):
     """A suite with a drawn subset of the fields it reads, each of its JSON type."""
     name = draw(st.sampled_from(sorted(EXPERIMENTS)))
-    keys = draw(st.lists(st.sampled_from(SUITE_FIELDS[name] + ("seed",)), unique=True))
+    keys = draw(st.lists(st.sampled_from(SUITES[name].reads + ("seed",)), unique=True))
     return {"experiment": name, **{key: draw(_TYPED[key]) for key in keys}}
 
 

@@ -657,6 +657,15 @@ def test_wave_operator_requires_cover():
         WaveOperator(PhaseFamily(conn, +1, 0.25, probe), CUT)
 
 
+@pytest.mark.parametrize("cache_grid", [GridSpec(2, 64, 16.0), GridSpec(2, 128, 8.0),
+                                        GridSpec(2, 32, 8.0)])
+def test_phase_family_rejects_cache_on_another_grid(cache_grid):
+    # the cache's modes index its own lattice and its transforms scale by its own L
+    cache = DirectionCache.build(cache_grid, CUT.modes(GRID), policy="bucketed", eta_dir=0.15)
+    with pytest.raises(StructuralError, match="does not match the connection's grid"):
+        PhaseFamily(connection(), +1, 0.25, cache)
+
+
 def test_unitarity_bounds_at_sampled_times():
     eps = 1e-2
     conn = make_free_connection(GRID, BAND, eps, 80)

@@ -25,7 +25,7 @@ and a real scalar factor; any other operation returns a complex field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -55,6 +55,7 @@ class GridSpec:
     n: int
     N: int
     L: float
+    cell_volume: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 2 <= self.n <= 6:
@@ -63,6 +64,14 @@ class GridSpec:
             raise ParameterError(f"N={self.N} must be a power of two >= 8")
         if not 0.0 < self.L < np.inf:
             raise ParameterError(f"box side L={self.L} must be positive and finite")
+        try:
+            volume = self.dx ** self.n
+        except OverflowError:
+            volume = np.inf
+        if not 0.0 < volume < np.inf:
+            raise ParameterError(f"box side L={self.L} gives a cell volume (L/N)^n "
+                                 f"outside the float range")
+        object.__setattr__(self, "cell_volume", volume)
 
     @property
     def dx(self) -> float:
@@ -75,10 +84,6 @@ class GridSpec:
     @property
     def num_points(self) -> int:
         return self.N ** self.n
-
-    @property
-    def cell_volume(self) -> float:
-        return self.dx ** self.n
 
     @property
     def nyquist(self) -> float:

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -235,6 +236,20 @@ def test_grid_validation():
         GridSpec(2, 12, 1.0)
     with pytest.raises(ParameterError):
         GridSpec(2, 16, -1.0)
+
+
+@pytest.mark.parametrize("L", [1e300, 1e-300])
+def test_grid_rejects_a_cell_volume_outside_the_float_range(L):
+    # (L/N)^3 overflows at L = 1e300 and underflows to 0 at L = 1e-300
+    with pytest.raises(ParameterError, match=re.escape(f"L={L}")):
+        GridSpec(3, 32, L)
+
+
+def test_cell_volume_is_fixed_at_construction():
+    g = GridSpec(3, 32, 8.0)
+    assert g.cell_volume == g.dx ** 3 == 0.25 ** 3
+    assert g == GridSpec(3, 32, 8.0) and hash(g) == hash(GridSpec(3, 32, 8.0))
+    assert "cell_volume" not in repr(g)
 
 
 def test_shape_mismatch_is_structural():

@@ -311,6 +311,7 @@ BAD_CONFIGS = {
     "repeated_eps.json": '{"experiment": "parametrix-residual", "eps_list": [0.01, 0.01]}',
     "empty_shell.json": '{"experiment": "mkg-evolve", "N": 8}',
     "wide_box.json": '{"experiment": "lp-suite", "N": 128, "L": 8192}',
+    "huge_L.json": '{"experiment": "coulomb-gain", "L": 1e300}',   # (L/N)^3 overflows
 }
 BAD_SUMMARIES = {
     "list_summary": "[]",
@@ -342,6 +343,7 @@ BAD_SUMMARIES = {
     # configs validate() admits that the suite rejects before its first draw
     (["run", "--config", "empty_shell.json"], "N=8"),
     (["run", "--config", "wide_box.json"], "L=8192"),
+    (["run", "--config", "huge_L.json"], "L=1e+300"),
 ])
 def test_cli_maps_bad_input_to_exit_2(tmp_path, monkeypatch, capsys, argv, needle):
     monkeypatch.chdir(tmp_path)

@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from cronlab.errors import ConvergenceError, ParameterError
 from cronlab.exponents import exponents, sigma_window, validate_sigma
-from cronlab.grid import (GridSpec, ScalarField, VectorField, inner_product, lebesgue_norm,
-                          partial_derivative, plane_wave, relative_l2_difference, zero_field)
+from cronlab.grid import (GridSpec, ScalarField, VectorField, inner_product, inverse_laplacian,
+                          laplacian, lebesgue_norm, partial_derivative, plancherel_l2,
+                          plane_wave, relative_l2_difference, zero_field)
 from cronlab.lp import fit_loglog
-from cronlab.mkg import (ConnectionState, _kick, _phi_acceleration_extras,
+from cronlab.mkg import (ConnectionState, _half_spectrum, _kick, _phi_acceleration_extras,
                          constraint_residuals, dealias, elliptic_a0, evolve,
                          make_compatible_data, stability_limit, step)
 from cronlab.random_fields import random_divergence_free, random_field, stream
@@ -102,6 +104,68 @@ def test_elliptic_charged_source_converges():
     assert norm(resid) <= 1e-10 * norm(inv_lap * source)
     # the zero mode: mean(|phi|^2 A0) = -mean(S)
     assert abs(coupling[0, 0] + source[0, 0]) <= 1e-10 * norm(source)
+
+
+def _reference_a0(phi, phi_t):
+    """The solve that measures every iterate's residual: each iteration
+    transforms the coupling of its iterate.  Returns (A0 spectrum, rel, it),
+    or (None, history, it) where the solve fails fast."""
+    grid = phi.grid
+    ph, pt = phi.phys_values, phi_t.phys_values
+    source = _half_spectrum(grid, -np.imag(ph * np.conj(pt)))
+    src_scale = plancherel_l2(source)
+    absphi2 = np.abs(ph) ** 2
+    source_mean = source.values.flat[0].real / grid.L ** grid.n
+    rhs, history = source, []
+    for it in range(1, 201):
+        fluct = inverse_laplacian(rhs)
+        bar = -(source_mean + (absphi2 * fluct.phys_values).mean()) / absphi2.mean()
+        coupling = _half_spectrum(grid, absphi2 * (fluct.phys_values + bar))
+        rel = plancherel_l2(laplacian(fluct) - coupling - source) / src_scale
+        history.append(rel)
+        if rel <= 1e-10:
+            A0 = fluct.values.copy()
+            A0.flat[0] += bar * grid.L ** grid.n
+            return A0, rel, it
+        if it - 1 - int(np.argmin(history)) == 10:
+            return None, history, it
+        rhs = source + coupling
+
+
+def _assert_solve_matches_reference(phi, phi_t):
+    A0, ref, it = _reference_a0(phi, phi_t)
+    if A0 is None:
+        with pytest.raises(ConvergenceError) as err:
+            elliptic_a0(phi, phi_t)
+        assert err.value.history == ref
+        return
+    a0, rel, iterations = elliptic_a0(phi, phi_t)
+    assert iterations == it
+    assert np.array_equal(a0.values, A0)
+    assert ref <= rel <= 1e-10
+
+
+@settings(max_examples=24, deadline=None)
+@given(hst.sampled_from([2, 3]), hst.sampled_from([1e-3, 1e-2, 0.1, 1.0, 4.0, 16.0]),
+       hst.integers(0, 2 ** 32 - 1))
+def test_elliptic_exit_matches_the_measured_solve(n, eps, seed):
+    # the exit on the residual bound returns the iterate, at the iteration,
+    # the measured solve returns, with a residual at least the measured one;
+    # where the measured solve fails fast, it fails with the same history
+    g = GridSpec(n, 32 if n == 2 else 16, 8.0)
+    lo, hi = 2.0 / g.L, g.N / (8.0 * g.L)
+    rng = stream(seed, 0)
+    _assert_solve_matches_reference(random_field(g, rng, lo, hi) * eps,
+                                    random_field(g, rng, lo, hi) * eps)
+
+
+def test_elliptic_exit_matches_the_measured_solve_on_charged_data():
+    # the data of test_elliptic_charged_source_converges, where the constant
+    # mode of A0 is 1e5 times its fluctuation
+    g = GridSpec(2, 32, 8.0)
+    phi = make_compatible_data(*small_data(g, 1e-2, seed=49)).phi
+    phi_t = random_field(g, stream(49, 1), 2.0 / g.L, g.N / (8.0 * g.L)) * 1e-2
+    _assert_solve_matches_reference(phi, phi_t)
 
 
 def test_gauss_monitor_reads_the_charged_solve():
@@ -239,6 +303,32 @@ def test_rhs_cross_checks_null_form_identity():
         assert lebesgue_norm(diff, 2) < 1e-10 * max(lebesgue_norm(expect, 2), 1e-30)
 
 
+def test_phi_extras_match_the_written_out_formula():
+    # 2i A.grad phi - i (d_t A0) phi - |A|^2 phi + A0^2 phi from the fields'
+    # spectra with plain numpy, dealiased by the 2/3 rule; at eps = 1 the
+    # A0^2 phi term is far above the tolerance, so its sign is pinned
+    g = GridSpec(2, 32, 8.0)
+    st = make_compatible_data(*small_data(g, 1.0, seed=38))
+    vol, m = g.cell_volume, np.fft.fftfreq(g.N, 1.0 / g.N)
+    modes = np.meshgrid(m, m, indexing="ij")
+    samples = lambda f: np.fft.ifftn(f.freq_values) / vol
+    ph = st.phi.phys_values
+    ph_hat = np.fft.fftn(ph)
+    off_nyquist = np.all(np.abs(modes) < g.N // 2, axis=0)
+    grad_phi = [np.fft.ifftn(2j * np.pi * mj / g.L * off_nyquist * ph_hat) for mj in modes]
+    A = [samples(c).real for c in st.A_sp.components]
+    a0, a0t = samples(st.A0).real, samples(st.A0_t).real
+    a0_sq_phi = a0 ** 2 * ph
+    vals = (2j * sum(a * d for a, d in zip(A, grad_phi)) - 1j * a0t * ph
+            - sum(a ** 2 for a in A) * ph + a0_sq_phi)
+    keep = np.all(np.abs(modes) <= g.N // 3, axis=0)
+    expect = np.fft.ifftn(keep * np.fft.fftn(vals))
+    got = _phi_acceleration_extras(st).phys_values
+    scale = np.abs(expect).max()
+    assert np.abs(got - expect).max() <= 1e-12 * scale
+    assert np.abs(np.fft.ifftn(keep * np.fft.fftn(a0_sq_phi))).max() >= 1e-9 * scale
+
+
 # ---------------------------------------------------------------------------
 # the integrator
 
@@ -313,14 +403,15 @@ def test_step_transform_count(monkeypatch, count_transforms):
     # and both Leray projections, and d_t A0 and the forcing are taken on
     # the current's spectrum, so only the drifted state transforms: samples
     # of A_j 0+3; the current's spectrum 3+0; the solve with k = 2
-    # iterations, the source's half spectrum 1+0 and per iteration the
-    # samples of Delta^{-1} 0+1 and the coupling's half spectrum 1+0, so
-    # 1 + 2k; the samples of A0 0+1 and A0_t 0+1
-    solve_fwd, solve_inv = 1 + 2, 2
+    # iterations, the source's half spectrum 1+0, per iteration the samples
+    # of Delta^{-1} 0+1, and the coupling's half spectrum 1+0 per iteration
+    # but the last, which exits on the residual bound: 1 + (k - 1) forward
+    # and k inverse transforms; the samples of A0 0+1 and A0_t 0+1
+    solve_fwd, solve_inv = 1 + 1, 2
     rfftn = 3 + solve_fwd
     irfftn = 3 + solve_inv + 1 + 1
     assert calls == {"fftn": fftn, "ifftn": ifftn, "rfftn": rfftn, "irfftn": irfftn}
-    assert (fftn, ifftn, rfftn, irfftn) == (4, 7, 6, 7)
+    assert (fftn, ifftn, rfftn, irfftn) == (4, 7, 5, 7)
 
 
 def test_steps_at_one_dt_share_one_free_flow_per_lattice(monkeypatch):
@@ -348,11 +439,11 @@ def test_constraint_residuals_transform_count(monkeypatch, count_transforms):
     iterations = _count_elliptic_solves(monkeypatch)
     constraint_residuals(st)
     assert iterations == [2]
-    # real: the solve with k = 2 iterations 3+2, as in a step; the samples
-    # of A0 0+1 for D_0 phi; the charge density 1+0.  The Maxwell,
-    # curvature and Coulomb terms are taken on spectra by Plancherel
-    assert calls == {"rfftn": 3 + 1, "irfftn": 2 + 1}
-    assert sum(calls.values()) == 7
+    # real: the solve with k = 2 iterations, (1 + (k - 1))+k = 2+2 as in a
+    # step; the samples of A0 0+1 for D_0 phi; the charge density 1+0.  The
+    # Maxwell, curvature and Coulomb terms are taken on spectra by Plancherel
+    assert calls == {"rfftn": 2 + 1, "irfftn": 2 + 1}
+    assert sum(calls.values()) == 6
     # a second reading is the report already taken
     calls.clear()
     assert constraint_residuals(st) is st.report

@@ -245,13 +245,6 @@ def test_grid_rejects_a_cell_volume_outside_the_float_range(L):
         GridSpec(3, 32, L)
 
 
-def test_cell_volume_is_fixed_at_construction():
-    g = GridSpec(3, 32, 8.0)
-    assert g.cell_volume == g.dx ** 3 == 0.25 ** 3
-    assert g == GridSpec(3, 32, 8.0) and hash(g) == hash(GridSpec(3, 32, 8.0))
-    assert "cell_volume" not in repr(g)
-
-
 def test_shape_mismatch_is_structural():
     g = GridSpec(2, 16, 1.0)
     with pytest.raises(StructuralError):

@@ -74,38 +74,6 @@ def test_elliptic_closed_form_source():
     assert rel <= 1e-10
 
 
-def test_elliptic_charged_source_converges():
-    # a phi_t with net charge Im<phi, phi_t> = 5.1e-6 against |phi|^2 = 1e-4,
-    # which the constant mode of A0 carries.  The half-spectrum equation
-    # P(Delta A0 - |phi|^2 A0) = S is checked from rfftn in its inverted form:
-    # A0's samples hold a constant 1e5 times their fluctuation, and Delta
-    # amplifies that constant's rounding to 5e-10 of S
-    g = GridSpec(2, 32, 8.0)
-    phi = make_compatible_data(*small_data(g, 1e-2, seed=49)).phi
-    phi_t = random_field(g, stream(49, 1), 2.0 / g.L, g.N / (8.0 * g.L)) * 1e-2
-    a0, rel, it = elliptic_a0(phi, phi_t)
-    assert it <= 5 and rel <= 1e-10
-    ph, pt, vol = phi.phys_values, phi_t.phys_values, g.cell_volume
-
-    def half(samples):   # P F on the half lattice
-        F = np.fft.rfftn(samples) * vol
-        F[g.N // 2] = 0.0
-        F[:, g.N // 2] = 0.0
-        return F
-    source = half(-np.imag(ph * np.conj(pt)))
-    coupling = half(np.abs(ph) ** 2 * a0.phys_values)
-    rho2 = 4.0 * np.pi ** 2 * g.xi_norm[:, :g.N // 2 + 1] ** 2
-    inv_lap = -1.0 / np.where(rho2 > 0, rho2, np.inf)
-    resid = half(a0.phys_values) - inv_lap * (coupling + source)
-    resid[0, 0] = 0.0
-    weight = np.ones(rho2.shape)   # a mode with last index 1..N/2-1 also stands for its mirror
-    weight[:, 1:g.N // 2] = 2.0
-    norm = lambda F: np.sqrt(np.sum(weight * np.abs(F) ** 2))
-    assert norm(resid) <= 1e-10 * norm(inv_lap * source)
-    # the zero mode: mean(|phi|^2 A0) = -mean(S)
-    assert abs(coupling[0, 0] + source[0, 0]) <= 1e-10 * norm(source)
-
-
 def _reference_a0(phi, phi_t):
     """The solve that measures every iterate's residual: each iteration
     transforms the coupling of its iterate.  Returns (A0 spectrum, rel, it),
@@ -149,9 +117,9 @@ def _assert_solve_matches_reference(phi, phi_t):
 @given(hst.sampled_from([2, 3]), hst.sampled_from([1e-3, 1e-2, 0.1, 1.0, 4.0, 16.0]),
        hst.integers(0, 2 ** 32 - 1))
 def test_elliptic_exit_matches_the_measured_solve(n, eps, seed):
-    # the exit on the residual bound returns the iterate, at the iteration,
-    # the measured solve returns, with a residual at least the measured one;
-    # where the measured solve fails fast, it fails with the same history
+    # the solve returns the iterate the measuring solve returns, at the same
+    # iteration, with a residual at least the measured one; where the
+    # measuring solve fails fast, it fails with the same history
     g = GridSpec(n, 32 if n == 2 else 16, 8.0)
     lo, hi = 2.0 / g.L, g.N / (8.0 * g.L)
     rng = stream(seed, 0)
@@ -159,12 +127,37 @@ def test_elliptic_exit_matches_the_measured_solve(n, eps, seed):
                                     random_field(g, rng, lo, hi) * eps)
 
 
-def test_elliptic_exit_matches_the_measured_solve_on_charged_data():
-    # the data of test_elliptic_charged_source_converges, where the constant
-    # mode of A0 is 1e5 times its fluctuation
+def test_elliptic_charged_source_converges():
+    # a phi_t with net charge Im<phi, phi_t> = 5.1e-6 against |phi|^2 = 1e-4,
+    # which the constant mode of A0 carries.  The half-spectrum equation
+    # P(Delta A0 - |phi|^2 A0) = S is checked from rfftn in its inverted form:
+    # A0's samples hold a constant 1e5 times their fluctuation, and Delta
+    # amplifies that constant's rounding to 5e-10 of S
     g = GridSpec(2, 32, 8.0)
     phi = make_compatible_data(*small_data(g, 1e-2, seed=49)).phi
     phi_t = random_field(g, stream(49, 1), 2.0 / g.L, g.N / (8.0 * g.L)) * 1e-2
+    a0, rel, it = elliptic_a0(phi, phi_t)
+    assert it <= 5 and rel <= 1e-10
+    ph, pt, vol = phi.phys_values, phi_t.phys_values, g.cell_volume
+
+    def half(samples):   # P F on the half lattice
+        F = np.fft.rfftn(samples) * vol
+        F[g.N // 2] = 0.0
+        F[:, g.N // 2] = 0.0
+        return F
+    source = half(-np.imag(ph * np.conj(pt)))
+    coupling = half(np.abs(ph) ** 2 * a0.phys_values)
+    rho2 = 4.0 * np.pi ** 2 * g.xi_norm[:, :g.N // 2 + 1] ** 2
+    inv_lap = -1.0 / np.where(rho2 > 0, rho2, np.inf)
+    resid = half(a0.phys_values) - inv_lap * (coupling + source)
+    resid[0, 0] = 0.0
+    weight = np.ones(rho2.shape)   # a mode with last index 1..N/2-1 also stands for its mirror
+    weight[:, 1:g.N // 2] = 2.0
+    norm = lambda F: np.sqrt(np.sum(weight * np.abs(F) ** 2))
+    assert norm(resid) <= 1e-10 * norm(inv_lap * source)
+    # the zero mode: mean(|phi|^2 A0) = -mean(S)
+    assert abs(coupling[0, 0] + source[0, 0]) <= 1e-10 * norm(source)
+    # where the constant mode of A0 is 1e5 times its fluctuation, too
     _assert_solve_matches_reference(phi, phi_t)
 
 

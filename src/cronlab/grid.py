@@ -227,7 +227,9 @@ class ScalarField:
     Fields are immutable values: the sample array is marked read-only at
     construction and every operation returns a new field.  A field keeps the
     array its first transform to the other representation computes, so it
-    is transformed at most once each way; a new field starts without one.
+    is transformed at most once each way; a new field starts without one,
+    save the two ``mkg`` fields born with both representations (see the
+    note above ``partial_derivative``).
     """
 
     grid: GridSpec
@@ -278,8 +280,8 @@ class ScalarField:
 
     def _transformed(self, transform, rep: str) -> "ScalarField":
         """The field in ``rep``, transformed on the first read only.  The
-        values are read-only, so the kept array is the transform of them; the
-        field keeps the array, not the field, so no reference cycle forms."""
+        values are read-only, so an array kept here is the transform of them;
+        the field keeps the array, not the field, so no reference cycle forms."""
         if self._other is None:
             object.__setattr__(self, "_other", transform(self).values)
         return _wrap(self.grid, self._other, rep, self.real_valued)
@@ -388,14 +390,21 @@ class VectorField:
 # ---------------------------------------------------------------------------
 # transforms
 
-def _wrap(grid: GridSpec, values: np.ndarray, rep: str, real_valued: bool) -> ScalarField:
+def _wrap(grid: GridSpec, values: np.ndarray, rep: str, real_valued: bool,
+          kept: np.ndarray = None) -> ScalarField:
     """A field around an array this module has just made in the layout the
-    field stores; it is neither checked nor copied."""
+    field stores; it is neither checked nor copied.  ``kept``, an array in
+    the other representation's layout, is kept as the field's transform;
+    only ``mkg`` passes one, for the two fields it makes from an exact
+    source (see the note above ``partial_derivative``)."""
     f = object.__new__(ScalarField)
     values.flags.writeable = False
     for name, value in (("grid", grid), ("values", values), ("rep", rep),
                         ("real_valued", real_valued)):
         object.__setattr__(f, name, value)
+    if kept is not None:
+        kept.flags.writeable = False
+        object.__setattr__(f, "_other", kept)
     return f
 
 
@@ -529,8 +538,16 @@ def _registry_symbol(grid: GridSpec, sym: np.ndarray) -> tuple:
 # multiplier, derivative and Leray projection) wraps that array: each field
 # is transformed at most once each way.  The field wrapped around the kept
 # array keeps no link back, so ``to_physical(to_frequency(f))`` stays a
-# genuine round trip, which moves the last bits of the samples; code never
-# replaces a physical field by it.
+# genuine round trip, which moves the last bits of the samples.
+#
+# Two fields are born with both representations, each made by ``mkg`` from
+# an exact source, and no other code makes one: the A0 of ``elliptic_a0``,
+# whose spectrum is the solve's and whose samples are those of the iterate
+# its residual certifies, and the phi of the MKG drift, whose samples are
+# synthesized from the flowed spectrum it keeps.  Each pair is one field to
+# within one transform's rounding: phi's samples are the transform of its
+# spectrum bit for bit, and A0's samples are the transform of the spectrum
+# without the balancing constant, that constant added in samples.
 
 def partial_derivative(f: ScalarField, axis: int) -> ScalarField:
     return apply_multiplier(f, f.grid.derivative_symbols[axis])

@@ -27,10 +27,18 @@ A enters its equation linearly, so A, d_t A, A0 and d_t A0 are kept as half
 spectra and go to samples only for the products (the current, D phi and the
 phi_t forcing); phi and phi_t are kept as samples.  A field keeps each
 transform it has computed, so every field is transformed at most once each
-way.  grad phi, the current, d_t A0 and A's forcing depend on the positions
-(A, phi) alone; the kicks and the final d_t A projection, which move only
-velocities, hand the ones their state has derived to the state they
-return, so each is derived once per drifted position.
+way.  Two fields are born with both representations, and they are the only
+ones in the code base: the A0 of ``elliptic_a0``, the solve's spectrum with
+the samples of the iterate its residual certifies, and the phi of
+``_drift``, the samples synthesized from the flowed spectrum with that
+spectrum.  Each pair is one field to within one transform's rounding (see
+the note above ``grid.partial_derivative``), and neither is transformed
+again: the kicks and the monitor read A0's samples, grad phi and the next
+drift read phi's spectrum.  grad phi, the current, d_t A0 and A's forcing
+depend on the positions (A, phi) alone; the kicks and the final d_t A
+projection, which move only velocities, hand the ones their state has
+derived to the state they return, so each is derived once per drifted
+position.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ParameterError, PreconditionError
 from . import grid as gr
-from .grid import (FREQUENCY, GridSpec, ScalarField, VectorField, inner_product,
+from .grid import (FREQUENCY, PHYSICAL, GridSpec, ScalarField, VectorField, inner_product,
                    inverse_laplacian, laplacian, lebesgue_norm)
 from .gauge import (covariant_gradient, current_from_gradient, curvature_from_gradients,
                     leray_project)
@@ -54,12 +62,13 @@ class ConnectionState:
     """The dynamical fields at one instant, with their time derivatives.
 
     ``make_compatible_data`` and ``step`` store A and d_t A as half spectra
-    and phi and phi_t as samples.  A0, d_t A0 (both spectra), grad phi, the
-    current, A's forcing and the monitor's report are derived from these
-    fields when first read and then kept, so every state,
-    ``dataclasses.replace`` ones included, carries the A0 of its own
-    (phi, phi_t).  Only ``step``'s velocity updates start a state with the
-    position fields of the one they update."""
+    and phi and phi_t as samples, a drifted phi with the spectrum it was
+    synthesized from.  A0 (a spectrum born with its certified samples), d_t
+    A0 (a spectrum), grad phi, the current, A's forcing and the monitor's
+    report are derived from these fields when first read and then kept, so
+    every state, ``dataclasses.replace`` ones included, carries the A0 of
+    its own (phi, phi_t).  Only ``step``'s velocity updates start a state
+    with the position fields of the one they update."""
 
     t: float
     A_sp: VectorField
@@ -168,7 +177,9 @@ def elliptic_a0(phi: ScalarField, phi_t: ScalarField):
     residual history, once 10 steps pass without a new least residual.
     Returns (A0, relative_residual, iterations), A0 as the half spectrum of
     the mean-free part with the balancing constant c in its zero mode as
-    c L^n, so no sample rounding enters Delta A0.
+    c L^n, so no sample rounding enters Delta A0.  A0 is born with the
+    samples of the returned iterate, the mean-free part's samples plus c,
+    which the residual certifies; no transform makes them again.
 
     Before it transforms the coupling of iterate k, the iteration takes the
     a-posteriori bound
@@ -222,7 +233,8 @@ def elliptic_a0(phi: ScalarField, phi_t: ScalarField):
         if rel <= 1e-10:
             A0 = fluct.values.copy()
             A0.flat[0] += bar * grid.L ** grid.n
-            return fluct.with_values(A0), rel, it
+            # the samples are those of iterate k, which rel certifies
+            return gr._wrap(grid, A0, FREQUENCY, True, kept=a0), rel, it
         least = int(np.argmin(history))
         if it - 1 - least == 10:
             break
@@ -304,7 +316,8 @@ def _kick(state: ConnectionState, h: float) -> ConnectionState:
 def _drift(state: ConnectionState, h: float) -> ConnectionState:
     """Exact free-wave flow of (A, phi) for time h in Fourier space; the
     flow is real and even in xi, so real fields stay real.  A, re-projected
-    by Leray, and d_t A come back as spectra, phi and phi_t as samples."""
+    by Leray, and d_t A come back as spectra, phi and phi_t as samples, phi
+    with the flowed spectrum its samples are synthesized from."""
     def flow(u: ScalarField, v: ScalarField):
         u, v = u.in_frequency(), v.in_frequency()
         real = u.real_valued and v.real_valued
@@ -314,7 +327,12 @@ def _drift(state: ConnectionState, h: float) -> ConnectionState:
         return (ScalarField(state.grid, fl.u(U, V), rep=FREQUENCY, real_valued=real),
                 ScalarField(state.grid, fl.u_t(U, V), rep=FREQUENCY, real_valued=real))
 
-    phi, phi_t = (f.in_physical() for f in flow(state.phi, state.phi_t))
+    phi_hat, phi_t_hat = flow(state.phi, state.phi_t)
+    # phi keeps the spectrum it is synthesized from, which grad phi and the
+    # next drift read; nothing reads phi_t's
+    phi = gr._wrap(state.grid, gr.to_physical(phi_hat).values, PHYSICAL,
+                   phi_hat.real_valued, kept=phi_hat.values)
+    phi_t = phi_t_hat.in_physical()
     comps, comps_t = zip(*(flow(u, v) for u, v in zip(state.A_sp.components,
                                                      state.A_sp_t.components)))
     return replace(state, t=state.t + h,

@@ -7,13 +7,14 @@ from hypothesis import given, settings, strategies as hst
 
 from cronlab.errors import ConvergenceError, ParameterError
 from cronlab.exponents import exponents, sigma_window, validate_sigma
-from cronlab.grid import (GridSpec, ScalarField, VectorField, inner_product, inverse_laplacian,
-                          laplacian, lebesgue_norm, partial_derivative, plancherel_l2,
-                          plane_wave, relative_l2_difference, zero_field)
+from cronlab.grid import (FREQUENCY, GridSpec, ScalarField, VectorField, inner_product,
+                          inverse_laplacian, laplacian, lebesgue_norm, partial_derivative,
+                          plancherel_l2, plane_wave, relative_l2_difference, to_frequency,
+                          to_physical, zero_field, zero_nyquist)
 from cronlab.lp import fit_loglog
-from cronlab.mkg import (ConnectionState, _half_spectrum, _kick, _phi_acceleration_extras,
-                         constraint_residuals, dealias, elliptic_a0, evolve,
-                         make_compatible_data, stability_limit, step)
+from cronlab.mkg import (ConnectionState, _drift, _half_spectrum, _kick,
+                         _phi_acceleration_extras, constraint_residuals, dealias, elliptic_a0,
+                         evolve, make_compatible_data, stability_limit, step)
 from cronlab.random_fields import random_divergence_free, random_field, stream
 
 
@@ -125,6 +126,45 @@ def test_elliptic_exit_matches_the_measured_solve(n, eps, seed):
     rng = stream(seed, 0)
     _assert_solve_matches_reference(random_field(g, rng, lo, hi) * eps,
                                     random_field(g, rng, lo, hi) * eps)
+
+
+def _assert_a0_samples_are_certified(phi, phi_t):
+    """A0's samples are the iterate its residual certifies: the coupling
+    transformed here from A0.phys_values leaves a residual of at most the
+    returned rel, and the samples are A0's spectrum synthesized, to rounding."""
+    import cronlab.mkg as mkg_module   # looked up when called, so a patched solve is read
+    try:
+        A0, rel, _ = mkg_module.elliptic_a0(phi, phi_t)
+    except ConvergenceError:
+        return   # test_elliptic_exit_matches_the_measured_solve pins the history
+    g = phi.grid
+    ph, a0 = phi.phys_values, A0.phys_values
+
+    def half(samples):   # P F on the half lattice
+        F = np.fft.rfftn(samples) * g.cell_volume
+        zero_nyquist(F)
+        return F
+    source = half(-np.imag(ph * np.conj(phi_t.phys_values)))
+    coupling = half(np.abs(ph) ** 2 * a0)
+    norm = lambda F: plancherel_l2(ScalarField(g, F, rep=FREQUENCY, real_valued=True))
+    measured = norm(laplacian(A0).values - coupling - source) / norm(source)
+    assert measured <= rel <= 1e-10
+    # the residual alone does not tell iterate k's samples from iterate
+    # k - 1's: Delta of iterate k is built from k - 1's coupling, so with
+    # k - 1's samples it reads rounding.  The synthesis does
+    assert np.abs(a0 - to_physical(A0).values).max() <= 1e-14 * np.abs(a0).max()
+
+
+@settings(max_examples=24, deadline=None)
+@given(hst.sampled_from([2, 3]), hst.sampled_from([1e-3, 1e-2, 0.1, 1.0, 4.0, 16.0]),
+       hst.integers(0, 2 ** 32 - 1))
+def test_a0_samples_are_the_certified_iterate(n, eps, seed):
+    # the draws of test_elliptic_exit_matches_the_measured_solve
+    g = GridSpec(n, 32 if n == 2 else 16, 8.0)
+    lo, hi = 2.0 / g.L, g.N / (8.0 * g.L)
+    rng = stream(seed, 0)
+    _assert_a0_samples_are_certified(random_field(g, rng, lo, hi) * eps,
+                                     random_field(g, rng, lo, hi) * eps)
 
 
 def test_elliptic_charged_source_converges():
@@ -377,10 +417,10 @@ def _stepped_state():
 
 def test_step_transform_count(monkeypatch, count_transforms):
     # along a trajectory the monitor reads each state before the next step,
-    # so the first kick finds A0 and the samples of phi and A0 already
-    # transformed; grad phi, the current (with its spectrum), d_t A0 (with
-    # its samples) and A's forcing are the previous drifted state's, which
-    # the second kick and the final projection handed on
+    # so the first kick finds A0, born with its samples, already solved;
+    # grad phi, the current (with its spectrum), d_t A0 (with its samples)
+    # and A's forcing are the previous drifted state's, which the second
+    # kick and the final projection handed on
     st = _stepped_state()
     constraint_residuals(st)
     calls = count_transforms()
@@ -389,8 +429,9 @@ def test_step_transform_count(monkeypatch, count_transforms):
     assert iterations == [2]
     # complex transforms (phi, phi_t) as forward+inverse: per kick the phi
     # extras' dealias 1+1; drift of (phi, phi_t) 1+2, phi's spectrum being
-    # kept from its gradient; the drifted state's grad phi 1+3
-    fftn = 2 * 1 + 1 + 1
+    # the one the previous drift synthesized it from; the drifted state's
+    # grad phi 0+3, on the spectrum this drift synthesized phi from
+    fftn = 2 * 1 + 1 + 0
     ifftn = 2 * 1 + 2 + 3
     # real transforms.  A and A_t stay spectra through the drift, the kicks
     # and both Leray projections, and d_t A0 and the forcing are taken on
@@ -399,12 +440,30 @@ def test_step_transform_count(monkeypatch, count_transforms):
     # iterations, the source's half spectrum 1+0, per iteration the samples
     # of Delta^{-1} 0+1, and the coupling's half spectrum 1+0 per iteration
     # but the last, which exits on the residual bound: 1 + (k - 1) forward
-    # and k inverse transforms; the samples of A0 0+1 and A0_t 0+1
+    # and k inverse transforms, A0 keeping iterate k's samples; the samples
+    # of A0_t 0+1
     solve_fwd, solve_inv = 1 + 1, 2
     rfftn = 3 + solve_fwd
-    irfftn = 3 + solve_inv + 1 + 1
+    irfftn = 3 + solve_inv + 1
     assert calls == {"fftn": fftn, "ifftn": ifftn, "rfftn": rfftn, "irfftn": irfftn}
-    assert (fftn, ifftn, rfftn, irfftn) == (4, 7, 5, 7)
+    assert (fftn, ifftn, rfftn, irfftn) == (3, 7, 5, 6)
+
+
+def test_drifted_phi_reads_the_spectrum_it_was_synthesized_from(count_transforms):
+    # the drift keeps the flowed spectrum as phi's, so the drifted state's
+    # grad phi and the next drift read it without a forward transform
+    st, h = _stepped_state(), 0.05
+    flowed = st.grid.free_flow(False, h).u(st.phi.in_frequency().values,
+                                           st.phi_t.in_frequency().values)
+    phi = _drift(st, h).phi
+    calls = count_transforms()
+    spectrum = phi.in_frequency()
+    assert calls == {}
+    assert np.array_equal(spectrum.values, flowed)
+    assert np.array_equal(phi.values, to_physical(spectrum).values)
+    # and it is the transform of the samples, to the grid tests' round-trip tolerance
+    again = to_frequency(phi).values
+    assert np.linalg.norm(again - flowed) <= 1e-13 * np.linalg.norm(flowed)
 
 
 def test_steps_at_one_dt_share_one_free_flow_per_lattice(monkeypatch):
@@ -433,10 +492,11 @@ def test_constraint_residuals_transform_count(monkeypatch, count_transforms):
     constraint_residuals(st)
     assert iterations == [2]
     # real: the solve with k = 2 iterations, (1 + (k - 1))+k = 2+2 as in a
-    # step; the samples of A0 0+1 for D_0 phi; the charge density 1+0.  The
-    # Maxwell, curvature and Coulomb terms are taken on spectra by Plancherel
-    assert calls == {"rfftn": 2 + 1, "irfftn": 2 + 1}
-    assert sum(calls.values()) == 6
+    # step, A0 keeping iterate k's samples for D_0 phi; the charge density
+    # 1+0.  The Maxwell, curvature and Coulomb terms are taken on spectra by
+    # Plancherel
+    assert calls == {"rfftn": 2 + 1, "irfftn": 2}
+    assert sum(calls.values()) == 5
     # a second reading is the report already taken
     calls.clear()
     assert constraint_residuals(st) is st.report

@@ -1,0 +1,119 @@
+"""Named mutants of the MKG kernels and the check each must fail.
+
+Each mutant is monkeypatched in, so no production code changes; each check
+passes on the code as it is and fails once its mutant is in place.  The
+checks run at the smallest configs that show the defect.
+"""
+
+from typing import Callable, NamedTuple
+
+import numpy as np
+import pytest
+
+import cronlab.grid as gr
+import cronlab.mkg as mkg
+import test_mkg
+from cronlab.grid import GridSpec
+from cronlab.harness import ExperimentConfig, run
+from cronlab.random_fields import random_field, stream
+
+
+# ---------------------------------------------------------------------------
+# mutants: each returns the (owner, name, value) patches that install it
+
+def _extras_without(term):
+    """_phi_acceleration_extras less the dealiased term(state): with term = 2x
+    the term x of the extras changes sign, with term = x it is dropped.  The
+    extras test imported the function by name, so it is patched there too."""
+    original = mkg._phi_acceleration_extras
+
+    def mutant(state):
+        return original(state) - mkg.dealias(mkg._field(state.grid, term(state)))
+    return [(mkg, "_phi_acceleration_extras", mutant),
+            (test_mkg, "_phi_acceleration_extras", mutant)]
+
+
+def _transport(state):   # 2i A . grad phi
+    return 2j * sum(a.phys_values * d.phys_values
+                    for a, d in zip(state.A_sp.components, state.grad_phi.components))
+
+
+def _twice_a0_squared_phi(state):   # 2 A0^2 phi
+    return 2.0 * state.A0.phys_values ** 2 * state.phi.phys_values
+
+
+def _stale_a0_samples():
+    """elliptic_a0 returning A0's spectrum with the samples of iterate k - 1
+    attached (the zero samples of iterate 0 where k <= 1)."""
+    original = mkg.elliptic_a0
+
+    def mutant(phi, phi_t):
+        flucts = []
+
+        def recording(rhs):
+            flucts.append(gr.inverse_laplacian(rhs))
+            return flucts[-1]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mkg, "inverse_laplacian", recording)
+            A0, rel, it = original(phi, phi_t)
+        g, ph = phi.grid, phi.phys_values
+        stale = np.zeros(g.shape)
+        if it > 1:   # iterate k - 1 with its balancing constant, as the solve forms it
+            source = mkg._half_spectrum(g, -np.imag(ph * np.conj(phi_t.phys_values)))
+            absphi2 = np.abs(ph) ** 2
+            prev = flucts[-2].phys_values
+            stale = prev - (source.values.flat[0].real / g.L ** g.n
+                            + (absphi2 * prev).mean()) / absphi2.mean()
+        return gr._wrap(g, A0.values.copy(), gr.FREQUENCY, True, kept=stale), rel, it
+    return [(mkg, "elliptic_a0", mutant)]
+
+
+# ---------------------------------------------------------------------------
+# checks: each raises AssertionError when it fails
+
+def _integrator_order(tmp_path):
+    # the order fit runs on its own 2-D grid; the 3-D part is cut to one step
+    config = ExperimentConfig(experiment="mkg-evolve", n=2, N=16, t_max=0.05,
+                              out_dir=str(tmp_path))
+    records = {r.id: r for r in run(config)[0]}
+    assert records["mkg.integrator_order"].passed, records["mkg.integrator_order"].value
+
+
+def _phi_extras_formula(tmp_path):
+    test_mkg.test_phi_extras_match_the_written_out_formula()
+
+
+def _a0_samples_certified(tmp_path):
+    # draws of test_a0_samples_are_the_certified_iterate
+    for n in (2, 3):
+        g = GridSpec(n, 32 if n == 2 else 16, 8.0)
+        lo, hi = 2.0 / g.L, g.N / (8.0 * g.L)
+        rng = stream(0, 0)
+        test_mkg._assert_a0_samples_are_certified(random_field(g, rng, lo, hi) * 0.1,
+                                                  random_field(g, rng, lo, hi) * 0.1)
+
+
+class Mutant(NamedTuple):
+    id: str
+    patches: Callable
+    check: Callable
+
+
+MUTANTS = [
+    # 2i A.grad phi dropped from the phi forcing
+    Mutant("C-transport-dropped", lambda: _extras_without(_transport), _integrator_order),
+    # the sign of A0^2 phi flipped, which no suite gate resolves at the
+    # suites' amplitudes
+    Mutant("D-a0-squared-sign", lambda: _extras_without(_twice_a0_squared_phi),
+           _phi_extras_formula),
+    Mutant("stale-a0-samples", _stale_a0_samples, _a0_samples_certified),
+]
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.id for m in MUTANTS])
+def test_named_check_fails_on_its_mutant(monkeypatch, tmp_path, mutant):
+    mutant.check(tmp_path / "code")
+    for owner, name, value in mutant.patches():
+        monkeypatch.setattr(owner, name, value)
+    with pytest.raises(AssertionError):
+        mutant.check(tmp_path / "mutant")

@@ -123,6 +123,15 @@ class GridSpec:
         mask.flags.writeable = False
         return mask
 
+    @cached_property
+    def dft_table(self) -> np.ndarray:
+        """E[k, j] = e^{2 pi i k j / N}, the exponent reduced mod N before scaling:
+        the one table every few-mode transform on this grid reads its rows from."""
+        k = np.arange(self.N)
+        out = np.exp(2j * np.pi * (np.outer(k, k) % self.N) / self.N)
+        out.flags.writeable = False
+        return out
+
     # The grid's registry: each multiplier symbol and free flow built on this
     # grid, keyed by (kind, parameters), built on first use and kept as long as
     # the grid.  A symbol is checked finite and Hermitian once, when it is built,

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +35,6 @@ from .fieldio import atomic_open
 from .random_fields import (flat_spectrum_field, packet_field, random_divergence_free,
                             random_field, stream)
 
-CSV_SCHEMA = "experiment,n,N,L,param,seed,lhs,rhs,ratio"
 CSV_VERSION = 1
 
 
@@ -177,6 +176,9 @@ class ScanRow:
     ratio: float
 
 
+CSV_SCHEMA = ",".join(f.name for f in fields(ScanRow))
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".17g")
@@ -187,9 +189,7 @@ def write_scan_csv(path, rows, config_hash: str) -> None:
     lines = [f"# cronlab scan v{CSV_VERSION} schema={CSV_SCHEMA} config={config_hash}",
              CSV_SCHEMA]
     for r in rows:
-        lines.append(",".join(_fmt(v) for v in
-                              (r.experiment, r.n, r.N, r.L, r.param, r.seed,
-                               r.lhs, r.rhs, r.ratio)))
+        lines.append(",".join(_fmt(v) for v in astuple(r)))
     with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -185,19 +185,19 @@ def elliptic_a0(phi: ScalarField, phi_t: ScalarField):
     a-posteriori bound
 
         rho_k = (max|phi|^2 ||a0_k - a0_{k-1}||_2
-                 + L^{n/2} |mean S + mean(|phi|^2 a0_k)|
                  + u log2(N^n) (||S|| + max|phi|^2 ||a0_k||_2)) / ||S||
 
     on the samples a0_k of iterate k (balancing constant included, a0_0 = 0).
     Delta Delta^{-1} is the projection off the mean, so the mean-free part
     of iterate k's residual is that projection of P F(|phi|^2 (a0_{k-1} -
-    a0_k)), whose L^2 norm neither P, the projection nor Plancherel raises;
-    the zero mode is the second term.  The third covers the rounding the
-    measured residual carries, that of a length-N^n transform of its terms
-    (u the unit roundoff; Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, section 24.1): once two iterates agree to the last
-    bit, the first two terms can read 0 while the measured residual reads
-    1e-16.  So rho_k bounds the relative residual that the coupling
+    a0_k)), whose L^2 norm neither P, the projection nor Plancherel raises.
+    The balancing constant zeroes the zero mode up to the rounding of
+    mean(|phi|^2 a0_k), at most u max|phi|^2 ||a0_k||_2, which the second
+    term covers.  That term covers the rounding the measured residual
+    carries, that of a length-N^n transform of its terms (u the unit
+    roundoff; Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    section 24.1): once two iterates agree to the last bit, the first term
+    can read 0 while the measured residual reads 1e-16.  So rho_k bounds the relative residual that the coupling
     transform would measure.  At rho_k <= 1e-10 the solve returns iterate k
     with rho_k as its residual and skips that transform, whose only reader
     would be the residual.  Otherwise it transforms the coupling, measures
@@ -223,7 +223,6 @@ def elliptic_a0(phi: ScalarField, phi_t: ScalarField):
         bar = -(source_mean + (absphi2 * a0).mean()) / mean_phi2
         a0 = a0 + bar
         rel = (max_phi2 * l2(a0 - prev)
-               + math.sqrt(grid.L ** grid.n) * abs(source_mean + (absphi2 * a0).mean())
                + rounding * (src_scale + max_phi2 * l2(a0))) / src_scale
         if rel > 1e-10:
             # the coupling of the new iterate, which the next iteration reuses

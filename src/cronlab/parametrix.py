@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ParameterError, PreconditionError, StructuralError
 from . import grid as gr
-from .grid import FREQUENCY, GridSpec, ScalarField, VectorField, lebesgue_norm
+from .grid import FREQUENCY, GridSpec, ScalarField, lebesgue_norm
 from .gauge import THETA_MAX, greater_symbol, transverse_inverse_symbol
 from .lp import (BandRange, DEFAULT_BUMP, SpacetimeField, band_symbol, fit_loglog,
                  spacetime_norm)
@@ -85,9 +85,15 @@ class HalfWaveField:
 class FreeConnection:
     """Closed-form spectral evolution of a divergence-free free-wave connection.
 
-    Data (a, adot) are stacked frequency arrays, hard-restricted to the
-    annulus of ``band_range`` at construction (so dyadic partitions of the
-    data telescope exactly); box A = 0 holds per mode.
+    Data (a, adot) are stacked frequency arrays on the whole lattice,
+    hard-restricted to the annulus of ``band_range`` at construction (so
+    dyadic partitions of the data telescope exactly) and checked divergence
+    free; box A = 0 holds per mode.  The connection then keeps them only on
+    its band support ``support``: the flat indices where some band symbol
+    P_k of the range is nonzero, which carry the annulus.  It is the one
+    owner of A: ``on_support(t)`` runs the free flow on those |S| modes, and
+    ``samples(t)`` synthesizes A(t) on the grid through ``kernel``, the
+    support's transform.
     """
 
     def __init__(self, grid: GridSpec, a_hat, adot_hat, band_range: BandRange):
@@ -104,8 +110,11 @@ class FreeConnection:
             raise StructuralError("connection data must be stacked (n,)+grid.shape arrays")
         self._check_div_free(a_hat, "a")
         self._check_div_free(adot_hat, "adot")
-        self.rho = 2.0 * np.pi * grid.xi_norm
-        self.a_hat, self.adot_hat = a_hat, adot_hat
+        support = np.flatnonzero(np.logical_or.reduce(
+            [band_symbol(grid, k) != 0 for k in band_range]))
+        self.kernel = _ModeKernel(grid, support)
+        self._a, self._adot = (X.reshape(grid.n, -1)[:, support] for X in (a_hat, adot_hat))
+        self._rho = 2.0 * np.pi * grid.xi_norm.ravel()[support]
 
     def _check_div_free(self, hat, name):
         dot = sum(self.grid.xi[j] * hat[j] for j in range(self.grid.n))
@@ -113,17 +122,19 @@ class FreeConnection:
         if np.abs(dot).max() > 1e-10 * scale:
             raise PreconditionError(f"connection data {name} is not divergence free")
 
-    # -- closed-form evaluation ------------------------------------------------
-    def eval_hat(self, t: float):
-        """(A_hat(t), d_t A_hat(t)) stacked arrays."""
-        flow = gr.FreeFlow(self.rho, t)
-        return flow.u(self.a_hat, self.adot_hat), flow.u_t(self.a_hat, self.adot_hat)
+    @property
+    def support(self) -> np.ndarray:
+        return self.kernel.index
 
-    def field(self, t: float) -> VectorField:
-        A, _ = self.eval_hat(t)
-        comps = tuple(gr.to_physical(ScalarField(self.grid, A[j], rep=FREQUENCY))
-                      for j in range(self.grid.n))
-        return VectorField(comps, divergence_free=True)
+    def on_support(self, t: float) -> tuple:
+        """(A, d_t A, d_t^2 A) at t on the support, (n, |S|) each."""
+        flow = gr.FreeFlow(self._rho, t)
+        A = flow.u(self._a, self._adot)
+        return A, flow.u_t(self._a, self._adot), -self._rho ** 2 * A
+
+    def samples(self, t: float) -> np.ndarray:
+        """A(t) on the grid, (n,) + grid real samples, with no full-grid transform."""
+        return self.kernel.synthesize(self.on_support(t)[0]).real
 
     @classmethod
     def zero(cls, grid: GridSpec, band_range: BandRange) -> "FreeConnection":
@@ -179,14 +190,6 @@ class AnnulusCutoff:
 # ---------------------------------------------------------------------------
 # transforms of spectra carried by a few modes
 
-def _dft_table(N: int) -> np.ndarray:
-    """E[k, j] = e^{2 pi i k j / N}, the exponent reduced mod N before scaling."""
-    k = np.arange(N)
-    out = np.exp(2j * np.pi * (np.outer(k, k) % N) / N)
-    out.flags.writeable = False
-    return out
-
-
 def _along(X: np.ndarray, axis: int, mat: np.ndarray) -> np.ndarray:
     """X with its axis ``axis`` (counted from the end) multiplied by mat (new, old).
 
@@ -210,10 +213,12 @@ class _ModeKernel:
     distinct indices.  ``analyze`` is its exact conjugate transpose: the
     forward DFT times dx^n, evaluated only at the indices.  Leading axes of
     the input batch several fields in one call.  ``xi`` holds the
-    frequencies (n, M) of the indices.
+    frequencies (n, M) of the indices.  The per-axis matrices are rows of
+    the grid's one table ``GridSpec.dft_table``, which every kernel on the
+    grid shares; each call gathers the rows it needs.
     """
 
-    def __init__(self, grid: GridSpec, index: np.ndarray, table: np.ndarray):
+    def __init__(self, grid: GridSpec, index: np.ndarray):
         self.grid = grid
         self.index = index
         self.xi = grid.xi.reshape(grid.n, -1)[:, index]
@@ -225,7 +230,7 @@ class _ModeKernel:
         # synthesis widens the axis with the most distinct indices first, so
         # the last product, the one onto the full grid, runs over the fewest
         self._order = tuple(sorted(range(-grid.n, 0), key=lambda axis: -self._dense[axis]))
-        self._table = table
+        self._table = grid.dft_table
 
     def synthesize(self, vals) -> np.ndarray:
         vals = np.asarray(vals)
@@ -252,22 +257,19 @@ class DirectionCache:
     greedy clustering to representatives within eta_dir/2, used when the shell
     carries more distinct directions than per-direction transforms can afford.
     ``bucket_index[b]`` holds the flat grid indices of bucket b's modes and
-    ``bucket_kernels[b]`` their transforms, which share one DFT table.
+    ``bucket_kernels[b]`` their transforms, which read the grid's DFT table.
     The geometry is read-only after construction; ``multipliers`` memoizes the
-    phase multipliers and support transforms of the families built on the
-    cache.
+    phase multipliers of the families built on the cache.
     """
 
     def __init__(self, grid, modes, directions, assignment):
         self.grid = grid
         self.modes = modes
         self.directions = directions
-        self.multipliers = {}     # (grid, band range, sigma) -> _Multipliers
+        self.multipliers = {}     # (band range, sigma) -> _Multipliers
         self.flat_index = np.ravel_multi_index((modes % grid.N).T, grid.shape)
         self.bucket_index = [self.flat_index[assignment == b] for b in range(len(directions))]
-        self.dft_table = _dft_table(grid.N)
-        self.bucket_kernels = [_ModeKernel(grid, idx, self.dft_table)
-                               for idx in self.bucket_index]
+        self.bucket_kernels = [_ModeKernel(grid, idx) for idx in self.bucket_index]
 
     @property
     def num_buckets(self) -> int:
@@ -352,23 +354,22 @@ def _band_sum(pks: dict, weights) -> np.ndarray:
 
 
 class _Multipliers(NamedTuple):
-    """The time-independent phase multipliers of one (grid, band range, sigma),
-    one row per direction bucket, on the band support: the flat indices where
-    some P_k of the range is nonzero.  Both multipliers vanish off it."""
+    """The time-independent phase multipliers of one (band range, sigma), one
+    row per direction bucket, on the band support of the range's connections
+    (``FreeConnection.support``).  Both multipliers vanish off it."""
 
-    kernel: _ModeKernel    # the transforms of the band support
     ws: np.ndarray         # (B, |S|): inv sum_k P_k Pi_{omega, > theta_k}
     leqs: np.ndarray       # (B, |S|): sum_k P_k Pi_{omega, <= theta_k}
     xi_dots: np.ndarray    # (B, |S|): xi . omega
 
 
-def _support_symbols(family, support):
+def _support_symbols(family):
     """(direction, support lattice, inverse transverse symbol, band symbols P_k)
     for each direction bucket of the family's cache.  These symbols read only
     xi and |xi|, so they are evaluated at the band support's modes alone."""
-    grid = family.grid
-    lat = gr.Lattice(grid.xi.reshape(grid.n, -1)[:, support], grid.xi_norm.ravel()[support],
-                     grid.nyquist_mask.ravel()[support])
+    grid, kernel = family.grid, family.conn.kernel
+    lat = gr.Lattice(kernel.xi, grid.xi_norm.ravel()[kernel.index],
+                     grid.nyquist_mask.ravel()[kernel.index])
     theta_min = min(family.thetas.values()) / 4.0
     pks = {k: band_symbol(lat, k) for k in family.conn.band_range}
     for w_dir in family.cache.directions:
@@ -394,9 +395,11 @@ class PhaseFamily:
     the connection within a few octaves of the data shell; the defect identity
     is exact for any angles).  The combined time-independent multipliers
     (inverse transverse Laplacian against the kept sectors, and the
-    complementary kept-small-angle sum) live on the band support, are built
-    per direction once for each direction cache and are shared by every family
-    on it.  The phase table is kept for the most recent time only: a call at a
+    complementary kept-small-angle sum) live on the connection's band
+    support, are built per direction once for each direction cache and are
+    shared by every family on it.  The family reads A from its connection
+    and the support's transform from ``conn.kernel``; it keeps no copy of
+    either.  The phase table is kept for the most recent time only: a call at a
     new time drops it and builds the row of every bucket, read or not, in one
     pass (psi_hat in one lift, the phase factors in chunks of _CHUNK_BYTES: 8
     rows at 64^2, one at 256^2).  ``slice_at(t, b)`` returns a view of row b.
@@ -421,66 +424,41 @@ class PhaseFamily:
         self.sigma = sigma
         self.cache = cache
         self.thetas = {k: min(2.0 ** (sigma * k), THETA_MAX) for k in conn.band_range}
-        self._kernel, self._w, self._leq, self._xi_dot = \
-            _premultipliers or self._shared_multipliers()
-        self._support = self._kernel.index
-        # the connection data and 2 pi |xi| at the support's modes, the only
-        # ones the phase reads; the free flow runs on these alone
-        self._a, self._adot = (X.reshape(self.grid.n, -1)[:, self._support]
-                               for X in (conn.a_hat, conn.adot_hat))
-        self._rho = conn.rho.ravel()[self._support]
+        self._w, self._leq, self._xi_dot = _premultipliers or self._shared_multipliers()
         self._t = None
         self._samples = None     # connection samples at time _t, on the support
         self._psi_hat = self._phase = None      # the phase table at time _t
         self.max_imag_defect = 0.0
 
     def _shared_multipliers(self) -> _Multipliers:
-        key = (self.grid, self.conn.band_range, self.sigma)
+        key = (self.conn.band_range, self.sigma)
         if key not in self.cache.multipliers:
-            support = np.flatnonzero(np.logical_or.reduce(
-                [band_symbol(self.grid, k) != 0 for k in self.conn.band_range]))
             ws, leqs, dots = [], [], []
-            for w_dir, lat, inv, pks in _support_symbols(self, support):
+            for w_dir, lat, inv, pks in _support_symbols(self):
                 gs = [greater_symbol(lat, w_dir, self.thetas[k]) for k in pks]
                 ws.append(np.multiply(inv, _band_sum(pks, gs)))
                 leqs.append(_band_sum(pks, [1.0 - g for g in gs]))
                 dots.append(np.tensordot(w_dir, lat.xi, axes=(0, 0)))
-            kernel = _ModeKernel(self.grid, support, self.cache.dft_table)
-            self.cache.multipliers[key] = _Multipliers(kernel, np.stack(ws), np.stack(leqs),
+            self.cache.multipliers[key] = _Multipliers(np.stack(ws), np.stack(leqs),
                                                        np.stack(dots))
         return self.cache.multipliers[key]
-
-    def _connection_on_support(self, t: float):
-        """(A, A_t) at t on the support: the free flow of the support's modes,
-        each bitwise its value in the whole-grid flow of FreeConnection.eval_hat."""
-        flow = gr.FreeFlow(self._rho, t)
-        return flow.u(self._a, self._adot), flow.u_t(self._a, self._adot)
 
     def _build_table(self, t: float):
         """The connection samples (A, A_t, A_tt) on the support at t and the
         phase table of every bucket; the realness defect is taken per row."""
         self._phase = None       # the old table goes before the new one is allocated
-        A, At = self._connection_on_support(t)
-        Att = -self._rho ** 2 * A
-        self._t, self._samples = t, (A, At, Att)
+        self._t, self._samples = t, self.conn.on_support(t)
         self._psi_hat = _lift(self._samples, 0, self.sign, self.cache.directions,
                               self._xi_dot, self._w)
         self._phase = np.empty((len(self._psi_hat),) + self.grid.shape, dtype=np.complex128)
         rows = max(1, self._CHUNK_BYTES // self._phase[0].nbytes)
         axes = tuple(range(1, self._phase.ndim))
         for i in range(0, len(self._phase), rows):
-            psi_c = self._kernel.synthesize(self._psi_hat[i:i + rows])
+            psi_c = self.conn.kernel.synthesize(self._psi_hat[i:i + rows])
             scale = np.maximum(np.abs(psi_c).max(axis=axes), 1e-300)
             defect = float((np.abs(psi_c.imag).max(axis=axes) / scale).max())
             self.max_imag_defect = max(self.max_imag_defect, defect)
             np.exp(2j * np.pi * psi_c.real, out=self._phase[i:i + rows])
-
-    def connection_at(self, t: float) -> np.ndarray:
-        """The connection A(t) on the grid, (n,) + grid real samples,
-        synthesized from the support (which carries the connection's annulus).
-        It builds no phase table; at the table's time it reads the table's samples."""
-        A = self._samples[0] if t == self._t else self._connection_on_support(t)[0]
-        return self._kernel.synthesize(A).real
 
     def _table_at(self, t: float):
         if t != self._t:
@@ -493,16 +471,18 @@ class PhaseFamily:
 
     def psi(self, t: float, b: int) -> np.ndarray:
         self._table_at(t)
-        return self._kernel.synthesize(self._psi_hat[b]).real
+        return self.conn.kernel.synthesize(self._psi_hat[b]).real
 
     def psi_t(self, t: float, b: int) -> np.ndarray:
         self._table_at(t)
-        return self._kernel.synthesize(_lift(self._samples, 1, self.sign, self.cache.directions[b],
-                                             self._xi_dot[b], self._w[b])).real
+        return self.conn.kernel.synthesize(_lift(self._samples, 1, self.sign,
+                                                 self.cache.directions[b], self._xi_dot[b],
+                                                 self._w[b])).real
 
     def grad(self, t: float, b: int) -> tuple:
         self._table_at(t)
-        return tuple(self._kernel.synthesize(2j * np.pi * self._kernel.xi * self._psi_hat[b]).real)
+        kern = self.conn.kernel
+        return tuple(kern.synthesize(2j * np.pi * kern.xi * self._psi_hat[b]).real)
 
     def opposite_null_derivative(self, t: float, b: int) -> np.ndarray:
         """L_omega^{-s} psi_s = omega.grad psi - s d_t psi (the defect operator)."""
@@ -512,8 +492,8 @@ class PhaseFamily:
     def with_multipliers(self, ws, leqs) -> "PhaseFamily":
         """The family with its own multipliers, given on the band support."""
         return PhaseFamily(self.conn, self.sign, self.sigma, self.cache,
-                           _premultipliers=_Multipliers(self._kernel, np.stack(ws),
-                                                        np.stack(leqs), self._xi_dot))
+                           _premultipliers=_Multipliers(np.stack(ws), np.stack(leqs),
+                                                        self._xi_dot))
 
 
 # ---------------------------------------------------------------------------
@@ -528,18 +508,21 @@ def phase_defect(family: PhaseFamily, times) -> float:
     built phase's analytic derivatives, the right through fresh projections).
     """
     grid = family.grid
-    kernel = family._kernel
+    kernel = family.conn.kernel
     worst = 0.0
     for t in times:
-        A, _ = family.conn.eval_hat(t)
+        A = family.conn.on_support(t)[0]
         for b in range(family.cache.num_buckets):
             w_dir = family.cache.directions[b]
             lhs = 2.0 * np.pi * family.opposite_null_derivative(t, b)
             Aw = _dot_omega(A, w_dir)
-            # a full-grid transform, independent of the support kernel
-            aw_field = (np.fft.ifftn(Aw) / grid.cell_volume).real
+            # a full-grid transform of A.omega scattered from the support,
+            # independent of the support kernel
+            aw_hat = np.zeros(grid.num_points, dtype=np.complex128)
+            aw_hat[kernel.index] = Aw
+            aw_field = (np.fft.ifftn(aw_hat.reshape(grid.shape)) / grid.cell_volume).real
             lhs = lhs + aw_field
-            rhs = kernel.synthesize(family._leq[b] * Aw.ravel()[kernel.index]).real
+            rhs = kernel.synthesize(family._leq[b] * Aw).real
             num = np.linalg.norm(lhs - rhs)
             # both sides can vanish identically (on-axis directions see no
             # small-angle energy); normalize against the driving field too
@@ -711,15 +694,15 @@ def match_data(op_plus: WaveOperator, op_minus: WaveOperator, f: ScalarField,
 
 def covariant_box_direct(op: WaveOperator, t: float, h, dts) -> list:
     """(-d_t^2 + Delta + 2 i A.grad)(U h) with centered second time differences,
-    one field per step in dts, A being the connection at t, read from the
-    phase family's support with no transform.  U(t)h and its spatial part are
-    taken once for all steps, and last, so the phase table then holds time t
-    for the connection and a following covariant_box_amplitude."""
+    one field per step in dts, A being the connection's samples at t (no
+    full-grid transform).  U(t)h and its spatial part are taken once for all
+    steps, and last, so the phase table then holds time t for a following
+    covariant_box_amplitude."""
     grid = op.grid
     shifted = [(op.apply(t - dt, h).phys_values, op.apply(t + dt, h).phys_values)
                for dt in dts]
     u0 = op.apply(t, h)
-    A = op.family.connection_at(t)
+    A = op.family.conn.samples(t)
     u0_hat = u0.in_frequency()      # one transform serves the Laplacian and every partial
     lap = gr.laplacian(u0_hat).phys_values
     transport = np.zeros(grid.shape, dtype=np.complex128)
@@ -733,11 +716,11 @@ def covariant_box_direct(op: WaveOperator, t: float, h, dts) -> list:
 
 def covariant_box_amplitude(op: WaveOperator, t: float, h) -> ScalarField:
     """The same quantity through the order-reduction identity: the U-style sum
-    with the extra factor 2 pi Omega_s(t, x, xi), the connection read from the
-    phase family's support with no transform."""
+    with the extra factor 2 pi Omega_s(t, x, xi), the connection's samples at t
+    read with no full-grid transform."""
     grid = op.grid
     fam = op.family
-    Avals = fam.connection_at(t)
+    Avals = fam.conn.samples(t)
     out = np.zeros(grid.shape, dtype=np.complex128)
     for b, kern, r, c in op._buckets(t, h):
         part0, part1, *parts2 = kern.synthesize(np.vstack([c, r * c, kern.xi * c]))
@@ -765,7 +748,7 @@ def residual_check(op: WaveOperator, h, times, dts) -> tuple:
     over times per step in dts (absolute; it decays at the differencing order
     under dt refinement).  U(t)h, its spatial part and the amplitude path
     are computed once per time; per step only U(t +- dt)h.  The connection
-    comes from the phase table at t, with no transform."""
+    is synthesized from its band support, with no full-grid transform."""
     dts = tuple(dts)
     diffs = []
     for t in _in_window(op.grid, times, max(dts)):
@@ -864,7 +847,7 @@ def split_phase_at(family: PhaseFamily, theta_star: float):
         while edges[k] * 2.0 < theta_star:
             edges[k] *= 2.0
     low, high = [], []
-    for w_dir, lat, inv, pks in _support_symbols(family, family._support):
+    for w_dir, lat, inv, pks in _support_symbols(family):
         g_base = [greater_symbol(lat, w_dir, family.thetas[k]) for k in pks]
         g_edge = [g if edges[k] == family.thetas[k] else greater_symbol(lat, w_dir, edges[k])
                   for k, g in zip(pks, g_base)]

@@ -5,12 +5,13 @@ import pytest
 
 from cronlab.errors import ParameterError, PreconditionError, StructuralError
 from cronlab.gauge import greater_symbol, transverse_inverse_symbol
-from cronlab.grid import (GridSpec, ScalarField, inner_product, lebesgue_norm,
+from cronlab.grid import (FreeFlow, GridSpec, ScalarField, VectorField, inner_product,
+                          lebesgue_norm,
                           relative_l2_difference, sobolev_norm, to_physical)
 from cronlab.lp import BandRange, SpacetimeField, band_symbol, fit_loglog, spacetime_norm
 from cronlab import parametrix as pmx
 from cronlab.parametrix import (AnnulusCutoff, DirectionCache, FreeConnection, PhaseFamily,
-                                WaveOperator, _dft_table, _ModeKernel, amplitude_residual,
+                                WaveOperator, _ModeKernel, amplitude_residual,
                                 bucketing_error, covariant_box_amplitude, covariant_box_direct,
                                 decomposable_surrogate, dispersive_scan, match_data,
                                 phase_defect, residual_check, split_phase_at)
@@ -22,12 +23,31 @@ BAND = BandRange(-3, -2)
 CUT = AnnulusCutoff(rho=1.0).validate(GRID)
 
 
-def connection(eps=1e-2, seed=50, grid=GRID, band=BAND):
+def connection_data(eps=1e-2, seed=50, grid=GRID):
+    """Stacked whole-lattice spectra (a, adot) of a test connection."""
     a = random_divergence_free(grid, stream(seed, 0), 0.12, 0.26)
     ad = random_divergence_free(grid, stream(seed, 1), 0.12, 0.26)
-    a_hat = np.stack([c.freq_values for c in a.components]) * eps
-    ad_hat = np.stack([c.freq_values for c in ad.components]) * eps
-    return FreeConnection(grid, a_hat, ad_hat, band)
+    return tuple(np.stack([c.freq_values for c in v.components]) * eps for v in (a, ad))
+
+
+def connection(eps=1e-2, seed=50, grid=GRID, band=BAND):
+    return FreeConnection(grid, *connection_data(eps, seed, grid), band)
+
+
+def whole_grid_connection(t, eps=1e-2, seed=50, grid=GRID, band=BAND):
+    """The oracle of connection(eps, seed, grid, band) at t: (A_hat, d_t A_hat)
+    on the whole lattice, the whole-grid free flow of the same data cut to the
+    band's annulus."""
+    lo, hi = band.annulus()
+    mask = (grid.xi_norm >= lo) & (grid.xi_norm <= hi) & ~grid.nyquist_mask
+    a, ad = (X * mask for X in connection_data(eps, seed, grid))
+    flow = FreeFlow(2.0 * np.pi * grid.xi_norm, t)
+    return flow.u(a, ad), flow.u_t(a, ad)
+
+
+def grid_samples(A_hat, grid=GRID):
+    """Real samples of stacked whole-lattice spectra, by full-grid inverse FFTs."""
+    return (np.fft.ifftn(A_hat, axes=tuple(range(1, grid.n + 1))) / grid.cell_volume).real
 
 
 def annulus_coeffs(seed=51, grid=GRID, cut=CUT):
@@ -51,17 +71,22 @@ def one_direction(conn, omega, sign, sigma):
 def test_connection_divergence_free_at_all_times(divergence_free):
     conn = connection()
     for t in (0.0, 0.7, 1.9):
-        assert divergence_free(conn.field(t), 1e-11)
+        A = conn.samples(t)
+        V = VectorField(tuple(ScalarField(GRID, A[j], real_valued=True) for j in range(GRID.n)))
+        assert divergence_free(V, 1e-11)
 
 
 def test_connection_solves_free_wave_exactly():
     conn = connection()
     t = 0.8
-    A, _ = conn.eval_hat(t)
+    A, _, Att = conn.on_support(t)
     d = 1e-4                             # A_tt as a centered difference of the analytic A_t
-    Att = (conn.eval_hat(t + d)[1] - conn.eval_hat(t - d)[1]) / (2.0 * d)
-    box = -Att - (2.0 * np.pi * GRID.xi_norm) ** 2 * A  # -(A_tt + rho^2 A) = box A
-    assert np.abs(box).max() < 1e-8 * max(np.abs(A).max(), 1e-300)
+    Att_fd = (conn.on_support(t + d)[1] - conn.on_support(t - d)[1]) / (2.0 * d)
+    rho = 2.0 * np.pi * GRID.xi_norm.ravel()[conn.support]
+    scale = max(np.abs(A).max(), 1e-300)
+    for att in (Att, Att_fd):
+        box = -att - rho ** 2 * A        # -(A_tt + rho^2 A) = box A
+        assert np.abs(box).max() < 1e-8 * scale
 
 
 def test_connection_requires_divergence_free_data():
@@ -192,16 +217,16 @@ def test_amplitude_leading_order_cancellation():
     t = 0.7
     r = float(np.linalg.norm(xi))
     lead = -4.0 * np.pi * r * fam.opposite_null_derivative(t, 0)
-    A = conn.field(t)
-    lead = lead - 2.0 * sum(A.components[j].phys_values.real * xi[j] for j in range(2))
-    Ah, _ = conn.eval_hat(t)
+    Ah, _ = whole_grid_connection(t)
+    A = grid_samples(Ah)
+    lead = lead - 2.0 * sum(A[j] * xi[j] for j in range(2))
     Aw = sum(Ah[j] * w[j] for j in range(2))
+    S = conn.support
     rhs_hat = np.zeros(GRID.num_points, dtype=complex)
-    rhs_hat[fam._support] = fam._leq[0] * Aw.ravel()[fam._support]
+    rhs_hat[S] = fam._leq[0] * Aw.ravel()[S]
     rhs_hat = rhs_hat.reshape(GRID.shape)
     rhs = -2.0 * r * np.fft.ifftn(rhs_hat).real / GRID.cell_volume
-    scale = max(np.linalg.norm(
-        sum(A.components[j].phys_values.real * xi[j] for j in range(2))), 1e-300)
+    scale = max(np.linalg.norm(sum(A[j] * xi[j] for j in range(2))), 1e-300)
     assert np.linalg.norm(lead - rhs) < 1e-10 * scale
 
 
@@ -537,7 +562,7 @@ def test_phase_multipliers_match_full_grid_evaluation():
     # in 2-D the support evaluation keeps every bit
     fam = PhaseFamily(connection(), +1, 0.25, small_cache())
     support, ws, leqs, dots = full_grid_multipliers(fam)
-    assert np.array_equal(fam._support, support)
+    assert np.array_equal(fam.conn.support, support)
     for got, want in ((fam._w, ws), (fam._leq, leqs), (fam._xi_dot, dots)):
         assert len(got) == len(want) == len(fam.cache.directions)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -547,7 +572,7 @@ def test_phase_multipliers_match_full_grid_evaluation():
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     fam3 = PhaseFamily(connection(grid=g3), -1, 0.25, DirectionCache.of_directions(g3, dirs))
     support, ws, leqs, dots = full_grid_multipliers(fam3)
-    assert np.array_equal(fam3._support, support)
+    assert np.array_equal(fam3.conn.support, support)
     for got, want in ((fam3._w, ws), (fam3._leq, leqs), (fam3._xi_dot, dots)):
         for a, b in zip(got, want, strict=True):
             assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
@@ -729,16 +754,16 @@ def test_apply_builds_no_derivative_fields(monkeypatch):
     # batches, then one transform per live bucket; no psi_t, no grad
     assert len(tables) == 1
     rows = [shape for shape in calls if len(shape) == 2]
-    assert all(shape[1] == len(fam._support) for shape in rows)
+    assert all(shape[1] == len(fam.conn.support) for shape in rows)
     assert sum(shape[0] for shape in rows) == fam.cache.num_buckets
     assert len(calls) - len(rows) == _live_buckets(op, h)
     for _ in range(2):                   # recomputed on each call, never cached
         del calls[:]
         fam.grad(0.4, 0)
-        assert calls == [(GRID.n, len(fam._support))]  # the n fields in one call
+        assert calls == [(GRID.n, len(fam.conn.support))]  # the n fields in one call
     del calls[:]
     fam.psi_t(0.4, 0)
-    assert calls == [(len(fam._support),)]
+    assert calls == [(len(fam.conn.support),)]
     assert len(tables) == 1
 
 
@@ -753,7 +778,7 @@ def test_phase_table_row_equals_single_bucket_synthesis():
             phase = fam.slice_at(t, b)
             psi_hat = pmx._lift(fam._samples, 0, -1, cache.directions[b], fam._xi_dot[b],
                                 fam._w[b])
-            psi_c = fam._kernel.synthesize(psi_hat)
+            psi_c = fam.conn.kernel.synthesize(psi_hat)
             assert np.array_equal(fam._psi_hat[b], psi_hat)
             assert np.array_equal(phase, np.exp(2j * np.pi * psi_c.real))
             defects.append(np.abs(psi_c.imag).max() / max(np.abs(psi_c).max(), 1e-300))
@@ -785,7 +810,7 @@ def test_families_on_one_cache_share_multipliers():
     cache = small_cache()
     fam_a = PhaseFamily(connection(1e-2), +1, 0.25, cache)
     fam_b = PhaseFamily(connection(3e-2, seed=70), -1, 0.25, cache)
-    assert fam_a._support is fam_b._support
+    assert np.array_equal(fam_a.conn.support, fam_b.conn.support)
     assert fam_a._w is fam_b._w and fam_a._leq is fam_b._leq
     other_sigma = PhaseFamily(connection(), +1, 0.3, cache)
     assert not np.shares_memory(other_sigma._w, fam_a._w)
@@ -793,7 +818,7 @@ def test_families_on_one_cache_share_multipliers():
     own = fam_a.with_multipliers([2.0 * w for w in fam_a._w], fam_a._leq)
     assert not np.shares_memory(own._w, fam_a._w)
     assert not np.shares_memory(own._leq, fam_a._leq)
-    assert own._support is fam_a._support
+    assert own.conn is fam_a.conn
 
 
 def _band_support(grid=GRID, band=BAND):
@@ -804,7 +829,7 @@ def test_multipliers_live_on_band_support():
     cache = small_cache()
     fam = PhaseFamily(connection(), +1, 0.25, cache)
     S = _band_support()
-    assert np.array_equal(fam._support, S) and len(S) < GRID.num_points // 50
+    assert np.array_equal(fam.conn.support, S) and len(S) < GRID.num_points // 50
     stored = fam._w.nbytes + fam._leq.nbytes
     assert stored <= 2 * cache.num_buckets * len(S) * 16
 
@@ -827,16 +852,16 @@ def test_psi_matches_full_grid_formula():
     conn = connection()
     cache = small_cache()
     t = 0.6
-    A, At = conn.eval_hat(t)
+    A, At = whole_grid_connection(t)
     for sign in (+1, -1):
         fam = PhaseFamily(conn, sign, 0.25, cache)
         for b in range(0, cache.num_buckets, 11):
             w_dir = cache.directions[b]
             W = _full_grid_w(fam, b)
             off = np.ones(GRID.num_points, dtype=bool)
-            off[fam._support] = False
+            off[conn.support] = False
             assert not W.ravel()[off].any()
-            assert np.array_equal(fam._w[b], W.ravel()[fam._support])
+            assert np.array_equal(fam._w[b], W.ravel()[conn.support])
             dot = np.tensordot(w_dir, GRID.xi, axes=(0, 0))
             Aw = sum(A[j] * w_dir[j] for j in range(GRID.n))
             Atw = sum(At[j] * w_dir[j] for j in range(GRID.n))
@@ -917,36 +942,16 @@ def test_residual_check_builds_three_slice_sets_per_time(monkeypatch):
         assert len(tables) == (1 + 2 * len(dts)) * len(times)
 
 
-def test_residuals_read_the_connection_from_the_support(monkeypatch):
+def test_connection_samples_are_the_whole_grid_field(count_transforms):
     conn = connection()
-    op = WaveOperator(PhaseFamily(conn, +1, 0.25, small_cache()), CUT)
-
-    def full_grid(t):
-        raise AssertionError("the residual evaluated the connection on the whole grid")
-    monkeypatch.setattr(conn, "field", full_grid)
-    monkeypatch.setattr(conn, "eval_hat", full_grid)
-    tables = _counting(monkeypatch, PhaseFamily, "_build_table")
-    times, dts = [0.2, 0.5, 0.8], [0.02, 0.01]
-    residual_check(op, annulus_coeffs(), times, dts)
-    assert len(tables) == (1 + 2 * len(dts)) * len(times)
-    del tables[:]
-    amplitude_residual(op, annulus_coeffs(), times)
-    assert len(tables) == len(times)
-
-
-def test_connection_at_is_the_connection_field(monkeypatch):
-    conn = connection()
-    fam = PhaseFamily(conn, +1, 0.25, small_cache())
-    tables = _counting(monkeypatch, PhaseFamily, "_build_table")
-    fam.slice_at(0.4, 0)
-    del tables[:]
-    # at the table's time and at two others
-    for t in (0.4, 0.0, 1.3):
-        A = fam.connection_at(t)
-        ref = np.stack([c.phys_values.real for c in conn.field(t).components])
+    times = (0.4, 0.0, 1.3)
+    refs = [grid_samples(whole_grid_connection(t)[0]) for t in times]
+    transforms = count_transforms()
+    for t, ref in zip(times, refs):
+        A = conn.samples(t)
         assert A.shape == (GRID.n,) + GRID.shape and A.dtype == np.float64
         assert np.abs(A - ref).max() <= 1e-14 * np.abs(ref).max()
-    assert not tables and fam._t == 0.4
+    assert not transforms                # synthesized from the support alone
 
 
 def test_phase_table_runs_the_free_flow_on_the_band_support(monkeypatch):
@@ -960,14 +965,38 @@ def test_phase_table_runs_the_free_flow_on_the_band_support(monkeypatch):
             sizes.append(np.shape(rho))
             super().__init__(rho, t)
     monkeypatch.setattr(grid_module, "FreeFlow", Counted)
-    S = fam._support
+    S = conn.support
     for t in (0.0, 0.35, 1.9):
         del sizes[:]
         fam.slice_at(t, 0)
         assert sizes == [(len(S),)]
         # A and A_t bitwise their values in the whole-grid flow
-        for kept, full in zip(fam._samples, conn.eval_hat(t)):
+        for kept, full in zip(fam._samples, whole_grid_connection(t)):
             assert np.array_equal(kept, full.reshape(GRID.n, -1)[:, S])
+
+
+def _arrays(obj):
+    """The arrays an object holds as attributes, also inside tuples."""
+    for value in vars(obj).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                yield item
+
+
+def test_one_dft_table_per_grid_and_connections_keep_only_support_arrays():
+    grid = GridSpec(2, 64, 8.0)          # a fresh grid, whose table no kernel has read
+    conns = [connection(grid=grid), FreeConnection.zero(grid, BAND)]
+    caches = [small_cache(grid=grid), DirectionCache.of_directions(grid, [[0.6, 0.8]])]
+    for conn in conns:
+        for cache in caches:
+            PhaseFamily(conn, -1, 0.25, cache).slice_at(0.3, 0)
+    kernels = [conn.kernel for conn in conns] + [k for c in caches for k in c.bucket_kernels]
+    assert all(kern._table is grid.dft_table for kern in kernels)
+    assert grid.dft_table.shape == (grid.N, grid.N)
+    for conn in conns:
+        bound = grid.n * len(conn.support)
+        held = list(_arrays(conn)) + [a for a in _arrays(conn.kernel) if a is not grid.dft_table]
+        assert held and max(a.size for a in held) <= bound < grid.num_points
 
 
 # ---------------------------------------------------------------------------
@@ -993,7 +1022,7 @@ def test_mode_kernel_synthesis_matches_full_grid_ifft(n, N):
     grid = GridSpec(n, N, 8.0)
     rng = stream(95, n)
     idx = _kernel_indices(grid, rng)
-    kern = _ModeKernel(grid, idx, _dft_table(N))
+    kern = _ModeKernel(grid, idx)
     vals = _random_complex(rng, len(idx))
     F = np.zeros(grid.num_points, dtype=complex)
     F[idx] = vals
@@ -1010,7 +1039,7 @@ def test_mode_kernel_analysis_is_adjoint_of_synthesis(n, N):
     grid = GridSpec(n, N, 8.0)
     rng = stream(96, n)
     idx = _kernel_indices(grid, rng)
-    kern = _ModeKernel(grid, idx, _dft_table(N))
+    kern = _ModeKernel(grid, idx)
     c = _random_complex(rng, len(idx))
     f = _random_complex(rng, grid.shape)
     lhs = np.vdot(f, kern.synthesize(c)) * grid.cell_volume
@@ -1022,7 +1051,7 @@ def test_mode_kernel_analysis_is_adjoint_of_synthesis(n, N):
 def test_mode_kernel_batched_call_equals_per_row_calls(n, N):
     grid = GridSpec(n, N, 8.0)
     rng = stream(97, n)
-    kern = _ModeKernel(grid, _kernel_indices(grid, rng), _dft_table(N))
+    kern = _ModeKernel(grid, _kernel_indices(grid, rng))
     rows = PhaseFamily._CHUNK_BYTES // (16 * grid.num_points) + 3   # more than a table chunk
     vals = _random_complex(rng, (rows, len(kern.index)))
     batched = kern.synthesize(vals)

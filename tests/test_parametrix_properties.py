@@ -19,10 +19,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from cronlab.grid import GridSpec, ScalarField, frequency_l2, inner_product, lebesgue_norm
-from cronlab.lp import BandRange, band_symbol
+from cronlab.lp import BandRange
 from cronlab import parametrix as pmx
 from cronlab.parametrix import (AnnulusCutoff, DirectionCache, FreeConnection, PhaseFamily,
-                                WaveOperator, _dft_table, _ModeKernel)
+                                WaveOperator, _ModeKernel)
 from cronlab.random_fields import random_divergence_free, stream
 
 ELISION = 16384     # numpy elides temporaries from 256 KiB on: 16,384 complex128 elements
@@ -37,7 +37,7 @@ def drawn_kernels(draw, min_share=0.0):
     rng = stream(draw(st.integers(0, 2 ** 32)), 0)
     size = draw(st.integers(max(1, math.ceil(min_share * grid.num_points)), grid.num_points))
     index = np.sort(rng.choice(grid.num_points, size=size, replace=False))
-    return _ModeKernel(grid, index, _dft_table(grid.N)), rng
+    return _ModeKernel(grid, index), rng
 
 
 def _random_complex(rng, shape):
@@ -114,29 +114,23 @@ def _unit_directions(rng, count, n):
 
 @st.composite
 def drawn_phase_families(draw):
-    """(family, t): B random directions and a random subset S of the band
-    support with random multipliers on it, B |S| below or above the elision
-    size, on n = 2 (N = 64) or n = 3 (N = 16)."""
+    """(family, t): B random directions and random multipliers on the band
+    support S of the widest range (hundreds of modes or more), B |S| below or
+    above the elision size, on n = 2 (N = 64) or n = 3 (N = 16)."""
     n = draw(st.sampled_from([2, 3]))
     grid = GridSpec(n, 64 if n == 2 else 16, draw(st.floats(1.0, 4.0)))
     rng = stream(draw(st.integers(0, 2 ** 32)), 0)
-    band = BandRange.widest(grid)
-    conn = _connection(grid, band, rng, draw(st.floats(1e-3, 1.0)))
-    support = np.flatnonzero(np.logical_or.reduce(
-        [band_symbol(grid, k) != 0 for k in band]))
-    if draw(st.booleans()):      # above: B |S| > 16,384 with B <= 257
-        size = draw(st.integers(min(64, support.size), support.size))
+    conn = _connection(grid, BandRange.widest(grid), rng, draw(st.floats(1e-3, 1.0)))
+    size = conn.support.size
+    if draw(st.booleans()):      # above: B |S| > 16,384
         count = ELISION // size + 1 + draw(st.integers(0, 3))
     else:                        # below: B |S| < 16,384
-        size = draw(st.integers(1, support.size))
         count = draw(st.integers(1, max(1, (ELISION - 1) // size)))
-    S = np.sort(rng.choice(support, size=size, replace=False))
     cache = DirectionCache.of_directions(grid, _unit_directions(rng, count, n))
-    kernel = _ModeKernel(grid, S, cache.dft_table)
     W = _random_complex(rng, (count, size))
-    xi_dot = cache.directions @ kernel.xi
+    xi_dot = cache.directions @ conn.kernel.xi
     fam = PhaseFamily(conn, draw(st.sampled_from([1, -1])), 0.25, cache,
-                      _premultipliers=pmx._Multipliers(kernel, W, np.zeros_like(W), xi_dot))
+                      _premultipliers=pmx._Multipliers(W, np.zeros_like(W), xi_dot))
     return fam, draw(st.floats(0.0, 1.0))
 
 
@@ -148,7 +142,7 @@ def test_phase_table_row_is_its_bucket_alone_bit_for_bit(drawn):
     defects = []
     for b, w_dir in enumerate(fam.cache.directions):
         psi_hat = pmx._lift(fam._samples, 0, fam.sign, w_dir, fam._xi_dot[b], fam._w[b])
-        psi_c = fam._kernel.synthesize(psi_hat)
+        psi_c = fam.conn.kernel.synthesize(psi_hat)
         assert _same_bits(fam._psi_hat[b], psi_hat)
         assert _same_bits(fam.slice_at(t, b), np.exp(2j * np.pi * psi_c.real))
         defects.append(np.abs(psi_c.imag).max() / max(np.abs(psi_c).max(), 1e-300))

@@ -177,13 +177,9 @@ def _point_mul(a: ScalarField, b: np.ndarray) -> ScalarField:
     return ScalarField(a.grid, a.phys_values * b)
 
 
-def current_density(phi: ScalarField, Asp: VectorField) -> VectorField:
-    """Im(phi conj(D_j phi)) componentwise (the spatial matter current)."""
-    return current_from_gradient(phi, gradient(phi), Asp)
-
-
 def current_from_gradient(phi: ScalarField, grad_phi: VectorField, Asp: VectorField) -> VectorField:
-    """``current_density`` from the first partials of phi, for callers that hold them."""
+    """Im(phi conj(D_j phi)) componentwise (the spatial matter current), from
+    the first partials of phi."""
     ph = phi.phys_values
     return VectorField(tuple(ScalarField(phi.grid, np.imag(ph * np.conj(cov)), real_valued=True)
                              for cov in covariant_gradient(ph, grad_phi, Asp)))
@@ -209,10 +205,11 @@ def null_form_check(phi: ScalarField, Asp: VectorField):
     def drop_mean(field: ScalarField) -> ScalarField:
         return field - gr.constant_field(grid, field.mean())
 
-    lhs = leray_project(current_density(phi, Asp), keep_mean=True) * (-1.0)
+    grad_phi = gradient(phi)
+    lhs = leray_project(current_from_gradient(phi, grad_phi, Asp), keep_mean=True) * (-1.0)
     lhs = lhs.map(drop_mean)
 
-    derivs = [d.phys_values for d in gradient(phi).components]
+    derivs = [d.phys_values for d in grad_phi.components]
     absphi2 = np.abs(phi.phys_values) ** 2
     phisq = phi.phys_values ** 2
 

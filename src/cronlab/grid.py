@@ -185,9 +185,10 @@ class GridSpec:
 
     @cached_property
     def _lattices(self) -> dict:
-        """real_valued -> the lattice such a field stores its spectrum on."""
+        """real_valued -> the lattice such a field stores its spectrum on; the
+        half lattice is a view of the whole one's read-only arrays."""
         full = Lattice(self.xi, self.xi_norm, self.nyquist_mask)
-        return {False: full, True: Lattice(*(_half_copy(self, a) for a in full))}
+        return {False: full, True: Lattice(*(a[..., :self.N // 2 + 1] for a in full))}
 
     @property
     def _half_shape(self) -> tuple:
@@ -208,12 +209,6 @@ class GridSpec:
 
     def mode_frequency(self, mode) -> np.ndarray:
         return np.asarray(mode, dtype=float) / self.L
-
-
-def _half_copy(grid: GridSpec, arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr[..., :grid.N // 2 + 1])
-    out.flags.writeable = False
-    return out
 
 
 def _unfold(grid: GridSpec, H: np.ndarray) -> np.ndarray:
@@ -377,12 +372,10 @@ class VectorField:
         return self.components[0].grid
 
     def in_frequency(self) -> "VectorField":
-        return VectorField(tuple(c.in_frequency() for c in self.components),
-                           divergence_free=self.divergence_free)
+        return self.map(ScalarField.in_frequency, self.divergence_free)
 
     def in_physical(self) -> "VectorField":
-        return VectorField(tuple(c.in_physical() for c in self.components),
-                           divergence_free=self.divergence_free)
+        return self.map(ScalarField.in_physical, self.divergence_free)
 
     def map(self, fn, divergence_free=False) -> "VectorField":
         return VectorField(tuple(fn(c) for c in self.components), divergence_free=divergence_free)
@@ -609,22 +602,24 @@ class FreeFlow:
 # ---------------------------------------------------------------------------
 # norms and inner products
 
-def lebesgue_norm(f: ScalarField, p) -> float:
-    """(sum |f|^p dx^n)^{1/p}; max for p = inf."""
-    v = np.abs(f.phys_values)
+def _magnitude_norm(grid: GridSpec, v: np.ndarray, p) -> float:
+    """(sum v^p dx^n)^{1/p} of the pointwise magnitudes v; max for p = inf."""
     if p == np.inf:
         return float(v.max())
     if not p >= 1:
         raise ParameterError(f"Lebesgue exponent p={p} must satisfy p >= 1")
-    return float((np.sum(v ** p) * f.grid.cell_volume) ** (1.0 / p))
+    return float((np.sum(v ** p) * grid.cell_volume) ** (1.0 / p))
+
+
+def lebesgue_norm(f: ScalarField, p) -> float:
+    """(sum |f|^p dx^n)^{1/p}; max for p = inf."""
+    return _magnitude_norm(f.grid, np.abs(f.phys_values), p)
 
 
 def vector_lebesgue_norm(V: VectorField, p) -> float:
     """L^p norm of the pointwise euclidean magnitude of V."""
-    mag = np.sqrt(sum(np.abs(c.phys_values) ** 2 for c in V.components))
-    if p == np.inf:
-        return float(mag.max())
-    return float((np.sum(mag ** p) * V.grid.cell_volume) ** (1.0 / p))
+    return _magnitude_norm(V.grid, np.sqrt(sum(np.abs(c.phys_values) ** 2
+                                               for c in V.components)), p)
 
 
 def frequency_l2(grid: GridSpec, F: np.ndarray) -> float:

@@ -707,16 +707,12 @@ def run_dispersive(config: ExperimentConfig):
 
     # perturbed decay vs free on the same grid (n = 2)
     gp = GridSpec(2, 256, 8.0)
-    cutp = pmx.AnnulusCutoff(rho=4.0).validate(gp)
+    _, cutp, _, connections, operator = _parametrix_setup(gp, seed, config.sigma,
+                                                          eta_dir=0.05)
     tausp = np.geomspace(1.0, gp.L / 4.0, 7)
     fp = _point_source(gp)
     free_scan = pmx.dispersive_scan(None, tausp, fp, grid=gp, cutoff=cutp)
-    band = BandRange(-3, -2)
-    eps = config.eps_list[min(2, len(config.eps_list) - 1)]
-    conn = make_free_connection(gp, band, eps, seed)
-    cache = pmx.DirectionCache.build(gp, cutp.modes(gp), policy="bucketed", eta_dir=0.05)
-    fam = pmx.PhaseFamily(conn, +1, config.sigma, cache)
-    op = pmx.WaveOperator(fam, cutp)
+    op = operator(connections(config.eps_list[min(2, len(config.eps_list) - 1)]), +1)
     pert_scan = pmx.dispersive_scan(op, tausp, fp)
     gap = abs(pert_scan.slope - free_scan.slope)
     records.append(AcceptanceRecord.bounded("dispersive.perturbed_slope_gap", gap, hi=0.15))

@@ -320,17 +320,15 @@ class DirectionCache:
     @classmethod
     def of_directions(cls, grid: GridSpec, directions) -> "DirectionCache":
         """One bucket per given unit direction, taken as it is (not renormalized);
-        the directions need not be lattice directions.  Every bucket carries the
-        placeholder mode (1, 0, ..., 0), so the cache serves the phase family
-        (defect identity, phase split) but covers no cutoff support."""
+        the directions need not be lattice directions.  The buckets carry no
+        modes, so the cache serves the phase family (defect identity, phase
+        split) but covers no cutoff support."""
         directions = np.asarray(directions, dtype=float)
         if directions.ndim != 2 or directions.shape[1] != grid.n or len(directions) == 0:
             raise StructuralError("directions must be a nonempty (B, n) array")
         if np.abs(np.linalg.norm(directions, axis=1) - 1.0).max() > 1e-12:
             raise ParameterError("directions must be unit vectors")
-        modes = np.zeros(directions.shape, dtype=int)
-        modes[:, 0] = 1
-        return cls(grid, modes, directions, np.arange(len(directions)))
+        return cls(grid, np.zeros((0, grid.n), dtype=int), directions, np.zeros(0, dtype=int))
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +354,10 @@ def _band_sum(pks: dict, weights) -> np.ndarray:
 class _Multipliers(NamedTuple):
     """The time-independent phase multipliers of one (band range, sigma), one
     row per direction bucket, on the band support of the range's connections
-    (``FreeConnection.support``).  Both multipliers vanish off it."""
+    (``FreeConnection.support``).  W vanishes off it."""
 
-    ws: np.ndarray         # (B, |S|): inv sum_k P_k Pi_{omega, > theta_k}
-    leqs: np.ndarray       # (B, |S|): sum_k P_k Pi_{omega, <= theta_k}
-    xi_dots: np.ndarray    # (B, |S|): xi . omega
+    ws: np.ndarray         # (B, |S|) complex: inv sum_k P_k Pi_{omega, > theta_k}
+    xi_dots: np.ndarray    # (B, |S|) real: xi . omega
 
 
 def _support_symbols(family):
@@ -393,13 +390,12 @@ class PhaseFamily:
     Bands k run over the connection's range with opening angles
     theta_k = min(2^{sigma k}, pi/4) (the cap only matters when the grid packs
     the connection within a few octaves of the data shell; the defect identity
-    is exact for any angles).  The combined time-independent multipliers
-    (inverse transverse Laplacian against the kept sectors, and the
-    complementary kept-small-angle sum) live on the connection's band
-    support, are built per direction once for each direction cache and are
-    shared by every family on it.  The family reads A from its connection
-    and the support's transform from ``conn.kernel``; it keeps no copy of
-    either.  The phase table is kept for the most recent time only: a call at a
+    is exact for any angles).  The time-independent multiplier W (inverse
+    transverse Laplacian against the kept sectors) and xi.omega live on the
+    connection's band support, are built per direction once for each
+    direction cache and are shared by every family on it.  The family reads
+    A from its connection and the support's transform from ``conn.kernel``;
+    it keeps no copy of either.  The phase table is kept for the most recent time only: a call at a
     new time drops it and builds the row of every bucket, read or not, in one
     pass (psi_hat in one lift, the phase factors in chunks of _CHUNK_BYTES: 8
     rows at 64^2, one at 256^2).  ``slice_at(t, b)`` returns a view of row b.
@@ -424,7 +420,7 @@ class PhaseFamily:
         self.sigma = sigma
         self.cache = cache
         self.thetas = {k: min(2.0 ** (sigma * k), THETA_MAX) for k in conn.band_range}
-        self._w, self._leq, self._xi_dot = _premultipliers or self._shared_multipliers()
+        self._w, self._xi_dot = _premultipliers or self._shared_multipliers()
         self._t = None
         self._samples = None     # connection samples at time _t, on the support
         self._psi_hat = self._phase = None      # the phase table at time _t
@@ -433,14 +429,12 @@ class PhaseFamily:
     def _shared_multipliers(self) -> _Multipliers:
         key = (self.conn.band_range, self.sigma)
         if key not in self.cache.multipliers:
-            ws, leqs, dots = [], [], []
+            ws, dots = [], []
             for w_dir, lat, inv, pks in _support_symbols(self):
                 gs = [greater_symbol(lat, w_dir, self.thetas[k]) for k in pks]
                 ws.append(np.multiply(inv, _band_sum(pks, gs)))
-                leqs.append(_band_sum(pks, [1.0 - g for g in gs]))
                 dots.append(np.tensordot(w_dir, lat.xi, axes=(0, 0)))
-            self.cache.multipliers[key] = _Multipliers(np.stack(ws), np.stack(leqs),
-                                                       np.stack(dots))
+            self.cache.multipliers[key] = _Multipliers(np.stack(ws), np.stack(dots))
         return self.cache.multipliers[key]
 
     def _build_table(self, t: float):
@@ -489,11 +483,10 @@ class PhaseFamily:
         return _opposite_null(self.cache.directions[b], self.sign, self.grad(t, b),
                               self.psi_t(t, b))
 
-    def with_multipliers(self, ws, leqs) -> "PhaseFamily":
-        """The family with its own multipliers, given on the band support."""
+    def with_multipliers(self, ws) -> "PhaseFamily":
+        """The family with its own W rows, given on the band support."""
         return PhaseFamily(self.conn, self.sign, self.sigma, self.cache,
-                           _premultipliers=_Multipliers(np.stack(ws), np.stack(leqs),
-                                                        self._xi_dot))
+                           _premultipliers=_Multipliers(np.stack(ws), self._xi_dot))
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +497,16 @@ def phase_defect(family: PhaseFamily, times) -> float:
 
         2 pi L^{-s} psi_s + A.omega = sum_k Pi_{omega,<=theta_k} P_k A . omega
 
-    evaluated through independent multiplier paths (the left side through the
-    built phase's analytic derivatives, the right through fresh projections).
+    evaluated through independent multiplier paths.  The left side runs
+    through the family's stored W and the phase's analytic derivatives; the
+    right side builds sum_k P_k Pi_{omega,<=theta_k} here, so a wrong W shows.
+    The two sides share only the connection's samples on the band support,
+    the band symbols P_k and ``greater_symbol``.
     """
     grid = family.grid
     kernel = family.conn.kernel
+    leqs = [_band_sum(pks, [1.0 - greater_symbol(lat, w_dir, family.thetas[k]) for k in pks])
+            for w_dir, lat, _, pks in _support_symbols(family)]
     worst = 0.0
     for t in times:
         A = family.conn.on_support(t)[0]
@@ -522,7 +520,7 @@ def phase_defect(family: PhaseFamily, times) -> float:
             aw_hat[kernel.index] = Aw
             aw_field = (np.fft.ifftn(aw_hat.reshape(grid.shape)) / grid.cell_volume).real
             lhs = lhs + aw_field
-            rhs = kernel.synthesize(family._leq[b] * Aw).real
+            rhs = kernel.synthesize(leqs[b] * Aw).real
             num = np.linalg.norm(lhs - rhs)
             # both sides can vanish identically (on-axis directions see no
             # small-angle energy); normalize against the driving field too
@@ -856,7 +854,7 @@ def split_phase_at(family: PhaseFamily, theta_star: float):
     W = family._w
     scale = np.maximum(np.abs(W).max(axis=1, initial=0.0), 1e-300)
     mismatch = np.abs((np.stack(low) + np.stack(high)) - W).max(axis=1, initial=0.0)
-    return (family.with_multipliers(low, family._leq), family.with_multipliers(high, family._leq),
+    return (family.with_multipliers(low), family.with_multipliers(high),
             float((mismatch / scale).max()))
 
 

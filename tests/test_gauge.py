@@ -3,7 +3,7 @@ import pytest
 
 from cronlab.errors import ParameterError, PreconditionError
 from cronlab.gauge import (THETA_MAX, angle_to, coulomb_gain_ratios,
-                           covariant_gradient, curvature_from_gradients, current_density,
+                           covariant_gradient, curvature_from_gradients, current_from_gradient,
                            greater_symbol, leray_project, null_derivative, null_form_check,
                            sector_symbol, transverse_inverse_symbol)
 from cronlab.grid import (GridSpec, ScalarField, VectorField, apply_multiplier, constant_field,
@@ -387,12 +387,12 @@ def test_null_form_closes_with_modulus_reading():
     assert r_lit > 1e-3  # the literal phi^2 coupling does not close
 
 
-def test_current_density_matches_covariant_form():
+def test_current_from_gradient_matches_covariant_form():
     g = GridSpec(2, 16, 4.0)
     rng = stream(26, 1)
     phi = random_field(g, rng, 0.2, 0.5)
     A = random_divergence_free(g, rng, 0.2, 0.5)
-    J = current_density(phi, A)
+    J = current_from_gradient(phi, gradient(phi), A)
     from cronlab.grid import partial_derivative
     for j in range(2):
         # D_j phi summed on phi's (frequency) side, independent of the samples path

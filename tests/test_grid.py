@@ -8,9 +8,9 @@ from cronlab.errors import ParameterError, PreconditionError, SingularSymbolErro
 from cronlab.grid import (GridSpec, ScalarField, VectorField, apply_multiplier, constant_field,
                           divergence, gradient, inner_product, laplacian, lebesgue_norm,
                           mode_field, plane_wave, sobolev_norm,
-                          to_frequency, to_physical, zero_field)
+                          to_frequency, to_physical, vector_lebesgue_norm, zero_field)
 from cronlab.grid import frequency_l2, hermitianize, plancherel_l2, relative_l2_difference
-from cronlab.random_fields import random_field, stream
+from cronlab.random_fields import random_divergence_free, random_field, stream
 
 
 def dense_transform(grid, values):
@@ -197,6 +197,16 @@ def test_lebesgue_norms():
     for p in (1, 2, 4, np.inf):
         expect = 1.0 if p == np.inf else g.L ** (g.n / p)
         assert abs(lebesgue_norm(one, p) - expect) < 1e-12
+    # the vector norm is the norm of the pointwise magnitude; both check p
+    V = random_divergence_free(g, stream(6, 1), 0.2, 1.0)
+    mag = ScalarField(g, np.sqrt(sum(np.abs(c.phys_values) ** 2 for c in V.components)),
+                      real_valued=True)
+    for p in (1, 2, 4, np.inf):
+        assert vector_lebesgue_norm(V, p) == lebesgue_norm(mag, p)
+    for p in (0.5, np.nan):
+        for norm, arg in ((lebesgue_norm, one), (vector_lebesgue_norm, V)):
+            with pytest.raises(ParameterError):
+                norm(arg, p)
 
 
 def test_p4_norm_matches_oversampled_quadrature():

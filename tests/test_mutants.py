@@ -1,4 +1,4 @@
-"""Named mutants of the MKG kernels and the check each must fail.
+"""Named mutants of the MKG and parametrix kernels and the check each must fail.
 
 Each mutant is monkeypatched in, so no production code changes; each check
 passes on the code as it is and fails once its mutant is in place.  The
@@ -12,9 +12,12 @@ import pytest
 
 import cronlab.grid as gr
 import cronlab.mkg as mkg
+import cronlab.parametrix as pmx
 import test_mkg
+from cronlab.gauge import greater_symbol
 from cronlab.grid import GridSpec
-from cronlab.harness import ExperimentConfig, run
+from cronlab.harness import ExperimentConfig, make_free_connection, run
+from cronlab.lp import BandRange
 from cronlab.random_fields import random_field, stream
 
 
@@ -68,6 +71,20 @@ def _stale_a0_samples():
     return [(mkg, "elliptic_a0", mutant)]
 
 
+def _doubled_sector_angle():
+    """PhaseFamily._shared_multipliers with W built from the sectors of twice
+    each band's opening angle theta_k.  The mutated W is memoized on the
+    family's cache, so the check builds a fresh one."""
+    original = pmx.PhaseFamily._shared_multipliers
+
+    def mutant(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pmx, "greater_symbol",
+                       lambda lat, w_dir, theta: greater_symbol(lat, w_dir, 2.0 * theta))
+            return original(self)
+    return [(pmx.PhaseFamily, "_shared_multipliers", mutant)]
+
+
 # ---------------------------------------------------------------------------
 # checks: each raises AssertionError when it fails
 
@@ -93,6 +110,19 @@ def _a0_samples_certified(tmp_path):
                                                   random_field(g, rng, lo, hi) * 0.1)
 
 
+def _phase_defect_identity(tmp_path):
+    # the identities suite's defect check (6 probe directions, 5 times,
+    # eps = 1e-2) at (n, N) = (2, 64), seed 7, on a fresh cache, so no
+    # multipliers memoized by another family are read
+    grid = GridSpec(2, 64, 8.0)
+    conn = make_free_connection(grid, BandRange(-3, -2), 1e-2, 7)
+    dirs = stream(7, 600).standard_normal((6, grid.n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    fam = pmx.PhaseFamily(conn, +1, 0.25, pmx.DirectionCache.of_directions(grid, dirs))
+    defect = pmx.phase_defect(fam, np.linspace(0.0, 0.45 * grid.L / 2.0, 5))
+    assert defect < 1e-10, defect
+
+
 class Mutant(NamedTuple):
     id: str
     patches: Callable
@@ -107,6 +137,9 @@ MUTANTS = [
     Mutant("D-a0-squared-sign", lambda: _extras_without(_twice_a0_squared_phi),
            _phi_extras_formula),
     Mutant("stale-a0-samples", _stale_a0_samples, _a0_samples_certified),
+    # W built from the sectors of 2 theta_k: the defect identity's right side
+    # is built apart from W, so the two sides part
+    Mutant("wrong-sector-angle", _doubled_sector_angle, _phase_defect_identity),
 ]
 
 

@@ -221,9 +221,9 @@ def test_amplitude_leading_order_cancellation():
     A = grid_samples(Ah)
     lead = lead - 2.0 * sum(A[j] * xi[j] for j in range(2))
     Aw = sum(Ah[j] * w[j] for j in range(2))
-    S = conn.support
+    S, _, leqs, _ = full_grid_multipliers(fam)
     rhs_hat = np.zeros(GRID.num_points, dtype=complex)
-    rhs_hat[S] = fam._leq[0] * Aw.ravel()[S]
+    rhs_hat[S] = leqs[0] * Aw.ravel()[S]
     rhs_hat = rhs_hat.reshape(GRID.shape)
     rhs = -2.0 * r * np.fft.ifftn(rhs_hat).real / GRID.cell_volume
     scale = max(np.linalg.norm(sum(A[j] * xi[j] for j in range(2))), 1e-300)
@@ -561,9 +561,9 @@ def full_grid_multipliers(fam):
 def test_phase_multipliers_match_full_grid_evaluation():
     # in 2-D the support evaluation keeps every bit
     fam = PhaseFamily(connection(), +1, 0.25, small_cache())
-    support, ws, leqs, dots = full_grid_multipliers(fam)
+    support, ws, _, dots = full_grid_multipliers(fam)
     assert np.array_equal(fam.conn.support, support)
-    for got, want in ((fam._w, ws), (fam._leq, leqs), (fam._xi_dot, dots)):
+    for got, want in ((fam._w, ws), (fam._xi_dot, dots)):
         assert len(got) == len(want) == len(fam.cache.directions)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
     # in 3-D the dot products with omega may round differently on the gathered modes
@@ -571,9 +571,9 @@ def test_phase_multipliers_match_full_grid_evaluation():
     dirs = stream(58, 0).standard_normal((6, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     fam3 = PhaseFamily(connection(grid=g3), -1, 0.25, DirectionCache.of_directions(g3, dirs))
-    support, ws, leqs, dots = full_grid_multipliers(fam3)
+    support, ws, _, dots = full_grid_multipliers(fam3)
     assert np.array_equal(fam3.conn.support, support)
-    for got, want in ((fam3._w, ws), (fam3._leq, leqs), (fam3._xi_dot, dots)):
+    for got, want in ((fam3._w, ws), (fam3._xi_dot, dots)):
         for a, b in zip(got, want, strict=True):
             assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
 
@@ -669,6 +669,7 @@ def test_cache_of_directions_keeps_given_directions():
     cache = DirectionCache.of_directions(GRID, dirs)
     assert cache.num_buckets == 3
     assert cache.directions.tobytes() == dirs.tobytes()
+    assert cache.modes.shape == (0, 2) and all(idx.size == 0 for idx in cache.bucket_index)
     with pytest.raises(ParameterError):
         DirectionCache.of_directions(GRID, 2.0 * dirs)
     with pytest.raises(StructuralError):
@@ -811,13 +812,12 @@ def test_families_on_one_cache_share_multipliers():
     fam_a = PhaseFamily(connection(1e-2), +1, 0.25, cache)
     fam_b = PhaseFamily(connection(3e-2, seed=70), -1, 0.25, cache)
     assert np.array_equal(fam_a.conn.support, fam_b.conn.support)
-    assert fam_a._w is fam_b._w and fam_a._leq is fam_b._leq
+    assert fam_a._w is fam_b._w
     other_sigma = PhaseFamily(connection(), +1, 0.3, cache)
     assert not np.shares_memory(other_sigma._w, fam_a._w)
     assert not np.array_equal(other_sigma._w, fam_a._w)
-    own = fam_a.with_multipliers([2.0 * w for w in fam_a._w], fam_a._leq)
+    own = fam_a.with_multipliers([2.0 * w for w in fam_a._w])
     assert not np.shares_memory(own._w, fam_a._w)
-    assert not np.shares_memory(own._leq, fam_a._leq)
     assert own.conn is fam_a.conn
 
 
@@ -830,8 +830,7 @@ def test_multipliers_live_on_band_support():
     fam = PhaseFamily(connection(), +1, 0.25, cache)
     S = _band_support()
     assert np.array_equal(fam.conn.support, S) and len(S) < GRID.num_points // 50
-    stored = fam._w.nbytes + fam._leq.nbytes
-    assert stored <= 2 * cache.num_buckets * len(S) * 16
+    assert fam._w.nbytes <= cache.num_buckets * len(S) * 16
 
 
 def _full_grid_w(fam, b):

@@ -130,7 +130,7 @@ def drawn_phase_families(draw):
     W = _random_complex(rng, (count, size))
     xi_dot = cache.directions @ conn.kernel.xi
     fam = PhaseFamily(conn, draw(st.sampled_from([1, -1])), 0.25, cache,
-                      _premultipliers=pmx._Multipliers(W, np.zeros_like(W), xi_dot))
+                      _premultipliers=pmx._Multipliers(W, xi_dot))
     return fam, draw(st.floats(0.0, 1.0))
 
 

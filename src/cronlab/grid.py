@@ -434,34 +434,21 @@ def to_physical(f: ScalarField) -> ScalarField:
 # ---------------------------------------------------------------------------
 # multipliers
 
-def evaluate_symbol(grid: GridSpec, symbol) -> np.ndarray:
-    """Evaluate a multiplier symbol on the frequency lattice.
-
-    ``symbol`` is either an ndarray of shape grid.shape or a callable taking the
-    stacked coordinate array grid.xi (shape (n,) + grid.shape).  A symbol of
-    the grid's registry (``GridSpec.symbol``) is returned as it is, any other
-    as a new complex array.
-    """
-    if grid._symbol_entry(symbol) is not None:
-        return symbol
-    sym = symbol(grid.xi) if callable(symbol) else np.asarray(symbol)
-    sym = np.asarray(sym, dtype=np.complex128) + np.zeros(grid.shape, dtype=np.complex128)
-    if sym.shape != grid.shape:
-        raise StructuralError(f"symbol shape {sym.shape} does not match grid {grid.shape}")
-    return sym
-
-
-def apply_multiplier(f: ScalarField, symbol) -> ScalarField:
-    """f_hat -> m(xi) f_hat, with the Nyquist rows forced to zero.
+def apply_multiplier(f: ScalarField, sym: np.ndarray) -> ScalarField:
+    """f_hat -> m(xi) f_hat for the symbol array ``sym`` of grid shape, with
+    the Nyquist rows forced to zero.
 
     A real field stays real, on the half lattice, when m is Hermitian
     (``_hermitian_half``); under any other symbol the result is complex.
     A non-finite symbol value on a lattice point whose coefficient is nonzero
     (relative to the field's peak) raises SingularSymbolError naming the point.
-    A symbol of the grid's registry was checked when it was built.
+    A symbol of the grid's registry was checked when it was built; a symbol
+    of another shape raises StructuralError.
     """
     grid = f.grid
-    sym = evaluate_symbol(grid, symbol)
+    sym = np.asarray(sym)
+    if sym.shape != grid.shape:
+        raise StructuralError(f"symbol shape {sym.shape} does not match grid {grid.shape}")
     entry = grid._symbol_entry(sym)
     f_hat = f.in_frequency()
     if entry is None:

@@ -521,11 +521,14 @@ def run_mkg_evolve(config: ExperimentConfig):
                              "[2/L, N/(8L)] holds no lattice mode")
     eps = config.eps_list[min(2, len(config.eps_list) - 1)]
     grid = GridSpec(n, N, L)
-    state = _mkg_data(grid, eps, seed)
-    rep0 = mkg.constraint_residuals(state)
     t_final = config.t_max if config.t_max is not None else L / 4.0
     dt = min(0.05, mkg.stability_limit(grid))
     steps = int(round(t_final / dt))
+    if steps < 1:
+        raise ParameterError(f"t_max={t_final} rounds to zero steps of dt={dt}: "
+                             "mkg-evolve would take no step")
+    state = _mkg_data(grid, eps, seed)
+    rep0 = mkg.constraint_residuals(state)
     drift = 0.0
     gauss = rep0.gauss_residual
     divres = rep0.div_residual

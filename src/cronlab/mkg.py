@@ -357,7 +357,14 @@ def step(state: ConnectionState, dt: float) -> ConnectionState:
 
 
 def evolve(state: ConnectionState, t_final: float, dt: float) -> ConnectionState:
+    """Strang steps of dt > 0 from the state's time to t_final, which lies a
+    whole number (at least one) of steps ahead."""
+    if not (0.0 < dt < math.inf and math.isfinite(t_final)):
+        raise ParameterError(f"time step dt={dt} must be positive and finite, "
+                             f"and t_final={t_final} finite")
     steps = int(round((t_final - state.t) / dt))
+    if steps < 1:
+        raise ParameterError(f"t_final={t_final} is not a step dt={dt} past t={state.t}")
     if abs(state.t + steps * dt - t_final) > 1e-9:
         raise ParameterError("t_final must be an integer number of steps away")
     for _ in range(steps):

@@ -93,7 +93,9 @@ class FreeConnection:
     P_k of the range is nonzero, which carry the annulus.  It is the one
     owner of A: ``on_support(t)`` runs the free flow on those |S| modes, and
     ``samples(t)`` synthesizes A(t) on the grid through ``kernel``, the
-    support's transform.
+    support's transform.  It also owns the band symbols its phase families
+    read: ``bands`` maps each k of the range to P_k, evaluated once on the
+    support's ``kernel.lattice``.
     """
 
     def __init__(self, grid: GridSpec, a_hat, adot_hat, band_range: BandRange):
@@ -113,8 +115,9 @@ class FreeConnection:
         support = np.flatnonzero(np.logical_or.reduce(
             [band_symbol(grid, k) != 0 for k in band_range]))
         self.kernel = _ModeKernel(grid, support)
+        self.bands = {k: band_symbol(self.kernel.lattice, k) for k in band_range}
         self._a, self._adot = (X.reshape(grid.n, -1)[:, support] for X in (a_hat, adot_hat))
-        self._rho = 2.0 * np.pi * grid.xi_norm.ravel()[support]
+        self._rho = 2.0 * np.pi * self.kernel.lattice.xi_norm
 
     def _check_div_free(self, hat, name):
         dot = sum(self.grid.xi[j] * hat[j] for j in range(self.grid.n))
@@ -212,16 +215,18 @@ class _ModeKernel:
     over dx^n, with one small matrix product per axis over that axis's
     distinct indices.  ``analyze`` is its exact conjugate transpose: the
     forward DFT times dx^n, evaluated only at the indices.  Leading axes of
-    the input batch several fields in one call.  ``xi`` holds the
-    frequencies (n, M) of the indices.  The per-axis matrices are rows of
-    the grid's one table ``GridSpec.dft_table``, which every kernel on the
-    grid shares; each call gathers the rows it needs.
+    the input batch several fields in one call.  ``lattice`` holds the
+    coordinates of the indices, xi (n, M), |xi| and the Nyquist flags (M,),
+    so symbols of xi are evaluated at these modes alone.  The per-axis
+    matrices are rows of the grid's one table ``GridSpec.dft_table``, which
+    every kernel on the grid shares; each call gathers the rows it needs.
     """
 
     def __init__(self, grid: GridSpec, index: np.ndarray):
         self.grid = grid
         self.index = index
-        self.xi = grid.xi.reshape(grid.n, -1)[:, index]
+        self.lattice = gr.Lattice(grid.xi.reshape(grid.n, -1)[:, index],
+                                  grid.xi_norm.ravel()[index], grid.nyquist_mask.ravel()[index])
         per_axis = [np.unique(k, return_inverse=True)
                     for k in np.unravel_index(index, grid.shape)]
         self._rows = tuple(u for u, _ in per_axis)
@@ -256,8 +261,8 @@ class DirectionCache:
     Exact mode: one direction per primitive integer vector.  Bucketed mode:
     greedy clustering to representatives within eta_dir/2, used when the shell
     carries more distinct directions than per-direction transforms can afford.
-    ``bucket_index[b]`` holds the flat grid indices of bucket b's modes and
-    ``bucket_kernels[b]`` their transforms, which read the grid's DFT table.
+    ``bucket_kernels[b]`` is the transform of bucket b's modes; its ``index``
+    holds their flat grid indices and its ``lattice`` their coordinates.
     The geometry is read-only after construction; ``multipliers`` memoizes the
     phase multipliers of the families built on the cache.
     """
@@ -268,8 +273,8 @@ class DirectionCache:
         self.directions = directions
         self.multipliers = {}     # (band range, sigma) -> _Multipliers
         self.flat_index = np.ravel_multi_index((modes % grid.N).T, grid.shape)
-        self.bucket_index = [self.flat_index[assignment == b] for b in range(len(directions))]
-        self.bucket_kernels = [_ModeKernel(grid, idx) for idx in self.bucket_index]
+        self.bucket_kernels = [_ModeKernel(grid, self.flat_index[assignment == b])
+                               for b in range(len(directions))]
 
     @property
     def num_buckets(self) -> int:
@@ -360,19 +365,6 @@ class _Multipliers(NamedTuple):
     xi_dots: np.ndarray    # (B, |S|) real: xi . omega
 
 
-def _support_symbols(family):
-    """(direction, support lattice, inverse transverse symbol, band symbols P_k)
-    for each direction bucket of the family's cache.  These symbols read only
-    xi and |xi|, so they are evaluated at the band support's modes alone."""
-    grid, kernel = family.grid, family.conn.kernel
-    lat = gr.Lattice(kernel.xi, grid.xi_norm.ravel()[kernel.index],
-                     grid.nyquist_mask.ravel()[kernel.index])
-    theta_min = min(family.thetas.values()) / 4.0
-    pks = {k: band_symbol(lat, k) for k in family.conn.band_range}
-    for w_dir in family.cache.directions:
-        yield w_dir, lat, transverse_inverse_symbol(lat, w_dir, theta_min), pks
-
-
 def _lift(samples, i: int, sign: int, w_dir, xi_dot, W) -> np.ndarray:
     """W (i xi.omega X.omega + (s / 2 pi) Y.omega) for (X, Y) = samples i, i + 1:
     the phase symbol of a field and its time derivative, on the support.  Given
@@ -394,11 +386,12 @@ class PhaseFamily:
     transverse Laplacian against the kept sectors) and xi.omega live on the
     connection's band support, are built per direction once for each
     direction cache and are shared by every family on it.  The family reads
-    A from its connection and the support's transform from ``conn.kernel``;
-    it keeps no copy of either.  The phase table is kept for the most recent time only: a call at a
-    new time drops it and builds the row of every bucket, read or not, in one
-    pass (psi_hat in one lift, the phase factors in chunks of _CHUNK_BYTES: 8
-    rows at 64^2, one at 256^2).  ``slice_at(t, b)`` returns a view of row b.
+    A, the support's transform and the band symbols from its connection
+    (``conn.kernel``, ``conn.bands``) and keeps no copy of them.  The phase
+    table is kept for the most recent time only: a call at a new time drops
+    it and builds the row of every bucket, read or not, in one pass (psi_hat
+    in one lift, the phase factors in chunks of _CHUNK_BYTES: 8 rows at 64^2,
+    one at 256^2).  ``slice_at(t, b)`` returns a view of row b.
     ``psi``, ``psi_t`` and ``grad`` at (t, b) are not kept: each call
     recomputes its field from the support, one support transform each (grad
     batches its n fields), so a caller binds them once.
@@ -420,6 +413,8 @@ class PhaseFamily:
         self.sigma = sigma
         self.cache = cache
         self.thetas = {k: min(2.0 ** (sigma * k), THETA_MAX) for k in conn.band_range}
+        # the inverse transverse symbol is zero within theta_min of the axis
+        self.theta_min = min(self.thetas.values()) / 4.0
         self._w, self._xi_dot = _premultipliers or self._shared_multipliers()
         self._t = None
         self._samples = None     # connection samples at time _t, on the support
@@ -430,7 +425,9 @@ class PhaseFamily:
         key = (self.conn.band_range, self.sigma)
         if key not in self.cache.multipliers:
             ws, dots = [], []
-            for w_dir, lat, inv, pks in _support_symbols(self):
+            lat, pks = self.conn.kernel.lattice, self.conn.bands
+            for w_dir in self.cache.directions:
+                inv = transverse_inverse_symbol(lat, w_dir, self.theta_min)
                 gs = [greater_symbol(lat, w_dir, self.thetas[k]) for k in pks]
                 ws.append(np.multiply(inv, _band_sum(pks, gs)))
                 dots.append(np.tensordot(w_dir, lat.xi, axes=(0, 0)))
@@ -476,7 +473,7 @@ class PhaseFamily:
     def grad(self, t: float, b: int) -> tuple:
         self._table_at(t)
         kern = self.conn.kernel
-        return tuple(kern.synthesize(2j * np.pi * kern.xi * self._psi_hat[b]).real)
+        return tuple(kern.synthesize(2j * np.pi * kern.lattice.xi * self._psi_hat[b]).real)
 
     def opposite_null_derivative(self, t: float, b: int) -> np.ndarray:
         """L_omega^{-s} psi_s = omega.grad psi - s d_t psi (the defect operator)."""
@@ -501,12 +498,12 @@ def phase_defect(family: PhaseFamily, times) -> float:
     through the family's stored W and the phase's analytic derivatives; the
     right side builds sum_k P_k Pi_{omega,<=theta_k} here, so a wrong W shows.
     The two sides share only the connection's samples on the band support,
-    the band symbols P_k and ``greater_symbol``.
+    its band symbols P_k and ``greater_symbol``.
     """
     grid = family.grid
-    kernel = family.conn.kernel
-    leqs = [_band_sum(pks, [1.0 - greater_symbol(lat, w_dir, family.thetas[k]) for k in pks])
-            for w_dir, lat, _, pks in _support_symbols(family)]
+    kernel, pks = family.conn.kernel, family.conn.bands
+    leqs = [_band_sum(pks, [1.0 - greater_symbol(kernel.lattice, w_dir, family.thetas[k])
+                            for k in pks]) for w_dir in family.cache.directions]
     worst = 0.0
     for t in times:
         A = family.conn.on_support(t)[0]
@@ -555,8 +552,7 @@ class WaveOperator:
                 raise StructuralError("direction cache does not cover the cutoff support; "
                                       "build it from cutoff.modes(grid)")
         # (b, transforms, a(xi), |xi|) per bucket; a(xi) zeroes the others
-        xi_norm = self.grid.xi_norm.ravel()
-        self._live = [(b, kern, a_flat[kern.index], xi_norm[kern.index])
+        self._live = [(b, kern, a_flat[kern.index], kern.lattice.xi_norm)
                       for b, kern in enumerate(self.cache.bucket_kernels)
                       if a_flat[kern.index].any()]
 
@@ -721,7 +717,7 @@ def covariant_box_amplitude(op: WaveOperator, t: float, h) -> ScalarField:
     Avals = fam.conn.samples(t)
     out = np.zeros(grid.shape, dtype=np.complex128)
     for b, kern, r, c in op._buckets(t, h):
-        part0, part1, *parts2 = kern.synthesize(np.vstack([c, r * c, kern.xi * c]))
+        part0, part1, *parts2 = kern.synthesize(np.vstack([c, r * c, kern.lattice.xi * c]))
         phase, grad, psi_t = fam.slice_at(t, b), fam.grad(t, b), fam.psi_t(t, b)
         alpha = (2.0 * np.pi * (psi_t ** 2 - sum(g ** 2 for g in grad))
                  - 2.0 * sum(Avals[j] * grad[j] for j in range(grid.n)))
@@ -845,7 +841,9 @@ def split_phase_at(family: PhaseFamily, theta_star: float):
         while edges[k] * 2.0 < theta_star:
             edges[k] *= 2.0
     low, high = [], []
-    for w_dir, lat, inv, pks in _support_symbols(family):
+    lat, pks = family.conn.kernel.lattice, family.conn.bands
+    for w_dir in family.cache.directions:
+        inv = transverse_inverse_symbol(lat, w_dir, family.theta_min)
         g_base = [greater_symbol(lat, w_dir, family.thetas[k]) for k in pks]
         g_edge = [g if edges[k] == family.thetas[k] else greater_symbol(lat, w_dir, edges[k])
                   for k, g in zip(pks, g_base)]

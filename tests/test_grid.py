@@ -99,11 +99,11 @@ def test_real_path_matches_complex_path(n):
         assert abs(a - b) <= 1e-13 * abs(b)
 
     f, c = reals[0], comps[0]
-    hermitian = lambda xi: np.exp(-np.sum(xi ** 2, axis=0)) + 2j * np.pi * xi[0]
+    hermitian = np.exp(-np.sum(g.xi ** 2, axis=0)) + 2j * np.pi * g.xi[0]
     out = apply_multiplier(f, hermitian)
     assert out.real_valued and out.values.dtype == np.float64
     same_field(out, apply_multiplier(c, hermitian))
-    odd = lambda xi: 1.0 + xi[0]   # real but not even: the result is complex
+    odd = 1.0 + g.xi[0]   # real but not even: the result is complex
     out = apply_multiplier(f, odd)
     assert not out.real_valued
     same_field(out, apply_multiplier(c, odd))
@@ -124,10 +124,10 @@ def test_real_path_matches_complex_path(n):
 def test_multiplier_identity_and_derivative_symbol():
     g = GridSpec(2, 16, 4.0)
     f = random_field(g, stream(3, 0))
-    out = apply_multiplier(f, lambda xi: np.ones(xi.shape[1:]))
+    out = apply_multiplier(f, np.ones(g.shape))
     assert relative_l2_difference(f, out) < 1e-14
     pw = plane_wave(g, (2, 1))
-    d = apply_multiplier(pw, lambda xi: 2j * np.pi * xi[0])
+    d = apply_multiplier(pw, 2j * np.pi * g.xi[0])
     expect = pw * (2j * np.pi * 2 / g.L)
     assert relative_l2_difference(d, expect) < 1e-13
 
@@ -137,8 +137,8 @@ def test_multiplier_composition_matches_product():
     f = random_field(g, stream(4, 0))
     m1 = lambda xi: np.exp(-xi[0] ** 2)
     m2 = lambda xi: 1.0 + xi[1] ** 2
-    two_steps = apply_multiplier(apply_multiplier(f, m1), m2)
-    one_step = apply_multiplier(f, lambda xi: m1(xi) * m2(xi))
+    two_steps = apply_multiplier(apply_multiplier(f, m1(g.xi)), m2(g.xi))
+    one_step = apply_multiplier(f, m1(g.xi) * m2(g.xi))
     assert relative_l2_difference(two_steps, one_step) < 1e-13
 
 
@@ -146,10 +146,18 @@ def test_multiplier_linearity():
     g = GridSpec(2, 16, 4.0)
     f = random_field(g, stream(5, 0))
     h = random_field(g, stream(5, 1))
-    m = lambda xi: np.cos(xi[0])
+    m = np.cos(g.xi[0])
     lhs = apply_multiplier(f + h * 2.0, m)
     rhs = apply_multiplier(f, m) + apply_multiplier(h, m) * 2.0
     assert relative_l2_difference(lhs, rhs) < 1e-13
+
+
+def test_multiplier_takes_only_a_symbol_array_of_grid_shape():
+    g = GridSpec(2, 16, 4.0)
+    f = plane_wave(g, (1, 0))
+    for sym in (np.ones((16, 8)), 2.0, lambda xi: np.ones(xi.shape[1:])):
+        with pytest.raises(StructuralError, match="symbol shape"):
+            apply_multiplier(f, sym)
 
 
 def test_singular_symbol_names_the_lattice_point():
@@ -161,7 +169,7 @@ def test_singular_symbol_names_the_lattice_point():
             return 1.0 / (xi[0] - 1.0 / g.L)
 
     with pytest.raises(SingularSymbolError) as err:
-        apply_multiplier(f, bad)
+        apply_multiplier(f, bad(g.xi))
     assert "(1, 0)" in str(err.value)
 
 
@@ -173,7 +181,7 @@ def test_singular_symbol_ok_when_unsupported():
         with np.errstate(divide="ignore", invalid="ignore"):
             return 1.0 / (xi[0] - 1.0 / g.L)
 
-    apply_multiplier(f, guarded)  # pole sits on an empty mode
+    apply_multiplier(f, guarded(g.xi))  # pole sits on an empty mode
 
 
 def test_gradient_and_laplacian():
@@ -331,7 +339,7 @@ def test_nyquist_rows_zeroed_by_multipliers():
     F = np.zeros(g.shape, dtype=complex)
     F[g.N // 2, 1] = 1.0
     f = ScalarField(g, F, rep="frequency")
-    out = apply_multiplier(f, lambda xi: np.ones(xi.shape[1:]))
+    out = apply_multiplier(f, np.ones(g.shape))
     assert np.abs(out.values).max() == 0.0
 
 

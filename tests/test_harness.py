@@ -312,6 +312,7 @@ BAD_CONFIGS = {
     "empty_shell.json": '{"experiment": "mkg-evolve", "N": 8}',
     "wide_box.json": '{"experiment": "lp-suite", "N": 128, "L": 8192}',
     "huge_L.json": '{"experiment": "coulomb-gain", "L": 1e300}',   # (L/N)^3 overflows
+    "short_t_max.json": '{"experiment": "mkg-evolve", "t_max": 0.02}',
 }
 BAD_SUMMARIES = {
     "list_summary": "[]",
@@ -344,6 +345,8 @@ BAD_SUMMARIES = {
     (["run", "--config", "empty_shell.json"], "N=8"),
     (["run", "--config", "wide_box.json"], "L=8192"),
     (["run", "--config", "huge_L.json"], "L=1e+300"),
+    # mkg-evolve rounds t_max to whole steps of dt = 0.05; this one rounds to none
+    (["run", "--config", "short_t_max.json"], "t_max=0.02 rounds to zero steps of dt=0.05"),
 ])
 def test_cli_maps_bad_input_to_exit_2(tmp_path, monkeypatch, capsys, argv, needle):
     monkeypatch.chdir(tmp_path)

@@ -381,6 +381,22 @@ def test_step_rejects_large_dt():
         step(st, 10.0 * stability_limit(g))
 
 
+@pytest.mark.parametrize("t_final, dt, needle", [
+    (-1.0, 0.05, "t_final=-1.0 is not a step"),     # behind the state's time
+    (0.1, -0.05, "dt=-0.05"),
+    (1.0, 0.0, "dt=0.0"),
+    (0.02, 0.05, "t_final=0.02 is not a step"),     # under half a step: no step
+    (float("nan"), 0.05, "t_final=nan"),
+    (1.0, float("inf"), "dt=inf"),
+    (0.25, 0.1, "integer number of steps"),
+])
+def test_evolve_rejects_a_step_or_end_time_it_cannot_reach(t_final, dt, needle):
+    g = GridSpec(2, 16, 4.0)
+    st = make_compatible_data(*small_data(g, 1e-2, seed=38))
+    with pytest.raises(ParameterError, match=needle):
+        evolve(st, t_final, dt)
+
+
 def test_integrator_second_order():
     g = GridSpec(2, 32, 8.0)
     st = make_compatible_data(*small_data(g, 0.1, seed=39))

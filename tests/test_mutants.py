@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 import cronlab.grid as gr
+import cronlab.lp as lp
 import cronlab.mkg as mkg
 import cronlab.parametrix as pmx
 import test_mkg
-from cronlab.gauge import greater_symbol
+import test_parametrix
+from cronlab.gauge import greater_symbol, leray_project
 from cronlab.grid import GridSpec
-from cronlab.harness import ExperimentConfig, make_free_connection, run
+from cronlab.harness import ExperimentConfig, _lp_partition_identity, make_free_connection, run
 from cronlab.lp import BandRange
 from cronlab.random_fields import random_field, stream
 
@@ -85,6 +87,29 @@ def _doubled_sector_angle():
     return [(pmx.PhaseFamily, "_shared_multipliers", mutant)]
 
 
+def _unit_phase_rows():
+    """PhaseFamily._build_table leaving every phase row at e^0 = 1; psi and
+    its derivatives are kept."""
+    original = pmx.PhaseFamily._build_table
+
+    def mutant(self, t):
+        original(self, t)
+        self._phase[...] = 1.0
+    return [(pmx.PhaseFamily, "_build_table", mutant)]
+
+
+def _lie_step(state, dt):
+    """mkg.step as Lie kick-drift splitting: one full kick, then the drift."""
+    s = mkg._drift(mkg._kick(state, dt), dt)
+    return mkg._with_velocities(s, A_sp_t=leray_project(s.A_sp_t, keep_mean=True))
+
+
+def _band_one_octave_up():
+    """lp.band_symbol(grid, k) returning P_{k+1}."""
+    original = lp.band_symbol
+    return [(lp, "band_symbol", lambda grid, k: original(grid, k + 1))]
+
+
 # ---------------------------------------------------------------------------
 # checks: each raises AssertionError when it fails
 
@@ -123,6 +148,20 @@ def _phase_defect_identity(tmp_path):
     assert defect < 1e-10, defect
 
 
+def _bucket_sum_formula(tmp_path):
+    test_parametrix.test_apply_and_adjoint_match_bucket_sum_formula()
+
+
+def _psi_formula(tmp_path):
+    test_parametrix.test_psi_matches_full_grid_formula()
+
+
+def _lp_partition(tmp_path):
+    # the identities suite's partition check at (n, N, L) = (2, 32, 8), seed 7
+    defect = _lp_partition_identity(GridSpec(2, 32, 8.0), stream(7, 0))
+    assert defect < 1e-10, defect
+
+
 class Mutant(NamedTuple):
     id: str
     patches: Callable
@@ -140,6 +179,14 @@ MUTANTS = [
     # W built from the sectors of 2 theta_k: the defect identity's right side
     # is built apart from W, so the two sides part
     Mutant("wrong-sector-angle", _doubled_sector_angle, _phase_defect_identity),
+    # A: U without its phase factor, which no suite gate resolves
+    Mutant("A-unit-phase-rows", _unit_phase_rows, _bucket_sum_formula),
+    # B: psi = 0, so U is the free half-wave propagator
+    Mutant("B-zero-phase", lambda: [(pmx, "_lift", lambda samples, i, sign, w_dir, xi_dot, W:
+                                     np.zeros(np.shape(W), dtype=np.complex128))],
+           _psi_formula),
+    Mutant("lie-splitting", lambda: [(mkg, "step", _lie_step)], _integrator_order),
+    Mutant("band-one-octave-up", _band_one_octave_up, _lp_partition),
 ]
 
 

@@ -597,6 +597,20 @@ def test_split_phase_partition_exact():
     assert np.abs(lo2.psi(t, 0)).max() == 0.0
 
 
+def test_transverse_symbol_built_once_per_direction_per_build_or_split(monkeypatch):
+    calls = _counting(monkeypatch, pmx, "transverse_inverse_symbol")
+    dirs = stream(82, 0).standard_normal((3, 2))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    fam = PhaseFamily(connection(), +1, 0.45, DirectionCache.of_directions(GRID, dirs))
+    assert len(calls) == 3                      # the multiplier build
+    PhaseFamily(connection(3e-2, seed=70), -1, 0.45, fam.cache)
+    assert len(calls) == 3                      # multipliers memoized on the cache
+    phase_defect(fam, [0.0, 0.7])
+    assert len(calls) == 3                      # the defect identity builds none
+    split_phase_at(fam, 1.0)
+    assert len(calls) == 6                      # the split
+
+
 def test_surrogate_direction_independent_reduction():
     base = random_field(GRID, stream(77, 0), 1.0, 2.0)
     ts = np.linspace(0.0, 1.0, 3)
@@ -669,7 +683,7 @@ def test_cache_of_directions_keeps_given_directions():
     cache = DirectionCache.of_directions(GRID, dirs)
     assert cache.num_buckets == 3
     assert cache.directions.tobytes() == dirs.tobytes()
-    assert cache.modes.shape == (0, 2) and all(idx.size == 0 for idx in cache.bucket_index)
+    assert cache.modes.shape == (0, 2) and all(k.index.size == 0 for k in cache.bucket_kernels)
     with pytest.raises(ParameterError):
         DirectionCache.of_directions(GRID, 2.0 * dirs)
     with pytest.raises(StructuralError):
@@ -722,7 +736,7 @@ def _counting(monkeypatch, owner, name):
 
 def _live_buckets(op, h):
     base = (np.asarray(h) * op.a_sym).ravel()
-    return sum(1 for idx in op.cache.bucket_index if base[idx].any())
+    return sum(1 for k in op.cache.bucket_kernels if base[k.index].any())
 
 
 def test_repeat_apply_at_same_time_reuses_phases(monkeypatch):
@@ -830,6 +844,7 @@ def test_multipliers_live_on_band_support():
     fam = PhaseFamily(connection(), +1, 0.25, cache)
     S = _band_support()
     assert np.array_equal(fam.conn.support, S) and len(S) < GRID.num_points // 50
+    assert all(np.array_equal(fam.conn.bands[k], band_symbol(GRID, k).ravel()[S]) for k in BAND)
     assert fam._w.nbytes <= cache.num_buckets * len(S) * 16
 
 
@@ -883,9 +898,9 @@ def test_apply_and_adjoint_match_bucket_sum_formula():
         weighted = np.asarray(h, dtype=complex) * a * half_wave
         ref = np.zeros(GRID.shape, dtype=complex)
         ref_adj = np.zeros(GRID.shape, dtype=complex)
-        for b, idx in enumerate(cache.bucket_index):
+        for b, kern in enumerate(cache.bucket_kernels):
             mask = np.zeros(GRID.num_points, dtype=bool)
-            mask[idx] = True
+            mask[kern.index] = True
             mask = mask.reshape(GRID.shape)
             psi = fam.psi(t, b)
             c = np.where(mask, weighted, 0.0)
@@ -1030,7 +1045,8 @@ def test_mode_kernel_synthesis_matches_full_grid_ifft(n, N):
     f = _random_complex(rng, grid.shape)
     ref_an = (np.fft.fftn(f) * grid.cell_volume).ravel()[idx]
     assert _rel_max(kern.analyze(f), ref_an) <= 1e-13
-    assert np.array_equal(kern.xi, grid.xi.reshape(n, -1)[:, idx])
+    whole = (grid.xi.reshape(n, -1), grid.xi_norm.ravel(), grid.nyquist_mask.ravel())
+    assert all(np.array_equal(a, w[..., idx]) for a, w in zip(kern.lattice, whole))
 
 
 @pytest.mark.parametrize("n,N", [(2, 32), (3, 16)])

@@ -77,16 +77,15 @@ def leray_project(V: VectorField, keep_mean: bool = False) -> VectorField:
             scale = np.abs(c.values).max()
             if scale > 0 and np.abs(c.values.flat[0]) > gr.SUPPORT_TOL * scale:
                 raise PreconditionError("Leray projection needs zero-mean components")
-    xi, xi_norm, nyquist_mask = comps[0].lattice
+    xi, xi_norm = comps[0].lattice
     dot = sum(xi[j] * comps[j].values for j in range(grid.n))
     with np.errstate(invalid="ignore", divide="ignore"):
         dot_over_sq = dot / xi_norm ** 2
     dot_over_sq = np.where(xi_norm == 0, 0.0, dot_over_sq)
-    dot_over_sq = np.where(nyquist_mask, 0.0, dot_over_sq)
     out = []
     for j in range(grid.n):
-        vals = np.where(nyquist_mask, 0.0, comps[j].values - xi[j] * dot_over_sq)
-        out.append(comps[j].with_values(vals))
+        vals = comps[j].values - xi[j] * dot_over_sq
+        out.append(comps[j].with_values(gr.zero_nyquist(vals)))
     projected = VectorField(tuple(out), divergence_free=True)
     return projected if V.components[0].rep == gr.FREQUENCY else projected.in_physical()
 

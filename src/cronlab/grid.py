@@ -41,11 +41,12 @@ SUPPORT_TOL = 1e-13
 
 
 class Lattice(NamedTuple):
-    """Frequency coordinates on the lattice a field's spectrum is stored on."""
+    """Frequency coordinates xi and |xi| on the lattice a field's spectrum is
+    stored on.  It carries no Nyquist flags: ``zero_nyquist`` alone drops
+    those rows."""
 
     xi: np.ndarray
     xi_norm: np.ndarray
-    nyquist_mask: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -117,13 +118,6 @@ class GridSpec:
         return out
 
     @cached_property
-    def nyquist_mask(self) -> np.ndarray:
-        """Boolean array, True on lattice points with any axis at the Nyquist index."""
-        mask = np.any(self.xi == self.freq_1d[self.N // 2], axis=0)
-        mask.flags.writeable = False
-        return mask
-
-    @cached_property
     def dft_table(self) -> np.ndarray:
         """E[k, j] = e^{2 pi i k j / N}, the exponent reduced mod N before scaling:
         the one table every few-mode transform on this grid reads its rows from."""
@@ -135,7 +129,7 @@ class GridSpec:
     # The grid's registry: each multiplier symbol and free flow built on this
     # grid, keyed by (kind, parameters), built on first use and kept as long as
     # the grid.  A symbol is checked finite and Hermitian once, when it is built,
-    # and held read-only with its half-lattice part (a view, not a copy).
+    # and held read-only; the entry is the symbol array itself.
 
     @cached_property
     def _registry(self) -> dict:
@@ -149,12 +143,11 @@ class GridSpec:
     def symbol(self, key, build) -> np.ndarray:
         """The registry symbol under ``key``; ``build()`` makes it on first use,
         as an array of grid shape in the dtype it is kept in."""
-        return self._registered(key, lambda: _registry_symbol(self, build()))[0]
+        return self._registered(key, lambda: _registry_symbol(self, build()))
 
-    def _symbol_entry(self, sym):
-        """(sym, its half-lattice part) when the registry holds the array sym."""
-        return next((e for e in self._registry.values()
-                     if isinstance(e, tuple) and e[0] is sym), None)
+    def _holds(self, sym) -> bool:
+        """Whether the registry holds the array sym itself."""
+        return any(e is sym for e in self._registry.values())
 
     def free_flow(self, real_valued: bool, t: float) -> "FreeFlow":
         """The free flow over time t on the lattice of fields with ``real_valued``."""
@@ -187,7 +180,7 @@ class GridSpec:
     def _lattices(self) -> dict:
         """real_valued -> the lattice such a field stores its spectrum on; the
         half lattice is a view of the whole one's read-only arrays."""
-        full = Lattice(self.xi, self.xi_norm, self.nyquist_mask)
+        full = Lattice(self.xi, self.xi_norm)
         return {False: full, True: Lattice(*(a[..., :self.N // 2 + 1] for a in full))}
 
     @property
@@ -449,12 +442,13 @@ def apply_multiplier(f: ScalarField, sym: np.ndarray) -> ScalarField:
     sym = np.asarray(sym)
     if sym.shape != grid.shape:
         raise StructuralError(f"symbol shape {sym.shape} does not match grid {grid.shape}")
-    entry = grid._symbol_entry(sym)
+    registered = grid._holds(sym)
     f_hat = f.in_frequency()
-    if entry is None:
+    if not registered:
         sym = _finite_on_support(f_hat, sym)
     if f.real_valued:
-        half = _hermitian_half(grid, sym) if entry is None else entry[1]
+        # a registry symbol is read-only, and so is this view of it
+        half = sym[..., :grid.N // 2 + 1] if registered else _hermitian_half(grid, sym)
         if half is None:
             f_hat = f_hat.as_complex()
         else:
@@ -489,13 +483,15 @@ def _hermitian_half(grid: GridSpec, sym: np.ndarray):
     fields to real fields); None for any other symbol."""
     half = sym[..., :grid.N // 2 + 1]
     defect = np.abs(sym[grid._reflection(slice(grid.N // 2 + 1))] - np.conj(half))
-    defect[grid._lattices[True].nyquist_mask] = 0.0
+    zero_nyquist(defect)
     return half if defect.max() <= SUPPORT_TOL * np.abs(half).max() else None
 
 
 def zero_nyquist(F: np.ndarray) -> np.ndarray:
     """Set the Nyquist rows (index N/2 along any axis) of frequency data to
-    zero, in place; whole or half lattice alike."""
+    zero, in place, and return F; whole or half lattice alike.  It is the one
+    place the Nyquist rule is applied: every multiplier, projection and cutoff
+    that drops those rows calls it."""
     half = F.shape[0] // 2
     for axis in range(F.ndim):
         F[(slice(None),) * axis + (half,)] = 0.0
@@ -511,12 +507,12 @@ def drop_nyquist(f: ScalarField) -> ScalarField:
     return out if f.rep == FREQUENCY else to_physical(out)
 
 
-def _registry_symbol(grid: GridSpec, sym: np.ndarray) -> tuple:
-    """(sym, made read-only, and its half-lattice part); sym must be finite and Hermitian."""
-    sym.flags.writeable = False   # first, so the half part, a view, is read-only too
-    if not np.isfinite(sym).all() or (half := _hermitian_half(grid, sym)) is None:
+def _registry_symbol(grid: GridSpec, sym: np.ndarray) -> np.ndarray:
+    """sym, made read-only; it must be finite and Hermitian."""
+    sym.flags.writeable = False   # so every half-lattice view of it is read-only too
+    if not np.isfinite(sym).all() or _hermitian_half(grid, sym) is None:
         raise StructuralError("a registry symbol must be finite and Hermitian")
-    return sym, half
+    return sym
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,9 @@ from .exponents import validate_sigma
 # ---------------------------------------------------------------------------
 # closed-form free waves
 
-def _zero_guarded(grid: GridSpec, F: np.ndarray) -> np.ndarray:
-    out = np.where(grid.nyquist_mask, 0.0, F)
+def _zero_guarded(F: np.ndarray) -> np.ndarray:
+    """A copy of the spectrum F with its Nyquist rows and its zero mode set to zero."""
+    out = gr.zero_nyquist(F.copy())
     out.flat[0] = 0.0
     return out
 
@@ -53,8 +54,8 @@ class HalfWaveField:
 
     def __init__(self, grid: GridSpec, u0_hat, u1_hat):
         self.grid = grid
-        self.u0 = _zero_guarded(grid, np.asarray(u0_hat, dtype=np.complex128))
-        self.u1 = _zero_guarded(grid, np.asarray(u1_hat, dtype=np.complex128))
+        self.u0 = _zero_guarded(np.asarray(u0_hat, dtype=np.complex128))
+        self.u1 = _zero_guarded(np.asarray(u1_hat, dtype=np.complex128))
         self.rho = 2.0 * np.pi * grid.xi_norm
 
     def sample(self, t: float) -> ScalarField:
@@ -102,7 +103,7 @@ class FreeConnection:
         self.grid = grid
         self.band_range = band_range.validate(grid)
         lo, hi = band_range.annulus()
-        mask = (grid.xi_norm >= lo) & (grid.xi_norm <= hi) & ~grid.nyquist_mask
+        mask = gr.zero_nyquist((grid.xi_norm >= lo) & (grid.xi_norm <= hi))
         if not mask.any():
             raise PreconditionError(f"the annulus [{lo:g}, {hi:g}] of band range {band_range} "
                                     f"holds no lattice mode of {grid}")
@@ -178,8 +179,7 @@ class AnnulusCutoff:
         return self
 
     def symbol(self, grid: GridSpec) -> np.ndarray:
-        sym = self(grid.xi_norm)
-        return np.where(grid.nyquist_mask, 0.0, sym)
+        return gr.zero_nyquist(self(grid.xi_norm))
 
     def modes(self, grid: GridSpec) -> np.ndarray:
         """Integer modes (M, n) carried by the cutoff, ordered lexicographically."""
@@ -216,8 +216,8 @@ class _ModeKernel:
     distinct indices.  ``analyze`` is its exact conjugate transpose: the
     forward DFT times dx^n, evaluated only at the indices.  Leading axes of
     the input batch several fields in one call.  ``lattice`` holds the
-    coordinates of the indices, xi (n, M), |xi| and the Nyquist flags (M,),
-    so symbols of xi are evaluated at these modes alone.  The per-axis
+    coordinates of the indices, xi (n, M) and |xi| (M,), so symbols of xi
+    are evaluated at these modes alone.  The per-axis
     matrices are rows of the grid's one table ``GridSpec.dft_table``, which
     every kernel on the grid shares; each call gathers the rows it needs.
     """
@@ -226,7 +226,7 @@ class _ModeKernel:
         self.grid = grid
         self.index = index
         self.lattice = gr.Lattice(grid.xi.reshape(grid.n, -1)[:, index],
-                                  grid.xi_norm.ravel()[index], grid.nyquist_mask.ravel()[index])
+                                  grid.xi_norm.ravel()[index])
         per_axis = [np.unique(k, return_inverse=True)
                     for k in np.unravel_index(index, grid.shape)]
         self._rows = tuple(u for u, _ in per_axis)

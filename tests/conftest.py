@@ -21,6 +21,13 @@ def divergence_free():
     return _divergence_free
 
 
+def nyquist_mask(grid) -> np.ndarray:
+    """The oracle for the Nyquist rows: True on the lattice points of grid shape
+    with some axis at the frequency freq_1d[N/2]."""
+    on_axis = grid.freq_1d == grid.freq_1d[grid.N // 2]
+    return np.any(np.meshgrid(*([on_axis] * grid.n), indexing="ij"), axis=0)
+
+
 FFT_ENTRY_POINTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
                     "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
 

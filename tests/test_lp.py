@@ -97,7 +97,7 @@ def test_default_annulus_is_one_registry_entry(real):
     assert [key for key in g._registry if key[0] == "nyquist_disk"] == [("nyquist_disk",)]
     # the kept indicator is float64 and restricts bit for bit as a complex128
     # one built for the call
-    kept = g._registry[("nyquist_disk",)][0]
+    kept = g._registry[("nyquist_disk",)]
     indicator = (g.xi_norm <= g.nyquist).astype(np.complex128)
     assert kept.dtype == np.float64 and np.array_equal(kept, indicator)
     plain = apply_multiplier(f, indicator)

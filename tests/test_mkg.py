@@ -16,6 +16,7 @@ from cronlab.mkg import (ConnectionState, _drift, _half_spectrum, _kick,
                          _phi_acceleration_extras, constraint_residuals, dealias, elliptic_a0,
                          evolve, make_compatible_data, stability_limit, step)
 from cronlab.random_fields import random_divergence_free, random_field, stream
+from conftest import nyquist_mask
 
 
 def small_data(g, eps, seed=30, r_lo=None, r_hi=None):
@@ -50,11 +51,12 @@ def test_elliptic_against_dense_solve():
     phi_t = random_field(g, rng, 0.25, 1.0) * 0.3
     a0, rel, _ = elliptic_a0(phi, phi_t)
     M = g.num_points
-    lap_sym = np.where(g.nyquist_mask, 0.0, -4.0 * np.pi ** 2 * g.xi_norm ** 2)
+    nyquist = nyquist_mask(g)
+    lap_sym = np.where(nyquist, 0.0, -4.0 * np.pi ** 2 * g.xi_norm ** 2)
     eye = np.eye(M).reshape(g.shape + g.shape)
     hat_eye = np.fft.fftn(eye, axes=(0, 1))
     lap = np.fft.ifftn(lap_sym[..., None, None] * hat_eye, axes=(0, 1)).reshape(M, M)
-    ny_proj = np.fft.ifftn((~g.nyquist_mask).astype(float)[..., None, None] * hat_eye,
+    ny_proj = np.fft.ifftn((~nyquist).astype(float)[..., None, None] * hat_eye,
                            axes=(0, 1)).reshape(M, M)
     absphi2 = (np.abs(phi.phys_values) ** 2).ravel()
     operator = lap - ny_proj @ np.diag(absphi2) + (np.eye(M) - ny_proj)

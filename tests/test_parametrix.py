@@ -17,6 +17,7 @@ from cronlab.parametrix import (AnnulusCutoff, DirectionCache, FreeConnection, P
                                 phase_defect, residual_check, split_phase_at)
 from cronlab.harness import make_free_connection
 from cronlab.random_fields import random_divergence_free, random_field, stream
+from conftest import nyquist_mask
 
 GRID = GridSpec(2, 64, 8.0)
 BAND = BandRange(-3, -2)
@@ -39,7 +40,7 @@ def whole_grid_connection(t, eps=1e-2, seed=50, grid=GRID, band=BAND):
     on the whole lattice, the whole-grid free flow of the same data cut to the
     band's annulus."""
     lo, hi = band.annulus()
-    mask = (grid.xi_norm >= lo) & (grid.xi_norm <= hi) & ~grid.nyquist_mask
+    mask = (grid.xi_norm >= lo) & (grid.xi_norm <= hi) & ~nyquist_mask(grid)
     a, ad = (X * mask for X in connection_data(eps, seed, grid))
     flow = FreeFlow(2.0 * np.pi * grid.xi_norm, t)
     return flow.u(a, ad), flow.u_t(a, ad)
@@ -1045,8 +1046,10 @@ def test_mode_kernel_synthesis_matches_full_grid_ifft(n, N):
     f = _random_complex(rng, grid.shape)
     ref_an = (np.fft.fftn(f) * grid.cell_volume).ravel()[idx]
     assert _rel_max(kern.analyze(f), ref_an) <= 1e-13
-    whole = (grid.xi.reshape(n, -1), grid.xi_norm.ravel(), grid.nyquist_mask.ravel())
-    assert all(np.array_equal(a, w[..., idx]) for a, w in zip(kern.lattice, whole))
+    whole = (grid.xi.reshape(n, -1), grid.xi_norm.ravel())
+    assert all(np.array_equal(a, w[..., idx]) for a, w in zip(kern.lattice, whole, strict=True))
+    # Nyquist modes among them keep the grid's coordinates too
+    assert nyquist_mask(grid).ravel()[idx].any()
 
 
 @pytest.mark.parametrize("n,N", [(2, 32), (3, 16)])

@@ -60,7 +60,7 @@ def _cmd_report(args) -> int:
     try:
         with open(path) as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise PreconditionError(f"cannot read run summary {path}: {exc}") from exc
     _check_summary(payload, path)
     records = payload["records"]
@@ -75,13 +75,19 @@ def _cmd_report(args) -> int:
 
 def _check_summary(payload, path) -> None:
     """The layout machine_summary writes: an object with experiment, config_hash
-    and a list of records, each an object with id, value and passed."""
+    and a list of records, each an object with a string id and value and a
+    bool passed."""
     ok = (isinstance(payload, dict) and {"experiment", "config_hash"} <= payload.keys()
           and isinstance(payload.get("records"), list)
           and all(isinstance(r, dict) and {"id", "value", "passed"} <= r.keys()
                   for r in payload["records"]))
     if not ok:
         raise StructuralError(f"run summary {path} is not a cronlab summary")
+    for r in payload["records"]:
+        if not (isinstance(r["id"], str) and isinstance(r["value"], str)
+                and isinstance(r["passed"], bool)):
+            raise StructuralError(f"run summary {path}: record {r['id']!r} needs a string id "
+                                  f"and value and a bool passed, got {r}")
 
 
 def main(argv=None) -> int:

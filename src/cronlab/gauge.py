@@ -68,7 +68,6 @@ def leray_project(V: VectorField, keep_mean: bool = False) -> VectorField:
     their presence is a precondition error, with keep_mean=True they pass
     through unchanged (the system right-hand sides use that form).
     """
-    grid = V.grid
     comps = [c.in_frequency() for c in V.components]
     if not all(c.real_valued for c in comps):
         comps = [c.as_complex() for c in comps]
@@ -78,15 +77,12 @@ def leray_project(V: VectorField, keep_mean: bool = False) -> VectorField:
             if scale > 0 and np.abs(c.values.flat[0]) > gr.SUPPORT_TOL * scale:
                 raise PreconditionError("Leray projection needs zero-mean components")
     xi, xi_norm = comps[0].lattice
-    dot = sum(xi[j] * comps[j].values for j in range(grid.n))
+    dot = sum(xi_j * c.values for xi_j, c in zip(xi, comps))
     with np.errstate(invalid="ignore", divide="ignore"):
         dot_over_sq = dot / xi_norm ** 2
     dot_over_sq = np.where(xi_norm == 0, 0.0, dot_over_sq)
-    out = []
-    for j in range(grid.n):
-        vals = comps[j].values - xi[j] * dot_over_sq
-        out.append(comps[j].with_values(gr.zero_nyquist(vals)))
-    projected = VectorField(tuple(out), divergence_free=True)
+    projected = VectorField(tuple(c.with_values(gr.zero_nyquist(c.values - xi_j * dot_over_sq))
+                                  for c, xi_j in zip(comps, xi)), divergence_free=True)
     return projected if V.components[0].rep == gr.FREQUENCY else projected.in_physical()
 
 

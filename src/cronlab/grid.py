@@ -41,9 +41,7 @@ SUPPORT_TOL = 1e-13
 
 
 class Lattice(NamedTuple):
-    """Frequency coordinates xi and |xi| on the lattice a field's spectrum is
-    stored on.  It carries no Nyquist flags: ``zero_nyquist`` alone drops
-    those rows."""
+    """Frequency coordinates xi, |xi| of the lattice a field's spectrum is stored on."""
 
     xi: np.ndarray
     xi_norm: np.ndarray
@@ -178,7 +176,7 @@ class GridSpec:
 
     @cached_property
     def _lattices(self) -> dict:
-        """real_valued -> the lattice such a field stores its spectrum on; the
+        """real_valued -> the lattice (xi, |xi|) such a field stores its spectrum on; the
         half lattice is a view of the whole one's read-only arrays."""
         full = Lattice(self.xi, self.xi_norm)
         return {False: full, True: Lattice(*(a[..., :self.N // 2 + 1] for a in full))}
@@ -488,10 +486,9 @@ def _hermitian_half(grid: GridSpec, sym: np.ndarray):
 
 
 def zero_nyquist(F: np.ndarray) -> np.ndarray:
-    """Set the Nyquist rows (index N/2 along any axis) of frequency data to
-    zero, in place, and return F; whole or half lattice alike.  It is the one
-    place the Nyquist rule is applied: every multiplier, projection and cutoff
-    that drops those rows calls it."""
+    """Set the Nyquist rows (index N/2 along any axis) of frequency data to zero,
+    in place, and return F; whole or half lattice alike.  Every module drops
+    those rows through this one function."""
     half = F.shape[0] // 2
     for axis in range(F.ndim):
         F[(slice(None),) * axis + (half,)] = 0.0

@@ -129,7 +129,7 @@ class ExperimentConfig:
         try:
             with open(path) as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ParameterError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ParameterError(f"config file {path} must hold a JSON object, "
@@ -857,6 +857,11 @@ def run(config: ExperimentConfig):
     Returns (records, paths).  Exit-status handling lives in the CLI."""
     config = config.validate()
     out_dir = config.out_dir    # created by the first write, so a failed suite leaves none
+    ancestor = os.path.abspath(out_dir)
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        raise ParameterError(f"out_dir {out_dir!r} cannot be made: {ancestor} is not a directory")
     suite = SUITES[config.experiment]
     t0 = time.perf_counter()
     records, rows = EXPERIMENTS[config.experiment](config.with_default_geometry())

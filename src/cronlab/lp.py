@@ -251,12 +251,8 @@ def bernstein_ratio(f: ScalarField, k: int, p, q) -> float:
     return lebesgue_norm(f, q) / (2.0 ** (n * k * (pinv - qinv)) * lebesgue_norm(f, p))
 
 
-def commutator_field(f: ScalarField, g: ScalarField, k: int) -> ScalarField:
-    """[P_k, f] g = P_k(f g) - f P_k(g), products taken pointwise."""
-    return _commutator(f, g, ScalarField(f.grid, f.phys_values * g.phys_values), k)
-
-
 def _commutator(f: ScalarField, g: ScalarField, fg: ScalarField, k: int) -> ScalarField:
+    """[P_k, f] g = P_k(f g) - f P_k(g) from the pointwise product fg = f g."""
     return project_band(fg, k) - ScalarField(
         f.grid, f.phys_values * project_band(g, k).phys_values)
 

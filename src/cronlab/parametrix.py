@@ -183,8 +183,7 @@ class AnnulusCutoff:
 
     def modes(self, grid: GridSpec) -> np.ndarray:
         """Integer modes (M, n) carried by the cutoff, ordered lexicographically."""
-        sym = self.symbol(grid)
-        idx = np.argwhere(sym > 0)
+        idx = np.argwhere(self.symbol(grid) > 0)
         modes = np.where(idx <= grid.N // 2, idx, idx - grid.N)
         order = np.lexsort(modes.T[::-1])
         return modes[order]
@@ -805,13 +804,14 @@ def dispersive_scan(op: WaveOperator | None, taus, f: ScalarField, *, grid=None,
 
 def bucketing_error(op: WaveOperator, t: float, h, subsample: int = 64) -> float:
     """Relative L2 difference between the bucketed operator and an exact
-    per-mode-direction operator, on the `subsample` largest coefficients.
+    per-mode-direction operator, on the `subsample` largest coefficients
+    |h a|, ties in the cache's mode order (a stable sort, the same on any CPU).
 
     Measures the error committed by the direction-cache bucketing policy."""
     grid = op.grid
     base = np.abs(np.asarray(h) * op.a_sym)
     flat = op.cache.flat_index
-    order = np.argsort(base.ravel()[flat])[::-1][:subsample]
+    order = np.argsort(-base.ravel()[flat], kind="stable")[:subsample]
     modes = op.cache.modes[order]
     h_sub = np.zeros(grid.shape, dtype=np.complex128)
     h_sub.ravel()[flat[order]] = np.asarray(h).ravel()[flat[order]]

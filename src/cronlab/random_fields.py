@@ -30,7 +30,10 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
 
 
 def _gaussian_hat(grid: GridSpec, rng) -> np.ndarray:
-    return (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+    F = np.empty(grid.shape, dtype=np.complex128)
+    F.real = rng.standard_normal(grid.shape)
+    F.imag = rng.standard_normal(grid.shape)
+    return F
 
 
 def random_field(grid: GridSpec, rng, r_lo=None, r_hi=None, real=False,

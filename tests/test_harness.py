@@ -1,7 +1,9 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from hypothesis import given, settings, strategies as st
@@ -313,12 +315,20 @@ BAD_CONFIGS = {
     "wide_box.json": '{"experiment": "lp-suite", "N": 128, "L": 8192}',
     "huge_L.json": '{"experiment": "coulomb-gain", "L": 1e300}',   # (L/N)^3 overflows
     "short_t_max.json": '{"experiment": "mkg-evolve", "t_max": 0.02}',
+    "not_utf8.json": b"\xff\xfe{",
+    "under_file.json": '{"experiment": "unitarity", "out_dir": "bad.json/sub"}',
 }
 BAD_SUMMARIES = {
     "list_summary": "[]",
     "no_hash": '{"experiment": "x"}',
     "bad_records": '{"experiment": "x", "config_hash": "h", "records": [1]}',
     "record_fields": '{"experiment": "x", "config_hash": "h", "records": [{"id": "a"}]}',
+}
+MISTYPED_SUMMARIES = {
+    "passed_string": '{"experiment": "x", "config_hash": "h", '
+                     '"records": [{"id": "a", "value": "1", "passed": "no"}]}',
+    "value_number": '{"experiment": "x", "config_hash": "h", '
+                    '"records": [{"id": "a", "value": 1.0, "passed": true}]}',
 }
 
 
@@ -347,12 +357,16 @@ BAD_SUMMARIES = {
     (["run", "--config", "huge_L.json"], "L=1e+300"),
     # mkg-evolve rounds t_max to whole steps of dt = 0.05; this one rounds to none
     (["run", "--config", "short_t_max.json"], "t_max=0.02 rounds to zero steps of dt=0.05"),
-])
+    (["run", "--config", "not_utf8.json"], "can't decode byte 0xff"),
+    # an out_dir below a regular file is refused before the suite runs
+    (["run", "--config", "under_file.json"], "bad.json is not a directory"),
+] + [(["report", name], "needs a string id and value and a bool passed")
+     for name in MISTYPED_SUMMARIES])
 def test_cli_maps_bad_input_to_exit_2(tmp_path, monkeypatch, capsys, argv, needle):
     monkeypatch.chdir(tmp_path)
     for name, text in BAD_CONFIGS.items():
-        (tmp_path / name).write_text(text)
-    for name, text in BAD_SUMMARIES.items():
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
+    for name, text in {**BAD_SUMMARIES, **MISTYPED_SUMMARIES}.items():
         (tmp_path / name).mkdir()
         (tmp_path / name / "summary.json").write_text(text)
     assert cli_main(argv) == 2
@@ -514,3 +528,16 @@ def test_import_defaults_blas_to_one_thread_unless_set(given, expect):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.split() == [expect] * len(_BLAS_VARS)
+
+
+@pytest.mark.parametrize("config", [{"experiment": "unitarity"}, {"experiment": "norms"},
+                                    {"experiment": "mkg-evolve", "N": 16}],
+                         ids=lambda c: c["experiment"])
+def test_suites_run_clear_of_floating_point_errors(tmp_path, config):
+    # every overflow, invalid operation and division by zero these suites meet
+    # is one they expect and silence locally with np.errstate; underflow is
+    # gradual and harmless
+    with np.errstate(all="raise", under="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records, _ = run(ExperimentConfig(**config, out_dir=str(tmp_path)))
+    assert all_passed(records)

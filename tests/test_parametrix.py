@@ -1,7 +1,13 @@
+import os
+import pathlib
+import subprocess
+import sys
 from collections import Counter
 
+import cronlab
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 from cronlab.errors import ParameterError, PreconditionError, StructuralError
 from cronlab.gauge import greater_symbol, transverse_inverse_symbol
@@ -15,7 +21,7 @@ from cronlab.parametrix import (AnnulusCutoff, DirectionCache, FreeConnection, P
                                 bucketing_error, covariant_box_amplitude, covariant_box_direct,
                                 decomposable_surrogate, dispersive_scan, match_data,
                                 phase_defect, residual_check, split_phase_at)
-from cronlab.harness import make_free_connection
+from cronlab.harness import _parametrix_setup, make_free_connection
 from cronlab.random_fields import random_divergence_free, random_field, stream
 from conftest import nyquist_mask
 
@@ -222,10 +228,8 @@ def test_amplitude_leading_order_cancellation():
     A = grid_samples(Ah)
     lead = lead - 2.0 * sum(A[j] * xi[j] for j in range(2))
     Aw = sum(Ah[j] * w[j] for j in range(2))
-    S, _, leqs, _ = full_grid_multipliers(fam)
-    rhs_hat = np.zeros(GRID.num_points, dtype=complex)
-    rhs_hat[S] = leqs[0] * Aw.ravel()[S]
-    rhs_hat = rhs_hat.reshape(GRID.shape)
+    _, S_leq = full_grid_w(fam, w)
+    rhs_hat = S_leq * Aw
     rhs = -2.0 * r * np.fft.ifftn(rhs_hat).real / GRID.cell_volume
     scale = max(np.linalg.norm(sum(A[j] * xi[j] for j in range(2))), 1e-300)
     assert np.linalg.norm(lead - rhs) < 1e-10 * scale
@@ -534,49 +538,81 @@ def test_bucketing_error_is_small():
     assert err < 1e-2
 
 
+# the code paths of a CPU with AVX2 but no AVX-512, forced in one process:
+# OpenBLAS's Haswell kernel and numpy without its AVX-512 loops
+NO_AVX512 = {"OPENBLAS_CORETYPE": "Haswell",
+             "NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"}
+
+
+def dispersive_bucketing_error() -> float:
+    """bucketing_error as the dispersive suite takes it at seed 7: 256^2,
+    196 buckets, eps = 1e-2, 48 coefficients of the annulus cutoff, all tied."""
+    grid = GridSpec(2, 256, 8.0)
+    _, cut, _, connections, operator = _parametrix_setup(grid, 7, 0.25, eta_dir=0.05)
+    op = operator(connections(1e-2), +1)
+    return bucketing_error(op, 1.0, cut.symbol(grid) * (1.0 + 0j), subsample=48)
+
+
+@pytest.mark.skipif(not __cpu_features__["AVX512F"], reason="numpy reports no AVX-512")
+def test_bucketing_error_picks_the_same_modes_without_avx512():
+    # the subsample is picked among tied weights; a tie rule that the sort
+    # implementation decides reads 1.07e-5 here and 9.17e-7 without AVX-512
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cronlab.__file__)))
+    env = {**os.environ, **NO_AVX512,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import cronlab, sys; sys.path.insert(0, sys.argv[1]); "
+            "from test_parametrix import dispersive_bucketing_error; "
+            "print(repr(dispersive_bucketing_error()))")
+    child = subprocess.run([sys.executable, "-c", code, str(pathlib.Path(__file__).parent)],
+                           env=env, capture_output=True, text=True, check=True)
+    forced, here = float(child.stdout), dispersive_bucketing_error()
+    assert abs(forced - here) <= 1e-9 * here
+
+
 # ---------------------------------------------------------------------------
 # phase split and surrogate
 
-def full_grid_multipliers(fam):
-    """The family's phase multipliers built the direct way: each symbol on the
-    whole grid, then gathered on the band support."""
+def full_grid_w(fam, w_dir):
+    """The reference phase multipliers of direction w_dir, each built on the
+    whole grid: W = inv sum_k P_k Pi_{w, > theta_k} and sum_k P_k Pi_{w, <= theta_k}.
+    inv, the inverse transverse Laplacian, is zero within min_k theta_k / 4 of
+    the axis; that angle is taken here from the thetas, not from the family."""
     grid = fam.grid
-    pks = {k: band_symbol(grid, k) for k in fam.conn.band_range}
-    support = np.flatnonzero(np.logical_or.reduce([pk != 0 for pk in pks.values()]))
-    theta_min = min(fam.thetas.values()) / 4.0
-    ws, leqs, dots = [], [], []
-    for w_dir in fam.cache.directions:
-        inv = transverse_inverse_symbol(grid, w_dir, theta_min)
-        S_g = np.zeros(grid.shape, dtype=np.complex128)
-        S_l = np.zeros(grid.shape, dtype=np.complex128)
-        for k, pk in pks.items():
-            gk = greater_symbol(grid, w_dir, fam.thetas[k])
-            S_g += pk * gk
-            S_l += pk * (1.0 - gk)
-        ws.append((inv * S_g).ravel()[support])
-        leqs.append(S_l.ravel()[support])
-        dots.append(np.tensordot(w_dir, grid.xi, axes=(0, 0)).ravel()[support])
-    return support, ws, leqs, dots
+    inv = transverse_inverse_symbol(grid, w_dir, min(fam.thetas.values()) / 4.0)
+    S_g = np.zeros(grid.shape, dtype=np.complex128)
+    S_l = np.zeros(grid.shape, dtype=np.complex128)
+    for k in fam.conn.band_range:
+        pk, gk = band_symbol(grid, k), greater_symbol(grid, w_dir, fam.thetas[k])
+        S_g += pk * gk
+        S_l += pk * (1.0 - gk)
+    return inv * S_g, S_l
+
+
+def _full_grid_rows(fam):
+    """(W, xi.omega) of each direction of fam from the whole grid, gathered on
+    the band support, next to the family's own rows."""
+    S = _band_support(fam.grid, fam.conn.band_range)
+    assert np.array_equal(fam.conn.support, S)
+    assert len(fam._w) == len(fam._xi_dot) == len(fam.cache.directions)
+    for b, w_dir in enumerate(fam.cache.directions):
+        W, _ = full_grid_w(fam, w_dir)
+        dot = np.tensordot(w_dir, fam.grid.xi, axes=(0, 0))
+        yield (fam._w[b], W.ravel()[S]), (fam._xi_dot[b], dot.ravel()[S])
 
 
 def test_phase_multipliers_match_full_grid_evaluation():
     # in 2-D the support evaluation keeps every bit
     fam = PhaseFamily(connection(), +1, 0.25, small_cache())
-    support, ws, _, dots = full_grid_multipliers(fam)
-    assert np.array_equal(fam.conn.support, support)
-    for got, want in ((fam._w, ws), (fam._xi_dot, dots)):
-        assert len(got) == len(want) == len(fam.cache.directions)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    for pairs in _full_grid_rows(fam):
+        assert all(np.array_equal(got, want) for got, want in pairs)
     # in 3-D the dot products with omega may round differently on the gathered modes
     g3 = GridSpec(3, 32, 8.0)
     dirs = stream(58, 0).standard_normal((6, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     fam3 = PhaseFamily(connection(grid=g3), -1, 0.25, DirectionCache.of_directions(g3, dirs))
-    support, ws, _, dots = full_grid_multipliers(fam3)
-    assert np.array_equal(fam3.conn.support, support)
-    for got, want in ((fam3._w, ws), (fam3._xi_dot, dots)):
-        for a, b in zip(got, want, strict=True):
-            assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
+    for pairs in _full_grid_rows(fam3):
+        assert all(np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+                   for got, want in pairs)
 
 
 def test_split_phase_partition_exact():
@@ -849,16 +885,6 @@ def test_multipliers_live_on_band_support():
     assert fam._w.nbytes <= cache.num_buckets * len(S) * 16
 
 
-def _full_grid_w(fam, b):
-    """inv sum_k P_k Pi_{omega, > theta_k} on the whole grid (the reference)."""
-    grid, w_dir = fam.grid, fam.cache.directions[b]
-    inv = transverse_inverse_symbol(grid, w_dir, min(fam.thetas.values()) / 4.0)
-    S_g = np.zeros(grid.shape, dtype=np.complex128)
-    for k in fam.conn.band_range:
-        S_g += band_symbol(grid, k) * greater_symbol(grid, w_dir, fam.thetas[k])
-    return inv * S_g
-
-
 def _rel_max(x, ref):
     return float(np.abs(x - ref).max() / np.abs(ref).max())
 
@@ -872,7 +898,7 @@ def test_psi_matches_full_grid_formula():
         fam = PhaseFamily(conn, sign, 0.25, cache)
         for b in range(0, cache.num_buckets, 11):
             w_dir = cache.directions[b]
-            W = _full_grid_w(fam, b)
+            W, _ = full_grid_w(fam, w_dir)
             off = np.ones(GRID.num_points, dtype=bool)
             off[conn.support] = False
             assert not W.ravel()[off].any()

@@ -183,7 +183,8 @@ class AnnulusCutoff:
 
     def modes(self, grid: GridSpec) -> np.ndarray:
         """Integer modes (M, n) carried by the cutoff, ordered lexicographically."""
-        idx = np.argwhere(self.symbol(grid) > 0)
+        sym = self.symbol(grid)
+        idx = np.argwhere(sym > 0)
         modes = np.where(idx <= grid.N // 2, idx, idx - grid.N)
         order = np.lexsort(modes.T[::-1])
         return modes[order]

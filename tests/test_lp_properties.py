@@ -68,7 +68,7 @@ def test_registry_symbols_are_fresh_evaluations_bit_for_bit(drawn):
     fresh = GridSpec(grid.n, grid.N, grid.L)     # an equal grid with an empty registry
     sym = band_symbol(grid, k)
     assert band_symbol(grid, k) is sym
-    # so is the half-lattice view apply_multiplier takes of it for a real field
+    # read-only, and so is the half-lattice view apply_multiplier takes of it
     assert not sym.flags.writeable and not sym[..., :grid.N // 2 + 1].flags.writeable
     assert _same_bits(sym, _complex_band(fresh, k).real)
     assert not _complex_band(fresh, k).imag.any()

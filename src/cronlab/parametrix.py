@@ -38,35 +38,34 @@ from .exponents import validate_sigma
 # ---------------------------------------------------------------------------
 # closed-form free waves
 
-def _zero_guarded(F: np.ndarray) -> np.ndarray:
-    """A copy of the spectrum F with its Nyquist rows and its zero mode set to zero."""
-    out = gr.zero_nyquist(F.copy())
-    out.flat[0] = 0.0
-    return out
-
-
 class HalfWaveField:
     """Closed-form scalar free wave: u(t) = IFFT[cos(rho t) u0 + sin(rho t)/rho u1].
 
     Free waves are closed under time differentiation and Fourier multipliers,
     so null-frame identities can be checked with analytic time derivatives.
+    Every operation acts mode by mode, so the wave keeps the whole-lattice
+    spectra it is given as they are (no copy) and never writes them; ``sample``
+    drops the Nyquist rows and the zero mode from the spectrum it synthesizes.
     """
 
     def __init__(self, grid: GridSpec, u0_hat, u1_hat):
         self.grid = grid
-        self.u0 = _zero_guarded(np.asarray(u0_hat, dtype=np.complex128))
-        self.u1 = _zero_guarded(np.asarray(u1_hat, dtype=np.complex128))
-        self.rho = 2.0 * np.pi * grid.xi_norm
+        self.u0 = np.asarray(u0_hat, dtype=np.complex128)
+        self.u1 = np.asarray(u1_hat, dtype=np.complex128)
+
+    @property
+    def rho(self) -> np.ndarray:
+        return 2.0 * np.pi * self.grid.xi_norm
 
     def sample(self, t: float) -> ScalarField:
-        F = gr.FreeFlow(self.rho, t).u(self.u0, self.u1)
+        F = gr.zero_nyquist(gr.FreeFlow(self.rho, t).u(self.u0, self.u1))
+        F.flat[0] = 0.0
         return gr.to_physical(ScalarField(self.grid, F, rep=FREQUENCY))
 
     def dt(self) -> "HalfWaveField":
         return HalfWaveField(self.grid, self.u1, -self.rho ** 2 * self.u0)
 
     def mul_symbol(self, sym) -> "HalfWaveField":
-        sym = np.asarray(sym)
         return HalfWaveField(self.grid, sym * self.u0, sym * self.u1)
 
     def __add__(self, other):
@@ -78,9 +77,7 @@ class HalfWaveField:
     __rmul__ = __mul__
 
     def box(self) -> "HalfWaveField":
-        lap = self.mul_symbol(-self.rho ** 2)
-        dtt = self.dt().dt()
-        return HalfWaveField(self.grid, lap.u0 - dtt.u0, lap.u1 - dtt.u1)
+        return self.mul_symbol(-self.rho ** 2) + self.dt().dt() * -1.0
 
 
 class FreeConnection:
@@ -289,6 +286,8 @@ class DirectionCache:
             raise StructuralError("modes must be an (M, n) integer array")
         if len(modes) == 0:
             raise StructuralError("direction cache needs at least one mode")
+        if not modes.any(axis=1).all():
+            raise StructuralError("modes must not hold the zero mode: it has no direction")
         if policy not in ("exact", "bucketed"):
             raise ParameterError(f"unknown direction-cache policy {policy!r}")
         unit = modes / np.linalg.norm(modes, axis=1, keepdims=True)
@@ -400,7 +399,7 @@ class PhaseFamily:
     _CHUNK_BYTES = 512 * 1024
 
     def __init__(self, conn: FreeConnection, sign: int, sigma: float,
-                 cache: DirectionCache, _premultipliers=None):
+                 cache: DirectionCache):
         if sign not in (+1, -1):
             raise ParameterError("sign must be +1 or -1")
         if cache.grid != conn.grid:
@@ -415,7 +414,7 @@ class PhaseFamily:
         self.thetas = {k: min(2.0 ** (sigma * k), THETA_MAX) for k in conn.band_range}
         # the inverse transverse symbol is zero within theta_min of the axis
         self.theta_min = min(self.thetas.values()) / 4.0
-        self._w, self._xi_dot = _premultipliers or self._shared_multipliers()
+        self._w, self._xi_dot = self._shared_multipliers()
         self._t = None
         self._samples = None     # connection samples at time _t, on the support
         self._psi_hat = self._phase = None      # the phase table at time _t
@@ -482,8 +481,9 @@ class PhaseFamily:
 
     def with_multipliers(self, ws) -> "PhaseFamily":
         """The family with its own W rows, given on the band support."""
-        return PhaseFamily(self.conn, self.sign, self.sigma, self.cache,
-                           _premultipliers=_Multipliers(np.stack(ws), self._xi_dot))
+        fam = PhaseFamily(self.conn, self.sign, self.sigma, self.cache)
+        fam._w = np.stack(ws)
+        return fam
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +633,6 @@ class WaveOperator:
         grid = self.grid
         live = self.a_sym >= self.a_sym.max()
         h = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)) * live
-        h = h.astype(np.complex128)
         h /= self.coefficient_norm(h)
         lam_prev = 0.0
         history = []

@@ -11,6 +11,7 @@ from cronlab.grid import (GridSpec, ScalarField, VectorField, apply_multiplier, 
                           relative_l2_difference, to_physical, zero_field)
 from cronlab.parametrix import HalfWaveField
 from cronlab.random_fields import random_divergence_free, random_field, stream
+from conftest import nyquist_mask
 
 
 def unit(vec):
@@ -181,6 +182,30 @@ def test_box_equals_null_frame_composition():
         sym = -4.0 * np.pi ** 2 * (g.xi_norm ** 2 - np.tensordot(w, g.xi, axes=(0, 0)) ** 2)
         composed = lpm + wave.mul_symbol(sym)
         assert lebesgue_norm(composed.sample(t) - box.sample(t), 2) < 1e-10 * scale
+
+
+@pytest.mark.parametrize("n,N", [(2, 16), (3, 8)])
+def test_free_wave_samples_as_if_its_spectra_had_no_nyquist_rows_or_zero_mode(n, N):
+    # the wave keeps the spectra it is given and drops those entries only from
+    # the spectrum it synthesizes, so a wave whose spectra carry them samples
+    # bit for bit as one whose spectra have them zeroed, through every operation
+    g = GridSpec(n, N, 4.0)
+    rng = stream(24, n)
+    given = [rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape) for _ in range(2)]
+    zeroed = [X.copy() for X in given]
+    for X in zeroed:
+        X[nyquist_mask(g)] = 0.0
+        X.flat[0] = 0.0
+    w = unit(rng.standard_normal(n))
+    sym = 2j * np.pi * np.tensordot(w, g.xi, axes=(0, 0))
+    ops = {"identity": lambda F: F, "dt": lambda F: F.dt(),
+           "mul_symbol": lambda F: F.mul_symbol(sym), "+": lambda F: F + F.dt(),
+           "*": lambda F: 0.7 * F, "box": lambda F: F.box(),
+           "null_derivative": lambda F: null_derivative(null_derivative(F, w, +1), w, -1)}
+    a, b = HalfWaveField(g, *given), HalfWaveField(g, *zeroed)
+    for name, op in ops.items():
+        for t in (0.0, 0.37):
+            assert np.array_equal(op(a).sample(t).values, op(b).sample(t).values), (name, t)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ from cronlab.cli import main as cli_main
 from cronlab.errors import CronlabError, ParameterError
 from cronlab.grid import GridSpec
 from cronlab.harness import (EXPERIMENTS, RICHARDSON_DTS, SUITES, AcceptanceRecord,
-                             ExperimentConfig, ScanRow, Suite, all_passed, machine_summary,
-                             report_text, run)
+                             ExperimentConfig, ScanRow, Suite, _null_frame_identity, all_passed,
+                             machine_summary, report_text, run)
+from cronlab.random_fields import stream
 
 
 def test_config_validation():
@@ -541,3 +542,12 @@ def test_suites_run_clear_of_floating_point_errors(tmp_path, config):
         warnings.simplefilter("error")
         records, _ = run(ExperimentConfig(**config, out_dir=str(tmp_path)))
     assert all_passed(records)
+
+
+@pytest.mark.parametrize("idx,n,N", [(0, 2, 32), (1, 3, 16)])
+def test_free_wave_algebra_runs_clear_of_floating_point_errors(idx, n, N):
+    # a free wave's operations carry the Nyquist rows and the zero mode of its
+    # spectra until sample drops them; none of them may raise on the way
+    with np.errstate(all="raise", under="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _null_frame_identity(GridSpec(n, N, 8.0), stream(7, idx)) < 1e-10

@@ -17,7 +17,7 @@ import cronlab.parametrix as pmx
 import test_mkg
 import test_parametrix
 from cronlab.gauge import greater_symbol, leray_project
-from cronlab.grid import GridSpec
+from cronlab.grid import GridSpec, VectorField
 from cronlab.harness import ExperimentConfig, _lp_partition_identity, make_free_connection, run
 from cronlab.lp import BandRange
 from cronlab.random_fields import random_field, stream
@@ -104,6 +104,12 @@ def _lie_step(state, dt):
     return mkg._with_velocities(s, A_sp_t=leray_project(s.A_sp_t, keep_mean=True))
 
 
+def _leray_skipped():
+    """mkg.leray_project returning its input as it is, certified divergence free."""
+    return [(mkg, "leray_project",
+             lambda V, keep_mean=False: VectorField(V.components, divergence_free=True))]
+
+
 def _band_one_octave_up():
     """lp.band_symbol(grid, k) returning P_{k+1}."""
     original = lp.band_symbol
@@ -119,6 +125,14 @@ def _integrator_order(tmp_path):
                               out_dir=str(tmp_path))
     records = {r.id: r for r in run(config)[0]}
     assert records["mkg.integrator_order"].passed, records["mkg.integrator_order"].value
+
+
+def _div_drift(tmp_path):
+    # 10 steps of the 3-D evolution; the order fit's 2-D run comes along
+    config = ExperimentConfig(experiment="mkg-evolve", n=3, N=16, t_max=0.5,
+                              out_dir=str(tmp_path))
+    records = {r.id: r for r in run(config)[0]}
+    assert records["mkg.div_drift"].passed, records["mkg.div_drift"].value
 
 
 def _phi_extras_formula(tmp_path):
@@ -187,6 +201,8 @@ MUTANTS = [
            _psi_formula),
     Mutant("lie-splitting", lambda: [(mkg, "step", _lie_step)], _integrator_order),
     Mutant("band-one-octave-up", _band_one_octave_up, _lp_partition),
+    # every Leray projection in mkg skipped: A takes up the gradient part of its forcing
+    Mutant("leray-skipped", _leray_skipped, _div_drift),
 ]
 
 

@@ -714,6 +714,17 @@ def test_direction_cache_policies():
         DirectionCache.build(GRID, modes, policy="auto", eta_dir=0.3)   # no such policy
 
 
+@pytest.mark.parametrize("policy", ["exact", "bucketed"])
+def test_direction_cache_rejects_the_zero_mode(policy):
+    # the zero mode has no direction: its row of unit vectors was NaN, and
+    # under "bucketed" every later mode's argmax landed on it
+    with pytest.raises(StructuralError, match="zero mode"):
+        DirectionCache.build(GRID, np.array([[0, 0], [1, 0], [2, 0]]), policy=policy,
+                             eta_dir=0.3)
+    assert DirectionCache.build(GRID, np.array([[1, 0], [2, 0]]), policy=policy,
+                                eta_dir=0.3).num_buckets == 1
+
+
 def test_cache_of_directions_keeps_given_directions():
     dirs = stream(81, 0).standard_normal((3, 2))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

@@ -128,9 +128,7 @@ def drawn_phase_families(draw):
         count = draw(st.integers(1, max(1, (ELISION - 1) // size)))
     cache = DirectionCache.of_directions(grid, _unit_directions(rng, count, n))
     W = _random_complex(rng, (count, size))
-    xi_dot = cache.directions @ conn.kernel.lattice.xi
-    fam = PhaseFamily(conn, draw(st.sampled_from([1, -1])), 0.25, cache,
-                      _premultipliers=pmx._Multipliers(W, xi_dot))
+    fam = PhaseFamily(conn, draw(st.sampled_from([1, -1])), 0.25, cache).with_multipliers(W)
     return fam, draw(st.floats(0.0, 1.0))
 
 

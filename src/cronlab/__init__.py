@@ -25,8 +25,8 @@ from .grid import (FREQUENCY, PHYSICAL, GridSpec, ScalarField, VectorField, appl
                    laplacian, lebesgue_norm, mode_field, partial_derivative, plane_wave,
                    sobolev_norm, to_frequency, to_physical, vector_lebesgue_norm, zero_field)
 from .lp import (BandRange, BumpProfile, DEFAULT_BUMP, SpacetimeField, bernstein_ratio,
-                 besov_norm, commutator_ratios, project_band, restrict_annulus, spacetime_norm,
-                 spacetime_product_ratio)
+                 besov_norm, besov_norms, commutator_ratios, project_band, restrict_annulus,
+                 spacetime_norm, spacetime_product_ratio)
 from .gauge import coulomb_gain_ratios, leray_project, null_derivative, null_form_check
 from .exponents import exponents, sigma_window
 from .mkg import (ConnectionState, EnergyReport, constraint_residuals, elliptic_a0, evolve,

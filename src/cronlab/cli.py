@@ -3,16 +3,21 @@
     cronlab run --config cfg.json [--seed S] [--out DIR]
     cronlab run --experiment dispersive [--seed S] [--out DIR]
     cronlab report DIR
+    cronlab compare DIR_A DIR_B
 
 Config files are JSON objects with the ExperimentConfig fields.  The exit
 status is 0 when every gate passes, 1 when one fails and 2 on bad input (an
-`error:` line, no traceback).
+`error:` line, no traceback).  ``compare`` reads the summaries of two runs of
+one experiment and prints each record's two values and its move
+|a - b| / max(|a|, |b|, |finite bounds|); it exits 0 when both hold the same
+records with the same verdicts and no move exceeds MAX_MOVE, else 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -34,6 +39,10 @@ def _build_parser():
 
     p_rep = sub.add_parser("report", help="print the stored summary of a run directory")
     p_rep.add_argument("dir")
+
+    p_cmp = sub.add_parser("compare", help="compare the stored summaries of two run directories")
+    p_cmp.add_argument("dir_a")
+    p_cmp.add_argument("dir_b")
     return parser
 
 
@@ -56,13 +65,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    path = os.path.join(args.dir, "summary.json")
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise PreconditionError(f"cannot read run summary {path}: {exc}") from exc
-    _check_summary(payload, path)
+    payload = _load_summary(args.dir)
     records = payload["records"]
     failures = [r for r in records if not r["passed"]]
     print(f"experiment {payload['experiment']}  (config {payload['config_hash']})")
@@ -71,6 +74,59 @@ def _cmd_report(args) -> int:
         print(f"[{status}] {r['id']}: {r['value']}")
     print(f"{len(records) - len(failures)}/{len(records)} criteria passed")
     return 0 if not failures else 1
+
+
+# the largest move compare accepts: above the rounding moves that a change of
+# SIMD or BLAS dispatch makes in the records, below a move that changes a result
+MAX_MOVE = 1e-4
+
+
+def _cmd_compare(args) -> int:
+    a, b = _load_summary(args.dir_a), _load_summary(args.dir_b)
+    if a["experiment"] != b["experiment"]:
+        raise PreconditionError(f"cannot compare a run of {a['experiment']} "
+                                f"with a run of {b['experiment']}")
+
+    def number(record, key, where) -> float:
+        # a bound the record lacks is infinite
+        text = record.get(key, "-inf" if key == "lo" else "inf")
+        try:
+            return float(text)
+        except (TypeError, ValueError):
+            raise StructuralError(f"run summary in {where}: record {record['id']!r} has "
+                                  f"{key} {text!r}, not a number") from None
+
+    recs_a, recs_b = ({r["id"]: r for r in s["records"]} for s in (a, b))
+    ok, worst = recs_a.keys() == recs_b.keys(), 0.0
+    for rid in sorted(recs_a.keys() | recs_b.keys()):
+        if rid not in recs_a or rid not in recs_b:
+            print(f"{rid}: only in {args.dir_a if rid in recs_a else args.dir_b}")
+            continue
+        pair = [(recs_a[rid], args.dir_a), (recs_b[rid], args.dir_b)]
+        va, vb = (number(r, "value", d) for r, d in pair)
+        bounds = [abs(x) for r, d in pair for x in (number(r, "lo", d), number(r, "hi", d))
+                  if math.isfinite(x)]
+        same = recs_a[rid]["value"] == recs_b[rid]["value"] or va == vb
+        move = 0.0 if same else abs(va - vb) / max([abs(va), abs(vb)] + bounds)
+        move = math.inf if math.isnan(move) else move
+        verdicts = recs_a[rid]["passed"] == recs_b[rid]["passed"]
+        print(f"{rid}: {recs_a[rid]['value']} {recs_b[rid]['value']}  move {move:.2e}"
+              + ("" if verdicts else "  verdicts differ"))
+        ok, worst = ok and verdicts and move <= MAX_MOVE, max(worst, move)
+    print(f"largest move {worst:.2e} over {len(recs_a)} and {len(recs_b)} records: "
+          + ("same" if ok else "differ"))
+    return 0 if ok else 1
+
+
+def _load_summary(run_dir) -> dict:
+    path = os.path.join(run_dir, "summary.json")
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise PreconditionError(f"cannot read run summary {path}: {exc}") from exc
+    _check_summary(payload, path)
+    return payload
 
 
 def _check_summary(payload, path) -> None:
@@ -97,6 +153,8 @@ def main(argv=None) -> int:
             return _cmd_run(args)
         if args.command == "report":
             return _cmd_report(args)
+        if args.command == "compare":
+            return _cmd_compare(args)
     except CronlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

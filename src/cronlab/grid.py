@@ -385,8 +385,9 @@ class VectorField:
 
 def _wrap(grid: GridSpec, values: np.ndarray, rep: str, real_valued: bool,
           kept: np.ndarray = None) -> ScalarField:
-    """A field around an array this module has just made in the layout the
-    field stores; it is neither checked nor copied.  ``kept``, an array in
+    """A field around an array just made in the layout the field stores: by
+    this module, or by a ``FreeFlow`` in ``mkg`` and ``parametrix``.  It is
+    neither checked nor copied.  ``kept``, an array in
     the other representation's layout, is kept as the field's transform;
     only ``mkg`` passes one, for the two fields it makes from an exact
     source (see the note above ``partial_derivative``)."""

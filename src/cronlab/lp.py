@@ -142,18 +142,28 @@ def restrict_annulus(f: ScalarField, r_lo: float, r_hi: float) -> ScalarField:
 
 def besov_norm(f: ScalarField, p, q, r, band_range=None,
                allow_decreasing=False, exclude_zero_mode=False) -> float:
-    """(sum_k (2^{(n/p - n/q) k} ||P_k f||_p)^r)^{1/r} over the band range.
+    """(sum_k (2^{(n/p - n/q) k} ||P_k f||_p)^r)^{1/r} over the band range:
+    ``besov_norms`` for the one spec (p, q, r)."""
+    return besov_norms(f, [(p, q, r)], band_range, allow_decreasing, exclude_zero_mode)[0]
+
+
+def besov_norms(f: ScalarField, specs, band_range=None,
+                allow_decreasing=False, exclude_zero_mode=False) -> list:
+    """The Besov norm of f for each spec (p, q, r) of ``specs``, in order.
 
     ``allow_decreasing`` admits q < p (negative-regularity weights), which the
     spacetime nonlinearity norms need in low dimension.  With
     ``exclude_zero_mode`` a field with a mean is normed by its mean-free part.
-    f is transformed once; every band is projected from that transform.  A
-    band is transformed back only at p != 2; at p = 2 its spectrum gives its norm.
+    f is transformed once; each band is projected once from that transform
+    and serves every spec, and its piece is transformed back at most once,
+    for the specs with p != 2 (at p = 2 its spectrum gives its norm).  One
+    piece is alive at a time, and each spec sums its terms in band order.
     """
-    if r not in (1, 2):
-        raise ParameterError(f"Besov summability r={r} must be 1 or 2")
-    if p > q and not allow_decreasing:
-        raise ParameterError(f"Besov exponents need p <= q, got p={p}, q={q}")
+    for p, q, r in specs:
+        if r not in (1, 2):
+            raise ParameterError(f"Besov summability r={r} must be 1 or 2")
+        if p > q and not allow_decreasing:
+            raise ParameterError(f"Besov exponents need p <= q, got p={p}, q={q}")
     grid = f.grid
     f_hat = f.in_frequency()
     F = f_hat.values
@@ -166,12 +176,15 @@ def besov_norm(f: ScalarField, p, q, r, band_range=None,
         F.flat[0] = 0.0
         f_hat = f_hat.with_values(F)
     br = band_range if band_range is not None else BandRange.widest(grid)
-    norm = gr.plancherel_l2 if p == 2 else lambda band: lebesgue_norm(band, p)
-    total = 0.0
+    totals = [0.0] * len(specs)
     for k in br:
-        term = 2.0 ** ((grid.n / p - grid.n / q) * k) * norm(project_band(f_hat, k, br))
-        total += term if r == 1 else term ** 2
-    return total if r == 1 else math.sqrt(total)
+        piece = project_band(f_hat, k, br)
+        for i, (p, q, r) in enumerate(specs):
+            norm = gr.plancherel_l2(piece) if p == 2 else lebesgue_norm(piece, p)
+            term = 2.0 ** ((grid.n / p - grid.n / q) * k) * norm
+            totals[i] += term if r == 1 else term ** 2
+        del piece       # before the next band is projected
+    return [total if r == 1 else math.sqrt(total) for total, (_, _, r) in zip(totals, specs)]
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +220,17 @@ class SpacetimeField:
 def spacetime_norm(F: SpacetimeField, q_t, spatial_norm) -> float:
     """L^{q_t} in time (trapezoid quadrature; max for q_t = inf) of per-slice
     spatial norms.  ``spatial_norm`` maps one slice to a float."""
-    vals = np.array([spatial_norm(s) for s in F.slices], dtype=float)
+    return _time_norm(F.times, [spatial_norm(s) for s in F.slices], q_t)
+
+
+def _time_norm(times, vals, q_t) -> float:
+    """L^{q_t} over ``times`` of the per-slice values ``vals``."""
+    vals = np.array(vals, dtype=float)
     if q_t == np.inf:
         return float(vals.max())
-    if len(F.times) < 2:
+    if len(times) < 2:
         raise StructuralError("finite q_t needs at least 2 time samples")
-    return float(np.trapezoid(vals ** q_t, F.times) ** (1.0 / q_t))
+    return float(np.trapezoid(vals ** q_t, times) ** (1.0 / q_t))
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +319,17 @@ def spacetime_product_ratio(F: SpacetimeField, G: SpacetimeField, p, q,
     prod = SpacetimeField(F.times, tuple(
         ScalarField(F.grid, a.phys_values * b.phys_values)
         for a, b in zip(F.slices, G.slices)))
-    bn = lambda pp, qq, rr: (lambda s: besov_norm(s, pp, qq, rr, band_range,
-                                                  allow_decreasing=True,
-                                                  exclude_zero_mode=True))
-    lhs = spacetime_norm(prod, 1, bn(2, half, 2))
-    rhs = (spacetime_norm(F, 1, bn(np.inf, np.inf, 1)) * spacetime_norm(G, np.inf, bn(2, half, 2))
-           + spacetime_norm(F, 2, bn(p, 2 * n, 2)) * spacetime_norm(G, 2, bn(q, 2 * n / 3, 2)))
+
+    def norms(S: SpacetimeField, *specs):
+        # per spec, the norms of S's slices; one band pass a slice serves every spec
+        return zip(*(besov_norms(s, specs, band_range, allow_decreasing=True,
+                                 exclude_zero_mode=True) for s in S.slices))
+
+    t = F.times
+    (prod_2,) = norms(prod, (2, half, 2))
+    F_inf, F_p = norms(F, (np.inf, np.inf, 1), (p, 2 * n, 2))
+    G_2, G_q = norms(G, (2, half, 2), (q, 2 * n / 3, 2))
+    lhs = _time_norm(t, prod_2, 1)
+    rhs = (_time_norm(t, F_inf, 1) * _time_norm(t, G_2, np.inf)
+           + _time_norm(t, F_p, 2) * _time_norm(t, G_q, 2))
     return lhs / rhs if rhs > 0 else 0.0

@@ -323,8 +323,8 @@ def _drift(state: ConnectionState, h: float) -> ConnectionState:
         if not real:
             u, v = u.as_complex(), v.as_complex()
         fl, U, V = state.grid.free_flow(real, h), u.values, v.values
-        return (ScalarField(state.grid, fl.u(U, V), rep=FREQUENCY, real_valued=real),
-                ScalarField(state.grid, fl.u_t(U, V), rep=FREQUENCY, real_valued=real))
+        return (gr._wrap(state.grid, fl.u(U, V), FREQUENCY, real),
+                gr._wrap(state.grid, fl.u_t(U, V), FREQUENCY, real))
 
     phi_hat, phi_t_hat = flow(state.phi, state.phi_t)
     # phi keeps the spectrum it is synthesized from, which grad phi and the

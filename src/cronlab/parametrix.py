@@ -60,7 +60,7 @@ class HalfWaveField:
     def sample(self, t: float) -> ScalarField:
         F = gr.zero_nyquist(gr.FreeFlow(self.rho, t).u(self.u0, self.u1))
         F.flat[0] = 0.0
-        return gr.to_physical(ScalarField(self.grid, F, rep=FREQUENCY))
+        return gr.to_physical(gr._wrap(self.grid, F, FREQUENCY, False))
 
     def dt(self) -> "HalfWaveField":
         return HalfWaveField(self.grid, self.u1, -self.rho ** 2 * self.u0)
@@ -869,7 +869,8 @@ def decomposable_surrogate(directions, fields, theta: float, q_t, r_x,
     circle of directions (F homogeneous of degree 0, so only angular
     derivatives survive), each direction weighted annulus_volume / B.  Returns
     (value, tail_ratio) where tail_ratio is the last retained term against the
-    total.
+    total.  The norms read samples, so the differences are taken on samples:
+    each given slice is transformed at most once, and no difference at all.
     """
     directions = np.asarray(directions, dtype=float)
     B, n = directions.shape
@@ -902,7 +903,7 @@ def decomposable_surrogate(directions, fields, theta: float, q_t, r_x,
             gap = (angles[ip] - angles[im]) % (2.0 * np.pi)
             gap = max(float(gap), 1e-300)
             nxt[i] = SpacetimeField(level[i].times, tuple(
-                (a - b) * (theta / gap)
+                (a.in_physical() - b.in_physical()) * (theta / gap)
                 for a, b in zip(level[ip].slices, level[im].slices)))
         return nxt
 

@@ -91,11 +91,12 @@ def flat_spectrum_field(grid: GridSpec, rng, band_range: BandRange, real=False) 
 
 def random_divergence_free(grid: GridSpec, rng, r_lo=None, r_hi=None) -> VectorField:
     """Real, zero-mean, divergence-free vector field (Leray of a random draw),
-    normalized to unit L^2."""
+    normalized to unit L^2; the norm is taken by Plancherel, so the field is
+    returned as spectra and no transform is made."""
     comps = tuple(random_field(grid, rng, r_lo, r_hi, real=True, normalize=False)
                   for _ in range(grid.n))
     V = leray_project(VectorField(comps))
-    scale = np.sqrt(sum(lebesgue_norm(c, 2) ** 2 for c in V.components))
+    scale = np.sqrt(sum(plancherel_l2(c) ** 2 for c in V.components))
     if scale > 0:
         V = VectorField(tuple(c * (1.0 / scale) for c in V.components),
                         divergence_free=True)

@@ -28,6 +28,12 @@ def nyquist_mask(grid) -> np.ndarray:
     return np.any(np.meshgrid(*([on_axis] * grid.n), indexing="ij"), axis=0)
 
 
+# set in a child process's environment, these force the code paths that a CPU
+# with AVX2 and no AVX-512 runs: OpenBLAS's Haswell kernels and numpy's AVX2 loops
+NO_AVX512 = {"OPENBLAS_CORETYPE": "Haswell",
+             "NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"}
+
+
 FFT_ENTRY_POINTS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
                     "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
 

@@ -5,12 +5,18 @@ their default (pinned) grids and the default seed.
 
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
+import cronlab
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
+from cronlab.cli import main as cli_main
 from cronlab.harness import EXPERIMENTS, ExperimentConfig, all_passed, run
-from conftest import count_fft_calls
+from conftest import NO_AVX512, count_fft_calls
 
 _RESULTS = {}
 _GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_seed7.json").read_text())
@@ -184,10 +190,34 @@ def test_seed7_transform_count_matches_golden(tmp_path_factory, name):
         f"{name}: {transforms} numpy.fft calls, pinned {_GOLDEN['transforms'][name]}"
 
 
-@pytest.mark.parametrize("suite, transforms", [("unitarity", 16), ("parametrix-residual", 30)])
+@pytest.mark.parametrize("suite, transforms", [("unitarity", 12), ("parametrix-residual", 26)])
 def test_parametrix_suite_transform_count(tmp_path_factory, suite, transforms):
     """The seed-7 count of the work the suite's records read, and no more;
     checked under any numpy version, in the run the digests read."""
     records, _, calls = _run_suite(suite, tmp_path_factory)
     assert all_passed(records.values())
     assert calls == transforms
+
+
+# -- records that hold on any CPU ------------------------------------------------
+
+CHEAP_SUITES = ("unitarity", "parametrix-residual", "norms")
+
+
+@pytest.mark.skipif(not __cpu_features__["AVX512F"], reason="numpy reports no AVX-512")
+def test_cheap_suites_hold_their_records_without_avx512(tmp_path_factory, capsys):
+    """The seed-7 records of the cheap suites move by at most compare's bound
+    when numpy and OpenBLAS take their AVX2 paths instead of AVX-512."""
+    out = tmp_path_factory.mktemp("no_avx512")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cronlab.__file__)))
+    env = {**os.environ, **NO_AVX512,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; from cronlab.cli import main\n"
+            "for name in sys.argv[2:]:\n"
+            "    main(['run', '--experiment', name, '--seed', '7', '--out', sys.argv[1] + '/' + name])")
+    subprocess.run([sys.executable, "-c", code, str(out), *CHEAP_SUITES],
+                   env=env, capture_output=True, text=True, check=True)
+    for name in CHEAP_SUITES:
+        _, paths, _ = _run_suite(name, tmp_path_factory)
+        here = os.path.dirname(paths["summary"])
+        assert cli_main(["compare", here, str(out / name)]) == 0, capsys.readouterr().out

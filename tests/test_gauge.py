@@ -7,7 +7,7 @@ from cronlab.gauge import (THETA_MAX, angle_to, coulomb_gain_ratios,
                            greater_symbol, leray_project, null_derivative, null_form_check,
                            sector_symbol, transverse_inverse_symbol)
 from cronlab.grid import (GridSpec, ScalarField, VectorField, apply_multiplier, constant_field,
-                          gradient, inner_product, lebesgue_norm, mode_field,
+                          gradient, inner_product, lebesgue_norm, mode_field, plancherel_l2,
                           relative_l2_difference, to_physical, zero_field)
 from cronlab.parametrix import HalfWaveField
 from cronlab.random_fields import random_divergence_free, random_field, stream
@@ -39,6 +39,15 @@ def test_leray_fixes_divergence_free_fields():
     PV = leray_project(V)
     assert max(relative_l2_difference(a, b)
                for a, b in zip(V.components, PV.components)) < 1e-12
+
+
+def test_random_divergence_free_is_normed_by_plancherel_without_a_transform(count_transforms):
+    g = GridSpec(3, 16, 2.0)
+    calls = count_transforms()
+    V = random_divergence_free(g, stream(20, 9), 0.5, 3.0)
+    assert calls == {}
+    assert V.divergence_free
+    assert abs(np.sqrt(sum(plancherel_l2(c) ** 2 for c in V.components)) - 1.0) <= 1e-15
 
 
 def test_leray_idempotent_and_self_adjoint():

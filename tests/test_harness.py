@@ -325,6 +325,15 @@ BAD_SUMMARIES = {
     "bad_records": '{"experiment": "x", "config_hash": "h", "records": [1]}',
     "record_fields": '{"experiment": "x", "config_hash": "h", "records": [{"id": "a"}]}',
 }
+COMPARED_SUMMARIES = {
+    "norms_run": '{"experiment": "norms", "config_hash": "h", '
+                 '"records": [{"id": "a", "value": "1", "lo": "-inf", "hi": "2", "passed": true}]}',
+    "unitarity_run": '{"experiment": "unitarity", "config_hash": "h", '
+                     '"records": [{"id": "a", "value": "1", "lo": "-inf", "hi": "2", '
+                     '"passed": true}]}',
+    "text_bound": '{"experiment": "norms", "config_hash": "h", '
+                  '"records": [{"id": "a", "value": "1", "lo": "low", "hi": "2", "passed": true}]}',
+}
 MISTYPED_SUMMARIES = {
     "passed_string": '{"experiment": "x", "config_hash": "h", '
                      '"records": [{"id": "a", "value": "1", "passed": "no"}]}',
@@ -362,18 +371,61 @@ MISTYPED_SUMMARIES = {
     # an out_dir below a regular file is refused before the suite runs
     (["run", "--config", "under_file.json"], "bad.json is not a directory"),
 ] + [(["report", name], "needs a string id and value and a bool passed")
-     for name in MISTYPED_SUMMARIES])
+     for name in MISTYPED_SUMMARIES] + [
+    (["compare", "norms_run", "missing_dir"], "missing_dir"),
+    (["compare", "list_summary", "norms_run"], "list_summary/summary.json is not a cronlab"),
+    (["compare", "norms_run", "unitarity_run"], "a run of norms with a run of unitarity"),
+    (["compare", "norms_run", "text_bound"], "has lo 'low', not a number"),
+])
 def test_cli_maps_bad_input_to_exit_2(tmp_path, monkeypatch, capsys, argv, needle):
     monkeypatch.chdir(tmp_path)
     for name, text in BAD_CONFIGS.items():
         (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
-    for name, text in {**BAD_SUMMARIES, **MISTYPED_SUMMARIES}.items():
+    for name, text in {**BAD_SUMMARIES, **MISTYPED_SUMMARIES, **COMPARED_SUMMARIES}.items():
         (tmp_path / name).mkdir()
         (tmp_path / name / "summary.json").write_text(text)
     assert cli_main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and needle in err
     assert not (tmp_path / "out").exists()
+
+
+def _summary(*records):
+    return {"experiment": "norms", "config_hash": "h", "records": [
+        {"id": rid, "value": value, "lo": "-inf", "hi": hi, "passed": passed}
+        for rid, value, hi, passed in records]}
+
+
+BASE_RECORDS = (("a", "1", "2", True), ("b", "1e-20", "1e-10", True))
+
+
+@pytest.mark.parametrize("other, code", [
+    (BASE_RECORDS, 0),
+    # moves are measured against the larger of the values and the finite bounds
+    ((("a", "1.00005", "2", True), ("b", "1e-20", "1e-10", True)), 0),      # 2.5e-5
+    ((("a", "1", "2", True), ("b", "3e-20", "1e-10", True)), 0),            # 2e-10
+    ((("a", "1.001", "2", True), ("b", "1e-20", "1e-10", True)), 1),        # 5e-4
+    ((("a", "1", "2", True), ("b", "1e-20", "1e-10", False)), 1),          # verdict
+    (BASE_RECORDS[:1], 1),                                                 # a record lost
+    (BASE_RECORDS + (("c", "0", "1", True),), 1),                         # a record added
+])
+def test_cli_compare_accepts_only_moves_within_its_bound(tmp_path, capsys, other, code):
+    for name, records in (("a", BASE_RECORDS), ("b", other)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "summary.json").write_text(json.dumps(_summary(*records)))
+    assert cli_main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == code
+    out = capsys.readouterr().out
+    assert "a: 1 " in out and out.rstrip().endswith("same" if code == 0 else "differ")
+
+
+def test_cli_compare_reads_two_runs_of_a_suite(tmp_path, capsys):
+    for name in ("a", "b"):
+        assert cli_main(["run", "--experiment", "norms", "--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    assert cli_main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    out = capsys.readouterr().out
+    assert "norms.surrogate_reduction" in out
+    assert "largest move 0.00e+00" in out
 
 
 def test_coulomb_gain_builds_each_sector_symbol_once(tmp_path, monkeypatch):
@@ -438,8 +490,9 @@ def test_lp_suite_builds_each_cutoff_once_and_norms_l2_bands_by_plancherel(
     # one grid: each band symbol of its range is two bumps, built once
     bands = BandRange.widest(GridSpec(2, 128, 1.0))
     assert len(bumps) == 2 * len(range(bands.k_min, bands.k_max + 1)) == 10
-    # the seed-7 count: no inverse transform for an L^2 band norm
-    assert sum(calls.values()) == 373
+    # the seed-7 count: no inverse transform for an L^2 band norm, and one
+    # per band piece for the p = 4 and p = 3 norms of the embedding chain
+    assert sum(calls.values()) == 273
 
 
 def test_unitarity_suite_calls_each_check_per_record(tmp_path, monkeypatch):

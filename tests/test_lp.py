@@ -7,7 +7,7 @@ from cronlab.errors import ParameterError, PreconditionError, StructuralError
 from cronlab.grid import (GridSpec, ScalarField, apply_multiplier, constant_field,
                           lebesgue_norm, mode_field, plane_wave, relative_l2_difference, sobolev_norm, to_physical)
 from cronlab.lp import (BandRange, DEFAULT_BUMP, SpacetimeField, bernstein_ratio,
-                        _commutator, besov_norm, commutator_ratios, fit_loglog,
+                        _commutator, besov_norm, besov_norms, commutator_ratios, fit_loglog,
                         project_band, restrict_annulus,
                         spacetime_norm, spacetime_product_ratio)
 from cronlab.random_fields import (flat_spectrum_field, packet_field,
@@ -216,6 +216,26 @@ def test_besov_norm_transform_count(count_transforms, real):
             # p = 2 transforms a physical field once and no band back; any
             # other p transforms each band back
             assert calls == {**fwd, **back}
+
+
+@pytest.mark.parametrize("exclude_zero_mode", [False, True])
+def test_besov_norms_is_besov_norm_per_spec_from_one_band_pass(count_transforms,
+                                                              exclude_zero_mode):
+    g = GridSpec(2, 64, 1.0)
+    br = BandRange.widest(g)
+    f = flat_spectrum_field(g, stream(12, 9), br)
+    if exclude_zero_mode:
+        F = f.values.copy()
+        F.flat[0] = 3.0
+        f = f.with_values(F)
+    specs = [(p, 4, r) for p in (2, 3, 4, np.inf) for r in (1, 2)]
+    opts = dict(allow_decreasing=True, exclude_zero_mode=exclude_zero_mode)
+    want = [besov_norm(f, p, q, r, br, **opts) for p, q, r in specs]
+    calls = count_transforms()
+    got = besov_norms(f, specs, br, **opts)
+    assert got == want      # bit for bit, spec by spec
+    # each band piece is transformed back once, for all six specs with p != 2
+    assert calls == {"ifftn": len(range(br.k_min, br.k_max + 1))}
 
 
 def test_besov_rejects_p_above_q():

@@ -23,7 +23,7 @@ from cronlab.parametrix import (AnnulusCutoff, DirectionCache, FreeConnection, P
                                 phase_defect, residual_check, split_phase_at)
 from cronlab.harness import _parametrix_setup, make_free_connection
 from cronlab.random_fields import random_divergence_free, random_field, stream
-from conftest import nyquist_mask
+from conftest import NO_AVX512, nyquist_mask
 
 GRID = GridSpec(2, 64, 8.0)
 BAND = BandRange(-3, -2)
@@ -538,12 +538,6 @@ def test_bucketing_error_is_small():
     assert err < 1e-2
 
 
-# the code paths of a CPU with AVX2 but no AVX-512, forced in one process:
-# OpenBLAS's Haswell kernel and numpy without its AVX-512 loops
-NO_AVX512 = {"OPENBLAS_CORETYPE": "Haswell",
-             "NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"}
-
-
 def dispersive_bucketing_error() -> float:
     """bucketing_error as the dispersive suite takes it at seed 7: 256^2,
     196 buckets, eps = 1e-2, 48 coefficients of the annulus cutoff, all tied."""
@@ -648,8 +642,8 @@ def test_transverse_symbol_built_once_per_direction_per_build_or_split(monkeypat
     assert len(calls) == 6                      # the split
 
 
-def test_surrogate_direction_independent_reduction():
-    base = random_field(GRID, stream(77, 0), 1.0, 2.0)
+def test_surrogate_direction_independent_reduction(count_transforms):
+    base = random_field(GRID, stream(77, 0), 1.0, 2.0)      # on the frequency side
     ts = np.linspace(0.0, 1.0, 3)
     B = 24
     dirs = np.stack([[np.cos(2 * np.pi * b / B), np.sin(2 * np.pi * b / B)]
@@ -657,7 +651,9 @@ def test_surrogate_direction_independent_reduction():
     fields = [SpacetimeField(ts, tuple(base for _ in ts)) for _ in range(B)]
     theta = 0.8
     vol = 5.0
+    calls = count_transforms()
     val, tail = decomposable_surrogate(dirs, fields, theta, 2, 2, annulus_volume=vol)
+    assert calls == {"ifftn": 1}       # the base; every difference is taken on samples
     expect = theta ** (-0.5) * np.sqrt(vol) \
         * spacetime_norm(fields[0], 2, lambda s: lebesgue_norm(s, 2))
     assert abs(val - expect) < 1e-12 * expect

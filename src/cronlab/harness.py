@@ -332,12 +332,12 @@ def _phase_identities(grid: GridSpec, sigma: float, seed: int, idx: int) -> dict
          + 1j * stream(seed, 200 + idx).standard_normal(grid.shape)) * live
     fld = ScalarField(grid, stream(seed, 300 + idx).standard_normal(grid.shape)
                       + 1j * stream(seed, 400 + idx).standard_normal(grid.shape))
+    times = np.linspace(0.0, 0.45 * grid.L / 2.0, 5)
     worst = dict.fromkeys(("phase_defect", "psi_real", "adjoint", "phase_split"), 0.0)
     for sign in (+1, -1):
         fam = pmx.PhaseFamily(conn, sign, sigma, probe_cache)
-        worst["phase_defect"] = max(worst["phase_defect"], pmx.phase_defect(
-            fam, np.linspace(0.0, 0.45 * grid.L / 2.0, 5)))
-        worst["psi_real"] = max(worst["psi_real"], fam.max_imag_defect)
+        worst["phase_defect"] = max(worst["phase_defect"], pmx.phase_defect(fam, times))
+        worst["psi_real"] = max(worst["psi_real"], *(fam.imag_defect(t) for t in times))
         # threshold above the first dyadic piece so both halves carry weight
         theta_star = 4.01 * min(fam.thetas.values())
         fam_lo, fam_hi, part_defect = pmx.split_phase_at(fam, theta_star)
@@ -345,7 +345,6 @@ def _phase_identities(grid: GridSpec, sigma: float, seed: int, idx: int) -> dict
         r_split = float(np.sqrt(np.sum((fam_lo.psi(0.3, 0) + fam_hi.psi(0.3, 0) - psi_all) ** 2))
                         / max(np.sqrt(np.sum(psi_all ** 2)), 1e-300))
         worst["phase_split"] = max(worst["phase_split"], part_defect, r_split)
-        del fam, fam_lo, fam_hi          # their phase tables are not read again
 
         op = pmx.WaveOperator(pmx.PhaseFamily(conn, sign, sigma, sub_cache),
                               cut, check_cover=False)

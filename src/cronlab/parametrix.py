@@ -104,10 +104,10 @@ class FreeConnection:
         if not mask.any():
             raise PreconditionError(f"the annulus [{lo:g}, {hi:g}] of band range {band_range} "
                                     f"holds no lattice mode of {grid}")
+        if any(np.shape(X) != (grid.n,) + grid.shape for X in (a_hat, adot_hat)):
+            raise StructuralError("connection data must be stacked (n,)+grid.shape arrays")
         a_hat = np.asarray(a_hat, dtype=np.complex128) * mask
         adot_hat = np.asarray(adot_hat, dtype=np.complex128) * mask
-        if a_hat.shape != (grid.n,) + grid.shape:
-            raise StructuralError("connection data must be stacked (n,)+grid.shape arrays")
         self._check_div_free(a_hat, "a")
         self._check_div_free(adot_hat, "adot")
         support = np.flatnonzero(np.logical_or.reduce(
@@ -386,14 +386,17 @@ class PhaseFamily:
     connection's band support, are built per direction once for each
     direction cache and are shared by every family on it.  The family reads
     A, the support's transform and the band symbols from its connection
-    (``conn.kernel``, ``conn.bands``) and keeps no copy of them.  The phase
-    table is kept for the most recent time only: a call at a new time drops
-    it and builds the row of every bucket, read or not, in one pass (psi_hat
-    in one lift, the phase factors in chunks of _CHUNK_BYTES: 8 rows at 64^2,
-    one at 256^2).  ``slice_at(t, b)`` returns a view of row b.
-    ``psi``, ``psi_t`` and ``grad`` at (t, b) are not kept: each call
-    recomputes its field from the support, one support transform each (grad
-    batches its n fields), so a caller binds them once.
+    (``conn.kernel``, ``conn.bands``) and keeps no copy of them.  Per time
+    the family keeps two things, for the most recent time only.  The lift,
+    which every reader needs: the connection samples on the support and
+    psi_hat of every bucket, in one lift.  The phase rows e^{2 pi i psi},
+    which only ``slice_at(t, b)`` reads: its first call at a time builds the
+    row of every bucket, read or not, in chunks of _CHUNK_BYTES (8 rows at
+    64^2, one at 256^2), and returns a view of row b.  ``psi``, ``psi_t``,
+    ``grad`` and ``imag_defect`` at a time read its lift alone and build no
+    row.  Their fields are not kept: each call recomputes its field from the
+    support, one support transform each (grad batches its n fields), so a
+    caller binds them once.
     """
 
     _CHUNK_BYTES = 512 * 1024
@@ -416,9 +419,8 @@ class PhaseFamily:
         self.theta_min = min(self.thetas.values()) / 4.0
         self._w, self._xi_dot = self._shared_multipliers()
         self._t = None
-        self._samples = None     # connection samples at time _t, on the support
-        self._psi_hat = self._phase = None      # the phase table at time _t
-        self.max_imag_defect = 0.0
+        self._samples = self._psi_hat = None    # the lift at time _t, on the support
+        self._phase = None       # the phase rows at time _t, once slice_at asks
 
     def _shared_multipliers(self) -> _Multipliers:
         key = (self.conn.band_range, self.sigma)
@@ -433,44 +435,58 @@ class PhaseFamily:
             self.cache.multipliers[key] = _Multipliers(np.stack(ws), np.stack(dots))
         return self.cache.multipliers[key]
 
-    def _build_table(self, t: float):
-        """The connection samples (A, A_t, A_tt) on the support at t and the
-        phase table of every bucket; the realness defect is taken per row."""
-        self._phase = None       # the old table goes before the new one is allocated
-        self._t, self._samples = t, self.conn.on_support(t)
-        self._psi_hat = _lift(self._samples, 0, self.sign, self.cache.directions,
-                              self._xi_dot, self._w)
-        self._phase = np.empty((len(self._psi_hat),) + self.grid.shape, dtype=np.complex128)
-        rows = max(1, self._CHUNK_BYTES // self._phase[0].nbytes)
-        axes = tuple(range(1, self._phase.ndim))
-        for i in range(0, len(self._phase), rows):
-            psi_c = self.conn.kernel.synthesize(self._psi_hat[i:i + rows])
-            scale = np.maximum(np.abs(psi_c).max(axis=axes), 1e-300)
-            defect = float((np.abs(psi_c.imag).max(axis=axes) / scale).max())
-            self.max_imag_defect = max(self.max_imag_defect, defect)
-            np.exp(2j * np.pi * psi_c.real, out=self._phase[i:i + rows])
-
-    def _table_at(self, t: float):
+    def _lift_at(self, t: float):
+        """The connection samples (A, A_t, A_tt) on the support at t and psi_hat
+        of every bucket."""
         if t != self._t:
-            self._build_table(t)
+            self._phase = None   # the old rows go before the new lift is allocated
+            self._t, self._samples = t, self.conn.on_support(t)
+            self._psi_hat = _lift(self._samples, 0, self.sign, self.cache.directions,
+                                  self._xi_dot, self._w)
+
+    def _psi_chunks(self, t: float):
+        """(i, psi) per chunk of buckets i, i + 1, ... at t: the complex
+        synthesis of their psi_hat rows, _CHUNK_BYTES at a time."""
+        self._lift_at(t)
+        rows = max(1, self._CHUNK_BYTES // (16 * self.grid.num_points))
+        for i in range(0, len(self._psi_hat), rows):
+            yield i, self.conn.kernel.synthesize(self._psi_hat[i:i + rows])
+
+    def _build_table(self, t: float):
+        """The phase rows e^{2 pi i psi} of every bucket at t."""
+        self._lift_at(t)
+        self._phase = np.empty((len(self._psi_hat),) + self.grid.shape, dtype=np.complex128)
+        for i, psi_c in self._psi_chunks(t):
+            np.exp(2j * np.pi * psi_c.real, out=self._phase[i:i + len(psi_c)])
+
+    def imag_defect(self, t: float) -> float:
+        """sup |Im psi| / sup |psi| of the synthesized phases at t, worst over
+        buckets: psi is real up to rounding."""
+        axes = tuple(range(1, self.grid.n + 1))
+        worst = 0.0
+        for _, psi_c in self._psi_chunks(t):
+            scale = np.maximum(np.abs(psi_c).max(axis=axes), 1e-300)
+            worst = max(worst, float((np.abs(psi_c.imag).max(axis=axes) / scale).max()))
+        return worst
 
     def slice_at(self, t: float, b: int) -> np.ndarray:
         """Row b of the phase table at t: the phase factor e^{2 pi i psi} on the grid."""
-        self._table_at(t)
+        if t != self._t or self._phase is None:
+            self._build_table(t)
         return self._phase[b]
 
     def psi(self, t: float, b: int) -> np.ndarray:
-        self._table_at(t)
+        self._lift_at(t)
         return self.conn.kernel.synthesize(self._psi_hat[b]).real
 
     def psi_t(self, t: float, b: int) -> np.ndarray:
-        self._table_at(t)
+        self._lift_at(t)
         return self.conn.kernel.synthesize(_lift(self._samples, 1, self.sign,
                                                  self.cache.directions[b], self._xi_dot[b],
                                                  self._w[b])).real
 
     def grad(self, t: float, b: int) -> tuple:
-        self._table_at(t)
+        self._lift_at(t)
         kern = self.conn.kernel
         return tuple(kern.synthesize(2j * np.pi * kern.lattice.xi * self._psi_hat[b]).real)
 
@@ -802,7 +818,7 @@ def dispersive_scan(op: WaveOperator | None, taus, f: ScalarField, *, grid=None,
                      slope=fit_loglog(taus, np.asarray(vals)))
 
 
-def bucketing_error(op: WaveOperator, t: float, h, subsample: int = 64) -> float:
+def bucketing_error(op: WaveOperator, t: float, h, subsample: int) -> float:
     """Relative L2 difference between the bucketed operator and an exact
     per-mode-direction operator, on the `subsample` largest coefficients
     |h a|, ties in the cache's mode order (a stable sort, the same on any CPU).

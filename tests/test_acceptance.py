@@ -16,6 +16,7 @@ import pytest
 from numpy._core._multiarray_umath import __cpu_features__
 from cronlab.cli import main as cli_main
 from cronlab.harness import EXPERIMENTS, ExperimentConfig, all_passed, run
+from cronlab.parametrix import PhaseFamily
 from conftest import NO_AVX512, count_fft_calls
 
 _RESULTS = {}
@@ -24,14 +25,23 @@ _GOLDEN_SEED3 = json.loads((pathlib.Path(__file__).parent / "golden_seed3.json")
 
 
 def _run_suite(name, tmp_path_factory, seed=7):
-    """(records by id, artifact paths, numpy.fft calls) of one run of the suite
-    at its defaults and the given seed, run once per session."""
+    """(records by id, artifact paths, numpy.fft calls, phase-table builds) of
+    one run of the suite at its defaults and the given seed, run once per
+    session."""
     if (name, seed) not in _RESULTS:
         out = tmp_path_factory.mktemp(f"acc_{name.replace('-', '_')}_seed{seed}")
         with pytest.MonkeyPatch.context() as mp:
             calls = count_fft_calls(mp)
+            tables = []
+            build = PhaseFamily._build_table
+
+            def counted(family, t):
+                tables.append(t)
+                build(family, t)
+            mp.setattr(PhaseFamily, "_build_table", counted)
             records, paths = run(ExperimentConfig(experiment=name, seed=seed, out_dir=str(out)))
-        _RESULTS[name, seed] = ({r.id: r for r in records}, paths, sum(calls.values()))
+        _RESULTS[name, seed] = ({r.id: r for r in records}, paths, sum(calls.values()),
+                                len(tables))
     return _RESULTS[name, seed]
 
 
@@ -167,7 +177,7 @@ def _check_digests(name, paths, golden):
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_seed7_artifacts_match_golden_digests(tmp_path_factory, name):
     _skip_unless_pinned_numpy()
-    _, paths, _ = _run_suite(name, tmp_path_factory)
+    paths = _run_suite(name, tmp_path_factory)[1]
     _check_digests(name, paths, _GOLDEN)
 
 
@@ -176,7 +186,7 @@ def test_seed3_artifacts_match_golden_digests(tmp_path_factory, name):
     """A second seed for the five cheap suites: a moved bit that seed 7 happens
     not to show still fails here."""
     _skip_unless_pinned_numpy()
-    _, paths, _ = _run_suite(name, tmp_path_factory, seed=_GOLDEN_SEED3["seed"])
+    paths = _run_suite(name, tmp_path_factory, seed=_GOLDEN_SEED3["seed"])[1]
     _check_digests(name, paths, _GOLDEN_SEED3)
 
 
@@ -185,16 +195,26 @@ def test_seed7_transform_count_matches_golden(tmp_path_factory, name):
     """The work of each suite, counted in the run the digests read: a
     transform added anywhere in a suite fails here."""
     _skip_unless_pinned_numpy()
-    _, _, transforms = _run_suite(name, tmp_path_factory)
+    transforms = _run_suite(name, tmp_path_factory)[2]
     assert transforms == _GOLDEN["transforms"][name], \
         f"{name}: {transforms} numpy.fft calls, pinned {_GOLDEN['transforms'][name]}"
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_seed7_phase_table_count_matches_golden(tmp_path_factory, name):
+    """The phase tables each suite builds, counted in the run the digests read:
+    a table built where no row of it is read fails here."""
+    _skip_unless_pinned_numpy()
+    tables = _run_suite(name, tmp_path_factory)[3]
+    assert tables == _GOLDEN["tables"][name], \
+        f"{name}: {tables} phase tables built, pinned {_GOLDEN['tables'][name]}"
 
 
 @pytest.mark.parametrize("suite, transforms", [("unitarity", 12), ("parametrix-residual", 26)])
 def test_parametrix_suite_transform_count(tmp_path_factory, suite, transforms):
     """The seed-7 count of the work the suite's records read, and no more;
     checked under any numpy version, in the run the digests read."""
-    records, _, calls = _run_suite(suite, tmp_path_factory)
+    records, _, calls, _ = _run_suite(suite, tmp_path_factory)
     assert all_passed(records.values())
     assert calls == transforms
 
@@ -218,6 +238,6 @@ def test_cheap_suites_hold_their_records_without_avx512(tmp_path_factory, capsys
     subprocess.run([sys.executable, "-c", code, str(out), *CHEAP_SUITES],
                    env=env, capture_output=True, text=True, check=True)
     for name in CHEAP_SUITES:
-        _, paths, _ = _run_suite(name, tmp_path_factory)
+        paths = _run_suite(name, tmp_path_factory)[1]
         here = os.path.dirname(paths["summary"])
         assert cli_main(["compare", here, str(out / name)]) == 0, capsys.readouterr().out

@@ -433,6 +433,12 @@ def _stepped_state():
     return step(make_compatible_data(*small_data(g, 1e-2, seed=48)), 0.05)
 
 
+def test_kick_keeps_a_t_divergence_free(divergence_free):
+    # the kick adds A's forcing to d_t A as it is; the forcing's own Leray
+    # projection keeps the gradient part of the current out
+    assert divergence_free(_kick(_stepped_state(), 0.025).A_sp_t, 1e-10)
+
+
 def test_step_transform_count(monkeypatch, count_transforms):
     # along a trajectory the monitor reads each state before the next step,
     # so the first kick finds A0, born with its samples, already solved;

@@ -21,6 +21,7 @@ from cronlab.grid import GridSpec, VectorField
 from cronlab.harness import ExperimentConfig, _lp_partition_identity, make_free_connection, run
 from cronlab.lp import BandRange
 from cronlab.random_fields import random_field, stream
+from conftest import _divergence_free
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +111,17 @@ def _leray_skipped():
              lambda V, keep_mean=False: VectorField(V.components, divergence_free=True))]
 
 
+def _unprojected_forcing():
+    """ConnectionState.forcing_A without its Leray projection: -dealias of the
+    current's spectra, certified divergence free as it is.  A plain property,
+    since a cached_property set on the class after it is made has no name."""
+    def forcing(state):
+        return VectorField(tuple(mkg.dealias(c) * (-1.0)
+                                 for c in state.current.in_frequency().components),
+                           divergence_free=True)
+    return [(mkg.ConnectionState, "forcing_A", property(forcing))]
+
+
 def _band_one_octave_up():
     """lp.band_symbol(grid, k) returning P_{k+1}."""
     original = lp.band_symbol
@@ -170,6 +182,10 @@ def _psi_formula(tmp_path):
     test_parametrix.test_psi_matches_full_grid_formula()
 
 
+def _kick_divergence_free(tmp_path):
+    test_mkg.test_kick_keeps_a_t_divergence_free(_divergence_free)
+
+
 def _lp_partition(tmp_path):
     # the identities suite's partition check at (n, N, L) = (2, 32, 8), seed 7
     defect = _lp_partition_identity(GridSpec(2, 32, 8.0), stream(7, 0))
@@ -203,6 +219,9 @@ MUTANTS = [
     Mutant("band-one-octave-up", _band_one_octave_up, _lp_partition),
     # every Leray projection in mkg skipped: A takes up the gradient part of its forcing
     Mutant("leray-skipped", _leray_skipped, _div_drift),
+    # only the forcing's projection skipped: the drift and the end of step
+    # project again, so no suite gate resolves it
+    Mutant("forcing-unprojected", _unprojected_forcing, _kick_divergence_free),
 ]
 
 

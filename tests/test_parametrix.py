@@ -103,6 +103,15 @@ def test_connection_requires_divergence_free_data():
         FreeConnection(GRID, bad, bad, BAND)
 
 
+@pytest.mark.parametrize("shape", [(3, 64, 64), (1, 64, 64), (64, 64), (2, 64, 32)])
+@pytest.mark.parametrize("which", ["a_hat", "adot_hat"])
+def test_connection_rejects_misshapen_data(shape, which):
+    good = connection_data()[0]
+    data = {"a_hat": good, "adot_hat": good, which: np.ones(shape, dtype=complex)}
+    with pytest.raises(StructuralError, match="stacked"):
+        FreeConnection(GRID, band_range=BAND, **data)
+
+
 @pytest.mark.parametrize("grid, band", [
     (GridSpec(3, 8, 1.5), BandRange.widest(GridSpec(3, 8, 1.5))),
     (GridSpec(2, 16, 1.5), BandRange(0, 0))])
@@ -182,9 +191,7 @@ def test_phase_realness_invariant():
     for sign in (+1, -1):
         fam = PhaseFamily(conn, sign, 0.25, cache)
         for t in (0.0, 0.9):
-            for b in range(0, cache.num_buckets, 7):
-                fam.slice_at(t, b)
-        assert fam.max_imag_defect < 1e-11
+            assert fam.imag_defect(t) < 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -831,8 +838,8 @@ def test_phase_table_row_equals_single_bucket_synthesis():
     fam = PhaseFamily(connection(), -1, 0.25, cache)
     rows = PhaseFamily._CHUNK_BYTES // (16 * GRID.num_points)
     assert cache.num_buckets > rows      # the table takes more than one chunk
-    defects = []
     for t in (0.4, 0.9):
+        defects = []
         for b in range(cache.num_buckets):
             phase = fam.slice_at(t, b)
             psi_hat = pmx._lift(fam._samples, 0, -1, cache.directions[b], fam._xi_dot[b],
@@ -841,7 +848,33 @@ def test_phase_table_row_equals_single_bucket_synthesis():
             assert np.array_equal(fam._psi_hat[b], psi_hat)
             assert np.array_equal(phase, np.exp(2j * np.pi * psi_c.real))
             defects.append(np.abs(psi_c.imag).max() / max(np.abs(psi_c).max(), 1e-300))
-    assert fam.max_imag_defect == max(defects)
+        assert fam.imag_defect(t) == max(defects)
+
+
+def test_lift_readers_build_no_phase_table(monkeypatch):
+    cache = small_cache()
+    fam = PhaseFamily(connection(), +1, 0.25, cache)
+    tables = _counting(monkeypatch, PhaseFamily, "_build_table")
+    # each call at a new time: psi, its derivatives and the defect read the lift alone
+    fam.psi(0.1, 0)
+    fam.psi_t(0.2, 1)
+    fam.grad(0.3, 2)
+    phase_defect(fam, [0.4])
+    fam.imag_defect(0.5)
+    assert tables == []
+    for b in range(cache.num_buckets):
+        assert np.array_equal(fam.slice_at(0.5, b), np.exp(2j * np.pi * fam.psi(0.5, b)))
+    assert len(tables) == 1
+
+
+def test_imag_defect_does_not_depend_on_call_history():
+    conn, cache = connection(), small_cache()
+    fam = PhaseFamily(conn, -1, 0.25, cache)
+    before = fam.imag_defect(0.4)
+    for t in (0.9, 0.1):                 # tables built at other times
+        fam.slice_at(t, 0)
+    assert fam.imag_defect(0.4) == before
+    assert PhaseFamily(conn, -1, 0.25, cache).imag_defect(0.4) == before
 
 
 def test_batched_lift_equals_per_row_lift_past_numpy_elision_size():

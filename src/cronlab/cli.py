@@ -5,9 +5,10 @@
     cronlab report DIR
     cronlab compare DIR_A DIR_B
 
-Config files are JSON objects with the ExperimentConfig fields.  The exit
-status is 0 when every gate passes, 1 when one fails and 2 on bad input (an
-`error:` line, no traceback).  ``compare`` reads the summaries of two runs of
+``run`` takes exactly one of --config and --experiment.  Config files are
+JSON objects with the ExperimentConfig fields.  The exit status is 0 when
+every gate passes, 1 when one fails and 2 on bad input (an `error:` line, no
+traceback).  ``compare`` reads the summaries of two runs of
 one experiment and prints each record's two values and its move
 |a - b| / max(|a|, |b|, |finite bounds|); it exits 0 when both hold the same
 records with the same verdicts and no move exceeds MAX_MOVE, else 1.
@@ -22,7 +23,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .errors import CronlabError, PreconditionError, StructuralError
+from .errors import CronlabError, ParameterError, PreconditionError, StructuralError
 from .harness import ExperimentConfig, all_passed, report_text, run
 
 
@@ -47,13 +48,12 @@ def _build_parser():
 
 
 def _cmd_run(args) -> int:
-    if args.config:
+    if (args.config is None) == (args.experiment is None):
+        raise ParameterError("give exactly one of --config and --experiment")
+    if args.config is not None:
         config = ExperimentConfig.from_json(args.config)
-    elif args.experiment:
-        config = ExperimentConfig(experiment=args.experiment)
     else:
-        print("error: provide --config or --experiment", file=sys.stderr)
-        return 2
+        config = ExperimentConfig(experiment=args.experiment)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.out is not None:

@@ -21,10 +21,16 @@ knows that layout.  ``freq_values`` returns the whole lattice for every field;
 stored spectrum.  A real field stays real through a Hermitian multiplier
 (m(-xi) = conj(m(xi)), which every real-kernel operator has), real +- real
 and a real scalar factor; any other operation returns a complex field.
+
+Transforms.  This module alone calls ``numpy.fft`` and writes a transform's
+dx^n or 1/L^n.  Other modules reach a transform through ``to_frequency`` and
+``to_physical``, or, for a spectrum carried by a few fixed modes, through the
+pruned DFT ``_ModeKernel``, which reads its rows from ``GridSpec.dft_table``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -201,6 +207,71 @@ class GridSpec:
     def mode_frequency(self, mode) -> np.ndarray:
         return np.asarray(mode, dtype=float) / self.L
 
+
+# ---------------------------------------------------------------------------
+# transforms of spectra carried by a few modes
+
+def _along(X: np.ndarray, axis: int, mat: np.ndarray) -> np.ndarray:
+    """X with its axis ``axis`` (counted from the end) multiplied by mat (new, old).
+
+    Leading axes only repeat the same matrix product, so a batched call
+    computes each field exactly as a call on that field alone."""
+    if axis == -1:
+        return X @ mat.T
+    a = X.ndim + axis
+    Y = mat @ X.reshape((math.prod(X.shape[:a]), X.shape[a], -1))
+    return Y.reshape(X.shape[:a] + (len(mat),) + X.shape[a + 1:])
+
+
+class _ModeKernel:
+    """The DFT between the grid and spectra carried by a fixed set of flat
+    lattice indices, as a separable trigonometric sum (a pruned DFT: Sorensen
+    & Burrus, IEEE Trans. Signal Process. 41, 1993).
+
+    ``synthesize`` maps values v_m on the indices to the grid field
+    sum_m v_m e^{2 pi i x.xi_m} / L^n, which is IFFT of the scattered spectrum
+    over dx^n, with one small matrix product per axis over that axis's
+    distinct indices.  ``analyze`` is its exact conjugate transpose: the
+    forward DFT times dx^n, evaluated only at the indices.  Leading axes of
+    the input batch several fields in one call.  ``lattice`` holds the
+    coordinates of the indices, xi (n, M) and |xi| (M,), so symbols of xi
+    are evaluated at these modes alone.  The per-axis
+    matrices are rows of the grid's one table ``GridSpec.dft_table``, which
+    every kernel on the grid shares; each call gathers the rows it needs.
+    """
+
+    def __init__(self, grid: GridSpec, index: np.ndarray):
+        self.grid = grid
+        self.index = index
+        self.lattice = Lattice(grid.xi.reshape(grid.n, -1)[:, index],
+                               grid.xi_norm.ravel()[index])
+        per_axis = [np.unique(k, return_inverse=True)
+                    for k in np.unravel_index(index, grid.shape)]
+        self._rows = tuple(u for u, _ in per_axis)
+        self._pos = (Ellipsis,) + tuple(p for _, p in per_axis)
+        self._dense = tuple(len(u) for u in self._rows)
+        # synthesis widens the axis with the most distinct indices first, so
+        # the last product, the one onto the full grid, runs over the fewest
+        self._order = tuple(sorted(range(-grid.n, 0), key=lambda axis: -self._dense[axis]))
+        self._table = grid.dft_table
+
+    def synthesize(self, vals) -> np.ndarray:
+        vals = np.asarray(vals)
+        X = np.zeros(vals.shape[:-1] + self._dense, dtype=np.complex128)
+        X[self._pos] = vals / self.grid.L ** self.grid.n
+        for axis in self._order:
+            X = _along(X, axis, self._table[self._rows[axis]].T)
+        return X
+
+    def analyze(self, f) -> np.ndarray:
+        X = np.asarray(f)
+        for axis in reversed(self._order):
+            X = _along(X, axis, np.conj(self._table[self._rows[axis]]))
+        return X[self._pos] * self.grid.cell_volume
+
+
+# ---------------------------------------------------------------------------
+# sampled fields
 
 def _unfold(grid: GridSpec, H: np.ndarray) -> np.ndarray:
     """The whole-lattice spectrum of a real field from its half spectrum H."""

@@ -686,7 +686,7 @@ def run_dispersive(config: ExperimentConfig):
     g3 = GridSpec(3, 128, 8.0)
     cut3 = pmx.AnnulusCutoff(rho=2.5).validate(g3)
     taus3 = np.geomspace(1.0, g3.L / 4.0, 9)
-    scan3 = pmx.dispersive_scan(None, taus3, _point_source(g3), grid=g3, cutoff=cut3)
+    scan3 = pmx.dispersive_scan(None, taus3, _point_source(g3), cutoff=cut3)
     records.append(AcceptanceRecord.bounded("dispersive.free_slope_n3", scan3.slope,
                                             lo=-1.15, hi=-0.85))
     for t, v in zip(scan3.taus, scan3.values):
@@ -697,7 +697,7 @@ def run_dispersive(config: ExperimentConfig):
     g2 = GridSpec(2, 512, 16.0)
     cut2 = pmx.AnnulusCutoff(rho=4.0).validate(g2)
     taus2 = np.geomspace(1.0, g2.L / 4.0, 9)
-    scan2 = pmx.dispersive_scan(None, taus2, _point_source(g2), grid=g2, cutoff=cut2)
+    scan2 = pmx.dispersive_scan(None, taus2, _point_source(g2), cutoff=cut2)
     records.append(AcceptanceRecord.bounded("dispersive.free_slope_n2", scan2.slope,
                                             lo=-0.65, hi=-0.35))
     for t, v in zip(scan2.taus, scan2.values):
@@ -710,7 +710,7 @@ def run_dispersive(config: ExperimentConfig):
                                                           eta_dir=0.05)
     tausp = np.geomspace(1.0, gp.L / 4.0, 7)
     fp = _point_source(gp)
-    free_scan = pmx.dispersive_scan(None, tausp, fp, grid=gp, cutoff=cutp)
+    free_scan = pmx.dispersive_scan(None, tausp, fp, cutoff=cutp)
     op = operator(connections(config.eps_list[min(2, len(config.eps_list) - 1)]), +1)
     pert_scan = pmx.dispersive_scan(op, tausp, fp)
     gap = abs(pert_scan.slope - free_scan.slope)

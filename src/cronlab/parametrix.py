@@ -13,7 +13,8 @@ and the wave operator
 as a lattice sum, grouped by frequency direction.  Every spectrum here is
 carried by a few modes (the band support of the connection, or one
 direction bucket), so each goes to the grid through a separable
-trigonometric sum over those modes instead of a full-grid FFT.
+trigonometric sum over those modes (``grid._ModeKernel``) instead of a
+full-grid FFT.
 Everything downstream (defect identity, amplitude, adjoint, data matching,
 residuals and decay scans) is built from these two objects.
 """
@@ -112,7 +113,7 @@ class FreeConnection:
         self._check_div_free(adot_hat, "adot")
         support = np.flatnonzero(np.logical_or.reduce(
             [band_symbol(grid, k) != 0 for k in band_range]))
-        self.kernel = _ModeKernel(grid, support)
+        self.kernel = gr._ModeKernel(grid, support)
         self.bands = {k: band_symbol(self.kernel.lattice, k) for k in band_range}
         self._a, self._adot = (X.reshape(grid.n, -1)[:, support] for X in (a_hat, adot_hat))
         self._rho = 2.0 * np.pi * self.kernel.lattice.xi_norm
@@ -188,68 +189,6 @@ class AnnulusCutoff:
 
 
 # ---------------------------------------------------------------------------
-# transforms of spectra carried by a few modes
-
-def _along(X: np.ndarray, axis: int, mat: np.ndarray) -> np.ndarray:
-    """X with its axis ``axis`` (counted from the end) multiplied by mat (new, old).
-
-    Leading axes only repeat the same matrix product, so a batched call
-    computes each field exactly as a call on that field alone."""
-    if axis == -1:
-        return X @ mat.T
-    a = X.ndim + axis
-    Y = mat @ X.reshape((math.prod(X.shape[:a]), X.shape[a], -1))
-    return Y.reshape(X.shape[:a] + (len(mat),) + X.shape[a + 1:])
-
-
-class _ModeKernel:
-    """The DFT between the grid and spectra carried by a fixed set of flat
-    lattice indices, as a separable trigonometric sum (a pruned DFT: Sorensen
-    & Burrus, IEEE Trans. Signal Process. 41, 1993).
-
-    ``synthesize`` maps values v_m on the indices to the grid field
-    sum_m v_m e^{2 pi i x.xi_m} / L^n, which is IFFT of the scattered spectrum
-    over dx^n, with one small matrix product per axis over that axis's
-    distinct indices.  ``analyze`` is its exact conjugate transpose: the
-    forward DFT times dx^n, evaluated only at the indices.  Leading axes of
-    the input batch several fields in one call.  ``lattice`` holds the
-    coordinates of the indices, xi (n, M) and |xi| (M,), so symbols of xi
-    are evaluated at these modes alone.  The per-axis
-    matrices are rows of the grid's one table ``GridSpec.dft_table``, which
-    every kernel on the grid shares; each call gathers the rows it needs.
-    """
-
-    def __init__(self, grid: GridSpec, index: np.ndarray):
-        self.grid = grid
-        self.index = index
-        self.lattice = gr.Lattice(grid.xi.reshape(grid.n, -1)[:, index],
-                                  grid.xi_norm.ravel()[index])
-        per_axis = [np.unique(k, return_inverse=True)
-                    for k in np.unravel_index(index, grid.shape)]
-        self._rows = tuple(u for u, _ in per_axis)
-        self._pos = (Ellipsis,) + tuple(p for _, p in per_axis)
-        self._dense = tuple(len(u) for u in self._rows)
-        # synthesis widens the axis with the most distinct indices first, so
-        # the last product, the one onto the full grid, runs over the fewest
-        self._order = tuple(sorted(range(-grid.n, 0), key=lambda axis: -self._dense[axis]))
-        self._table = grid.dft_table
-
-    def synthesize(self, vals) -> np.ndarray:
-        vals = np.asarray(vals)
-        X = np.zeros(vals.shape[:-1] + self._dense, dtype=np.complex128)
-        X[self._pos] = vals / self.grid.L ** self.grid.n
-        for axis in self._order:
-            X = _along(X, axis, self._table[self._rows[axis]].T)
-        return X
-
-    def analyze(self, f) -> np.ndarray:
-        X = np.asarray(f)
-        for axis in reversed(self._order):
-            X = _along(X, axis, np.conj(self._table[self._rows[axis]]))
-        return X[self._pos] * self.grid.cell_volume
-
-
-# ---------------------------------------------------------------------------
 # direction handling
 
 class DirectionCache:
@@ -270,7 +209,7 @@ class DirectionCache:
         self.directions = directions
         self.multipliers = {}     # (band range, sigma) -> _Multipliers
         self.flat_index = np.ravel_multi_index((modes % grid.N).T, grid.shape)
-        self.bucket_kernels = [_ModeKernel(grid, self.flat_index[assignment == b])
+        self.bucket_kernels = [gr._ModeKernel(grid, self.flat_index[assignment == b])
                                for b in range(len(directions))]
 
     @property
@@ -293,16 +232,9 @@ class DirectionCache:
         unit = modes / np.linalg.norm(modes, axis=1, keepdims=True)
         if policy == "exact":
             prim = modes // np.gcd.reduce(np.abs(modes), axis=1, keepdims=True).clip(min=1)
-            keys = [tuple(row) for row in prim]
-            reps = {}
-            assignment = np.empty(len(modes), dtype=int)
-            directions = []
-            for i, key in enumerate(keys):
-                if key not in reps:
-                    reps[key] = len(directions)
-                    directions.append(unit[i])
-                assignment[i] = reps[key]
-            return cls(grid, modes, np.array(directions), assignment)
+            _, first, inverse = np.unique(prim, axis=0, return_index=True, return_inverse=True)
+            rank = np.argsort(np.argsort(first))    # buckets in order of first occurrence
+            return cls(grid, modes, unit[np.sort(first)], rank[inverse])
         if eta_dir is None or eta_dir <= 0:
             raise ParameterError("bucketed direction cache needs eta_dir > 0")
         reps = []
@@ -522,7 +454,8 @@ def phase_defect(family: PhaseFamily, times) -> float:
                             for k in pks]) for w_dir in family.cache.directions]
     worst = 0.0
     for t in times:
-        A = family.conn.on_support(t)[0]
+        family._lift_at(t)
+        A = family._samples[0]
         for b in range(family.cache.num_buckets):
             w_dir = family.cache.directions[b]
             lhs = 2.0 * np.pi * family.opposite_null_derivative(t, b)
@@ -531,7 +464,8 @@ def phase_defect(family: PhaseFamily, times) -> float:
             # independent of the support kernel
             aw_hat = np.zeros(grid.num_points, dtype=np.complex128)
             aw_hat[kernel.index] = Aw
-            aw_field = (np.fft.ifftn(aw_hat.reshape(grid.shape)) / grid.cell_volume).real
+            aw = gr._wrap(grid, aw_hat.reshape(grid.shape), FREQUENCY, False)
+            aw_field = gr.to_physical(aw).values.real
             lhs = lhs + aw_field
             rhs = kernel.synthesize(leqs[b] * Aw).real
             num = np.linalg.norm(lhs - rhs)
@@ -790,14 +724,15 @@ class DecayScan:
     slope: float
 
 
-def dispersive_scan(op: WaveOperator | None, taus, f: ScalarField, *, grid=None,
+def dispersive_scan(op: WaveOperator | None, taus, f: ScalarField, *,
                     cutoff=None) -> DecayScan:
     """||U(t) U(0)* f||_inf / ||f||_1 against tau = t; op=None runs the free
-    closed-form propagator (the oracle path), sup_x |U_free(tau) U_free(0)* f|
-    through the multiplier a^2 e^{2 pi i tau |xi|}.  All taus must sit below
-    the wrap limit L/2."""
+    closed-form propagator (the oracle path) on f's grid, sup_x
+    |U_free(tau) U_free(0)* f| through the multiplier a^2 e^{2 pi i tau |xi|}.
+    All taus must sit below the wrap limit L/2."""
+    grid = f.grid
     if op is not None:
-        grid, cutoff = op.grid, op.cutoff
+        cutoff = op.cutoff
     taus = _in_window(grid, taus)
     l1 = lebesgue_norm(f, 1)
     vals = []
@@ -808,7 +743,7 @@ def dispersive_scan(op: WaveOperator | None, taus, f: ScalarField, *, grid=None,
             sym = np.exp(2j * np.pi * tau * grid.xi_norm)
             sym *= a2
             sym *= fhat
-            sup = float(np.abs(np.fft.ifftn(sym) / grid.cell_volume).max())
+            sup = lebesgue_norm(gr.to_physical(gr._wrap(grid, sym, FREQUENCY, False)), np.inf)
             vals.append(sup / l1)
     else:
         g = op.apply_adjoint(0.0, f)

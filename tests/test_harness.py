@@ -318,6 +318,7 @@ BAD_CONFIGS = {
     "short_t_max.json": '{"experiment": "mkg-evolve", "t_max": 0.02}',
     "not_utf8.json": b"\xff\xfe{",
     "under_file.json": '{"experiment": "unitarity", "out_dir": "bad.json/sub"}',
+    "norms.json": '{"experiment": "norms"}',      # valid: bad only beside --experiment
 }
 BAD_SUMMARIES = {
     "list_summary": "[]",
@@ -376,6 +377,9 @@ MISTYPED_SUMMARIES = {
     (["compare", "list_summary", "norms_run"], "list_summary/summary.json is not a cronlab"),
     (["compare", "norms_run", "unitarity_run"], "a run of norms with a run of unitarity"),
     (["compare", "norms_run", "text_bound"], "has lo 'low', not a number"),
+    # run takes exactly one of --config and --experiment
+    (["run", "--config", "norms.json", "--experiment", "unitarity"], "exactly one of --config"),
+    (["run"], "exactly one of --config and --experiment"),
 ])
 def test_cli_maps_bad_input_to_exit_2(tmp_path, monkeypatch, capsys, argv, needle):
     monkeypatch.chdir(tmp_path)

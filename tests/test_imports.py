@@ -2,6 +2,9 @@
 function and class a module defines is named somewhere else, and every
 cronlab name the benchmark in ``perfbench/`` wraps or reads still exists.
 
+Only ``grid.py`` imports ``numpy.fft`` or reads an ``np.fft`` attribute: the
+other modules transform through grid.
+
 The package's ``__init__`` is exempt: its imports are the public re-exports.
 A name counts as used when the module reads it anywhere outside the import
 statements themselves (code, annotations, decorators, default values).  A
@@ -56,6 +59,43 @@ def test_the_check_sees_an_unused_import():
                      "def f(g: GridSpec):\n"
                      "    return np.zeros(g.shape)\n")
     assert set(_imported(tree)) - _read(tree) == {"VectorField"}
+
+
+def _fft_uses(tree: ast.Module) -> list:
+    """Lines that import numpy.fft or read an ``np.fft``/``numpy.fft`` chain."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.split(".")[:2] == ["numpy", "fft"] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            hit = module[:2] == ["numpy", "fft"] or (
+                module == ["numpy"] and any(a.name == "fft" for a in node.names))
+        else:
+            hit = (isinstance(node, ast.Attribute) and node.attr == "fft"
+                   and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_grid_transforms():
+    # grid owns the transform convention: every dx^n and 1/L^n of a DFT
+    uses = {p.name: _fft_uses(ast.parse(p.read_text(), filename=str(p)))
+            for p in MODULES if p.name != "grid.py"}
+    assert not any(uses.values()), "numpy.fft outside grid.py: " + ", ".join(
+        f"{name} lines {lines}" for name, lines in uses.items() if lines)
+
+
+def test_the_check_sees_a_transform_outside_grid():
+    tree = ast.parse("import numpy as np\n"
+                     "import numpy.fft\n"
+                     "from numpy import fft\n"
+                     "from numpy.fft import ifftn\n"
+                     "v = np.fft.ifftn(x) / vol\n"
+                     "w = numpy.fft.fftn(x)\n"
+                     "u = np.linalg.norm(x)\n")
+    assert _fft_uses(tree) == [2, 3, 4, 5, 6]
 
 
 def _definitions(tree: ast.Module) -> dict:

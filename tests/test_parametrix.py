@@ -11,13 +11,13 @@ from numpy._core._multiarray_umath import __cpu_features__
 
 from cronlab.errors import ParameterError, PreconditionError, StructuralError
 from cronlab.gauge import greater_symbol, transverse_inverse_symbol
-from cronlab.grid import (FreeFlow, GridSpec, ScalarField, VectorField, inner_product,
-                          lebesgue_norm,
+from cronlab.grid import (FreeFlow, GridSpec, ScalarField, VectorField, _ModeKernel,
+                          inner_product, lebesgue_norm,
                           relative_l2_difference, sobolev_norm, to_physical)
 from cronlab.lp import BandRange, SpacetimeField, band_symbol, fit_loglog, spacetime_norm
 from cronlab import parametrix as pmx
 from cronlab.parametrix import (AnnulusCutoff, DirectionCache, FreeConnection, PhaseFamily,
-                                WaveOperator, _ModeKernel, amplitude_residual,
+                                WaveOperator, amplitude_residual,
                                 bucketing_error, covariant_box_amplitude, covariant_box_direct,
                                 decomposable_surrogate, dispersive_scan, match_data,
                                 phase_defect, residual_check, split_phase_at)
@@ -216,6 +216,15 @@ def test_phase_defect_small_angle_mode():
     fam = one_direction(conn, w, +1, 0.25)
     assert np.abs(fam.psi(0.5, 0)).max() < 1e-18
     assert phase_defect(fam, [0.5]) < 1e-12
+
+
+def test_phase_defect_flows_the_connection_once_per_time(monkeypatch):
+    # A.omega is read from the family's lift, which the phase derivatives share
+    fam = PhaseFamily(connection(), +1, 0.25, small_cache())
+    times = [0.0, 0.4, 0.7]
+    flows = _counting(monkeypatch, FreeConnection, "on_support")
+    phase_defect(fam, times)
+    assert len(flows) == len(times)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +500,7 @@ def test_free_dispersive_slopes():
     vals[0, 0] = 1.0 / g2.cell_volume
     f = ScalarField(g2, vals)
     taus = np.geomspace(1.0, 4.0, 7)
-    scan = dispersive_scan(None, taus, f, grid=g2, cutoff=cut2)
+    scan = dispersive_scan(None, taus, f, cutoff=cut2)
     assert -0.65 <= scan.slope <= -0.35
 
 
@@ -509,7 +518,7 @@ def test_free_dispersive_scan_builds_the_cutoff_once(monkeypatch):
         return original(self, grid)
 
     monkeypatch.setattr(AnnulusCutoff, "symbol", counted)
-    scan = dispersive_scan(None, np.geomspace(1.0, 2.0, 5), f, grid=g2, cutoff=cut2)
+    scan = dispersive_scan(None, np.geomspace(1.0, 2.0, 5), f, cutoff=cut2)
     assert len(scan.values) == 5
     assert calls == [g2]
 
@@ -519,7 +528,7 @@ def test_dispersive_wrap_guard():
     cut2 = AnnulusCutoff(rho=1.0).validate(g2)
     f = ScalarField(g2, np.ones(g2.shape))
     with pytest.raises(ParameterError):
-        dispersive_scan(None, [1.0, 5.0], f, grid=g2, cutoff=cut2)
+        dispersive_scan(None, [1.0, 5.0], f, cutoff=cut2)
 
 
 def test_perturbed_dispersive_near_free():
@@ -529,7 +538,7 @@ def test_perturbed_dispersive_near_free():
     vals[0, 0] = 1.0 / g2.cell_volume
     f = ScalarField(g2, vals)
     taus = np.geomspace(1.0, 2.0, 5)
-    free = dispersive_scan(None, taus, f, grid=g2, cutoff=cut2)
+    free = dispersive_scan(None, taus, f, cutoff=cut2)
     conn = make_free_connection(g2, BAND, 1e-2, 75)
     cache = DirectionCache.build(g2, cut2.modes(g2), policy="bucketed", eta_dir=0.1)
     op = WaveOperator(PhaseFamily(conn, +1, 0.25, cache), cut2)
@@ -715,6 +724,16 @@ def test_direction_cache_policies():
         DirectionCache.build(GRID, modes, policy="bucketed")   # eta_dir missing
     with pytest.raises(ParameterError):
         DirectionCache.build(GRID, modes, policy="auto", eta_dir=0.3)   # no such policy
+
+
+def test_exact_cache_buckets_by_primitive_vector_in_order_of_first_mode():
+    modes = np.array([(2, 0), (0, 1), (3, 3), (1, 0), (1, 1), (0, 2)])
+    cache = DirectionCache.build(GRID, modes, policy="exact")
+    bucket_of = {i: b for b, kern in enumerate(cache.bucket_kernels) for i in kern.index}
+    assert [bucket_of[i] for i in cache.flat_index] == [0, 1, 2, 0, 2, 1]
+    # each bucket takes the unit vector of its first mode
+    unit = modes / np.linalg.norm(modes, axis=1, keepdims=True)
+    assert cache.directions.tobytes() == unit[:3].tobytes()
 
 
 @pytest.mark.parametrize("policy", ["exact", "bucketed"])

@@ -2,7 +2,7 @@
 directions and caches.
 
 The pruned DFT between the grid and spectra carried by a few modes
-(``parametrix._ModeKernel``): synthesis is the full-grid inverse FFT of the
+(``grid._ModeKernel``): synthesis is the full-grid inverse FFT of the
 scattered spectrum, analysis is its conjugate transpose under the lattice
 inner products, and a batched call is bit for bit the per-row calls, with
 the batch below and above numpy's 16,384-element temporary-elision size
@@ -18,11 +18,12 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from cronlab.grid import GridSpec, ScalarField, frequency_l2, inner_product, lebesgue_norm
+from cronlab.grid import (GridSpec, ScalarField, _ModeKernel, frequency_l2, inner_product,
+                          lebesgue_norm)
 from cronlab.lp import BandRange
 from cronlab import parametrix as pmx
 from cronlab.parametrix import (AnnulusCutoff, DirectionCache, FreeConnection, PhaseFamily,
-                                WaveOperator, _ModeKernel)
+                                WaveOperator)
 from cronlab.random_fields import random_divergence_free, stream
 
 ELISION = 16384     # numpy elides temporaries from 256 KiB on: 16,384 complex128 elements

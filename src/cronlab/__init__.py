@@ -19,7 +19,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
 from .errors import (ConvergenceError, CronlabError, ParameterError, PreconditionError,
-                     SingularSymbolError, StructuralError)
+                     StructuralError)
 from .grid import (FREQUENCY, PHYSICAL, GridSpec, ScalarField, VectorField, apply_multiplier,
                    constant_field, divergence, gradient, inner_product, inverse_laplacian,
                    laplacian, lebesgue_norm, mode_field, partial_derivative, plane_wave,

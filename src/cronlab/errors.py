@@ -17,10 +17,6 @@ class ParameterError(CronlabError):
     """Scalar parameters out of their admissible range."""
 
 
-class SingularSymbolError(CronlabError):
-    """A Fourier multiplier is singular on a lattice point that carries energy."""
-
-
 class ConvergenceError(CronlabError):
     """An iterative solve failed to reach its tolerance."""
 

@@ -9,8 +9,10 @@ coefficient of value L^n, and Plancherel holds exactly:
 
     sum |f|^2 dx^n  ==  sum |f_hat|^2 / L^n.
 
-The Nyquist rows (index N/2 along any axis) are not closed under negation and
-are forced to zero by every multiplier applied here.
+Multipliers.  ``apply_multiplier`` takes only a symbol of the grid's registry
+(``GridSpec.symbol``), checked finite and Hermitian once, when it is built.
+It forces the Nyquist rows (index N/2 along any axis), which are not closed
+under negation, to zero.
 
 Real fields.  A field made with ``real_valued=True`` holds float64 samples in
 physical representation and, in frequency representation, the half spectrum
@@ -18,9 +20,9 @@ physical representation and, in frequency representation, the half spectrum
 conjugate mirror); its transforms are ``rfftn``/``irfftn``.  Only this module
 knows that layout.  ``freq_values`` returns the whole lattice for every field;
 ``ScalarField.lattice`` and ``plancherel_l2`` serve code that works on the
-stored spectrum.  A real field stays real through a Hermitian multiplier
-(m(-xi) = conj(m(xi)), which every real-kernel operator has), real +- real
-and a real scalar factor; any other operation returns a complex field.
+stored spectrum.  A real field stays real through every multiplier (each is
+Hermitian, m(-xi) = conj(m(xi)), as every real-kernel operator is), real +-
+real and a real scalar factor; any other operation returns a complex field.
 
 Transforms.  This module alone calls ``numpy.fft`` and writes a transform's
 dx^n or 1/L^n.  Other modules reach a transform through ``to_frequency`` and
@@ -37,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, PreconditionError, SingularSymbolError, StructuralError
+from .errors import ParameterError, PreconditionError, StructuralError
 
 PHYSICAL = "physical"
 FREQUENCY = "frequency"
@@ -132,8 +134,9 @@ class GridSpec:
 
     # The grid's registry: each multiplier symbol and free flow built on this
     # grid, keyed by (kind, parameters), built on first use and kept as long as
-    # the grid.  A symbol is checked finite and Hermitian once, when it is built,
-    # and held read-only; the entry is the symbol array itself.
+    # the grid.  A symbol is checked to be a finite, Hermitian array of grid
+    # shape once, when it is built, and held read-only; the entry is the symbol
+    # array itself.
 
     @cached_property
     def _registry(self) -> dict:
@@ -148,10 +151,6 @@ class GridSpec:
         """The registry symbol under ``key``; ``build()`` makes it on first use,
         as an array of grid shape in the dtype it is kept in."""
         return self._registered(key, lambda: _registry_symbol(self, build()))
-
-    def _holds(self, sym) -> bool:
-        """Whether the registry holds the array sym itself."""
-        return any(e is sym for e in self._registry.values())
 
     def free_flow(self, real_valued: bool, t: float) -> "FreeFlow":
         """The free flow over time t on the lattice of fields with ``real_valued``."""
@@ -498,63 +497,30 @@ def to_physical(f: ScalarField) -> ScalarField:
 # multipliers
 
 def apply_multiplier(f: ScalarField, sym: np.ndarray) -> ScalarField:
-    """f_hat -> m(xi) f_hat for the symbol array ``sym`` of grid shape, with
-    the Nyquist rows forced to zero.
-
-    A real field stays real, on the half lattice, when m is Hermitian
-    (``_hermitian_half``); under any other symbol the result is complex.
-    A non-finite symbol value on a lattice point whose coefficient is nonzero
-    (relative to the field's peak) raises SingularSymbolError naming the point.
-    A symbol of the grid's registry was checked when it was built; a symbol
-    of another shape raises StructuralError.
-    """
+    """f_hat -> m(xi) f_hat, Nyquist rows zeroed, for a symbol ``sym`` of the
+    registry of f's grid; any other array raises StructuralError.  The registry
+    checked sym Hermitian when it was built, so a real field takes its
+    half-lattice part and stays real; a complex field takes the whole symbol."""
     grid = f.grid
-    sym = np.asarray(sym)
-    if sym.shape != grid.shape:
-        raise StructuralError(f"symbol shape {sym.shape} does not match grid {grid.shape}")
-    registered = grid._holds(sym)
+    if not any(entry is sym for entry in grid._registry.values()):
+        raise StructuralError("apply_multiplier takes only a symbol of the field's grid "
+                              "registry (GridSpec.symbol)")
     f_hat = f.in_frequency()
-    if not registered:
-        sym = _finite_on_support(f_hat, sym)
     if f.real_valued:
-        # a registry symbol is read-only, and so is this view of it
-        half = sym[..., :grid.N // 2 + 1] if registered else _hermitian_half(grid, sym)
-        if half is None:
-            f_hat = f_hat.as_complex()
-        else:
-            sym = half
+        sym = sym[..., :grid.N // 2 + 1]   # read-only, as the symbol is
     G = sym * f_hat.values
     zero_nyquist(G)
-    out = _wrap(grid, G, FREQUENCY, f_hat.real_valued)
+    out = _wrap(grid, G, FREQUENCY, f.real_valued)
     return out if f.rep == FREQUENCY else to_physical(out)
 
 
-def _finite_on_support(f_hat: ScalarField, sym: np.ndarray) -> np.ndarray:
-    """sym with its non-finite values set to zero, or SingularSymbolError when
-    one sits on a nonzero coefficient of f_hat."""
-    bad = ~np.isfinite(sym)
-    if not bad.any():
-        return sym
-    grid = f_hat.grid
-    F = f_hat.freq_values
-    hit = bad & (np.abs(F) > SUPPORT_TOL * np.abs(F).max())
-    if hit.any():
-        where = np.argwhere(hit)[0]
-        mode = tuple(int(m) if m <= grid.N // 2 else int(m) - grid.N for m in where)
-        raise SingularSymbolError(
-            f"symbol is not finite at lattice mode {mode} (xi={tuple(np.asarray(mode)/grid.L)}) "
-            "which carries a nonzero coefficient")
-    return np.where(bad, 0.0, sym)
-
-
-def _hermitian_half(grid: GridSpec, sym: np.ndarray):
-    """The half-lattice part of sym when sym(-xi) = conj(sym(xi)) off the
-    Nyquist rows, to SUPPORT_TOL of its peak (such a multiplier maps real
-    fields to real fields); None for any other symbol."""
+def _is_hermitian(grid: GridSpec, sym: np.ndarray) -> bool:
+    """Whether sym(-xi) = conj(sym(xi)) off the Nyquist rows, to SUPPORT_TOL
+    of its peak; such a multiplier maps real fields to real fields."""
     half = sym[..., :grid.N // 2 + 1]
     defect = np.abs(sym[grid._reflection(slice(grid.N // 2 + 1))] - np.conj(half))
     zero_nyquist(defect)
-    return half if defect.max() <= SUPPORT_TOL * np.abs(half).max() else None
+    return bool(defect.max() <= SUPPORT_TOL * np.abs(half).max())
 
 
 def zero_nyquist(F: np.ndarray) -> np.ndarray:
@@ -576,10 +542,12 @@ def drop_nyquist(f: ScalarField) -> ScalarField:
     return out if f.rep == FREQUENCY else to_physical(out)
 
 
-def _registry_symbol(grid: GridSpec, sym: np.ndarray) -> np.ndarray:
-    """sym, made read-only; it must be finite and Hermitian."""
+def _registry_symbol(grid: GridSpec, sym) -> np.ndarray:
+    """sym, made read-only; it must be a finite, Hermitian array of grid shape."""
+    if not isinstance(sym, np.ndarray) or sym.shape != grid.shape:
+        raise StructuralError(f"a registry symbol must be an array of grid shape {grid.shape}")
     sym.flags.writeable = False   # so every half-lattice view of it is read-only too
-    if not np.isfinite(sym).all() or _hermitian_half(grid, sym) is None:
+    if not np.isfinite(sym).all() or not _is_hermitian(grid, sym):
         raise StructuralError("a registry symbol must be finite and Hermitian")
     return sym
 

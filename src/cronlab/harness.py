@@ -197,6 +197,11 @@ def write_scan_csv(path, rows, config_hash: str) -> None:
 # ---------------------------------------------------------------------------
 # shared builders
 
+def _complex_gaussian(seed: int, i: int, j: int, shape) -> np.ndarray:
+    """Standard normal draws of stream(seed, i) plus 1j times those of stream(seed, j)."""
+    return stream(seed, i).standard_normal(shape) + 1j * stream(seed, j).standard_normal(shape)
+
+
 def _connection_data(grid: GridSpec, band: BandRange, seed: int, index: int):
     rng = stream(seed, index)
     lo, hi = band.annulus()
@@ -328,10 +333,8 @@ def _phase_identities(grid: GridSpec, sigma: float, seed: int, idx: int) -> dict
     probe_cache = pmx.DirectionCache.of_directions(grid, probe_dirs)
     live = np.zeros(grid.shape, dtype=bool)
     live.ravel()[sub_cache.flat_index] = True
-    h = (stream(seed, 100 + idx).standard_normal(grid.shape)
-         + 1j * stream(seed, 200 + idx).standard_normal(grid.shape)) * live
-    fld = ScalarField(grid, stream(seed, 300 + idx).standard_normal(grid.shape)
-                      + 1j * stream(seed, 400 + idx).standard_normal(grid.shape))
+    h = _complex_gaussian(seed, 100 + idx, 200 + idx, grid.shape) * live
+    fld = ScalarField(grid, _complex_gaussian(seed, 300 + idx, 400 + idx, grid.shape))
     times = np.linspace(0.0, 0.45 * grid.L / 2.0, 5)
     worst = dict.fromkeys(("phase_defect", "psi_real", "adjoint", "phase_split"), 0.0)
     for sign in (+1, -1):
@@ -582,8 +585,7 @@ def run_parametrix_residual(config: ExperimentConfig):
     seed = config.seed
     grid = GridSpec(config.n, config.N, config.L)
     band, cut, _, connections, operator = _parametrix_setup(grid, seed, config.sigma)
-    h = (stream(seed, 10).standard_normal(grid.shape)
-         + 1j * stream(seed, 11).standard_normal(grid.shape)) * (cut.symbol(grid) > 0)
+    h = _complex_gaussian(seed, 10, 11, grid.shape) * (cut.symbol(grid) > 0)
     tgrid = np.array([0.2, 0.5, 0.8]) * (config.t_max / 0.8 if config.t_max else 1.0)
 
     # (a) dual-path Richardson
@@ -634,8 +636,7 @@ def run_unitarity(config: ExperimentConfig):
     grid = GridSpec(config.n, config.N, config.L)
     band, cut, _, connections, operator = _parametrix_setup(grid, seed, config.sigma)
     times = np.linspace(0.0, 0.45 * grid.L / 2.0, config.t_samples)
-    h = (stream(seed, 30).standard_normal(grid.shape)
-         + 1j * stream(seed, 31).standard_normal(grid.shape)) * (cut.symbol(grid) > 0)
+    h = _complex_gaussian(seed, 30, 31, grid.shape) * (cut.symbol(grid) > 0)
 
     free_norm = operator(pmx.FreeConnection.zero(grid, band), +1).operator_norm_at(
         float(times[1]), stream(seed, 32), tol=1e-12)

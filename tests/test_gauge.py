@@ -19,6 +19,18 @@ def unit(vec):
     return v / np.linalg.norm(v)
 
 
+def registered_sector(grid, omega, theta, mode):
+    """sector_symbol kept in the grid's registry, keyed by all its parameters."""
+    return grid.symbol(("sector", tuple(omega), theta, mode),
+                       lambda: sector_symbol(grid, omega, theta, mode))
+
+
+def registered_transverse_inverse(grid, omega, theta_min):
+    """transverse_inverse_symbol kept in the grid's registry, keyed by all its parameters."""
+    return grid.symbol(("transverse_inverse", tuple(omega), theta_min),
+                       lambda: transverse_inverse_symbol(grid, omega, theta_min))
+
+
 def vec_norm(V):
     return np.sqrt(sum(lebesgue_norm(c, 2) ** 2 for c in V.components))
 
@@ -98,8 +110,8 @@ def test_sector_partition_and_range():
         assert np.abs(sg + sl - 1.0).max() < 1e-13
         assert sg.real.min() >= 0.0 and sg.real.max() <= 1.0
     f = random_field(g, stream(21, 0), 0.5, 3.0)
-    back = apply_multiplier(f, sector_symbol(g, w, 0.3, "greater")) \
-        + apply_multiplier(f, sector_symbol(g, w, 0.3, "leq"))
+    back = apply_multiplier(f, registered_sector(g, w, 0.3, "greater")) \
+        + apply_multiplier(f, registered_sector(g, w, 0.3, "leq"))
     assert relative_l2_difference(back, f) < 1e-13
 
 
@@ -224,10 +236,11 @@ def test_transverse_inverse_is_exact_on_sector_support():
     g = GridSpec(3, 16, 4.0)
     w = unit([0.0, 0.0, 1.0])
     f = random_field(g, stream(23, 0), 0.3, 1.5)
-    fs = apply_multiplier(f, sector_symbol(g, w, 0.4, "greater"))
-    inv = apply_multiplier(fs, transverse_inverse_symbol(g, w, 0.1))
+    fs = apply_multiplier(f, registered_sector(g, w, 0.4, "greater"))
+    inv = apply_multiplier(fs, registered_transverse_inverse(g, w, 0.1))
     dot = np.tensordot(w, g.xi, axes=(0, 0))
-    transverse_laplacian = -4.0 * np.pi ** 2 * (g.xi_norm ** 2 - dot ** 2)
+    transverse_laplacian = g.symbol(("transverse_laplacian", tuple(w)),
+                                    lambda: -4.0 * np.pi ** 2 * (g.xi_norm ** 2 - dot ** 2))
     assert relative_l2_difference(apply_multiplier(inv, transverse_laplacian), fs) < 1e-12
 
 
@@ -237,7 +250,7 @@ def test_transverse_inverse_single_equatorial_mode():
     mode = (0, 3)
     rho = float(np.linalg.norm(g.mode_frequency(mode)))
     f = to_physical(mode_field(g, mode))
-    out = apply_multiplier(f, transverse_inverse_symbol(g, w, 0.5))
+    out = apply_multiplier(f, registered_transverse_inverse(g, w, 0.5))
     expect = f * (-1.0 / (4.0 * np.pi ** 2 * rho ** 2))
     assert relative_l2_difference(out, expect) < 1e-13
 

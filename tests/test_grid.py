@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from cronlab.errors import ParameterError, PreconditionError, SingularSymbolError, StructuralError
+from cronlab.errors import ParameterError, PreconditionError, StructuralError
 from cronlab.grid import (GridSpec, ScalarField, VectorField, apply_multiplier, constant_field,
                           divergence, gradient, inner_product, laplacian, lebesgue_norm,
                           mode_field, plane_wave, sobolev_norm,
@@ -99,14 +99,11 @@ def test_real_path_matches_complex_path(n):
         assert abs(a - b) <= 1e-13 * abs(b)
 
     f, c = reals[0], comps[0]
-    hermitian = np.exp(-np.sum(g.xi ** 2, axis=0)) + 2j * np.pi * g.xi[0]
+    hermitian = g.symbol(("gaussian_plus_d0",),
+                         lambda: np.exp(-np.sum(g.xi ** 2, axis=0)) + 2j * np.pi * g.xi[0])
     out = apply_multiplier(f, hermitian)
     assert out.real_valued and out.values.dtype == np.float64
     same_field(out, apply_multiplier(c, hermitian))
-    odd = 1.0 + g.xi[0]   # real but not even: the result is complex
-    out = apply_multiplier(f, odd)
-    assert not out.real_valued
-    same_field(out, apply_multiplier(c, odd))
     for a, b in zip(gradient(f).components, gradient(c).components):
         assert a.real_valued
         same_field(a, b)
@@ -124,10 +121,10 @@ def test_real_path_matches_complex_path(n):
 def test_multiplier_identity_and_derivative_symbol():
     g = GridSpec(2, 16, 4.0)
     f = random_field(g, stream(3, 0))
-    out = apply_multiplier(f, np.ones(g.shape))
+    out = apply_multiplier(f, g.symbol(("one",), lambda: np.ones(g.shape)))
     assert relative_l2_difference(f, out) < 1e-14
     pw = plane_wave(g, (2, 1))
-    d = apply_multiplier(pw, 2j * np.pi * g.xi[0])
+    d = apply_multiplier(pw, g.symbol(("d0",), lambda: 2j * np.pi * g.xi[0]))
     expect = pw * (2j * np.pi * 2 / g.L)
     assert relative_l2_difference(d, expect) < 1e-13
 
@@ -135,10 +132,10 @@ def test_multiplier_identity_and_derivative_symbol():
 def test_multiplier_composition_matches_product():
     g = GridSpec(2, 32, 4.0)
     f = random_field(g, stream(4, 0))
-    m1 = lambda xi: np.exp(-xi[0] ** 2)
-    m2 = lambda xi: 1.0 + xi[1] ** 2
-    two_steps = apply_multiplier(apply_multiplier(f, m1(g.xi)), m2(g.xi))
-    one_step = apply_multiplier(f, m1(g.xi) * m2(g.xi))
+    m1 = g.symbol(("m1",), lambda: np.exp(-g.xi[0] ** 2))
+    m2 = g.symbol(("m2",), lambda: 1.0 + g.xi[1] ** 2)
+    two_steps = apply_multiplier(apply_multiplier(f, m1), m2)
+    one_step = apply_multiplier(f, g.symbol(("m1 m2",), lambda: m1 * m2))
     assert relative_l2_difference(two_steps, one_step) < 1e-13
 
 
@@ -146,42 +143,21 @@ def test_multiplier_linearity():
     g = GridSpec(2, 16, 4.0)
     f = random_field(g, stream(5, 0))
     h = random_field(g, stream(5, 1))
-    m = np.cos(g.xi[0])
+    m = g.symbol(("cos_xi0",), lambda: np.cos(g.xi[0]))
     lhs = apply_multiplier(f + h * 2.0, m)
     rhs = apply_multiplier(f, m) + apply_multiplier(h, m) * 2.0
     assert relative_l2_difference(lhs, rhs) < 1e-13
 
 
-def test_multiplier_takes_only_a_symbol_array_of_grid_shape():
+def test_multiplier_takes_only_a_registry_symbol():
     g = GridSpec(2, 16, 4.0)
     f = plane_wave(g, (1, 0))
-    for sym in (np.ones((16, 8)), 2.0, lambda xi: np.ones(xi.shape[1:])):
-        with pytest.raises(StructuralError, match="symbol shape"):
+    # an equal grid keeps a registry of its own
+    elsewhere = GridSpec(2, 16, 4.0).laplacian_symbol
+    for sym in (np.ones(g.shape), g.laplacian_symbol.copy(), elsewhere,
+                np.ones((16, 8)), 2.0, lambda xi: np.ones(xi.shape[1:])):
+        with pytest.raises(StructuralError, match="registry"):
             apply_multiplier(f, sym)
-
-
-def test_singular_symbol_names_the_lattice_point():
-    g = GridSpec(2, 16, 4.0)
-    f = plane_wave(g, (1, 0))
-
-    def bad(xi):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return 1.0 / (xi[0] - 1.0 / g.L)
-
-    with pytest.raises(SingularSymbolError) as err:
-        apply_multiplier(f, bad(g.xi))
-    assert "(1, 0)" in str(err.value)
-
-
-def test_singular_symbol_ok_when_unsupported():
-    g = GridSpec(2, 16, 4.0)
-    f = plane_wave(g, (2, 0))
-
-    def guarded(xi):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return 1.0 / (xi[0] - 1.0 / g.L)
-
-    apply_multiplier(f, guarded(g.xi))  # pole sits on an empty mode
 
 
 def test_gradient_and_laplacian():
@@ -339,7 +315,7 @@ def test_nyquist_rows_zeroed_by_multipliers():
     F = np.zeros(g.shape, dtype=complex)
     F[g.N // 2, 1] = 1.0
     f = ScalarField(g, F, rep="frequency")
-    out = apply_multiplier(f, np.ones(g.shape))
+    out = apply_multiplier(f, g.symbol(("one",), lambda: np.ones(g.shape)))
     assert np.abs(out.values).max() == 0.0
 
 
@@ -383,6 +359,10 @@ def test_registry_takes_only_finite_hermitian_symbols():
         g.symbol(("odd",), lambda: g.xi[0] + 0.0)          # m(-xi) = -m(xi)
     with pytest.raises(StructuralError, match="finite and Hermitian"):
         g.symbol(("pole",), lambda: np.where(g.xi_norm > 0, 1.0, np.inf))
+    for key, build in ((("narrow",), lambda: np.ones((16, 8))), (("float",), lambda: 2.0),
+                       (("list",), lambda: np.ones(g.shape).tolist())):
+        with pytest.raises(StructuralError, match="grid shape"):
+            g.symbol(key, build)
     assert not g._registry
     # a registry symbol takes a real field to a real one without a check
     sym = g.symbol(("even",), lambda: np.exp(-g.xi_norm ** 2))

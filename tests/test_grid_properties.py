@@ -53,7 +53,8 @@ def test_unfolded_half_spectrum_is_fftn_of_the_samples(drawn):
 def test_hermitian_multiplier_keeps_a_real_field_real(drawn):
     grid, _, rng = drawn
     f = random_field(grid, rng, real=True).in_physical()
-    hermitian = np.exp(-np.sum(grid.xi ** 2, axis=0)) + 2j * np.pi * grid.xi[0]
+    hermitian = grid.symbol(("gaussian_plus_d0",), lambda: np.exp(
+        -np.sum(grid.xi ** 2, axis=0)) + 2j * np.pi * grid.xi[0])
     out = apply_multiplier(f, hermitian)
     assert out.real_valued and out.values.dtype == np.float64
     wide = apply_multiplier(f.as_complex(), hermitian).values

@@ -94,20 +94,21 @@ def test_default_annulus_is_one_registry_entry(real):
     f = ScalarField(g, np.asarray(stream(12, 0).standard_normal(g.shape)), real_valued=real)
     disk = restrict_annulus(f, 0.0, g.nyquist)
     random_field(g, stream(12, 1), real=real)
-    assert [key for key in g._registry if key[0] == "nyquist_disk"] == [("nyquist_disk",)]
-    # the kept indicator is float64 and restricts bit for bit as a complex128
-    # one built for the call
-    kept = g._registry[("nyquist_disk",)]
-    indicator = (g.xi_norm <= g.nyquist).astype(np.complex128)
+    assert [key for key in g._registry if key[0] == "annulus"] == [("annulus", 0.0, g.nyquist)]
+    # the kept indicator is float64 and restricts bit for bit as a complex128 one
+    kept = g._registry[("annulus", 0.0, g.nyquist)]
+    indicator = g.symbol(("complex_disk",),
+                         lambda: (g.xi_norm <= g.nyquist).astype(np.complex128))
     assert kept.dtype == np.float64 and np.array_equal(kept, indicator)
     plain = apply_multiplier(f, indicator)
     assert disk.real_valued == plain.real_valued == real
     assert np.array_equal(disk.values.view(np.uint64), plain.values.view(np.uint64))
-    # an annulus with other radii is not kept
-    kept = len(g._registry)
-    restrict_annulus(f, 0.0, g.nyquist / 2.0)
-    restrict_annulus(f, 1.0, g.nyquist)
-    assert len(g._registry) == kept
+    # an annulus with other radii is one more entry, kept under its radii
+    for radii in ((0.0, g.nyquist / 2.0), (1.0, g.nyquist)):
+        restrict_annulus(f, *radii)
+        restrict_annulus(f, *radii)
+        assert ("annulus",) + radii in g._registry
+    assert sum(key[0] == "annulus" for key in g._registry) == 3
 
 
 def test_out_of_range_band_errors():
@@ -120,7 +121,7 @@ def test_out_of_range_band_errors():
 def test_projections_commute_with_multipliers():
     g = GridSpec(2, 64, 1.0)
     f = random_field(g, stream(10, 3))
-    m = np.exp(1j * g.xi[0])
+    m = g.symbol(("exp_i_xi0",), lambda: np.exp(1j * g.xi[0]))
     a = project_band(apply_multiplier(f, m), 2)
     b = apply_multiplier(project_band(f, 2), m)
     assert relative_l2_difference(a, b) < 1e-13
@@ -348,21 +349,16 @@ def test_commutator_slope_and_ratio():
         assert ratio <= 10.0
 
 
-def test_commutator_ratios_transform_the_product_once(monkeypatch):
+def test_commutator_ratios_transform_the_product_once(count_transforms):
     g = GridSpec(2, 64, 1.0)
-    forward = []
-    for name in ("fftn", "rfftn"):
-        def counted(*args, _original=getattr(np.fft, name), **kwargs):
-            forward.append(1)
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
+    calls = count_transforms()
     counts = []
     for ks in ([3], [1, 2, 3]):
         f = random_field(g, stream(15, 5), 1.0, 2.0, real=True)
         h = random_field(g, stream(15, 6), 1.0, 16.0)
-        del forward[:]
+        calls.clear()
         commutator_ratios(f, h, ks, np.inf, 2, 2)
-        counts.append(len(forward))
+        counts.append(calls["fftn"] + calls["rfftn"])
     # f and g are drawn as spectra; only f g goes forward, once for all bands
     assert counts == [1, 1]
 

@@ -1,4 +1,4 @@
-"""Named mutants of the MKG and parametrix kernels and the check each must fail.
+"""Named mutants of the MKG, parametrix and grid kernels and the check each must fail.
 
 Each mutant is monkeypatched in, so no production code changes; each check
 passes on the code as it is and fails once its mutant is in place.  The
@@ -16,6 +16,7 @@ import cronlab.mkg as mkg
 import cronlab.parametrix as pmx
 import test_mkg
 import test_parametrix
+from cronlab.errors import StructuralError
 from cronlab.gauge import greater_symbol, leray_project
 from cronlab.grid import GridSpec, VectorField
 from cronlab.harness import ExperimentConfig, _lp_partition_identity, make_free_connection, run
@@ -122,6 +123,12 @@ def _unprojected_forcing():
     return [(mkg.ConnectionState, "forcing_A", property(forcing))]
 
 
+def _registry_unchecked():
+    """grid._registry_symbol admitting every build as it is, so a symbol that
+    is not Hermitian or not finite is kept."""
+    return [(gr, "_registry_symbol", lambda grid, sym: sym)]
+
+
 def _band_one_octave_up():
     """lp.band_symbol(grid, k) returning P_{k+1}."""
     original = lp.band_symbol
@@ -186,6 +193,19 @@ def _kick_divergence_free(tmp_path):
     test_mkg.test_kick_keeps_a_t_divergence_free(_divergence_free)
 
 
+def _registry_keeps_real_fields_real(tmp_path):
+    # an odd symbol, were it kept, would act on a real field's half spectrum
+    # and give a real field that is not the product's
+    g = GridSpec(2, 16, 4.0)
+    f = random_field(g, stream(8, 2), real=True)
+    try:
+        odd = g.symbol(("odd",), lambda: 1.0 + g.xi[0])
+    except StructuralError:
+        return
+    assert gr.relative_l2_difference(gr.apply_multiplier(f, odd),
+                                     gr.apply_multiplier(f.as_complex(), odd)) <= 1e-13
+
+
 def _lp_partition(tmp_path):
     # the identities suite's partition check at (n, N, L) = (2, 32, 8), seed 7
     defect = _lp_partition_identity(GridSpec(2, 32, 8.0), stream(7, 0))
@@ -217,6 +237,8 @@ MUTANTS = [
            _psi_formula),
     Mutant("lie-splitting", lambda: [(mkg, "step", _lie_step)], _integrator_order),
     Mutant("band-one-octave-up", _band_one_octave_up, _lp_partition),
+    # the build-time check is the only guard that keeps real fields real
+    Mutant("registry-unchecked", _registry_unchecked, _registry_keeps_real_fields_real),
     # every Leray projection in mkg skipped: A takes up the gradient part of its forcing
     Mutant("leray-skipped", _leray_skipped, _div_drift),
     # only the forcing's projection skipped: the drift and the end of step

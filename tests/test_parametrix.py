@@ -2,7 +2,6 @@ import os
 import pathlib
 import subprocess
 import sys
-from collections import Counter
 
 import cronlab
 import numpy as np
@@ -401,16 +400,11 @@ def test_residual_zero_for_free_connection():
     assert amplitude_residual(op, h, [0.5, 1.0]) == 0.0
 
 
-def test_covariant_box_direct_transforms_u0_once(monkeypatch):
+def test_covariant_box_direct_transforms_u0_once(count_transforms):
     conn = connection()
     op = WaveOperator(PhaseFamily(conn, +1, 0.25, small_cache()), CUT)
     h = annulus_coeffs(74)
-    calls = Counter()
-    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
-        def counted(*args, _original=getattr(np.fft, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
+    calls = count_transforms()
     directs = covariant_box_direct(op, 0.5, h, [0.01, 0.005])
     # U(t)h forward once for both steps; the Laplacian and the two partials back
     # from that spectrum; the connection takes none

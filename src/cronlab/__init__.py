@@ -4,7 +4,7 @@ Layers, bottom up:
 
 * ``grid``        sampled real and complex fields, transforms, multipliers, norms
 * ``lp``          dyadic projections, Besov / spacetime norms, measured inequalities
-* ``gauge``       Leray projection, sector cutoffs, null frame, connection geometry
+* ``gauge``       Leray projection, sector and transverse symbols, connection geometry
 * ``mkg``         the Coulomb-gauge Maxwell-Klein-Gordon evolution and diagnostics
 * ``parametrix``  null-direction phases, the distorted-plane-wave operator and scans
 * ``harness``     reproducible experiment suites, CSV artifacts, acceptance records
@@ -27,12 +27,12 @@ from .grid import (FREQUENCY, PHYSICAL, GridSpec, ScalarField, VectorField, appl
 from .lp import (BandRange, BumpProfile, DEFAULT_BUMP, SpacetimeField, bernstein_ratio,
                  besov_norm, besov_norms, commutator_ratios, project_band, restrict_annulus,
                  spacetime_norm, spacetime_product_ratio)
-from .gauge import coulomb_gain_ratios, leray_project, null_derivative, null_form_check
+from .gauge import coulomb_gain_ratios, leray_project, null_form_check
 from .exponents import exponents, sigma_window
 from .mkg import (ConnectionState, EnergyReport, constraint_residuals, elliptic_a0, evolve,
                   make_compatible_data, step)
-from .parametrix import (AnnulusCutoff, DirectionCache, FreeConnection, HalfWaveField,
-                         PhaseFamily, WaveOperator, amplitude_residual, decomposable_surrogate,
+from .parametrix import (AnnulusCutoff, DirectionCache, FreeConnection, PhaseFamily,
+                         WaveOperator, amplitude_residual, decomposable_surrogate,
                          dispersive_scan, match_data, phase_defect, residual_check,
                          split_phase_at)
 from .harness import AcceptanceRecord, ExperimentConfig, run

@@ -1,8 +1,7 @@
 """Gauge-theoretic and microlocal operators: Leray projection, curvature, the
 covariant gradient D_j phi (which the current and the MKG monitor share),
-sector symbols about a direction, the inverse transverse Laplacian symbol,
-null derivatives of closed-form free waves, and the divergence-free angular
-gain measurement.
+sector symbols about a direction, the null frame's inverse transverse
+Laplacian symbol, and the divergence-free angular gain measurement.
 """
 
 from __future__ import annotations
@@ -97,16 +96,6 @@ def transverse_inverse_symbol(grid: GridSpec, omega, theta_min: float) -> np.nda
     with np.errstate(invalid="ignore", divide="ignore"):
         sym = -1.0 / (4.0 * np.pi ** 2 * (grid.xi_norm ** 2 - dot ** 2))
     return np.where(near_axis | (grid.xi_norm == 0), 0.0, sym).astype(np.complex128)
-
-
-def null_derivative(F, omega, sign: int):
-    """L_omega^s = omega . grad_x + s d_t applied to a closed-form free wave (an
-    object with mul_symbol and dt, such as HalfWaveField), with the analytic
-    time derivative."""
-    if sign not in (+1, -1):
-        raise ParameterError("sign must be +1 or -1")
-    sym = 2j * np.pi * np.tensordot(np.asarray(omega, dtype=float), F.grid.xi, axes=(0, 0))
-    return F.mul_symbol(sym) + F.dt() * float(sign)
 
 
 # ---------------------------------------------------------------------------

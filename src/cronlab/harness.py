@@ -16,6 +16,7 @@ import json
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from fractions import Fraction
 
@@ -31,7 +32,6 @@ from .gauge import coulomb_gain_ratios, leray_project, null_form_check
 from . import mkg
 from . import parametrix as pmx
 from .exponents import exponents, sigma_window
-from .fieldio import atomic_open
 from .random_fields import (flat_spectrum_field, packet_field, random_divergence_free,
                             random_field, stream)
 
@@ -185,6 +185,26 @@ def _fmt(x) -> str:
     return str(x)
 
 
+@contextmanager
+def atomic_open(path):
+    """A text file open for writing that replaces path when the block ends
+    normally: the one way cronlab writes a file.  It goes through a temporary
+    file in the target's directory, created with the directory if needed; if
+    the block raises, path is left as it was and the temporary file is removed.
+    The file gets the permissions a plain open would give it."""
+    path = os.path.abspath(path)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_scan_csv(path, rows, config_hash: str) -> None:
     lines = [f"# cronlab scan v{CSV_VERSION} schema={CSV_SCHEMA} config={config_hash}",
              CSV_SCHEMA]
@@ -289,23 +309,39 @@ def _lp_partition_identity(grid: GridSpec, rng) -> float:
 
 
 def _null_frame_identity(grid: GridSpec, rng) -> float:
-    """Null frame decomposition of the box on a closed-form free wave, worst of
-    20 directions; the box and the scale are sampled once for all of them."""
-    u0, u1 = (random_field(grid, rng, 0.2, 1.0) for _ in range(2))
-    wave = pmx.HalfWaveField(grid, u0.freq_values, u1.freq_values)
-    t_test = 0.37 * grid.L / 8.0
-    box = wave.box().sample(t_test)
-    scale = max(lebesgue_norm(wave.mul_symbol(
-        -4.0 * np.pi ** 2 * grid.xi_norm ** 2).sample(t_test), 2), 1e-300)
+    """Null frame decomposition of the box, box = -L^+ L^- + Delta_perp with
+    L^+- = d_t +- omega.grad, on a free wave, worst of 20 directions.  -L^+ L^-
+    is taken as (omega.grad - d_t)(omega.grad + d_t) on the wave's data
+    (c0, c1) = (u, d_t u) at t = 0, where d_t maps the data to (c1, -rho^2 c0).
+    The wave solves box u = 0, so the decomposition, flowed to t_test by one
+    free flow, is compared with zero, relative to the wave's Laplacian there."""
+    u0, u1 = (random_field(grid, rng, 0.2, 1.0).freq_values for _ in range(2))
+    rho, t_test = 2.0 * np.pi * grid.xi_norm, 0.37 * grid.L / 8.0
+    flow = gr.FreeFlow(rho, t_test)
+
+    def l2_at_t_test(c0, c1) -> float:
+        F = gr.zero_nyquist(flow.u(c0, c1))
+        F.flat[0] = 0.0
+        return lebesgue_norm(gr.to_physical(gr._wrap(grid, F, gr.FREQUENCY, False)), 2)
+
+    def null_derivative(c0, c1, a, sign):
+        """omega.grad + sign d_t, with a = 2 pi i omega.xi the symbol of omega.grad."""
+        d0, d1 = c1, -rho ** 2 * c0
+        if sign > 0:
+            return a * c0 + d0, a * c1 + d1
+        return a * c0 - d0, a * c1 - d1
+
+    lap = -4.0 * np.pi ** 2 * grid.xi_norm ** 2
+    scale = max(l2_at_t_test(lap * u0, lap * u1), 1e-300)
     r = 0.0
     for _ in range(20):
         wdir = rng.standard_normal(grid.n)
         wdir /= np.linalg.norm(wdir)
-        lpm = gauge.null_derivative(gauge.null_derivative(wave, wdir, +1), wdir, -1)
-        sym = -4.0 * np.pi ** 2 * (grid.xi_norm ** 2
-                                   - np.tensordot(wdir, grid.xi, axes=(0, 0)) ** 2)
-        composed = lpm + wave.mul_symbol(sym)
-        r = max(r, lebesgue_norm(composed.sample(t_test) - box, 2) / scale)
+        dot = np.tensordot(wdir, grid.xi, axes=(0, 0))
+        a = 2j * np.pi * dot
+        c0, c1 = null_derivative(*null_derivative(u0, u1, a, +1), a, -1)
+        perp = -4.0 * np.pi ** 2 * (grid.xi_norm ** 2 - dot ** 2)
+        r = max(r, l2_at_t_test(c0 + perp * u0, c1 + perp * u1) / scale)
     return r
 
 

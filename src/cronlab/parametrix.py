@@ -36,51 +36,6 @@ from .lp import (BandRange, DEFAULT_BUMP, SpacetimeField, band_symbol, fit_loglo
 from .exponents import validate_sigma
 
 
-# ---------------------------------------------------------------------------
-# closed-form free waves
-
-class HalfWaveField:
-    """Closed-form scalar free wave: u(t) = IFFT[cos(rho t) u0 + sin(rho t)/rho u1].
-
-    Free waves are closed under time differentiation and Fourier multipliers,
-    so null-frame identities can be checked with analytic time derivatives.
-    Every operation acts mode by mode, so the wave keeps the whole-lattice
-    spectra it is given as they are (no copy) and never writes them; ``sample``
-    drops the Nyquist rows and the zero mode from the spectrum it synthesizes.
-    """
-
-    def __init__(self, grid: GridSpec, u0_hat, u1_hat):
-        self.grid = grid
-        self.u0 = np.asarray(u0_hat, dtype=np.complex128)
-        self.u1 = np.asarray(u1_hat, dtype=np.complex128)
-
-    @property
-    def rho(self) -> np.ndarray:
-        return 2.0 * np.pi * self.grid.xi_norm
-
-    def sample(self, t: float) -> ScalarField:
-        F = gr.zero_nyquist(gr.FreeFlow(self.rho, t).u(self.u0, self.u1))
-        F.flat[0] = 0.0
-        return gr.to_physical(gr._wrap(self.grid, F, FREQUENCY, False))
-
-    def dt(self) -> "HalfWaveField":
-        return HalfWaveField(self.grid, self.u1, -self.rho ** 2 * self.u0)
-
-    def mul_symbol(self, sym) -> "HalfWaveField":
-        return HalfWaveField(self.grid, sym * self.u0, sym * self.u1)
-
-    def __add__(self, other):
-        return HalfWaveField(self.grid, self.u0 + other.u0, self.u1 + other.u1)
-
-    def __mul__(self, scalar):
-        return HalfWaveField(self.grid, self.u0 * scalar, self.u1 * scalar)
-
-    __rmul__ = __mul__
-
-    def box(self) -> "HalfWaveField":
-        return self.mul_symbol(-self.rho ** 2) + self.dt().dt() * -1.0
-
-
 class FreeConnection:
     """Closed-form spectral evolution of a divergence-free free-wave connection.
 

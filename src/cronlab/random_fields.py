@@ -80,13 +80,8 @@ def packet_field(grid: GridSpec, rng, k: int) -> ScalarField:
 
 def flat_spectrum_field(grid: GridSpec, rng, band_range: BandRange, real=False) -> ScalarField:
     """Equal L^2 mass in every dyadic band of the range (unit mass per band)."""
-    acc = None
-    for k in band_range:
-        f = random_band_field(grid, rng, k, real=real)
-        acc = f if acc is None else acc + f
-    if real:
-        acc = ScalarField(grid, acc.phys_values.real, real_valued=True)
-    return acc
+    bands = [random_band_field(grid, rng, k, real=real) for k in band_range]
+    return sum(bands[1:], bands[0])
 
 
 def random_divergence_free(grid: GridSpec, rng, r_lo=None, r_hi=None) -> VectorField:

@@ -1,6 +1,6 @@
 import pytest
 
-from cronlab.fieldio import atomic_open
+from cronlab.harness import atomic_open
 
 
 def test_failed_write_leaves_earlier_file(tmp_path):

@@ -4,14 +4,13 @@ import pytest
 from cronlab.errors import ParameterError, PreconditionError
 from cronlab.gauge import (THETA_MAX, angle_to, coulomb_gain_ratios,
                            covariant_gradient, curvature_from_gradients, current_from_gradient,
-                           greater_symbol, leray_project, null_derivative, null_form_check,
+                           greater_symbol, leray_project, null_form_check,
                            sector_symbol, transverse_inverse_symbol)
 from cronlab.grid import (GridSpec, ScalarField, VectorField, apply_multiplier, constant_field,
                           gradient, inner_product, lebesgue_norm, mode_field, plancherel_l2,
                           relative_l2_difference, to_physical, zero_field)
-from cronlab.parametrix import HalfWaveField
+from cronlab.harness import _null_frame_identity
 from cronlab.random_fields import random_divergence_free, random_field, stream
-from conftest import nyquist_mask
 
 
 def unit(vec):
@@ -166,67 +165,25 @@ def test_band_sector_is_difference_of_greaters():
 
 
 # ---------------------------------------------------------------------------
-# null derivatives
-
-def test_null_derivative_annihilates_matched_free_wave():
-    # exp(2 pi i(x.xi0 + t|xi0|)) is killed by L^- when xi0 is parallel to omega
-    g = GridSpec(2, 32, 8.0)
-    mode = (3, 0)
-    xi0 = g.mode_frequency(mode)
-    rho = float(np.linalg.norm(xi0))
-    w = xi0 / rho
-    u0 = mode_field(g, mode).values
-    u1 = 2j * np.pi * rho * u0
-    wave = HalfWaveField(g, u0, u1)     # forward wave: time factor e^{+2 pi i rho t}
-    out_minus = null_derivative(wave, w, -1)
-    out_plus = null_derivative(wave, w, +1)
-    t = 0.42
-    assert lebesgue_norm(out_minus.sample(t), 2) < 1e-12 * lebesgue_norm(out_plus.sample(t), 2)
-    expect = wave.sample(t) * (4j * np.pi * rho)
-    assert relative_l2_difference(out_plus.sample(t), expect) < 1e-12
-
+# null frame decomposition
 
 def test_box_equals_null_frame_composition():
-    g = GridSpec(3, 16, 4.0)
-    rng = stream(22, 2)
-    u0 = random_field(g, rng, 0.5, 1.5)
-    u1 = random_field(g, rng, 0.5, 1.5)
-    wave = HalfWaveField(g, u0.freq_values, u1.freq_values)
-    box = wave.box()
-    t = 0.3
-    scale = lebesgue_norm(wave.mul_symbol(-4 * np.pi ** 2 * g.xi_norm ** 2).sample(t), 2)
-    for i in range(20):
-        w = rng.standard_normal(3)
-        w /= np.linalg.norm(w)
-        lp_ = null_derivative(wave, w, +1)
-        lpm = null_derivative(lp_, w, -1)
-        sym = -4.0 * np.pi ** 2 * (g.xi_norm ** 2 - np.tensordot(w, g.xi, axes=(0, 0)) ** 2)
-        composed = lpm + wave.mul_symbol(sym)
-        assert lebesgue_norm(composed.sample(t) - box.sample(t), 2) < 1e-10 * scale
+    assert _null_frame_identity(GridSpec(3, 16, 4.0), stream(22, 2)) < 1e-10
 
 
-@pytest.mark.parametrize("n,N", [(2, 16), (3, 8)])
-def test_free_wave_samples_as_if_its_spectra_had_no_nyquist_rows_or_zero_mode(n, N):
-    # the wave keeps the spectra it is given and drops those entries only from
-    # the spectrum it synthesizes, so a wave whose spectra carry them samples
-    # bit for bit as one whose spectra have them zeroed, through every operation
-    g = GridSpec(n, N, 4.0)
-    rng = stream(24, n)
-    given = [rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape) for _ in range(2)]
-    zeroed = [X.copy() for X in given]
-    for X in zeroed:
-        X[nyquist_mask(g)] = 0.0
-        X.flat[0] = 0.0
-    w = unit(rng.standard_normal(n))
-    sym = 2j * np.pi * np.tensordot(w, g.xi, axes=(0, 0))
-    ops = {"identity": lambda F: F, "dt": lambda F: F.dt(),
-           "mul_symbol": lambda F: F.mul_symbol(sym), "+": lambda F: F + F.dt(),
-           "*": lambda F: 0.7 * F, "box": lambda F: F.box(),
-           "null_derivative": lambda F: null_derivative(null_derivative(F, w, +1), w, -1)}
-    a, b = HalfWaveField(g, *given), HalfWaveField(g, *zeroed)
-    for name, op in ops.items():
-        for t in (0.0, 0.37):
-            assert np.array_equal(op(a).sample(t).values, op(b).sample(t).values), (name, t)
+def test_null_frame_identity_builds_one_free_flow(monkeypatch):
+    import cronlab.grid as grid_module
+    built = []
+
+    class Counted(grid_module.FreeFlow):
+        def __init__(self, rho, t):
+            built.append((rho.shape, t))
+            super().__init__(rho, t)
+    monkeypatch.setattr(grid_module, "FreeFlow", Counted)
+    g = GridSpec(2, 16, 4.0)
+    _null_frame_identity(g, stream(22, 3))
+    # the scale and all 20 directions flow their data to one time
+    assert built == [(g.shape, 0.37 * g.L / 8.0)]
 
 
 # ---------------------------------------------------------------------------

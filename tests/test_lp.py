@@ -351,16 +351,22 @@ def test_commutator_slope_and_ratio():
 
 def test_commutator_ratios_transform_the_product_once(count_transforms):
     g = GridSpec(2, 64, 1.0)
+    br = BandRange.widest(g)
+    # f real, drawn plain and drawn flat as in the lp-suite's commutator scan
+    draws = (lambda: random_field(g, stream(15, 5), 1.0, 2.0, real=True),
+             lambda: flat_spectrum_field(g, stream(15, 5), BandRange(br.k_min, br.k_min),
+                                         real=True))
     calls = count_transforms()
     counts = []
-    for ks in ([3], [1, 2, 3]):
-        f = random_field(g, stream(15, 5), 1.0, 2.0, real=True)
-        h = random_field(g, stream(15, 6), 1.0, 16.0)
-        calls.clear()
-        commutator_ratios(f, h, ks, np.inf, 2, 2)
-        counts.append(calls["fftn"] + calls["rfftn"])
+    for draw in draws:
+        for ks in ([3], [1, 2, 3]):
+            f = draw()
+            h = random_field(g, stream(15, 6), 1.0, 16.0)
+            calls.clear()
+            commutator_ratios(f, h, ks, np.inf, 2, 2)
+            counts.append(calls["fftn"] + calls["rfftn"])
     # f and g are drawn as spectra; only f g goes forward, once for all bands
-    assert counts == [1, 1]
+    assert counts == [1, 1, 1, 1]
 
 
 def test_commutator_hoelder_validation():
